@@ -3,9 +3,10 @@
 Every subcommand reads one INI config (see config.py), writes artifacts
 into --out, and returns a contract exit code: 0 success, 2 configuration
 or parameter error, 3 numerical-consistency failure, 4 oracle
-disagreement.  All numerics are deterministic fixed-step quadratures, so
-identical configs and package versions produce bit-identical artifacts;
-the --seedless flag exists to document that property in scripts.
+disagreement.  All numerics are deterministic (fixed-step quadratures and
+a dense eigendecomposition), so identical configs and package versions
+produce bit-identical artifacts; the --seedless flag exists to document
+that property in scripts.
 
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
 version, command) and files are written via a temporary name and atomic
@@ -187,7 +188,8 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
     forward = run_back.states[:, :1 + 2 * n]
     leak = float(np.max(np.sum(np.abs(forward) ** 2, axis=1)))
     checks["backward_leak"] = {"passed": leak <= BACKWARD_LEAK_TOL,
-                               "leak": leak, "tolerance": BACKWARD_LEAK_TOL}
+                               "leak": leak, "tolerance": BACKWARD_LEAK_TOL,
+                               "norm_drift": run_back.norm_drift}
 
     if _is_resonant(cfg):
         grid = SimGrid.auto(cfg.system, cfg.pulse, ledger_tol=1e-8)

@@ -11,17 +11,20 @@ The comb approximates the continuum as long as (i) the window is much
 wider than the emission line, (ii) the spacing is much finer than every
 physical rate, and (iii) times stay well below the recurrence 2 pi /
 spacing.  Defaults: 2001 modes per branch over a window of 40 Gamma.
+
+``evolve`` diagonalizes the discrete Hamiltonian exactly, as n dark
+modes and one real arrowhead block (O'Leary & Stewart 1990).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.signal import czt
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     BandwidthError,
@@ -166,8 +169,9 @@ def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
     Diagonal: omega_a for |e, vac>, omega_j for a-modes, delta_ab +
     omega_j^b for b-modes (and delta_ab + omega_j for the backward
     sector, which has no off-diagonal elements at all: an a-branch
-    photon cannot raise |b>).  Couplings are +/- i g_k with
-    g_k = sqrt(gamma_k * spacing / (2 pi)).
+    photon cannot raise |b>).  As delta_ab + omega_j^b = omega_j, both
+    combs are stored from one array and share the diagonal exactly.
+    Couplings are +/- i g_k with g_k = sqrt(gamma_k * spacing / (2 pi)).
     """
     bath.check_against(system)
     n = bath.n_modes
@@ -178,10 +182,11 @@ def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
     dim = 1 + (3 if include_backward else 2) * n
     diag = np.empty(dim, dtype=complex)
     diag[0] = system.omega_a
-    diag[1:1 + n] = system.omega_a + offs
-    diag[1 + n:1 + 2 * n] = system.delta_ab + (system.omega_b + offs)
+    comb = system.omega_a + offs
+    diag[1:1 + n] = comb
+    diag[1 + n:1 + 2 * n] = comb
     if include_backward:
-        diag[1 + 2 * n:] = system.delta_ab + (system.omega_a + offs)
+        diag[1 + 2 * n:] = system.delta_ab + comb
 
     rows = [np.arange(dim)]
     cols = [np.arange(dim)]
@@ -277,98 +282,91 @@ class OracleRun:
 
     def energy_series(self, h: sp.csr_matrix) -> np.ndarray:
         """<H>(t) including the frame shift; conserved up to solver error."""
-        out = np.empty(self.times.size)
         shifted = h - sp.identity(h.shape[0], format="csr") * self.omega_ref
-        for k in range(self.times.size):
-            y = self.states[k]
-            out[k] = float(np.real(np.vdot(y, shifted @ y))) \
-                + self.omega_ref * float(np.real(np.vdot(y, y)))
-        return out
+        ys = self.states
+        return np.real(np.sum(np.conj(ys) * (shifted @ ys.T).T, axis=1)) \
+            + self.omega_ref * np.sum(np.abs(ys) ** 2, axis=1)
 
 
-def _rk4_sparse(h_shift: sp.csr_matrix, y0: np.ndarray, t_out: np.ndarray,
-                dt_target: float) -> tuple[np.ndarray, float]:
-    n_out = t_out.size
-    states = np.empty((n_out, y0.size), dtype=complex)
-    states[0] = y0
-    y = y0.copy()
-    drift = 0.0
-    for k in range(1, n_out):
-        span = t_out[k] - t_out[k - 1]
-        steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
-        hstep = span / steps
-        for _ in range(steps):
-            k1 = -1j * (h_shift @ y)
-            k2 = -1j * (h_shift @ (y + 0.5 * hstep * k1))
-            k3 = -1j * (h_shift @ (y + 0.5 * hstep * k2))
-            k4 = -1j * (h_shift @ (y + hstep * k3))
-            y = y + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k] = y
-        drift = max(drift, abs(float(np.real(np.vdot(y, y))) - 1.0))
-    return states, drift
+@functools.lru_cache(maxsize=1)
+def _arrowhead_eigh(diag: bytes,
+                    spokes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of the arrowhead [[d_0, G], [G, diag(d_1..)]].
+
+    Keyed on the comb, so runs on one comb share one decomposition."""
+    g = np.frombuffer(spokes)
+    arrow = np.diag(np.frombuffer(diag))
+    arrow[0, 1:] = arrow[1:, 0] = g
+    evals, evecs = np.linalg.eigh(arrow)
+    evals.flags.writeable = False
+    evecs.flags.writeable = False
+    return evals, evecs
 
 
 def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
-           bath: DiscreteBath, system: LambdaSystem, n_out: int = 201,
-           dt: float | None = None, method: str = "auto") -> OracleRun:
-    """Integrate i dy/dt = H y and record n_out snapshots on [0, t_final].
+           bath: DiscreteBath, system: LambdaSystem,
+           n_out: int = 201) -> OracleRun:
+    """Solve i dy/dt = H y exactly and record n_out snapshots on [0, t_final].
 
-    Methods: "eigh" (exact dense eigendecomposition, dim <= 4097), "rk4"
-    (fixed-step, norm drift checked against 1e-10), "expm" (Krylov-free
-    scaling-and-squaring propagation, for long narrowband runs), "auto"
-    picks by size.  The evolution happens in the frame rotating at the
-    |e> diagonal, which removes the huge common optical phase.
+    H must look as ``build_hamiltonian`` makes it, else ParameterError:
+    Hermitian, nonzeros only on the diagonal, row 0 and column 0, a-mode
+    j on the diagonal of b-mode j, the backward sector uncoupled.  In the
+    frame rotating at omega_ref = H[0, 0], with z = row 0 and G_j =
+    sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
+    (z_bj a_j - z_aj b_j) / G_j, evolving by its phase like the backward
+    sector, and a bright mode (conj(z_aj) a_j + conj(z_bj) b_j) / G_j.
+    |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]]
+    solved by dense eigh.  Norm drift above DRIFT_TOL raises.
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
     bath.check_against(system, t_final=t_final)
     dim = h.shape[0]
+    n = bath.n_modes
     y0 = state.pack()
-    if y0.size != dim:
-        raise ParameterError(f"state dim {y0.size} != hamiltonian dim {dim}")
+    if y0.size != dim or dim not in (1 + 2 * n, 1 + 3 * n):
+        raise ParameterError(f"state dim {y0.size}, hamiltonian dim {dim} "
+                             f"and {n} modes do not fit")
     norm0 = float(np.real(np.vdot(y0, y0)))
     if abs(norm0 - 1.0) > 1e-9:
         raise ParameterError(f"initial state norm {norm0} != 1")
 
+    if (h != h.conj().T).nnz:
+        raise ParameterError("H is not Hermitian")
+    upper = sp.triu(h, k=1, format="coo")
+    if np.any((upper.row != 0) & (upper.data != 0)):
+        raise ParameterError("H couples two modes to each other")
+    z = h[[0]].toarray().ravel()
+    a, b, back = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(2 * n + 1, dim)
     omega_ref = float(np.real(h[0, 0]))
-    h_shift = (h - omega_ref * sp.identity(dim, dtype=complex, format="csr")).tocsr()
-    band = float(np.max(np.abs(h_shift.diagonal())))
-    if dt is None:
-        dt = 0.01 / band if band > 0 else t_final
+    d = h.diagonal().real - omega_ref
+    z_a, z_b = z[a], z[b]
+    g = np.hypot(np.abs(z_a), np.abs(z_b))
+    if np.any(d[a] != d[b]) or np.any(z[back] != 0) or np.any(g == 0):
+        raise ParameterError("H does not split into a/b mode pairs that "
+                             "share their diagonal and couple to |e>")
+
     t_out = np.linspace(0.0, t_final, n_out)
+    evals, evecs = _arrowhead_eigh(np.concatenate(([d[0]], d[a])).tobytes(),
+                                   g.tobytes())
+    bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
+    dark0 = (np.conj(z_b) * y0[a] - np.conj(z_a) * y0[b]) / g
+    # real products only: V is real, so split real and imaginary parts
+    w0 = evecs.T @ np.stack([bright0.real, bright0.imag], axis=1)
+    spec = np.exp(-1j * np.outer(t_out, evals)) * (w0[:, 0] + 1j * w0[:, 1])
+    parts = np.concatenate([spec.real, spec.imag]) @ evecs.T
+    bright = parts[:n_out] + 1j * parts[n_out:]
+    dark = np.exp(-1j * np.outer(t_out, d[a])) * dark0
 
-    if method == "auto":
-        if dim <= 2100:
-            method = "eigh"
-        elif t_final / dt <= 400_000:
-            method = "rk4"
-        else:
-            method = "expm"
-
-    if method == "eigh":
-        if dim > 4097:
-            raise ConfigurationError("eigh method limited to dim <= 4097")
-        dense = h_shift.toarray()
-        evals, evecs = np.linalg.eigh(dense)
-        w0 = evecs.conj().T @ y0
-        # y(t_k) = V diag(e^{-i evals t_k}) V^dag y0, all times at once
-        states = (np.exp(-1j * np.outer(t_out, evals)) * w0) @ evecs.T
-        drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    elif method == "rk4":
-        states, drift = _rk4_sparse(h_shift, y0, t_out, dt)
-    elif method == "expm":
-        states = expm_multiply(-1j * h_shift.tocsc(), y0,
-                               start=0.0, stop=t_final, num=n_out,
-                               endpoint=True)
-        states = np.asarray(states, dtype=complex)
-        drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-
+    states = np.empty((n_out, dim), dtype=complex)
+    states[:, 0] = bright[:, 0]
+    states[:, a] = (np.conj(z_a) * bright[:, 1:] + z_b * dark) / g
+    states[:, b] = (np.conj(z_b) * bright[:, 1:] - z_a * dark) / g
+    states[:, back] = np.exp(-1j * np.outer(t_out, d[back])) * y0[back]
+    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     if drift > DRIFT_TOL:
         raise NumericalConsistencyError(
-            f"norm drift {drift:.3e} exceeds {DRIFT_TOL}; reduce the step"
-        )
+            f"norm drift {drift:.3e} exceeds {DRIFT_TOL}")
     return OracleRun(times=t_out, states=states, omega_ref=omega_ref,
                      bath=bath, system=system,
                      include_backward=state.backward is not None,
@@ -537,7 +535,7 @@ def _quadrature_work(system, pulse, times, psi_rot):
 
 def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
             bath: DiscreteBath | None = None, *, t_final: float | None = None,
-            n_out: int = 301, method: str = "auto",
+            n_out: int = 301,
             tolerances: dict | None = None) -> DeviationReport:
     """Run the discrete-mode model and the analytic pipeline side by side.
 
@@ -556,7 +554,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     amps = discretize_pulse(pulse, bath, system)
     h = build_hamiltonian(system, bath)
     run = evolve(h, OneExcitationState.from_pulse(amps), t_final,
-                 bath=bath, system=system, n_out=n_out, method=method)
+                 bath=bath, system=system, n_out=n_out)
     oracle = measure_series(run, mixture)
 
     rate = max(system.gamma_total, pulse.spectral_scale())

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lambda_adapt.cli import main
+from lambda_adapt.oracle import _arrowhead_eigh
 
 BASE = """[system]
 omega_a = 50.0
@@ -39,8 +40,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == 0
-        for name in ("trajectory.csv", "ledger.json", "entropy.json"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "entropy.json", "ledger.json", "trajectory.csv"]
 
         meta = read_meta(out / "trajectory.csv")
         assert meta["command"] == "simulate"
@@ -189,9 +190,7 @@ class TestEntropyCurveCommand:
             (out2 / "entropy_curve.csv").read_bytes()
 
 
-class TestOracleVerifyCommand:
-    def test_passes_on_small_bath(self, tmp_path, capsys):
-        cfg = write(tmp_path, """[system]
+SMALL_BATH = """[system]
 omega_a = 50.0
 
 [pulse]
@@ -203,7 +202,12 @@ p_a0 = 0.5
 
 [bath]
 n_modes = 801
-""")
+"""
+
+
+class TestOracleVerifyCommand:
+    def test_passes_on_small_bath(self, tmp_path, capsys):
+        cfg = write(tmp_path, SMALL_BATH)
         out = tmp_path / "out"
         assert main(["oracle-verify", "--config", str(cfg),
                      "--out", str(out)]) == 0
@@ -214,6 +218,18 @@ n_modes = 801
         doc = json.loads((out / "verify.json").read_text())
         assert doc["passed"] is True
         assert doc["checks"]["backward_leak"]["leak"] <= 1e-12
+        assert doc["checks"]["backward_leak"]["norm_drift"] <= 1e-12
+
+    def test_reruns_are_bit_identical(self, tmp_path):
+        cfg = write(tmp_path, SMALL_BATH)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            # drop the cached comb decomposition so the rerun recomputes it
+            _arrowhead_eigh.cache_clear()
+            assert main(["oracle-verify", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert (out1 / "verify.json").read_bytes() == \
+            (out2 / "verify.json").read_bytes()
 
     def test_coarse_bath_is_config_error(self, tmp_path):
         cfg = write(tmp_path, """[system]

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from lambda_adapt.errors import (BandwidthError, ConfigurationError,
-                                 NumericalConsistencyError, ParameterError)
+                                 ParameterError)
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, make_pulse)
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
-                                 OneExcitationState, build_hamiltonian,
-                                 compare, discretize_pulse, evolve, measure,
-                                 measure_series)
+                                 OneExcitationState, _arrowhead_eigh,
+                                 build_hamiltonian, compare, discretize_pulse,
+                                 evolve, measure, measure_series)
 
 
 @pytest.fixture(scope="module")
@@ -132,15 +132,25 @@ class TestEvolve:
         rate = -np.polyfit(run.times, np.log(p_e), 1)[0]
         assert rate == pytest.approx(system.gamma_total, rel=0.02)
 
-    def test_methods_agree(self, system, small_bath):
-        h = build_hamiltonian(system, small_bath)
-        runs = {m: evolve(h, excited_start(small_bath), 2.0, bath=small_bath,
-                          system=system, n_out=21, method=m)
-                for m in ("eigh", "rk4", "expm")}
-        for m in ("rk4", "expm"):
-            dev = np.max(np.abs(runs[m].states - runs["eigh"].states))
-            assert dev < 1e-9, m
-        assert runs["eigh"].norm_drift <= 1e-10
+    def test_matches_dense_eigh(self):
+        # all sectors populated, shifted b line, unequal rates: every
+        # dark, bright and backward amplitude against a full complex eigh
+        s = LambdaSystem(omega_a=50.0, delta_ab=0.2, gamma_a=1.0,
+                         gamma_b=0.6)
+        bath = DiscreteBath(401, 20.0 * s.gamma_total)
+        n = bath.n_modes
+        h = build_hamiltonian(s, bath, include_backward=True)
+        rng = np.random.default_rng(7)
+        y0 = rng.normal(size=1 + 3 * n) + 1j * rng.normal(size=1 + 3 * n)
+        y0 /= np.linalg.norm(y0)
+        run = evolve(h, OneExcitationState.unpack(y0, n), 5.0, bath=bath,
+                     system=s, n_out=21)
+        shifted = h.toarray() - run.omega_ref * np.eye(1 + 3 * n)
+        evals, evecs = np.linalg.eigh(shifted)
+        ref = (np.exp(-1j * np.outer(run.times, evals))
+               * (evecs.conj().T @ y0)) @ evecs.T
+        assert np.max(np.abs(run.states - ref)) <= 1e-12
+        assert run.norm_drift <= 1e-12
 
     def test_energy_conserved(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
@@ -148,33 +158,57 @@ class TestEvolve:
                      system=system, n_out=21)
         e = run.energy_series(h)
         assert np.max(np.abs(e - e[0])) < 1e-9 * abs(e[0])
+        # per-snapshot reference for the vectorized product
+        for k in (0, 10, 20):
+            y = run.states[k]
+            ref = float(np.real(np.vdot(y, h @ y)))
+            assert e[k] == pytest.approx(ref, rel=1e-13)
 
-    def test_coarse_rk4_step_refused(self, system, small_bath):
-        h = build_hamiltonian(system, small_bath)
-        with pytest.raises(NumericalConsistencyError):
-            evolve(h, excited_start(small_bath), 2.0, bath=small_bath,
-                   system=system, n_out=11, method="rk4", dt=0.2)
+    @pytest.mark.parametrize("defect", ["mode_coupling", "unpaired_diagonal",
+                                        "not_hermitian"])
+    def test_malformed_hamiltonian_refused(self, system, small_bath, defect):
+        h = build_hamiltonian(system, small_bath).tolil()
+        if defect == "mode_coupling":
+            h[1, 2] = h[2, 1] = 0.01
+        elif defect == "unpaired_diagonal":
+            h[1, 1] += 1e-9
+        else:
+            h[0, 1] = 2.0 * h[0, 1]
+        with pytest.raises(ParameterError):
+            evolve(h.tocsr(), excited_start(small_bath), 2.0,
+                   bath=small_bath, system=system, n_out=11)
 
     def test_input_guards(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
         state = excited_start(small_bath)
         with pytest.raises(ParameterError):
             evolve(h, state, -1.0, bath=small_bath, system=system)
-        with pytest.raises(ParameterError):
-            evolve(h, state, 2.0, bath=small_bath, system=system,
-                   method="magic")
         bad = OneExcitationState(excited=0.5 + 0.0j,
                                  a_modes=np.zeros(801, complex),
                                  b_modes=np.zeros(801, complex))
         with pytest.raises(ParameterError):
             evolve(h, bad, 2.0, bath=small_bath, system=system)
 
-    def test_eigh_dimension_cap(self, system):
+    def test_backward_run_reuses_forward_decomposition(self, system,
+                                                       small_bath):
+        h = build_hamiltonian(system, small_bath)
+        evolve(h, excited_start(small_bath), 2.0, bath=small_bath,
+               system=system, n_out=11)
+        hits = _arrowhead_eigh.cache_info().hits
+        photon = np.zeros(small_bath.n_modes, dtype=complex)
+        photon[0] = 1.0
+        h_back = build_hamiltonian(system, small_bath, include_backward=True)
+        evolve(h_back, OneExcitationState.from_pulse(photon, backward=True),
+               2.0, bath=small_bath, system=system, n_out=11)
+        assert _arrowhead_eigh.cache_info().hits == hits + 1
+
+    def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
         h = build_hamiltonian(system, bath)
-        with pytest.raises(ConfigurationError):
-            evolve(h, excited_start(bath), 1.0, bath=bath, system=system,
-                   method="eigh")
+        run = evolve(h, excited_start(bath), 1.0, bath=bath, system=system,
+                     n_out=11)
+        assert run.states.shape == (11, 1 + 2 * 2049)
+        assert run.norm_drift <= 1e-12
 
 
 @pytest.fixture(scope="module")
