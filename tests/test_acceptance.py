@@ -26,7 +26,7 @@ from lambda_adapt.thermo import (HBAR, adaptation_work_check,
 
 
 def fast_grid(system, pulse, t_max):
-    """Objective-accuracy grid: dt at the validation ceiling, no z window."""
+    """Fixed step 0.01 / max(Gamma, spectral scale, |delta_L|), no z window."""
     rate = max(system.gamma_total, pulse.spectral_scale(),
                abs(pulse.detuning(system)))
     dt = 0.01 / rate

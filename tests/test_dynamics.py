@@ -1,13 +1,17 @@
 """Amplitude integration against the exponential closed form."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from lambda_adapt.dynamics import (asymptotic_prob_exponential, backward_prob,
+from lambda_adapt.dynamics import (_PHI_SERIES_RADIUS, _phi_closed,
+                                   _phi_series, _step_coefficients,
+                                   asymptotic_prob_exponential, backward_prob,
                                    field_amplitudes, integrate_psi,
                                    populations, psi_closed_form,
                                    transition_prob_ab)
@@ -74,6 +78,69 @@ class TestClosedFormAgreement:
             psi_closed_form(s, exp_pulse, -0.1)
         with pytest.raises(ParameterError):
             psi_closed_form(s, exp_pulse, 0.5, frame="interaction")
+
+
+class TestExponentialIntegrator:
+    def test_narrow_detuned_pulse_at_the_dt_ceiling(self):
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        pulse, grid, traj = run(s, Exponential(1e-3), detuning=0.3,
+                                dt=0.01 / 1e-3)
+        exact = psi_closed_form(s, pulse, traj.times, frame="rotating")
+        assert np.max(np.abs(traj.psi - exact)) <= 1e-9
+        # the transient window runs at 0.01 / Gamma, the rest at grid.dt
+        (a0, a1), (b0, b1) = traj.segments
+        assert traj.times[a1] == pytest.approx(40.0 / s.gamma_total)
+        assert np.allclose(np.diff(traj.times[a0:a1 + 1]),
+                           0.01 / s.gamma_total)
+        slow = np.diff(traj.times[b0:b1 + 1])
+        assert np.all(slow <= grid.dt * (1 + 1e-12))
+        assert np.all(slow > 0.9 * grid.dt)
+
+    def test_phi_branches_agree_at_the_switch(self):
+        for angle in np.linspace(0.0, 2.0 * math.pi, 25):
+            z = cmath.rect(_PHI_SERIES_RADIUS, angle)
+            for a, b in zip(_phi_series(z), _phi_closed(z)):
+                assert abs(a - b) <= 1e-13 * abs(a), (angle, a, b)
+
+    @pytest.mark.parametrize("z", [0.01j, -0.3 + 0.2j, -1.0 + 0.5j,
+                                   -4.0 - 3.0j, -40.0 + 2.0j])
+    def test_step_is_exact_for_quadratic_drive(self, z):
+        # y' = lam y + f, y(0) = 0, f in {1, s, s^2}: compare one step
+        # with the quadrature of int_0^h e^{lam (h - s)} f(s) ds
+        h = 0.7
+        lam = z / h
+        A, w0, w1, w2 = _step_coefficients(lam, h)
+        assert A == pytest.approx(cmath.exp(z), rel=1e-15)
+        for f in (lambda t: 1.0, lambda t: t, lambda t: t * t):
+            def integrand(t, part):
+                return part(cmath.exp(lam * (h - t)) * f(t))
+            want = complex(quad(integrand, 0.0, h, args=(np.real,),
+                                epsabs=0, epsrel=1e-13)[0],
+                           quad(integrand, 0.0, h, args=(np.imag,),
+                                epsabs=0, epsrel=1e-13)[0])
+            got = w0 * f(0.0) + w1 * f(0.5 * h) + w2 * f(h)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_coarse_rectangular_restarts_window_at_the_edge(self):
+        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
+        tau = 100.0
+        _, grid, traj = run(s, Rectangular(tau), detuning=0.3,
+                            t_max=tau + 40.0, dt=1.0)
+        window = 40.0 / s.gamma_total
+        starts = [traj.times[i0] for i0, _ in traj.segments]
+        assert starts == pytest.approx([0.0, window, tau, tau + window])
+        h_fast = 0.01 / s.gamma_total
+        for k in (0, 2):
+            i0, i1 = traj.segments[k]
+            assert np.allclose(np.diff(traj.times[i0:i1 + 1]), h_fast)
+        for k in (1, 3):
+            i0, i1 = traj.segments[k]
+            assert np.allclose(np.diff(traj.times[i0:i1 + 1]), grid.dt)
+        # past the edge the drive is off: pure decay, no carrier phase
+        i_tau = traj.segments[2][0]
+        t_after = traj.times[i_tau:]
+        ref = traj.psi[i_tau] * np.exp(-0.5 * s.gamma_total * (t_after - tau))
+        assert np.max(np.abs(traj.psi[i_tau:] - ref)) < 1e-10
 
 
 class TestAsymptoticProbability:

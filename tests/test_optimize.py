@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_adapt.dynamics import asymptotic_prob_exponential
 from lambda_adapt.errors import ParameterError
 from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
                                 make_pulse)
-from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec,
+from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec, _evaluate,
                                    apply_parameters, maximize, sweep)
 
 
@@ -63,6 +65,36 @@ class TestApplyParameters:
             apply_parameters(system, pulse, {"phase": 0.1})
         with pytest.raises(ParameterError):
             apply_parameters(system, pulse, {"rate_ratio": -1.0})
+
+
+class TestObjective:
+    @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("linewidth", [1e-3, 1e-2, 0.1, 1.0])
+    def test_p_ab_infty_matches_closed_form(self, system, linewidth, ratio):
+        pulse = make_pulse(Exponential(linewidth), system.omega_a, system)
+        sys_r, pulse_r = apply_parameters(system, pulse,
+                                          {"rate_ratio": ratio})
+        result = sweep(SweepSpec("detuning", -0.5, 0.5, n_points=5),
+                       sys_r, pulse_r)
+        want = [asymptotic_prob_exponential(sys_r, linewidth, d)
+                for d in result.values()]
+        assert np.max(np.abs(result.objectives() - want)) <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_width=st.floats(-3.0, 0.0), detuning=st.floats(-0.5, 0.5),
+           ratio=st.floats(0.25, 4.0))
+    def test_p_ab_infty_bounded(self, log_width, detuning, ratio):
+        base = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        linewidth = 10.0 ** log_width
+        s, pulse = apply_parameters(
+            base, make_pulse(Exponential(1.0), base.omega_a, base),
+            {"linewidth": linewidth, "detuning": detuning,
+             "rate_ratio": ratio})
+        value = _evaluate(s, pulse, "p_ab_infty")
+        cap = 4.0 * s.gamma_a * s.gamma_b / s.gamma_total ** 2
+        assert 0.0 <= value <= cap + 1e-9
+        assert value == pytest.approx(
+            asymptotic_prob_exponential(s, linewidth, detuning), abs=1e-6)
 
 
 class TestSweep:
