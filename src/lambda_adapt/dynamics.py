@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -58,7 +59,10 @@ class AmplitudeTrajectory:
     ``p_ab`` is the cumulative branch-b transfer gamma_b * int_0^t p_e.
     ``segments`` holds index ranges [i0, i1] of uniform-step stretches;
     the drive is smooth inside each stretch (envelope discontinuities sit
-    exactly on the shared boundary nodes).
+    exactly on the shared boundary nodes).  ``delta_l`` is the carrier
+    detuning: psi~ turns at e^{-i delta_L t}, which a step at the
+    envelope scale does not resolve, so ``psi_at`` interpolates in the
+    carrier frame instead.
     """
 
     times: np.ndarray
@@ -66,6 +70,7 @@ class AmplitudeTrajectory:
     p_e: np.ndarray
     p_ab: np.ndarray
     segments: tuple
+    delta_l: float = 0.0
 
     def __post_init__(self):
         for arr in (self.times, self.psi, self.p_e, self.p_ab):
@@ -74,6 +79,32 @@ class AmplitudeTrajectory:
     @property
     def t_max(self) -> float:
         return float(self.times[-1])
+
+    @cached_property
+    def _carrier_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of psi^ = psi~ e^{i delta_L t}."""
+        psi_hat = self.psi
+        if self.delta_l != 0.0:
+            psi_hat = psi_hat * np.exp(1j * self.delta_l * self.times)
+        return (np.ascontiguousarray(psi_hat.real),
+                np.ascontiguousarray(psi_hat.imag))
+
+    def psi_at(self, t):
+        """psi~ at times in [0, t_max], interpolated linearly in psi^.
+
+        psi^ moves at the envelope scale, or at |lambda| inside the
+        transient windows, and every step is about 0.01 of that scale,
+        so the error stays near 1e-5 |psi| or below (3.6e-6 measured on
+        Exponential(1e-3) detuned by 0.5 at the dt ceiling), whatever
+        delta_L * dt is.
+        """
+        t = np.asarray(t, dtype=float)
+        re, im = self._carrier_parts
+        psi_hat = (np.interp(t, self.times, re)
+                   + 1j * np.interp(t, self.times, im))
+        if self.delta_l == 0.0:
+            return psi_hat
+        return psi_hat * np.exp(-1j * self.delta_l * t)
 
     def p_ab_final(self) -> float:
         return float(self.p_ab[-1])
@@ -221,7 +252,7 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     p_e = np.abs(psi_all) ** 2
     p_ab = system.gamma_b * cumulative_trapezoid(p_e, t_all, initial=0.0)
     return AmplitudeTrajectory(times=t_all, psi=psi_all, p_e=p_e, p_ab=p_ab,
-                               segments=tuple(seg_ranges))
+                               segments=tuple(seg_ranges), delta_l=delta_l)
 
 
 def psi_closed_form(system: LambdaSystem, pulse: PulseSpec, t, *,
@@ -346,14 +377,6 @@ def _insert_two_sided(z: np.ndarray, points, eps: float) -> np.ndarray:
     return out
 
 
-def _psi_lab_at(traj: AmplitudeTrajectory, system: LambdaSystem, t):
-    """Lab-frame psi at arbitrary times by rotating-frame interpolation."""
-    t = np.asarray(t, dtype=float)
-    re = np.interp(t, traj.times, traj.psi.real)
-    im = np.interp(t, traj.times, traj.psi.imag)
-    return (re + 1j * im) * np.exp(-1j * system.omega_a * t)
-
-
 def field_amplitudes(traj: AmplitudeTrajectory, system: LambdaSystem,
                      pulse: PulseSpec, grid: SimGrid, t: float) -> FieldState:
     """Reconstruct phi_a(z, t) and phi_b(z, t) by input-output composition.
@@ -380,7 +403,8 @@ def field_amplitudes(traj: AmplitudeTrajectory, system: LambdaSystem,
     free = envelope_at(pulse, z - c * t)
     scat_mask = (z >= 0.0) & (z <= c * t)
     tau = np.where(scat_mask, t - z / c, 0.0)
-    psi_ret = np.where(scat_mask, _psi_lab_at(traj, system, tau), 0.0)
+    psi_ret = np.where(scat_mask, traj.psi_at(tau)
+                       * np.exp(-1j * system.omega_a * tau), 0.0)
     phi_a = free + math.sqrt(2.0 * math.pi * system.rho_density
                              * system.gamma_a) * psi_ret
     phi_b = (math.sqrt(2.0 * math.pi * system.rho_density * system.gamma_b)

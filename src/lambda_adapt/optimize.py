@@ -193,13 +193,17 @@ def _objective_grid(system: LambdaSystem, pulse: PulseSpec) -> SimGrid:
 
     Every family runs to its settle time plus 10/Gamma (for the
     exponential envelope, 20/linewidth: the drive left after it carries
-    e^{-20} of the transfer).  dt = 0.002 / spectral scale; integrate_psi
-    resolves the Gamma transient on its own.  Against
-    asymptotic_prob_exponential, p_ab_infty measured within 3.3e-7 over
-    linewidths 1e-3-1, detunings 0-0.5 and rate ratios 0.25-4
-    (Gamma = 2), the trapezoid error (dt * linewidth)^2 / 12 of p_ab.
+    e^{-20} of the transfer).  dt = 0.002 / spectral scale, or
+    0.01 / max(Gamma, spectral scale, |delta_L|) where that is larger:
+    a broadband drive keeps the step it always had, and a narrowband one
+    steps at its envelope scale (integrate_psi resolves the Gamma
+    transient on its own).  Against asymptotic_prob_exponential,
+    p_ab_infty measured within 3.3e-7 over linewidths 1e-3-1, detunings
+    0-0.5 and rate ratios 0.25-4 (Gamma = 2).
     """
-    dt = 0.002 / pulse.spectral_scale()
+    spectral = pulse.spectral_scale()
+    rate = max(system.gamma_total, spectral, abs(pulse.detuning(system)))
+    dt = max(0.002 / spectral, 0.01 / rate)
     t_max = pulse.settle_time() + 10.0 / system.gamma_total
     c = system.c_speed
     return SimGrid(t_max=float(t_max), dt=float(dt), z_min=-c * float(t_max),

@@ -581,8 +581,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
         s_e_an[k] = spec.s_e
 
     w_or = _quadrature_work(system, pulse, t_out, run.excited_series())
-    psi_an = np.interp(t_out, traj.times, traj.psi.real) \
-        + 1j * np.interp(t_out, traj.times, traj.psi.imag)
+    psi_an = traj.psi_at(t_out)
     w_an = _quadrature_work(system, pulse, t_out, psi_an)
     gtot = system.gamma_total
     q_or = system.omega_a * gtot * float(np.trapezoid(oracle.p_e, t_out)) \

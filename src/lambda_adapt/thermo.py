@@ -177,9 +177,7 @@ def interaction_energy(traj: AmplitudeTrajectory, pulse: PulseSpec,
     """
     if t < 0 or t > traj.t_max * (1 + 1e-12):
         raise NotApplicableError(f"t = {t} outside the integrated range")
-    re = np.interp(t, traj.times, traj.psi.real)
-    im = np.interp(t, traj.times, traj.psi.imag)
-    psi_rot = re + 1j * im
+    psi_rot = complex(traj.psi_at(t))
     delta_l = pulse.detuning(system)
     drive = complex(pulse.shape_at(-system.c_speed * t)) * np.exp(-1j * delta_l * t)
     g_a = system.coupling("a")

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestExponentialIntegrator:
         slow = np.diff(traj.times[b0:b1 + 1])
         assert np.all(slow <= grid.dt * (1 + 1e-12))
         assert np.all(slow > 0.9 * grid.dt)
+
+    def test_off_node_values_at_the_dt_ceiling(self):
+        # psi~ turns by delta_L dt = 3 rad per slow step; interpolation in
+        # the carrier frame keeps values between the nodes exact to the
+        # interpolation error of the envelope and the transient
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        pulse, grid, traj = run(s, Exponential(1e-3), detuning=0.3,
+                                dt=0.01 / 1e-3)
+        t = traj.times[:-1] + 0.37 * np.diff(traj.times)
+        exact = psi_closed_form(s, pulse, t, frame="rotating")
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(traj.psi_at(t) - exact)) <= 3e-5 * scale
+        c = s.c_speed
+        t_f = 0.5 * traj.t_max + 0.123
+        state = field_amplitudes(traj, s, pulse, replace(grid, dz=c), t_f)
+        inside = (state.z > 0.0) & (state.z < c * t_f)
+        assert np.count_nonzero(inside) > 1000
+        z = state.z[inside]
+        amp = math.sqrt(2.0 * math.pi * s.rho_density * s.gamma_b)
+        want = (amp * psi_closed_form(s, pulse, t_f - z / c)
+                * np.exp(-1j * s.delta_ab * z / c))
+        assert np.max(np.abs(state.phi_b[inside] - want)) <= 3e-5 * amp * scale
 
     def test_phi_branches_agree_at_the_switch(self):
         for angle in np.linspace(0.0, 2.0 * math.pi, 25):

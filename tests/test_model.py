@@ -201,6 +201,20 @@ class TestSimGrid:
             SimGrid(t_max=10.0, dt=0.1, z_min=-10.0, z_max=10.0,
                     dz=0.1).validate(self.system, self.pulse)
 
+    def test_dt_ceiling_is_the_envelope_scale(self):
+        # spectral scale 1 < Gamma = 2: the ceiling is 0.01 / 1, not
+        # 0.01 / Gamma, because the propagator absorbs Gamma exactly
+        assert self.pulse.spectral_scale() < self.system.gamma_total
+        ceiling = 0.01 / self.pulse.spectral_scale()
+        for dt, ok in ((ceiling, True), (ceiling * 1.01, False)):
+            grid = SimGrid(t_max=10.0, dt=dt, z_min=-10.0, z_max=10.0,
+                           dz=0.004)
+            if ok:
+                grid.validate(self.system, self.pulse)
+            else:
+                with pytest.raises(ConfigurationError, match="too coarse"):
+                    grid.validate(self.system, self.pulse)
+
     def test_rejects_short_window(self):
         with pytest.raises(ConfigurationError):
             SimGrid(t_max=10.0, dt=0.004, z_min=-5.0, z_max=10.0,

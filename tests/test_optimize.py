@@ -10,7 +10,8 @@ from lambda_adapt.errors import ParameterError
 from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
                                 make_pulse)
 from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec, _evaluate,
-                                   apply_parameters, maximize, sweep)
+                                   _objective_grid, apply_parameters,
+                                   maximize, sweep)
 
 
 @pytest.fixture()
@@ -79,6 +80,20 @@ class TestObjective:
         want = [asymptotic_prob_exponential(sys_r, linewidth, d)
                 for d in result.values()]
         assert np.max(np.abs(result.objectives() - want)) <= 1e-6
+
+    @pytest.mark.parametrize("envelope, detuning, dt", [
+        # broadband: 0.01 / max(Gamma, spectral scale, |delta_L|)
+        (Gaussian(1.2), 0.3, 0.005),
+        (Gaussian(0.25), 0.0, 0.0025),
+        (Gaussian(0.25), 5.0, 0.002),
+        # narrowband: 0.002 / spectral scale
+        (Exponential(1e-3), 0.3, 2.0),
+        (Exponential(0.1), 0.0, 0.02),
+    ])
+    def test_grid_step(self, system, envelope, detuning, dt):
+        pulse = make_pulse(envelope, system.omega_a + detuning, system)
+        assert _objective_grid(system, pulse).dt == pytest.approx(dt,
+                                                                  rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(log_width=st.floats(-3.0, 0.0), detuning=st.floats(-0.5, 0.5),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lambda_adapt.dynamics import integrate_psi
+from lambda_adapt.dynamics import integrate_psi, psi_closed_form
 from lambda_adapt.errors import NotApplicableError, NumericalConsistencyError
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, SimGrid, make_pulse)
@@ -117,6 +117,24 @@ class TestInteractionEnergy:
         vals = [abs(interaction_energy(traj, pulse, s, mix, float(t)))
                 for t in np.linspace(0.0, traj.t_max, 33)]
         assert max(vals) > 1e-6 * HBAR * s.omega_a
+
+    def test_detuned_between_nodes_at_the_dt_ceiling(self):
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        detuning = 0.3
+        pulse = make_pulse(Exponential(1e-3), s.omega_a + detuning, s)
+        traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=10.0))
+        mix = InitialMixture.pure_a()
+        ts = (traj.times[:-1] + 0.37 * np.diff(traj.times))[::97]
+        psi = psi_closed_form(s, pulse, ts, frame="rotating")
+        drive = (pulse.shape_at(-s.c_speed * ts)
+                 * np.exp(-1j * detuning * ts))
+        g_a = s.coupling("a")
+        want = 2.0 * HBAR * g_a * np.imag(np.conj(psi) * drive)
+        got = np.array([interaction_energy(traj, pulse, s, mix, float(t))
+                        for t in ts])
+        scale = (2.0 * HBAR * abs(g_a) * np.max(np.abs(psi))
+                 * np.max(np.abs(drive)))
+        assert np.max(np.abs(got - want)) <= 3e-5 * scale
 
     def test_time_window_enforced(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
