@@ -11,6 +11,7 @@ silently fall back to a default.
 from __future__ import annotations
 
 import hashlib
+import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,10 +70,14 @@ class RunConfig:
 
 def _float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(
             f"[{section}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _int(section: str, key: str, raw: str) -> int:

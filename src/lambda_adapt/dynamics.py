@@ -34,19 +34,16 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
-from .errors import ParameterError
-from .model import InitialMixture, LambdaSystem, PulseSpec, SimGrid, envelope_at
+from .errors import ConfigurationError, ParameterError
+from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem, PulseSpec,
+                    SimGrid)
 
 __all__ = [
     "AmplitudeTrajectory",
-    "FieldState",
     "PopulationSeries",
     "psi_closed_form",
     "integrate_psi",
-    "transition_prob_ab",
     "asymptotic_prob_exponential",
-    "field_amplitudes",
-    "backward_prob",
     "populations",
 ]
 
@@ -197,7 +194,9 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
 
     The amplitude is exact for a drive that is quadratic on each step,
     so its error is the drive's interpolation error, not a stability or
-    order limit in Gamma or delta_L.
+    order limit in Gamma or delta_L.  A run of more than MAX_GRID_NODES
+    steps (a large |delta_L| shrinks the transient step) raises
+    ConfigurationError before anything is allocated.
     """
     grid.validate(system, pulse)
     if pulse.rho != system.rho_density or pulse.c != system.c_speed:
@@ -216,14 +215,21 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     window = _TRANSIENT_WINDOW / gamma
     stretches = [piece for lo, hi in zip(bounds[:-1], bounds[1:])
                  for piece in _stretches(lo, hi, grid.dt, h_fast, window)]
+    steps = [max(1, math.ceil((hi - lo) / h_max - 1e-9))
+             for lo, hi, h_max in stretches]
+    if sum(steps) > MAX_GRID_NODES:
+        raise ConfigurationError(
+            f"trajectory of {sum(steps):.3g} steps exceeds MAX_GRID_NODES = "
+            f"{MAX_GRID_NODES:.3g}; the transient windows step at "
+            f"0.01 / max(Gamma, |delta_L|) = {h_fast:.3g}"
+        )
 
     times = [np.array([0.0])]
     psis = [np.array([0.0 + 0.0j])]
     seg_ranges = []
     start_idx = 0
     psi0 = 0.0 + 0.0j
-    for lo, hi, h_max in stretches:
-        n = max(1, math.ceil((hi - lo) / h_max - 1e-9))
+    for (lo, hi, _), n in zip(stretches, steps):
         h = (hi - lo) / n
         t_seg = lo + h * np.arange(n + 1)
         # sample the drive one-sidedly: nudge the segment ends inward so a
@@ -302,20 +308,6 @@ def psi_closed_form(system: LambdaSystem, pulse: PulseSpec, t, *,
     return psi
 
 
-def transition_prob_ab(traj: AmplitudeTrajectory, system: LambdaSystem,
-                       t: float) -> float:
-    """p_{a->b}(t) = gamma_b int_0^t |psi|^2, interpolated in ``traj.p_ab``.
-
-    ``system`` is not needed (the trajectory already holds the transfer)
-    and is accepted for call compatibility.
-    """
-    if t < 0 or t > traj.t_max * (1 + 1e-12):
-        raise ParameterError(
-            f"t = {t} outside the integrated range [0, {traj.t_max}]"
-        )
-    return float(np.interp(t, traj.times, traj.p_ab))
-
-
 def asymptotic_prob_exponential(system: LambdaSystem, linewidth: float,
                                 detuning: float = 0.0) -> float:
     """Long-time p_{a->b} for the exponential envelope, any detuning.
@@ -331,100 +323,6 @@ def asymptotic_prob_exponential(system: LambdaSystem, linewidth: float,
     s = gamma + linewidth
     return (4.0 * system.gamma_a * system.gamma_b * s
             / (gamma * (s * s + 4.0 * detuning * detuning)))
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """Waveguide field amplitudes at a fixed time.
-
-    ``z`` is nonuniform: nodes are inserted just left and right of every
-    amplitude discontinuity (emitter position, wavefronts, envelope
-    edges) so trapezoid integrals of |phi|^2 converge at second order.
-    """
-
-    t: float
-    z: np.ndarray
-    phi_a: np.ndarray
-    phi_b: np.ndarray
-    psi_sq: float
-    rho: float
-    c: float
-
-    def __post_init__(self):
-        for arr in (self.z, self.phi_a, self.phi_b):
-            arr.flags.writeable = False
-
-    def branch_weight(self, branch: str) -> float:
-        """N_k(t) = (1 / 2 pi rho c) integral |phi_k|^2 dz."""
-        phi = {"a": self.phi_a, "b": self.phi_b}[branch]
-        return float(np.trapezoid(np.abs(phi) ** 2, self.z)
-                     / (2.0 * math.pi * self.rho * self.c))
-
-    def one_excitation_norm(self) -> float:
-        return self.branch_weight("a") + self.branch_weight("b") + self.psi_sq
-
-
-def _insert_two_sided(z: np.ndarray, points, eps: float) -> np.ndarray:
-    """Replace nodes near discontinuities with a tight straddling pair."""
-    pts = [p for p in points]
-    if not pts:
-        return z
-    keep = np.ones(z.size, dtype=bool)
-    for p in pts:
-        keep &= np.abs(z - p) > eps
-    extra = np.concatenate([[p - eps, p + eps] for p in pts])
-    out = np.unique(np.concatenate([z[keep], extra]))
-    return out
-
-
-def field_amplitudes(traj: AmplitudeTrajectory, system: LambdaSystem,
-                     pulse: PulseSpec, grid: SimGrid, t: float) -> FieldState:
-    """Reconstruct phi_a(z, t) and phi_b(z, t) by input-output composition.
-
-    phi_a(z,t) = phi_a(z - ct, 0)
-                 + sqrt(2 pi rho gamma_a) H(z) H(t - z/c) psi(t - z/c)
-    phi_b(z,t) = sqrt(2 pi rho gamma_b) H(z) H(t - z/c) psi(t - z/c)
-                 e^{-i delta_ab z / c}
-    """
-    if t < 0 or t > traj.t_max * (1 + 1e-12):
-        raise ParameterError(f"t = {t} outside the integrated range")
-    c = system.c_speed
-    if grid.z_max < c * t:
-        raise ParameterError("grid z window does not contain the scattered front")
-    n = max(2, int(math.ceil((grid.z_max - grid.z_min) / grid.dz)) + 1)
-    z = np.linspace(grid.z_min, grid.z_max, n)
-    jumps = {0.0, c * t}
-    for zb in pulse.space_breakpoints():
-        jumps.add(zb + c * t)
-    eps = 1e-9 * grid.dz
-    z = _insert_two_sided(z, sorted(j for j in jumps
-                                    if grid.z_min < j < grid.z_max), eps)
-
-    free = envelope_at(pulse, z - c * t)
-    scat_mask = (z >= 0.0) & (z <= c * t)
-    tau = np.where(scat_mask, t - z / c, 0.0)
-    psi_ret = np.where(scat_mask, traj.psi_at(tau)
-                       * np.exp(-1j * system.omega_a * tau), 0.0)
-    phi_a = free + math.sqrt(2.0 * math.pi * system.rho_density
-                             * system.gamma_a) * psi_ret
-    phi_b = (math.sqrt(2.0 * math.pi * system.rho_density * system.gamma_b)
-             * psi_ret * np.exp(-1j * system.delta_ab * z / c))
-    psi_sq = float(np.interp(t, traj.times, traj.p_e))
-    return FieldState(t=float(t), z=z, phi_a=phi_a, phi_b=phi_b,
-                      psi_sq=psi_sq, rho=system.rho_density, c=c)
-
-
-def backward_prob(system: LambdaSystem, pulse: PulseSpec, t: float) -> float:
-    """Probability of |b> -> |a> under the same a-branch pulse: exactly 0.
-
-    The b-occupied, a-photon sector is annihilated by the interaction
-    (the photon cannot raise |b> on the a transition), so the initial
-    product state only picks up a global phase.
-    """
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    pulse.envelope._check()
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -445,7 +343,8 @@ def populations(system: LambdaSystem, mixture: InitialMixture,
                 traj: AmplitudeTrajectory) -> PopulationSeries:
     """p_a, p_b, p_e over time for an initial mixture of |a> and |b>.
 
-    The |b> branch is inert (see backward_prob), so it contributes a
+    The |b> branch is inert (an a-branch photon cannot raise |b>; the
+    oracle's backward-leak check confirms it), so it contributes a
     constant p_b0.  Within the |a> branch probability is conserved:
     p_aa = 1 - p_e - p_ab.
     """

@@ -1,35 +1,42 @@
-"""Entropy of the waveguide environment after the pulse has passed.
+"""Entropy of the waveguide environment, during and after the pulse.
 
 For an initial mixture p_a0 |a><a| + p_b0 |b><b| the environment state
 is a rank <= 4 mixture: the vacuum branch (weight p_a0 |psi|^2), the
 b-photon branch (p_a0 N_b), and a 2x2 block spanned by the scattered
 a-photon and the freely propagated pulse.  Its eigenvalues only need
 the branch weights and one overlap, so entropies come from a closed
-formula rather than any density-matrix diagonalization.
+formula, evaluated for one instant or a whole series of them at once,
+rather than any density-matrix diagonalization.
+
+The overlap needs no field on a z-grid: after the pulse it follows from
+p_ab(inf) alone (``overlap_asymptotic``), and at finite times from one
+cumulative quadrature of the drive against the amplitude along a
+trajectory (``overlap_series``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
+from .dynamics import AmplitudeTrajectory
 from .errors import NumericalConsistencyError, ParameterError
-from .dynamics import FieldState
-from .model import InitialMixture, LambdaSystem, PulseSpec, envelope_at
+from .model import InitialMixture, LambdaSystem, PulseSpec
+from .thermo import drive_overlap_density
 
 __all__ = [
     "EnvSpectrum",
     "AsymptoticOverlap",
-    "FiniteTimeOverlap",
     "EntropyCurve",
     "env_eigenvalues",
     "von_neumann",
     "quantum_branch_entropy",
     "classical_entropy",
+    "normalized_overlap_sq",
     "overlap_asymptotic",
-    "overlap_finite_time",
+    "overlap_series",
     "entropy_curve",
     "heat_to_pab",
 ]
@@ -38,56 +45,79 @@ HBAR = 1.0
 
 
 def _check_unit_interval(name, value, slack=1e-12):
-    if value < -slack or value > 1.0 + slack:
-        raise ParameterError(f"{name} = {value} outside [0, 1]")
+    bad = (value < -slack) | (value > 1.0 + slack)
+    if np.any(bad):
+        raise ParameterError(f"{name} = {value[bad]} outside [0, 1]")
 
 
-def env_eigenvalues(mixture: InitialMixture, psi_sq: float, n_a: float,
-                    n_b: float, overlap_sq: float) -> np.ndarray:
-    """Eigenvalues of the reduced environment state (length 4, sorted).
+def env_eigenvalues(mixture: InitialMixture, psi_sq, n_a, n_b,
+                    overlap_sq) -> np.ndarray:
+    """Eigenvalues of the reduced environment state, sorted descending.
+
+    Scalar arguments give a length-4 array; arrays are broadcast
+    together and give one spectrum per element along a last axis of 4.
 
     Parameters
     ----------
-    psi_sq, n_a, n_b : float
+    psi_sq, n_a, n_b : float or array
         Excited population and branch weights of the a-started pure
         state; they must add up to 1.
-    overlap_sq : float
+    overlap_sq : float or array
         |<free pulse | scattered a photon>|^2 (normalized vectors).
     """
+    psi_sq, n_a, n_b, overlap_sq = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (psi_sq, n_a, n_b, overlap_sq)))
     for name, val in (("psi_sq", psi_sq), ("n_a", n_a), ("n_b", n_b),
                       ("overlap_sq", overlap_sq)):
         _check_unit_interval(name, val)
-    if abs(psi_sq + n_a + n_b - 1.0) > 1e-9:
-        raise ParameterError(
-            f"branch weights must sum to 1, got {psi_sq + n_a + n_b}"
-        )
+    total = psi_sq + n_a + n_b
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise ParameterError(f"branch weights must sum to 1, got {total[off]}")
     p_a0, p_b0 = mixture.p_a0, mixture.p_b0
-    lam1 = p_a0 * psi_sq
-    lam2 = p_a0 * n_b
     half = 0.5 * (p_a0 * n_a + p_b0)
-    disc = math.sqrt((p_a0 * n_a - p_b0) ** 2
-                     + 4.0 * p_a0 * p_b0 * n_a * overlap_sq)
-    lam3 = half + 0.5 * disc
-    lam4 = half - 0.5 * disc
-    lams = np.array([lam1, lam2, lam3, lam4])
-    return np.sort(np.clip(lams, 0.0, None))[::-1]
+    disc = np.sqrt((p_a0 * n_a - p_b0) ** 2
+                   + 4.0 * p_a0 * p_b0 * n_a * overlap_sq)
+    lams = np.stack([p_a0 * psi_sq, p_a0 * n_b, half + 0.5 * disc,
+                     half - 0.5 * disc], axis=-1)
+    return np.sort(np.clip(lams, 0.0, None), axis=-1)[..., ::-1]
 
 
-def von_neumann(eigenvalues) -> float:
-    """S = -sum lambda ln lambda, with 0 ln 0 = 0."""
+def von_neumann(eigenvalues):
+    """S = -sum lambda ln lambda over the last axis, with 0 ln 0 = 0.
+
+    One spectrum gives a float, a stack of spectra an array of entropies.
+    """
     lams = np.asarray(eigenvalues, dtype=float)
     if np.any(lams < -1e-12):
         raise ParameterError(f"negative eigenvalue in {lams}")
-    if lams.sum() > 1.0 + 1e-10:
-        raise ParameterError(f"eigenvalues sum to {lams.sum()} > 1")
+    sums = lams.sum(axis=-1)
+    if np.any(sums > 1.0 + 1e-10):
+        raise ParameterError(f"eigenvalues sum to {np.max(sums)} > 1")
     lams = np.clip(lams, 0.0, None)
-    pos = lams[lams > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(lams > 0.0, lams * np.log(lams), 0.0)
+    s = -np.sum(terms, axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
-def quantum_branch_entropy(n_a: float, n_b: float, psi_sq: float) -> float:
+def quantum_branch_entropy(n_a, n_b, psi_sq):
     """Entropy of the branch distribution of the a-started pure state."""
-    return von_neumann([n_a, n_b, psi_sq])
+    return von_neumann(np.stack(np.broadcast_arrays(n_a, n_b, psi_sq),
+                                axis=-1))
+
+
+def normalized_overlap_sq(value, n_a):
+    """|<free pulse | u>|^2 for the normalized scattered a photon u.
+
+    ``value`` is the unnormalized overlap sqrt(N_a) <free | u>.  Where
+    N_a < 1e-14 essentially all population has left the a branch and the
+    normalized overlap is meaningless; 0 is returned there.
+    """
+    n_a = np.asarray(n_a, dtype=float)
+    kept = n_a >= 1e-14
+    ratio = np.abs(value) ** 2 / np.where(kept, n_a, 1.0)
+    return np.where(kept, np.minimum(ratio, 1.0), 0.0)
 
 
 def classical_entropy(s_e: float, mixture: InitialMixture, s_q: float) -> float:
@@ -129,36 +159,31 @@ def overlap_asymptotic(system: LambdaSystem, p_ab_infty: float) -> AsymptoticOve
         )
     value = 1.0 - (gamma / (2.0 * system.gamma_b)) * p_ab_infty
     n_a = 1.0 - p_ab_infty
-    if n_a < 1e-14:
-        return AsymptoticOverlap(value=value, n_a=n_a, overlap_sq=0.0)
-    overlap_sq = min(value * value / n_a, 1.0)
-    return AsymptoticOverlap(value=value, n_a=n_a, overlap_sq=overlap_sq)
+    return AsymptoticOverlap(value=value, n_a=n_a,
+                             overlap_sq=float(normalized_overlap_sq(value, n_a)))
 
 
-@dataclass(frozen=True)
-class FiniteTimeOverlap:
-    value: complex      # <1_a^free(t) | 1_a~(t)>, normalized
-    n_a: float
-    degenerate: bool
+def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,
+                   system: LambdaSystem, t) -> np.ndarray:
+    """sqrt(N_a) <free pulse | a-branch photon> at times t in [0, t_max].
 
-
-def overlap_finite_time(field: FieldState, pulse: PulseSpec,
-                        system: LambdaSystem) -> FiniteTimeOverlap:
-    """Overlap of the current a-branch field with the free-flying pulse.
-
-    Computed in position space on the field's grid.  When essentially all
-    population has left the a branch (N_a < 1e-14) the normalized overlap
-    is meaningless; 0 is returned with the ``degenerate`` flag set.
+    Input-output composition of the a-branch field gives
+    sqrt(N_a) <free | phi_a>(t) = 1 - int_0^t conj(f(tau)) psi^(tau) dtau
+    with the carrier-frame drive f and amplitude psi^
+    (``thermo.drive_overlap_density``); its real part is
+    1 - flux(t) / 2, the work integral, and its t -> inf limit is
+    ``overlap_asymptotic``.  One cumulative trapezoid per drive-smooth
+    segment of the trajectory, interpolated linearly at t.
     """
-    c = system.c_speed
-    free = envelope_at(pulse, field.z - c * field.t)
-    num = np.trapezoid(np.conj(free) * field.phi_a, field.z) \
-        / (2.0 * math.pi * system.rho_density * c)
-    n_a = field.branch_weight("a")
-    if n_a < 1e-14:
-        return FiniteTimeOverlap(value=0.0 + 0.0j, n_a=n_a, degenerate=True)
-    return FiniteTimeOverlap(value=complex(num / math.sqrt(n_a)),
-                             n_a=n_a, degenerate=False)
+    acc = np.zeros(traj.times.size, dtype=complex)
+    for i0, i1 in traj.segments:
+        t_seg = traj.times[i0:i1 + 1]
+        density = drive_overlap_density(system, pulse, t_seg,
+                                        traj.psi[i0:i1 + 1])
+        acc[i0:i1 + 1] = acc[i0] + cumulative_trapezoid(density, t_seg,
+                                                        initial=0.0)
+    return 1.0 - (np.interp(t, traj.times, acc.real)
+                  + 1j * np.interp(t, traj.times, acc.imag))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
     "PulseSpec",
     "InitialMixture",
     "SimGrid",
+    "MAX_GRID_NODES",
     "make_pulse",
     "envelope_at",
 ]
@@ -66,6 +67,10 @@ class LambdaSystem:
     c_speed: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (
+                self.omega_a, self.delta_ab, self.rho_density, self.c_speed,
+                self.gamma_total)):
+            raise ParameterError(f"system parameters must be finite: {self}")
         if not self.omega_a > 0:
             raise ParameterError(f"omega_a must be positive, got {self.omega_a}")
         if self.gamma_a <= 0 or self.gamma_b <= 0:
@@ -341,8 +346,9 @@ def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
         raise UnsupportedEnvelopeError(
             f"unknown envelope family {type(envelope).__name__!r}"
         )
-    if not carrier > 0:
-        raise ParameterError(f"carrier frequency must be positive, got {carrier}")
+    if not 0 < carrier < math.inf:
+        raise ParameterError(
+            f"carrier frequency must be positive and finite, got {carrier}")
     envelope._check()
     rho, c = system.rho_density, system.c_speed
     if isinstance(envelope, Sampled):
@@ -392,14 +398,22 @@ class InitialMixture:
         return cls(system.gamma_a / g, system.gamma_b / g)
 
 
+# Largest t_max / dt a grid may have.  The largest grids in use, ledger
+# grids at linewidth 1e-3, have 8e6-1e7 nodes; the trajectory arrays of
+# 2e7 nodes already take gigabytes.
+MAX_GRID_NODES = 20_000_000
+
+
 @dataclass(frozen=True)
 class SimGrid:
-    """Time step and spatial window for trajectory and field work.
+    """Time step and spatial window of a trajectory run.
 
     ``dt`` is the largest step ``integrate_psi`` takes.  It need only
     resolve the envelope (dt <= 0.01 / spectral scale); the transient
     after t = 0 and after each drive discontinuity runs at
-    0.01 / max(Gamma, |delta_L|) whatever dt is.
+    0.01 / max(Gamma, |delta_L|) whatever dt is.  t_max / dt may not
+    exceed MAX_GRID_NODES.  The spatial window is validated against the
+    pulse, but no code samples a field on it.
     """
 
     t_max: float
@@ -411,6 +425,12 @@ class SimGrid:
     def validate(self, system: LambdaSystem, pulse: PulseSpec):
         if min(self.t_max, self.dt, self.dz) <= 0:
             raise ConfigurationError("t_max, dt, dz must all be positive")
+        nodes = self.t_max / self.dt
+        if not nodes <= MAX_GRID_NODES:
+            raise ConfigurationError(
+                f"grid of t_max / dt = {nodes:.3g} nodes exceeds "
+                f"MAX_GRID_NODES = {MAX_GRID_NODES:.3g}"
+            )
         # the exact propagator absorbs gamma_total and the detuning, and
         # integrate_psi resolves the transients itself: dt need only
         # resolve the envelope

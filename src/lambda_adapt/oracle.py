@@ -32,9 +32,11 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .dynamics import field_amplitudes, integrate_psi
-from .entropy import EnvSpectrum, overlap_finite_time, von_neumann
+from .dynamics import integrate_psi
+from .entropy import (env_eigenvalues, normalized_overlap_sq, overlap_series,
+                      quantum_branch_entropy, von_neumann)
 from .model import InitialMixture, LambdaSystem, PulseSpec, SimGrid
+from .thermo import drive_overlap_density
 
 __all__ = [
     "DiscreteBath",
@@ -70,8 +72,9 @@ class DiscreteBath:
             raise ConfigurationError(
                 f"n_modes must be odd and >= 3, got {self.n_modes}"
             )
-        if not self.bandwidth > 0:
-            raise ConfigurationError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ConfigurationError(
+                f"bandwidth must be positive and finite, got {self.bandwidth}")
 
     @classmethod
     def default(cls, system: LambdaSystem, n_modes: int = 2001) -> "DiscreteBath":
@@ -408,13 +411,6 @@ class OracleSeries:
         return self.n_b
 
 
-def _entropy_rows(lams: np.ndarray) -> np.ndarray:
-    lams = np.clip(lams, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lams > 0.0, lams * np.log(lams), 0.0)
-    return -np.sum(terms, axis=-1)
-
-
 def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     """Exact partial trace of the environment at every snapshot.
 
@@ -448,23 +444,10 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     free = phases * a0
     cross = np.sum(np.conj(a_block) * free, axis=1)
 
-    p_a0, p_b0 = mixture.p_a0, mixture.p_b0
-    lam1 = p_a0 * p_e
-    lam2 = p_a0 * n_b
-    alpha = p_a0 * n_a
-    beta = np.full_like(alpha, p_b0)
-    gamma2 = p_a0 * p_b0 * np.abs(cross) ** 2
-    half = 0.5 * (alpha + beta)
-    disc = np.sqrt(0.25 * (alpha - beta) ** 2 + gamma2)
-    lam3 = half + disc
-    lam4 = half - disc
-    lams = np.stack([lam1, lam2, lam3, lam4], axis=1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        overlap_sq = np.where(n_a > 1e-14, np.abs(cross) ** 2 / np.where(
-            n_a > 1e-14, n_a, 1.0), 0.0)
-    s_e = _entropy_rows(lams)
-    s_q = _entropy_rows(np.stack([p_e, n_a, n_b], axis=1))
+    overlap_sq = normalized_overlap_sq(cross, n_a)
+    lams = env_eigenvalues(mixture, p_e, n_a, n_b, overlap_sq)
+    s_e = von_neumann(lams)
+    s_q = quantum_branch_entropy(n_a, n_b, p_e)
     return OracleSeries(times=run.times.copy(), p_e=p_e, n_a=n_a, n_b=n_b,
                         overlap_sq=overlap_sq, lambdas=lams, s_e=s_e,
                         s_q=s_q, norm=norm)
@@ -524,24 +507,21 @@ class DeviationReport:
         }
 
 
-def _quadrature_work(system, pulse, times, psi_rot):
-    g_a = system.coupling("a")
-    shape = pulse.shape_at(-system.c_speed * times)
-    delta_l = pulse.detuning(system)
-    rot = shape * np.exp(-1j * delta_l * times) if delta_l != 0.0 else shape
-    integrand = -2.0 * g_a * np.real(rot * np.conj(psi_rot))
-    return system.omega_a * float(np.trapezoid(integrand, times))
-
-
 def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
             bath: DiscreteBath | None = None, *, t_final: float | None = None,
             n_out: int = 301,
             tolerances: dict | None = None) -> DeviationReport:
     """Run the discrete-mode model and the analytic pipeline side by side.
 
-    Work and heat are integrated with the same trapezoid rule on the
-    same output grid for both sides, so their deviation reflects the
-    dynamics, not quadrature differences.
+    The oracle side is the exact partial trace of each snapshot
+    (``measure_series``).  The analytic side interpolates one trajectory
+    at the snapshot times; its S_E(t) takes the finite-time overlap from
+    ``entropy.overlap_series``, one cumulative quadrature over that
+    trajectory, and no field is rebuilt on a z-grid.  Both sides share
+    the closed-form spectrum (``entropy.env_eigenvalues``).  Work and
+    heat are integrated with the same trapezoid rule on the same output
+    grid for both sides, so their deviation reflects the dynamics, not
+    quadrature differences.
     """
     if bath is None:
         bath = DiscreteBath.default(system)
@@ -558,11 +538,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     oracle = measure_series(run, mixture)
 
     rate = max(system.gamma_total, pulse.spectral_scale())
-    dt = 0.005 / rate
-    c = system.c_speed
-    z_lo = -c * max(t_final, pulse.settle_time() * 1.2)
-    grid = SimGrid(t_max=t_final, dt=dt, z_min=z_lo,
-                   z_max=c * t_final * (1 + 1e-9) + c * dt, dz=c * dt)
+    grid = SimGrid.auto(system, pulse, t_max=t_final, dt=0.005 / rate)
     traj = integrate_psi(system, pulse, grid)
 
     t_out = run.times
@@ -570,19 +546,15 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     p_ab_an = np.interp(t_out, traj.times, traj.p_ab)
     n_a_an = 1.0 - p_e_an - p_ab_an
 
-    s_e_an = np.empty(t_out.size)
-    for k, t in enumerate(t_out):
-        field = field_amplitudes(traj, system, pulse, grid, float(t))
-        ov = overlap_finite_time(field, pulse, system)
-        ov_sq = 0.0 if ov.degenerate else min(abs(ov.value) ** 2, 1.0)
-        spec = EnvSpectrum.from_branches(mixture, float(p_e_an[k]),
-                                         float(n_a_an[k]), float(p_ab_an[k]),
-                                         ov_sq)
-        s_e_an[k] = spec.s_e
+    overlap_sq = normalized_overlap_sq(
+        overlap_series(traj, pulse, system, t_out), n_a_an)
+    s_e_an = von_neumann(env_eigenvalues(mixture, p_e_an, n_a_an, p_ab_an,
+                                         overlap_sq))
 
-    w_or = _quadrature_work(system, pulse, t_out, run.excited_series())
-    psi_an = traj.psi_at(t_out)
-    w_an = _quadrature_work(system, pulse, t_out, psi_an)
+    def flux(psi):
+        density = drive_overlap_density(system, pulse, t_out, psi)
+        return float(np.trapezoid(2.0 * density.real, t_out))
+
     gtot = system.gamma_total
     q_or = system.omega_a * gtot * float(np.trapezoid(oracle.p_e, t_out)) \
         - system.delta_ab * float(oracle.n_b[-1])
@@ -597,7 +569,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
         "s_e": float(np.max(np.abs(oracle.s_e - s_e_an))),
         # energies compared in units of hbar omega_a so the verdict does
         # not depend on the absolute optical frequency
-        "w": abs(w_or - w_an) / system.omega_a,
+        "w": abs(flux(run.excited_series()) - flux(traj.psi_at(t_out))),
         "q": abs(q_or - q_an) / system.omega_a,
     }
     failures = tuple(name for name, dev in deviations.items()

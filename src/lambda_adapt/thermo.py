@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, NumericalConsistencyError
-from .dynamics import AmplitudeTrajectory
+from .dynamics import AmplitudeTrajectory, _drive
 from .model import InitialMixture, LambdaSystem, PulseSpec
 
 __all__ = [
     "ThermoLedger",
+    "drive_overlap_density",
     "drive_energy_flux",
     "work_absorbed",
     "heat_dissipated",
@@ -61,6 +62,29 @@ class ThermoLedger:
         }
 
 
+def drive_overlap_density(system: LambdaSystem, pulse: PulseSpec,
+                          times: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """conj(f(t)) psi^(t) on one stretch of times where the drive is smooth.
+
+    f(t) = -g_a phi_shape(-c t) is the carrier-frame drive and
+    psi^ = psi~ e^{i delta_L t} the carrier-frame amplitude (``psi`` is
+    psi~).  Twice its real part is the drive power per hbar omega_a, the
+    integrand of the work; its integral from 0 to t is
+    1 - sqrt(N_a) <free | phi_a>(t).  The envelope is sampled one-sidedly
+    at the two ends of ``times``, so a discontinuity on an end node
+    contributes the value from inside the stretch.
+    """
+    h = times[1] - times[0] if times.size > 1 else 1.0
+    t_eval = times.copy()
+    t_eval[0] += 1e-9 * h
+    t_eval[-1] -= 1e-9 * h
+    drive = _drive(system, pulse, t_eval)
+    delta_l = pulse.detuning(system)
+    if delta_l != 0.0:
+        psi = psi * np.exp(1j * delta_l * times)
+    return np.conj(drive) * psi
+
+
 def drive_energy_flux(traj: AmplitudeTrajectory, pulse: PulseSpec,
                       system: LambdaSystem) -> float:
     """Time integral of -2 g_a Re[phi_a(-ct, 0) psi*(t)], any detuning.
@@ -68,23 +92,12 @@ def drive_energy_flux(traj: AmplitudeTrajectory, pulse: PulseSpec,
     Integrates segment by segment so envelope discontinuities (which sit
     on segment boundary nodes) are handled with one-sided limits.
     """
-    g_a = system.coupling("a")
-    c = system.c_speed
-    delta_l = pulse.detuning(system)
     total = 0.0
     for i0, i1 in traj.segments:
         t_seg = traj.times[i0:i1 + 1]
-        h = t_seg[1] - t_seg[0] if t_seg.size > 1 else 1.0
-        t_eval = t_seg.copy()
-        t_eval[0] += 1e-9 * h
-        t_eval[-1] -= 1e-9 * h
-        shape = pulse.shape_at(-c * t_eval)
-        if delta_l == 0.0:
-            rot = shape
-        else:
-            rot = shape * np.exp(-1j * delta_l * t_seg)
-        integrand = -2.0 * g_a * np.real(rot * np.conj(traj.psi[i0:i1 + 1]))
-        total += float(np.trapezoid(integrand, t_seg))
+        density = drive_overlap_density(system, pulse, t_seg,
+                                        traj.psi[i0:i1 + 1])
+        total += float(np.trapezoid(2.0 * density.real, t_seg))
     return total
 
 

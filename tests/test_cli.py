@@ -124,6 +124,17 @@ dt = 0.005
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("old, new", [
+        ("omega_a = 50.0", "omega_a = inf"),
+        ("gamma_b = 1.0", "gamma_b = 1.0\ndelta_ab = nan"),
+        # a grid of ~8e12 nodes, refused before anything is allocated
+        ("delta = 1.0", "delta = 1e-9"),
+    ])
+    def test_unusable_numbers_are_config_errors(self, tmp_path, old, new):
+        cfg = write(tmp_path, BASE.replace(old, new))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_sweep_without_section_is_config_error(self, tmp_path):
         cfg = write(tmp_path, BASE)
         assert main(["sweep", "--config", str(cfg),

@@ -1,13 +1,27 @@
 """Config parsing, validation and hashing."""
 
+import dataclasses
 import hashlib
+import math
+import string
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lambda_adapt.config import load_config
-from lambda_adapt.errors import ConfigurationError, ParameterError
+from lambda_adapt.errors import (ConfigurationError, LambdaAdaptError,
+                                 ParameterError)
 from lambda_adapt.model import Exponential, Gaussian
+
+DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+DEFAULT_LINES = DEFAULT_INI.read_text().splitlines()
+# indices of the "key = value" lines of the shipped config
+VALUE_LINES = [i for i, line in enumerate(DEFAULT_LINES)
+               if "=" in line and not line.lstrip().startswith("#")]
 
 MINIMAL = """
 [system]
@@ -179,3 +193,57 @@ class TestSections:
         assert cfg.sweep.objective == "w_over_hw"
         assert cfg.optimize.budget == 123
         assert cfg.optimize.bounds["rate_ratio"] == (0.25, 4.0)
+
+
+def _numbers(obj):
+    """Every float held by a loaded config, walking dataclasses and dicts."""
+    if isinstance(obj, float):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _numbers(value)
+    elif isinstance(obj, tuple):
+        for value in obj:
+            yield from _numbers(value)
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "1e-320",
+                     "1e-9", "0", "-0.0", "", "1e400", "3", "-2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(alphabet=string.ascii_letters + string.digits + ".-+e _,",
+            max_size=10),
+)
+
+
+class TestMutatedDefaultConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(VALUE_LINES), _VALUES),
+                          min_size=1, max_size=3))
+    # overflowing sums of finite values: Gamma (and the default bath
+    # window 40 Gamma), and the carrier omega_a + delta_l
+    @example(edits=[(VALUE_LINES[2], "1e308"), (VALUE_LINES[3], "1e308")])
+    @example(edits=[(VALUE_LINES[0], "1e308"), (VALUE_LINES[6], "1e308")])
+    def test_loads_finite_or_raises_package_error(self, edits):
+        # load and grid level only: no example integrates a trajectory
+        lines = list(DEFAULT_LINES)
+        for index, value in edits:
+            key = lines[index].split("=", 1)[0]
+            lines[index] = f"{key}= {value}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.ini"
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                cfg = load_config(path)
+            except LambdaAdaptError:
+                return
+        assert all(math.isfinite(x) for x in _numbers(cfg))
+        try:
+            grid = cfg.make_grid(ledger_tol=1e-8)
+        except LambdaAdaptError:
+            return
+        assert all(math.isfinite(x) for x in _numbers(grid))

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_adapt.dynamics import field_amplitudes, integrate_psi
+from lambda_adapt.dynamics import integrate_psi
 from lambda_adapt.entropy import (EnvSpectrum, classical_entropy,
                                   entropy_curve, env_eigenvalues, heat_to_pab,
-                                  overlap_asymptotic, overlap_finite_time,
-                                  quantum_branch_entropy, von_neumann)
+                                  normalized_overlap_sq, overlap_asymptotic,
+                                  overlap_series, quantum_branch_entropy,
+                                  von_neumann)
 from lambda_adapt.errors import ParameterError
-from lambda_adapt.model import (Gaussian, InitialMixture, LambdaSystem,
-                                SimGrid, make_pulse)
+from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
+                                LambdaSystem, Rectangular, SimGrid,
+                                make_pulse)
+from lambda_adapt.thermo import drive_energy_flux
 
 
 def dense_eigenvalues(mixture, psi_sq, n_a, n_b, overlap_sq):
@@ -52,6 +55,24 @@ class TestEigenvalues:
         assert np.max(np.abs(lams - want)) < 1e-12
         assert lams.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(lams) <= 0.0)
+
+    def test_arrays_give_one_spectrum_per_element(self):
+        rows = [(0.0, 0.7, 0.3, 0.4), (0.1, 0.5, 0.4, 0.9),
+                (0.05, 0.55, 0.4, 1.0), (0.0, 0.2, 0.8, 0.0)]
+        mix = InitialMixture(0.3, 0.7)
+        psi_sq, n_a, n_b, overlap_sq = (np.array(c) for c in zip(*rows))
+        lams = env_eigenvalues(mix, psi_sq, n_a, n_b, overlap_sq)
+        assert lams.shape == (4, 4)
+        entropies = von_neumann(lams)
+        for k, row in enumerate(rows):
+            one = env_eigenvalues(mix, *row)
+            assert np.array_equal(lams[k], one)
+            assert entropies[k] == von_neumann(one)
+        assert np.array_equal(quantum_branch_entropy(n_a, n_b, psi_sq),
+                              [quantum_branch_entropy(*r[1:3], r[0])
+                               for r in rows])
+        with pytest.raises(ParameterError):
+            env_eigenvalues(mix, psi_sq, n_a, n_b + 0.1, overlap_sq)
 
     def test_rejects_bad_weights(self):
         mix = InitialMixture(0.5, 0.5)
@@ -107,18 +128,84 @@ class TestAsymptoticOverlap:
         with pytest.raises(ParameterError):
             overlap_asymptotic(s, -0.01)
 
-    def test_finite_time_limit_matches(self):
+
+
+def compare_grid_run(s, pulse, t_final=None):
+    """The trajectory oracle.compare integrates: 15/Gamma at 0.005/rate."""
+    t_final = 15.0 / s.gamma_total if t_final is None else t_final
+    rate = max(s.gamma_total, pulse.spectral_scale())
+    grid = SimGrid.auto(s, pulse, t_max=t_final, dt=0.005 / rate)
+    return integrate_psi(s, pulse, grid)
+
+
+def exponential_overlap(s, linewidth, detuning, t):
+    """sqrt(N_a) <free | phi_a>(t) for the exponential envelope.
+
+    1 - (gamma_a Delta / x) [(1 - e^{-Delta t}) / Delta
+                             - (1 - e^{-kappa t}) / kappa]
+    with x = (Gamma - Delta)/2 - i delta_L, kappa = (Gamma + Delta)/2
+    - i delta_L, from the closed-form amplitude.
+    """
+    x = 0.5 * (s.gamma_total - linewidth) - 1j * detuning
+    kappa = 0.5 * (s.gamma_total + linewidth) - 1j * detuning
+    bracket = (-np.expm1(-linewidth * t) / linewidth
+               + np.expm1(-kappa * t) / kappa)
+    return 1.0 - s.gamma_a * linewidth / x * bracket
+
+
+class TestOverlapSeries:
+    @pytest.mark.parametrize("detuning", [0.0, 0.3])
+    def test_exponential_closed_form(self, detuning):
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        pulse = make_pulse(Exponential(0.5), 50.0 + detuning, s)
+        traj = compare_grid_run(s, pulse)
+        t = np.linspace(0.0, traj.t_max, 301)
+        got = overlap_series(traj, pulse, s, t)
+        want = exponential_overlap(s, 0.5, detuning, t)
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+    def test_limit_is_the_asymptotic_overlap(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         pulse = make_pulse(Gaussian(1.0), 1.0, s)
-        grid = SimGrid.auto(s, pulse, dt=0.002)
-        traj = integrate_psi(s, pulse, grid)
-        state = field_amplitudes(traj, s, pulse, grid, traj.t_max)
-        fin = overlap_finite_time(state, pulse, s)
+        traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=0.002))
+        end = overlap_series(traj, pulse, s, traj.t_max)
         asym = overlap_asymptotic(s, traj.p_ab_final())
-        assert not fin.degenerate
-        assert fin.value.real * math.sqrt(fin.n_a) == \
-            pytest.approx(asym.value, abs=1e-6)
-        assert abs(fin.value.imag) < 1e-9
+        assert end.real == pytest.approx(asym.value, abs=1e-6)
+        assert abs(end.imag) < 1e-12
+
+    @pytest.mark.parametrize("envelope, detuning", [
+        (Gaussian(1.0), 0.0), (Exponential(0.5), 0.4),
+        (Rectangular(2.0), 0.0), (Rectangular(2.0), -0.7)])
+    def test_real_part_is_half_the_flux(self, envelope, detuning):
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=2.0)
+        pulse = make_pulse(envelope, 50.0 + detuning, s)
+        traj = compare_grid_run(s, pulse)
+        end = overlap_series(traj, pulse, s, traj.t_max)
+        flux = drive_energy_flux(traj, pulse, s)
+        assert end.real == pytest.approx(1.0 - 0.5 * flux, abs=1e-12)
+
+    def test_rectangular_is_continuous_across_the_edge(self):
+        # resonant flat drive f = -sqrt(gamma_a / tau) on [0, tau]:
+        # the overlap is 1 - (2 gamma_a / (Gamma tau))
+        # [t - (2/Gamma)(1 - e^{-Gamma t/2})] up to tau, flat afterwards
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        tau = 2.0
+        pulse = make_pulse(Rectangular(tau), 50.0, s)
+        traj = compare_grid_run(s, pulse)
+        assert tau in traj.times
+        g = s.gamma_total
+        t = np.linspace(0.0, traj.t_max, 301)
+        t_in = np.minimum(t, tau)
+        want = 1.0 - 2.0 * s.gamma_a / (g * tau) * (
+            t_in + 2.0 / g * np.expm1(-0.5 * g * t_in))
+        assert np.max(np.abs(overlap_series(traj, pulse, s, t) - want)) <= 1e-6
+        edge = overlap_series(traj, pulse, s, tau + np.array([-1e-9, 0.0, 1e-9]))
+        assert np.max(np.abs(np.diff(edge))) <= 1e-9
+
+    def test_normalization_guards_an_empty_branch(self):
+        got = normalized_overlap_sq(np.array([0.5, 0.3 + 0.4j, 1e-8]),
+                                    np.array([0.5, 0.2, 1e-15]))
+        assert got.tolist() == [0.5, 1.0, 0.0]
 
 
 class TestEntropyCurve:

@@ -10,9 +10,9 @@ from scipy.integrate import quad
 
 from lambda_adapt.errors import (ConfigurationError, DegenerateInputError,
                                  ParameterError, UnsupportedEnvelopeError)
-from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
-                                LambdaSystem, Rectangular, Sampled, SimGrid,
-                                envelope_at, make_pulse)
+from lambda_adapt.model import (MAX_GRID_NODES, Exponential, Gaussian,
+                                InitialMixture, LambdaSystem, Rectangular,
+                                Sampled, SimGrid, envelope_at, make_pulse)
 
 
 def norm_integral(pulse):
@@ -52,6 +52,10 @@ class TestLambdaSystem:
         {"omega_a": 1.0, "c_speed": -2.0},
         # delta_ab so large that omega_b would be negative
         {"omega_a": 1.0, "delta_ab": 2.0},
+        {"omega_a": math.inf},
+        {"omega_a": 1.0, "delta_ab": math.nan},
+        # finite rates whose sum Gamma overflows
+        {"omega_a": 1.0, "gamma_a": 1e308, "gamma_b": 1e308},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
@@ -160,6 +164,11 @@ class TestMakePulse:
         with pytest.raises(ParameterError):
             make_pulse(Exponential(1.0), 0.0, LambdaSystem(omega_a=1.0))
 
+    @pytest.mark.parametrize("carrier", [math.inf, math.nan])
+    def test_rejects_non_finite_carrier(self, carrier):
+        with pytest.raises(ParameterError):
+            make_pulse(Exponential(1.0), carrier, LambdaSystem(omega_a=1.0))
+
     def test_detuning(self):
         s = LambdaSystem(omega_a=5.0)
         p = make_pulse(Exponential(1.0), 5.3, s)
@@ -213,6 +222,19 @@ class TestSimGrid:
                 grid.validate(self.system, self.pulse)
             else:
                 with pytest.raises(ConfigurationError, match="too coarse"):
+                    grid.validate(self.system, self.pulse)
+
+    def test_node_count_is_capped(self):
+        dt = 0.004
+        for nodes, ok in ((MAX_GRID_NODES, True), (MAX_GRID_NODES + 1, False),
+                          (math.nan, False)):
+            t_max = nodes * dt
+            grid = SimGrid(t_max=t_max, dt=dt, z_min=-t_max, z_max=t_max,
+                           dz=dt)
+            if ok:
+                grid.validate(self.system, self.pulse)
+            else:
+                with pytest.raises(ConfigurationError, match="MAX_GRID_NODES"):
                     grid.validate(self.system, self.pulse)
 
     def test_rejects_short_window(self):

@@ -46,6 +46,7 @@ class TestDiscreteBath:
         {"n_modes": 800, "bandwidth": 80.0},   # even comb has no center mode
         {"n_modes": 1, "bandwidth": 80.0},
         {"n_modes": 801, "bandwidth": 0.0},
+        {"n_modes": 801, "bandwidth": math.inf},
     ])
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ConfigurationError):
