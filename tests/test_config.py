@@ -196,7 +196,7 @@ class TestSections:
 
 
 def _numbers(obj):
-    """Every float held by a loaded config, walking dataclasses and dicts."""
+    """Every float held by a loaded config (dataclasses, dicts, tuples)."""
     if isinstance(obj, float):
         yield obj
     elif dataclasses.is_dataclass(obj):
