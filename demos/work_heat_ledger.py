@@ -15,7 +15,7 @@ from lambda_adapt.thermo import adaptation_work_check, energy_ledger
 
 def run_ledger(system, envelope):
     pulse = make_pulse(envelope, system.omega_a, system)
-    grid = SimGrid.auto(system, pulse, ledger_tol=1e-8)
+    grid = SimGrid.auto(system, pulse)
     traj = integrate_psi(system, pulse, grid)
     return energy_ledger(traj, pulse, system)
 

@@ -33,8 +33,7 @@ from .errors import (ConfigurationError, LambdaAdaptError,
                      UnsupportedEnvelopeError)
 from .model import SimGrid
 from .optimize import maximize, sweep
-from .oracle import (OneExcitationState, build_hamiltonian, compare,
-                     discretize_pulse, evolve)
+from .oracle import OneExcitationState, build_hamiltonian, compare, evolve
 from .thermo import adaptation_work_check, drive_energy_flux, energy_ledger
 
 EXIT_OK = 0
@@ -59,12 +58,20 @@ def _meta(command: str, cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], rows):
-    lines = ["#" + json.dumps(meta, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, meta: dict, header: list[str], lines: list[str]):
+    text = "\n".join(["#" + json.dumps(meta, sort_keys=True),
+                      ",".join(header), *lines])
+    _write_atomic(path, text + "\n")
+
+
+def _float_lines(*columns) -> list[str]:
+    """CSV lines of a table of float columns.
+
+    ``tolist`` turns the rows into Python floats, whose repr is what
+    ``_fmt`` writes for a float, without a per-value dispatch.
+    """
+    return [",".join(map(repr, row))
+            for row in np.column_stack(columns).tolist()]
 
 
 def _fmt(value) -> str:
@@ -91,7 +98,7 @@ def _p_ab_infty(traj, system) -> float:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
-    grid = cfg.make_grid(ledger_tol=1e-8)
+    grid = cfg.make_grid()
     traj = integrate_psi(cfg.system, cfg.pulse, grid)
 
     cap = points or 2001
@@ -99,12 +106,12 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     idx = np.arange(0, traj.times.size, stride)
     if idx[-1] != traj.times.size - 1:
         idx = np.append(idx, traj.times.size - 1)
-    rows = zip(traj.times[idx], traj.psi.real[idx], traj.psi.imag[idx],
-               traj.p_e[idx], traj.p_ab[idx])
+    lines = _float_lines(traj.times[idx], traj.psi.real[idx],
+                         traj.psi.imag[idx], traj.p_e[idx], traj.p_ab[idx])
     _write_csv(out / "trajectory.csv",
                _meta("simulate", cfg, t_max=grid.t_max, dt=grid.dt,
                      stride=int(stride)),
-               ["t", "re_psi", "im_psi", "p_e", "p_ab"], rows)
+               ["t", "re_psi", "im_psi", "p_e", "p_ab"], lines)
 
     p_inf = _p_ab_infty(traj, cfg.system)
     if _is_resonant(cfg):
@@ -136,12 +143,13 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
         spec = type(spec)(parameter=spec.parameter, lo=spec.lo, hi=spec.hi,
                           n_points=points, objective=spec.objective)
     result = sweep(spec, cfg.system, cfg.pulse)
-    rows = [(r["value"], r["family"], r["objective_value"], r["error"])
-            for r in result.as_rows()]
+    lines = [",".join(map(_fmt, (r["value"], r["family"],
+                                 r["objective_value"], r["error"])))
+             for r in result.as_rows()]
     _write_csv(out / "sweep.csv",
                _meta("sweep", cfg, parameter=spec.parameter,
                      objective=spec.objective, n_points=spec.n_points),
-               ["value", "family", "objective", "error"], rows)
+               ["value", "family", "objective", "error"], lines)
     return EXIT_OK
 
 
@@ -164,11 +172,11 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
     n_points = points or 200
     curve = entropy_curve(cfg.system, cfg.mixture, n_points=n_points)
-    rows = zip(curve.p_ab, curve.s_e, curve.s_e_c)
     _write_csv(out / "entropy_curve.csv",
                _meta("entropy-curve", cfg, n_points=n_points,
                      p_a0=cfg.mixture.p_a0),
-               ["p_ab_infty", "s_e", "s_e_c"], rows)
+               ["p_ab_infty", "s_e", "s_e_c"],
+               _float_lines(curve.p_ab, curve.s_e, curve.s_e_c))
     return EXIT_OK
 
 
@@ -179,9 +187,10 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
     checks["oracle_agreement"] = {
         "passed": report.passed, **report.as_dict()}
 
-    amps = discretize_pulse(cfg.pulse, cfg.bath, cfg.system)
+    # the backward-leak run starts from the comb projection compare made
     h_back = build_hamiltonian(cfg.system, cfg.bath, include_backward=True)
-    run_back = evolve(h_back, OneExcitationState.from_pulse(amps, backward=True),
+    run_back = evolve(h_back, OneExcitationState.from_pulse(report.amplitudes,
+                                                            backward=True),
                       15.0 / cfg.system.gamma_total, bath=cfg.bath,
                       system=cfg.system, n_out=51)
     n = cfg.bath.n_modes
@@ -192,7 +201,7 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
                                "norm_drift": run_back.norm_drift}
 
     if _is_resonant(cfg):
-        grid = SimGrid.auto(cfg.system, cfg.pulse, ledger_tol=1e-8)
+        grid = SimGrid.auto(cfg.system, cfg.pulse)
         traj = integrate_psi(cfg.system, cfg.pulse, grid)
         try:
             ledger = energy_ledger(traj, cfg.pulse, cfg.system)

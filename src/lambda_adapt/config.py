@@ -61,11 +61,11 @@ class RunConfig:
     optimize: OptimizeSpec | None
     sha256: str
 
-    def make_grid(self, **overrides) -> SimGrid:
+    def make_grid(self) -> SimGrid:
         """The explicit [grid] section if present, else an auto grid."""
         if self.grid is not None:
             return self.grid
-        return SimGrid.auto(self.system, self.pulse, **overrides)
+        return SimGrid.auto(self.system, self.pulse)
 
 
 def _float(section: str, key: str, raw: str) -> float:

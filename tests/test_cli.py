@@ -3,9 +3,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from lambda_adapt.cli import main
+from lambda_adapt import cli, oracle
+from lambda_adapt.cli import _float_lines, _fmt, main
 from lambda_adapt.oracle import _arrowhead_eigh
 
 BASE = """[system]
@@ -77,6 +79,15 @@ class TestSimulate:
         assert "note" in ledger
         assert "w_abs" not in ledger
 
+    def test_float_table_matches_per_value_formatting(self):
+        columns = [np.array([0.0, -0.0, 1.0, -3.0, 1e300]),
+                   np.array([5e-324, -2.2250738585072014e-308, 0.1,
+                             123456789.0, -1.7976931348623157e308]),
+                   np.array([1e-17, 2.0 ** 53, -1.5, 1e16,
+                             0.30000000000000004])]
+        per_value = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+        assert _float_lines(*columns) == per_value
+
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = write(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -106,9 +117,28 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_coarse_grid_is_numerical_error(self, tmp_path):
-        # omega_a ~ 1 keeps the ledger bound tight enough that the
-        # validation-ceiling step fails the 1e-8 closure
+    def test_unconverged_run_is_numerical_error(self, tmp_path):
+        # the pulse is still transferring population at t_max = 3, which
+        # no quadrature can make up for: the ledger refuses the run
+        text = """[system]
+omega_a = 1.0
+
+[pulse]
+family = exponential
+delta = 1.0
+
+[grid]
+t_max = 3.0
+dt = 0.005
+"""
+        cfg = write(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+
+    def test_coarse_grid_closes_the_ledger(self, tmp_path):
+        # omega_a ~ 1 keeps the bound tight; the fourth-order quadratures
+        # close the 1e-8 ledger at twice the default step (a trapezoid
+        # ledger failed here)
         text = """[system]
 omega_a = 1.0
 
@@ -121,8 +151,12 @@ t_max = 30.0
 dt = 0.005
 """
         cfg = write(tmp_path, text)
+        out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 3
+                     "--out", str(out)]) == 0
+        ledger = json.loads((out / "ledger.json").read_text())
+        assert abs(ledger["residual"]) <= 1e-8 * max(abs(ledger["w_abs"]),
+                                                     1.0)
 
     @pytest.mark.parametrize("old, new", [
         ("omega_a = 50.0", "omega_a = inf"),
@@ -230,6 +264,21 @@ class TestOracleVerifyCommand:
         assert doc["passed"] is True
         assert doc["checks"]["backward_leak"]["leak"] <= 1e-12
         assert doc["checks"]["backward_leak"]["norm_drift"] <= 1e-12
+
+    def test_projects_the_pulse_once(self, tmp_path, monkeypatch):
+        calls = []
+        project = oracle.discretize_pulse
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "discretize_pulse", counted)
+        monkeypatch.setattr(cli, "discretize_pulse", counted, raising=False)
+        cfg = write(tmp_path, SMALL_BATH)
+        assert main(["oracle-verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = write(tmp_path, SMALL_BATH)

@@ -243,7 +243,7 @@ class TestMutatedDefaultConfig:
                 return
         assert all(math.isfinite(x) for x in _numbers(cfg))
         try:
-            grid = cfg.make_grid(ledger_tol=1e-8)
+            grid = cfg.make_grid()
         except LambdaAdaptError:
             return
         assert all(math.isfinite(x) for x in _numbers(grid))

@@ -200,11 +200,6 @@ class TestSimGrid:
         assert g.z_min <= -g.t_max
         assert g.dt <= 0.005 / 2.0 * (1 + 1e-12)
 
-    def test_ledger_tol_tightens_dt(self):
-        loose = SimGrid.auto(self.system, self.pulse)
-        tight = SimGrid.auto(self.system, self.pulse, ledger_tol=1e-10)
-        assert tight.dt < loose.dt
-
     def test_rejects_coarse_dt(self):
         with pytest.raises(ConfigurationError):
             SimGrid(t_max=10.0, dt=0.1, z_min=-10.0, z_max=10.0,
