@@ -9,7 +9,8 @@ how the long-time transfer probability approaches the branching formula
 import numpy as np
 
 from lambda_adapt.dynamics import (asymptotic_prob_exponential,
-                                   integrate_psi, psi_closed_form)
+                                   integrate_psi, p_ab_infty,
+                                   psi_closed_form)
 from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
                                 Rectangular, SimGrid, make_pulse)
 
@@ -39,10 +40,8 @@ def main():
         pulse = make_pulse(Exponential(delta * s.gamma_total), s.omega_a, s)
         t_max = 12.0 / pulse.envelope.linewidth + 10.0 / s.gamma_total
         rate = max(s.gamma_total, pulse.spectral_scale())
-        grid = SimGrid(t_max=t_max, dt=0.01 / rate, z_min=-t_max,
-                       z_max=0.0, dz=0.01 / rate)
-        traj = integrate_psi(s, pulse, grid)
-        p_inf = traj.p_ab_final() + s.gamma_b / s.gamma_total * traj.p_e[-1]
+        traj = integrate_psi(s, pulse, SimGrid(t_max=t_max, dt=0.01 / rate))
+        p_inf = p_ab_infty(traj, s)
         formula = asymptotic_prob_exponential(s, pulse.envelope.linewidth)
         print(f"{delta:12.3f} {p_inf:10.5f} {formula:10.5f}")
     print("\nnarrow pulses transfer the full population: p_ab -> 1.")

@@ -5,8 +5,9 @@ into --out, and returns a contract exit code: 0 success, 2 configuration
 or parameter error, 3 numerical-consistency failure, 4 oracle
 disagreement.  All numerics are deterministic (fixed-step quadratures and
 a dense eigendecomposition), so identical configs and package versions
-produce bit-identical artifacts; the --seedless flag exists to document
-that property in scripts.
+produce bit-identical artifacts.  The optional [grid] section of a config
+sets the trajectory grid's t_max and dt; a key left out takes
+SimGrid.auto's default.  --points must be at least 1 on every subcommand.
 
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
 version, command) and files are written via a temporary name and atomic
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .dynamics import integrate_psi
+from .dynamics import integrate_psi, p_ab_infty
 from .entropy import EnvSpectrum, entropy_curve, overlap_asymptotic
 from .errors import (ConfigurationError, LambdaAdaptError,
                      NumericalConsistencyError, ParameterError,
@@ -92,11 +93,6 @@ def _is_resonant(cfg: RunConfig) -> bool:
     return abs(cfg.pulse.detuning(cfg.system)) <= 1e-12 * cfg.system.omega_a
 
 
-def _p_ab_infty(traj, system) -> float:
-    return float(traj.p_ab[-1]) \
-        + system.gamma_b / system.gamma_total * float(traj.p_e[-1])
-
-
 def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     grid = cfg.make_grid()
     traj = integrate_psi(cfg.system, cfg.pulse, grid)
@@ -113,7 +109,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
                      stride=int(stride)),
                ["t", "re_psi", "im_psi", "p_e", "p_ab"], lines)
 
-    p_inf = _p_ab_infty(traj, cfg.system)
+    p_inf = p_ab_infty(traj, cfg.system)
     if _is_resonant(cfg):
         ledger = energy_ledger(traj, cfg.pulse, cfg.system)
         payload = ledger.as_dict()
@@ -241,10 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--points", type=int, default=None,
-                       help="table resolution / row cap")
-        p.add_argument("--seedless", action="store_true",
-                       help="assert that no randomness is involved (always "
-                            "true; provided for scripting clarity)")
+                       help="table resolution / row cap (>= 1)")
         return p
 
     add("simulate")
@@ -259,6 +252,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        if args.points is not None and args.points < 1:
+            raise ConfigurationError(
+                f"--points must be at least 1, got {args.points}")
         out.mkdir(parents=True, exist_ok=True)
         cfg = load_config(args.config)
         command = args.command

@@ -25,7 +25,7 @@ from .oracle import DiscreteBath
 _SECTION_KEYS = {
     "system": {"omega_a", "delta_ab", "gamma_a", "gamma_b"},
     "pulse": {"family", "delta", "sigma", "tau", "delta_l"},
-    "grid": {"t_max", "dt", "z_min", "z_max", "dz"},
+    "grid": {"t_max", "dt"},
     "mixture": {"p_a0"},
     "bath": {"n_modes", "bandwidth"},
     "sweep": {"parameter", "lo", "hi", "n_points", "objective"},
@@ -62,7 +62,7 @@ class RunConfig:
     sha256: str
 
     def make_grid(self) -> SimGrid:
-        """The explicit [grid] section if present, else an auto grid."""
+        """The [grid] section's grid if present, else the default grid."""
         if self.grid is not None:
             return self.grid
         return SimGrid.auto(self.system, self.pulse)
@@ -135,18 +135,6 @@ def _build_grid(parser: ConfigParser, system: LambdaSystem,
         return None
     sec = parser["grid"]
     vals = {k: _float("grid", k, sec[k]) for k in sec}
-    z_keys = {"z_min", "z_max", "dz"} & set(vals)
-    if z_keys:
-        missing = {"t_max", "dt", "z_min", "z_max", "dz"} - set(vals)
-        if missing:
-            raise ConfigurationError(
-                f"[grid] explicit spatial window needs all five keys; "
-                f"missing {sorted(missing)}")
-        grid = SimGrid(t_max=vals["t_max"], dt=vals["dt"],
-                       z_min=vals["z_min"], z_max=vals["z_max"],
-                       dz=vals["dz"])
-        grid.validate(system, pulse)
-        return grid
     return SimGrid.auto(system, pulse, t_max=vals.get("t_max"),
                         dt=vals.get("dt"))
 

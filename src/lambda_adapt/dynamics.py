@@ -49,6 +49,7 @@ __all__ = [
     "psi_closed_form",
     "integrate_psi",
     "asymptotic_prob_exponential",
+    "p_ab_infty",
     "populations",
 ]
 
@@ -244,7 +245,7 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     steps (a large |delta_L| shrinks the transient step) raises
     ConfigurationError before anything is allocated.
     """
-    grid.validate(system, pulse)
+    grid.validate(pulse)
     if pulse.rho != system.rho_density or pulse.c != system.c_speed:
         raise ParameterError("pulse was normalized against a different waveguide")
 
@@ -383,6 +384,16 @@ def asymptotic_prob_exponential(system: LambdaSystem, linewidth: float,
     s = gamma + linewidth
     return (4.0 * system.gamma_a * system.gamma_b * s
             / (gamma * (s * s + 4.0 * detuning * detuning)))
+
+
+def p_ab_infty(traj: AmplitudeTrajectory, system: LambdaSystem) -> float:
+    """Long-time transfer p_ab(inf) from a run that has outlived the drive.
+
+    Once the drive is gone p_e decays freely, so the part of the transfer
+    integral left after t_max is exactly gamma_b / Gamma * p_e(t_max).
+    """
+    return float(traj.p_ab[-1]) \
+        + system.gamma_b / system.gamma_total * float(traj.p_e[-1])
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,6 @@ class Exponential:
     def drive_breakpoints(self, c):
         return ()
 
-    def space_breakpoints(self, c):
-        return (0.0,)
 
 
 @dataclass(frozen=True)
@@ -188,8 +186,6 @@ class Gaussian:
     def drive_breakpoints(self, c):
         return ()
 
-    def space_breakpoints(self, c):
-        return (0.0,)
 
 
 @dataclass(frozen=True)
@@ -220,8 +216,6 @@ class Rectangular:
         # the drive switches off abruptly when the back edge passes z = 0
         return (self.duration,)
 
-    def space_breakpoints(self, c):
-        return (-c * self.duration, 0.0)
 
 
 @dataclass(frozen=True)
@@ -278,8 +272,6 @@ class Sampled:
         # drive is linear, which the integrator and quadratures take exactly
         return tuple(-float(zj) / c for zj in self.z)
 
-    def space_breakpoints(self, c):
-        return (float(self.z[0]), float(self.z[-1]))
 
 
 _FAMILIES = (Exponential, Gaussian, Rectangular, Sampled)
@@ -310,9 +302,6 @@ class PulseSpec:
 
     def drive_breakpoints(self):
         return self.envelope.drive_breakpoints(self.c)
-
-    def space_breakpoints(self):
-        return self.envelope.space_breakpoints(self.c)
 
 
 def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
@@ -391,26 +380,22 @@ MAX_GRID_NODES = 20_000_000
 
 @dataclass(frozen=True)
 class SimGrid:
-    """Time step and spatial window of a trajectory run.
+    """Time grid of a trajectory run: horizon ``t_max`` and step ``dt``.
 
     ``dt`` is the largest step ``integrate_psi`` takes.  It need only
     resolve the envelope (dt <= 0.01 / spectral scale); the transient
     after t = 0 and after each drive discontinuity runs at
     0.01 / max(Gamma, |delta_L|) whatever dt is.  The p_ab, work and
     heat quadratures are fourth order, so no ledger needs a finer dt.
-    t_max / dt may not exceed MAX_GRID_NODES.  The spatial window is
-    validated against the pulse, but no code samples a field on it.
+    t_max / dt may not exceed MAX_GRID_NODES.
     """
 
     t_max: float
     dt: float
-    z_min: float
-    z_max: float
-    dz: float
 
-    def validate(self, system: LambdaSystem, pulse: PulseSpec):
-        if min(self.t_max, self.dt, self.dz) <= 0:
-            raise ConfigurationError("t_max, dt, dz must all be positive")
+    def validate(self, pulse: PulseSpec):
+        if min(self.t_max, self.dt) <= 0:
+            raise ConfigurationError("t_max and dt must both be positive")
         nodes = self.t_max / self.dt
         if not nodes <= MAX_GRID_NODES:
             raise ConfigurationError(
@@ -425,16 +410,6 @@ class SimGrid:
             raise ConfigurationError(
                 f"dt = {self.dt} too coarse; need dt <= 0.01 / "
                 f"(envelope spectral scale) = {ceiling:.3g}"
-            )
-        c = system.c_speed
-        if self.z_min > -c * self.t_max * (1 - 1e-12):
-            raise ConfigurationError(
-                f"z_min = {self.z_min} does not cover the initial pulse; "
-                f"need z_min <= -c t_max = {-c * self.t_max:.6g}"
-            )
-        if self.dz > c * self.dt * (1 + 1e-9):
-            raise ConfigurationError(
-                f"dz = {self.dz} must not exceed c dt = {c * self.dt:.3g}"
             )
 
     @classmethod
@@ -453,9 +428,6 @@ class SimGrid:
             t_max = pulse.settle_time() + 20.0 / system.gamma_total
         if dt is None:
             dt = 0.005 / rate
-        c = system.c_speed
-        grid = cls(t_max=float(t_max), dt=float(dt),
-                   z_min=-c * float(t_max), z_max=c * float(t_max),
-                   dz=c * float(dt))
-        grid.validate(system, pulse)
+        grid = cls(t_max=float(t_max), dt=float(dt))
+        grid.validate(pulse)
         return grid

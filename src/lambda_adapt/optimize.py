@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.optimize import minimize
 
-from .dynamics import integrate_psi
+from .dynamics import integrate_psi, p_ab_infty
 from .errors import ParameterError, LambdaAdaptError, UnsupportedEnvelopeError
 from .model import (Exponential, Gaussian, LambdaSystem, PulseSpec,
                     Rectangular, SimGrid, make_pulse)
@@ -205,19 +205,14 @@ def _objective_grid(system: LambdaSystem, pulse: PulseSpec) -> SimGrid:
     rate = max(system.gamma_total, spectral, abs(pulse.detuning(system)))
     dt = max(0.002 / spectral, 0.01 / rate)
     t_max = pulse.settle_time() + 10.0 / system.gamma_total
-    c = system.c_speed
-    return SimGrid(t_max=float(t_max), dt=float(dt), z_min=-c * float(t_max),
-                   z_max=0.0, dz=c * float(dt))
+    return SimGrid(t_max=float(t_max), dt=float(dt))
 
 
 def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
     grid = _objective_grid(system, pulse)
     traj = integrate_psi(system, pulse, grid)
     if objective == "p_ab_infty":
-        # after the drive is gone p_e decays freely, so the missing tail
-        # of the transfer integral is exactly gamma_b / gamma * p_e(end)
-        tail = system.gamma_b / system.gamma_total * float(traj.p_e[-1])
-        return float(traj.p_ab[-1]) + tail
+        return p_ab_infty(traj, system)
     if objective == "w_over_hw":
         return drive_energy_flux(traj, pulse, system)
     raise ParameterError(f"unknown objective {objective!r}")

@@ -42,12 +42,10 @@ __all__ = [
     "DiscreteBath",
     "OneExcitationState",
     "OracleRun",
-    "OracleMeasurement",
     "DeviationReport",
     "build_hamiltonian",
     "discretize_pulse",
     "evolve",
-    "measure",
     "measure_series",
     "compare",
 ]
@@ -152,17 +150,16 @@ class OneExcitationState:
                    b_modes=vec[1 + n_modes:1 + 2 * n_modes], backward=back)
 
     @classmethod
-    def from_pulse(cls, amps: np.ndarray, *, backward: bool = False,
-                   include_backward_block: bool = False) -> "OneExcitationState":
+    def from_pulse(cls, amps: np.ndarray, *,
+                   backward: bool = False) -> "OneExcitationState":
         """Photon in the a-branch comb; system in |a> (or |b> if backward)."""
         n = amps.shape[0]
         zeros = np.zeros(n, dtype=complex)
         if backward:
             return cls(excited=0.0, a_modes=zeros, b_modes=zeros.copy(),
                        backward=np.asarray(amps, dtype=complex))
-        back = zeros.copy() if include_backward_block else None
         return cls(excited=0.0, a_modes=np.asarray(amps, dtype=complex),
-                   b_modes=zeros, backward=back)
+                   b_modes=zeros)
 
 
 def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
@@ -222,8 +219,7 @@ def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
         the comb window before renormalization.
     """
     c = pulse.c
-    z_breaks = pulse.space_breakpoints()
-    z_lo = min(-c * pulse.settle_time() * 1.2, z_breaks[0])
+    z_lo = -c * pulse.settle_time() * 1.2
     # resolve the fastest beat between envelope and comb edge
     k_max = (0.5 * bath.bandwidth + abs(pulse.detuning(system))) / c
     dz = 0.011 / max(k_max, 1e-300)
@@ -275,9 +271,6 @@ class OracleRun:
     def __post_init__(self):
         self.times.flags.writeable = False
         self.states.flags.writeable = False
-
-    def state_at(self, index: int) -> OneExcitationState:
-        return OneExcitationState.unpack(self.states[index], self.bath.n_modes)
 
     def excited_series(self) -> np.ndarray:
         """psi~(t) in the omega_ref rotating frame (= psi e^{i omega_a t})."""
@@ -377,22 +370,6 @@ def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
 
 
 @dataclass(frozen=True)
-class OracleMeasurement:
-    """Exact observables of one snapshot, mixture-weighted."""
-
-    t: float
-    p_e: float
-    n_a: float
-    n_b: float
-    p_ab: float
-    overlap_sq: float
-    lambdas: np.ndarray
-    s_e: float
-    s_q: float
-    norm: float
-
-
-@dataclass(frozen=True)
 class OracleSeries:
     """Vectorized measurements over all snapshots of a run."""
 
@@ -426,8 +403,8 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
         back = states[:, 1 + 2 * n:]
         if float(np.max(np.abs(back))) > 1e-12:
             raise ParameterError(
-                "measure expects a forward-sector run; backward amplitudes "
-                "are populated"
+                "measure_series expects a forward-sector run; backward "
+                "amplitudes are populated"
             )
         states = states[:, :1 + 2 * n]
     a_block = states[:, 1:1 + n]
@@ -451,20 +428,6 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     return OracleSeries(times=run.times.copy(), p_e=p_e, n_a=n_a, n_b=n_b,
                         overlap_sq=overlap_sq, lambdas=lams, s_e=s_e,
                         s_q=s_q, norm=norm)
-
-
-def measure(run: OracleRun, mixture: InitialMixture,
-            index: int = -1) -> OracleMeasurement:
-    """Measurement of a single snapshot (default: the last one)."""
-    series = measure_series(run, mixture)
-    k = range(series.times.size)[index]
-    return OracleMeasurement(
-        t=float(series.times[k]), p_e=float(series.p_e[k]),
-        n_a=float(series.n_a[k]), n_b=float(series.n_b[k]),
-        p_ab=float(series.n_b[k]), overlap_sq=float(series.overlap_sq[k]),
-        lambdas=series.lambdas[k].copy(), s_e=float(series.s_e[k]),
-        s_q=float(series.s_q[k]), norm=float(series.norm[k]),
-    )
 
 
 DEFAULT_TOLERANCES = {
@@ -543,8 +506,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
                  bath=bath, system=system, n_out=n_out)
     oracle = measure_series(run, mixture)
 
-    rate = max(system.gamma_total, pulse.spectral_scale())
-    grid = SimGrid.auto(system, pulse, t_max=t_final, dt=0.005 / rate)
+    grid = SimGrid.auto(system, pulse, t_max=t_final)
     traj = integrate_psi(system, pulse, grid)
 
     t_out = run.times

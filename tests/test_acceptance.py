@@ -26,13 +26,11 @@ from lambda_adapt.thermo import (HBAR, adaptation_work_check,
 
 
 def fast_grid(system, pulse, t_max):
-    """Fixed step 0.01 / max(Gamma, spectral scale, |delta_L|), no z window."""
+    """Grid to t_max at the fixed step 0.01 / max(Gamma, spectral scale,
+    |delta_L|)."""
     rate = max(system.gamma_total, pulse.spectral_scale(),
                abs(pulse.detuning(system)))
-    dt = 0.01 / rate
-    c = system.c_speed
-    return SimGrid(t_max=float(t_max), dt=dt, z_min=-c * float(t_max),
-                   z_max=0.0, dz=c * dt)
+    return SimGrid(t_max=float(t_max), dt=0.01 / rate)
 
 
 def p_ab_infty(traj, system):

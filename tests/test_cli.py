@@ -24,6 +24,24 @@ p_a0 = 0.5
 """
 
 
+# a config every subcommand can run
+EVERY_SECTION = BASE + """
+[bath]
+n_modes = 801
+
+[sweep]
+parameter = linewidth
+lo = 0.5
+hi = 2.0
+
+[optimize]
+parameters = detuning
+detuning_lo = -1.0
+detuning_hi = 1.0
+budget = 60
+"""
+
+
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -91,9 +109,9 @@ class TestSimulate:
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = write(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out1),
-                     "--seedless"]) == 0
-        assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
+        for out in (out1, out2):
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
         for name in ("trajectory.csv", "ledger.json", "entropy.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -168,6 +186,19 @@ dt = 0.005
         cfg = write(tmp_path, BASE.replace(old, new))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize",
+                                         "entropy-curve", "figure2",
+                                         "oracle-verify"])
+    def test_points_below_one_is_config_error(self, tmp_path, capsys,
+                                              command, points):
+        cfg = write(tmp_path, EVERY_SECTION)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--points", points]) == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_without_section_is_config_error(self, tmp_path):
         cfg = write(tmp_path, BASE)

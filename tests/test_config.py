@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lambda_adapt.cli import main
 from lambda_adapt.config import load_config
 from lambda_adapt.errors import (ConfigurationError, LambdaAdaptError,
                                  ParameterError)
-from lambda_adapt.model import Exponential, Gaussian
+from lambda_adapt.model import Exponential, Gaussian, SimGrid
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 DEFAULT_LINES = DEFAULT_INI.read_text().splitlines()
@@ -107,8 +108,6 @@ class TestRejection:
         ("[system]\nomega_a = abc\n[pulse]\nfamily = exponential\n"
          "delta = 1\n", "not a number"),
         ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
-         "[grid]\nt_max = 10\ndt = 0.001\nz_min = -20\n", "all five keys"),
-        ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
          "[bath]\nn_modes = 2.5\n", "not an integer"),
         ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
          "[sweep]\nparameter = linewidth\nlo = 0.1\n", "missing required"),
@@ -121,6 +120,15 @@ class TestRejection:
     def test_configuration_errors(self, tmp_path, text, match):
         with pytest.raises(ConfigurationError, match=match):
             load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["z_min", "z_max", "dz"])
+    def test_spatial_window_keys_are_unknown(self, tmp_path, capsys, key):
+        # a grid is (t_max, dt); the old spatial window keys are refused
+        cfg = write(tmp_path, MINIMAL + f"[grid]\nt_max = 30\n{key} = 1\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown key {key!r} in section [grid]" in \
+            capsys.readouterr().err
 
     def test_domain_violations_use_model_errors(self, tmp_path):
         path = write(tmp_path, """
@@ -144,12 +152,8 @@ class TestSections:
             [grid]
             t_max = 20.0
             dt = 0.004
-            z_min = -25.0
-            z_max = 1.0
-            dz = 0.004
         """))
-        assert cfg.grid is not None
-        assert cfg.grid.t_max == 20.0
+        assert cfg.grid == SimGrid(t_max=20.0, dt=0.004)
         assert cfg.make_grid() is cfg.grid
 
     def test_partial_grid_uses_auto(self, tmp_path):
@@ -161,7 +165,7 @@ class TestSections:
     def test_auto_grid_when_absent(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
         grid = cfg.make_grid()
-        grid.validate(cfg.system, cfg.pulse)
+        grid.validate(cfg.pulse)
 
     def test_bath_overrides(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL + """

@@ -12,7 +12,7 @@ from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
                                  OneExcitationState, _arrowhead_eigh,
                                  build_hamiltonian, compare, discretize_pulse,
-                                 evolve, measure, measure_series)
+                                 evolve, measure_series)
 
 
 @pytest.fixture(scope="module")
@@ -230,19 +230,11 @@ class TestMeasure:
         assert series.p_ab is series.n_b
 
     def test_initial_snapshot_is_pure(self, run):
-        m0 = measure(run, InitialMixture(0.5, 0.5), index=0)
-        assert m0.p_e == pytest.approx(0.0, abs=1e-15)
-        assert m0.n_a == pytest.approx(1.0, abs=1e-12)
-        assert m0.overlap_sq == pytest.approx(1.0, abs=1e-12)
-        assert m0.s_e == pytest.approx(0.0, abs=1e-10)
-
-    def test_single_measure_matches_series(self, run):
-        mix = InitialMixture(0.3, 0.7)
-        series = measure_series(run, mix)
-        m = measure(run, mix, index=17)
-        assert m.t == series.times[17]
-        assert m.s_e == series.s_e[17]
-        assert m.p_ab == series.n_b[17]
+        series = measure_series(run, InitialMixture(0.5, 0.5))
+        assert series.p_e[0] == pytest.approx(0.0, abs=1e-15)
+        assert series.n_a[0] == pytest.approx(1.0, abs=1e-12)
+        assert series.overlap_sq[0] == pytest.approx(1.0, abs=1e-12)
+        assert series.s_e[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_backward_sector_stays_empty(self, system, small_bath):
         pulse = make_pulse(Gaussian(1.0), 50.0, system)
