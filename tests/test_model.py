@@ -14,7 +14,7 @@ from lambda_adapt.model import (MAX_GRID_NODES, Exponential, Gaussian,
                                 Sampled, SimGrid, envelope_at, make_pulse)
 
 
-def norm_integral(pulse, nodes=64):
+def norm_integral(pulse):
     """Numerical single-photon norm, must equal 1 for any envelope.
 
     Gauss-Legendre on each piece between the envelope's breakpoints
@@ -27,7 +27,7 @@ def norm_integral(pulse, nodes=64):
     lo = -1.5 * pulse.settle_time() * c
     kinks = sorted(-c * t for t in pulse.drive_breakpoints())
     edges = np.array([lo, *(z for z in kinks if lo < z < 0.0), 0.0])
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(64)
     half = 0.5 * np.diff(edges)[:, None]
     z = edges[:-1, None] + half * (x + 1.0)
     val = np.sum(half * w * np.abs(pulse.shape_at(z)) ** 2)
