@@ -39,8 +39,7 @@ def main():
     for delta in (2.0, 0.5, 0.1, 0.02, 0.004):
         pulse = make_pulse(Exponential(delta * s.gamma_total), s.omega_a, s)
         t_max = 12.0 / pulse.envelope.linewidth + 10.0 / s.gamma_total
-        rate = max(s.gamma_total, pulse.spectral_scale())
-        traj = integrate_psi(s, pulse, SimGrid(t_max=t_max, dt=0.01 / rate))
+        traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, t_max=t_max))
         p_inf = p_ab_infty(traj, s)
         formula = asymptotic_prob_exponential(s, pulse.envelope.linewidth)
         print(f"{delta:12.3f} {p_inf:10.5f} {formula:10.5f}")

@@ -35,7 +35,8 @@ from .errors import (ConfigurationError, LambdaAdaptError,
 from .model import SimGrid
 from .optimize import maximize, sweep
 from .oracle import OneExcitationState, build_hamiltonian, compare, evolve
-from .thermo import adaptation_work_check, drive_energy_flux, energy_ledger
+from .thermo import (adaptation_work_check, drive_energy_flux, energy_ledger,
+                     is_resonant)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,10 +90,6 @@ def _write_json(path: Path, meta: dict, payload: dict):
     _write_atomic(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _is_resonant(cfg: RunConfig) -> bool:
-    return abs(cfg.pulse.detuning(cfg.system)) <= 1e-12 * cfg.system.omega_a
-
-
 def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     grid = cfg.make_grid()
     traj = integrate_psi(cfg.system, cfg.pulse, grid)
@@ -110,7 +107,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
                ["t", "re_psi", "im_psi", "p_e", "p_ab"], lines)
 
     p_inf = p_ab_infty(traj, cfg.system)
-    if _is_resonant(cfg):
+    if is_resonant(cfg.pulse, cfg.system):
         ledger = energy_ledger(traj, cfg.pulse, cfg.system)
         payload = ledger.as_dict()
         payload["adaptation_residual"] = adaptation_work_check(
@@ -196,7 +193,7 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
                                "leak": leak, "tolerance": BACKWARD_LEAK_TOL,
                                "norm_drift": run_back.norm_drift}
 
-    if _is_resonant(cfg):
+    if is_resonant(cfg.pulse, cfg.system):
         grid = SimGrid.auto(cfg.system, cfg.pulse)
         traj = integrate_psi(cfg.system, cfg.pulse, grid)
         try:

@@ -97,10 +97,10 @@ class AmplitudeTrajectory:
         """psi~ at times in [0, t_max], interpolated linearly in psi^.
 
         psi^ moves at the envelope scale, or at |lambda| inside the
-        transient windows, and every step is about 0.01 of that scale,
-        so the error stays near 1e-5 |psi| or below (3.6e-6 measured on
-        Exponential(1e-3) detuned by 0.5 at the dt ceiling), whatever
-        delta_L * dt is.
+        transient windows, and every step is at most 0.01 of that scale
+        (0.005 on a default grid), so the error stays near 1e-5 |psi| or
+        below (3.6e-6 measured on Exponential(1e-3) detuned by 0.5 at
+        the dt ceiling), whatever delta_L * dt is.
         """
         t = np.asarray(t, dtype=float)
         re, im = self._carrier_parts
@@ -129,8 +129,10 @@ _INV_FACTORIALS = tuple(1.0 / math.factorial(n)
 
 # The Gamma transient after t = 0 and after every drive discontinuity is
 # integrated at 0.01 / max(Gamma, |delta_L|) for this many 1/Gamma; by
-# then it has decayed by e^{-20} and the trajectory follows the envelope.
-_TRANSIENT_WINDOW = 40.0
+# then it has decayed by e^{-30} and the trajectory follows the envelope.
+# At 40 (e^{-20}) the remnant, times the h^2/12 end correction of the
+# envelope-scale stretch after it, broke a 1e-8 ledger at linewidth 1e-7.
+_TRANSIENT_WINDOW = 60.0
 
 
 def _phi_series(z: complex) -> tuple[complex, complex, complex]:
@@ -230,11 +232,12 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
 
     The interval is split at drive breakpoints (rectangular pulse edges,
     the samples of a sampled envelope) so every step sees a smooth
-    drive.  Inside each smooth interval the first 40/Gamma run at
+    drive.  This is the only place where Gamma and delta_L set a step:
+    inside each smooth interval the first 60/Gamma run at
     0.01 / max(Gamma, |delta_L|), so the quadratures resolve the
-    transient, and the rest at ``grid.dt``; when ``grid.dt`` is already
-    that fine the interval is one stretch.  Each stretch uses a uniform
-    step no larger than its bound.
+    emitter's transient, and the rest at ``grid.dt``, which follows the
+    envelope; when ``grid.dt`` is already that fine the interval is one
+    stretch.  Each stretch uses a uniform step no larger than its bound.
 
     The amplitude is exact for a drive that is quadratic on each step,
     so its error is the drive's interpolation error, not a stability or

@@ -245,7 +245,11 @@ class Sampled:
     def norm_constant(self, rho, c):
         z = np.asarray(self.z, dtype=float)
         amp = np.asarray(self.amplitude, dtype=complex)
-        raw = np.trapezoid(np.abs(amp) ** 2, z)
+        # the envelope is the linear interpolant, whose square integrates
+        # exactly to h/3 (|a|^2 + Re(a conj b) + |b|^2) on each interval
+        sq = np.abs(amp) ** 2
+        cross = (amp[:-1] * amp[1:].conj()).real
+        raw = float(np.dot(np.diff(z), sq[:-1] + cross + sq[1:])) / 3.0
         if raw <= 0.0:
             raise DegenerateInputError("sampled envelope has zero norm")
         return math.sqrt(2.0 * math.pi * rho * c / raw)
@@ -372,9 +376,8 @@ class InitialMixture:
         return cls(system.gamma_a / g, system.gamma_b / g)
 
 
-# Largest t_max / dt a grid may have.  The largest grids in use, default
-# grids at linewidth 1e-3, have 8e6-1e7 nodes; the trajectory arrays of
-# 2e7 nodes already take gigabytes.
+# Largest number of steps a trajectory or a z-grid may have; 2e7 complex
+# samples with their companion arrays already take gigabytes.
 MAX_GRID_NODES = 20_000_000
 
 
@@ -383,11 +386,11 @@ class SimGrid:
     """Time grid of a trajectory run: horizon ``t_max`` and step ``dt``.
 
     ``dt`` is the largest step ``integrate_psi`` takes.  It need only
-    resolve the envelope (dt <= 0.01 / spectral scale); the transient
-    after t = 0 and after each drive discontinuity runs at
-    0.01 / max(Gamma, |delta_L|) whatever dt is.  The p_ab, work and
-    heat quadratures are fourth order, so no ledger needs a finer dt.
-    t_max / dt may not exceed MAX_GRID_NODES.
+    resolve the envelope (dt <= 0.01 / spectral scale): Gamma and
+    delta_L set no step here, because ``integrate_psi`` resolves the
+    emitter's transients itself.  The p_ab, work and heat quadratures
+    are fourth order, so no ledger needs a finer dt.  t_max / dt may not
+    exceed MAX_GRID_NODES.
     """
 
     t_max: float
@@ -402,9 +405,6 @@ class SimGrid:
                 f"grid of t_max / dt = {nodes:.3g} nodes exceeds "
                 f"MAX_GRID_NODES = {MAX_GRID_NODES:.3g}"
             )
-        # the exact propagator absorbs gamma_total and the detuning, and
-        # integrate_psi resolves the transients itself: dt need only
-        # resolve the envelope
         ceiling = 0.01 / pulse.spectral_scale()
         if self.dt > ceiling * (1 + 1e-9):
             raise ConfigurationError(
@@ -417,17 +417,17 @@ class SimGrid:
              dt=None):
         """Build a grid adequate for the given system and pulse.
 
-        The default dt = 0.005 / max(Gamma, spectral scale) resolves the
-        envelope and the decay; with the fourth-order quadratures of p_ab,
-        heat and work it closes the energy ledger of a resonant run at
-        1e-8, so no step is shrunk for the ledger.  The default t_max is
-        the settle time plus 20 / Gamma.
+        The default dt = 0.005 / spectral scale, half the ``validate``
+        ceiling, is the one step rule of every trajectory grid: it
+        reads neither Gamma nor delta_L.  With the transient windows of
+        ``integrate_psi`` and the fourth-order quadratures of p_ab, heat
+        and work it closes the energy ledger of a resonant run at 1e-8.
+        The default t_max is the settle time plus 20 / Gamma.
         """
-        rate = max(system.gamma_total, pulse.spectral_scale())
         if t_max is None:
             t_max = pulse.settle_time() + 20.0 / system.gamma_total
         if dt is None:
-            dt = 0.005 / rate
+            dt = 0.005 / pulse.spectral_scale()
         grid = cls(t_max=float(t_max), dt=float(dt))
         grid.validate(pulse)
         return grid

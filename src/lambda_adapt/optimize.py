@@ -8,7 +8,7 @@ the analytic picture end to end: adaptation is maximal for a resonant,
 narrowband drive with balanced decay rates.
 
 Only derivative-free methods are used.  The objectives come out of
-quadratures with deterministic errors of a few 1e-7 and finite
+quadratures with deterministic errors of about 2e-9 and finite
 differences below that scale are meaningless.
 """
 
@@ -188,28 +188,11 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
     return sys2, make_pulse(envelope, carrier, sys2)
 
 
-def _objective_grid(system: LambdaSystem, pulse: PulseSpec) -> SimGrid:
-    """A trajectory grid sized for ~1e-6 objective accuracy, not ledgers.
-
-    Every family runs to its settle time plus 10/Gamma (for the
-    exponential envelope, 20/linewidth: the drive left after it carries
-    e^{-20} of the transfer).  dt = 0.002 / spectral scale, or
-    0.01 / max(Gamma, spectral scale, |delta_L|) where that is larger:
-    a broadband drive keeps the step it always had, and a narrowband one
-    steps at its envelope scale (integrate_psi resolves the Gamma
-    transient on its own).  Against asymptotic_prob_exponential,
-    p_ab_infty measured within 2.1e-9 over linewidths 1e-3-1, detunings
-    0-0.5 and rate ratios 0.25-4 (Gamma = 2).
-    """
-    spectral = pulse.spectral_scale()
-    rate = max(system.gamma_total, spectral, abs(pulse.detuning(system)))
-    dt = max(0.002 / spectral, 0.01 / rate)
-    t_max = pulse.settle_time() + 10.0 / system.gamma_total
-    return SimGrid(t_max=float(t_max), dt=float(dt))
-
-
 def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
-    grid = _objective_grid(system, pulse)
+    # to the settle time plus 10/Gamma: for the exponential envelope,
+    # 20/linewidth, after which the drive carries e^{-20} of the transfer
+    grid = SimGrid.auto(system, pulse,
+                        t_max=pulse.settle_time() + 10.0 / system.gamma_total)
     traj = integrate_psi(system, pulse, grid)
     if objective == "p_ab_infty":
         return p_ab_infty(traj, system)

@@ -35,7 +35,8 @@ from .errors import (
 from .dynamics import integrate_psi
 from .entropy import (env_eigenvalues, normalized_overlap_sq, overlap_series,
                       quantum_branch_entropy, von_neumann)
-from .model import InitialMixture, LambdaSystem, PulseSpec, SimGrid
+from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem, PulseSpec,
+                    SimGrid)
 from .thermo import drive_overlap_density
 
 __all__ = [
@@ -217,6 +218,9 @@ def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
     BandwidthError
         If more than 1% of the pulse's spectral weight falls outside
         the comb window before renormalization.
+    ConfigurationError
+        If the z-grid would have more than MAX_GRID_NODES steps (a
+        narrowband pulse settles late); nothing is allocated.
     """
     c = pulse.c
     z_lo = -c * pulse.settle_time() * 1.2
@@ -224,8 +228,12 @@ def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
     k_max = (0.5 * bath.bandwidth + abs(pulse.detuning(system))) / c
     dz = 0.011 / max(k_max, 1e-300)
     dz = min(dz, -z_lo / 64.0)
-    n_z = int(math.ceil(-z_lo / dz)) + 1
-    z = np.linspace(z_lo, 0.0, n_z)
+    steps = -z_lo / dz
+    if not steps <= MAX_GRID_NODES:
+        raise ConfigurationError(
+            f"pulse projection needs a z-grid of {steps:.3g} steps, above "
+            f"MAX_GRID_NODES = {MAX_GRID_NODES:.3g}")
+    z = np.linspace(z_lo, 0.0, math.ceil(steps) + 1)
     dz = z[1] - z[0]
     # phi_a(z, 0) with carrier, trapezoid end weights folded in
     vals = pulse.shape_at(z).astype(complex) * np.exp(1j * pulse.carrier * z / c)

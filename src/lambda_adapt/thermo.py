@@ -35,6 +35,7 @@ __all__ = [
     "drive_overlap_density",
     "drive_overlap_integral",
     "drive_energy_flux",
+    "is_resonant",
     "work_absorbed",
     "heat_dissipated",
     "energy_ledger",
@@ -131,6 +132,11 @@ def drive_energy_flux(traj: AmplitudeTrajectory, pulse: PulseSpec,
     return 2.0 * float(drive_overlap_integral(traj, pulse, system)[-1].real)
 
 
+def is_resonant(pulse: PulseSpec, system: LambdaSystem) -> bool:
+    """True when |delta_L| <= 1e-12 omega_a, where the work ledger applies."""
+    return abs(pulse.detuning(system)) <= 1e-12 * system.omega_a
+
+
 def work_absorbed(traj: AmplitudeTrajectory, pulse: PulseSpec,
                   system: LambdaSystem) -> float:
     """Work the photon does on the emitter, W = hbar omega_a * flux.
@@ -141,10 +147,10 @@ def work_absorbed(traj: AmplitudeTrajectory, pulse: PulseSpec,
         If the pulse is off resonance; the drive quadrature then mixes
         dispersive energy exchange into the would-be work.
     """
-    delta_l = pulse.detuning(system)
-    if abs(delta_l) > 1e-12 * system.omega_a:
+    if not is_resonant(pulse, system):
         raise NotApplicableError(
-            f"work ledger requires a resonant drive; delta_L = {delta_l:.3g}"
+            "work ledger requires a resonant drive; "
+            f"delta_L = {pulse.detuning(system):.3g}"
         )
     return HBAR * system.omega_a * drive_energy_flux(traj, pulse, system)
 

@@ -8,6 +8,8 @@ import pytest
 
 from lambda_adapt import cli, oracle
 from lambda_adapt.cli import _float_lines, _fmt, main
+from lambda_adapt.dynamics import asymptotic_prob_exponential
+from lambda_adapt.model import LambdaSystem
 from lambda_adapt.oracle import _arrowhead_eigh
 
 BASE = """[system]
@@ -115,6 +117,28 @@ class TestSimulate:
         for name in ("trajectory.csv", "ledger.json", "entropy.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("linewidth", [1e-9, 1e-7, 1e-3])
+    def test_narrowband_runs_on_the_default_grid(self, tmp_path, linewidth):
+        # the default grid steps at 0.005 / linewidth; only integrate_psi
+        # resolves the Gamma = 5 transient
+        text = BASE.replace("gamma_b = 1.0", "gamma_b = 4.0").replace(
+            "delta = 1.0", f"delta = {linewidth!r}")
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(write(tmp_path, text)),
+                     "--out", str(out)])
+        # at linewidth 1e-9 the e^{-30} remnant of the transient, times
+        # the end correction of a 5e6 step, sits at the ledger bound: a
+        # refusal is allowed there, a wrong number is not
+        assert code == 0 or (linewidth == 1e-9 and code == 3)
+        if code == 3:
+            return
+        ledger = json.loads((out / "ledger.json").read_text())
+        assert abs(ledger["residual"]) <= 1e-8 * max(abs(ledger["w_abs"]),
+                                                     50.0)
+        system = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=4.0)
+        assert ledger["p_ab_infty"] == pytest.approx(
+            asymptotic_prob_exponential(system, linewidth), abs=1e-6)
+
 
 class TestExitCodes:
     def test_bad_mixture_is_config_error(self, tmp_path):
@@ -155,8 +179,8 @@ dt = 0.005
 
     def test_coarse_grid_closes_the_ledger(self, tmp_path):
         # omega_a ~ 1 keeps the bound tight; the fourth-order quadratures
-        # close the 1e-8 ledger at twice the default step (a trapezoid
-        # ledger failed here)
+        # close the 1e-8 ledger at dt = 0.005 over the whole run (a
+        # trapezoid ledger failed here)
         text = """[system]
 omega_a = 1.0
 
@@ -179,8 +203,9 @@ dt = 0.005
     @pytest.mark.parametrize("old, new", [
         ("omega_a = 50.0", "omega_a = inf"),
         ("gamma_b = 1.0", "gamma_b = 1.0\ndelta_ab = nan"),
-        # a grid of ~8e12 nodes, refused before anything is allocated
-        ("delta = 1.0", "delta = 1e-9"),
+        # transient windows of ~3e10 steps at 0.01 / |delta_L|, refused
+        # before anything is allocated
+        ("delta = 1.0", "delta = 1.0\ndelta_l = 1e7"),
     ])
     def test_unusable_numbers_are_config_errors(self, tmp_path, old, new):
         cfg = write(tmp_path, BASE.replace(old, new))
@@ -335,3 +360,12 @@ n_modes = 101
 """)
         assert main(["oracle-verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_narrowband_projection_is_config_error(self, tmp_path, capsys):
+        # the z-grid would take 8.7e13 samples; refused, not allocated
+        cfg = write(tmp_path, BASE.replace("delta = 1.0", "delta = 1e-9"))
+        assert main(["oracle-verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_GRID_NODES" in err
+        assert "Traceback" not in err

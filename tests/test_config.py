@@ -160,7 +160,8 @@ class TestSections:
         cfg = load_config(write(tmp_path, MINIMAL + "[grid]\nt_max = 30\n"))
         assert cfg.grid is not None
         assert cfg.grid.t_max == 30.0
-        assert cfg.grid.dt <= 0.005 / 2.0
+        assert cfg.grid.dt == pytest.approx(
+            0.005 / cfg.pulse.spectral_scale(), rel=1e-12)
 
     def test_auto_grid_when_absent(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))

@@ -87,7 +87,7 @@ class TestExponentialIntegrator:
         assert np.max(np.abs(traj.psi - exact)) <= 1e-9
         # the transient window runs at 0.01 / Gamma, the rest at grid.dt
         (a0, a1), (b0, b1) = traj.segments
-        assert traj.times[a1] == pytest.approx(40.0 / s.gamma_total)
+        assert traj.times[a1] == pytest.approx(60.0 / s.gamma_total)
         assert np.allclose(np.diff(traj.times[a0:a1 + 1]),
                            0.01 / s.gamma_total)
         slow = np.diff(traj.times[b0:b1 + 1])
@@ -136,7 +136,7 @@ class TestExponentialIntegrator:
         tau = 100.0
         _, grid, traj = run(s, Rectangular(tau), detuning=0.3,
                             t_max=tau + 40.0, dt=1.0)
-        window = 40.0 / s.gamma_total
+        window = 60.0 / s.gamma_total
         starts = [traj.times[i0] for i0, _ in traj.segments]
         assert starts == pytest.approx([0.0, window, tau, tau + window])
         h_fast = 0.01 / s.gamma_total
@@ -220,7 +220,7 @@ class TestTrajectoryBookkeeping:
             integrate_psi(s, pulse, grid)
 
     def test_refuses_an_oversized_transient_window(self):
-        # detuned by 1e7 Gamma, the 40/Gamma window steps at 1e-9: 2e10
+        # detuned by 1e7 Gamma, the 60/Gamma window steps at 1e-9: 3e10
         # steps, refused before anything is allocated
         s = LambdaSystem(omega_a=50.0)
         pulse = make_pulse(Gaussian(1.2), 50.0 + 1e7, s)

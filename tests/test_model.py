@@ -135,6 +135,18 @@ class TestSampled:
         p = make_pulse(Sampled(z=z, amplitude=raw), 1.0, s)
         assert norm_integral(p) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("amp", [
+        # the trapezoid of |a|^2 gave this triangle a norm of 2/3
+        [0.0, 1.0, 0.0],
+        [0.3, 1.0j, -0.5 + 0.2j],
+    ])
+    def test_unit_norm_of_the_interpolant(self, amp):
+        s = LambdaSystem(omega_a=1.0)
+        z = np.array([-2.0, -1.0, 0.0])
+        p = make_pulse(Sampled(z=z, amplitude=np.array(amp, dtype=complex)),
+                       1.0, s)
+        assert norm_integral(p) == pytest.approx(1.0, abs=1e-12)
+
     def test_interpolation_between_samples(self):
         s = LambdaSystem(omega_a=1.0)
         z = np.array([-2.0, -1.0, 0.0])
@@ -201,7 +213,13 @@ class TestSimGrid:
     def test_auto_covers_pulse(self):
         g = SimGrid.auto(self.system, self.pulse)
         assert g.t_max >= self.pulse.settle_time()
-        assert g.dt <= 0.005 / 2.0 * (1 + 1e-12)
+        # half the envelope ceiling, though Gamma = 2 exceeds the spectral
+        # scale; a faster decay or a large detuning changes nothing
+        assert g.dt == pytest.approx(0.005 / self.pulse.spectral_scale(),
+                                     rel=1e-12)
+        fast = LambdaSystem(omega_a=1.0, gamma_b=100.0)
+        detuned = make_pulse(Exponential(1.0), 51.0, fast)
+        assert SimGrid.auto(fast, detuned).dt == g.dt
 
     def test_rejects_coarse_dt(self):
         with pytest.raises(ConfigurationError):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_adapt.dynamics import asymptotic_prob_exponential
+from lambda_adapt import optimize
+from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
 from lambda_adapt.errors import ParameterError
-from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
+from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem, SimGrid,
                                 make_pulse)
 from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec, _evaluate,
-                                   _objective_grid, apply_parameters,
-                                   maximize, sweep)
+                                   apply_parameters, maximize, sweep)
 
 
 @pytest.fixture()
@@ -82,18 +82,27 @@ class TestObjective:
         assert np.max(np.abs(result.objectives() - want)) <= 1e-6
 
     @pytest.mark.parametrize("envelope, detuning, dt", [
-        # broadband: 0.01 / max(Gamma, spectral scale, |delta_L|)
-        (Gaussian(1.2), 0.3, 0.005),
-        (Gaussian(0.25), 0.0, 0.0025),
-        (Gaussian(0.25), 5.0, 0.002),
-        # narrowband: 0.002 / spectral scale
-        (Exponential(1e-3), 0.3, 2.0),
-        (Exponential(0.1), 0.0, 0.02),
+        # the default grid's 0.005 / spectral scale, broadband or
+        # narrowband, whatever Gamma = 2 and delta_L are
+        (Gaussian(1.2), 0.3, 0.006),
+        (Gaussian(0.25), 0.0, 0.00125),
+        (Gaussian(0.25), 5.0, 0.00125),
+        (Exponential(1e-3), 0.3, 5.0),
+        (Exponential(0.1), 0.0, 0.05),
     ])
-    def test_grid_step(self, system, envelope, detuning, dt):
+    def test_grid_step(self, monkeypatch, system, envelope, detuning, dt):
         pulse = make_pulse(envelope, system.omega_a + detuning, system)
-        assert _objective_grid(system, pulse).dt == pytest.approx(dt,
-                                                                  rel=1e-12)
+        grids = []
+
+        def spy(sys_, pulse_, grid):
+            grids.append(grid)
+            return integrate_psi(sys_, pulse_, grid)
+
+        monkeypatch.setattr(optimize, "integrate_psi", spy)
+        _evaluate(system, pulse, "p_ab_infty")
+        t_max = pulse.settle_time() + 10.0 / system.gamma_total
+        assert grids == [SimGrid.auto(system, pulse, t_max=t_max)]
+        assert grids[0].dt == pytest.approx(dt, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(log_width=st.floats(-3.0, 0.0), detuning=st.floats(-0.5, 0.5),
