@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigurationError,
@@ -167,7 +166,9 @@ class Gaussian:
 
     def norm_constant(self, rho, c):
         s = c * self.sigma
-        weight = s * math.sqrt(2.0 * math.pi) * ndtr(self.offset)
+        # Phi(offset), the standard normal CDF
+        phi = 0.5 * math.erfc(-self.offset / math.sqrt(2.0))
+        weight = s * math.sqrt(2.0 * math.pi) * phi
         return math.sqrt(2.0 * math.pi * rho * c / weight)
 
     def shape_values(self, z, rho, c):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.signal import czt
 
 from .errors import (
     BandwidthError,
@@ -205,13 +204,36 @@ def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
     return h
 
 
+def _czt(x: np.ndarray, m: int, theta: float, phi0: float) -> np.ndarray:
+    """F_k = sum_n x_n e^{-i (phi0 + k theta) n} for k = 0 .. m - 1.
+
+    Bluestein's chirp z-transform (Rabiner, Schafer & Rader 1969): with
+    n k = (n^2 + k^2 - (k - n)^2) / 2 the sum is a convolution with the
+    chirp e^{i theta j^2 / 2}, done as three FFTs of a power-of-two
+    length >= n + m - 1.  The chirp phase is theta * k * k, where k * k
+    is an exact float, so no power of a rounded root enters.
+    """
+    n = x.size
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * theta * k * k)
+    size = 1 << (n + m - 2).bit_length()
+    y = x * np.exp(-1j * phi0 * k[:n])
+    y *= chirp[:n]
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
+    out = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(kernel))[:m]
+    return out * chirp[:m]
+
+
 def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
                      system: LambdaSystem) -> np.ndarray:
     """Project the initial envelope onto the a-branch comb.
 
     Computes phi_j ~ integral phi_a(z, 0) e^{-i omega_j z / c} dz on a
-    fine spatial grid (chirp z-transform over all bins at once), scales
-    to physical units, and renormalizes so sum |phi_j|^2 = 1.
+    fine spatial grid (a Bluestein chirp z-transform on numpy's FFT, all
+    bins at once), scales to physical units, and renormalizes so
+    sum |phi_j|^2 = 1.
 
     Raises
     ------
@@ -240,10 +262,9 @@ def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
     vals[0] *= 0.5
     vals[-1] *= 0.5
     omega_start = system.omega_a + bath.offsets()[0]
-    # F_j = dz * sum_m vals_m e^{-i omega_j z_m / c} via a chirp z-transform
-    w = np.exp(-1j * bath.spacing * dz / c)
-    a = np.exp(1j * omega_start * dz / c)
-    f = czt(vals, m=bath.n_modes, w=w, a=a)
+    # F_j = dz * sum_m vals_m e^{-i omega_j z_m / c} via the Bluestein
+    # chirp z-transform, omega_j = omega_start + j spacing
+    f = _czt(vals, bath.n_modes, bath.spacing * dz / c, omega_start * dz / c)
     omegas = system.omega_a + bath.offsets()
     f *= dz * np.exp(-1j * omegas * z_lo / c)
     # physical scale: with rho_eff = 1/spacing the captured weight is

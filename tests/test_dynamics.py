@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lambda_adapt.dynamics import (_PHI_SERIES_RADIUS, _phi_closed,
-                                   _phi_series, _step_coefficients,
+from lambda_adapt.dynamics import (_PHI_SERIES_RADIUS, _affine_recursion,
+                                   _phi_closed, _phi_series,
+                                   _step_coefficients,
                                    asymptotic_prob_exponential, integrate_psi,
                                    populations, psi_closed_form)
 from lambda_adapt.errors import ConfigurationError, ParameterError
@@ -151,6 +152,30 @@ class TestExponentialIntegrator:
         t_after = traj.times[i_tau:]
         ref = traj.psi[i_tau] * np.exp(-0.5 * s.gamma_total * (t_after - tau))
         assert np.max(np.abs(traj.psi[i_tau:] - ref)) < 1e-10
+
+
+class TestAffineRecursion:
+    """The banded solve against the recursion written out as a loop."""
+
+    @staticmethod
+    def loop(a, w):
+        y = [complex(w[0])]
+        for wk in w[1:]:
+            y.append(a * y[-1] + complex(wk))
+        return np.array(y)
+
+    @pytest.mark.parametrize("log_a, n_nodes", [
+        (complex(-0.005, 0.003), 10_000),   # a 0.01 / Gamma transient step
+        (complex(-4.0, 1.5), 1_000),        # a step far past the transient
+        (complex(-0.3, 0.2), 2),            # a one-step stretch
+    ])
+    def test_matches_python_loop(self, log_a, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        w = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
+        a = cmath.exp(log_a)
+        expected = self.loop(a, w)
+        got = _affine_recursion(a, w.copy())
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestAsymptoticProbability:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from lambda_adapt.errors import (ConfigurationError, DegenerateInputError,
                                  ParameterError, UnsupportedEnvelopeError)
@@ -109,6 +110,15 @@ class TestEnvelopes:
         z = np.linspace(-30.0, 0.0, 30001)
         vals = np.abs(p.shape_at(z))
         assert z[np.argmax(vals)] == pytest.approx(-9.0, abs=2e-3)
+
+    @pytest.mark.parametrize("offset", [4.0, 6.0, 8.0, 12.0])
+    def test_gaussian_norm_constant_matches_ndtr(self, offset):
+        # the truncated weight is Phi(offset), taken from math.erfc
+        env = Gaussian(1.3, offset=offset)
+        rho, c = 0.7, 2.0
+        weight = c * env.sigma * math.sqrt(2.0 * math.pi) * ndtr(offset)
+        assert env.norm_constant(rho, c) == math.sqrt(
+            2.0 * math.pi * rho * c / weight)
 
     def test_rectangular_support(self):
         s = LambdaSystem(omega_a=1.0)
