@@ -3,9 +3,9 @@
 Every subcommand reads one INI config (see config.py), writes artifacts
 into --out, and returns a contract exit code: 0 success, 2 configuration
 or parameter error, 3 numerical-consistency failure, 4 oracle
-disagreement.  All numerics are deterministic (fixed-step quadratures and
-a dense eigendecomposition), so identical configs and package versions
-produce bit-identical artifacts.  The optional [grid] section of a config
+disagreement.  All numerics are deterministic (fixed-step quadratures
+and the oracle's secular-equation eigensolver), so identical configs and
+package versions produce bit-identical artifacts.  The optional [grid] section of a config
 sets the trajectory grid's t_max and dt; a key left out takes
 SimGrid.auto's default.  --points must be at least 1 on every subcommand.
 

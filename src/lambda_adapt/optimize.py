@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import integrate_psi, p_ab_infty
 from .errors import ParameterError, LambdaAdaptError, UnsupportedEnvelopeError
@@ -302,6 +301,80 @@ def _golden_max(f, lo: float, hi: float, tol_abs: float, budget: int):
     return x, (b - a) <= tol_abs
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out inside a Nelder-Mead step."""
+
+
+def _nelder_mead(f, simplex: np.ndarray, xatol: float, budget: int):
+    """Minimize f over the unit box from the given initial simplex.
+
+    Returns (x, converged).  The steps are those of scipy's bounded
+    Nelder-Mead (``minimize(method="Nelder-Mead")`` with bounds [0, 1],
+    ``fatol=inf``, ``maxfev=budget``, ``adaptive=False``), evaluation
+    for evaluation: reflection 1, expansion 2, contraction and shrink
+    1/2; the reflected, expanded and outside-contracted points clipped
+    to the box, which the inside contraction and the shrink, as convex
+    combinations, never leave; the budget checked before every
+    evaluation; the simplex reordered by ``np.argsort`` after each step.
+    It stops once no vertex is more than xatol from the best in any
+    coordinate; converged means it stopped with budget to spare.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def call(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return f(x)
+
+    def sort():
+        order = np.argsort(fsim)
+        return sim[order], fsim[order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = sort()
+    while calls < budget:
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        try:
+            xr = np.clip(2 * xbar - sim[-1], 0.0, 1.0)
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], 0.0, 1.0)
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], 0.0, 1.0)
+                    fxc = call(xc)
+                    keep = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = sort()
+    return sim[0], calls < budget
+
+
 def maximize(system: LambdaSystem, pulse: PulseSpec,
              bounds: Mapping[str, tuple[float, float]],
              objective="p_ab_infty", *, budget: int = 500,
@@ -375,15 +448,10 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
             vertex = center.copy()
             vertex[i] = 0.8
             simplex.append(vertex)
-        res = minimize(neg, center, method="Nelder-Mead",
-                       bounds=[(0.0, 1.0)] * d,
-                       options={"initial_simplex": np.array(simplex),
-                                "xatol": CONVERGENCE_REL,
-                                "fatol": float("inf"),
-                                "maxfev": budget, "adaptive": False})
-        best = from_unit(res.x)
+        x, converged = _nelder_mead(neg, np.array(simplex), CONVERGENCE_REL,
+                                    budget)
+        best = from_unit(x)
         value = eval_at(best)
-        converged = bool(res.success)
 
     edge_tol = 10.0 * CONVERGENCE_REL
     boundary = tuple(

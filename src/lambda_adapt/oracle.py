@@ -13,7 +13,10 @@ physical rate, and (iii) times stay well below the recurrence 2 pi /
 spacing.  Defaults: 2001 modes per branch over a window of 40 Gamma.
 
 ``evolve`` diagonalizes the discrete Hamiltonian exactly, as n dark
-modes and one real arrowhead block (O'Leary & Stewart 1990).
+modes and one real arrowhead block.  The arrowhead's eigenvalues are the
+roots of its secular equation (O'Leary & Stewart 1990), found in O(n^2)
+all at once; its eigenvectors follow in closed form from spokes
+recomputed from those roots (Gu & Eisenstat 1995).
 """
 
 from __future__ import annotations
@@ -313,16 +316,185 @@ class OracleRun:
             + self.omega_ref * np.sum(np.abs(ys) ** 2, axis=1)
 
 
+# roots per block of the O(n^2) passes, so that each pass's temporaries
+# (block x n) stay small, and the secular solver's step cap
+_BLOCK = 128
+_MAX_ITER = 100
+
+
+def _pole_gaps(d: np.ndarray, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """d_j - lambda_i for lambda_i = d_{k_i} + tau_i, one row per root.
+
+    Measured from the root's own pole d_{k_i}, the difference keeps a
+    few ulps of relative accuracy however close lambda_i is to d_j."""
+    gaps = np.subtract(d, d[k][:, None])
+    gaps -= tau[:, None]
+    return gaps
+
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _secular_roots(alpha: float, d: np.ndarray, g: np.ndarray,
+                   r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Roots r0 .. r1 - 1 of w(lam) = lam - alpha + sum_j g_j^2 / (d_j - lam).
+
+    Root r lies between the poles d_{r-1} and d_r; root 0 lies below d_0
+    and root n above d_{n-1}, within the Weyl bounds min(alpha, d_0) - |g|
+    and max(alpha, d_{n-1}) + |g|.  Each root is held as (k, tau), lam =
+    d_k + tau, from its origin pole k: the nearer of its two poles, as
+    the sign of w at the bracket midpoint, where it starts, tells.  All
+    roots of the block step together.  A step solves, for the new tau
+    itself, a model matching w and w' with a constant and two poles (one
+    pole and the linear term for the outer roots), each side's sum
+    weighing on its neighbouring pole: the "middle way" of LAPACK dlaed4.
+    A step that leaves the bracket becomes a bisection.  A root is done
+    once |w| is within the rounding error of its sum.
+    """
+    n = d.size
+    rows = np.arange(r0, r1)
+    reach = float(np.linalg.norm(g))
+    k = np.maximum(rows - 1, 0)
+    # an outer bracket ends one ulp beyond the Weyl bound, so that a root
+    # that rounds onto the bound still lies inside
+    lo = np.where(rows > 0, 0.0,
+                  np.nextafter(min(alpha - d[0], 0.0) - reach, -np.inf))
+    hi = np.where(rows < n, d[np.minimum(rows, n - 1)] - d[k],
+                  np.nextafter(max(alpha - d[-1], 0.0) + reach, np.inf))
+    tau = 0.5 * (lo + hi)
+    # pole columns left of every root of the block, mixed, right of all
+    m0, m1 = min(r0, n), min(r1, n)
+    mixed = rows[:, None] > np.arange(m0, m1)
+    eps = np.finfo(float).eps
+    active = np.arange(rows.size)
+    for it in range(_MAX_ITER):
+        ka, ta, ra = k[active], tau[active], rows[active]
+        # t_ij = g_j / (d_j - lam_i): psi = sum g t and psi' = sum t^2
+        # over the poles left of the root, phi and phi' right of it
+        t = _pole_gaps(d, ka, ta)
+        np.divide(g, t, out=t)
+        t_l = t[:, m0:m1] * mixed[active]
+        t_r = t[:, m0:m1] - t_l
+        psi = t[:, :m0] @ g[:m0] + t_l @ g[m0:m1]
+        phi = t[:, m1:] @ g[m1:] + t_r @ g[m0:m1]
+        dpsi = _row_dots(t[:, :m0]) + _row_dots(t_l)
+        dphi = _row_dots(t[:, m1:]) + _row_dots(t_r)
+        lin = (d[ka] - alpha) + ta
+        w = lin + psi + phi
+        bound = eps * (8.0 * (phi - psi) + abs(lin)
+                       + abs(ta) * (dpsi + dphi + 1.0))
+        il, ir = np.maximum(ra - 1, 0), np.minimum(ra, n - 1)
+        if it == 0:
+            # at the midpoint, w < 0 moves an interior root's origin to
+            # its right pole, the nearer one
+            flip = (w < 0) & (ra > 0) & (ra < n)
+            k[flip] = ra[flip]
+            shift = np.where(flip, d[ka] - d[ir], 0.0)
+            ta = tau[:] = ta + shift
+            lo += shift
+            hi += shift
+            ka = k.copy()
+        lo[active] = np.where(w < 0, ta, lo[active])
+        hi[active] = np.where(w < 0, hi[active], ta)
+        keep = ~(np.abs(w) <= bound)
+        active, ka, ta, ra = active[keep], ka[keep], ta[keep], ra[keep]
+        if not active.size:
+            return k, tau
+        w, dpsi, dphi = w[keep], dpsi[keep], dphi[keep]
+        # solved for the new tau itself, measured from the origin pole,
+        # a root next to that pole keeps its digits
+        pl, pr = d[il[keep]] - d[ka], d[ir[keep]] - d[ka]
+        dl, dr = pl - ta, pr - ta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # interior: c + s_l / (pl - x) + s_r / (pr - x), the left sum
+            # weighing on the left pole, the right sum and the linear term
+            # on the right one; its root between the poles from
+            # c x^2 - a x + b = 0 (pl or pr is the origin, 0)
+            s_l, s_r = dl * dpsi * dl, dr * (dphi + 1.0) * dr
+            c = w - dl * dpsi - dr * (dphi + 1.0)
+            a = c * (pl + pr) + s_l + s_r
+            b = s_l * pr + s_r * pl
+            root = np.sqrt(np.abs(a * a - 4.0 * b * c))
+            inner = np.where(a <= 0, (a - root) / (2.0 * c),
+                             2.0 * b / (a + root))
+            inner = np.where(c == 0, b / a, inner)
+            # outer: c + x - s / x, all poles weighing on the origin pole;
+            # its root on the root's side of that pole from x^2 + c x - s
+            s = ta * (dpsi + dphi) * ta
+            c = w - ta + s / ta
+            root = np.sqrt(c * c + 4.0 * s)
+            below = np.where(c >= 0, -0.5 * (c + root), 2.0 * s / (c - root))
+            above = np.where(c <= 0, 0.5 * (root - c), 2.0 * s / (c + root))
+            new = np.where((ra > 0) & (ra < n), inner,
+                           np.where(ra == 0, below, above))
+        # a step against the sign of w is replaced by Newton's
+        new = np.where(w * (new - ta) >= 0,
+                       ta - w / (dpsi + dphi + 1.0), new)
+        la, ha = lo[active], hi[active]
+        tau[active] = np.where((new > la) & (new < ha), new, 0.5 * (la + ha))
+    raise NumericalConsistencyError(
+        f"secular equation: {active.size} roots unconverged after "
+        f"{_MAX_ITER} iterations")
+
+
 @functools.lru_cache(maxsize=1)
 def _arrowhead_eigh(diag: bytes,
                     spokes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs of the arrowhead [[d_0, G], [G, diag(d_1..)]].
+    """Read-only eigenpairs of the arrowhead [[alpha, g^T], [g, diag(d)]].
 
-    Keyed on the comb, so runs on one comb share one decomposition."""
+    ``diag`` holds alpha, then the poles d in strictly increasing order;
+    no spoke g_j may be so small that its square underflows.  The
+    eigenvalues, ascending, are the roots of the secular equation
+    (O'Leary & Stewart 1990, ``_secular_roots``); they interlace d, and
+    strictly so as the solver holds them, each as an offset from a pole,
+    though a root within half an ulp of a pole rounds onto it here.  The
+    eigenvectors are the Cauchy vectors [1, g^_j /
+    (lam_i - d_j)], normalized, in columns, with the spokes g^
+    recomputed from the computed roots (Gu & Eisenstat 1995): g^_j^2 =
+    prod_i |d_j - lam_i| / prod_{k != j} |d_j - d_k|, taken as a product
+    of ratios near 1 that pair lam_i with d_i for i < j and with d_{i-1}
+    for i > j + 1.  The arrowhead with spokes g^ has exactly the
+    computed eigenvalues, so the vectors are orthogonal to working
+    precision.  Every pass is O(n^2) in blocks of rows.  Keyed on the
+    comb, so runs on one comb share one decomposition.
+    """
+    alpha, d = float(np.frombuffer(diag)[0]), np.frombuffer(diag)[1:]
     g = np.frombuffer(spokes)
-    arrow = np.diag(np.frombuffer(diag))
-    arrow[0, 1:] = arrow[1:, 0] = g
-    evals, evecs = np.linalg.eigh(arrow)
+    n = d.size
+    k = np.empty(n + 1, dtype=int)
+    tau = np.empty(n + 1)
+    for r0 in range(0, n + 1, _BLOCK):
+        r1 = min(r0 + _BLOCK, n + 1)
+        k[r0:r1], tau[r0:r1] = _secular_roots(alpha, d, g, r0, r1)
+
+    spokes_hat = np.empty(n)
+    for j0 in range(0, n, _BLOCK):
+        j1 = min(j0 + _BLOCK, n)
+        dj = d[j0:j1, None]
+        # pair lam_i with d_i for i < j and with d_{i-1} for i > j + 1;
+        # lam_j and lam_{j+1}, next to d_j, stay unpaired
+        den = np.empty((j1 - j0, n + 1))
+        den[:, :j0] = dj - d[:j0]
+        den[:, j1 + 1:] = dj - d[j1:]
+        i = np.arange(j0, j1 + 1)
+        j = np.arange(j0, j1)[:, None]
+        den[:, j0:j1 + 1] = np.where(
+            i < j, dj - d[np.minimum(i, n - 1)],
+            np.where(i > j + 1, dj - d[i - 1], 1.0))
+        ratio = ((dj - d[k]) - tau) / den
+        spokes_hat[j0:j1] = np.sqrt(np.prod(np.abs(ratio), axis=1))
+    spokes_hat = np.copysign(spokes_hat, g)
+
+    vt = np.empty((n + 1, n + 1))
+    for r0 in range(0, n + 1, _BLOCK):
+        r1 = min(r0 + _BLOCK, n + 1)
+        block = vt[r0:r1]
+        block[:, 0] = 1.0
+        block[:, 1:] = -spokes_hat / _pole_gaps(d, k[r0:r1], tau[r0:r1])
+        block /= np.linalg.norm(block, axis=1)[:, None]
+    evals = d[k] + tau
+    evecs = vt.T
     evals.flags.writeable = False
     evecs.flags.writeable = False
     return evals, evecs
@@ -340,8 +512,11 @@ def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
     sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
     (z_bj a_j - z_aj b_j) / G_j, evolving by its phase like the backward
     sector, and a bright mode (conj(z_aj) a_j + conj(z_bj) b_j) / G_j.
-    |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]]
-    solved by dense eigh.  Norm drift above DRIFT_TOL raises.
+    |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]],
+    solved through its secular equation (``_arrowhead_eigh``), which
+    needs the a-mode diagonal d strictly increasing and every G_j^2 a
+    normal float, else ParameterError.  Norm drift above DRIFT_TOL
+    raises.
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -370,6 +545,11 @@ def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
     if np.any(d[a] != d[b]) or np.any(z[back] != 0) or np.any(g == 0):
         raise ParameterError("H does not split into a/b mode pairs that "
                              "share their diagonal and couple to |e>")
+    if not (np.all(np.diff(d[a]) > 0)
+            and np.all(g * g >= np.finfo(float).tiny)):
+        raise ParameterError("the arrowhead solver needs the mode pairs in "
+                             "strictly increasing order, with couplings "
+                             "whose squares do not underflow")
 
     t_out = np.linspace(0.0, t_final, n_out)
     evals, evecs = _arrowhead_eigh(np.concatenate(([d[0]], d[a])).tobytes(),

@@ -36,3 +36,7 @@ def test_library_import_loads_no_scipy():
 @pytest.mark.parametrize("heavy", ["scipy.signal", "scipy.stats"])
 def test_cli_import_skips_signal_processing(heavy):
     assert heavy not in loaded_modules("lambda_adapt.cli")
+
+
+def test_cli_import_skips_the_optimizer_library():
+    assert "scipy.optimize" not in loaded_modules("lambda_adapt.cli")

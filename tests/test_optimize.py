@@ -234,3 +234,53 @@ class TestMaximize:
         with pytest.raises(ParameterError):
             maximize(system, pulse, {"rate_ratio": (-1.0, 2.0)},
                      linewidth_floor=0.0)
+
+
+def unit_simplex(d):
+    """The initial simplex ``maximize`` builds: the box center, then one
+    vertex per axis moved to 0.8."""
+    return np.vstack([np.full(d, 0.5)]
+                     + [np.where(np.arange(d) == i, 0.8, 0.5)
+                        for i in range(d)])
+
+
+def rosenbrock(x):
+    u, v = 4.0 * x - 2.0
+    return float((1.0 - u) ** 2 + 100.0 * (v - u * u) ** 2)
+
+
+class TestNelderMead:
+    """The numpy port takes scipy's bounded Nelder-Mead steps exactly."""
+
+    @pytest.mark.parametrize("budget", [7, 30, 500])
+    @pytest.mark.parametrize("f, d", [
+        (lambda x: float((x[0] - 0.31) ** 2 + 2.0 * (x[1] - 0.67) ** 2), 2),
+        (lambda x: float(-x[0] - 2.0 * x[1]), 2),    # optimum in a corner
+        (rosenbrock, 2),
+        (lambda x: float(np.sum((x - [0.2, 0.9, 0.45]) ** 2)), 3),
+        (lambda x: 1.0, 2),
+        (lambda x: float(np.sum(np.abs(x - [0.6, 0.1]))), 2),
+    ], ids=["quadratic", "corner", "rosenbrock", "quadratic3", "flat",
+            "abs"])
+    def test_matches_scipy(self, f, d, budget):
+        from scipy.optimize import minimize
+
+        def recorder(calls):
+            def wrapped(x):
+                calls.append(np.array(x, copy=True))
+                return f(x)
+            return wrapped
+
+        ours, theirs = [], []
+        x, converged = optimize._nelder_mead(
+            recorder(ours), unit_simplex(d), CONVERGENCE_REL, budget)
+        res = minimize(recorder(theirs), np.full(d, 0.5),
+                       method="Nelder-Mead", bounds=[(0.0, 1.0)] * d,
+                       options={"initial_simplex": unit_simplex(d),
+                                "xatol": CONVERGENCE_REL,
+                                "fatol": float("inf"), "maxfev": budget,
+                                "adaptive": False})
+        assert len(ours) == len(theirs) <= budget
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert np.array_equal(x, res.x)
+        assert converged == bool(res.success)
