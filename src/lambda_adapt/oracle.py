@@ -449,15 +449,15 @@ def _arrowhead_eigh(diag: bytes,
     (O'Leary & Stewart 1990, ``_secular_roots``); they interlace d, and
     strictly so as the solver holds them, each as an offset from a pole,
     though a root within half an ulp of a pole rounds onto it here.  The
-    eigenvectors are the Cauchy vectors [1, g^_j /
-    (lam_i - d_j)], normalized, in columns, with the spokes g^
-    recomputed from the computed roots (Gu & Eisenstat 1995): g^_j^2 =
-    prod_i |d_j - lam_i| / prod_{k != j} |d_j - d_k|, taken as a product
-    of ratios near 1 that pair lam_i with d_i for i < j and with d_{i-1}
-    for i > j + 1.  The arrowhead with spokes g^ has exactly the
-    computed eigenvalues, so the vectors are orthogonal to working
-    precision.  Every pass is O(n^2) in blocks of rows.  Keyed on the
-    comb, so runs on one comb share one decomposition.
+    eigenvectors, in columns, are the normalized Cauchy vectors
+    [1, g^_j / (lam_i - d_j)] with the spokes g^ recomputed from the
+    computed roots (Gu & Eisenstat 1995): g^_j^2 = prod_i |d_j - lam_i| /
+    prod_{k != j} |d_j - d_k|, taken as a product of ratios near 1 that
+    pair lam_i with d_i for i < j and with d_{i-1} for i > j + 1.  The
+    arrowhead with spokes g^ has exactly the computed eigenvalues, so the
+    vectors are orthogonal to working precision.  Every pass is O(n^2)
+    in blocks of rows.  Keyed on the comb, so runs on one comb share one
+    decomposition.
     """
     alpha, d = float(np.frombuffer(diag)[0]), np.frombuffer(diag)[1:]
     g = np.frombuffer(spokes)
