@@ -17,6 +17,7 @@ rename, so readers never observe a half-written table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -220,7 +221,13 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    ``parse_args`` keeps no state between calls, so every ``main``
+    shares one parser.
+    """
     parser = argparse.ArgumentParser(
         prog="lambda-adapt",
         description="Single-photon driving of a three-level lambda system: "

@@ -16,7 +16,9 @@ spacing.  Defaults: 2001 modes per branch over a window of 40 Gamma.
 modes and one real arrowhead block.  The arrowhead's eigenvalues are the
 roots of its secular equation (O'Leary & Stewart 1990), found in O(n^2)
 all at once; its eigenvectors follow in closed form from spokes
-recomputed from those roots (Gu & Eisenstat 1995).
+recomputed from those roots (Gu & Eisenstat 1995).  Only those O(n)
+numbers are kept: the eigenvector matrix is rebuilt and applied in
+blocks of rows, and never stored.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -316,8 +319,9 @@ class OracleRun:
             + self.omega_ref * np.sum(np.abs(ys) ** 2, axis=1)
 
 
-# roots per block of the O(n^2) passes, so that each pass's temporaries
-# (block x n) stay small, and the secular solver's step cap
+# rows per block (roots, eigenvectors or snapshots) of the O(n^2) passes,
+# so that each pass's temporaries (block x n) stay small, and the secular
+# solver's step cap
 _BLOCK = 128
 _MAX_ITER = 100
 
@@ -438,26 +442,56 @@ def _secular_roots(alpha: float, d: np.ndarray, g: np.ndarray,
         f"{_MAX_ITER} iterations")
 
 
+class _Arrowhead(NamedTuple):
+    """O(n) data of an arrowhead's eigendecomposition.
+
+    The eigenvalues are lam_i = d_{k_i} + tau_i, ascending, each held as
+    an offset from its origin pole; ``spokes_hat`` are Gu & Eisenstat's
+    recomputed spokes.  The eigenvector matrix V is never stored:
+    ``vt_rows`` builds any block of rows of V^T from these arrays.
+    """
+
+    d: np.ndarray
+    evals: np.ndarray
+    k: np.ndarray
+    tau: np.ndarray
+    spokes_hat: np.ndarray
+
+    def vt_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0 .. r1 - 1 of V^T, eigenvectors r0 .. r1 - 1 as rows.
+
+        Each is the normalized Cauchy vector [1, g^_j / (lam_i - d_j)],
+        with lam_i - d_j taken from the root's own pole (``_pole_gaps``).
+        """
+        block = np.empty((r1 - r0, self.d.size + 1))
+        block[:, 0] = 1.0
+        np.divide(-self.spokes_hat,
+                  _pole_gaps(self.d, self.k[r0:r1], self.tau[r0:r1]),
+                  out=block[:, 1:])
+        block /= np.linalg.norm(block, axis=1)[:, None]
+        return block
+
+
 @functools.lru_cache(maxsize=1)
-def _arrowhead_eigh(diag: bytes,
-                    spokes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs of the arrowhead [[alpha, g^T], [g, diag(d)]].
+def _arrowhead_eigh(diag: bytes, spokes: bytes) -> _Arrowhead:
+    """Eigendecomposition of the arrowhead [[alpha, g^T], [g, diag(d)]].
 
     ``diag`` holds alpha, then the poles d in strictly increasing order;
     no spoke g_j may be so small that its square underflows.  The
     eigenvalues, ascending, are the roots of the secular equation
     (O'Leary & Stewart 1990, ``_secular_roots``); they interlace d, and
     strictly so as the solver holds them, each as an offset from a pole,
-    though a root within half an ulp of a pole rounds onto it here.  The
-    eigenvectors, in columns, are the normalized Cauchy vectors
+    though a root within half an ulp of a pole rounds onto it in
+    ``evals``.  The eigenvectors are the normalized Cauchy vectors
     [1, g^_j / (lam_i - d_j)] with the spokes g^ recomputed from the
     computed roots (Gu & Eisenstat 1995): g^_j^2 = prod_i |d_j - lam_i| /
     prod_{k != j} |d_j - d_k|, taken as a product of ratios near 1 that
     pair lam_i with d_i for i < j and with d_{i-1} for i > j + 1.  The
     arrowhead with spokes g^ has exactly the computed eigenvalues, so the
-    vectors are orthogonal to working precision.  Every pass is O(n^2)
-    in blocks of rows.  Keyed on the comb, so runs on one comb share one
-    decomposition.
+    vectors are orthogonal to working precision.  Only O(n) data is
+    returned, read-only; ``_Arrowhead.vt_rows`` rebuilds eigenvectors in
+    blocks of rows.  Every pass is O(n^2) in blocks of rows.  Keyed on
+    the comb, so runs on one comb share one decomposition.
     """
     alpha, d = float(np.frombuffer(diag)[0]), np.frombuffer(diag)[1:]
     g = np.frombuffer(spokes)
@@ -486,18 +520,11 @@ def _arrowhead_eigh(diag: bytes,
         spokes_hat[j0:j1] = np.sqrt(np.prod(np.abs(ratio), axis=1))
     spokes_hat = np.copysign(spokes_hat, g)
 
-    vt = np.empty((n + 1, n + 1))
-    for r0 in range(0, n + 1, _BLOCK):
-        r1 = min(r0 + _BLOCK, n + 1)
-        block = vt[r0:r1]
-        block[:, 0] = 1.0
-        block[:, 1:] = -spokes_hat / _pole_gaps(d, k[r0:r1], tau[r0:r1])
-        block /= np.linalg.norm(block, axis=1)[:, None]
-    evals = d[k] + tau
-    evecs = vt.T
-    evals.flags.writeable = False
-    evecs.flags.writeable = False
-    return evals, evecs
+    arrow = _Arrowhead(d=d, evals=d[k] + tau, k=k, tau=tau,
+                       spokes_hat=spokes_hat)
+    for part in arrow:
+        part.flags.writeable = False
+    return arrow
 
 
 def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
@@ -515,8 +542,11 @@ def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
     |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]],
     solved through its secular equation (``_arrowhead_eigh``), which
     needs the a-mode diagonal d strictly increasing and every G_j^2 a
-    normal float, else ParameterError.  Norm drift above DRIFT_TOL
-    raises.
+    normal float, else ParameterError.  Its eigenvector matrix V is
+    applied in one pass over blocks of _BLOCK rows of V^T, each rebuilt
+    from the cached O(n) roots and spokes, and never stored, so beyond
+    the (n_out, dim) states the pass holds one real (2 n_out, n + 1)
+    accumulator.  Norm drift above DRIFT_TOL raises.
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -552,23 +582,49 @@ def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
                              "whose squares do not underflow")
 
     t_out = np.linspace(0.0, t_final, n_out)
-    evals, evecs = _arrowhead_eigh(np.concatenate(([d[0]], d[a])).tobytes(),
-                                   g.tobytes())
+    arrow = _arrowhead_eigh(np.concatenate(([d[0]], d[a])).tobytes(),
+                            g.tobytes())
     bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
     dark0 = (np.conj(z_b) * y0[a] - np.conj(z_a) * y0[b]) / g
-    # real products only: V is real, so split real and imaginary parts
-    w0 = evecs.T @ np.stack([bright0.real, bright0.imag], axis=1)
-    spec = np.exp(-1j * np.outer(t_out, evals)) * (w0[:, 0] + 1j * w0[:, 1])
-    parts = np.concatenate([spec.real, spec.imag]) @ evecs.T
-    bright = parts[:n_out] + 1j * parts[n_out:]
-    dark = np.exp(-1j * np.outer(t_out, d[a])) * dark0
+    # one pass over blocks of eigenvectors, V^T rows r0 .. r1 - 1: project
+    # the bright start, evolve, and add back [Re; Im] spec @ V^T.  V is
+    # real, so every product is real, and the stacked parts make one GEMM.
+    b0 = np.stack([bright0.real, bright0.imag], axis=1)
+    acc = np.zeros((2 * n_out, n + 1))
+    part = np.empty_like(acc)
+    for r0 in range(0, n + 1, _BLOCK):
+        r1 = min(r0 + _BLOCK, n + 1)
+        vt = arrow.vt_rows(r0, r1)
+        w0 = vt @ b0
+        spec = np.exp(-1j * np.outer(t_out, arrow.evals[r0:r1])) \
+            * (w0[:, 0] + 1j * w0[:, 1])
+        np.matmul(np.concatenate([spec.real, spec.imag]), vt, out=part)
+        acc += part
+    del part
 
+    # the bright amplitudes go into the |e> and a-mode columns; each block
+    # of snapshots then turns (bright, dark) into (a, b) in place, and its
+    # norms are summed there, so no temporary spans all snapshots
     states = np.empty((n_out, dim), dtype=complex)
-    states[:, 0] = bright[:, 0]
-    states[:, a] = (np.conj(z_a) * bright[:, 1:] + z_b * dark) / g
-    states[:, b] = (np.conj(z_b) * bright[:, 1:] - z_a * dark) / g
-    states[:, back] = np.exp(-1j * np.outer(t_out, d[back])) * y0[back]
-    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
+    states[:, :n + 1].real = acc[:n_out]
+    states[:, :n + 1].imag = acc[n_out:]
+    del acc
+    out = states[:, back]
+    np.multiply(t_out[:, None], -1j * d[back], out=out)
+    np.exp(out, out=out)
+    out *= y0[back]
+    norms = np.empty(n_out)
+    for i0 in range(0, n_out, _BLOCK):
+        rows = slice(i0, i0 + _BLOCK)
+        bright, dark = states[rows, a], states[rows, b]
+        np.multiply(t_out[rows, None], -1j * d[a], out=dark)
+        np.exp(dark, out=dark)
+        dark *= dark0
+        new_a = np.conj(z_a) * bright + z_b * dark
+        dark[:] = (np.conj(z_b) * bright - z_a * dark) / g
+        np.divide(new_a, g, out=bright)
+        norms[rows] = np.sum(np.abs(states[rows]) ** 2, axis=1)
+    drift = float(np.max(np.abs(norms - 1.0)))
     if drift > DRIFT_TOL:
         raise NumericalConsistencyError(
             f"norm drift {drift:.3e} exceeds {DRIFT_TOL}")
@@ -603,8 +659,9 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     The environment state is rank <= 4: vacuum, the b-branch photon, and
     a 2x2 block mixing the scattered a photon with the free-flying pulse
     (the reference for the photon had the system started in |b>).  Its
-    eigenvalues follow from scalar products of the stored amplitudes; no
-    large matrix is ever diagonalized.
+    eigenvalues follow from scalar products of the stored amplitudes,
+    taken over blocks of _BLOCK snapshots; no large matrix is ever
+    diagonalized or formed.
     """
     n = run.bath.n_modes
     states = run.states
@@ -618,17 +675,26 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
         states = states[:, :1 + 2 * n]
     a_block = states[:, 1:1 + n]
     b_block = states[:, 1 + n:1 + 2 * n]
+    n_out = run.times.size
     p_e = np.abs(states[:, 0]) ** 2
-    n_a = np.sum(np.abs(a_block) ** 2, axis=1)
-    n_b = np.sum(np.abs(b_block) ** 2, axis=1)
+    n_a, n_b = np.empty(n_out), np.empty(n_out)
+    # overlap with the free pulse a0_j e^{-i d_j t} in the same rotating
+    # frame, <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j)),
+    # in blocks of snapshots, each with one phase block that takes a0 and
+    # a(t) in place
+    cross = np.empty(n_out, dtype=complex)
+    offs = 1j * run.bath.offsets()
+    a0 = np.conj(a_block[0])
+    for i0 in range(0, n_out, _BLOCK):
+        rows = slice(i0, i0 + _BLOCK)
+        n_a[rows] = np.sum(np.abs(a_block[rows]) ** 2, axis=1)
+        n_b[rows] = np.sum(np.abs(b_block[rows]) ** 2, axis=1)
+        free = np.multiply(run.times[rows, None], offs)
+        np.exp(free, out=free)
+        free *= a0
+        free *= a_block[rows]
+        cross[rows] = np.conj(np.sum(free, axis=1))
     norm = p_e + n_a + n_b
-
-    # free pulse reference in the same rotating frame
-    a0 = a_block[0]
-    offs = run.bath.offsets()
-    phases = np.exp(-1j * np.outer(run.times, offs))
-    free = phases * a0
-    cross = np.sum(np.conj(a_block) * free, axis=1)
 
     overlap_sq = normalized_overlap_sq(cross, n_a)
     lams = env_eigenvalues(mixture, p_e, n_a, n_b, overlap_sq)

@@ -231,6 +231,32 @@ dt = 0.005
                      "--out", str(tmp_path / "o")]) == 2
 
 
+class TestParser:
+    def test_one_parser_serves_every_command(self, tmp_path, capsys):
+        cfg = str(write(tmp_path, BASE))
+        argvs = [["simulate", "--config", cfg, "--out", str(tmp_path / "s")],
+                 ["entropy-curve", "--config", cfg,
+                  "--out", str(tmp_path / "e")],
+                 ["simulate", "--config", cfg, "--out", str(tmp_path / "p"),
+                  "--points", "0"],
+                 ["--version"]]
+
+        def exit_code(argv):
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return exc.code
+
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(exit_code(argv))
+        cli.build_parser.cache_clear()
+        shared = [exit_code(argv) for argv in argvs]
+        assert shared == fresh == [0, 0, 2, 0]
+        assert cli.build_parser.cache_info().misses == 1
+
+
 class TestSweepCommand:
     def test_rows_and_override(self, tmp_path):
         cfg = write(tmp_path, BASE + """

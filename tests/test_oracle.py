@@ -1,6 +1,7 @@
 """Discrete-bath cross-check machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, make_pulse)
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
                                  OneExcitationState, _arrowhead_eigh, _czt,
-                                 _secular_roots, build_hamiltonian, compare,
+                                 build_hamiltonian, compare,
                                  discretize_pulse, evolve, measure_series)
 
 
@@ -287,6 +288,21 @@ class TestEvolve:
             evolve(h.tocsr(), excited_start(small_bath), 2.0,
                    bath=small_bath, system=system, n_out=11)
 
+    def test_stores_no_eigenvector_matrix(self, system):
+        # a dense V of the 2001-mode arrowhead alone is (n + 1)^2 doubles
+        bath = DiscreteBath.default(system)
+        n = bath.n_modes
+        h = build_hamiltonian(system, bath)
+        _arrowhead_eigh.cache_clear()
+        tracemalloc.start()
+        try:
+            evolve(h, excited_start(bath), 1.0, bath=bath, system=system,
+                   n_out=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) ** 2 * 8
+
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
         h = build_hamiltonian(system, bath)
@@ -305,24 +321,28 @@ def dense_arrowhead(alpha, d, g):
 def assert_solves_arrowhead(alpha, d, g):
     """The secular solver against dense eigh, at 1e-13 of |A|.
 
-    Orthogonality is asked to 1e-14: the vectors built from the
-    recomputed spokes have stayed within 1.1e-15 on these families,
-    where vectors from the original spokes reach 1.3e-13."""
+    V is stacked from ``vt_rows`` in uneven blocks of rows.  Orthogonality
+    is asked to 1e-14: the vectors built from the recomputed spokes have
+    stayed within 1.1e-15 on these families, where vectors from the
+    original spokes reach 1.3e-13."""
     _arrowhead_eigh.cache_clear()
-    evals, evecs = _arrowhead_eigh(np.concatenate(([alpha], d)).tobytes(),
-                                   g.tobytes())
-    arrow = dense_arrowhead(alpha, d, g)
-    ref = np.linalg.eigh(arrow)[0]
-    scale = np.max(np.abs(ref))
+    arrow = _arrowhead_eigh(np.concatenate(([alpha], d)).tobytes(),
+                            g.tobytes())
     n = d.size
+    evals = arrow.evals
+    evecs = np.concatenate([arrow.vt_rows(r0, min(r0 + 37, n + 1))
+                            for r0 in range(0, n + 1, 37)]).T
+    dense = dense_arrowhead(alpha, d, g)
+    ref = np.linalg.eigh(dense)[0]
+    scale = np.max(np.abs(ref))
     assert evecs.shape == (n + 1, n + 1)
     assert np.max(np.abs(evals - ref)) <= 1e-13 * scale
     assert np.all(evals[:-1] <= d) and np.all(d <= evals[1:])
     assert np.max(np.abs(evecs.T @ evecs - np.eye(n + 1))) <= 1e-14
-    assert np.max(np.abs(arrow @ evecs - evecs * evals)) <= 1e-13 * scale
+    assert np.max(np.abs(dense @ evecs - evecs * evals)) <= 1e-13 * scale
     # in the solver's own (pole, offset) form every root lies strictly
     # between its two neighbouring poles
-    k, tau = _secular_roots(alpha, d, g, 0, n + 1)
+    k, tau = arrow.k, arrow.tau
     r = np.arange(n + 1)
     left = np.where(r > 0, d[np.maximum(r - 1, 0)] - d[k], -np.inf)
     right = np.where(r < n, d[np.minimum(r, n - 1)] - d[k], np.inf)
@@ -357,6 +377,17 @@ class TestArrowheadSolver:
         g = np.full(d.size, math.sqrt(system.gamma_total * small_bath.spacing
                                       / (2.0 * math.pi)))
         assert_solves_arrowhead(0.0, d, g)
+
+    def test_keeps_linear_data_only(self, system):
+        # what the cache holds between commands on the 2001-mode comb
+        bath = DiscreteBath.default(system)
+        d = bath.offsets()
+        g = np.full(d.size, math.sqrt(system.gamma_total * bath.spacing
+                                      / (2.0 * math.pi)))
+        arrow = _arrowhead_eigh(np.concatenate(([0.0], d)).tobytes(),
+                                g.tobytes())
+        assert sum(part.nbytes for part in arrow) < 16 * (d.size + 1) * 8
+        assert not any(part.flags.writeable for part in arrow)
 
 
 @pytest.fixture(scope="module")
