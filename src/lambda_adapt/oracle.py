@@ -609,10 +609,10 @@ def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
     states[:, :n + 1].real = acc[:n_out]
     states[:, :n + 1].imag = acc[n_out:]
     del acc
-    out = states[:, back]
-    np.multiply(t_out[:, None], -1j * d[back], out=out)
-    np.exp(out, out=out)
-    out *= y0[back]
+    backward = states[:, back]
+    np.multiply(t_out[:, None], -1j * d[back], out=backward)
+    np.exp(backward, out=backward)
+    backward *= y0[back]
     norms = np.empty(n_out)
     for i0 in range(0, n_out, _BLOCK):
         rows = slice(i0, i0 + _BLOCK)

@@ -232,7 +232,7 @@ dt = 0.005
 
 
 class TestParser:
-    def test_one_parser_serves_every_command(self, tmp_path, capsys):
+    def test_one_parser_serves_every_command(self, tmp_path):
         cfg = str(write(tmp_path, BASE))
         argvs = [["simulate", "--config", cfg, "--out", str(tmp_path / "s")],
                  ["entropy-curve", "--config", cfg,

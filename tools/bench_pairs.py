@@ -22,7 +22,6 @@ import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -37,11 +36,7 @@ def _seeds(text: str) -> list[int]:
 def _unpack(rev: str, dest: Path):
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              stdout=subprocess.PIPE).stdout
-    with tempfile.TemporaryFile() as tmp:
-        tmp.write(archive)
-        tmp.seek(0)
-        with tarfile.open(fileobj=tmp) as tar:
-            tar.extractall(dest, filter="data")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
