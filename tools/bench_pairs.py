@@ -1,6 +1,6 @@
 """Alternating parent/change pairs of bench/run.py, collected into one JSON.
 
-    python3 tools/bench_pairs.py --base REV --out BENCH_10.json \\
+    python3 tools/bench_pairs.py --base REV --out BENCH_<n>.json \\
         --workload oracle --seeds 1001-1010 [--workload simulate ...] \\
         [--seconds 15]
 
