@@ -40,6 +40,8 @@ def main():
     for envelope in (Exponential(0.3), Gaussian(1.2), Rectangular(2.0)):
         p = make_pulse(envelope, s.omega_a, s)
         amps = discretize_pulse(p, bath, s)
+        # no excited or bright amplitude to start with: evolve only turns
+        # the backward phases, and the forward sector stays exactly zero
         state = OneExcitationState.from_pulse(amps, backward=True)
         run = evolve(h, state, 15.0 / s.gamma_total, bath=bath, system=s,
                      n_out=51)

@@ -16,11 +16,11 @@ and the linear coefficient is constant.  Each step propagates psi^
 exactly by e^{lambda h} and integrates e^{lambda (h - s)} exactly
 against the quadratic through three drive samples (an exponential
 integrator: Cox & Matthews 2002, Hochbruck & Ostermann 2010).  The map
-is an affine recursion psi^_{n+1} = A psi^_n + w_n, a unit lower
-bidiagonal system that one BLAS banded solve (ztbsv) evaluates at C
-speed.  Neither Gamma nor delta_L limits the step; only the drive
-envelope does, plus the Gamma transient after t = 0 and after each
-drive discontinuity.
+is an affine recursion psi^_{n+1} = A psi^_n + w_n, which numpy
+evaluates as a scan in a fixed number of vectorized passes
+(``_affine_recursion``).  Neither Gamma nor delta_L limits the step;
+only the drive envelope does, plus the Gamma transient after t = 0 and
+after each drive discontinuity.
 
 The transfer p_ab = gamma_b int p_e and the work and overlap integrals
 are endpoint-corrected trapezoids (Euler-Maclaurin; Davis & Rabinowitz,
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
 
 from .errors import ConfigurationError, ParameterError
 from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem, PulseSpec,
@@ -173,17 +172,107 @@ def _step_coefficients(lam: complex, h: float):
             h * (4.0 * phi3 - phi2))
 
 
+# The affine recursion as a scan (Blelloch, CMU-CS-90-190, 1990; blocked
+# as in Martin & Cundy, ICLR 2018).  A lag whose weight |a|^k is below
+# 2^-60 is dropped, and a rescaled sum keeps |a|^-k below e^_MAX_EXP.
+_NEGLIGIBLE = 60.0 * math.log(2.0)
+_MAX_DOUBLINGS = 6
+_MAX_EXP = 230.0
+_MAX_CHUNK = 4096
+_MAX_POWER = 2 ** 16
+_INTEGERS = np.arange(_MAX_CHUNK + 1, dtype=float)
+
+
+def _powers(a: complex, m: np.ndarray) -> np.ndarray:
+    """a^m for integers 0 <= m < _MAX_POWER, the largest last, each
+    within a few ulps.
+
+    log a is taken in extended precision and split (Dekker) into a head
+    short enough that its products with every m are exact, and a tail
+    that enters to first order; so no rounding of m log a reaches the
+    powers, whose exponents may run to hundreds.
+    """
+    ell = np.log(np.clongdouble(a))
+    split = 2.0 ** int(m[-1]).bit_length() + 1.0
+    re, im = float(ell.real) * split, float(ell.imag) * split
+    head = complex(re - (re - float(ell.real)), im - (im - float(ell.imag)))
+    out = np.multiply(m, head)
+    np.exp(out, out=out)
+    tail = np.multiply(m, complex(ell - head))
+    tail += 1.0
+    out *= tail
+    return out
+
+
 def _affine_recursion(a: complex, w: np.ndarray) -> np.ndarray:
     """y_0 = w_0, y_{k+1} = a y_k + w_{k+1}, computed in ``w``'s memory.
 
-    The recursion is the unit lower bidiagonal system
-    y_{k+1} - a y_k = w_{k+1}, which one BLAS banded triangular solve
-    runs at C speed.  Row 1 of the band holds the subdiagonal; row 0,
-    the unit diagonal, is never read.
+    ``w`` is a contiguous complex array.  Two scans, each a fixed number
+    of numpy passes:
+
+    - |a| <= 2^(-60/64): recursive doubling.  Pass j adds a^(2^j) times
+      the values 2^j nodes back; after at most _MAX_DOUBLINGS passes
+      every lag whose weight is above 2^-60 is in.
+    - otherwise: y_k = a^k sum_{j<=k} w_j a^-j, one prefix sum within
+      chunks of about sqrt(n) nodes.  The carry into each chunk is the
+      same sum over the chunk totals, rescaled by a^(chunk length) (one
+      more prefix sum), or, where a^-n would leave the float range, this
+      recursion again on the chunk ends.
+
+    Against the recursion taken in extended precision it stays within
+    1e-14 of max |y| (``tests/test_dynamics.py``).
     """
-    band = np.empty((2, w.size), dtype=complex, order="F")
-    band[1] = -a
-    return ztbsv(1, band, w, lower=1, diag=1, overwrite_x=1)
+    n = w.size
+    if n < 2 or a == 0:
+        return w
+    decay = -math.log(abs(a))
+    if decay * 2 ** _MAX_DOUBLINGS >= _NEGLIGIBLE:
+        part = np.empty(n - 1, dtype=complex)
+        shift = 1
+        while True:
+            np.multiply(w[:n - shift], a, out=part[:n - shift])
+            w[shift:] += part[:n - shift]
+            shift *= 2
+            if shift >= n or shift * decay >= _NEGLIGIBLE:
+                return w
+            a *= a
+    size = min(math.isqrt(n) + 1, _MAX_CHUNK)
+    if decay:
+        size = max(2, min(size, int(_MAX_EXP / abs(decay))))
+    full, r = divmod(n, size)
+    count = full + (r > 0)
+    # a^m, m = 0 .. size, then a^(c size), c = 0 .. count, when the
+    # chunk totals can be rescaled too
+    rescale = (n * math.hypot(decay, cmath.phase(a)) <= _MAX_EXP
+               and count * size < _MAX_POWER)
+    m = _INTEGERS[:size + 1]
+    if rescale:
+        m = np.concatenate((m, size * _INTEGERS[:count + 1]))
+    pw = _powers(a, m)
+    inv = np.divide(1.0, pw)
+    chunks = w[:full * size].reshape(full, size)
+    chunks *= inv[:size]
+    tail = w[full * size:]
+    if count > 1:
+        tail *= inv[:r]
+        # carries[c] = a y at the end of chunk c, the start of chunk c + 1
+        carries = np.add.reduceat(w, np.arange(0, n, size))
+        if rescale:
+            carries *= inv[size + 1:size + 1 + count]
+            np.add.accumulate(carries, out=carries)
+            carries *= pw[size + 2:]
+        else:
+            carries *= pw[size - 1]
+            _affine_recursion(complex(pw[size]), carries)
+            carries *= a
+        chunks[1:, 0] += carries[:full - 1]
+        if r:
+            tail[0] += carries[full - 1]
+            np.add.accumulate(tail, out=tail)
+            tail *= pw[:r]
+    np.add.accumulate(chunks, axis=1, out=chunks)
+    chunks *= pw[:size]
+    return w
 
 
 def _drive(system: LambdaSystem, pulse: PulseSpec, t):
@@ -305,17 +394,15 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
         f_nodes = _drive_nodes(system, pulse, t_seg)
         f_half = _drive(system, pulse, t_seg[:-1] + 0.5 * h)
         A, w0, w1, w2 = _step_coefficients(lam, h)
-        # node 0 of the recursion carries psi^ at the start of the
-        # stretch; the products are formed in place, which is the cheap
-        # way for the ~1e4-node stretches of an objective evaluation
-        w = np.empty(n + 1, dtype=complex)
-        w[0] = psi_all[i0]
-        w_steps = w[1:]
+        # the recursion runs in psi^'s own memory: node 0 already holds
+        # psi^ at the start of the stretch, and the step terms are formed
+        # in place behind it
+        psi_seg = psi_all[i0:i1 + 1]
+        w_steps = psi_seg[1:]
         np.multiply(f_nodes[:-1], w0, out=w_steps)
         w_steps += w1 * f_half
         w_steps += w2 * f_nodes[1:]
-        psi_seg = psi_all[i0:i1 + 1]
-        psi_seg[:] = _affine_recursion(A, w)
+        _affine_recursion(A, psi_seg)
         re, im = psi_seg.real, psi_seg.imag
         p_seg = p_e[i0:i1 + 1]
         np.multiply(re, re, out=p_seg)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     BandwidthError,
@@ -46,6 +45,7 @@ from .thermo import drive_overlap_density
 
 __all__ = [
     "DiscreteBath",
+    "Hamiltonian",
     "OneExcitationState",
     "OracleRun",
     "DeviationReport",
@@ -89,10 +89,6 @@ class DiscreteBath:
         return self.bandwidth / (self.n_modes - 1)
 
     @property
-    def density(self) -> float:
-        return 1.0 / self.spacing
-
-    @property
     def recurrence_time(self) -> float:
         return 2.0 * math.pi / self.spacing
 
@@ -134,12 +130,9 @@ class OneExcitationState:
     backward: np.ndarray | None = None
 
     def pack(self) -> np.ndarray:
-        parts = [np.array([self.excited], dtype=complex),
-                 np.asarray(self.a_modes, dtype=complex),
-                 np.asarray(self.b_modes, dtype=complex)]
-        if self.backward is not None:
-            parts.append(np.asarray(self.backward, dtype=complex))
-        return np.concatenate(parts)
+        parts = [[self.excited], self.a_modes, self.b_modes, self.backward]
+        return np.concatenate([np.asarray(p, dtype=complex)
+                               for p in parts if p is not None])
 
     @classmethod
     def unpack(cls, vec: np.ndarray, n_modes: int) -> "OneExcitationState":
@@ -168,46 +161,57 @@ class OneExcitationState:
                    b_modes=zeros)
 
 
-def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
-                      include_backward: bool = False) -> sp.csr_matrix:
-    """Sparse one-excitation Hamiltonian (lab frame, hbar = 1).
+@dataclass(frozen=True)
+class Hamiltonian:
+    """One-excitation Hamiltonian of the discrete model (lab frame, hbar = 1).
 
-    Diagonal: omega_a for |e, vac>, omega_j for a-modes, delta_ab +
-    omega_j^b for b-modes (and delta_ab + omega_j for the backward
-    sector, which has no off-diagonal elements at all: an a-branch
-    photon cannot raise |b>).  As delta_ab + omega_j^b = omega_j, both
-    combs are stored from one array and share the diagonal exactly.
-    Couplings are +/- i g_k with g_k = sqrt(gamma_k * spacing / (2 pi)).
+    Only the nonzero structure is stored: the |e, vac> energy
+    ``omega_ref``, the diagonal ``comb`` that a-mode j and b-mode j share,
+    the couplings z_a = <e|H|a_j> and z_b = <e|H|b_j>, and the diagonal of
+    the uncoupled ``backward`` sector (None without one).  ``toarray``
+    is the dense matrix in the basis order of ``OneExcitationState``.
+    """
+
+    omega_ref: float
+    comb: np.ndarray
+    z_a: np.ndarray
+    z_b: np.ndarray
+    backward: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return 1 + (2 if self.backward is None else 3) * self.comb.size
+
+    def diagonal(self) -> np.ndarray:
+        parts = [[self.omega_ref], self.comb, self.comb, self.backward]
+        return np.concatenate([p for p in parts if p is not None])
+
+    def toarray(self) -> np.ndarray:
+        n = self.comb.size
+        h = np.diag(self.diagonal().astype(complex))
+        h[0, 1:2 * n + 1] = np.concatenate((self.z_a, self.z_b))
+        h[1:2 * n + 1, 0] = np.conj(h[0, 1:2 * n + 1])
+        return h
+
+
+def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
+                      include_backward: bool = False) -> Hamiltonian:
+    """The one-excitation Hamiltonian on the bath's combs.
+
+    omega_ref = omega_a; a-mode j and b-mode j share comb_j = omega_j,
+    since delta_ab + omega_j^b = omega_j; the backward sector (an
+    a-branch photon with the system in |b>, which nothing couples) sits
+    at delta_ab + omega_j.  z_k = -i g_k, g_k = sqrt(gamma_k spacing / 2 pi).
     """
     bath.check_against(system)
     n = bath.n_modes
-    offs = bath.offsets()
+    comb = system.omega_a + bath.offsets()
     g_a = math.sqrt(system.gamma_a * bath.spacing / (2.0 * math.pi))
     g_b = math.sqrt(system.gamma_b * bath.spacing / (2.0 * math.pi))
-
-    dim = 1 + (3 if include_backward else 2) * n
-    diag = np.empty(dim, dtype=complex)
-    diag[0] = system.omega_a
-    comb = system.omega_a + offs
-    diag[1:1 + n] = comb
-    diag[1 + n:1 + 2 * n] = comb
-    if include_backward:
-        diag[1 + 2 * n:] = system.delta_ab + comb
-
-    rows = [np.arange(dim)]
-    cols = [np.arange(dim)]
-    vals = [diag]
-    a_idx = 1 + np.arange(n)
-    b_idx = 1 + n + np.arange(n)
-    for idx, g in ((a_idx, g_a), (b_idx, g_b)):
-        rows.extend([np.zeros(n, dtype=int), idx])
-        cols.extend([idx, np.zeros(n, dtype=int)])
-        vals.extend([np.full(n, -1j * g), np.full(n, 1j * g)])
-    h = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return h
+    return Hamiltonian(
+        omega_ref=float(system.omega_a), comb=comb,
+        z_a=np.full(n, -1j * g_a), z_b=np.full(n, -1j * g_b),
+        backward=system.delta_ab + comb if include_backward else None)
 
 
 def _czt(x: np.ndarray, m: int, theta: float, phi0: float) -> np.ndarray:
@@ -311,12 +315,15 @@ class OracleRun:
         """psi~(t) in the omega_ref rotating frame (= psi e^{i omega_a t})."""
         return self.states[:, 0]
 
-    def energy_series(self, h: sp.csr_matrix) -> np.ndarray:
-        """<H>(t) including the frame shift; conserved up to solver error."""
-        shifted = h - sp.identity(h.shape[0], format="csr") * self.omega_ref
+    def energy_series(self, h: Hamiltonian) -> np.ndarray:
+        """<H>(t), O(n) per snapshot; conserved up to solver error."""
+        n = self.bath.n_modes
         ys = self.states
-        return np.real(np.sum(np.conj(ys) * (shifted @ ys.T).T, axis=1)) \
-            + self.omega_ref * np.sum(np.abs(ys) ** 2, axis=1)
+        pops = np.abs(ys) ** 2
+        coupled = ys[:, 1:n + 1] @ h.z_a + ys[:, n + 1:2 * n + 1] @ h.z_b
+        return pops @ (h.diagonal() - self.omega_ref) \
+            + self.omega_ref * np.sum(pops, axis=1) \
+            + 2.0 * np.real(np.conj(ys[:, 0]) * coupled)
 
 
 # rows per block (roots, eigenvectors or snapshots) of the O(n^2) passes,
@@ -527,80 +534,70 @@ def _arrowhead_eigh(diag: bytes, spokes: bytes) -> _Arrowhead:
     return arrow
 
 
-def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
+def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
            bath: DiscreteBath, system: LambdaSystem,
            n_out: int = 201) -> OracleRun:
     """Solve i dy/dt = H y exactly and record n_out snapshots on [0, t_final].
 
-    H must look as ``build_hamiltonian`` makes it, else ParameterError:
-    Hermitian, nonzeros only on the diagonal, row 0 and column 0, a-mode
-    j on the diagonal of b-mode j, the backward sector uncoupled.  In the
-    frame rotating at omega_ref = H[0, 0], with z = row 0 and G_j =
-    sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
+    In the frame rotating at omega_ref, with d = comb - omega_ref and
+    G_j = sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
     (z_bj a_j - z_aj b_j) / G_j, evolving by its phase like the backward
     sector, and a bright mode (conj(z_aj) a_j + conj(z_bj) b_j) / G_j.
     |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]],
     solved through its secular equation (``_arrowhead_eigh``), which
-    needs the a-mode diagonal d strictly increasing and every G_j^2 a
-    normal float, else ParameterError.  Its eigenvector matrix V is
-    applied in one pass over blocks of _BLOCK rows of V^T, each rebuilt
-    from the cached O(n) roots and spokes, and never stored, so beyond
-    the (n_out, dim) states the pass holds one real (2 n_out, n + 1)
-    accumulator.  Norm drift above DRIFT_TOL raises.
+    needs d strictly increasing and every G_j^2 a normal float, else
+    ParameterError.  Its eigenvector matrix V is applied in one pass over
+    blocks of _BLOCK rows of V^T, each rebuilt from the cached O(n) roots
+    and spokes, and never stored, so beyond the (n_out, dim) states the
+    pass holds one real (2 n_out, n + 1) accumulator.  A start with no
+    bright part at all (the backward-leak run) skips the arrowhead and
+    keeps it exactly zero.  Norm drift above DRIFT_TOL raises.
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
     bath.check_against(system, t_final=t_final)
-    dim = h.shape[0]
     n = bath.n_modes
+    dim = h.dim
     y0 = state.pack()
-    if y0.size != dim or dim not in (1 + 2 * n, 1 + 3 * n):
+    if y0.size != dim or h.comb.size != n:
         raise ParameterError(f"state dim {y0.size}, hamiltonian dim {dim} "
                              f"and {n} modes do not fit")
     norm0 = float(np.real(np.vdot(y0, y0)))
     if abs(norm0 - 1.0) > 1e-9:
         raise ParameterError(f"initial state norm {norm0} != 1")
 
-    if (h != h.conj().T).nnz:
-        raise ParameterError("H is not Hermitian")
-    upper = sp.triu(h, k=1, format="coo")
-    if np.any((upper.row != 0) & (upper.data != 0)):
-        raise ParameterError("H couples two modes to each other")
-    z = h[[0]].toarray().ravel()
-    a, b, back = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(2 * n + 1, dim)
-    omega_ref = float(np.real(h[0, 0]))
-    d = h.diagonal().real - omega_ref
-    z_a, z_b = z[a], z[b]
+    omega_ref = h.omega_ref
+    d = h.comb - omega_ref
+    z_a, z_b = h.z_a, h.z_b
     g = np.hypot(np.abs(z_a), np.abs(z_b))
-    if np.any(d[a] != d[b]) or np.any(z[back] != 0) or np.any(g == 0):
-        raise ParameterError("H does not split into a/b mode pairs that "
-                             "share their diagonal and couple to |e>")
-    if not (np.all(np.diff(d[a]) > 0)
+    if not (np.all(np.diff(d) > 0)
             and np.all(g * g >= np.finfo(float).tiny)):
         raise ParameterError("the arrowhead solver needs the mode pairs in "
                              "strictly increasing order, with couplings "
                              "whose squares do not underflow")
 
+    a, b, back = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(2 * n + 1, dim)
     t_out = np.linspace(0.0, t_final, n_out)
-    arrow = _arrowhead_eigh(np.concatenate(([d[0]], d[a])).tobytes(),
-                            g.tobytes())
     bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
     dark0 = (np.conj(z_b) * y0[a] - np.conj(z_a) * y0[b]) / g
     # one pass over blocks of eigenvectors, V^T rows r0 .. r1 - 1: project
     # the bright start, evolve, and add back [Re; Im] spec @ V^T.  V is
     # real, so every product is real, and the stacked parts make one GEMM.
-    b0 = np.stack([bright0.real, bright0.imag], axis=1)
     acc = np.zeros((2 * n_out, n + 1))
-    part = np.empty_like(acc)
-    for r0 in range(0, n + 1, _BLOCK):
-        r1 = min(r0 + _BLOCK, n + 1)
-        vt = arrow.vt_rows(r0, r1)
-        w0 = vt @ b0
-        spec = np.exp(-1j * np.outer(t_out, arrow.evals[r0:r1])) \
-            * (w0[:, 0] + 1j * w0[:, 1])
-        np.matmul(np.concatenate([spec.real, spec.imag]), vt, out=part)
-        acc += part
-    del part
+    if np.any(bright0):
+        arrow = _arrowhead_eigh(np.concatenate(([0.0], d)).tobytes(),
+                                g.tobytes())
+        b0 = np.stack([bright0.real, bright0.imag], axis=1)
+        part = np.empty_like(acc)
+        for r0 in range(0, n + 1, _BLOCK):
+            r1 = min(r0 + _BLOCK, n + 1)
+            vt = arrow.vt_rows(r0, r1)
+            w0 = vt @ b0
+            spec = np.exp(-1j * np.outer(t_out, arrow.evals[r0:r1])) \
+                * (w0[:, 0] + 1j * w0[:, 1])
+            np.matmul(np.concatenate([spec.real, spec.imag]), vt, out=part)
+            acc += part
+        del part
 
     # the bright amplitudes go into the |e> and a-mode columns; each block
     # of snapshots then turns (bright, dark) into (a, b) in place, and its
@@ -609,15 +606,17 @@ def evolve(h: sp.csr_matrix, state: OneExcitationState, t_final: float, *,
     states[:, :n + 1].real = acc[:n_out]
     states[:, :n + 1].imag = acc[n_out:]
     del acc
-    backward = states[:, back]
-    np.multiply(t_out[:, None], -1j * d[back], out=backward)
-    np.exp(backward, out=backward)
-    backward *= y0[back]
+    if h.backward is not None:
+        backward = states[:, back]
+        np.multiply(t_out[:, None], -1j * (h.backward - omega_ref),
+                    out=backward)
+        np.exp(backward, out=backward)
+        backward *= y0[back]
     norms = np.empty(n_out)
     for i0 in range(0, n_out, _BLOCK):
         rows = slice(i0, i0 + _BLOCK)
         bright, dark = states[rows, a], states[rows, b]
-        np.multiply(t_out[rows, None], -1j * d[a], out=dark)
+        np.multiply(t_out[rows, None], -1j * d, out=dark)
         np.exp(dark, out=dark)
         dark *= dark0
         new_a = np.conj(z_a) * bright + z_b * dark

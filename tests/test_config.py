@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lambda_adapt import dynamics, model
 from lambda_adapt.cli import main
 from lambda_adapt.config import load_config
 from lambda_adapt.errors import (ConfigurationError, LambdaAdaptError,
@@ -225,23 +226,31 @@ _VALUES = st.one_of(
 )
 
 
+def _mutated(edits) -> str:
+    """The shipped config with the given (line, value) edits."""
+    lines = list(DEFAULT_LINES)
+    for index, value in edits:
+        key = lines[index].split("=", 1)[0]
+        lines[index] = f"{key}= {value}"
+    return "\n".join(lines) + "\n"
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(VALUE_LINES), _VALUES),
+                  min_size=1, max_size=3)
+
+
 class TestMutatedDefaultConfig:
     @settings(max_examples=300, deadline=None)
-    @given(edits=st.lists(st.tuples(st.sampled_from(VALUE_LINES), _VALUES),
-                          min_size=1, max_size=3))
+    @given(edits=_EDITS)
     # overflowing sums of finite values: Gamma (and the default bath
     # window 40 Gamma), and the carrier omega_a + delta_l
     @example(edits=[(VALUE_LINES[2], "1e308"), (VALUE_LINES[3], "1e308")])
     @example(edits=[(VALUE_LINES[0], "1e308"), (VALUE_LINES[6], "1e308")])
     def test_loads_finite_or_raises_package_error(self, edits):
         # load and grid level only: no example integrates a trajectory
-        lines = list(DEFAULT_LINES)
-        for index, value in edits:
-            key = lines[index].split("=", 1)[0]
-            lines[index] = f"{key}= {value}"
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.ini"
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text(_mutated(edits))
             try:
                 cfg = load_config(path)
             except LambdaAdaptError:
@@ -252,3 +261,22 @@ class TestMutatedDefaultConfig:
         except LambdaAdaptError:
             return
         assert all(math.isfinite(x) for x in _numbers(grid))
+
+    # the whole command: main() answers with a contract exit code and
+    # never raises.  simulate and entropy-curve only, and no trajectory
+    # above 2e5 steps (refused with exit 2 instead), so every example
+    # stays cheap; sweep, optimize and oracle-verify run many
+    # trajectories or the 2001-mode oracle per config.
+    @settings(max_examples=60, deadline=None)
+    @given(edits=_EDITS, command=st.sampled_from(["simulate",
+                                                  "entropy-curve"]))
+    def test_main_returns_an_exit_code(self, edits, command):
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as patch:
+            for module in (model, dynamics):
+                patch.setattr(module, "MAX_GRID_NODES", 200_000)
+            path = Path(tmp) / "mutated.ini"
+            path.write_text(_mutated(edits))
+            rc = main([command, "--config", str(path),
+                       "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 2, 3, 4)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -155,14 +155,17 @@ class TestExponentialIntegrator:
 
 
 class TestAffineRecursion:
-    """The banded solve against the recursion written out as a loop."""
+    """The numpy scan against the recursion written out as a loop."""
 
     @staticmethod
-    def loop(a, w):
-        y = [complex(w[0])]
-        for wk in w[1:]:
-            y.append(a * y[-1] + complex(wk))
-        return np.array(y)
+    def loop(a, w, dtype=complex):
+        y = np.empty(w.size, dtype=dtype)
+        a = dtype(a)
+        y[0] = acc = dtype(w[0])
+        for k in range(1, w.size):
+            acc = a * acc + dtype(w[k])
+            y[k] = acc
+        return y
 
     @pytest.mark.parametrize("log_a, n_nodes", [
         (complex(-0.005, 0.003), 10_000),   # a 0.01 / Gamma transient step
@@ -176,6 +179,33 @@ class TestAffineRecursion:
         expected = self.loop(a, w)
         got = _affine_recursion(a, w.copy())
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    # Re log a from an a that underflows to 0 up to |a| -> 1, any turn,
+    # 1 to 2e5 nodes.  The reference loop runs in extended precision: in
+    # doubles its own rounding drifts by 2e-14 of max |y| over 2e5 nodes
+    # at |a| -> 1.  Examples: the slowest decay with the largest turn at
+    # the largest size, a underflowed to 0, a subnormal, |a|^2 subnormal,
+    # and both sides of the switch to recursive doubling.
+    @settings(max_examples=60, deadline=None)
+    @given(decay=st.floats(-9.0, math.log10(800.0)),
+           turn=st.floats(-3.0, 3.0),
+           size=st.floats(0.0, math.log10(2e5)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(decay=-9.0, turn=3.0, size=math.log10(2e5), seed=1)
+    @example(decay=math.log10(800.0), turn=1.0, size=2.0, seed=2)
+    @example(decay=math.log10(720.0), turn=-2.0, size=2.0, seed=3)
+    @example(decay=math.log10(360.0), turn=0.5, size=3.0, seed=4)
+    @example(decay=math.log10(0.649), turn=3.0, size=4.0, seed=5)
+    @example(decay=math.log10(0.651), turn=-3.0, size=4.0, seed=6)
+    def test_matches_extended_precision_loop(self, decay, turn, size, seed):
+        n = int(round(10.0 ** size))
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a = cmath.exp(complex(-10.0 ** decay, turn))
+        expected = self.loop(a, w, np.clongdouble)
+        got = _affine_recursion(a, w.copy())
+        err = np.max(np.abs(got - expected))
+        assert err <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestAsymptoticProbability:

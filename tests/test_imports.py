@@ -4,6 +4,8 @@ Every CLI command pays for its imports before it does any work, so a
 heavy top-level import shows up in each run.  To see where the time
 goes, run ``python -X importtime -c "import lambda_adapt.cli"``.  No
 timings are asserted here; they are too noisy on shared machines.
+scipy is a test dependency only: no command may load it, not even
+lazily.
 """
 
 import os
@@ -16,21 +18,25 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def loaded_modules(module: str) -> set[str]:
-    """sys.modules after ``import module`` in a new interpreter."""
+def loaded_modules(module: str, then: str = "", *args: str) -> set[str]:
+    """sys.modules after ``import module`` and ``then`` in a new
+    interpreter, which sees ``args`` as sys.argv[1:]."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = (f"import sys, {module}\n"
+    code = (f"import sys, {module}\n{then}\n"
             "print('\\n'.join(sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         check=True, capture_output=True, text=True)
     return set(out.stdout.split())
 
 
+def scipy_modules(mods: set[str]) -> list[str]:
+    return sorted(m for m in mods if m.split(".")[0] == "scipy")
+
+
 def test_library_import_loads_no_scipy():
-    mods = loaded_modules("lambda_adapt")
-    assert sorted(m for m in mods if m.split(".")[0] == "scipy") == []
+    assert scipy_modules(loaded_modules("lambda_adapt")) == []
 
 
 @pytest.mark.parametrize("heavy", ["scipy.signal", "scipy.stats"])
@@ -40,3 +46,56 @@ def test_cli_import_skips_signal_processing(heavy):
 
 def test_cli_import_skips_the_optimizer_library():
     assert "scipy.optimize" not in loaded_modules("lambda_adapt.cli")
+
+
+SMALL_CONFIG = """
+[system]
+omega_a = 50.0
+gamma_a = 1.0
+gamma_b = 1.0
+
+[pulse]
+family = gaussian
+sigma = 1.2
+
+[mixture]
+p_a0 = 0.5
+
+[bath]
+n_modes = 801
+bandwidth = 40.0
+
+[sweep]
+parameter = linewidth
+lo = 0.5
+hi = 1.0
+n_points = 3
+objective = p_ab_infty
+
+[optimize]
+parameters = detuning, rate_ratio
+detuning_lo = -0.5
+detuning_hi = 0.5
+rate_ratio_lo = 0.5
+rate_ratio_hi = 2.0
+objective = p_ab_infty
+budget = 12
+"""
+
+RUN_EVERY_COMMAND = """
+cfg, out = sys.argv[1:]
+for command in ("simulate", "sweep", "optimize", "entropy-curve",
+                "oracle-verify"):
+    rc = lambda_adapt.cli.main([command, "--config", cfg,
+                                "--out", f"{out}/{command}"])
+    assert rc == 0, (command, rc)
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(SMALL_CONFIG)
+    mods = loaded_modules("lambda_adapt.cli", RUN_EVERY_COMMAND, str(cfg),
+                          str(tmp_path / "out"))
+    assert "lambda_adapt.oracle" in mods
+    assert scipy_modules(mods) == []
