@@ -165,11 +165,11 @@ class OneExcitationState:
 class Hamiltonian:
     """One-excitation Hamiltonian of the discrete model (lab frame, hbar = 1).
 
-    Only the nonzero structure is stored: the |e, vac> energy
-    ``omega_ref``, the diagonal ``comb`` that a-mode j and b-mode j share,
-    the couplings z_a = <e|H|a_j> and z_b = <e|H|b_j>, and the diagonal of
-    the uncoupled ``backward`` sector (None without one).  ``toarray``
-    is the dense matrix in the basis order of ``OneExcitationState``.
+    Only the nonzero structure: the |e, vac> energy ``omega_ref``, the
+    diagonal ``comb`` that a-mode j and b-mode j share, the couplings
+    z_a = <e|H|a_j> and z_b = <e|H|b_j>, and the uncoupled ``backward``
+    diagonal (or None).  ``toarray`` is the dense matrix, in the basis
+    order of ``OneExcitationState``.
     """
 
     omega_ref: float
@@ -204,13 +204,12 @@ def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
     at delta_ab + omega_j.  z_k = -i g_k, g_k = sqrt(gamma_k spacing / 2 pi).
     """
     bath.check_against(system)
-    n = bath.n_modes
     comb = system.omega_a + bath.offsets()
     g_a = math.sqrt(system.gamma_a * bath.spacing / (2.0 * math.pi))
     g_b = math.sqrt(system.gamma_b * bath.spacing / (2.0 * math.pi))
     return Hamiltonian(
         omega_ref=float(system.omega_a), comb=comb,
-        z_a=np.full(n, -1j * g_a), z_b=np.full(n, -1j * g_b),
+        z_a=np.full(comb.size, -1j * g_a), z_b=np.full(comb.size, -1j * g_b),
         backward=system.delta_ab + comb if include_backward else None)
 
 
@@ -546,12 +545,12 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]],
     solved through its secular equation (``_arrowhead_eigh``), which
     needs d strictly increasing and every G_j^2 a normal float, else
-    ParameterError.  Its eigenvector matrix V is applied in one pass over
-    blocks of _BLOCK rows of V^T, each rebuilt from the cached O(n) roots
-    and spokes, and never stored, so beyond the (n_out, dim) states the
-    pass holds one real (2 n_out, n + 1) accumulator.  A start with no
-    bright part at all (the backward-leak run) skips the arrowhead and
-    keeps it exactly zero.  Norm drift above DRIFT_TOL raises.
+    ParameterError.  Its eigenvector matrix V is rebuilt from the cached
+    O(n) roots and spokes and applied in blocks of _BLOCK rows of V^T,
+    never stored: beyond the states the pass holds one real
+    (2 n_out, n + 1) accumulator.  Parts that start at zero (the bright
+    one, or the whole forward sector in the backward-leak run) are not
+    evolved and stay exactly zero.  Norm drift above DRIFT_TOL raises.
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -583,11 +582,12 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     # one pass over blocks of eigenvectors, V^T rows r0 .. r1 - 1: project
     # the bright start, evolve, and add back [Re; Im] spec @ V^T.  V is
     # real, so every product is real, and the stacked parts make one GEMM.
-    acc = np.zeros((2 * n_out, n + 1))
+    states = np.zeros((n_out, dim), dtype=complex)
     if np.any(bright0):
         arrow = _arrowhead_eigh(np.concatenate(([0.0], d)).tobytes(),
                                 g.tobytes())
         b0 = np.stack([bright0.real, bright0.imag], axis=1)
+        acc = np.zeros((2 * n_out, n + 1))
         part = np.empty_like(acc)
         for r0 in range(0, n + 1, _BLOCK):
             r1 = min(r0 + _BLOCK, n + 1)
@@ -598,30 +598,30 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
             np.matmul(np.concatenate([spec.real, spec.imag]), vt, out=part)
             acc += part
         del part
+        states[:, :n + 1].real = acc[:n_out]
+        states[:, :n + 1].imag = acc[n_out:]
+        del acc
 
-    # the bright amplitudes go into the |e> and a-mode columns; each block
-    # of snapshots then turns (bright, dark) into (a, b) in place, and its
-    # norms are summed there, so no temporary spans all snapshots
-    states = np.empty((n_out, dim), dtype=complex)
-    states[:, :n + 1].real = acc[:n_out]
-    states[:, :n + 1].imag = acc[n_out:]
-    del acc
     if h.backward is not None:
         backward = states[:, back]
         np.multiply(t_out[:, None], -1j * (h.backward - omega_ref),
                     out=backward)
         np.exp(backward, out=backward)
         backward *= y0[back]
+    # each block of snapshots turns (bright, dark) into (a, b) in place,
+    # and its norms are summed there, so no temporary spans all snapshots
+    forward = np.any(y0[:2 * n + 1])
     norms = np.empty(n_out)
     for i0 in range(0, n_out, _BLOCK):
         rows = slice(i0, i0 + _BLOCK)
-        bright, dark = states[rows, a], states[rows, b]
-        np.multiply(t_out[rows, None], -1j * d, out=dark)
-        np.exp(dark, out=dark)
-        dark *= dark0
-        new_a = np.conj(z_a) * bright + z_b * dark
-        dark[:] = (np.conj(z_b) * bright - z_a * dark) / g
-        np.divide(new_a, g, out=bright)
+        if forward:
+            bright, dark = states[rows, a], states[rows, b]
+            np.multiply(t_out[rows, None], -1j * d, out=dark)
+            np.exp(dark, out=dark)
+            dark *= dark0
+            new_a = np.conj(z_a) * bright + z_b * dark
+            dark[:] = (np.conj(z_b) * bright - z_a * dark) / g
+            np.divide(new_a, g, out=bright)
         norms[rows] = np.sum(np.abs(states[rows]) ** 2, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > DRIFT_TOL:
