@@ -179,36 +179,27 @@ _NEGLIGIBLE = 60.0 * math.log(2.0)
 _MAX_DOUBLINGS = 6
 _MAX_EXP = 230.0
 _MAX_CHUNK = 4096
-_MAX_POWER = 2 ** 16
-_INTEGERS = np.arange(_MAX_CHUNK + 1, dtype=float)
 
 
-def _powers(a: complex, m: np.ndarray) -> np.ndarray:
-    """a^m for integers 0 <= m < _MAX_POWER, the largest last, each
-    within a few ulps.
+def _powers(a: np.clongdouble, count: int) -> np.ndarray:
+    """a^m for m = 0 .. count - 1 in extended precision.
 
-    log a is taken in extended precision and split (Dekker) into a head
-    short enough that its products with every m are exact, and a tail
-    that enters to first order; so no rounding of m log a reaches the
-    powers, whose exponents may run to hundreds.
+    A running product: each power carries its own roundings only, about
+    sqrt(m) extended-precision ulps, so a power of a power stays far
+    inside a double ulp.  Powers taken as exp(m log a) instead inherit
+    m times the rounding of log a, which over 1e5 nodes reaches 1e-14.
     """
-    ell = np.log(np.clongdouble(a))
-    split = 2.0 ** int(m[-1]).bit_length() + 1.0
-    re, im = float(ell.real) * split, float(ell.imag) * split
-    head = complex(re - (re - float(ell.real)), im - (im - float(ell.imag)))
-    out = np.multiply(m, head)
-    np.exp(out, out=out)
-    tail = np.multiply(m, complex(ell - head))
-    tail += 1.0
-    out *= tail
-    return out
+    out = np.full(count, a, dtype=np.clongdouble)
+    out[0] = 1.0
+    return np.multiply.accumulate(out, out=out)
 
 
-def _affine_recursion(a: complex, w: np.ndarray) -> np.ndarray:
+def _affine_recursion(a, w: np.ndarray) -> np.ndarray:
     """y_0 = w_0, y_{k+1} = a y_k + w_{k+1}, computed in ``w``'s memory.
 
-    ``w`` is a contiguous complex array.  Two scans, each a fixed number
-    of numpy passes:
+    ``w`` is a contiguous complex array; ``a`` is a complex or, from the
+    scan on the chunk ends, an extended-precision power of one.  Two
+    scans, each a fixed number of numpy passes:
 
     - |a| <= 2^(-60/64): recursive doubling.  Pass j adds a^(2^j) times
       the values 2^j nodes back; after at most _MAX_DOUBLINGS passes
@@ -222,6 +213,7 @@ def _affine_recursion(a: complex, w: np.ndarray) -> np.ndarray:
     Against the recursion taken in extended precision it stays within
     1e-14 of max |y| (``tests/test_dynamics.py``).
     """
+    base, a = np.clongdouble(a), complex(a)
     n = w.size
     if n < 2 or a == 0:
         return w
@@ -243,13 +235,12 @@ def _affine_recursion(a: complex, w: np.ndarray) -> np.ndarray:
     count = full + (r > 0)
     # a^m, m = 0 .. size, then a^(c size), c = 0 .. count, when the
     # chunk totals can be rescaled too
-    rescale = (n * math.hypot(decay, cmath.phase(a)) <= _MAX_EXP
-               and count * size < _MAX_POWER)
-    m = _INTEGERS[:size + 1]
+    rescale = n * math.hypot(decay, cmath.phase(a)) <= _MAX_EXP
+    exact = _powers(base, size + 1)
     if rescale:
-        m = np.concatenate((m, size * _INTEGERS[:count + 1]))
-    pw = _powers(a, m)
-    inv = np.divide(1.0, pw)
+        exact = np.concatenate((exact, _powers(exact[size], count + 1)))
+    pw = exact.astype(complex)
+    inv = np.divide(1.0, exact).astype(complex)
     chunks = w[:full * size].reshape(full, size)
     chunks *= inv[:size]
     tail = w[full * size:]
@@ -263,7 +254,7 @@ def _affine_recursion(a: complex, w: np.ndarray) -> np.ndarray:
             carries *= pw[size + 2:]
         else:
             carries *= pw[size - 1]
-            _affine_recursion(complex(pw[size]), carries)
+            _affine_recursion(exact[size], carries)
             carries *= a
         chunks[1:, 0] += carries[:full - 1]
         if r:

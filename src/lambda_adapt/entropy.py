@@ -142,6 +142,13 @@ class AsymptoticOverlap:
     overlap_sq: float
 
 
+def _p_max(system: LambdaSystem) -> float:
+    """4 gamma_a gamma_b / Gamma^2, as a product of rate ratios so that no
+    Gamma^2 overflows or underflows."""
+    gamma = system.gamma_total
+    return 4.0 * (system.gamma_a / gamma) * (system.gamma_b / gamma)
+
+
 def overlap_asymptotic(system: LambdaSystem, p_ab_infty: float) -> AsymptoticOverlap:
     """Overlap between the scattered a photon and the free pulse, t -> inf.
 
@@ -150,7 +157,7 @@ def overlap_asymptotic(system: LambdaSystem, p_ab_infty: float) -> AsymptoticOve
     Valid for p_ab(inf) in [0, 4 gamma_a gamma_b / Gamma^2].
     """
     gamma = system.gamma_total
-    p_max = 4.0 * system.gamma_a * system.gamma_b / gamma**2
+    p_max = _p_max(system)
     if p_ab_infty < -1e-12 or p_ab_infty > p_max * (1.0 + 1e-9):
         raise ParameterError(
             f"p_ab_infty = {p_ab_infty} outside [0, 4 gamma_a gamma_b / Gamma^2 "
@@ -240,8 +247,7 @@ def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
     """
     if n_points < 2:
         raise ParameterError("n_points must be at least 2")
-    gamma = system.gamma_total
-    p_max = 4.0 * system.gamma_a * system.gamma_b / gamma**2
+    p_max = _p_max(system)
     p_grid = np.linspace(0.0, p_max, n_points)
     s_e = np.empty(n_points)
     s_e_c = np.empty(n_points)
