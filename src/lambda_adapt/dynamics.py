@@ -174,19 +174,22 @@ def _step_coefficients(lam: complex, h: float):
 
 # The affine recursion as a scan (Blelloch, CMU-CS-90-190, 1990; blocked
 # as in Martin & Cundy, ICLR 2018).  A lag whose weight |a|^k is below
-# 2^-60 is dropped, and a rescaled sum keeps |a|^-k below e^_MAX_EXP.
+# 2^-60 is dropped, a rescaled sum keeps |a|^-k below e^_MAX_EXP, and
+# an array of _SHORT nodes or fewer (the chunk totals of up to 1.6e4
+# nodes) takes the few doubling passes instead of the chunk tables.
 _NEGLIGIBLE = 60.0 * math.log(2.0)
 _MAX_DOUBLINGS = 6
+_SHORT = 128
 _MAX_EXP = 230.0
 _MAX_CHUNK = 4096
 
 
 def _powers(a: np.clongdouble, count: int) -> np.ndarray:
-    """a^m for m = 0 .. count - 1 in extended precision.
+    """a^m for m = 0 .. count - 1 in np.clongdouble.
 
     A running product: each power carries its own roundings only, about
-    sqrt(m) extended-precision ulps, so a power of a power stays far
-    inside a double ulp.  Powers taken as exp(m log a) instead inherit
+    sqrt(m) ulps of np.clongdouble, so where that is extended (x86) a
+    power of a power stays far inside a double ulp.  Powers taken as exp(m log a) instead inherit
     m times the rounding of log a, which over 1e5 nodes reaches 1e-14.
     """
     out = np.full(count, a, dtype=np.clongdouble)
@@ -201,61 +204,57 @@ def _affine_recursion(a, w: np.ndarray) -> np.ndarray:
     scan on the chunk ends, an extended-precision power of one.  Two
     scans, each a fixed number of numpy passes:
 
-    - |a| <= 2^(-60/64): recursive doubling.  Pass j adds a^(2^j) times
-      the values 2^j nodes back; after at most _MAX_DOUBLINGS passes
-      every lag whose weight is above 2^-60 is in.
+    - n <= _SHORT or |a| <= 2^(-60/64): recursive doubling.  Pass j
+      adds a^(2^j) times the values 2^j nodes back; after at most
+      _MAX_DOUBLINGS passes (log2 _SHORT for a short array) every lag
+      whose weight is above 2^-60 is in.  The powers are squared in
+      extended precision and rounded once each.
     - otherwise: y_k = a^k sum_{j<=k} w_j a^-j, one prefix sum within
-      chunks of about sqrt(n) nodes.  The carry into each chunk is the
-      same sum over the chunk totals, rescaled by a^(chunk length) (one
-      more prefix sum), or, where a^-n would leave the float range, this
-      recursion again on the chunk ends.
+      chunks of about sqrt(n) nodes, short enough that |a|^-k stays
+      below e^_MAX_EXP.  The carry into each chunk comes from this
+      recursion again, on the chunk totals with a^(chunk length).
 
-    Against the recursion taken in extended precision it stays within
-    1e-14 of max |y| (``tests/test_dynamics.py``).
+    Against the recursion taken in exact arithmetic it stays within
+    1e-14 of max |y| (``tests/test_dynamics.py``) where np.clongdouble
+    is wider than a double, as the 80-bit type on x86.  Where it is a
+    double (MSVC, macOS on arm64) every power of a is a running product
+    in doubles and the chunk carries drift with the chunk count: up to
+    2.7e-13 of max |y| at 2e5 nodes and |a| -> 1, where the loop in
+    doubles drifts by 3.5e-14 (the scan run with complex in place of
+    np.clongdouble).
     """
     base, a = np.clongdouble(a), complex(a)
     n = w.size
     if n < 2 or a == 0:
         return w
     decay = -math.log(abs(a))
-    if decay * 2 ** _MAX_DOUBLINGS >= _NEGLIGIBLE:
+    if n <= _SHORT or decay * 2 ** _MAX_DOUBLINGS >= _NEGLIGIBLE:
         part = np.empty(n - 1, dtype=complex)
         shift = 1
         while True:
-            np.multiply(w[:n - shift], a, out=part[:n - shift])
+            np.multiply(w[:n - shift], complex(base), out=part[:n - shift])
             w[shift:] += part[:n - shift]
             shift *= 2
             if shift >= n or shift * decay >= _NEGLIGIBLE:
                 return w
-            a *= a
+            base *= base
     size = min(math.isqrt(n) + 1, _MAX_CHUNK)
     if decay:
-        size = max(2, min(size, int(_MAX_EXP / abs(decay))))
+        size = max(2, min(size, int(_MAX_EXP / decay)))
     full, r = divmod(n, size)
-    count = full + (r > 0)
-    # a^m, m = 0 .. size, then a^(c size), c = 0 .. count, when the
-    # chunk totals can be rescaled too
-    rescale = n * math.hypot(decay, cmath.phase(a)) <= _MAX_EXP
     exact = _powers(base, size + 1)
-    if rescale:
-        exact = np.concatenate((exact, _powers(exact[size], count + 1)))
     pw = exact.astype(complex)
     inv = np.divide(1.0, exact).astype(complex)
     chunks = w[:full * size].reshape(full, size)
     chunks *= inv[:size]
     tail = w[full * size:]
-    if count > 1:
+    if full + (r > 0) > 1:
         tail *= inv[:r]
         # carries[c] = a y at the end of chunk c, the start of chunk c + 1
         carries = np.add.reduceat(w, np.arange(0, n, size))
-        if rescale:
-            carries *= inv[size + 1:size + 1 + count]
-            np.add.accumulate(carries, out=carries)
-            carries *= pw[size + 2:]
-        else:
-            carries *= pw[size - 1]
-            _affine_recursion(exact[size], carries)
-            carries *= a
+        carries *= pw[size - 1]
+        _affine_recursion(exact[size], carries)
+        carries *= a
         chunks[1:, 0] += carries[:full - 1]
         if r:
             tail[0] += carries[full - 1]

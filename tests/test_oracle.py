@@ -284,8 +284,10 @@ class TestEvolve:
             comb[1] = comb[0]
             h = dataclasses.replace(h, comb=comb)
         else:
-            tiny = np.full(small_bath.n_modes, -1e-160j)
-            h = dataclasses.replace(h, z_a=tiny, z_b=tiny)
+            # pair 0 alone: G_0^2 = |z_a[0]|^2 + |z_b[0]|^2 underflows
+            z_a, z_b = h.z_a.copy(), h.z_b.copy()
+            z_a[0] = z_b[0] = -1e-160j
+            h = dataclasses.replace(h, z_a=z_a, z_b=z_b)
         with pytest.raises(ParameterError):
             evolve(h, excited_start(small_bath), 2.0,
                    bath=small_bath, system=system, n_out=11)
