@@ -1,13 +1,16 @@
 """Alternating parent/change pairs of bench/run.py, collected into one JSON.
 
-    python3 tools/bench_pairs.py --base REV --out BENCH_<n>.json \\
-        --workload oracle --seeds 1001-1010 [--workload simulate ...] \\
-        [--seconds 15]
+    python3 tools/bench_pairs.py --base REV [--change REV] \\
+        --out BENCH_<n>.json --workload oracle --seeds 1001-1010 \\
+        [--workload simulate ...] [--seconds 15]
 
-The parent side is ``git archive REV`` unpacked into a temporary
-directory; the change side is this working tree.  Pair i runs both sides
-on seed i, the parent first on even pairs and the change first on odd
-ones, each as ``bench/run.py --workload W --seed i --seconds S``.  The
+Each side is ``git archive`` of its revision (the change defaults to
+HEAD) unpacked into a fresh temporary directory.  Both sides then run
+from the same kind of directory: a working tree can hold uncommitted
+edits, and a file watcher on it slows the write-heavy simulate batch.
+Pair i runs both sides on seed i, the parent first on even pairs and
+the change first on odd ones, each as
+``bench/run.py --workload W --seed i --seconds S``.  The
 output holds, per workload and end-to-end metric, every run's value and
 each side's median and quartiles, the number of pairs the change won,
 the verdict line of each run, the seeds, and the environment line of
@@ -68,25 +71,26 @@ def _lower_is_better() -> dict:
     return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 
 
-def collect(base: str, plan: list[tuple[str, list[int]]],
+def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
             seconds: float) -> dict:
     lower = _lower_is_better()
     doc = {"base": base,
            "change": subprocess.run(
-               ["git", "describe", "--always", "--dirty"], cwd=ROOT,
+               ["git", "describe", "--always", change], cwd=ROOT,
                check=True, stdout=subprocess.PIPE, text=True).stdout.strip(),
            "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        _unpack(base, parent)
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for side, rev in (("parent", base), ("change", change)):
+            trees[side].mkdir()
+            _unpack(rev, trees[side])
         for workload, seeds in plan:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = ["parent", "change"] if i % 2 == 0 \
                     else ["change", "parent"]
                 for side in order:
-                    tree = parent if side == "parent" else ROOT
-                    run = _run(tree, workload, seed, seconds)
+                    run = _run(trees[side], workload, seed, seconds)
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(run['metrics'])}", flush=True)
@@ -116,6 +120,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True,
                         help="git revision of the parent side")
+    parser.add_argument("--change", default="HEAD",
+                        help="git revision of the change side")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", action="append", required=True,
@@ -125,7 +131,7 @@ def main() -> int:
     if len(args.workload) != len(args.seeds):
         parser.error("give one --seeds range per --workload")
     plan = [(w, _seeds(s)) for w, s in zip(args.workload, args.seeds)]
-    doc = collect(args.base, plan, args.seconds)
+    doc = collect(args.base, args.change, plan, args.seconds)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
