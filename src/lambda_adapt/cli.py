@@ -41,13 +41,15 @@ from .thermo import (adaptation_work_check, drive_energy_flux, energy_ledger,
 
 # glibc's malloc serves a block above its mmap threshold (128 kB at
 # start) with a fresh mapping, which faults on first touch and is
-# unmapped on free; every command's trajectory arrays are above it.
+# unmapped on free; the trajectory arrays of a command are above it.
 # Freeing one mapped block raises the threshold to that block's size and
-# the trim threshold to twice it (mallopt(3)), so later arrays reuse heap
-# pages.  Importing scipy used to do this as a side effect; without it a
-# narrowband batch (bench/) took 27k page faults instead of 7k and ran
-# 5-10 % slower.  Elsewhere this is one untouched allocation.
-np.empty(16 << 20, dtype=np.uint8)
+# the trim threshold to twice it (mallopt(3)), so later arrays up to
+# 1 MB reuse heap pages.  Importing scipy used to do this as a side
+# effect; without it a narrowband batch (bench/) took 27k page faults
+# instead of 7k and ran about 9 % slower.  A larger block also keeps the
+# oracle's blocks of V on the heap, at 8 MB more peak memory.  Elsewhere
+# this is one untouched allocation.
+np.empty(1 << 20, dtype=np.uint8)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
