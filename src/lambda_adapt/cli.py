@@ -46,9 +46,9 @@ from .thermo import (adaptation_work_check, drive_energy_flux, energy_ledger,
 # the trim threshold to twice it (mallopt(3)), so later arrays up to
 # 1 MB reuse heap pages.  Importing scipy used to do this as a side
 # effect; without it a narrowband batch (bench/) took 27k page faults
-# instead of 7k and ran about 9 % slower.  A larger block also keeps the
-# oracle's blocks of V on the heap, at 8 MB more peak memory.  Elsewhere
-# this is one untouched allocation.
+# instead of 7k and ran about 9 % slower (2-vCPU x86 VM).  A larger
+# block also keeps the oracle's blocks of V on the heap, at 8 MB more
+# peak memory.  Elsewhere this is one untouched allocation.
 np.empty(1 << 20, dtype=np.uint8)
 
 EXIT_OK = 0
