@@ -39,6 +39,41 @@ __all__ = [
 # which keeps the truncated weight at z > 0 below e^-32.
 _GAUSS_OFFSET = 8.0
 
+# Terms of Laplace's continued fraction for erfc, evaluated backward.  It
+# converges slowest at w = 2, the smallest Re w a Gaussian offset >= 4
+# gives: there 40 terms leave 1.2e-14 of e^{w^2} erfc(w), 60 leave 9e-17.
+_ERFC_TERMS = 60
+
+# Elements of one (modes x intervals) block of a sampled spectrum: each
+# temporary of the block stays at 1 MB.
+_SPECTRUM_BLOCK = 1 << 16
+
+
+def _erfcx(w):
+    """e^{w^2} erfc(w) for Re w >= 2, by Laplace's continued fraction.
+
+    erfc(w) = e^{-w^2} / sqrt(pi) * 1 / (w + (1/2) / (w + 1 / (w + (3/2)
+    / (w + ...)))); the scaled form cannot overflow.
+    """
+    tail = np.zeros_like(w)
+    for k in range(_ERFC_TERMS, 0, -1):
+        tail = (0.5 * k) / (w + tail)
+    return 1.0 / (math.sqrt(math.pi) * (w + tail))
+
+
+def _sphj1(x):
+    """Spherical Bessel j_1(x) = (sin x - x cos x) / x^2, elementwise.
+
+    Below |x| = 0.5 the closed form cancels; its Taylor series, to x^13,
+    is then exact to rounding."""
+    x2 = x * x
+    series = x * (1 / 3 - x2 * (1 / 30 - x2 * (1 / 840 - x2 * (
+        1 / 45360 - x2 * (1 / 3991680 - x2 * (1 / 518918400
+                                               - x2 / 93405312000))))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (np.sin(x) - x * np.cos(x)) / x2
+    return np.where(np.abs(x) < 0.5, series, closed)
+
 
 @dataclass(frozen=True)
 class LambdaSystem:
@@ -126,6 +161,11 @@ class Exponential:
         out = np.where(z <= 0.0, np.exp(0.5 * self.linewidth * np.minimum(z, 0.0) / c), 0.0)
         return self.norm_constant(rho, c) * out
 
+    def spectrum(self, delta, rho, c):
+        delta = np.asarray(delta, dtype=float)
+        return self.norm_constant(rho, c) * c / (0.5 * self.linewidth
+                                                 - 1j * delta)
+
     def spectral_scale(self):
         return self.linewidth
 
@@ -178,6 +218,17 @@ class Gaussian:
         out = np.where(z <= 0.0, np.exp(-((z - z0) ** 2) / (4.0 * s * s)), 0.0)
         return self.norm_constant(rho, c) * out
 
+    def spectrum(self, delta, rho, c):
+        # with a = offset / 2, b = sigma delta and w = a + i b: N s sqrt(pi)
+        # e^{-i delta z0 / c} (2 - erfc(w)) e^{-b^2}, where z0 = -2 a s
+        # and e^{-b^2} erfc(w) = e^{-a^2 - 2 i a b} erfcx(w)
+        a = 0.5 * self.offset
+        b = self.sigma * np.asarray(delta, dtype=float)
+        full = 2.0 * np.exp(-b * b + 2j * a * b)
+        tail = math.exp(-a * a) * _erfcx(a + 1j * b)
+        return self.norm_constant(rho, c) * c * self.sigma \
+            * math.sqrt(math.pi) * (full - tail)
+
     def spectral_scale(self):
         return 1.0 / self.sigma
 
@@ -206,6 +257,11 @@ class Rectangular:
         z = np.asarray(z, dtype=float)
         inside = (z <= 0.0) & (z >= -c * self.duration)
         return self.norm_constant(rho, c) * np.where(inside, 1.0, 0.0)
+
+    def spectrum(self, delta, rho, c):
+        half = 0.5 * self.duration * np.asarray(delta, dtype=float)
+        return self.norm_constant(rho, c) * c * self.duration \
+            * np.exp(1j * half) * np.sinc(half / math.pi)
 
     def spectral_scale(self):
         return 1.0 / self.duration
@@ -263,6 +319,30 @@ class Sampled:
         im = np.interp(zq, self.z, amp.imag, left=0.0, right=0.0)
         return k * (re + 1j * im)
 
+    def spectrum(self, delta, rho, c):
+        # interval [z_k, z_k + h] with end values A, B and midpoint m adds
+        # h e^{-i q m} ((A + B) / 2 j0(q h / 2) + i (A - B) / 2 j1(q h / 2)),
+        # q = delta / c; modes go in blocks so that no temporary exceeds
+        # _SPECTRUM_BLOCK elements
+        z = np.asarray(self.z, dtype=float)
+        amp = np.asarray(self.amplitude, dtype=complex) \
+            * self.norm_constant(rho, c)
+        h = np.diff(z)
+        mid = 0.5 * (z[:-1] + z[1:])
+        mean = 0.5 * h * (amp[:-1] + amp[1:])
+        odd = 0.5j * h * (amp[:-1] - amp[1:])
+        q = np.asarray(delta, dtype=float) / c
+        flat = q.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        rows = max(1, _SPECTRUM_BLOCK // h.size)
+        for r0 in range(0, flat.size, rows):
+            qb = flat[r0:r0 + rows, None]
+            x = 0.5 * qb * h
+            phase = np.exp(-1j * qb * mid)
+            out[r0:r0 + rows] = (phase * np.sinc(x / math.pi)) @ mean \
+                + (phase * _sphj1(x)) @ odd
+        return out.reshape(q.shape)
+
     def spectral_scale(self):
         # resolve features down to the sample spacing
         dz = float(np.min(np.diff(np.asarray(self.z, dtype=float))))
@@ -294,6 +374,14 @@ class PulseSpec:
     def shape_at(self, z):
         """Normalized envelope phi_shape(z, 0), no carrier phase."""
         return self.envelope.shape_values(z, self.rho, self.c)
+
+    def spectrum(self, delta):
+        """integral phi_shape(z, 0) e^{-i delta z / c} dz, in closed form.
+
+        The envelope's exact Fourier transform at detunings ``delta`` from
+        the carrier (for ``Sampled``, that of the linear interpolant).
+        """
+        return self.envelope.spectrum(delta, self.rho, self.c)
 
     def detuning(self, system: LambdaSystem) -> float:
         """Carrier detuning from the a-branch transition, delta_L."""
@@ -377,8 +465,10 @@ class InitialMixture:
         return cls(system.gamma_a / g, system.gamma_b / g)
 
 
-# Largest number of steps a trajectory or a z-grid may have; 2e7 complex
-# samples with their companion arrays already take gigabytes.
+# Largest number of steps a trajectory may have; 2e7 complex samples with
+# their companion arrays already take gigabytes.  Only trajectory grids
+# have a step count: the oracle projects pulses in closed form, on no
+# z-grid.
 MAX_GRID_NODES = 20_000_000
 
 

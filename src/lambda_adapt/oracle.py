@@ -39,8 +39,7 @@ from .errors import (
 from .dynamics import integrate_psi
 from .entropy import (env_eigenvalues, normalized_overlap_sq, overlap_series,
                       quantum_branch_entropy, von_neumann)
-from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem, PulseSpec,
-                    SimGrid)
+from .model import InitialMixture, LambdaSystem, PulseSpec, SimGrid
 from .thermo import drive_overlap_density
 
 __all__ = [
@@ -213,79 +212,43 @@ def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
         backward=system.delta_ab + comb if include_backward else None)
 
 
-def _czt(x: np.ndarray, m: int, theta: float, phi0: float) -> np.ndarray:
-    """F_k = sum_n x_n e^{-i (phi0 + k theta) n} for k = 0 .. m - 1.
-
-    Bluestein's chirp z-transform (Rabiner, Schafer & Rader 1969): with
-    n k = (n^2 + k^2 - (k - n)^2) / 2 the sum is a convolution with the
-    chirp e^{i theta j^2 / 2}, done as three FFTs of a power-of-two
-    length >= n + m - 1.  The chirp phase is theta * k * k, where k * k
-    is an exact float, so no power of a rounded root enters.
-    """
-    n = x.size
-    k = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(-0.5j * theta * k * k)
-    size = 1 << (n + m - 2).bit_length()
-    y = x * np.exp(-1j * phi0 * k[:n])
-    y *= chirp[:n]
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = np.conj(chirp[:m])
-    kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
-    out = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(kernel))[:m]
-    return out * chirp[:m]
-
-
 def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
                      system: LambdaSystem) -> np.ndarray:
     """Project the initial envelope onto the a-branch comb.
 
-    Computes phi_j ~ integral phi_a(z, 0) e^{-i omega_j z / c} dz on a
-    fine spatial grid (a Bluestein chirp z-transform on numpy's FFT, all
-    bins at once), scales to physical units, and renormalizes so
-    sum |phi_j|^2 = 1.
+    phi_j = F(delta_j) sqrt(spacing / rho) / (2 pi c), where F is the
+    envelope's closed-form spectrum (``PulseSpec.spectrum``) and delta_j
+    the offset of comb mode j from the carrier; then the amplitudes are
+    renormalized so that sum |phi_j|^2 = 1.  Before that, the sampled
+    weight sum |phi_j|^2 must lie within 1% of 1.  By Poisson summation
+    it is 1, less the spectral weight outside the comb window, plus the
+    pulse's overlaps with its copies shifted by whole recurrence times
+    2 pi / spacing.
 
     Raises
     ------
     BandwidthError
-        If more than 1% of the pulse's spectral weight falls outside
-        the comb window before renormalization.
+        If the weight is below 0.99: the window clips the spectrum.
     ConfigurationError
-        If the z-grid would have more than MAX_GRID_NODES steps (a
-        narrowband pulse settles late); nothing is allocated.
+        If the weight is above 1.01 (or not finite): the comb is too
+        coarse for the pulse, which overlaps its own recurrence.
     """
-    c = pulse.c
-    z_lo = -c * pulse.settle_time() * 1.2
-    # resolve the fastest beat between envelope and comb edge
-    k_max = (0.5 * bath.bandwidth + abs(pulse.detuning(system))) / c
-    dz = 0.011 / max(k_max, 1e-300)
-    dz = min(dz, -z_lo / 64.0)
-    steps = -z_lo / dz
-    if not steps <= MAX_GRID_NODES:
-        raise ConfigurationError(
-            f"pulse projection needs a z-grid of {steps:.3g} steps, above "
-            f"MAX_GRID_NODES = {MAX_GRID_NODES:.3g}")
-    z = np.linspace(z_lo, 0.0, math.ceil(steps) + 1)
-    dz = z[1] - z[0]
-    # phi_a(z, 0) with carrier, trapezoid end weights folded in
-    vals = pulse.shape_at(z).astype(complex) * np.exp(1j * pulse.carrier * z / c)
-    vals[0] *= 0.5
-    vals[-1] *= 0.5
-    omega_start = system.omega_a + bath.offsets()[0]
-    # F_j = dz * sum_m vals_m e^{-i omega_j z_m / c} via the Bluestein
-    # chirp z-transform, omega_j = omega_start + j spacing
-    f = _czt(vals, bath.n_modes, bath.spacing * dz / c, omega_start * dz / c)
-    omegas = system.omega_a + bath.offsets()
-    f *= dz * np.exp(-1j * omegas * z_lo / c)
-    # physical scale: with rho_eff = 1/spacing the captured weight is
-    # sum |F_j|^2 * spacing / (2 pi c)^2 / rho_phys when fully inside
-    amps = f * math.sqrt(bath.spacing / pulse.rho) / (2.0 * math.pi * c)
-    captured = float(np.sum(np.abs(amps) ** 2))
-    if captured < 0.99:
+    delta = bath.offsets() - pulse.detuning(system)
+    amps = pulse.spectrum(delta) * (math.sqrt(bath.spacing / pulse.rho)
+                                    / (2.0 * math.pi * pulse.c))
+    weight = float(np.sum(np.abs(amps) ** 2))
+    if weight < 0.99:
         raise BandwidthError(
-            f"only {captured:.4f} of the pulse spectrum fits in the comb "
+            f"only {weight:.4f} of the pulse spectrum fits in the comb "
             "window; widen the bath or narrow the pulse"
         )
-    return amps / math.sqrt(captured)
+    if not weight <= 1.01:
+        raise ConfigurationError(
+            f"the comb samples {weight:.4g} of the pulse's weight: at spacing "
+            f"{bath.spacing:.3g} the pulse aliases onto its copy one "
+            f"recurrence time ({bath.recurrence_time:.3g}) away; refine the "
+            "comb or widen the pulse")
+    return amps / math.sqrt(weight)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from lambda_adapt import cli, oracle
 from lambda_adapt.cli import _float_lines, _fmt, main
@@ -387,11 +391,56 @@ n_modes = 101
         assert main(["oracle-verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_narrowband_projection_is_config_error(self, tmp_path, capsys):
-        # the z-grid would take 8.7e13 samples; refused, not allocated
-        cfg = write(tmp_path, BASE.replace("delta = 1.0", "delta = 1e-9"))
+    # linewidth 1e-9 on the default comb samples 2.5e7 of the pulse's
+    # weight, 0.05 on 801 modes 1.52: the comb aliases both pulses
+    @pytest.mark.parametrize("edit", [
+        "delta = 1e-9", "delta = 0.05\n[bath]\nn_modes = 801"],
+        ids=["default_comb", "801_modes"])
+    def test_narrowband_projection_is_config_error(self, tmp_path, capsys,
+                                                   edit):
+        cfg = write(tmp_path, BASE.replace("delta = 1.0", edit))
         assert main(["oracle-verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "MAX_GRID_NODES" in err
+        assert "aliases onto its copy" in err
         assert "Traceback" not in err
+
+    # main() answers any oracle-verify config with a contract exit code and
+    # never raises: widths over decades (narrowband exponentials alias, a
+    # short pulse overflows the window), combs too coarse for check_against
+    # (101 and 401 modes over 40 Gamma) and the 801-mode one, detuned and
+    # shifted lines.  No comb above 801 modes, so every example is cheap.
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(["exponential", "gaussian", "rectangular"]),
+           log_width=st.floats(-9.0, 2.0),
+           n_modes=st.sampled_from([101, 401, 801]),
+           delta_l=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+           delta_ab=st.sampled_from([0.0, 0.2, -1.5]))
+    def test_main_returns_an_exit_code(self, family, log_width, n_modes,
+                                       delta_l, delta_ab):
+        width = 10.0 ** (log_width if family == "exponential"
+                         else max(log_width, -3.0))
+        key = {"exponential": "delta", "gaussian": "sigma",
+               "rectangular": "tau"}[family]
+        text = f"""[system]
+omega_a = 50.0
+delta_ab = {delta_ab!r}
+
+[pulse]
+family = {family}
+{key} = {width!r}
+delta_l = {delta_l!r}
+
+[mixture]
+p_a0 = 0.5
+
+[bath]
+n_modes = {n_modes}
+"""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            rc = main(["oracle-verify", "--config", str(path),
+                       "--out", str(Path(tmp) / "out")])
+        event(f"exit {rc}")
+        assert rc in (0, 2, 3, 4)

@@ -1,18 +1,21 @@
 """Envelope families, system parameters and grid validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.integrate import quad
+from scipy.special import ndtr, wofz
 
 from lambda_adapt.errors import (ConfigurationError, DegenerateInputError,
                                  ParameterError, UnsupportedEnvelopeError)
 from lambda_adapt.model import (MAX_GRID_NODES, Exponential, Gaussian,
                                 InitialMixture, LambdaSystem, Rectangular,
-                                Sampled, SimGrid, envelope_at, make_pulse)
+                                Sampled, SimGrid, _erfcx, envelope_at,
+                                make_pulse)
 
 
 def norm_integral(pulse):
@@ -179,6 +182,113 @@ class TestSampled:
         z = np.linspace(-1.0, 0.0, 5)
         with pytest.raises(DegenerateInputError):
             make_pulse(Sampled(z=z, amplitude=np.zeros(5, complex)), 1.0, s)
+
+
+def quad_spectrum(pulse, delta, edges):
+    """integral shape(z) e^{-i delta z / c} dz by QUADPACK's Fourier rule.
+
+    QAWO (``quad`` with a cos / sin weight) on each piece between the
+    given z edges, the real and imaginary parts of the shape apart; each
+    piece is smooth, and the rule meets 1e-12 relative or 1e-14 absolute.
+    """
+    q = delta / pulse.c
+    total = 0j
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+            def f(z):
+                return part(pulse.shape_at(np.array([z]))[0])
+            cos, sin = (quad(f, lo, hi, weight=w, wvar=q, epsabs=1e-14,
+                             epsrel=1e-12, limit=500)[0]
+                        for w in ("cos", "sin"))
+            total += unit * (cos - 1j * sin)
+    return total
+
+
+# rho and c away from 1, so that every place they enter is checked; the
+# detunings hold the delta = 0 bin and the edges of an 801-mode comb
+# over 40 Gamma at Gamma = 2
+_WAVEGUIDE = LambdaSystem(omega_a=50.0, rho_density=0.7, c_speed=1.3)
+_DETUNINGS = np.array([0.0, 1e-9, 0.37, -2.5, 7.9, -40.0, 40.0])
+
+
+def _sampled_complex():
+    # uneven spacing, a complex amplitude and hard edges at both ends
+    rng = np.random.default_rng(12)
+    z = np.sort(rng.uniform(-6.0, 0.0, 11))
+    z = np.concatenate(([-6.5], z, [0.0]))
+    amp = rng.normal(size=z.size) + 1j * rng.normal(size=z.size) + 2.0
+    return Sampled(z=z, amplitude=amp)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("envelope, lo", [
+        (Exponential(0.5), -80.0 / 0.5),        # amplitude e^-40 at lo
+        (Gaussian(1.2), -(8.0 + 16.0) * 1.2),   # e^-64 at lo
+        (Gaussian(0.7, offset=4.0), -(4.0 + 16.0) * 0.7),
+        (Rectangular(2.0), -2.0),
+        (_sampled_complex(), None),
+    ])
+    def test_matches_quadrature(self, envelope, lo):
+        pulse = make_pulse(envelope, 50.0, _WAVEGUIDE)
+        c = pulse.c
+        if lo is None:
+            edges = pulse.envelope.z
+        else:
+            edges = np.array([lo * c, 0.0])
+        ref = np.array([quad_spectrum(pulse, d, edges) for d in _DETUNINGS])
+        got = pulse.spectrum(_DETUNINGS)
+        assert got.shape == _DETUNINGS.shape
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+
+    def test_exact_at_zero_detuning(self):
+        s = _WAVEGUIDE
+        rho, c = s.rho_density, s.c_speed
+        rect = make_pulse(Rectangular(2.0), 50.0, s).spectrum(np.array([0.0]))
+        assert rect[0] == Rectangular(2.0).norm_constant(rho, c) * c * 2.0
+        expo = make_pulse(Exponential(0.5), 50.0, s).spectrum(np.zeros(1))
+        assert expo[0] == pytest.approx(
+            Exponential(0.5).norm_constant(rho, c) * c / 0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("offset", [4.0, 8.0])
+    def test_gaussian_tail_matches_faddeeva(self, offset):
+        # e^{-b^2} erfc(a + i b) = e^{-a^2 - 2iab} w(i (a + i b)), with w
+        # scipy's Faddeeva function, out to |b| = 60
+        sigma = 0.8
+        pulse = make_pulse(Gaussian(sigma, offset=offset), 50.0, _WAVEGUIDE)
+        c = pulse.c
+        delta = np.linspace(-60.0, 60.0, 4801) / sigma
+        a, b = 0.5 * offset, sigma * delta
+        ref = (2.0 * np.exp(-b * b + 2j * a * b)
+               - np.exp(-a * a) * wofz(1j * (a + 1j * b)))
+        ref *= pulse.envelope.norm_constant(pulse.rho, c) * c * sigma \
+            * math.sqrt(math.pi)
+        got = pulse.spectrum(delta)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # the continued fraction itself: w is good to about 1.2e-14 here,
+        # and 40 terms would leave 4.8e-14 at offset 4
+        w = a + 1j * b
+        tail = _erfcx(w)
+        assert np.max(np.abs(tail - wofz(1j * w)) / np.abs(tail)) <= 3e-14
+
+    def test_sampled_works_in_blocks_of_modes(self):
+        # one (modes x intervals) product of this size would take 32 MB
+        # per temporary; the blocks keep the peak a few MB
+        z = np.linspace(-20.0, 0.0, 1001)
+        amp = np.exp(0.25 * z) * np.exp(0.3j * z)
+        pulse = make_pulse(Sampled(z=z, amplitude=amp), 50.0, _WAVEGUIDE)
+        delta = np.linspace(-40.0, 40.0, 2001)
+        tracemalloc.start()
+        try:
+            got = pulse.spectrum(delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        # a mode on its own, away from any block boundary, gives the same
+        for i in (0, 64, 65, 1000, 2000):
+            one = pulse.spectrum(delta[i:i + 1])[0]
+            assert abs(one - got[i]) <= 1e-13 * np.max(np.abs(got))
 
 
 class TestMakePulse:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import czt
 
 from lambda_adapt import oracle
 from lambda_adapt.errors import (BandwidthError, ConfigurationError,
@@ -16,7 +15,7 @@ from lambda_adapt.errors import (BandwidthError, ConfigurationError,
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, make_pulse)
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
-                                 OneExcitationState, _arrowhead_eigh, _czt,
+                                 OneExcitationState, _arrowhead_eigh,
                                  build_hamiltonian, compare,
                                  discretize_pulse, evolve, measure_series)
 
@@ -136,66 +135,39 @@ class TestDiscretizePulse:
             discretize_pulse(make_pulse(envelope, 50.0, system),
                              small_bath, system)
 
+    def test_weight_rule_is_two_sided(self, system, small_bath):
+        # 801 modes over 80: spacing 0.1, recurrence time 62.8.  The pulse
+        # of test_backward_protocol_is_frozen samples 0.998 of its weight;
+        # Exponential(0.05) overlaps its copies e^{-0.05 * 31.4} apart
+        # and samples (1 + r) / (1 - r) = 1.52 of it, r = 0.208
+        def weight(linewidth):
+            pulse = make_pulse(Exponential(linewidth), 50.0, system)
+            raw = pulse.spectrum(small_bath.offsets()) \
+                * math.sqrt(small_bath.spacing) / (2.0 * math.pi)
+            return float(np.sum(np.abs(raw) ** 2))
 
-def direct_czt(x, theta, phi0, bins):
-    """sum_n x_n e^{-i (phi0 + k theta) n} at the given bins, one by one.
+        assert weight(0.3) == pytest.approx(0.9978, abs=1e-4)
+        amps = discretize_pulse(make_pulse(Exponential(0.3), 50.0, system),
+                                small_bath, system)
+        assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+        r = math.exp(-0.05 * small_bath.recurrence_time / 2.0)
+        assert weight(0.05) == pytest.approx((1 + r) / (1 - r), rel=1e-3)
+        with pytest.raises(ConfigurationError, match="aliases"):
+            discretize_pulse(make_pulse(Exponential(0.05), 50.0, system),
+                             small_bath, system)
 
-    Phase, exponential and sum are all taken in np.longdouble, so the
-    reference carries no double-precision phase error.
-    """
-    n = np.arange(x.size, dtype=np.longdouble)
-    out = []
-    for k in bins:
-        phase = (np.longdouble(phi0) + k * np.longdouble(theta)) * n
-        out.append(np.sum(x * np.exp(-1j * phase)))
-    return np.array(out, dtype=complex)
-
-
-def scipy_czt(x, m, theta, phi0):
-    """The same transform through scipy.signal.czt."""
-    return czt(x, m=m, w=np.exp(-1j * theta), a=np.exp(1j * phi0))
-
-
-class TestChirpZ:
-    @pytest.mark.parametrize("n, m", [(1, 7), (5, 40), (40, 5), (33, 33)])
-    def test_small_sizes_match_direct_sum(self, n, m):
-        rng = np.random.default_rng(n * 100 + m)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        theta, phi0 = 0.37, -1.1
-        expected = direct_czt(x, theta, phi0, range(m))
-        got = _czt(x, m, theta, phi0)
-        assert got.shape == (m,)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-    def test_pulse_sized_transform_matches_extended_precision(
-            self, system, small_bath, monkeypatch):
-        calls = []
-
-        def recording(x, m, theta, phi0):
-            calls.append((x.copy(), m, theta, phi0))
-            return _czt(x, m, theta, phi0)
-
-        monkeypatch.setattr(oracle, "_czt", recording)
-        discretize_pulse(make_pulse(Exponential(0.5), 50.0, system),
-                         small_bath, system)
-        (x, m, theta, phi0), = calls
-        assert x.size > 1.5e5
-        full = _czt(x, m, theta, phi0)
-        bins = [0, 1, m // 3, m // 2, m - 2, m - 1]
-        err = np.abs(full[bins] - direct_czt(x, theta, phi0, bins))
-        assert np.max(err) <= 1e-11 * np.max(np.abs(full))
-
-    # the oracle workload's pulses; Exponential(0.5) has the largest
-    # z-grid, n ~ 1.75e5 on 801 modes
-    @pytest.mark.parametrize("envelope", [Exponential(0.5), Gaussian(1.2),
-                                          Rectangular(2.0)])
-    def test_projection_matches_scipy_czt(self, system, small_bath, envelope,
-                                          monkeypatch):
-        pulse = make_pulse(envelope, 50.0, system)
-        amps = discretize_pulse(pulse, small_bath, system)
-        monkeypatch.setattr(oracle, "_czt", scipy_czt)
-        old = discretize_pulse(pulse, small_bath, system)
-        assert np.max(np.abs(amps - old)) <= 1e-10
+    def test_fine_comb_projection_stays_small(self, system):
+        # the projection holds a few arrays of n_modes numbers, no more
+        bath = DiscreteBath(7643, 40.0 * system.gamma_total)
+        pulse = make_pulse(Exponential(0.05), 50.0, system)
+        tracemalloc.start()
+        try:
+            amps = discretize_pulse(pulse, bath, system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert amps.shape == (7643,)
+        assert peak < 2e6
 
 
 class TestEvolve:

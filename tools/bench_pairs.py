@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --base REV [--change REV] \\
         --out BENCH_<n>.json --workload oracle --seeds 1001-1010 \\
-        [--workload simulate ...] [--seconds 15]
+        [--workload simulate ...] [--seconds 15] [--trace-seed 1]
 
 Each side is ``git archive`` of its revision (the change defaults to
 HEAD) unpacked into a fresh temporary directory.  Both sides then run
@@ -15,7 +15,10 @@ output holds, per workload and end-to-end metric, every run's value and
 each side's median and quartiles, the number of pairs the change won,
 the verdict line of each run, the seeds, and the environment line of
 ``bench/run.py`` (python, numpy, scipy, BLAS and its thread count,
-nproc).  The benchmark itself is not touched.
+nproc).  With ``--trace-seed N`` each side also runs every workload once
+more on seed N with ``--trace 1``, and the output keeps both sides'
+per-layer metrics under ``traced``.  The benchmark itself is not
+touched.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ def _unpack(rev: str, dest: Path):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: float,
+         trace: bool = False) -> dict:
     """One bench/run.py run: its env line and its last (JSON) line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(int(trace))],
         cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -72,7 +77,7 @@ def _lower_is_better() -> dict:
 
 
 def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
-            seconds: float) -> dict:
+            seconds: float, trace_seed: int | None = None) -> dict:
     lower = _lower_is_better()
     doc = {"base": base,
            "change": subprocess.run(
@@ -113,6 +118,12 @@ def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
                                if k not in ("seed", "git_commit",
                                             "source_sha256")}
                         for side, rs in runs.items()}}
+            if trace_seed is not None:
+                doc["workloads"][workload]["traced"] = {
+                    "seed": trace_seed,
+                    **{side: _run(trees[side], workload, trace_seed,
+                                  seconds, trace=True)["metrics"]
+                       for side in ("parent", "change")}}
     return doc
 
 
@@ -127,11 +138,14 @@ def main() -> int:
     parser.add_argument("--seeds", action="append", required=True,
                         help="seed range lo-hi, one per --workload")
     parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--trace-seed", type=int, default=None,
+                        help="also run each side traced on this seed")
     args = parser.parse_args()
     if len(args.workload) != len(args.seeds):
         parser.error("give one --seeds range per --workload")
     plan = [(w, _seeds(s)) for w, s in zip(args.workload, args.seeds)]
-    doc = collect(args.base, args.change, plan, args.seconds)
+    doc = collect(args.base, args.change, plan, args.seconds,
+                  args.trace_seed)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
