@@ -322,8 +322,8 @@ class Sampled:
     def spectrum(self, delta, rho, c):
         # interval [z_k, z_k + h] with end values A, B and midpoint m adds
         # h e^{-i q m} ((A + B) / 2 j0(q h / 2) + i (A - B) / 2 j1(q h / 2)),
-        # q = delta / c; modes go in blocks so that no temporary exceeds
-        # _SPECTRUM_BLOCK elements
+        # q = delta / c; modes go in blocks of about _SPECTRUM_BLOCK
+        # (mode, interval) pairs, so memory stays bounded on any comb
         z = np.asarray(self.z, dtype=float)
         amp = np.asarray(self.amplitude, dtype=complex) \
             * self.norm_constant(rho, c)
