@@ -266,7 +266,8 @@ class TestMutatedDefaultConfig:
     # never raises.  simulate and entropy-curve only, and no trajectory
     # above 2e5 steps (refused with exit 2 instead), so every example
     # stays cheap; sweep, optimize and oracle-verify run many
-    # trajectories or the 2001-mode oracle per config.
+    # trajectories or the 2001-mode oracle per config (oracle-verify has
+    # its own property on smaller combs, in test_cli.py).
     @settings(max_examples=60, deadline=None)
     @given(edits=_EDITS, command=st.sampled_from(["simulate",
                                                   "entropy-curve"]))
