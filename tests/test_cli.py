@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lambda_adapt import cli, oracle
 from lambda_adapt.cli import _float_lines, _fmt, main
+from lambda_adapt.config import _WIDTH_KEY
 from lambda_adapt.dynamics import asymptotic_prob_exponential
 from lambda_adapt.model import LambdaSystem
 from lambda_adapt.oracle import _arrowhead_eigh
@@ -406,29 +407,26 @@ n_modes = 101
         assert "Traceback" not in err
 
     # main() answers any oracle-verify config with a contract exit code and
-    # never raises: widths over decades (narrowband exponentials alias, a
-    # short pulse overflows the window), combs too coarse for check_against
-    # (101 and 401 modes over 40 Gamma) and the 801-mode one, detuned and
-    # shifted lines.  No comb above 801 modes, so every example is cheap.
+    # never raises: widths from 1e-9 to 1e-2 (narrowband pulses alias,
+    # short ones overflow the window) or 0.1 to 10, combs too coarse for
+    # check_against (101 and 401 modes over 40 Gamma) and the 801-mode
+    # one, detuned and shifted lines.  No comb above 801 modes, so every
+    # example is cheap.
     @settings(max_examples=25, deadline=None)
     @given(family=st.sampled_from(["exponential", "gaussian", "rectangular"]),
-           log_width=st.floats(-9.0, 2.0),
+           log_width=st.one_of(st.floats(-9.0, -2.0), st.floats(-1.0, 1.0)),
            n_modes=st.sampled_from([101, 401, 801]),
            delta_l=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
            delta_ab=st.sampled_from([0.0, 0.2, -1.5]))
     def test_main_returns_an_exit_code(self, family, log_width, n_modes,
                                        delta_l, delta_ab):
-        width = 10.0 ** (log_width if family == "exponential"
-                         else max(log_width, -3.0))
-        key = {"exponential": "delta", "gaussian": "sigma",
-               "rectangular": "tau"}[family]
         text = f"""[system]
 omega_a = 50.0
 delta_ab = {delta_ab!r}
 
 [pulse]
 family = {family}
-{key} = {width!r}
+{_WIDTH_KEY[family]} = {10.0 ** log_width!r}
 delta_l = {delta_l!r}
 
 [mixture]
