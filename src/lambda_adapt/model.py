@@ -44,7 +44,8 @@ _GAUSS_OFFSET = 8.0
 # gives: there 40 terms leave 1.2e-14 of e^{w^2} erfc(w), 60 leave 9e-17.
 _ERFC_TERMS = 60
 
-# Elements of one (modes x intervals) block of a sampled spectrum: each
+# Table entries in one block of modes of a sampled spectrum (modes x
+# intervals, or modes x 4 sqrt(intervals) on a uniform grid): each
 # temporary of the block stays at 1 MB.
 _SPECTRUM_BLOCK = 1 << 16
 
@@ -322,25 +323,27 @@ class Sampled:
     def spectrum(self, delta, rho, c):
         # interval [z_k, z_k + h] with end values A, B and midpoint m adds
         # h e^{-i q m} ((A + B) / 2 j0(q h / 2) + i (A - B) / 2 j1(q h / 2)),
-        # q = delta / c; modes go in blocks of about _SPECTRUM_BLOCK
-        # (mode, interval) pairs, so memory stays bounded on any comb
+        # q = delta / c, summed pair by pair (_Intervals) or, on a uniform
+        # grid, factored (_UniformIntervals); modes go in blocks of about
+        # _SPECTRUM_BLOCK table entries, so memory stays bounded on any comb
         z = np.asarray(self.z, dtype=float)
         amp = np.asarray(self.amplitude, dtype=complex) \
             * self.norm_constant(rho, c)
         h = np.diff(z)
-        mid = 0.5 * (z[:-1] + z[1:])
         mean = 0.5 * h * (amp[:-1] + amp[1:])
         odd = 0.5j * h * (amp[:-1] - amp[1:])
         q = np.asarray(delta, dtype=float) / c
         flat = q.ravel()
+        step = (z[-1] - z[0]) / h.size
+        uniform = z[0] + step * np.arange(z.size)
+        if np.max(np.abs(z - uniform)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(z)):
+            transform = _UniformIntervals(z[0], step, mean, odd)
+        else:
+            transform = _Intervals(z, mean, odd)
         out = np.empty(flat.size, dtype=complex)
-        rows = max(1, _SPECTRUM_BLOCK // h.size)
+        rows = max(1, _SPECTRUM_BLOCK // transform.width)
         for r0 in range(0, flat.size, rows):
-            qb = flat[r0:r0 + rows, None]
-            x = 0.5 * qb * h
-            phase = np.exp(-1j * qb * mid)
-            out[r0:r0 + rows] = (phase * np.sinc(x / math.pi)) @ mean \
-                + (phase * _sphj1(x)) @ odd
+            out[r0:r0 + rows] = transform(flat[r0:r0 + rows])
         return out.reshape(q.shape)
 
     def spectral_scale(self):
@@ -357,6 +360,52 @@ class Sampled:
         # drive is linear, which the integrator and quadratures take exactly
         return tuple(-float(zj) / c for zj in self.z)
 
+
+
+class _Intervals:
+    """Sum of the interval terms of ``Sampled.spectrum``, one per
+    (mode, interval) pair: an exponential and two Bessel functions each."""
+
+    def __init__(self, z, mean, odd):
+        self.h = np.diff(z)
+        self.mid = 0.5 * (z[:-1] + z[1:])
+        self.mean, self.odd = mean, odd
+        self.width = self.h.size
+
+    def __call__(self, q):
+        x = 0.5 * q[:, None] * self.h
+        phase = np.exp(-1j * q[:, None] * self.mid)
+        return (phase * np.sinc(x / math.pi)) @ self.mean \
+            + (phase * _sphj1(x)) @ self.odd
+
+
+class _UniformIntervals:
+    """The same sum on z_k = z_0 + k h (a grid equal to that to within
+    rounding of its samples).  j0 and j1 are then one number per mode,
+    and with k = a w + b, w ~ sqrt(intervals), the phases factor as
+    e^{-i q k h} = e^{-i q a w h} e^{-i q b h}: a mode costs 2w
+    exponentials and a row of a (w x 2w) matrix product."""
+
+    def __init__(self, z0, step, mean, odd):
+        n = mean.size
+        w = math.isqrt(n - 1) + 1
+        rows = -(-n // w)
+        coef = np.zeros((2, rows * w), dtype=complex)
+        coef[0, :n], coef[1, :n] = mean, odd
+        self.coef = coef.reshape(2 * rows, w).T
+        self.inner = step * np.arange(w)
+        self.outer = w * step * np.arange(rows)
+        self.z0, self.step = z0, step
+        self.width = 4 * w
+
+    def __call__(self, q):
+        x = 0.5 * q * self.step
+        parts = np.exp(-1j * q[:, None] * self.inner) @ self.coef
+        parts = parts.reshape(q.size, 2, self.outer.size)
+        sums = np.einsum("ma,msa->ms",
+                         np.exp(-1j * q[:, None] * self.outer), parts)
+        return np.exp(-1j * q * (self.z0 + 0.5 * self.step)) \
+            * (np.sinc(x / math.pi) * sums[:, 0] + _sphj1(x) * sums[:, 1])
 
 
 _FAMILIES = (Exponential, Gaussian, Rectangular, Sampled)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, wofz
 
+from lambda_adapt import model
 from lambda_adapt.errors import (ConfigurationError, DegenerateInputError,
                                  ParameterError, UnsupportedEnvelopeError)
 from lambda_adapt.model import (MAX_GRID_NODES, Exponential, Gaussian,
@@ -220,6 +221,14 @@ def _sampled_complex():
     return Sampled(z=z, amplitude=amp)
 
 
+def _sampled_uniform():
+    # the same on np.linspace, which takes the factored transform
+    rng = np.random.default_rng(13)
+    z = np.linspace(-6.5, 0.0, 27)
+    amp = rng.normal(size=z.size) + 1j * rng.normal(size=z.size) + 2.0
+    return Sampled(z=z, amplitude=amp)
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("envelope, lo", [
         (Exponential(0.5), -80.0 / 0.5),        # amplitude e^-40 at lo
@@ -227,6 +236,7 @@ class TestSpectrum:
         (Gaussian(0.7, offset=4.0), -(4.0 + 16.0) * 0.7),
         (Rectangular(2.0), -2.0),
         (_sampled_complex(), None),
+        (_sampled_uniform(), None),
     ])
     def test_matches_quadrature(self, envelope, lo):
         pulse = make_pulse(envelope, 50.0, _WAVEGUIDE)
@@ -271,10 +281,13 @@ class TestSpectrum:
         tail = _erfcx(w)
         assert np.max(np.abs(tail - wofz(1j * w)) / np.abs(tail)) <= 3e-14
 
-    def test_sampled_works_in_blocks_of_modes(self):
+    @pytest.mark.parametrize("z", [
+        np.linspace(-20.0, 0.0, 1001),
+        -20.0 * np.linspace(1.0, 0.0, 1001) ** 1.5,
+    ], ids=["uniform", "uneven"])
+    def test_sampled_works_in_blocks_of_modes(self, z):
         # one (modes x intervals) product of this size would take 32 MB
         # per temporary; the blocks keep the peak a few MB
-        z = np.linspace(-20.0, 0.0, 1001)
         amp = np.exp(0.25 * z) * np.exp(0.3j * z)
         pulse = make_pulse(Sampled(z=z, amplitude=amp), 50.0, _WAVEGUIDE)
         delta = np.linspace(-40.0, 40.0, 2001)
@@ -289,6 +302,18 @@ class TestSpectrum:
         for i in (0, 64, 65, 1000, 2000):
             one = pulse.spectrum(delta[i:i + 1])[0]
             assert abs(one - got[i]) <= 1e-13 * np.max(np.abs(got))
+
+    def test_uniform_grid_is_factored(self, monkeypatch):
+        # np.linspace grids must not fall back to the transform that
+        # costs an exponential per (mode, interval) pair
+        def refuse(*args):
+            raise AssertionError("pairwise transform on a uniform grid")
+
+        monkeypatch.setattr(model, "_Intervals", refuse)
+        z = np.linspace(-60.0, 0.0, 4001)
+        pulse = make_pulse(Sampled(z=z, amplitude=np.exp(0.1 * z)), 50.0,
+                           _WAVEGUIDE)
+        assert np.all(np.isfinite(pulse.spectrum(np.linspace(-40, 40, 9))))
 
 
 class TestMakePulse:

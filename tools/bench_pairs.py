@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --base REV [--change REV] \\
         --out BENCH_<n>.json --workload oracle --seeds 1001-1010 \\
-        [--workload simulate ...] [--seconds 15] [--trace-seed 1]
+        [--workload simulate ...] [--seconds 15]
 
 Each side is ``git archive`` of its revision (the change defaults to
 HEAD) unpacked into a fresh temporary directory.  Both sides then run
@@ -15,8 +15,8 @@ output holds, per workload and end-to-end metric, every run's value and
 each side's median and quartiles, the number of pairs the change won,
 the verdict line of each run, the seeds, and the environment line of
 ``bench/run.py`` (python, numpy, scipy, BLAS and its thread count,
-nproc).  With ``--trace-seed N`` each side also runs every workload once
-more on seed N with ``--trace 1``, and the output keeps both sides'
+nproc).  Each side also runs every workload once more on seed
+``TRACE_SEED`` with ``--trace 1``, and the output keeps both sides'
 per-layer metrics under ``traced``.  The benchmark itself is not
 touched.
 """
@@ -32,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACE_SEED = 1
 
 
 def _seeds(text: str) -> list[int]:
@@ -77,7 +78,7 @@ def _lower_is_better() -> dict:
 
 
 def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
-            seconds: float, trace_seed: int | None = None) -> dict:
+            seconds: float) -> dict:
     lower = _lower_is_better()
     doc = {"base": base,
            "change": subprocess.run(
@@ -118,12 +119,11 @@ def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
                                if k not in ("seed", "git_commit",
                                             "source_sha256")}
                         for side, rs in runs.items()}}
-            if trace_seed is not None:
-                doc["workloads"][workload]["traced"] = {
-                    "seed": trace_seed,
-                    **{side: _run(trees[side], workload, trace_seed,
-                                  seconds, trace=True)["metrics"]
-                       for side in ("parent", "change")}}
+            doc["workloads"][workload]["traced"] = {
+                "seed": TRACE_SEED,
+                **{side: _run(trees[side], workload, TRACE_SEED, seconds,
+                              trace=True)["metrics"]
+                   for side in ("parent", "change")}}
     return doc
 
 
@@ -138,14 +138,11 @@ def main() -> int:
     parser.add_argument("--seeds", action="append", required=True,
                         help="seed range lo-hi, one per --workload")
     parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--trace-seed", type=int, default=None,
-                        help="also run each side traced on this seed")
     args = parser.parse_args()
     if len(args.workload) != len(args.seeds):
         parser.error("give one --seeds range per --workload")
     plan = [(w, _seeds(s)) for w, s in zip(args.workload, args.seeds)]
-    doc = collect(args.base, args.change, plan, args.seconds,
-                  args.trace_seed)
+    doc = collect(args.base, args.change, plan, args.seconds)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
