@@ -358,13 +358,16 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     window = _TRANSIENT_WINDOW / gamma
     stretches = [piece for lo, hi in zip(bounds[:-1], bounds[1:])
                  for piece in _stretches(lo, hi, grid.dt, h_fast, window)]
-    steps = [max(1, math.ceil((hi - lo) / h_max - 1e-9))
-             for lo, hi, h_max in stretches]
+    counts = [(hi - lo) / h_max for lo, hi, h_max in stretches]
+    # a count can overflow to inf (|delta_L| near the float limit): cap it
+    # past MAX_GRID_NODES, which is refused below
+    steps = [max(1, math.ceil(min(x, MAX_GRID_NODES + 1.0) - 1e-9))
+             for x in counts]
     if sum(steps) > MAX_GRID_NODES:
         raise ConfigurationError(
-            f"trajectory of {sum(steps):.3g} steps exceeds MAX_GRID_NODES = "
-            f"{MAX_GRID_NODES:.3g}; the transient windows step at "
-            f"0.01 / max(Gamma, |delta_L|) = {h_fast:.3g}"
+            f"trajectory of {math.fsum(counts):.3g} steps exceeds "
+            f"MAX_GRID_NODES = {MAX_GRID_NODES:.3g}; the transient windows "
+            f"step at 0.01 / max(Gamma, |delta_L|) = {h_fast:.3g}"
         )
 
     n_nodes = sum(steps) + 1

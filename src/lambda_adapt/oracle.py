@@ -18,7 +18,12 @@ roots of its secular equation (O'Leary & Stewart 1990), found in O(n^2)
 all at once; its eigenvectors follow in closed form from spokes
 recomputed from those roots (Gu & Eisenstat 1995).  Only those O(n)
 numbers are kept: the eigenvector matrix is rebuilt and applied in
-blocks of rows, and never stored.
+blocks of rows, and never stored.  The comb is mirror symmetric about
+the line (offsets d_{n-1-j} = -d_j, equal couplings), so the roots come
+in +- pairs: the solver, the spokes, the eigenvector rebuild, its GEMM
+and every phase table run on one half (the fold), and the other half is
+their mirror.  On the 2001-mode default comb a cold ``evolve`` of 301
+snapshots takes about 0.24 s, against 0.41 s unfolded (2-core x86 VM).
 """
 
 from __future__ import annotations
@@ -164,30 +169,36 @@ class OneExcitationState:
 class Hamiltonian:
     """One-excitation Hamiltonian of the discrete model (lab frame, hbar = 1).
 
-    Only the nonzero structure: the |e, vac> energy ``omega_ref``, the
-    diagonal ``comb`` that a-mode j and b-mode j share, the couplings
-    z_a = <e|H|a_j> and z_b = <e|H|b_j>, and the uncoupled ``backward``
-    diagonal (or None).  ``toarray`` is the dense matrix, in the basis
-    order of ``OneExcitationState``.
+    Only the nonzero structure: the |e, vac> energy ``omega_ref``; the
+    ``offsets`` d_j from omega_ref that a-mode j and b-mode j share (the
+    bath's ``DiscreteBath.offsets()`` exactly, so the comb stays mirror
+    symmetric about omega_ref to the last bit whatever omega_ref is); the
+    couplings z_a = <e|H|a_j> and z_b = <e|H|b_j>; and ``backward``, the
+    shift of the uncoupled backward sector, which sits at omega_ref +
+    backward + d_j (None: no backward sector).  ``diagonal`` is the
+    diagonal in the frame rotating at omega_ref and ``toarray`` the dense
+    lab-frame matrix, both in the basis order of ``OneExcitationState``.
     """
 
     omega_ref: float
-    comb: np.ndarray
+    offsets: np.ndarray
     z_a: np.ndarray
     z_b: np.ndarray
-    backward: np.ndarray | None = None
+    backward: float | None = None
 
     @property
     def dim(self) -> int:
-        return 1 + (2 if self.backward is None else 3) * self.comb.size
+        return 1 + (2 if self.backward is None else 3) * self.offsets.size
 
     def diagonal(self) -> np.ndarray:
-        parts = [[self.omega_ref], self.comb, self.comb, self.backward]
+        d = self.offsets
+        parts = [[0.0], d, d, None if self.backward is None
+                 else self.backward + d]
         return np.concatenate([p for p in parts if p is not None])
 
     def toarray(self) -> np.ndarray:
-        n = self.comb.size
-        h = np.diag(self.diagonal().astype(complex))
+        n = self.offsets.size
+        h = np.diag((self.omega_ref + self.diagonal()).astype(complex))
         h[0, 1:2 * n + 1] = np.concatenate((self.z_a, self.z_b))
         h[1:2 * n + 1, 0] = np.conj(h[0, 1:2 * n + 1])
         return h
@@ -197,19 +208,23 @@ def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
                       include_backward: bool = False) -> Hamiltonian:
     """The one-excitation Hamiltonian on the bath's combs.
 
-    omega_ref = omega_a; a-mode j and b-mode j share comb_j = omega_j,
-    since delta_ab + omega_j^b = omega_j; the backward sector (an
-    a-branch photon with the system in |b>, which nothing couples) sits
-    at delta_ab + omega_j.  z_k = -i g_k, g_k = sqrt(gamma_k spacing / 2 pi).
+    omega_ref = omega_a; a-mode j and b-mode j share the offset d_j of
+    ``bath.offsets()``, since delta_ab + omega_j^b = omega_a + d_j; the
+    backward sector (an a-branch photon with the system in |b>, which
+    nothing couples) is shifted by delta_ab.  z_k = -i g_k, g_k =
+    sqrt(gamma_k spacing / 2 pi), equal on every mode: the comb and its
+    couplings are mirror symmetric about the line, which ``evolve``
+    folds.
     """
     bath.check_against(system)
-    comb = system.omega_a + bath.offsets()
+    offsets = bath.offsets()
     g_a = math.sqrt(system.gamma_a * bath.spacing / (2.0 * math.pi))
     g_b = math.sqrt(system.gamma_b * bath.spacing / (2.0 * math.pi))
     return Hamiltonian(
-        omega_ref=float(system.omega_a), comb=comb,
-        z_a=np.full(comb.size, -1j * g_a), z_b=np.full(comb.size, -1j * g_b),
-        backward=system.delta_ab + comb if include_backward else None)
+        omega_ref=float(system.omega_a), offsets=offsets,
+        z_a=np.full(offsets.size, -1j * g_a),
+        z_b=np.full(offsets.size, -1j * g_b),
+        backward=float(system.delta_ab) if include_backward else None)
 
 
 def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
@@ -283,8 +298,7 @@ class OracleRun:
         ys = self.states
         pops = np.abs(ys) ** 2
         coupled = ys[:, 1:n + 1] @ h.z_a + ys[:, n + 1:2 * n + 1] @ h.z_b
-        return pops @ (h.diagonal() - self.omega_ref) \
-            + self.omega_ref * np.sum(pops, axis=1) \
+        return pops @ h.diagonal() + self.omega_ref * np.sum(pops, axis=1) \
             + 2.0 * np.real(np.conj(ys[:, 0]) * coupled)
 
 
@@ -441,9 +455,55 @@ class _Arrowhead(NamedTuple):
         return block
 
 
-@functools.lru_cache(maxsize=1)
+def _roots(alpha: float, d: np.ndarray, g: np.ndarray,
+           r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Roots r0 .. r1 - 1 of the secular equation as (k, tau), _BLOCK at a
+    time (``_secular_roots``)."""
+    k = np.empty(r1 - r0, dtype=int)
+    tau = np.empty(r1 - r0)
+    for a in range(r0, r1, _BLOCK):
+        b = min(a + _BLOCK, r1)
+        k[a - r0:b - r0], tau[a - r0:b - r0] = _secular_roots(alpha, d, g,
+                                                              a, b)
+    return k, tau
+
+
+def _spokes(d: np.ndarray, k: np.ndarray, tau: np.ndarray,
+            j0: int, j1: int) -> np.ndarray:
+    """|g^_j| for j0 <= j < j1, recomputed from all n + 1 roots (Gu &
+    Eisenstat 1995): g^_j^2 = prod_i |d_j - lam_i| / prod_{k != j}
+    |d_j - d_k|, taken as a product of ratios near 1 that pair lam_i with
+    d_i for i < j and with d_{i-1} for i > j + 1."""
+    n = d.size
+    out = np.empty(j1 - j0)
+    for a in range(j0, j1, _BLOCK):
+        b = min(a + _BLOCK, j1)
+        dj = d[a:b, None]
+        # lam_j and lam_{j+1}, next to d_j, stay unpaired
+        den = np.empty((b - a, n + 1))
+        den[:, :a] = dj - d[:a]
+        den[:, b + 1:] = dj - d[b:]
+        i = np.arange(a, b + 1)
+        j = np.arange(a, b)[:, None]
+        den[:, a:b + 1] = np.where(
+            i < j, dj - d[np.minimum(i, n - 1)],
+            np.where(i > j + 1, dj - d[i - 1], 1.0))
+        ratio = ((dj - d[k]) - tau) / den
+        out[a - j0:b - j0] = np.sqrt(np.prod(np.abs(ratio), axis=1))
+    return out
+
+
+def _decomposition(d: np.ndarray, k: np.ndarray, tau: np.ndarray,
+                   spokes_hat: np.ndarray) -> _Arrowhead:
+    arrow = _Arrowhead(d=d, evals=d[k] + tau, k=k, tau=tau,
+                       spokes_hat=spokes_hat)
+    for part in arrow:
+        part.flags.writeable = False
+    return arrow
+
+
 def _arrowhead_eigh(diag: bytes, spokes: bytes) -> _Arrowhead:
-    """Eigendecomposition of the arrowhead [[alpha, g^T], [g, diag(d)]].
+    """Eigendecomposition of any arrowhead [[alpha, g^T], [g, diag(d)]].
 
     ``diag`` holds alpha, then the poles d in strictly increasing order;
     no spoke g_j may be so small that its square underflows.  The
@@ -453,47 +513,76 @@ def _arrowhead_eigh(diag: bytes, spokes: bytes) -> _Arrowhead:
     though a root within half an ulp of a pole rounds onto it in
     ``evals``.  The eigenvectors are the normalized Cauchy vectors
     [1, g^_j / (lam_i - d_j)] with the spokes g^ recomputed from the
-    computed roots (Gu & Eisenstat 1995): g^_j^2 = prod_i |d_j - lam_i| /
-    prod_{k != j} |d_j - d_k|, taken as a product of ratios near 1 that
-    pair lam_i with d_i for i < j and with d_{i-1} for i > j + 1.  The
-    arrowhead with spokes g^ has exactly the computed eigenvalues, so the
-    vectors are orthogonal to working precision.  Only O(n) data is
-    returned, read-only; ``_Arrowhead.vt_rows`` rebuilds eigenvectors in
-    blocks of rows.  Every pass is O(n^2) in blocks of rows.  Keyed on
-    the comb, so runs on one comb share one decomposition.
+    computed roots (``_spokes``).  The arrowhead with spokes g^ has
+    exactly the computed eigenvalues, so the vectors are orthogonal to
+    working precision.  Only O(n) data is returned, read-only;
+    ``_Arrowhead.vt_rows`` rebuilds eigenvectors in blocks of rows.  This
+    is the unfolded form of ``_folded_eigh``, from the same two passes
+    run over all roots and all spokes.
     """
     alpha, d = float(np.frombuffer(diag)[0]), np.frombuffer(diag)[1:]
     g = np.frombuffer(spokes)
-    n = d.size
-    k = np.empty(n + 1, dtype=int)
-    tau = np.empty(n + 1)
-    for r0 in range(0, n + 1, _BLOCK):
-        r1 = min(r0 + _BLOCK, n + 1)
-        k[r0:r1], tau[r0:r1] = _secular_roots(alpha, d, g, r0, r1)
+    k, tau = _roots(alpha, d, g, 0, d.size + 1)
+    return _decomposition(d, k, tau,
+                          np.copysign(_spokes(d, k, tau, 0, d.size), g))
 
-    spokes_hat = np.empty(n)
-    for j0 in range(0, n, _BLOCK):
-        j1 = min(j0 + _BLOCK, n)
-        dj = d[j0:j1, None]
-        # pair lam_i with d_i for i < j and with d_{i-1} for i > j + 1;
-        # lam_j and lam_{j+1}, next to d_j, stay unpaired
-        den = np.empty((j1 - j0, n + 1))
-        den[:, :j0] = dj - d[:j0]
-        den[:, j1 + 1:] = dj - d[j1:]
-        i = np.arange(j0, j1 + 1)
-        j = np.arange(j0, j1)[:, None]
-        den[:, j0:j1 + 1] = np.where(
-            i < j, dj - d[np.minimum(i, n - 1)],
-            np.where(i > j + 1, dj - d[i - 1], 1.0))
-        ratio = ((dj - d[k]) - tau) / den
-        spokes_hat[j0:j1] = np.sqrt(np.prod(np.abs(ratio), axis=1))
-    spokes_hat = np.copysign(spokes_hat, g)
 
-    arrow = _Arrowhead(d=d, evals=d[k] + tau, k=k, tau=tau,
-                       spokes_hat=spokes_hat)
-    for part in arrow:
-        part.flags.writeable = False
-    return arrow
+@functools.lru_cache(maxsize=1)
+def _folded_eigh(offsets: bytes, spokes: bytes) -> _Arrowhead:
+    """Eigendecomposition of a mirror-symmetric arrowhead, from its fold.
+
+    The arrowhead is [[0, g^T], [g, diag(d)]] over n = 2c + 1 poles with
+    d_{n-1-j} = -d_j (so d_c = 0) and g_{n-1-j} = g_j; ``offsets`` holds
+    the positive poles d_{c+1} .. d_{n-1} and ``spokes`` g_c .. g_{n-1}.
+    The map S (|e> kept, pole j to pole n - 1 - j with its sign flipped)
+    takes A to -A, so the roots pair as lam_{n-r} = -lam_r: the negative
+    ones mirror the positive ones, (k, tau) -> (n - 1 - k, -tau), and
+    their eigenvectors are S applied to the positive ones.  So the secular
+    solver runs on the c + 1 positive roots only, and the recomputed
+    spokes, which keep the symmetry, on the c + 1 poles d_c .. d_{n-1}:
+    half of each O(n^2) pass of ``_arrowhead_eigh``.  The equation itself
+    is not squared: the half-size arrowhead of the lam^2, [[|g|^2,
+    sqrt(2) g_j d_j], [.., diag(d_j^2)]], cancels its corner |g|^2
+    against the far spokes and loses the roots next to the line when the
+    spokes there are small.  Keyed on the folded comb, so runs on one comb
+    and rates share one decomposition whatever omega_a is.
+    """
+    dp, gh = np.frombuffer(offsets), np.frombuffer(spokes)
+    c = dp.size
+    n = 2 * c + 1
+    d = np.concatenate((-dp[::-1], [0.0], dp))
+    k, tau = _roots(0.0, d, np.concatenate((gh[:0:-1], gh)), c + 1, n + 1)
+    k = np.concatenate(((n - 1 - k)[::-1], k))
+    tau = np.concatenate((-tau[::-1], tau))
+    half = np.copysign(_spokes(d, k, tau, c, n), gh)
+    return _decomposition(d, k, tau, np.concatenate((half[:0:-1], half)))
+
+
+def _phases(t: np.ndarray, freqs: np.ndarray, out: np.ndarray):
+    """out[i, j] = e^{-i f_j t_i}, as cos and sin of -f_j t_i; the
+    argument is held in the imaginary parts until the sines replace it."""
+    np.multiply(t[:, None], -freqs, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+
+
+def _mirrored_phases(t: np.ndarray, d: np.ndarray, out: np.ndarray):
+    """out[i, j] = e^{-i d_j t_i} on a comb with d_{n-1-j} = -d_j: the
+    upper half is computed, the lower half is its complex conjugate."""
+    c = d.size // 2
+    _phases(t, d[c:], out[:, c:])
+    np.conjugate(out[:, :c:-1], out=out[:, :c])
+
+
+def _unfold(x: np.ndarray, y: np.ndarray, out: np.ndarray):
+    """Write the bright block from its mirror parts X and Y, (rows, c + 1)
+    each: |e> is Y_0 and mode c is X_0; mode c + i is X_i + Y_i and its
+    mirror c - i is X_i - Y_i."""
+    c = x.shape[1] - 1
+    out[:, 0] = y[:, 0]
+    out[:, c + 1] = x[:, 0]
+    np.add(x[:, 1:], y[:, 1:], out=out[:, c + 2:2 * c + 2])
+    np.subtract(x[:, 1:], y[:, 1:], out=out[:, c:0:-1])
 
 
 def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
@@ -501,19 +590,31 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
            n_out: int = 201) -> OracleRun:
     """Solve i dy/dt = H y exactly and record n_out snapshots on [0, t_final].
 
-    In the frame rotating at omega_ref, with d = comb - omega_ref and
-    G_j = sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
+    In the frame rotating at omega_ref, with d the offsets and G_j =
+    sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
     (z_bj a_j - z_aj b_j) / G_j, evolving by its phase like the backward
     sector, and a bright mode (conj(z_aj) a_j + conj(z_bj) b_j) / G_j.
-    |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]],
-    solved through its secular equation (``_arrowhead_eigh``), which
-    needs d strictly increasing and every G_j^2 a normal float, else
-    ParameterError.  Its eigenvector matrix V is rebuilt from the cached
-    O(n) roots and spokes and applied in blocks of _BLOCK rows of V^T,
-    never stored: beyond the states the pass holds one real
-    (2 n_out, n + 1) accumulator.  Parts that start at zero (the bright
+    |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]].
+    The comb must be mirror symmetric, d_{n-1-j} = -d_j and G_{n-1-j} =
+    G_j, with d strictly increasing and every G_j^2 a normal float, else
+    ParameterError.  The arrowhead is then solved through its fold
+    (``_folded_eigh``): the eigenvectors of the roots -lam are those of
+    +lam with modes j and n - 1 - j swapped and negated.  Only the V^T
+    rows of the positive roots are rebuilt, in blocks of _BLOCK, from the
+    cached O(n) roots and spokes, never stored.  Each block is applied as
+    two GEMMs of half the width: with F the forward-phased and G the
+    mirrored coefficients, X = (F - G) on the rows' mirror sums and
+    Y = (F + G) on their mirror differences give bright_j = X_j + Y_j and
+    bright_{n-1-j} = X_j - Y_j (and |e> from Y).  Beyond the states the
+    pass holds two real (2 n_out, c + 1) accumulators.  The phase tables
+    e^{-i d_j t} of the dark modes and the backward sector compute their
+    upper half and conjugate it.  Parts that start at zero (the bright
     one, or the whole forward sector in the backward-leak run) are not
     evolved and stay exactly zero.  Norm drift above DRIFT_TOL raises.
+    On the 2001-mode default comb with 301 snapshots, a cold run takes
+    about 0.24 s and a warm one (decomposition cached) 0.15 s, against
+    0.41 and 0.24 s unfolded; on 801 modes, 0.065 against 0.10 s cold
+    (2-core x86 VM).
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -521,7 +622,7 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     n = bath.n_modes
     dim = h.dim
     y0 = state.pack()
-    if y0.size != dim or h.comb.size != n:
+    if y0.size != dim or h.offsets.size != n:
         raise ParameterError(f"state dim {y0.size}, hamiltonian dim {dim} "
                              f"and {n} modes do not fit")
     norm0 = float(np.real(np.vdot(y0, y0)))
@@ -529,9 +630,12 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
         raise ParameterError(f"initial state norm {norm0} != 1")
 
     omega_ref = h.omega_ref
-    d = h.comb - omega_ref
+    d = h.offsets
     z_a, z_b = h.z_a, h.z_b
     g = np.hypot(np.abs(z_a), np.abs(z_b))
+    if not (np.array_equal(d, -d[::-1]) and np.array_equal(g, g[::-1])):
+        raise ParameterError("the folded solver needs a comb and couplings "
+                             "mirror-symmetric about omega_ref")
     if not (np.all(np.diff(d) > 0)
             and np.all(g * g >= np.finfo(float).tiny)):
         raise ParameterError("the arrowhead solver needs the mode pairs in "
@@ -539,52 +643,77 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
                              "whose squares do not underflow")
 
     a, b, back = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(2 * n + 1, dim)
+    c = n // 2
     t_out = np.linspace(0.0, t_final, n_out)
     bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
     dark0 = (np.conj(z_b) * y0[a] - np.conj(z_a) * y0[b]) / g
-    # one pass over blocks of eigenvectors, V^T rows r0 .. r1 - 1: project
-    # the bright start, evolve, and add back [Re; Im] spec @ V^T.  V is
-    # real, so every product is real, and the stacked parts make one GEMM.
     states = np.zeros((n_out, dim), dtype=complex)
     if np.any(bright0):
-        arrow = _arrowhead_eigh(np.concatenate(([0.0], d)).tobytes(),
-                                g.tobytes())
-        b0 = np.stack([bright0.real, bright0.imag], axis=1)
-        acc = np.zeros((2 * n_out, n + 1))
-        part = np.empty_like(acc)
-        for r0 in range(0, n + 1, _BLOCK):
+        arrow = _folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
+        # the start and its mirror S b0 project onto rows x and S x
+        mirror0 = np.concatenate((bright0[:1], -bright0[:0:-1]))
+        b0 = np.stack([bright0.real, bright0.imag,
+                       mirror0.real, mirror0.imag], axis=1)
+        acc_x, acc_y = np.zeros((2, 2 * n_out, c + 1))
+        part = np.empty_like(acc_x)
+        lhs = np.empty((2 * n_out, _BLOCK))
+        fwd_buf, mir_buf = np.empty((2, n_out, _BLOCK), dtype=complex)
+        sums, diffs = np.empty((2, _BLOCK, c + 1))
+        for r0 in range(c + 1, n + 1, _BLOCK):
             r1 = min(r0 + _BLOCK, n + 1)
+            m = r1 - r0
             vt = arrow.vt_rows(r0, r1)
-            w0 = vt @ b0
-            spec = np.exp(-1j * np.outer(t_out, arrow.evals[r0:r1])) \
-                * (w0[:, 0] + 1j * w0[:, 1])
-            np.matmul(np.concatenate([spec.real, spec.imag]), vt, out=part)
-            acc += part
-        del part
-        states[:, :n + 1].real = acc[:n_out]
-        states[:, :n + 1].imag = acc[n_out:]
-        del acc
+            # F = e^{-i lam t} x.b0 and G = e^{i lam t} x.S b0, halved as
+            # the mirror sums and differences below are not (|e>, which
+            # has no mirror, is doubled instead)
+            w0 = 0.5 * (vt @ b0)
+            fwd, mir = fwd_buf[:, :m], mir_buf[:, :m]
+            _phases(t_out, arrow.evals[r0:r1], fwd)
+            np.conjugate(fwd, out=mir)
+            fwd *= w0[:, 0] + 1j * w0[:, 1]
+            mir *= w0[:, 2] + 1j * w0[:, 3]
+            # columns: modes c .. n-1 and their mirrors n-1-c .. 0
+            up, down = vt[:, c + 1:], vt[:, c + 1:0:-1]
+            np.add(up, down, out=sums[:m])
+            np.subtract(up, down, out=diffs[:m])
+            np.multiply(vt[:, 0], 2.0, out=diffs[:m, 0])
+            # X = (F - G) on the sums, Y = (F + G) on the differences
+            for sign, rhs, acc in ((np.subtract, sums, acc_x),
+                                   (np.add, diffs, acc_y)):
+                sign(fwd.real, mir.real, out=lhs[:n_out, :m])
+                sign(fwd.imag, mir.imag, out=lhs[n_out:, :m])
+                np.matmul(lhs[:, :m], rhs[:m], out=part)
+                acc += part
+        del part, lhs, fwd_buf, mir_buf, sums, diffs
+        _unfold(acc_x[:n_out], acc_y[:n_out], states.real)
+        _unfold(acc_x[n_out:], acc_y[n_out:], states.imag)
+        del acc_x, acc_y
 
     if h.backward is not None:
         backward = states[:, back]
-        np.multiply(t_out[:, None], -1j * (h.backward - omega_ref),
-                    out=backward)
-        np.exp(backward, out=backward)
+        _mirrored_phases(t_out, d, backward)
+        backward *= np.exp(-1j * h.backward * t_out)[:, None]
         backward *= y0[back]
     # each block of snapshots turns (bright, dark) into (a, b) in place,
-    # and its norms are summed there, so no temporary spans all snapshots
+    # and its norms are summed there, so no temporary spans all snapshots:
+    # a = (conj(z_a) bright + z_b dark0 e^{-i d t}) / G and
+    # b = (conj(z_b) bright - z_a dark0 e^{-i d t}) / G
     forward = np.any(y0[:2 * n + 1])
+    if forward:
+        a_bright, b_bright = np.conj(z_a) / g, np.conj(z_b) / g
+        a_dark, b_dark = z_b * dark0 / g, -z_a * dark0 / g
     norms = np.empty(n_out)
     for i0 in range(0, n_out, _BLOCK):
         rows = slice(i0, i0 + _BLOCK)
         if forward:
-            bright, dark = states[rows, a], states[rows, b]
-            np.multiply(t_out[rows, None], -1j * d, out=dark)
-            np.exp(dark, out=dark)
-            dark *= dark0
-            new_a = np.conj(z_a) * bright + z_b * dark
-            dark[:] = (np.conj(z_b) * bright - z_a * dark) / g
-            np.divide(new_a, g, out=bright)
+            bright, phase = states[rows, a], states[rows, b]
+            _mirrored_phases(t_out[rows], d, phase)
+            new_a = a_bright * bright
+            new_a += a_dark * phase
+            phase *= b_dark
+            bright *= b_bright
+            phase += bright
+            bright[:] = new_a
         norms[rows] = np.sum(np.abs(states[rows]) ** 2, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > DRIFT_TOL:
@@ -642,20 +771,21 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     n_a, n_b = np.empty(n_out), np.empty(n_out)
     # overlap with the free pulse a0_j e^{-i d_j t} in the same rotating
     # frame, <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j)),
-    # in blocks of snapshots, each with one phase block that takes a0 and
-    # a(t) in place
+    # in blocks of snapshots, each with one (mirrored) phase block that
+    # takes a0 and a(t) in place
     cross = np.empty(n_out, dtype=complex)
-    offs = 1j * run.bath.offsets()
+    flipped = -run.bath.offsets()
     a0 = np.conj(a_block[0])
+    free = np.empty((min(n_out, _BLOCK), n), dtype=complex)
     for i0 in range(0, n_out, _BLOCK):
         rows = slice(i0, i0 + _BLOCK)
         n_a[rows] = np.sum(np.abs(a_block[rows]) ** 2, axis=1)
         n_b[rows] = np.sum(np.abs(b_block[rows]) ** 2, axis=1)
-        free = np.multiply(run.times[rows, None], offs)
-        np.exp(free, out=free)
-        free *= a0
-        free *= a_block[rows]
-        cross[rows] = np.conj(np.sum(free, axis=1))
+        block = free[:len(run.times[rows])]
+        _mirrored_phases(run.times[rows], flipped, block)
+        block *= a0
+        block *= a_block[rows]
+        cross[rows] = np.conj(np.sum(block, axis=1))
     norm = p_e + n_a + n_b
 
     overlap_sq = normalized_overlap_sq(cross, n_a)

@@ -15,7 +15,7 @@ from lambda_adapt.cli import _float_lines, _fmt, main
 from lambda_adapt.config import _WIDTH_KEY
 from lambda_adapt.dynamics import asymptotic_prob_exponential
 from lambda_adapt.model import LambdaSystem
-from lambda_adapt.oracle import _arrowhead_eigh
+from lambda_adapt.oracle import _folded_eigh
 
 BASE = """[system]
 omega_a = 50.0
@@ -372,7 +372,7 @@ class TestOracleVerifyCommand:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             # drop the cached comb decomposition so the rerun recomputes it
-            _arrowhead_eigh.cache_clear()
+            _folded_eigh.cache_clear()
             assert main(["oracle-verify", "--config", str(cfg),
                          "--out", str(out)]) == 0
         assert (out1 / "verify.json").read_bytes() == \

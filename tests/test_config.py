@@ -271,6 +271,8 @@ class TestMutatedDefaultConfig:
     @settings(max_examples=60, deadline=None)
     @given(edits=_EDITS, command=st.sampled_from(["simulate",
                                                   "entropy-curve"]))
+    # a carrier detuning whose transient step count overflows to inf
+    @example(edits=[(VALUE_LINES[6], "1e308")], command="simulate")
     def test_main_returns_an_exit_code(self, edits, command):
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as patch:

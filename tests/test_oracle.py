@@ -240,26 +240,34 @@ class TestEvolve:
         forward = run.states[:, :1 + 2 * n]
         assert float(np.max(np.sum(np.abs(forward) ** 2, axis=1))) == 0.0
         phase = np.exp(np.multiply(run.times[:, None],
-                                   -1j * (h.backward - h.omega_ref)))
-        assert np.array_equal(run.states[:, 1 + 2 * n:], phase * photon)
+                                   -1j * (h.backward + h.offsets)))
+        assert np.max(np.abs(run.states[:, 1 + 2 * n:] - phase * photon)) \
+            <= 1e-14
 
     @pytest.mark.parametrize("defect", ["unordered_modes", "equal_modes",
-                                        "underflowing_coupling"])
+                                        "underflowing_coupling",
+                                        "asymmetric_comb",
+                                        "asymmetric_couplings"])
     def test_comb_the_solver_cannot_take_refused(self, system, small_bath,
                                                  defect):
         h = build_hamiltonian(system, small_bath)
-        comb = h.comb.copy()
+        offsets = h.offsets.copy()
+        z_a, z_b = h.z_a.copy(), h.z_b.copy()
         if defect == "unordered_modes":
-            comb[[0, 1]] = comb[[1, 0]]
-            h = dataclasses.replace(h, comb=comb)
+            # both ends swap their outer pairs: still mirror symmetric
+            offsets[[0, 1, -2, -1]] = offsets[[1, 0, -1, -2]]
         elif defect == "equal_modes":
-            comb[1] = comb[0]
-            h = dataclasses.replace(h, comb=comb)
+            offsets[[1, -2]] = offsets[[0, -1]]
+        elif defect == "underflowing_coupling":
+            # pairs 0 and n - 1: G^2 = |z_a|^2 + |z_b|^2 underflows
+            z_a[[0, -1]] = z_b[[0, -1]] = -1e-160j
+        elif defect == "asymmetric_comb":
+            # still strictly increasing, one ulp off the mirror
+            offsets[0] = np.nextafter(offsets[0], -np.inf)
         else:
-            # pair 0 alone: G_0^2 = |z_a[0]|^2 + |z_b[0]|^2 underflows
-            z_a, z_b = h.z_a.copy(), h.z_b.copy()
-            z_a[0] = z_b[0] = -1e-160j
-            h = dataclasses.replace(h, z_a=z_a, z_b=z_b)
+            # equal |z| but G_0 != G_{n-1}
+            z_a[0] *= 1.5
+        h = dataclasses.replace(h, offsets=offsets, z_a=z_a, z_b=z_b)
         with pytest.raises(ParameterError):
             evolve(h, excited_start(small_bath), 2.0,
                    bath=small_bath, system=system, n_out=11)
@@ -269,7 +277,7 @@ class TestEvolve:
         bath = DiscreteBath.default(system)
         n = bath.n_modes
         h = build_hamiltonian(system, bath)
-        _arrowhead_eigh.cache_clear()
+        oracle._folded_eigh.cache_clear()
         tracemalloc.start()
         try:
             evolve(h, excited_start(bath), 1.0, bath=bath, system=system,
@@ -301,9 +309,12 @@ def assert_solves_arrowhead(alpha, d, g):
     is asked to 1e-14: the vectors built from the recomputed spokes have
     stayed within 1.1e-15 on these families, where vectors from the
     original spokes reach 1.3e-13."""
-    _arrowhead_eigh.cache_clear()
     arrow = _arrowhead_eigh(np.concatenate(([alpha], d)).tobytes(),
                             g.tobytes())
+    assert_decomposes(arrow, alpha, d, g)
+
+
+def assert_decomposes(arrow, alpha, d, g):
     n = d.size
     evals = arrow.evals
     evecs = np.concatenate([arrow.vt_rows(r0, min(r0 + 37, n + 1))
@@ -366,6 +377,48 @@ class TestArrowheadSolver:
         assert not any(part.flags.writeable for part in arrow)
 
 
+@st.composite
+def mirrored_arrowheads(draw):
+    """Graded combs mirror-symmetric about 0: c = 1 .. 39 positive poles
+    1e-6 to 1 apart, d_c = 0; spokes of either sign between 1 and 1e-15,
+    equal on mirrored poles."""
+    c = draw(st.integers(1, 39))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dp = np.cumsum(10.0 ** rng.uniform(-6.0, 0.0, c))
+    gh = 10.0 ** rng.uniform(-15.0, 0.0, c + 1) * rng.choice([-1.0, 1.0],
+                                                              c + 1)
+    return dp, gh
+
+
+class TestFoldedSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(mirrored_arrowheads())
+    def test_matches_dense_eigh(self, comb):
+        dp, gh = comb
+        oracle._folded_eigh.cache_clear()
+        arrow = oracle._folded_eigh(dp.tobytes(), gh.tobytes())
+        d = np.concatenate((-dp[::-1], [0.0], dp))
+        assert_decomposes(arrow, 0.0, d, np.concatenate((gh[:0:-1], gh)))
+        # the mirror pairs hold exactly opposite roots
+        assert np.array_equal(arrow.evals, -arrow.evals[::-1])
+
+    def test_default_comb_matches_the_unfolded_solver(self, system,
+                                                      small_bath):
+        d = small_bath.offsets()
+        g = np.full(d.size, math.sqrt(system.gamma_total * small_bath.spacing
+                                      / (2.0 * math.pi)))
+        c = d.size // 2
+        folded = oracle._folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
+        full = _arrowhead_eigh(np.concatenate(([0.0], d)).tobytes(),
+                               g.tobytes())
+        scale = float(np.max(np.abs(full.evals)))
+        assert np.max(np.abs(folded.evals - full.evals)) <= 1e-14 * scale
+        assert np.max(np.abs(folded.spokes_hat - full.spokes_hat)) \
+            <= 1e-13 * g[0]
+        assert sum(part.nbytes for part in folded) < 16 * (d.size + 1) * 8
+        assert not any(part.flags.writeable for part in folded)
+
+
 @pytest.fixture(scope="module")
 def run(system, small_bath):
     pulse = make_pulse(Gaussian(1.0), 50.0, system)
@@ -414,6 +467,26 @@ class TestCompare:
         d = rep.as_dict()
         assert d["passed"] is True
         assert d["n_modes"] == 801
+
+    def test_one_comb_shares_one_decomposition(self, small_bath,
+                                               monkeypatch):
+        # the cache is keyed on the folded comb, offsets from the line, so
+        # a second command at another omega_a solves no secular equation
+        calls = []
+        roots = oracle._roots
+
+        def counted(*args):
+            calls.append(args)
+            return roots(*args)
+
+        monkeypatch.setattr(oracle, "_roots", counted)
+        oracle._folded_eigh.cache_clear()
+        for omega_a in (50.0, 61.3):
+            s = LambdaSystem(omega_a=omega_a, gamma_a=1.0, gamma_b=1.0)
+            rep = compare(s, make_pulse(Gaussian(1.2), omega_a, s),
+                          InitialMixture(0.5, 0.5), small_bath, n_out=51)
+            assert rep.passed
+        assert len(calls) == 1
 
     def test_tighter_tolerance_flags_failures(self, system, small_bath):
         rep = compare(system, make_pulse(Gaussian(1.2), 50.0, system),

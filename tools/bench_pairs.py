@@ -13,12 +13,26 @@ the change first on odd ones, each as
 ``bench/run.py --workload W --seed i --seconds S``.  The
 output holds, per workload and end-to-end metric, every run's value and
 each side's median and quartiles, the number of pairs the change won,
-the verdict line of each run, the seeds, and the environment line of
+the metric's verdict (``verdict``, below), the verdict line of each run,
+the seeds, and the environment line of
 ``bench/run.py`` (python, numpy, scipy, BLAS and its thread count,
 nproc).  Each side also runs every workload once more on seed
 ``TRACE_SEED`` with ``--trace 1``, and the output keeps both sides'
 per-layer metrics under ``traced``.  The benchmark itself is not
 touched.
+
+Each end-to-end metric of each workload gets one verdict, printed and
+stored, with ``bound`` the metric's bound in BENCHMARK.json (a fraction
+of the parent's median) and the spread the distance between the
+parent's quartiles:
+
+- ``gain``: the change wins at least 9 pairs in 10 and the medians
+  differ, in its favour, by more than the spread;
+- ``regression``: the change's median is worse than the parent's by
+  more than the bound;
+- ``unresolved``: the spread is wider than the bound, and not every run
+  of the change beats every run of the parent;
+- ``no change`` otherwise.
 """
 
 from __future__ import annotations
@@ -72,14 +86,36 @@ def _summary(values: list[float]) -> dict:
             "values": values}
 
 
-def _lower_is_better() -> dict:
+def _end_to_end() -> dict:
+    """BENCHMARK.json end-to-end metrics: name -> (lower is better, bound)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"] == "lower", m["bound"])
+            for m in spec["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], lower: bool,
+            bound: float) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``no change`` for the
+    paired runs of one metric (see the module docstring)."""
+    # in units where lower is better
+    sign = 1.0 if lower else -1.0
+    p, c = [sign * x for x in parent], [sign * x for x in change]
+    ps, cs = _summary(p), _summary(c)
+    wins = sum(y < x for x, y in zip(p, c))
+    spread = ps["q3"] - ps["q1"]
+    allowed = bound * abs(ps["median"])
+    if wins >= 0.9 * len(p) and ps["median"] - cs["median"] > spread:
+        return "gain"
+    if cs["median"] - ps["median"] > allowed:
+        return "regression"
+    if spread > allowed and not max(c) < min(p):
+        return "unresolved"
+    return "no change"
 
 
 def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
             seconds: float) -> dict:
-    lower = _lower_is_better()
+    spec = _end_to_end()
     doc = {"base": base,
            "change": subprocess.run(
                ["git", "describe", "--always", change], cwd=ROOT,
@@ -104,11 +140,17 @@ def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
             for name in runs["change"][0]["metrics"]:
                 p = [r["metrics"][name] for r in runs["parent"]]
                 c = [r["metrics"][name] for r in runs["change"]]
-                wins = sum((x < y) if lower[name] else (x > y)
+                lower, bound = spec[name]
+                wins = sum((x < y) if lower else (x > y)
                            for x, y in zip(c, p))
                 metrics[name] = {"parent": _summary(p), "change": _summary(c),
                                  "change_better_pairs": wins,
-                                 "pairs": len(seeds)}
+                                 "pairs": len(seeds),
+                                 "verdict": verdict(p, c, lower, bound)}
+                print(f"{workload} {name}: {metrics[name]['verdict']} "
+                      f"({wins}/{len(seeds)} pairs, median "
+                      f"{metrics[name]['parent']['median']:.4g} -> "
+                      f"{metrics[name]['change']['median']:.4g})", flush=True)
             doc["workloads"][workload] = {
                 "seeds": seeds, "metrics": metrics,
                 "verdicts": {side: [{k: r[k] for k in
