@@ -672,16 +672,16 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
             np.conjugate(fwd, out=mir)
             fwd *= w0[:, 0] + 1j * w0[:, 1]
             mir *= w0[:, 2] + 1j * w0[:, 3]
-            # columns: modes c .. n-1 and their mirrors n-1-c .. 0
+            # columns: modes c .. n-1 and their mirrors c .. 0
             up, down = vt[:, c + 1:], vt[:, c + 1:0:-1]
             np.add(up, down, out=sums[:m])
             np.subtract(up, down, out=diffs[:m])
             np.multiply(vt[:, 0], 2.0, out=diffs[:m, 0])
             # X = (F - G) on the sums, Y = (F + G) on the differences
-            for sign, rhs, acc in ((np.subtract, sums, acc_x),
-                                   (np.add, diffs, acc_y)):
-                sign(fwd.real, mir.real, out=lhs[:n_out, :m])
-                sign(fwd.imag, mir.imag, out=lhs[n_out:, :m])
+            for op, rhs, acc in ((np.subtract, sums, acc_x),
+                                 (np.add, diffs, acc_y)):
+                op(fwd.real, mir.real, out=lhs[:n_out, :m])
+                op(fwd.imag, mir.imag, out=lhs[n_out:, :m])
                 np.matmul(lhs[:, :m], rhs[:m], out=part)
                 acc += part
         del part, lhs, fwd_buf, mir_buf, sums, diffs
