@@ -502,11 +502,12 @@ def _decomposition(d: np.ndarray, k: np.ndarray, tau: np.ndarray,
     return arrow
 
 
-def _arrowhead_eigh(diag: bytes, spokes: bytes) -> _Arrowhead:
+def _arrowhead_eigh(alpha: float, d: np.ndarray,
+                    g: np.ndarray) -> _Arrowhead:
     """Eigendecomposition of any arrowhead [[alpha, g^T], [g, diag(d)]].
 
-    ``diag`` holds alpha, then the poles d in strictly increasing order;
-    no spoke g_j may be so small that its square underflows.  The
+    The poles d must be in strictly increasing order, and no spoke g_j so
+    small that its square underflows.  The
     eigenvalues, ascending, are the roots of the secular equation
     (O'Leary & Stewart 1990, ``_secular_roots``); they interlace d, and
     strictly so as the solver holds them, each as an offset from a pole,
@@ -520,8 +521,6 @@ def _arrowhead_eigh(diag: bytes, spokes: bytes) -> _Arrowhead:
     is the unfolded form of ``_folded_eigh``, from the same two passes
     run over all roots and all spokes.
     """
-    alpha, d = float(np.frombuffer(diag)[0]), np.frombuffer(diag)[1:]
-    g = np.frombuffer(spokes)
     k, tau = _roots(alpha, d, g, 0, d.size + 1)
     return _decomposition(d, k, tau,
                           np.copysign(_spokes(d, k, tau, 0, d.size), g))

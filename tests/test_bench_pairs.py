@@ -9,7 +9,11 @@ _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
-verdict = bench_pairs.verdict
+
+
+def verdict(parent, change, lower, bound):
+    return bench_pairs.verdict(parent, change, lower, bound)[0]
+
 
 # ten parent runs around 1.0, quartiles 0.98 and 1.02 (spread 0.04)
 PARENT = [0.96, 0.97, 0.98, 0.98, 0.99, 1.01, 1.02, 1.02, 1.03, 1.04]
@@ -22,12 +26,14 @@ def shifted(values, delta):
 class TestVerdict:
     def test_gain(self):
         # 10/10 pairs, medians 0.10 apart against a spread of 0.04
-        assert verdict(PARENT, shifted(PARENT, -0.10), True, 0.25) == "gain"
+        assert bench_pairs.verdict(PARENT, shifted(PARENT, -0.10), True,
+                                   0.25) == ("gain", 10)
 
     def test_gain_needs_nine_pairs_in_ten(self):
         change = shifted(PARENT, -0.10)
         change[:2] = [2.0, 2.0]
-        assert verdict(PARENT, change, True, 0.25) == "no change"
+        assert bench_pairs.verdict(PARENT, change, True, 0.25) \
+            == ("no change", 8)
 
     def test_gain_needs_medians_apart_by_the_spread(self):
         # every pair won, by less than the parent's quartile spread
@@ -58,6 +64,9 @@ class TestVerdict:
             == "unresolved"
 
     def test_higher_is_better(self):
+        # wins count pairs where the change is higher
+        assert bench_pairs.verdict(PARENT, shifted(PARENT, 0.10), False,
+                                   0.25)[1] == 10
         assert verdict(PARENT, shifted(PARENT, 0.10), False, 0.25) == "gain"
         assert verdict(PARENT, shifted(PARENT, -0.30), False, 0.25) \
             == "regression"

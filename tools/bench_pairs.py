@@ -94,9 +94,10 @@ def _end_to_end() -> dict:
 
 
 def verdict(parent: list[float], change: list[float], lower: bool,
-            bound: float) -> str:
+            bound: float) -> tuple[str, int]:
     """``gain``, ``regression``, ``unresolved`` or ``no change`` for the
-    paired runs of one metric (see the module docstring)."""
+    paired runs of one metric (see the module docstring), with the number
+    of pairs the change won."""
     # in units where lower is better
     sign = 1.0 if lower else -1.0
     p, c = [sign * x for x in parent], [sign * x for x in change]
@@ -105,12 +106,12 @@ def verdict(parent: list[float], change: list[float], lower: bool,
     spread = ps["q3"] - ps["q1"]
     allowed = bound * abs(ps["median"])
     if wins >= 0.9 * len(p) and ps["median"] - cs["median"] > spread:
-        return "gain"
+        return "gain", wins
     if cs["median"] - ps["median"] > allowed:
-        return "regression"
+        return "regression", wins
     if spread > allowed and not max(c) < min(p):
-        return "unresolved"
-    return "no change"
+        return "unresolved", wins
+    return "no change", wins
 
 
 def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
@@ -140,14 +141,11 @@ def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
             for name in runs["change"][0]["metrics"]:
                 p = [r["metrics"][name] for r in runs["parent"]]
                 c = [r["metrics"][name] for r in runs["change"]]
-                lower, bound = spec[name]
-                wins = sum((x < y) if lower else (x > y)
-                           for x, y in zip(c, p))
+                label, wins = verdict(p, c, *spec[name])
                 metrics[name] = {"parent": _summary(p), "change": _summary(c),
                                  "change_better_pairs": wins,
-                                 "pairs": len(seeds),
-                                 "verdict": verdict(p, c, lower, bound)}
-                print(f"{workload} {name}: {metrics[name]['verdict']} "
+                                 "pairs": len(seeds), "verdict": label}
+                print(f"{workload} {name}: {label} "
                       f"({wins}/{len(seeds)} pairs, median "
                       f"{metrics[name]['parent']['median']:.4g} -> "
                       f"{metrics[name]['change']['median']:.4g})", flush=True)
