@@ -23,7 +23,15 @@ the line (offsets d_{n-1-j} = -d_j, equal couplings), so the roots come
 in +- pairs: the solver, the spokes, the eigenvector rebuild, its GEMM
 and every phase table run on one half (the fold), and the other half is
 their mirror.  On the 2001-mode default comb a cold ``evolve`` of 301
-snapshots takes about 0.24 s, against 0.41 s unfolded (2-core x86 VM).
+snapshots takes about 0.2-0.3 s, against 0.41 s unfolded (2-core x86 VM).
+
+A run's working set is its snapshot array and little more: ``evolve``
+accumulates the eigenvector products inside that array and unfolds them
+there, and its passes over the snapshots, like ``measure_series``, reuse
+one scratch block of a few rows.  At 2001 modes and 301 snapshots the
+snapshots take 18.4 MiB and a cold ``evolve`` peaks 10.3 MiB above them,
+``measure_series`` 0.8 MiB above the run it reads (tracemalloc); at 7643
+modes and 401 snapshots, 93.5 MiB and 37.7 MiB above.
 """
 
 from __future__ import annotations
@@ -302,19 +310,22 @@ class OracleRun:
             + 2.0 * np.real(np.conj(ys[:, 0]) * coupled)
 
 
-# rows per block (roots, eigenvectors or snapshots) of the O(n^2) passes,
-# so that each pass's temporaries (block x n) stay small, and the secular
-# solver's step cap
+# rows per block (roots or eigenvectors) of the O(n^2) passes, so that
+# each pass's temporaries (block x n) stay small; snapshots per block of
+# the passes over a run's states, whose one scratch block is _ROWS x 2n
+# complex; and the secular solver's step cap
 _BLOCK = 128
+_ROWS = 16
 _MAX_ITER = 100
 
 
-def _pole_gaps(d: np.ndarray, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _pole_gaps(d: np.ndarray, k: np.ndarray, tau: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """d_j - lambda_i for lambda_i = d_{k_i} + tau_i, one row per root.
 
     Measured from the root's own pole d_{k_i}, the difference keeps a
     few ulps of relative accuracy however close lambda_i is to d_j."""
-    gaps = np.subtract(d, d[k][:, None])
+    gaps = np.subtract(d, d[k][:, None], out=out)
     gaps -= tau[:, None]
     return gaps
 
@@ -440,17 +451,19 @@ class _Arrowhead(NamedTuple):
     tau: np.ndarray
     spokes_hat: np.ndarray
 
-    def vt_rows(self, r0: int, r1: int) -> np.ndarray:
+    def vt_rows(self, r0: int, r1: int,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Rows r0 .. r1 - 1 of V^T, eigenvectors r0 .. r1 - 1 as rows.
 
         Each is the normalized Cauchy vector [1, g^_j / (lam_i - d_j)],
         with lam_i - d_j taken from the root's own pole (``_pole_gaps``).
+        Written to ``out``, (r1 - r0, n + 1), if given.
         """
-        block = np.empty((r1 - r0, self.d.size + 1))
+        block = np.empty((r1 - r0, self.d.size + 1)) if out is None else out
         block[:, 0] = 1.0
-        np.divide(-self.spokes_hat,
-                  _pole_gaps(self.d, self.k[r0:r1], self.tau[r0:r1]),
-                  out=block[:, 1:])
+        gaps = _pole_gaps(self.d, self.k[r0:r1], self.tau[r0:r1],
+                          out=block[:, 1:])
+        np.divide(-self.spokes_hat, gaps, out=gaps)
         block /= np.linalg.norm(block, axis=1)[:, None]
         return block
 
@@ -604,16 +617,27 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     two GEMMs of half the width: with F the forward-phased and G the
     mirrored coefficients, X = (F - G) on the rows' mirror sums and
     Y = (F + G) on their mirror differences give bright_j = X_j + Y_j and
-    bright_{n-1-j} = X_j - Y_j (and |e> from Y).  Beyond the states the
-    pass holds two real (2 n_out, c + 1) accumulators.  The phase tables
-    e^{-i d_j t} of the dark modes and the backward sector compute their
-    upper half and conjugate it.  Parts that start at zero (the bright
-    one, or the whole forward sector in the backward-leak run) are not
-    evolved and stay exactly zero.  Norm drift above DRIFT_TOL raises.
-    On the 2001-mode default comb with 301 snapshots, a cold run takes
-    about 0.24 s and a warm one (decomposition cached) 0.15 s, against
-    0.41 and 0.24 s unfolded; on 801 modes, 0.065 against 0.10 s cold
-    (2-core x86 VM).
+    bright_{n-1-j} = X_j - Y_j (and |e> from Y).  X and Y accumulate
+    inside the states array: the |e> and a-mode columns of a snapshot
+    hold 2 (n + 1) = 4 (c + 1) doubles, four real bands Re X, Im X, Re Y
+    and Im Y of c + 1 each.  Each block runs its GEMMs on the real and
+    the imaginary half of its coefficients separately: the first block's
+    products are written to the bands, later ones are added to them
+    through one (n_out, c + 1) buffer.
+    The snapshot loop then takes _ROWS snapshots at a time through one
+    scratch block: it copies their bands and unfolds them into the
+    bright amplitudes, mixes (bright, dark) into (a, b) with the dark
+    phases, and sums the norms.  The phase tables e^{-i d_j t} of the
+    dark modes and the backward sector compute their upper half and
+    conjugate it.  Parts that start at zero (the bright one, or the
+    whole forward sector in the backward-leak run) are not evolved and
+    stay exactly zero.  Norm drift above DRIFT_TOL raises.  On the
+    2001-mode default comb with 301 snapshots, a cold run takes about
+    0.2-0.3 s and a warm one (decomposition cached) 0.12-0.19 s, against
+    0.41 and 0.24 s unfolded; on 801 modes, 0.05-0.08 s against 0.10 s
+    cold (2-core x86 VM).  Beyond its states (18.4 MiB) the cold
+    2001-mode run peaks 10.3 MiB higher (tracemalloc; 23.9 MiB with
+    separate accumulators).
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -647,21 +671,27 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
     dark0 = (np.conj(z_b) * y0[a] - np.conj(z_a) * y0[b]) / g
     states = np.zeros((n_out, dim), dtype=complex)
-    if np.any(bright0):
+    # the |e> and a-mode columns of a snapshot are 2 (n + 1) = 4 (c + 1)
+    # doubles: the bright pass accumulates Re X, Im X, Re Y and Im Y
+    # there, one band of c + 1 each, for the snapshot loop to unfold
+    packed = states.view(float)[:, :4 * (c + 1)]
+    solved = np.any(bright0)
+    if solved:
         arrow = _folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
         # the start and its mirror S b0 project onto rows x and S x
         mirror0 = np.concatenate((bright0[:1], -bright0[:0:-1]))
         b0 = np.stack([bright0.real, bright0.imag,
                        mirror0.real, mirror0.imag], axis=1)
-        acc_x, acc_y = np.zeros((2, 2 * n_out, c + 1))
-        part = np.empty_like(acc_x)
-        lhs = np.empty((2 * n_out, _BLOCK))
+        bands = np.split(packed, 4, axis=1)
+        part = np.empty((n_out, c + 1))
+        vt_buf = np.empty((_BLOCK, n + 1))
+        lhs = np.empty((2, n_out, _BLOCK))
         fwd_buf, mir_buf = np.empty((2, n_out, _BLOCK), dtype=complex)
         sums, diffs = np.empty((2, _BLOCK, c + 1))
         for r0 in range(c + 1, n + 1, _BLOCK):
             r1 = min(r0 + _BLOCK, n + 1)
             m = r1 - r0
-            vt = arrow.vt_rows(r0, r1)
+            vt = arrow.vt_rows(r0, r1, out=vt_buf[:m])
             # F = e^{-i lam t} x.b0 and G = e^{i lam t} x.S b0, halved as
             # the mirror sums and differences below are not (|e>, which
             # has no mirror, is doubled instead)
@@ -676,44 +706,59 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
             np.add(up, down, out=sums[:m])
             np.subtract(up, down, out=diffs[:m])
             np.multiply(vt[:, 0], 2.0, out=diffs[:m, 0])
-            # X = (F - G) on the sums, Y = (F + G) on the differences
-            for op, rhs, acc in ((np.subtract, sums, acc_x),
-                                 (np.add, diffs, acc_y)):
-                op(fwd.real, mir.real, out=lhs[:n_out, :m])
-                op(fwd.imag, mir.imag, out=lhs[n_out:, :m])
-                np.matmul(lhs[:, :m], rhs[:m], out=part)
-                acc += part
-        del part, lhs, fwd_buf, mir_buf, sums, diffs
-        _unfold(acc_x[:n_out], acc_y[:n_out], states.real)
-        _unfold(acc_x[n_out:], acc_y[n_out:], states.imag)
-        del acc_x, acc_y
+            # X = (F - G) on the sums, Y = (F + G) on the differences, the
+            # real and the imaginary half each into its own band
+            for op, rhs, acc in ((np.subtract, sums, bands[:2]),
+                                 (np.add, diffs, bands[2:])):
+                op(fwd.real, mir.real, out=lhs[0, :, :m])
+                op(fwd.imag, mir.imag, out=lhs[1, :, :m])
+                for half, band in zip(lhs, acc):
+                    if r0 == c + 1:
+                        np.matmul(half[:, :m], rhs[:m], out=band)
+                    else:
+                        np.matmul(half[:, :m], rhs[:m], out=part)
+                        band += part
+        del part, vt_buf, vt, lhs, fwd_buf, mir_buf, sums, diffs
 
     if h.backward is not None:
         backward = states[:, back]
         _mirrored_phases(t_out, d, backward)
         backward *= np.exp(-1j * h.backward * t_out)[:, None]
         backward *= y0[back]
-    # each block of snapshots turns (bright, dark) into (a, b) in place,
-    # and its norms are summed there, so no temporary spans all snapshots:
+    # each block of snapshots unfolds its bands, turns (bright, dark) into
+    # (a, b) in place and sums its norms, every step in the same scratch:
     # a = (conj(z_a) bright + z_b dark0 e^{-i d t}) / G and
     # b = (conj(z_b) bright - z_a dark0 e^{-i d t}) / G
     forward = np.any(y0[:2 * n + 1])
     if forward:
         a_bright, b_bright = np.conj(z_a) / g, np.conj(z_b) / g
         a_dark, b_dark = z_b * dark0 / g, -z_a * dark0 / g
+    scratch = np.empty((min(n_out, _ROWS), 2 * n), dtype=complex)
     norms = np.empty(n_out)
-    for i0 in range(0, n_out, _BLOCK):
-        rows = slice(i0, i0 + _BLOCK)
+    for i0 in range(0, n_out, _ROWS):
+        rows = slice(i0, i0 + _ROWS)
+        block = states[rows]
+        work = scratch[:len(block)]
+        if solved:
+            copy = work.view(float)[:, :4 * (c + 1)]
+            copy[:] = packed[rows]
+            x_re, x_im, y_re, y_im = np.split(copy, 4, axis=1)
+            _unfold(x_re, y_re, block.real)
+            _unfold(x_im, y_im, block.imag)
         if forward:
-            bright, phase = states[rows, a], states[rows, b]
+            bright, phase = block[:, a], block[:, b]
             _mirrored_phases(t_out[rows], d, phase)
-            new_a = a_bright * bright
-            new_a += a_dark * phase
+            new_a, term = np.split(work, 2, axis=1)
+            np.multiply(a_bright, bright, out=new_a)
+            np.multiply(a_dark, phase, out=term)
+            new_a += term
             phase *= b_dark
             bright *= b_bright
             phase += bright
             bright[:] = new_a
-        norms[rows] = np.sum(np.abs(states[rows]) ** 2, axis=1)
+        pops = np.abs(block, out=work.view(float)[:, :dim])
+        pops *= pops
+        norms[rows] = np.add.reduce(pops, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > DRIFT_TOL:
         raise NumericalConsistencyError(
@@ -750,8 +795,8 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     a 2x2 block mixing the scattered a photon with the free-flying pulse
     (the reference for the photon had the system started in |b>).  Its
     eigenvalues follow from scalar products of the stored amplitudes,
-    taken over blocks of _BLOCK snapshots; no large matrix is ever
-    diagonalized or formed.
+    taken over blocks of _ROWS snapshots in one scratch block; no large
+    matrix is ever diagonalized or formed.
     """
     n = run.bath.n_modes
     states = run.states
@@ -770,17 +815,20 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     n_a, n_b = np.empty(n_out), np.empty(n_out)
     # overlap with the free pulse a0_j e^{-i d_j t} in the same rotating
     # frame, <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j)),
-    # in blocks of snapshots, each with one (mirrored) phase block that
-    # takes a0 and a(t) in place
+    # in blocks of snapshots, with one scratch block for the whole loop:
+    # first each branch's populations, then the phases, which take a0
+    # and a(t) in place
     cross = np.empty(n_out, dtype=complex)
     flipped = -run.bath.offsets()
     a0 = np.conj(a_block[0])
-    free = np.empty((min(n_out, _BLOCK), n), dtype=complex)
-    for i0 in range(0, n_out, _BLOCK):
-        rows = slice(i0, i0 + _BLOCK)
-        n_a[rows] = np.sum(np.abs(a_block[rows]) ** 2, axis=1)
-        n_b[rows] = np.sum(np.abs(b_block[rows]) ** 2, axis=1)
-        block = free[:len(run.times[rows])]
+    scratch = np.empty((min(n_out, _ROWS), n), dtype=complex)
+    for i0 in range(0, n_out, _ROWS):
+        rows = slice(i0, i0 + _ROWS)
+        block = scratch[:len(run.times[rows])]
+        for modes, out in ((a_block, n_a), (b_block, n_b)):
+            pops = np.abs(modes[rows], out=block.view(float)[:, :n])
+            pops *= pops
+            out[rows] = np.add.reduce(pops, axis=1)
         _mirrored_phases(run.times[rows], flipped, block)
         block *= a0
         block *= a_block[rows]

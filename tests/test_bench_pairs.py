@@ -1,4 +1,5 @@
-"""The verdict tools/bench_pairs.py states per workload and metric."""
+"""The verdicts and failure shares tools/bench_pairs.py states per
+workload."""
 
 import importlib.util
 from pathlib import Path
@@ -76,3 +77,35 @@ class TestVerdict:
     def test_reads_the_benchmark_bounds(self, name):
         lower, bound = bench_pairs._end_to_end()[name]
         assert lower and 0 < bound < 1
+
+
+def runs(failed, attempted=3):
+    return [{"failed": f, "attempted": attempted, "correct": True}
+            for f in failed]
+
+
+class TestFailedShares:
+    def test_equal_shares(self):
+        # 2 of 3 commands failing in every run, as the oracle workload does
+        assert bench_pairs.failed_shares(
+            {"parent": runs([2] * 10), "change": runs([2] * 10)}) \
+            == {"parent": 2 / 3, "change": 2 / 3, "more_failures": False}
+
+    def test_one_more_failure_is_flagged(self):
+        shares = bench_pairs.failed_shares(
+            {"parent": runs([2] * 10), "change": runs([2] * 9 + [3])})
+        assert shares["change"] == pytest.approx(21 / 30)
+        assert shares["more_failures"]
+
+    def test_summed_over_the_runs(self):
+        # one run's larger batch weighs more than an even split would
+        change = runs([0]) + runs([4], attempted=6)
+        shares = bench_pairs.failed_shares(
+            {"parent": runs([1, 1]), "change": change})
+        assert shares["parent"] == pytest.approx(2 / 6)
+        assert shares["change"] == pytest.approx(4 / 9)
+        assert shares["more_failures"]
+
+    def test_fewer_failures_are_not_flagged(self):
+        assert not bench_pairs.failed_shares(
+            {"parent": runs([2, 2]), "change": runs([1, 2])})["more_failures"]

@@ -238,6 +238,23 @@ def _mutated(edits) -> str:
 _EDITS = st.lists(st.tuples(st.sampled_from(VALUE_LINES), _VALUES),
                   min_size=1, max_size=3)
 
+# the [sweep] n_points and [optimize] budget lines: a sweep or optimize
+# example sets them small and mutates them only to small or malformed
+# values, so that it runs a handful of trajectories
+_COUNT_LINES = [i for i in VALUE_LINES
+                if DEFAULT_LINES[i].split("=")[0].strip()
+                in ("n_points", "budget")]
+_SMALL_COUNTS = [(_COUNT_LINES[0], "3"), (_COUNT_LINES[1], "6")]
+_SEARCH_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from([i for i in VALUE_LINES
+                                   if i not in _COUNT_LINES]), _VALUES),
+        st.tuples(st.sampled_from(_COUNT_LINES),
+                  st.one_of(st.integers(-2, 6).map(str),
+                            st.sampled_from(["", "nan", "1e308", "2.5",
+                                             "x"])))),
+    min_size=1, max_size=3)
+
 
 class TestMutatedDefaultConfig:
     @settings(max_examples=300, deadline=None)
@@ -280,6 +297,22 @@ class TestMutatedDefaultConfig:
                 patch.setattr(module, "MAX_GRID_NODES", 200_000)
             path = Path(tmp) / "mutated.ini"
             path.write_text(_mutated(edits))
+            rc = main([command, "--config", str(path),
+                       "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 2, 3, 4)
+
+    # the same contract for sweep and optimize, from the shipped config
+    # with a 3-point sweep and a budget of 6 evaluations
+    @settings(max_examples=100, deadline=None)
+    @given(edits=_SEARCH_EDITS, command=st.sampled_from(["sweep",
+                                                         "optimize"]))
+    def test_search_commands_return_an_exit_code(self, edits, command):
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as patch:
+            for module in (model, dynamics):
+                patch.setattr(module, "MAX_GRID_NODES", 200_000)
+            path = Path(tmp) / "mutated.ini"
+            path.write_text(_mutated(_SMALL_COUNTS + edits))
             rc = main([command, "--config", str(path),
                        "--out", str(Path(tmp) / "out")])
         assert rc in (0, 2, 3, 4)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_adapt import oracle
+from lambda_adapt.entropy import normalized_overlap_sq
 from lambda_adapt.errors import (BandwidthError, ConfigurationError,
                                  ParameterError)
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
@@ -170,6 +171,20 @@ class TestDiscretizePulse:
         assert peak < 2e6
 
 
+def random_run(n_out, include_backward):
+    """A random start, every sector populated, evolved on 401 modes with a
+    shifted b line and unequal rates: (hamiltonian, start, run)."""
+    s = LambdaSystem(omega_a=50.0, delta_ab=0.2, gamma_a=1.0, gamma_b=0.6)
+    bath = DiscreteBath(401, 20.0 * s.gamma_total)
+    h = build_hamiltonian(s, bath, include_backward=include_backward)
+    rng = np.random.default_rng(7)
+    y0 = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+    y0 /= np.linalg.norm(y0)
+    run = evolve(h, OneExcitationState.unpack(y0, bath.n_modes), 5.0,
+                 bath=bath, system=s, n_out=n_out)
+    return h, y0, run
+
+
 class TestEvolve:
     def test_golden_rule_decay(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
@@ -179,20 +194,13 @@ class TestEvolve:
         rate = -np.polyfit(run.times, np.log(p_e), 1)[0]
         assert rate == pytest.approx(system.gamma_total, rel=0.02)
 
-    def test_matches_dense_eigh(self):
+    # 1, 2 and 33 snapshots end in partial blocks of the snapshot passes
+    @pytest.mark.parametrize("n_out", [21, 1, 2, 33])
+    def test_matches_dense_eigh(self, n_out):
         # all sectors populated, shifted b line, unequal rates: every
         # dark, bright and backward amplitude against a full complex eigh
-        s = LambdaSystem(omega_a=50.0, delta_ab=0.2, gamma_a=1.0,
-                         gamma_b=0.6)
-        bath = DiscreteBath(401, 20.0 * s.gamma_total)
-        n = bath.n_modes
-        h = build_hamiltonian(s, bath, include_backward=True)
-        rng = np.random.default_rng(7)
-        y0 = rng.normal(size=1 + 3 * n) + 1j * rng.normal(size=1 + 3 * n)
-        y0 /= np.linalg.norm(y0)
-        run = evolve(h, OneExcitationState.unpack(y0, n), 5.0, bath=bath,
-                     system=s, n_out=21)
-        shifted = h.toarray() - run.omega_ref * np.eye(1 + 3 * n)
+        h, y0, run = random_run(n_out, include_backward=True)
+        shifted = h.toarray() - run.omega_ref * np.eye(y0.size)
         evals, evecs = np.linalg.eigh(shifted)
         ref = (np.exp(-1j * np.outer(run.times, evals))
                * (evecs.conj().T @ y0)) @ evecs.T
@@ -292,6 +300,31 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak < (n + 1) ** 2 * 8
+
+    def test_working_set(self, system):
+        # the bright pass accumulates inside the states array and the
+        # snapshot passes reuse one small block, so a cold 301-snapshot
+        # run holds little beyond its states (23.8 MiB more before), and
+        # measure_series little beyond the run it reads (6.1 MiB before)
+        bath = DiscreteBath.default(system)
+        h = build_hamiltonian(system, bath)
+        amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0, system),
+                                bath, system)
+        oracle._folded_eigh.cache_clear()
+        tracemalloc.start()
+        try:
+            run = evolve(h, OneExcitationState.from_pulse(amps), 7.5,
+                         bath=bath, system=system, n_out=301)
+            evolve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            measure_series(run, InitialMixture(0.5, 0.5))
+            measure_added = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        mib = 2 ** 20
+        assert evolve_peak < run.states.nbytes + 14 * mib
+        assert measure_added <= 4 * mib
 
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
@@ -445,6 +478,27 @@ class TestMeasure:
         assert series.n_a[0] == pytest.approx(1.0, abs=1e-12)
         assert series.overlap_sq[0] == pytest.approx(1.0, abs=1e-12)
         assert series.s_e[0] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n_out", [1, 2, 33])
+    def test_partial_snapshot_blocks(self, n_out):
+        # every snapshot of a block-wise pass against direct sums over
+        # the whole run
+        _, _, run = random_run(n_out, include_backward=False)
+        series = measure_series(run, InitialMixture(0.5, 0.5))
+        n = run.bath.n_modes
+        a, b = run.states[:, 1:n + 1], run.states[:, n + 1:]
+        np.testing.assert_allclose(series.n_a,
+                                   np.sum(np.abs(a) ** 2, axis=1),
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(series.n_b,
+                                   np.sum(np.abs(b) ** 2, axis=1),
+                                   rtol=1e-14, atol=0)
+        # the overlap with the free pulse a(0) e^{-i d t}
+        free = a[0] * np.exp(-1j * np.outer(run.times, run.bath.offsets()))
+        cross = np.sum(np.conj(a) * free, axis=1)
+        np.testing.assert_allclose(
+            series.overlap_sq, normalized_overlap_sq(cross, series.n_a),
+            rtol=1e-12, atol=0)
 
     def test_backward_sector_stays_empty(self, system, small_bath):
         pulse = make_pulse(Gaussian(1.0), 50.0, system)

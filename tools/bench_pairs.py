@@ -14,7 +14,9 @@ the change first on odd ones, each as
 output holds, per workload and end-to-end metric, every run's value and
 each side's median and quartiles, the number of pairs the change won,
 the metric's verdict (``verdict``, below), the verdict line of each run,
-the seeds, and the environment line of
+each side's failed share of the commands attempted, summed over its
+runs, with ``more_failures`` set when the change's share is the larger
+(``failed_shares``), the seeds, and the environment line of
 ``bench/run.py`` (python, numpy, scipy, BLAS and its thread count,
 nproc).  Each side also runs every workload once more on seed
 ``TRACE_SEED`` with ``--trace 1``, and the output keeps both sides'
@@ -114,6 +116,15 @@ def verdict(parent: list[float], change: list[float], lower: bool,
     return "no change", wins
 
 
+def failed_shares(runs: dict) -> dict:
+    """Each side's failed / attempted commands, summed over its runs, and
+    ``more_failures``: whether the change's share exceeds the parent's."""
+    shares = {side: sum(r["failed"] for r in rs)
+              / sum(r["attempted"] for r in rs)
+              for side, rs in runs.items()}
+    return {**shares, "more_failures": shares["change"] > shares["parent"]}
+
+
 def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
             seconds: float) -> dict:
     spec = _end_to_end()
@@ -149,8 +160,13 @@ def collect(base: str, change: str, plan: list[tuple[str, list[int]]],
                       f"({wins}/{len(seeds)} pairs, median "
                       f"{metrics[name]['parent']['median']:.4g} -> "
                       f"{metrics[name]['change']['median']:.4g})", flush=True)
+            failed = failed_shares(runs)
+            print(f"{workload} failed share: {failed['parent']:.4g} -> "
+                  f"{failed['change']:.4g}"
+                  + (" (more failures)" if failed["more_failures"] else ""),
+                  flush=True)
             doc["workloads"][workload] = {
-                "seeds": seeds, "metrics": metrics,
+                "seeds": seeds, "metrics": metrics, "failed_share": failed,
                 "verdicts": {side: [{k: r[k] for k in
                                      ("correct", "attempted", "failed")}
                                     for r in rs]
