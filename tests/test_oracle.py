@@ -304,8 +304,8 @@ class TestEvolve:
     def test_working_set(self, system):
         # the bright pass accumulates inside the states array and the
         # snapshot passes reuse one small block, so a cold 301-snapshot
-        # run holds little beyond its states (23.8 MiB more before), and
-        # measure_series little beyond the run it reads (6.1 MiB before)
+        # run holds little beyond its states, and measure_series little
+        # beyond the run it reads
         bath = DiscreteBath.default(system)
         h = build_hamiltonian(system, bath)
         amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0, system),
