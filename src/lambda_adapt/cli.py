@@ -5,13 +5,16 @@ into --out, and returns a contract exit code: 0 success, 2 configuration
 or parameter error, 3 numerical-consistency failure, 4 oracle
 disagreement.  All numerics are deterministic (fixed-step quadratures
 and the oracle's secular-equation eigensolver), so identical configs and
-package versions produce bit-identical artifacts.  The optional [grid] section of a config
-sets the trajectory grid's t_max and dt; a key left out takes
-SimGrid.auto's default.  --points must be at least 1 on every subcommand.
+package versions produce bit-identical artifacts.  The optional [grid]
+section of a config sets the trajectory grid's t_max and dt; a key left
+out takes SimGrid.auto's default.  --points must be at least 1 on every
+subcommand.
 
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
 version, command) and files are written via a temporary name and atomic
-rename, so readers never observe a half-written table.
+rename, so readers never observe a half-written table.  Every float in
+a CSV is Python's shortest round-trip ``repr`` of the double, so
+``float(field)`` returns the exact value that was computed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .entropy import EnvSpectrum, entropy_curve, overlap_asymptotic
 from .errors import (ConfigurationError, LambdaAdaptError,
                      NumericalConsistencyError, ParameterError,
                      UnsupportedEnvelopeError)
+from .floattext import csv_text
 from .model import SimGrid
 from .optimize import maximize, sweep
 from .oracle import OneExcitationState, build_hamiltonian, compare, evolve
@@ -82,11 +86,10 @@ def _write_csv(path: Path, meta: dict, header: list[str], lines: list[str]):
 def _float_lines(*columns) -> list[str]:
     """CSV lines of a table of float columns.
 
-    ``tolist`` turns the rows into Python floats, whose repr is what
-    ``_fmt`` writes for a float, without a per-value dispatch.
+    Each field is the value's ``repr``, what ``_fmt`` writes for a
+    float, formatted for the whole table at once (see floattext).
     """
-    return [",".join(map(repr, row))
-            for row in np.column_stack(columns).tolist()]
+    return csv_text(np.column_stack(columns)).split("\n")[:-1]
 
 
 def _fmt(value) -> str:

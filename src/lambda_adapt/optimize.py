@@ -61,8 +61,8 @@ class SweepSpec:
         fixed gamma_a + gamma_b) or ``family`` (all three analytic
         envelope families, each swept over the bandwidth grid).
     lo, hi : float
-        Grid endpoints, lo < hi.  Bandwidth-like parameters must be
-        positive.
+        Grid endpoints, lo < hi, with a finite span hi - lo.
+        Bandwidth-like parameters must be positive.
     n_points : int
         Grid size, at least 3.
     objective : str
@@ -88,6 +88,9 @@ class SweepSpec:
                 and self.lo < self.hi):
             raise ParameterError(
                 f"need finite lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ParameterError(
+                f"grid span hi - lo overflows, got [{self.lo}, {self.hi}]")
         if self.parameter in ("linewidth", "rate_ratio", "family") \
                 and self.lo <= 0:
             raise ParameterError(

@@ -113,6 +113,22 @@ class TestSimulate:
         per_value = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
         assert _float_lines(*columns) == per_value
 
+    def test_csv_floats_read_back_exactly(self, tmp_path):
+        # every field is the shortest repr of a double: float() gives
+        # that double back and its repr is the field, byte for byte
+        cfg = write(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["entropy-curve", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        for name in ("trajectory.csv", "entropy_curve.csv"):
+            text = (out / name).read_text()
+            meta, header, *rows = text.split("\n")[:-1]
+            assert all(row.count(",") == header.count(",") for row in rows)
+            again = [",".join(repr(float(f)) for f in row.split(","))
+                     for row in rows]
+            assert "\n".join([meta, header, *again, ""]) == text
+
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = write(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -280,6 +296,20 @@ n_points = 21
         meta = read_meta(out / "sweep.csv")
         assert meta["n_points"] == 5
         assert meta["parameter"] == "linewidth"
+
+    def test_overflowing_span_is_refused(self, tmp_path):
+        # finite bounds whose difference overflows: np.linspace would
+        # give the grid [nan, inf, 1e308]
+        cfg = write(tmp_path, BASE + """
+[sweep]
+parameter = detuning
+lo = -1e308
+hi = 1e308
+n_points = 3
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "sweep.csv").exists()
 
 
 class TestOptimizeCommand:

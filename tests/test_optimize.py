@@ -29,6 +29,7 @@ class TestSweepSpec:
         {"parameter": "phase", "lo": 0.0, "hi": 1.0},
         {"parameter": "detuning", "lo": 1.0, "hi": 1.0},
         {"parameter": "detuning", "lo": 0.0, "hi": float("inf")},
+        {"parameter": "detuning", "lo": -1e308, "hi": 1e308},
         {"parameter": "linewidth", "lo": -1.0, "hi": 1.0},
         {"parameter": "linewidth", "lo": 0.1, "hi": 1.0, "n_points": 2},
         {"parameter": "linewidth", "lo": 0.1, "hi": 1.0,
