@@ -249,7 +249,7 @@ def _shortest(bits, tables):
 
 def csv_text(table) -> str:
     """``repr`` of every value of a 2-d table, ``,`` between the values
-    of a row and ``\n`` after each row."""
+    of a row and a newline after each row."""
     table = np.asarray(table, dtype=np.float64)
     if table.size == 0:
         return ""

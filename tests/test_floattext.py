@@ -31,11 +31,11 @@ def with_neighbours(values) -> np.ndarray:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(), min_size=1, max_size=60),
-       st.integers(1, 4))
-def test_matches_repr(values, n_cols):
-    values = values[:len(values) // n_cols * n_cols] or values[:1] * n_cols
-    table = np.array(values).reshape(-1, n_cols)
+@given(st.integers(1, 4).flatmap(lambda n_cols: st.lists(
+    st.lists(st.floats(), min_size=n_cols, max_size=n_cols),
+    min_size=1, max_size=20)))
+def test_matches_repr(rows):
+    table = np.array(rows)
     assert csv_text(table) == reference(table)
 
 
