@@ -126,10 +126,10 @@ class _Tables:
     exponent (0, the subnormals, on the scale of 1) and ``irregular``
     marks c = 2^52 above the smallest normal, whose rounding interval is
     narrower below than above.  ``g[:, k - k_min]``: the 32-bit limbs of
-    g0 and g1, high ones first.  ``dig4[g]``: the 4 ASCII digits of g < 10^4 as one
-    native uint32; ``tz4[g]``: their trailing zeros.  ``keys[n *
-    _DECPT_SPAN + decpt - _DECPT_MIN]``: the positive pattern of n
-    significant digits whose decimal point is at ``decpt``.
+    g0 and g1, high ones first.  ``dig4[g]``: the 4 ASCII digits of
+    g < 10^4 as one native uint32; ``tz4[g]``: their trailing zeros.
+    ``keys[n * _DECPT_SPAN + decpt - _DECPT_MIN]``: the positive pattern
+    of n significant digits whose decimal point is at ``decpt``.
     ``patterns``: the block offsets of each pattern's source bytes, left
     packed, and ``used`` marking them; ``base``: each value's offset.
     ``words``: the constant words and the two separator words.
@@ -179,6 +179,50 @@ class _Tables:
 _tables = functools.cache(_Tables)
 
 
+def _interval(c, irregular, h):
+    """4 (c - 1/2), 4 c, 4 (c + 1/2) shifted left by h (4 c - 1 first
+    if irregular): the rounding interval in units of 2^q / 4."""
+    cp = np.empty((3, c.size), dtype=_U64)
+    cp[:] = c << _U64(2)
+    cp[0] -= _U64(2)
+    cp[0] += irregular
+    cp[2] += _U64(2)
+    cp <<= h
+    return cp
+
+
+def _rop(g, cp):
+    """Schubfach's rop: g cp / 2^127 rounded to odd, per row of cp.
+
+    ``g`` holds the 32-bit limbs (g0 high, g1 high, g0 low, g1 low) of
+    g = g1 2^63 + g0.  The products of g0 and g1 (axis 0) with the rows
+    of ``cp`` (axis 1) are built from 32-bit limbs; ``cp`` is
+    overwritten.
+    """
+    ah, al = g[:2, None], g[2:, None]
+    bh = cp >> _U64(32)
+    cp &= _M32
+    hh = ah * bh
+    mid = al * cp
+    y0 = mid[1] & _M32
+    mid >>= _U64(32)
+    part = al * bh
+    mid += part
+    hh += np.right_shift(mid, _U64(32), out=part)
+    mid &= _M32
+    mid += np.multiply(ah, cp, out=part)
+    hh += np.right_shift(mid, _U64(32), out=part)
+    x1, y1 = hh
+    y0 |= mid[1] << _U64(32)
+    y0 >>= _U64(1)
+    y0 += x1
+    y1 += y0 >> _U64(63)
+    y0 &= _M63
+    y0 += _M63
+    y0 >>= _U64(63)
+    return y1 | y0
+
+
 def _shortest(bits, tables):
     """(m, k): m 10^k is ``repr``'s decimal of each positive double.
 
@@ -191,38 +235,8 @@ def _shortest(bits, tables):
     row = be + 2048 * irregular
     c |= np.minimum(be, 1).view(_U64) << _U64(52)
     k = tables.k.take(row)
-    g = tables.g.take(k - tables.k_min, axis=1)
-    # c - 1/2, c, c + 1/2 in units of 2^q / 4 (c - 1/4 if irregular)
-    cp = np.empty((3, c.size), dtype=_U64)
-    cp[:] = c << _U64(2)
-    cp[0] -= _U64(2)
-    cp[0] += irregular
-    cp[2] += _U64(2)
-    cp <<= tables.h.take(row)
-    # rop(g, cp): g cp / 2^127 rounded to odd, g = g1 2^63 + g0, with
-    # g0 and g1 (axis 0) times the three cp (axis 1) from 32-bit limbs
-    ah, al = g[:2, None], g[2:, None]
-    bh = cp >> _U64(32)
-    cp &= _M32
-    ll = al * cp
-    hh = ah * bh
-    mid = ll >> _U64(32)
-    mid += al * bh
-    hh += mid >> _U64(32)
-    mid &= _M32
-    mid += ah * cp
-    hh += mid >> _U64(32)
-    x1, y1 = hh
-    y0 = mid[1] << _U64(32)
-    y0 |= ll[1] & _M32
-    y0 >>= _U64(1)
-    y0 += x1
-    y1 += y0 >> _U64(63)
-    y0 &= _M63
-    y0 += _M63
-    y0 >>= _U64(63)
-    y1 |= y0
-    vbl, vb, vbr = y1
+    vbl, vb, vbr = _rop(tables.g.take(k - tables.k_min, axis=1),
+                        _interval(c, irregular, tables.h.take(row)))
     vbl += c & _U64(1)
     vbr -= c & _U64(1)
     # the interval holds at most one multiple of 10: one digit shorter
@@ -247,6 +261,61 @@ def _shortest(bits, tables):
     return np.where(shorter, sp10, s).view(np.int64), k
 
 
+def _block_bytes(bits, words, tables):
+    """The text of the block of doubles ``bits`` as uint8 bytes.
+
+    ``words`` holds the block's source planes: this fills the digit and
+    exponent planes; the constants and separators are already there.
+    """
+    n = bits.size
+    a = bits & _M63
+    # zeros, inf and nan take 1.0's digits, then their own pattern
+    regular = a - _U64(1) < _U64(0x7FF0_0000_0000_0000 - 1)
+    special = not regular.all()
+    if special:
+        a[~regular] = 0x3FF0_0000_0000_0000
+    m, k = _shortest(a, tables)
+    # normal values have 16 or 17 digits
+    length = (m >= 10 ** 16) + 16
+    if a.min() < 1 << 52:
+        tiny = a < 1 << 52
+        length[tiny] = np.searchsorted(tables.pow10[::-1], m[tiny],
+                                       side="right")
+    m *= tables.pow10.take(length)
+    # digit groups: the leading digit, four groups of four, |decpt - 1|
+    groups = np.empty((6, n), dtype=np.int64)
+    groups[2] = m // 10 ** 8
+    groups[4] = m - groups[2] * 10 ** 8
+    groups[0] = groups[2] // 10 ** 8
+    groups[2] -= groups[0] * 10 ** 8
+    np.floor_divide(groups[2:5:2], 10_000, out=groups[1:5:2])
+    groups[2:5:2] -= groups[1:5:2] * 10_000
+    decpt = k + length
+    groups[5] = np.abs(decpt - 1)
+    words[:6, :n] = tables.dig4.take(groups)
+    # significant digits: through the last group that is not zero
+    zero = groups[1:5] == 0
+    zero_tail = zero[3].astype(np.intp)
+    run = zero[3] & zero[2]
+    zero_tail += run
+    run &= zero[1]
+    zero_tail += run
+    run &= zero[0]
+    zero_tail += run
+    last_group = groups.ravel().take((4 - zero_tail) * n + np.arange(n))
+    n_sig = _DIGITS - 4 * zero_tail - tables.tz4.take(last_group)
+    key = tables.keys.take(n_sig * _DECPT_SPAN + decpt - _DECPT_MIN)
+    if special:
+        x = bits[~regular].view(np.float64)
+        key[~regular] = np.where(x == 0, _P_ZERO,
+                                 np.where(np.isnan(x), _P_NAN, _P_INF))
+    key += (bits >> _U64(63)).view(np.int64) * _N_PATTERNS
+    index = tables.patterns.take(key, axis=0)
+    index += tables.base[:n]
+    index = index[tables.used.take(key, axis=0)]
+    return words.view(np.uint8).ravel().take(index)
+
+
 def csv_text(table) -> str:
     """``repr`` of every value of a 2-d table, ``,`` between the values
     of a row and a newline after each row."""
@@ -260,55 +329,9 @@ def csv_text(table) -> str:
     words[6:8] = tables.words[:2, None]
     last = np.arange(_BLOCK + n_cols) % n_cols == n_cols - 1
     separators = tables.words[2:].take(last)
-    src = words.view(np.uint8).ravel()
     chunks = []
     for start in range(0, values.size, _BLOCK):
         bits = values[start:start + _BLOCK]
-        n = bits.size
-        a = bits & _M63
-        # zeros, inf and nan take 1.0's digits, then their own pattern
-        regular = a - _U64(1) < _U64(0x7FF0_0000_0000_0000 - 1)
-        special = not regular.all()
-        if special:
-            a[~regular] = 0x3FF0_0000_0000_0000
-        m, k = _shortest(a, tables)
-        # normal values have 16 or 17 digits
-        length = (m >= 10 ** 16) + 16
-        if a.min() < 1 << 52:
-            tiny = a < 1 << 52
-            length[tiny] = np.searchsorted(tables.pow10[::-1], m[tiny],
-                                           side="right")
-        m *= tables.pow10.take(length)
-        # digit groups: the leading digit, four groups of four, |decpt - 1|
-        groups = np.empty((6, n), dtype=np.int64)
-        groups[2] = m // 10 ** 8
-        groups[4] = m - groups[2] * 10 ** 8
-        groups[0] = groups[2] // 10 ** 8
-        groups[2] -= groups[0] * 10 ** 8
-        np.floor_divide(groups[2:5:2], 10_000, out=groups[1:5:2])
-        groups[2:5:2] -= groups[1:5:2] * 10_000
-        decpt = k + length
-        groups[5] = np.abs(decpt - 1)
-        words[:6, :n] = tables.dig4.take(groups)
-        words[8, :n] = separators[start % n_cols:][:n]
-        # significant digits: through the last group that is not zero
-        zero = groups[1:5] == 0
-        zero_tail = zero[3].astype(np.intp)
-        run = zero[3] & zero[2]
-        zero_tail += run
-        run &= zero[1]
-        zero_tail += run
-        run &= zero[0]
-        zero_tail += run
-        last_group = groups.ravel().take((4 - zero_tail) * n + np.arange(n))
-        n_sig = _DIGITS - 4 * zero_tail - tables.tz4.take(last_group)
-        key = tables.keys.take(n_sig * _DECPT_SPAN + decpt - _DECPT_MIN)
-        if special:
-            x = bits[~regular].view(np.float64)
-            key[~regular] = np.where(x == 0, _P_ZERO,
-                                     np.where(np.isnan(x), _P_NAN, _P_INF))
-        key += (bits >> _U64(63)).view(np.int64) * _N_PATTERNS
-        index = tables.patterns.take(key, axis=0)
-        index += tables.base[:n]
-        chunks.append(src.take(index[tables.used.take(key, axis=0)]))
+        words[8, :bits.size] = separators[start % n_cols:][:bits.size]
+        chunks.append(_block_bytes(bits, words, tables))
     return b"".join(chunks).decode("ascii")
