@@ -77,19 +77,20 @@ def _meta(command: str, cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], lines: list[str]):
-    text = "\n".join(["#" + json.dumps(meta, sort_keys=True),
-                      ",".join(header), *lines])
-    _write_atomic(path, text + "\n")
+def _write_csv(path: Path, meta: dict, header: list[str], body: str):
+    """A CSV of the metadata line, the header and ``body``, its rows
+    each ended by a newline."""
+    _write_atomic(path, "#" + json.dumps(meta, sort_keys=True) + "\n"
+                  + ",".join(header) + "\n" + body)
 
 
-def _float_lines(*columns) -> list[str]:
-    """CSV lines of a table of float columns.
+def _float_table(*columns) -> str:
+    """CSV rows of a table of float columns, each ended by a newline.
 
     Each field is the value's ``repr``, what ``_fmt`` writes for a
     float, formatted for the whole table at once (see floattext).
     """
-    return csv_text(np.column_stack(columns)).split("\n")[:-1]
+    return csv_text(np.column_stack(columns))
 
 
 def _fmt(value) -> str:
@@ -115,12 +116,13 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     idx = np.arange(0, traj.times.size, stride)
     if idx[-1] != traj.times.size - 1:
         idx = np.append(idx, traj.times.size - 1)
-    lines = _float_lines(traj.times[idx], traj.psi.real[idx],
-                         traj.psi.imag[idx], traj.p_e[idx], traj.p_ab[idx])
+    psi = traj.psi_nodes(idx)
+    body = _float_table(traj.times[idx], psi.real, psi.imag,
+                        traj.p_e[idx], traj.p_ab[idx])
     _write_csv(out / "trajectory.csv",
                _meta("simulate", cfg, t_max=grid.t_max, dt=grid.dt,
                      stride=int(stride)),
-               ["t", "re_psi", "im_psi", "p_e", "p_ab"], lines)
+               ["t", "re_psi", "im_psi", "p_e", "p_ab"], body)
 
     p_inf = p_ab_infty(traj, cfg.system)
     if is_resonant(cfg.pulse, cfg.system):
@@ -152,13 +154,13 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
         spec = type(spec)(parameter=spec.parameter, lo=spec.lo, hi=spec.hi,
                           n_points=points, objective=spec.objective)
     result = sweep(spec, cfg.system, cfg.pulse)
-    lines = [",".join(map(_fmt, (r["value"], r["family"],
-                                 r["objective_value"], r["error"])))
-             for r in result.as_rows()]
+    body = "".join(",".join(map(_fmt, (r["value"], r["family"],
+                                       r["objective_value"], r["error"])))
+                   + "\n" for r in result.as_rows())
     _write_csv(out / "sweep.csv",
                _meta("sweep", cfg, parameter=spec.parameter,
                      objective=spec.objective, n_points=spec.n_points),
-               ["value", "family", "objective", "error"], lines)
+               ["value", "family", "objective", "error"], body)
     return EXIT_OK
 
 
@@ -185,7 +187,7 @@ def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
                _meta("entropy-curve", cfg, n_points=n_points,
                      p_a0=cfg.mixture.p_a0),
                ["p_ab_infty", "s_e", "s_e_c"],
-               _float_lines(curve.p_ab, curve.s_e, curve.s_e_c))
+               _float_table(curve.p_ab, curve.s_e, curve.s_e_c))
     return EXIT_OK
 
 

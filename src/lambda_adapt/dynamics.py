@@ -56,45 +56,68 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """Excited-state amplitude on a time grid (rotating frame).
+    """Excited-state amplitude on a time grid.
 
-    ``psi`` is psi~(t); multiply by e^{-i omega_a t} for the lab frame.
+    ``psi_hat`` is the array the integrator propagates: psi^(t), the
+    amplitude in the frame that rotates at the carrier, where the drive
+    carries no phase.  ``psi`` is psi~(t) = psi^(t) e^{-i delta_L t}, the
+    amplitude in the frame rotating at omega_a (multiply by
+    e^{-i omega_a t} for the lab frame); it is formed from ``psi_hat`` on
+    first read, and ``psi_nodes`` forms it at chosen nodes only.  On
+    resonance the two are one array.
     ``p_ab`` is the cumulative branch-b transfer gamma_b * int_0^t p_e,
     a fourth-order quadrature on each uniform stretch.
     ``segments`` holds index ranges [i0, i1] of uniform-step stretches;
     the drive is smooth inside each stretch (envelope discontinuities sit
     exactly on the shared boundary nodes).  ``delta_l`` is the carrier
     detuning: psi~ turns at e^{-i delta_L t}, which a step at the
-    envelope scale does not resolve, so ``psi_at`` interpolates in the
-    carrier frame instead.
+    envelope scale does not resolve, so ``psi_at`` interpolates psi^.
     """
 
     times: np.ndarray
-    psi: np.ndarray
+    psi_hat: np.ndarray
     p_e: np.ndarray
     p_ab: np.ndarray
     segments: tuple
     delta_l: float = 0.0
 
     def __post_init__(self):
-        for arr in (self.times, self.psi, self.p_e, self.p_ab):
+        for arr in (self.times, self.psi_hat, self.p_e, self.p_ab):
             arr.flags.writeable = False
 
     @property
     def t_max(self) -> float:
         return float(self.times[-1])
 
+    def psi_nodes(self, idx=slice(None)) -> np.ndarray:
+        """psi~ = psi^ e^{-i delta_L t} at the nodes ``idx``.
+
+        Elementwise, so each value is the one ``psi`` holds at that node.
+        The product is np.multiply(psi^, phase): ``psi_hat * phase`` may
+        run in the temporary phase array as phase * psi^, and numpy's
+        SIMD complex product rounds some of those differently.
+        """
+        psi_hat = self.psi_hat[idx]
+        if self.delta_l == 0.0:
+            return psi_hat
+        return np.multiply(psi_hat,
+                           np.exp(-1j * self.delta_l * self.times[idx]))
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """psi~ at every node, read-only."""
+        psi = self.psi_nodes()
+        psi.flags.writeable = False
+        return psi
+
     @cached_property
     def _carrier_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of psi^ = psi~ e^{i delta_L t}."""
-        psi_hat = self.psi
-        if self.delta_l != 0.0:
-            psi_hat = psi_hat * np.exp(1j * self.delta_l * self.times)
-        return (np.ascontiguousarray(psi_hat.real),
-                np.ascontiguousarray(psi_hat.imag))
+        """Real and imaginary parts of psi^, contiguous for np.interp."""
+        return (np.ascontiguousarray(self.psi_hat.real),
+                np.ascontiguousarray(self.psi_hat.imag))
 
-    def psi_at(self, t):
-        """psi~ at times in [0, t_max], interpolated linearly in psi^.
+    def psi_hat_at(self, t):
+        """psi^ at times in [0, t_max], interpolated linearly.
 
         psi^ moves at the envelope scale, or at |lambda| inside the
         transient windows, and every step is at most 0.01 of that scale
@@ -104,8 +127,13 @@ class AmplitudeTrajectory:
         """
         t = np.asarray(t, dtype=float)
         re, im = self._carrier_parts
-        psi_hat = (np.interp(t, self.times, re)
-                   + 1j * np.interp(t, self.times, im))
+        return np.interp(t, self.times, re) + 1j * np.interp(t, self.times, im)
+
+    def psi_at(self, t):
+        """psi~ at times in [0, t_max]: ``psi_hat_at`` turned by
+        e^{-i delta_L t}."""
+        t = np.asarray(t, dtype=float)
+        psi_hat = self.psi_hat_at(t)
         if self.delta_l == 0.0:
             return psi_hat
         return psi_hat * np.exp(-1j * self.delta_l * t)
@@ -340,6 +368,10 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     nodes.  A run of more than MAX_GRID_NODES
     steps (a large |delta_L| shrinks the transient step) raises
     ConfigurationError before anything is allocated.
+
+    The record stores psi^, the carrier-frame amplitude the steps
+    propagate, as ``psi_hat``; the rotation to psi~ is left to the
+    readers that want it (``AmplitudeTrajectory.psi``, ``psi_nodes``).
     """
     grid.validate(pulse)
     if pulse.rho != system.rho_density or pulse.c != system.c_speed:
@@ -372,10 +404,10 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
 
     n_nodes = sum(steps) + 1
     t_all = np.empty(n_nodes)
-    psi_all = np.empty(n_nodes, dtype=complex)
+    psi_hat = np.empty(n_nodes, dtype=complex)
     p_e = np.empty(n_nodes)
     transfer = np.empty(n_nodes)
-    psi_all[0] = p_e[0] = transfer[0] = 0.0
+    psi_hat[0] = p_e[0] = transfer[0] = 0.0
     seg_ranges = []
     i0 = 0
     for (lo, hi, _), n in zip(stretches, steps):
@@ -390,7 +422,7 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
         # the recursion runs in psi^'s own memory: node 0 already holds
         # psi^ at the start of the stretch, and the step terms are formed
         # in place behind it
-        psi_seg = psi_all[i0:i1 + 1]
+        psi_seg = psi_hat[i0:i1 + 1]
         w_steps = psi_seg[1:]
         np.multiply(f_nodes[:-1], w0, out=w_steps)
         w_steps += w1 * f_half
@@ -411,10 +443,8 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
         seg_ranges.append((i0, i1))
         i0 = i1
 
-    if delta_l != 0.0:
-        psi_all *= np.exp(-1j * delta_l * t_all)
     transfer *= system.gamma_b
-    return AmplitudeTrajectory(times=t_all, psi=psi_all, p_e=p_e,
+    return AmplitudeTrajectory(times=t_all, psi_hat=psi_hat, p_e=p_e,
                                p_ab=transfer, segments=tuple(seg_ranges),
                                delta_l=delta_l)
 

@@ -74,22 +74,16 @@ def drive_overlap_density(system: LambdaSystem, pulse: PulseSpec,
 
     f(t) = -g_a phi_shape(-c t) is the carrier-frame drive and
     psi^ = psi~ e^{i delta_L t} the carrier-frame amplitude (``psi`` is
-    psi~).  Twice its real part is the drive power per hbar omega_a, the
-    integrand of the work; its integral from 0 to t is
-    1 - sqrt(N_a) <free | phi_a>(t).  The envelope is sampled one-sidedly
-    at the two ends of ``times``, so a discontinuity on an end node
-    contributes the value from inside the stretch.
+    psi~, as the oracle gives it).  Twice its real part is the drive
+    power per hbar omega_a, the integrand of the work; its integral from
+    0 to t is 1 - sqrt(N_a) <free | phi_a>(t).  The envelope is sampled
+    one-sidedly at the two ends of ``times``, so a discontinuity on an
+    end node contributes the value from inside the stretch.
     """
-    return np.conj(_drive_nodes(system, pulse, times)) \
-        * _carrier_frame(pulse, system, times, psi)
-
-
-def _carrier_frame(pulse: PulseSpec, system: LambdaSystem,
-                   times: np.ndarray, psi: np.ndarray) -> np.ndarray:
     delta_l = pulse.detuning(system)
-    if delta_l == 0.0:
-        return psi
-    return psi * np.exp(1j * delta_l * times)
+    if delta_l != 0.0:
+        psi = psi * np.exp(1j * delta_l * times)
+    return np.conj(_drive_nodes(system, pulse, times)) * psi
 
 
 def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
@@ -103,6 +97,7 @@ def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
     comes from differences of the drive samples inside the stretch
     (central, one-sided at its ends).  Twice the real part at t_max is
     ``drive_energy_flux``; ``entropy.overlap_series`` interpolates it.
+    The trajectory's psi^ (``psi_hat``) is read as stored.
     """
     lam = complex(-0.5 * system.gamma_total, pulse.detuning(system))
     acc = np.empty(traj.times.size, dtype=complex)
@@ -111,7 +106,7 @@ def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
         t_seg = traj.times[i0:i1 + 1]
         h = (t_seg[-1] - t_seg[0]) / (i1 - i0)
         drive = _drive_nodes(system, pulse, t_seg)
-        psi_hat = _carrier_frame(pulse, system, t_seg, traj.psi[i0:i1 + 1])
+        psi_hat = traj.psi_hat[i0:i1 + 1]
         slope = np.gradient(drive, h, edge_order=2 if drive.size > 2 else 1)
         density = np.conj(drive) * psi_hat
         d_density = (np.conj(slope) * psi_hat + lam * density
@@ -224,12 +219,13 @@ def interaction_energy(traj: AmplitudeTrajectory, pulse: PulseSpec,
 
     Equals p_a0 * 2 hbar g_a Im[psi*(t) phi_a(-c t, 0)]; for a real
     envelope on resonance this vanishes identically, so the monitored
-    emission inherits the bare transition energy hbar omega_a.
+    emission inherits the bare transition energy hbar omega_a.  The
+    carrier phases of psi~ and of the drive cancel in the product, so it
+    is taken in the carrier frame, from psi^ and the unrotated envelope.
     """
     if t < 0 or t > traj.t_max * (1 + 1e-12):
         raise NotApplicableError(f"t = {t} outside the integrated range")
-    psi_rot = complex(traj.psi_at(t))
-    delta_l = pulse.detuning(system)
-    drive = complex(pulse.shape_at(-system.c_speed * t)) * np.exp(-1j * delta_l * t)
+    psi_hat = complex(traj.psi_hat_at(t))
+    shape = complex(pulse.shape_at(-system.c_speed * t))
     g_a = system.coupling("a")
-    return mixture.p_a0 * 2.0 * HBAR * g_a * float(np.imag(np.conj(psi_rot) * drive))
+    return mixture.p_a0 * 2.0 * HBAR * g_a * (psi_hat.conjugate() * shape).imag

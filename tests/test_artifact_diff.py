@@ -1,0 +1,97 @@
+"""tools/artifact_diff.py on two small artifact trees."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "artifact_diff.py"
+_SPEC = importlib.util.spec_from_file_location("artifact_diff", _PATH)
+artifact_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(artifact_diff)
+
+LEDGER = {"meta": {"command": "simulate"}, "p_ab_infty": 0.25,
+          "w_over_hw": 0.5, "note": "off-resonant drive"}
+TABLE = '#{"command": "simulate"}\nt,re_psi\n0.0,0.0\n0.5,-0.125\n'
+TRACE = '{"f": 0.5, "x": [1.0, 2.0]}\n{"f": 0.75, "x": [1.5, 2.0]}\n'
+
+
+def tree(root: Path, ledger=LEDGER, table=TABLE, trace=TRACE,
+         extra=None) -> Path:
+    for run in ("a", "b"):
+        out = root / run
+        out.mkdir(parents=True)
+        (out / "ledger.json").write_text(json.dumps(ledger, indent=2) + "\n")
+        (out / "trajectory.csv").write_text(table)
+        (out / "trace.jsonl").write_text(trace)
+    for name, text in (extra or {}).items():
+        (root / name).write_text(text)
+    return root
+
+
+def diff(tmp_path, capsys, **side_b):
+    a = tree(tmp_path / "A")
+    b = tree(tmp_path / "B", **side_b)
+    code = artifact_diff.main([str(a), str(b)])
+    return code, capsys.readouterr().out
+
+
+def test_identical_trees(tmp_path, capsys):
+    code, out = diff(tmp_path, capsys)
+    assert code == 0
+    assert out.splitlines() == ["ledger.json: 2 identical, 0 differ",
+                                "trace.jsonl: 2 identical, 0 differ",
+                                "trajectory.csv: 2 identical, 0 differ"]
+
+
+def test_numeric_differences_are_measured(tmp_path, capsys):
+    ledger = dict(LEDGER, w_over_hw=0.5 * (1 + 2.0 ** -52))
+    code, out = diff(tmp_path, capsys, ledger=ledger,
+                     table=TABLE.replace("-0.125", "-0.25"),
+                     trace=TRACE.replace("1.5", "1.8"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == ("ledger.json: 0 identical, 2 differ, largest "
+                        "relative difference 2.22e-16 (a/ledger.json: "
+                        "w_over_hw)")
+    assert lines[1] == ("trace.jsonl: 0 identical, 2 differ, largest "
+                        "relative difference 0.167 (a/trace.jsonl: "
+                        "line 2.x[0])")
+    assert lines[2] == ("trajectory.csv: 0 identical, 2 differ, largest "
+                        "relative difference 0.5 (a/trajectory.csv: "
+                        "line 4 re_psi)")
+
+
+@pytest.mark.parametrize("side_b", [
+    {"ledger": {k: v for k, v in LEDGER.items() if k != "note"}},
+    {"ledger": dict(LEDGER, note="resonant drive")},
+    {"ledger": dict(LEDGER, w_over_hw=[0.5])},
+    {"table": TABLE.replace("t,re_psi", "t,im_psi")},
+    {"table": TABLE + "1.0,0.5\n"},
+    {"table": TABLE.replace("0.5,-0.125", "0.5,-0.125,1.0")},
+    {"table": TABLE.replace("-0.125", "x")},
+    {"table": TABLE.replace("-0.125", "-0.1250")},
+    {"trace": TRACE + '{"f": 1.0, "x": [1.0, 2.0]}\n'},
+    {"extra": {"stray.txt": "x\n"}},
+])
+def test_non_numeric_differences_fail(tmp_path, capsys, side_b):
+    code, out = diff(tmp_path, capsys, **side_b)
+    assert code == 1
+    assert "not numeric: " in out
+
+
+def test_file_of_another_kind_that_differs_fails(tmp_path, capsys):
+    a = tree(tmp_path / "A", extra={"log.txt": "one\n"})
+    b = tree(tmp_path / "B", extra={"log.txt": "two\n"})
+    assert artifact_diff.main([str(a), str(b)]) == 1
+    assert "not numeric: log.txt: contents differ" in capsys.readouterr().out
+
+
+def test_relative_difference():
+    rd = artifact_diff.relative_difference
+    assert rd(1.0, 1.0) == 0.0
+    assert rd(float("nan"), float("nan")) == 0.0
+    assert rd(2.0, -2.0) == 2.0
+    assert rd(1.0, float("nan")) == float("inf")
+    assert rd(1.0, float("inf")) == float("inf")

@@ -11,9 +11,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lambda_adapt import cli, oracle
-from lambda_adapt.cli import _float_lines, _fmt, main
-from lambda_adapt.config import _WIDTH_KEY
-from lambda_adapt.dynamics import asymptotic_prob_exponential
+from lambda_adapt.cli import _float_table, _fmt, main
+from lambda_adapt.config import _WIDTH_KEY, load_config
+from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
 from lambda_adapt.model import LambdaSystem
 from lambda_adapt.oracle import _folded_eigh
 
@@ -104,6 +104,30 @@ class TestSimulate:
         assert "note" in ledger
         assert "w_abs" not in ledger
 
+    def test_detuned_rows_are_the_rotating_frame_amplitude(self, tmp_path):
+        # the stride rows of a detuned run carry psi~, the same doubles
+        # the full-array property holds
+        cfg = write(tmp_path, BASE.replace("delta = 1.0",
+                                           "delta = 1.0\ndelta_l = 0.5"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        run_cfg = load_config(cfg)
+        traj = integrate_psi(run_cfg.system, run_cfg.pulse,
+                             run_cfg.make_grid())
+        assert traj.delta_l != 0.0
+        stride = read_meta(out / "trajectory.csv")["stride"]
+        idx = np.arange(0, traj.times.size, stride)
+        if idx[-1] != traj.times.size - 1:
+            idx = np.append(idx, traj.times.size - 1)
+        rows = (out / "trajectory.csv").read_text().splitlines()[2:]
+        assert len(rows) == idx.size
+        psi = traj.psi
+        for row, i in zip(rows, idx):
+            fields = row.split(",")
+            assert fields[1] == repr(float(psi.real[i]))
+            assert fields[2] == repr(float(psi.imag[i]))
+
     def test_float_table_matches_per_value_formatting(self):
         columns = [np.array([0.0, -0.0, 1.0, -3.0, 1e300]),
                    np.array([5e-324, -2.2250738585072014e-308, 0.1,
@@ -111,7 +135,7 @@ class TestSimulate:
                    np.array([1e-17, 2.0 ** 53, -1.5, 1e16,
                              0.30000000000000004])]
         per_value = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-        assert _float_lines(*columns) == per_value
+        assert _float_table(*columns) == "\n".join(per_value) + "\n"
 
     def test_csv_floats_read_back_exactly(self, tmp_path):
         # every field is the shortest repr of a double: float() gives

@@ -13,10 +13,11 @@ from lambda_adapt.dynamics import (_PHI_SERIES_RADIUS, _affine_recursion,
                                    _phi_closed, _phi_series,
                                    _step_coefficients,
                                    asymptotic_prob_exponential, integrate_psi,
-                                   populations, psi_closed_form)
+                                   p_ab_infty, populations, psi_closed_form)
 from lambda_adapt.errors import ConfigurationError, ParameterError
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, SimGrid, make_pulse)
+from lambda_adapt.thermo import drive_energy_flux
 
 
 def run(system, envelope, *, detuning=0.0, t_max=None, dt=None):
@@ -307,6 +308,29 @@ class TestTrajectoryBookkeeping:
         grid = SimGrid.auto(s, pulse)
         with pytest.raises(ConfigurationError, match="MAX_GRID_NODES"):
             integrate_psi(s, pulse, grid)
+
+    def test_objective_and_work_read_the_stored_carrier_frame(self):
+        # p_ab(inf) and the work quadrature read psi^ as integrate_psi
+        # stored it: neither builds the rotated psi~ array
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=2.0)
+        pulse, _, traj = run(s, Exponential(0.5), detuning=0.4)
+        p_ab_infty(traj, s)
+        drive_energy_flux(traj, pulse, s)
+        assert "psi" not in vars(traj)
+
+    @pytest.mark.parametrize("detuning", [0.0, 0.4])
+    def test_psi_is_the_read_only_rotating_frame_amplitude(self, detuning):
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=2.0)
+        _, _, traj = run(s, Exponential(0.5), detuning=detuning)
+        psi = traj.psi
+        assert traj.psi is psi
+        with pytest.raises(ValueError):
+            psi[1] = 0.0
+        phase = np.exp(-1j * traj.delta_l * traj.times)
+        assert np.array_equal(psi, np.multiply(traj.psi_hat, phase))
+        idx = np.arange(0, traj.times.size, 7)
+        assert np.array_equal(traj.psi_nodes(idx).view(float),
+                              psi[idx].view(float))
 
     @settings(max_examples=20, deadline=None)
     @given(linewidth=st.floats(0.1, 6.0),
