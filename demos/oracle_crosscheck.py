@@ -43,8 +43,7 @@ def main():
         # no excited or bright amplitude to start with: evolve only turns
         # the backward phases, and the forward sector stays exactly zero
         state = OneExcitationState.from_pulse(amps, backward=True)
-        run = evolve(h, state, 15.0 / s.gamma_total, bath=bath, system=s,
-                     n_out=51)
+        run = evolve(h, state, 15.0 / s.gamma_total, n_out=51)
         leak = float(np.max(np.sum(np.abs(run.states[:, :1 + 2 * n]) ** 2,
                                    axis=1)))
         print(f"{type(envelope).__name__.lower():12s} "

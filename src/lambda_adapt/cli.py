@@ -8,7 +8,8 @@ and the oracle's secular-equation eigensolver), so identical configs and
 package versions produce bit-identical artifacts.  The optional [grid]
 section of a config sets the trajectory grid's t_max and dt; a key left
 out takes SimGrid.auto's default.  --points must be at least 1 on every
-subcommand.
+subcommand; simulate reads it as a stride bound (up to N + 1 rows),
+sweep and entropy-curve as a point count, and the others ignore it.
 
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
 version, command) and files are written via a temporary name and atomic
@@ -20,6 +21,7 @@ a CSV is Python's shortest round-trip ``repr`` of the double, so
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -151,8 +153,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
         raise ConfigurationError("sweep subcommand needs a [sweep] section")
     spec = cfg.sweep
     if points is not None:
-        spec = type(spec)(parameter=spec.parameter, lo=spec.lo, hi=spec.hi,
-                          n_points=points, objective=spec.objective)
+        spec = dataclasses.replace(spec, n_points=points)
     result = sweep(spec, cfg.system, cfg.pulse)
     body = "".join(",".join(map(_fmt, (r["value"], r["family"],
                                        r["objective_value"], r["error"])))
@@ -202,9 +203,8 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
     h_back = build_hamiltonian(cfg.system, cfg.bath, include_backward=True)
     run_back = evolve(h_back, OneExcitationState.from_pulse(report.amplitudes,
                                                             backward=True),
-                      15.0 / cfg.system.gamma_total, bath=cfg.bath,
-                      system=cfg.system, n_out=51)
-    n = cfg.bath.n_modes
+                      15.0 / cfg.system.gamma_total, n_out=51)
+    n = h_back.offsets.size
     forward = run_back.states[:, :1 + 2 * n]
     leak = float(np.max(np.sum(np.abs(forward) ** 2, axis=1)))
     checks["backward_leak"] = {"passed": leak <= BACKWARD_LEAK_TOL,
@@ -257,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, aliases=list(aliases))
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--points", type=int, default=None,
-                       help="table resolution / row cap (>= 1)")
+        p.add_argument("--points", type=int, default=None, metavar="N",
+                       help="simulate: every k-th node, k the least giving "
+                            "at most N, plus the last (up to N + 1 rows); "
+                            "sweep, entropy-curve: point count; optimize, "
+                            "oracle-verify: ignored (>= 1)")
         return p
 
     add("simulate")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -223,16 +223,11 @@ def load_config(path) -> RunConfig:
         p_a0 = _float("mixture", "p_a0", parser["mixture"]["p_a0"])
     mixture = InitialMixture(p_a0=p_a0, p_b0=1.0 - p_a0)
 
-    if parser.has_section("bath") and dict(parser["bath"]):
-        bsec = parser["bath"]
-        n_modes = _int("bath", "n_modes", bsec.get("n_modes", "2001"))
-        if "bandwidth" in bsec:
-            bandwidth = _float("bath", "bandwidth", bsec["bandwidth"])
-        else:
-            bandwidth = 40.0 * system.gamma_total
-        bath = DiscreteBath(n_modes=n_modes, bandwidth=bandwidth)
-    else:
-        bath = DiscreteBath.default(system)
+    bath = DiscreteBath.default(system)
+    if parser.has_section("bath"):
+        parse = {"n_modes": _int, "bandwidth": _float}
+        bath = replace(bath, **{key: parse[key]("bath", key, raw)
+                                for key, raw in parser["bath"].items()})
 
     grid = _build_grid(parser, system, pulse)
     return RunConfig(system=system, pulse=pulse, mixture=mixture, bath=bath,

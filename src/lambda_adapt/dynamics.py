@@ -71,7 +71,7 @@ class AmplitudeTrajectory:
     the drive is smooth inside each stretch (envelope discontinuities sit
     exactly on the shared boundary nodes).  ``delta_l`` is the carrier
     detuning: psi~ turns at e^{-i delta_L t}, which a step at the
-    envelope scale does not resolve, so ``psi_at`` interpolates psi^.
+    envelope scale does not resolve, so ``psi_hat_at`` interpolates psi^.
     """
 
     times: np.ndarray
@@ -128,15 +128,6 @@ class AmplitudeTrajectory:
         t = np.asarray(t, dtype=float)
         re, im = self._carrier_parts
         return np.interp(t, self.times, re) + 1j * np.interp(t, self.times, im)
-
-    def psi_at(self, t):
-        """psi~ at times in [0, t_max]: ``psi_hat_at`` turned by
-        e^{-i delta_L t}."""
-        t = np.asarray(t, dtype=float)
-        psi_hat = self.psi_hat_at(t)
-        if self.delta_l == 0.0:
-            return psi_hat
-        return psi_hat * np.exp(-1j * self.delta_l * t)
 
     def p_ab_final(self) -> float:
         return float(self.p_ab[-1])

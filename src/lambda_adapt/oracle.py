@@ -10,7 +10,9 @@ partial trace of the environment.
 The comb approximates the continuum as long as (i) the window is much
 wider than the emission line, (ii) the spacing is much finer than every
 physical rate, and (iii) times stay well below the recurrence 2 pi /
-spacing.  Defaults: 2001 modes per branch over a window of 40 Gamma.
+spacing.  ``DiscreteBath`` checks (i) and (ii); after
+``build_hamiltonian`` everything (``evolve`` and its checks of (iii),
+``OracleRun``, ``measure_series``) reads the comb from the Hamiltonian.
 
 ``evolve`` diagonalizes the discrete Hamiltonian exactly, as n dark
 modes and one real arrowhead block.  The arrowhead's eigenvalues are the
@@ -77,11 +79,12 @@ class DiscreteBath:
 
     ``bandwidth`` is the full window width; both branch combs share the
     spacing bandwidth / (n_modes - 1) and are centered on their own
-    transition (omega_a and omega_b).
+    transition (omega_a and omega_b).  Only ``build_hamiltonian`` and
+    ``discretize_pulse`` read it; then the ``Hamiltonian`` is the comb.
     """
 
-    n_modes: int = 2001
-    bandwidth: float = 0.0
+    n_modes: int
+    bandwidth: float
 
     def __post_init__(self):
         if self.n_modes < 3 or self.n_modes % 2 == 0:
@@ -93,8 +96,8 @@ class DiscreteBath:
                 f"bandwidth must be positive and finite, got {self.bandwidth}")
 
     @classmethod
-    def default(cls, system: LambdaSystem, n_modes: int = 2001) -> "DiscreteBath":
-        return cls(n_modes=n_modes, bandwidth=40.0 * system.gamma_total)
+    def default(cls, system: LambdaSystem) -> "DiscreteBath":
+        return cls(n_modes=2001, bandwidth=40.0 * system.gamma_total)
 
     @property
     def spacing(self) -> float:
@@ -109,7 +112,8 @@ class DiscreteBath:
         n = self.n_modes
         return (np.arange(n) - (n - 1) / 2.0) * self.spacing
 
-    def check_against(self, system: LambdaSystem, t_final: float | None = None):
+    def check_against(self, system: LambdaSystem):
+        """Window and spacing rules; the recurrence rule is ``evolve``'s."""
         g = system.gamma_total
         if self.bandwidth < 20.0 * g * (1 - 1e-12):
             raise ConfigurationError(
@@ -119,11 +123,6 @@ class DiscreteBath:
         if self.spacing > g / 20.0 * (1 + 1e-12):
             raise ConfigurationError(
                 f"spacing {self.spacing:.3g} > Gamma/20: comb too coarse"
-            )
-        if t_final is not None and t_final >= self.recurrence_time:
-            raise ConfigurationError(
-                f"t_final = {t_final} reaches the recurrence time "
-                f"{self.recurrence_time:.3g}; enlarge the bath"
             )
 
 
@@ -279,17 +278,14 @@ class OracleRun:
     """States of a discrete-bath evolution at the requested output times.
 
     States are stored in the interaction-free rotating frame at
-    omega_ref (the |e> diagonal); multiply state k by
+    ``hamiltonian.omega_ref`` (the |e> diagonal); multiply state k by
     e^{-i omega_ref t_k} for lab-frame amplitudes.  Global per-state
-    phases drop out of every measurement.
+    phases drop out of every measurement.  The comb is ``hamiltonian``'s.
     """
 
     times: np.ndarray
     states: np.ndarray          # (n_out, dim) complex
-    omega_ref: float
-    bath: DiscreteBath
-    system: LambdaSystem
-    include_backward: bool
+    hamiltonian: Hamiltonian
     norm_drift: float
 
     def __post_init__(self):
@@ -300,13 +296,14 @@ class OracleRun:
         """psi~(t) in the omega_ref rotating frame (= psi e^{i omega_a t})."""
         return self.states[:, 0]
 
-    def energy_series(self, h: Hamiltonian) -> np.ndarray:
+    def energy_series(self) -> np.ndarray:
         """<H>(t), O(n) per snapshot; conserved up to solver error."""
-        n = self.bath.n_modes
+        h = self.hamiltonian
+        n = h.offsets.size
         ys = self.states
         pops = np.abs(ys) ** 2
         coupled = ys[:, 1:n + 1] @ h.z_a + ys[:, n + 1:2 * n + 1] @ h.z_b
-        return pops @ h.diagonal() + self.omega_ref * np.sum(pops, axis=1) \
+        return pops @ h.diagonal() + h.omega_ref * np.sum(pops, axis=1) \
             + 2.0 * np.real(np.conj(ys[:, 0]) * coupled)
 
 
@@ -598,10 +595,11 @@ def _unfold(x: np.ndarray, y: np.ndarray, out: np.ndarray):
 
 
 def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
-           bath: DiscreteBath, system: LambdaSystem,
            n_out: int = 201) -> OracleRun:
     """Solve i dy/dt = H y exactly and record n_out snapshots on [0, t_final].
 
+    Everything comes from ``h``; t_final must stay below 2 pi / (finest
+    gap of ``h.offsets``), the recurrence time, else ConfigurationError.
     In the frame rotating at omega_ref, with d the offsets and G_j =
     sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
     (z_bj a_j - z_aj b_j) / G_j, evolving by its phase like the backward
@@ -641,29 +639,32 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
-    bath.check_against(system, t_final=t_final)
-    n = bath.n_modes
+    n = h.offsets.size
     dim = h.dim
     y0 = state.pack()
-    if y0.size != dim or h.offsets.size != n:
-        raise ParameterError(f"state dim {y0.size}, hamiltonian dim {dim} "
-                             f"and {n} modes do not fit")
+    if y0.size != dim:
+        raise ParameterError(f"state dim {y0.size} does not fit the "
+                             f"hamiltonian dim {dim}")
     norm0 = float(np.real(np.vdot(y0, y0)))
     if abs(norm0 - 1.0) > 1e-9:
         raise ParameterError(f"initial state norm {norm0} != 1")
 
-    omega_ref = h.omega_ref
     d = h.offsets
     z_a, z_b = h.z_a, h.z_b
     g = np.hypot(np.abs(z_a), np.abs(z_b))
     if not (np.array_equal(d, -d[::-1]) and np.array_equal(g, g[::-1])):
         raise ParameterError("the folded solver needs a comb and couplings "
                              "mirror-symmetric about omega_ref")
-    if not (np.all(np.diff(d) > 0)
-            and np.all(g * g >= np.finfo(float).tiny)):
+    gaps = np.diff(d)
+    if not (np.all(gaps > 0) and np.all(g * g >= np.finfo(float).tiny)):
         raise ParameterError("the arrowhead solver needs the mode pairs in "
                              "strictly increasing order, with couplings "
                              "whose squares do not underflow")
+    recurrence = 2.0 * math.pi / float(np.min(gaps, initial=np.inf))
+    if t_final >= recurrence:
+        raise ConfigurationError(
+            f"t_final = {t_final} reaches the recurrence time "
+            f"{recurrence:.3g}; enlarge the bath")
 
     a, b, back = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(2 * n + 1, dim)
     c = n // 2
@@ -763,9 +764,7 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     if drift > DRIFT_TOL:
         raise NumericalConsistencyError(
             f"norm drift {drift:.3e} exceeds {DRIFT_TOL}")
-    return OracleRun(times=t_out, states=states, omega_ref=omega_ref,
-                     bath=bath, system=system,
-                     include_backward=state.backward is not None,
+    return OracleRun(times=t_out, states=states, hamiltonian=h,
                      norm_drift=drift)
 
 
@@ -798,9 +797,10 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     taken over blocks of _ROWS snapshots in one scratch block; no large
     matrix is ever diagonalized or formed.
     """
-    n = run.bath.n_modes
+    h = run.hamiltonian
+    n = h.offsets.size
     states = run.states
-    if run.include_backward:
+    if h.backward is not None:
         back = states[:, 1 + 2 * n:]
         if float(np.max(np.abs(back))) > 1e-12:
             raise ParameterError(
@@ -819,7 +819,7 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     # first each branch's populations, then the phases, which take a0
     # and a(t) in place
     cross = np.empty(n_out, dtype=complex)
-    flipped = -run.bath.offsets()
+    flipped = -h.offsets
     a0 = np.conj(a_block[0])
     scratch = np.empty((min(n_out, _ROWS), n), dtype=complex)
     for i0 in range(0, n_out, _ROWS):
@@ -917,7 +917,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     amps = discretize_pulse(pulse, bath, system)
     h = build_hamiltonian(system, bath)
     run = evolve(h, OneExcitationState.from_pulse(amps), t_final,
-                 bath=bath, system=system, n_out=n_out)
+                 n_out=n_out)
     oracle = measure_series(run, mixture)
 
     grid = SimGrid.auto(system, pulse, t_max=t_final)
@@ -933,9 +933,15 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     s_e_an = von_neumann(env_eigenvalues(mixture, p_e_an, n_a_an, p_ab_an,
                                          overlap_sq))
 
-    def flux(psi):
-        density = drive_overlap_density(system, pulse, t_out, psi)
+    def flux(psi_hat):
+        density = drive_overlap_density(system, pulse, t_out, psi_hat)
         return float(np.trapezoid(2.0 * density.real, t_out))
+
+    # the work integrand takes psi^ = psi~ e^{i delta_L t}
+    psi_hat_or = run.excited_series()
+    delta_l = pulse.detuning(system)
+    if delta_l != 0.0:
+        psi_hat_or = psi_hat_or * np.exp(1j * delta_l * t_out)
 
     gtot = system.gamma_total
     q_or = system.omega_a * gtot * float(np.trapezoid(oracle.p_e, t_out)) \
@@ -951,7 +957,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
         "s_e": float(np.max(np.abs(oracle.s_e - s_e_an))),
         # energies compared in units of hbar omega_a so the verdict does
         # not depend on the absolute optical frequency
-        "w": abs(flux(run.excited_series()) - flux(traj.psi_at(t_out))),
+        "w": abs(flux(psi_hat_or) - flux(traj.psi_hat_at(t_out))),
         "q": abs(q_or - q_an) / system.omega_a,
     }
     failures = tuple(name for name, dev in deviations.items()

@@ -69,21 +69,19 @@ class ThermoLedger:
 
 
 def drive_overlap_density(system: LambdaSystem, pulse: PulseSpec,
-                          times: np.ndarray, psi: np.ndarray) -> np.ndarray:
+                          times: np.ndarray,
+                          psi_hat: np.ndarray) -> np.ndarray:
     """conj(f(t)) psi^(t) on one stretch of times where the drive is smooth.
 
     f(t) = -g_a phi_shape(-c t) is the carrier-frame drive and
-    psi^ = psi~ e^{i delta_L t} the carrier-frame amplitude (``psi`` is
-    psi~, as the oracle gives it).  Twice its real part is the drive
+    psi^ = psi~ e^{i delta_L t} the carrier-frame amplitude, which
+    ``psi_hat`` holds at ``times``.  Twice its real part is the drive
     power per hbar omega_a, the integrand of the work; its integral from
     0 to t is 1 - sqrt(N_a) <free | phi_a>(t).  The envelope is sampled
     one-sidedly at the two ends of ``times``, so a discontinuity on an
     end node contributes the value from inside the stretch.
     """
-    delta_l = pulse.detuning(system)
-    if delta_l != 0.0:
-        psi = psi * np.exp(1j * delta_l * times)
-    return np.conj(_drive_nodes(system, pulse, times)) * psi
+    return np.conj(_drive_nodes(system, pulse, times)) * psi_hat
 
 
 def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,

@@ -123,8 +123,7 @@ def test_backward_protocol_is_frozen():
         pulse = make_pulse(envelope, s.omega_a, s)
         amps = discretize_pulse(pulse, bath, s)
         state = OneExcitationState.from_pulse(amps, backward=True)
-        run = evolve(h, state, 15.0 / s.gamma_total, bath=bath, system=s,
-                     n_out=51)
+        run = evolve(h, state, 15.0 / s.gamma_total, n_out=51)
         leak = float(np.max(np.sum(np.abs(run.states[:, :1 + 2 * n]) ** 2,
                                    axis=1)))
         assert leak <= 1e-12, type(envelope).__name__

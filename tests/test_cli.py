@@ -94,6 +94,17 @@ class TestSimulate:
         header = lines[1].split(",")
         assert header == ["t", "re_psi", "im_psi", "p_e", "p_ab"]
 
+    @pytest.mark.parametrize("points, rows", [("1", 2), ("2", 3)])
+    def test_points_is_a_stride_bound(self, tmp_path, points, rows):
+        # every k-th node, k the least stride giving at most N, plus the
+        # last node when the stride misses it: up to N + 1 rows
+        cfg = write(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--points", points]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert len(lines) - 2 == rows
+
     def test_off_resonant_run_reports_flux_only(self, tmp_path):
         cfg = write(tmp_path, BASE.replace("delta = 1.0",
                                            "delta = 1.0\ndelta_l = 0.5"))

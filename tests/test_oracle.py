@@ -69,10 +69,7 @@ class TestDiscreteBath:
             DiscreteBath(801, 10.0 * system.gamma_total).check_against(system)
         with pytest.raises(ConfigurationError):
             DiscreteBath(201, 40.0 * system.gamma_total).check_against(system)
-        bath = DiscreteBath(801, 40.0 * system.gamma_total)
-        bath.check_against(system)  # fine without a time
-        with pytest.raises(ConfigurationError):
-            bath.check_against(system, t_final=bath.recurrence_time)
+        DiscreteBath(801, 40.0 * system.gamma_total).check_against(system)
 
 
 class TestHamiltonian:
@@ -171,25 +168,71 @@ class TestDiscretizePulse:
         assert peak < 2e6
 
 
-def random_run(n_out, include_backward):
-    """A random start, every sector populated, evolved on 401 modes with a
-    shifted b line and unequal rates: (hamiltonian, start, run)."""
-    s = LambdaSystem(omega_a=50.0, delta_ab=0.2, gamma_a=1.0, gamma_b=0.6)
-    bath = DiscreteBath(401, 20.0 * s.gamma_total)
-    h = build_hamiltonian(s, bath, include_backward=include_backward)
+RANDOM_RUN_SYSTEM = LambdaSystem(omega_a=50.0, delta_ab=0.2, gamma_a=1.0,
+                                 gamma_b=0.6)
+
+
+def graded_hamiltonian(s):
+    """A comb no DiscreteBath describes: a uniform core of 81 modes at
+    spacing Gamma/20 and geometric tails of ratio 1.05 out to about
+    +-26 Gamma, 211 modes, the positive half mirrored exactly; couplings
+    z_k = -i sqrt(gamma_k w_j / 2 pi) with midpoint cell widths w_j
+    (one-sided at the ends).  Built by replacing the comb of a built
+    Hamiltonian, with its backward sector."""
+    h = build_hamiltonian(s, DiscreteBath(401, 20.0 * s.gamma_total),
+                          include_backward=True)
+    step = s.gamma_total / 20.0
+    dp = np.cumsum(step * np.concatenate((np.ones(40),
+                                          1.05 ** np.arange(1, 66))))
+    offsets = np.concatenate((-dp[::-1], [0.0], dp))
+    inner = 0.5 * (dp[1:] - np.concatenate(([0.0], dp[:-2])))
+    half = np.concatenate(([step], inner, [dp[-1] - dp[-2]]))
+    widths = np.concatenate((half[:0:-1], half))
+    return dataclasses.replace(
+        h, offsets=offsets,
+        z_a=-1j * np.sqrt(s.gamma_a * widths / (2.0 * math.pi)),
+        z_b=-1j * np.sqrt(s.gamma_b * widths / (2.0 * math.pi)))
+
+
+def excited_in(h):
+    """|e, vac> in the basis of ``h``."""
+    y0 = np.zeros(h.dim, dtype=complex)
+    y0[0] = 1.0
+    return OneExcitationState.unpack(y0, h.offsets.size)
+
+
+def random_evolve(h, n_out):
+    """A random start, every sector of ``h`` populated, evolved to t = 5:
+    (start, run)."""
     rng = np.random.default_rng(7)
     y0 = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
     y0 /= np.linalg.norm(y0)
-    run = evolve(h, OneExcitationState.unpack(y0, bath.n_modes), 5.0,
-                 bath=bath, system=s, n_out=n_out)
-    return h, y0, run
+    return y0, evolve(h, OneExcitationState.unpack(y0, h.offsets.size), 5.0,
+                      n_out=n_out)
+
+
+def random_run(n_out, include_backward):
+    """``random_evolve`` on 401 modes with a shifted b line and unequal
+    rates: (hamiltonian, start, run)."""
+    s = RANDOM_RUN_SYSTEM
+    h = build_hamiltonian(s, DiscreteBath(401, 20.0 * s.gamma_total),
+                          include_backward=include_backward)
+    return (h, *random_evolve(h, n_out))
+
+
+def dense_states(h, y0, times):
+    """The states of a full complex eigh of ``h``, at ``times``, in the
+    frame rotating at omega_ref."""
+    shifted = h.toarray() - h.omega_ref * np.eye(y0.size)
+    evals, evecs = np.linalg.eigh(shifted)
+    return (np.exp(-1j * np.outer(times, evals))
+            * (evecs.conj().T @ y0)) @ evecs.T
 
 
 class TestEvolve:
     def test_golden_rule_decay(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
-        run = evolve(h, excited_start(small_bath), 2.0, bath=small_bath,
-                     system=system, n_out=41)
+        run = evolve(h, excited_start(small_bath), 2.0, n_out=41)
         p_e = np.abs(run.excited_series()) ** 2
         rate = -np.polyfit(run.times, np.log(p_e), 1)[0]
         assert rate == pytest.approx(system.gamma_total, rel=0.02)
@@ -200,18 +243,24 @@ class TestEvolve:
         # all sectors populated, shifted b line, unequal rates: every
         # dark, bright and backward amplitude against a full complex eigh
         h, y0, run = random_run(n_out, include_backward=True)
-        shifted = h.toarray() - run.omega_ref * np.eye(y0.size)
-        evals, evecs = np.linalg.eigh(shifted)
-        ref = (np.exp(-1j * np.outer(run.times, evals))
-               * (evecs.conj().T @ y0)) @ evecs.T
+        ref = dense_states(h, y0, run.times)
+        assert np.max(np.abs(run.states - ref)) <= 1e-12
+        assert run.norm_drift <= 1e-12
+
+    @pytest.mark.parametrize("n_out", [21, 2])
+    def test_graded_comb_matches_dense_eigh(self, n_out):
+        # the same check on a comb that no DiscreteBath describes: evolve
+        # reads the comb from the Hamiltonian alone
+        h = graded_hamiltonian(RANDOM_RUN_SYSTEM)
+        y0, run = random_evolve(h, n_out)
+        ref = dense_states(h, y0, run.times)
         assert np.max(np.abs(run.states - ref)) <= 1e-12
         assert run.norm_drift <= 1e-12
 
     def test_energy_conserved(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
-        run = evolve(h, excited_start(small_bath), 2.0, bath=small_bath,
-                     system=system, n_out=21)
-        e = run.energy_series(h)
+        run = evolve(h, excited_start(small_bath), 2.0, n_out=21)
+        e = run.energy_series()
         assert np.max(np.abs(e - e[0])) < 1e-9 * abs(e[0])
         # per-snapshot reference: the dense matrix-vector product
         dense = h.toarray()
@@ -224,12 +273,31 @@ class TestEvolve:
         h = build_hamiltonian(system, small_bath)
         state = excited_start(small_bath)
         with pytest.raises(ParameterError):
-            evolve(h, state, -1.0, bath=small_bath, system=system)
+            evolve(h, state, -1.0)
         bad = OneExcitationState(excited=0.5 + 0.0j,
                                  a_modes=np.zeros(801, complex),
                                  b_modes=np.zeros(801, complex))
         with pytest.raises(ParameterError):
-            evolve(h, bad, 2.0, bath=small_bath, system=system)
+            evolve(h, bad, 2.0)
+        # a forward-sector state does not fit a Hamiltonian with a
+        # backward sector
+        h_back = dataclasses.replace(h, backward=0.0)
+        with pytest.raises(ParameterError, match="does not fit"):
+            evolve(h_back, state, 2.0)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_refuses_the_recurrence_time(self, system, small_bath, graded):
+        # 2 pi over the finest gap of the Hamiltonian's offsets: the
+        # spacing of the uniform comb, the core spacing of the graded one
+        if graded:
+            h = graded_hamiltonian(RANDOM_RUN_SYSTEM)
+        else:
+            h = build_hamiltonian(system, small_bath)
+        t_rec = 2.0 * math.pi / np.min(np.diff(h.offsets))
+        with pytest.raises(ConfigurationError, match="recurrence"):
+            evolve(h, excited_in(h), t_rec, n_out=2)
+        run = evolve(h, excited_in(h), np.nextafter(t_rec, 0.0), n_out=2)
+        assert run.norm_drift <= 1e-12
 
     def test_zero_bright_run_skips_the_arrowhead(self, system, small_bath,
                                                  monkeypatch):
@@ -248,7 +316,7 @@ class TestEvolve:
                                   small_bath, system)
         h = build_hamiltonian(system, small_bath, include_backward=True)
         run = evolve(h, OneExcitationState.from_pulse(photon, backward=True),
-                     7.5, bath=small_bath, system=system, n_out=21)
+                     7.5, n_out=21)
         forward = run.states[:, :1 + 2 * n]
         assert float(np.max(np.sum(np.abs(forward) ** 2, axis=1))) == 0.0
         # delta_ab = 0 here, so the mirrored phase table is e^{-i d_j t}
@@ -283,8 +351,7 @@ class TestEvolve:
             z_a[0] *= 1.5
         h = dataclasses.replace(h, offsets=offsets, z_a=z_a, z_b=z_b)
         with pytest.raises(ParameterError):
-            evolve(h, excited_start(small_bath), 2.0,
-                   bath=small_bath, system=system, n_out=11)
+            evolve(h, excited_start(small_bath), 2.0, n_out=11)
 
     def test_stores_no_eigenvector_matrix(self, system):
         # a dense V of the 2001-mode arrowhead alone is (n + 1)^2 doubles
@@ -294,8 +361,7 @@ class TestEvolve:
         oracle._folded_eigh.cache_clear()
         tracemalloc.start()
         try:
-            evolve(h, excited_start(bath), 1.0, bath=bath, system=system,
-                   n_out=11)
+            evolve(h, excited_start(bath), 1.0, n_out=11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,7 +380,7 @@ class TestEvolve:
         tracemalloc.start()
         try:
             run = evolve(h, OneExcitationState.from_pulse(amps), 7.5,
-                         bath=bath, system=system, n_out=301)
+                         n_out=301)
             evolve_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
@@ -329,8 +395,7 @@ class TestEvolve:
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
         h = build_hamiltonian(system, bath)
-        run = evolve(h, excited_start(bath), 1.0, bath=bath, system=system,
-                     n_out=11)
+        run = evolve(h, excited_start(bath), 1.0, n_out=11)
         assert run.states.shape == (11, 1 + 2 * 2049)
         assert run.norm_drift <= 1e-12
 
@@ -460,8 +525,7 @@ def run(system, small_bath):
     pulse = make_pulse(Gaussian(1.0), 50.0, system)
     amps = discretize_pulse(pulse, small_bath, system)
     h = build_hamiltonian(system, small_bath)
-    return evolve(h, OneExcitationState.from_pulse(amps), 7.5,
-                  bath=small_bath, system=system, n_out=51)
+    return evolve(h, OneExcitationState.from_pulse(amps), 7.5, n_out=51)
 
 
 class TestMeasure:
@@ -485,7 +549,7 @@ class TestMeasure:
         # the whole run
         _, _, run = random_run(n_out, include_backward=False)
         series = measure_series(run, InitialMixture(0.5, 0.5))
-        n = run.bath.n_modes
+        n = run.hamiltonian.offsets.size
         a, b = run.states[:, 1:n + 1], run.states[:, n + 1:]
         np.testing.assert_allclose(series.n_a,
                                    np.sum(np.abs(a) ** 2, axis=1),
@@ -494,7 +558,8 @@ class TestMeasure:
                                    np.sum(np.abs(b) ** 2, axis=1),
                                    rtol=1e-14, atol=0)
         # the overlap with the free pulse a(0) e^{-i d t}
-        free = a[0] * np.exp(-1j * np.outer(run.times, run.bath.offsets()))
+        free = a[0] * np.exp(-1j * np.outer(run.times,
+                                            run.hamiltonian.offsets))
         cross = np.sum(np.conj(a) * free, axis=1)
         np.testing.assert_allclose(
             series.overlap_sq, normalized_overlap_sq(cross, series.n_a),
@@ -505,7 +570,7 @@ class TestMeasure:
         amps = discretize_pulse(pulse, small_bath, system)
         h = build_hamiltonian(system, small_bath, include_backward=True)
         state = OneExcitationState.from_pulse(amps, backward=True)
-        run = evolve(h, state, 7.5, bath=small_bath, system=system, n_out=21)
+        run = evolve(h, state, 7.5, n_out=21)
         n = small_bath.n_modes
         leak = np.max(np.sum(np.abs(run.states[:, :1 + 2 * n]) ** 2, axis=1))
         assert leak < 1e-12
