@@ -37,10 +37,11 @@ def tiny_bath(system):
     return DiscreteBath(n_modes=401, bandwidth=20.0 * system.gamma_total)
 
 
-def excited_start(bath):
-    zeros = np.zeros(bath.n_modes, dtype=complex)
-    return OneExcitationState(excited=1.0 + 0.0j, a_modes=zeros,
-                              b_modes=zeros.copy())
+def excited_in(h):
+    """|e, vac> in the basis of ``h``."""
+    y0 = np.zeros(h.dim, dtype=complex)
+    y0[0] = 1.0
+    return OneExcitationState.unpack(y0, h.offsets.size)
 
 
 class TestDiscreteBath:
@@ -194,13 +195,6 @@ def graded_hamiltonian(s):
         z_b=-1j * np.sqrt(s.gamma_b * widths / (2.0 * math.pi)))
 
 
-def excited_in(h):
-    """|e, vac> in the basis of ``h``."""
-    y0 = np.zeros(h.dim, dtype=complex)
-    y0[0] = 1.0
-    return OneExcitationState.unpack(y0, h.offsets.size)
-
-
 def random_evolve(h, n_out):
     """A random start, every sector of ``h`` populated, evolved to t = 5:
     (start, run)."""
@@ -232,7 +226,7 @@ def dense_states(h, y0, times):
 class TestEvolve:
     def test_golden_rule_decay(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
-        run = evolve(h, excited_start(small_bath), 2.0, n_out=41)
+        run = evolve(h, excited_in(h), 2.0, n_out=41)
         p_e = np.abs(run.excited_series()) ** 2
         rate = -np.polyfit(run.times, np.log(p_e), 1)[0]
         assert rate == pytest.approx(system.gamma_total, rel=0.02)
@@ -259,7 +253,7 @@ class TestEvolve:
 
     def test_energy_conserved(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
-        run = evolve(h, excited_start(small_bath), 2.0, n_out=21)
+        run = evolve(h, excited_in(h), 2.0, n_out=21)
         e = run.energy_series()
         assert np.max(np.abs(e - e[0])) < 1e-9 * abs(e[0])
         # per-snapshot reference: the dense matrix-vector product
@@ -271,7 +265,7 @@ class TestEvolve:
 
     def test_input_guards(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
-        state = excited_start(small_bath)
+        state = excited_in(h)
         with pytest.raises(ParameterError):
             evolve(h, state, -1.0)
         bad = OneExcitationState(excited=0.5 + 0.0j,
@@ -351,7 +345,7 @@ class TestEvolve:
             z_a[0] *= 1.5
         h = dataclasses.replace(h, offsets=offsets, z_a=z_a, z_b=z_b)
         with pytest.raises(ParameterError):
-            evolve(h, excited_start(small_bath), 2.0, n_out=11)
+            evolve(h, excited_in(h), 2.0, n_out=11)
 
     def test_stores_no_eigenvector_matrix(self, system):
         # a dense V of the 2001-mode arrowhead alone is (n + 1)^2 doubles
@@ -361,7 +355,7 @@ class TestEvolve:
         oracle._folded_eigh.cache_clear()
         tracemalloc.start()
         try:
-            evolve(h, excited_start(bath), 1.0, n_out=11)
+            evolve(h, excited_in(h), 1.0, n_out=11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,7 +389,7 @@ class TestEvolve:
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
         h = build_hamiltonian(system, bath)
-        run = evolve(h, excited_start(bath), 1.0, n_out=11)
+        run = evolve(h, excited_in(h), 1.0, n_out=11)
         assert run.states.shape == (11, 1 + 2 * 2049)
         assert run.norm_drift <= 1e-12
 
