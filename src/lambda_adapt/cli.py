@@ -200,10 +200,11 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
         "passed": report.passed, **report.as_dict()}
 
     # the backward-leak run starts from the comb projection compare made
+    # and runs to the same horizon
     h_back = build_hamiltonian(cfg.system, cfg.bath, include_backward=True)
     run_back = evolve(h_back, OneExcitationState.from_pulse(report.amplitudes,
                                                             backward=True),
-                      15.0 / cfg.system.gamma_total, n_out=51)
+                      report.t_final, n_out=51)
     n = h_back.offsets.size
     forward = run_back.states[:, :1 + 2 * n]
     leak = float(np.max(np.sum(np.abs(forward) ** 2, axis=1)))

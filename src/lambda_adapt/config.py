@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .model import (Exponential, Gaussian, InitialMixture, LambdaSystem,
-                    PulseSpec, Rectangular, SimGrid, make_pulse)
+from .model import (FAMILIES, InitialMixture, LambdaSystem, PulseSpec,
+                    SimGrid, make_pulse)
 from .optimize import OBJECTIVES, SweepSpec
 from .oracle import DiscreteBath
 
@@ -118,13 +118,7 @@ def _build_pulse(parser: ConfigParser, system: LambdaSystem) -> PulseSpec:
     if width_key not in sec:
         raise ConfigurationError(
             f"[pulse] family {family} requires the {width_key!r} key")
-    width = _float("pulse", width_key, sec[width_key])
-    if family == "exponential":
-        envelope = Exponential(linewidth=width)
-    elif family == "gaussian":
-        envelope = Gaussian(sigma=width)
-    else:
-        envelope = Rectangular(duration=width)
+    envelope = FAMILIES[family](_float("pulse", width_key, sec[width_key]))
     delta_l = _float("pulse", "delta_l", sec.get("delta_l", "0"))
     return make_pulse(envelope, system.omega_a + delta_l, system)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import AmplitudeTrajectory
 from .errors import NumericalConsistencyError, ParameterError
 from .model import InitialMixture, LambdaSystem, PulseSpec
-from .thermo import drive_overlap_integral
+from .thermo import HBAR, drive_overlap_integral
 
 __all__ = [
     "EnvSpectrum",
@@ -39,8 +39,6 @@ __all__ = [
     "entropy_curve",
     "heat_to_pab",
 ]
-
-HBAR = 1.0
 
 
 def _check_unit_interval(name, value, slack=1e-12):
@@ -188,29 +186,38 @@ def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,
 
 @dataclass(frozen=True)
 class EnvSpectrum:
-    """Eigenvalues and entropies of the environment state at one instant."""
+    """Eigenvalues and entropies of the environment state.
+
+    Built from floats it holds one instant; built from arrays of branch
+    weights, one per snapshot, it holds the series, with the spectra
+    along a last axis of 4.  ``s_e_c`` is formed when read, from one
+    instant's entropies.
+    """
 
     lambdas: np.ndarray
-    psi_sq: float
-    n_a: float
-    n_b: float
-    overlap_sq: float
-    s_e: float
-    s_q: float
-    s_e_c: float
+    psi_sq: float | np.ndarray
+    n_a: float | np.ndarray
+    n_b: float | np.ndarray
+    overlap_sq: float | np.ndarray
+    s_e: float | np.ndarray
+    s_q: float | np.ndarray
+    mixture: InitialMixture
 
     def __post_init__(self):
         self.lambdas.flags.writeable = False
 
     @classmethod
-    def from_branches(cls, mixture: InitialMixture, psi_sq: float, n_a: float,
-                      n_b: float, overlap_sq: float) -> "EnvSpectrum":
+    def from_branches(cls, mixture: InitialMixture, psi_sq, n_a, n_b,
+                      overlap_sq) -> "EnvSpectrum":
         lams = env_eigenvalues(mixture, psi_sq, n_a, n_b, overlap_sq)
-        s_e = von_neumann(lams)
-        s_q = quantum_branch_entropy(n_a, n_b, psi_sq)
-        s_e_c = classical_entropy(s_e, mixture, s_q)
         return cls(lambdas=lams, psi_sq=psi_sq, n_a=n_a, n_b=n_b,
-                   overlap_sq=overlap_sq, s_e=s_e, s_q=s_q, s_e_c=s_e_c)
+                   overlap_sq=overlap_sq, s_e=von_neumann(lams),
+                   s_q=quantum_branch_entropy(n_a, n_b, psi_sq),
+                   mixture=mixture)
+
+    @property
+    def s_e_c(self) -> float:
+        return classical_entropy(self.s_e, self.mixture, self.s_q)
 
     def as_dict(self) -> dict:
         return {

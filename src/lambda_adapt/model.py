@@ -27,6 +27,7 @@ __all__ = [
     "Gaussian",
     "Rectangular",
     "Sampled",
+    "FAMILIES",
     "PulseSpec",
     "InitialMixture",
     "SimGrid",
@@ -170,6 +171,10 @@ class Exponential:
     def spectral_scale(self):
         return self.linewidth
 
+    def at_scale(self, scale):
+        """The same family at spectral scale ``scale``."""
+        return Exponential(scale)
+
     def settle_time(self, c):
         # amplitude at the emitter falls as exp(-linewidth t / 2)
         return 20.0 / self.linewidth
@@ -233,6 +238,10 @@ class Gaussian:
     def spectral_scale(self):
         return 1.0 / self.sigma
 
+    def at_scale(self, scale):
+        """The same family and offset at spectral scale ``scale``."""
+        return Gaussian(1.0 / scale, self.offset)
+
     def settle_time(self, c):
         return (self.offset + 6.5) * self.sigma
 
@@ -266,6 +275,10 @@ class Rectangular:
 
     def spectral_scale(self):
         return 1.0 / self.duration
+
+    def at_scale(self, scale):
+        """The same family at spectral scale ``scale``."""
+        return Rectangular(1.0 / scale)
 
     def settle_time(self, c):
         return self.duration
@@ -408,7 +421,12 @@ class _UniformIntervals:
             * (np.sinc(x / math.pi) * sums[:, 0] + _sphj1(x) * sums[:, 1])
 
 
-_FAMILIES = (Exponential, Gaussian, Rectangular, Sampled)
+# the analytic envelope families by name; each class takes its width as
+# its one positional argument
+FAMILIES = {"exponential": Exponential, "gaussian": Gaussian,
+            "rectangular": Rectangular}
+
+_FAMILIES = (*FAMILIES.values(), Sampled)
 
 
 @dataclass(frozen=True)
@@ -467,6 +485,14 @@ def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
             f"carrier frequency must be positive and finite, got {carrier}")
     envelope._check()
     rho, c = system.rho_density, system.c_speed
+    if isinstance(envelope, Gaussian):
+        # shape_values divides (z - z0)^2 by 4 (c sigma)^2: once that
+        # overflows the envelope is inf / inf
+        s = c * envelope.sigma
+        if not 4.0 * s * s < math.inf:
+            raise ParameterError(
+                f"sigma = {envelope.sigma} is too wide: 4 (c sigma)^2 "
+                "overflows")
     if isinstance(envelope, Sampled):
         k = envelope.norm_constant(rho, c)  # raises on zero norm
         amp = np.asarray(envelope.amplitude, dtype=complex) * k

@@ -24,13 +24,11 @@ import numpy as np
 
 from .dynamics import integrate_psi, p_ab_infty
 from .errors import ParameterError, LambdaAdaptError, UnsupportedEnvelopeError
-from .model import (Exponential, Gaussian, LambdaSystem, PulseSpec,
-                    Rectangular, SimGrid, make_pulse)
+from .model import FAMILIES, LambdaSystem, PulseSpec, SimGrid, make_pulse
 from .thermo import drive_energy_flux
 
 PARAMETERS = ("linewidth", "detuning", "rate_ratio", "family")
 OBJECTIVES = ("p_ab_infty", "w_over_hw")
-_FAMILY_NAMES = ("exponential", "gaussian", "rectangular")
 
 # Relative convergence target for both search methods: the parameter
 # interval (golden section) or simplex diameter (Nelder-Mead) must fall
@@ -136,28 +134,6 @@ def _family_name(envelope) -> str:
     return type(envelope).__name__.lower()
 
 
-def _with_bandwidth(envelope, width: float):
-    """Rebuild an analytic envelope so its spectral scale equals width."""
-    if isinstance(envelope, Exponential):
-        return Exponential(linewidth=width)
-    if isinstance(envelope, Gaussian):
-        return Gaussian(sigma=1.0 / width, offset=envelope.offset)
-    if isinstance(envelope, Rectangular):
-        return Rectangular(duration=1.0 / width)
-    raise UnsupportedEnvelopeError(
-        f"cannot set the bandwidth of a {type(envelope).__name__} envelope")
-
-
-def _envelope_from_name(name: str, width: float):
-    if name == "exponential":
-        return Exponential(linewidth=width)
-    if name == "gaussian":
-        return Gaussian(sigma=1.0 / width)
-    if name == "rectangular":
-        return Rectangular(duration=1.0 / width)
-    raise ParameterError(f"unknown envelope family {name!r}")
-
-
 def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
                      params: Mapping[str, float]) -> tuple[LambdaSystem,
                                                            PulseSpec]:
@@ -183,7 +159,11 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
         w = float(params["linewidth"])
         if not w > 0:
             raise ParameterError(f"linewidth must be positive, got {w}")
-        envelope = _with_bandwidth(envelope, w)
+        if type(envelope) not in FAMILIES.values():
+            raise UnsupportedEnvelopeError(
+                f"cannot set the bandwidth of a {type(envelope).__name__} "
+                "envelope")
+        envelope = envelope.at_scale(w)
     carrier = pulse.carrier
     if "detuning" in params:
         carrier = sys2.omega_a + float(params["detuning"])
@@ -223,20 +203,19 @@ def sweep(spec: SweepSpec, system: LambdaSystem,
     """
     fn = _resolve_objective(spec.objective)
     if spec.parameter == "family":
-        tasks = [(fam, v, {"linewidth": v})
-                 for fam in _FAMILY_NAMES for v in spec.grid()]
+        # each family, at spectral scale 1, swept over the linewidth grid
+        name = "linewidth"
+        bases = [replace(pulse, envelope=family(1.0))
+                 for family in FAMILIES.values()]
     else:
-        fam = _family_name(pulse.envelope)
-        tasks = [(fam, v, {spec.parameter: v}) for v in spec.grid()]
+        name, bases = spec.parameter, [pulse]
+    tasks = [(base, v) for base in bases for v in spec.grid()]
 
     def run_one(task):
-        fam, value, params = task
+        base, value = task
+        fam = _family_name(base.envelope)
         try:
-            if spec.parameter == "family":
-                env = _envelope_from_name(fam, value)
-                sys_v, pulse_v = system, make_pulse(env, pulse.carrier, system)
-            else:
-                sys_v, pulse_v = apply_parameters(system, pulse, params)
+            sys_v, pulse_v = apply_parameters(system, base, {name: value})
             return SweepPoint(value=float(value), family=fam,
                               objective=fn(sys_v, pulse_v))
         except LambdaAdaptError as exc:
@@ -394,6 +373,8 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     1e-3 of the total decay rate): the narrowband optimum is a limit, not
     an interior point, so it must be represented by a floor.
     """
+    if budget < 1:
+        raise ParameterError(f"budget must be at least 1, got {budget}")
     names = list(bounds)
     if not 1 <= len(names) <= 3:
         raise ParameterError(

@@ -25,7 +25,7 @@ the line (offsets d_{n-1-j} = -d_j, equal couplings), so the roots come
 in +- pairs: the solver, the spokes, the eigenvector rebuild, its GEMM
 and every phase table run on one half (the fold), and the other half is
 their mirror.  On the 2001-mode default comb a cold ``evolve`` of 301
-snapshots takes about 0.2-0.3 s, against 0.41 s unfolded (2-core x86 VM).
+snapshots takes about 0.2-0.3 s (2-core x86 VM).
 
 A run's working set is its snapshot array and little more: ``evolve``
 accumulates the eigenvector products inside that array and unfolds them
@@ -52,8 +52,7 @@ from .errors import (
     ParameterError,
 )
 from .dynamics import integrate_psi
-from .entropy import (env_eigenvalues, normalized_overlap_sq, overlap_series,
-                      quantum_branch_entropy, von_neumann)
+from .entropy import EnvSpectrum, normalized_overlap_sq, overlap_series
 from .model import InitialMixture, LambdaSystem, PulseSpec, SimGrid
 from .thermo import drive_overlap_density
 
@@ -512,30 +511,6 @@ def _decomposition(d: np.ndarray, k: np.ndarray, tau: np.ndarray,
     return arrow
 
 
-def _arrowhead_eigh(alpha: float, d: np.ndarray,
-                    g: np.ndarray) -> _Arrowhead:
-    """Eigendecomposition of any arrowhead [[alpha, g^T], [g, diag(d)]].
-
-    The poles d must be in strictly increasing order, and no spoke g_j so
-    small that its square underflows.  The
-    eigenvalues, ascending, are the roots of the secular equation
-    (O'Leary & Stewart 1990, ``_secular_roots``); they interlace d, and
-    strictly so as the solver holds them, each as an offset from a pole,
-    though a root within half an ulp of a pole rounds onto it in
-    ``evals``.  The eigenvectors are the normalized Cauchy vectors
-    [1, g^_j / (lam_i - d_j)] with the spokes g^ recomputed from the
-    computed roots (``_spokes``).  The arrowhead with spokes g^ has
-    exactly the computed eigenvalues, so the vectors are orthogonal to
-    working precision.  Only O(n) data is returned, read-only;
-    ``_Arrowhead.vt_rows`` rebuilds eigenvectors in blocks of rows.  This
-    is the unfolded form of ``_folded_eigh``, from the same two passes
-    run over all roots and all spokes.
-    """
-    k, tau = _roots(alpha, d, g, 0, d.size + 1)
-    return _decomposition(d, k, tau,
-                          np.copysign(_spokes(d, k, tau, 0, d.size), g))
-
-
 @functools.lru_cache(maxsize=1)
 def _folded_eigh(offsets: bytes, spokes: bytes) -> _Arrowhead:
     """Eigendecomposition of a mirror-symmetric arrowhead, from its fold.
@@ -549,8 +524,8 @@ def _folded_eigh(offsets: bytes, spokes: bytes) -> _Arrowhead:
     their eigenvectors are S applied to the positive ones.  So the secular
     solver runs on the c + 1 positive roots only, and the recomputed
     spokes, which keep the symmetry, on the c + 1 poles d_c .. d_{n-1}:
-    half of each O(n^2) pass of ``_arrowhead_eigh``.  The equation itself
-    is not squared: the half-size arrowhead of the lam^2, [[|g|^2,
+    half of each O(n^2) pass over all roots and all spokes.  The equation
+    itself is not squared: the half-size arrowhead of the lam^2, [[|g|^2,
     sqrt(2) g_j d_j], [.., diag(d_j^2)]], cancels its corner |g|^2
     against the far spokes and loses the roots next to the line when the
     spokes there are small.  Keyed on the folded comb, so runs on one comb
@@ -631,11 +606,10 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     whole forward sector in the backward-leak run) are not evolved and
     stay exactly zero.  Norm drift above DRIFT_TOL raises.  On the
     2001-mode default comb with 301 snapshots, a cold run takes about
-    0.2-0.3 s and a warm one (decomposition cached) 0.12-0.19 s, against
-    0.41 and 0.24 s unfolded; on 801 modes, 0.05-0.08 s against 0.10 s
-    cold (2-core x86 VM).  Beyond its states (18.4 MiB) the cold
-    2001-mode run peaks 10.3 MiB higher (tracemalloc; 23.9 MiB with
-    separate accumulators).
+    0.2-0.3 s and a warm one (decomposition cached) 0.12-0.19 s; on 801
+    modes, a cold run takes 0.05-0.08 s (2-core x86 VM).  Beyond its
+    states (18.4 MiB) the cold 2001-mode run peaks 10.3 MiB higher
+    (tracemalloc).
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -768,26 +742,7 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
                      norm_drift=drift)
 
 
-@dataclass(frozen=True)
-class OracleSeries:
-    """Vectorized measurements over all snapshots of a run."""
-
-    times: np.ndarray
-    p_e: np.ndarray
-    n_a: np.ndarray
-    n_b: np.ndarray
-    overlap_sq: np.ndarray
-    lambdas: np.ndarray      # (n_out, 4)
-    s_e: np.ndarray
-    s_q: np.ndarray
-    norm: np.ndarray
-
-    @property
-    def p_ab(self) -> np.ndarray:
-        return self.n_b
-
-
-def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
+def measure_series(run: OracleRun, mixture: InitialMixture) -> EnvSpectrum:
     """Exact partial trace of the environment at every snapshot.
 
     The environment state is rank <= 4: vacuum, the b-branch photon, and
@@ -795,7 +750,9 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
     (the reference for the photon had the system started in |b>).  Its
     eigenvalues follow from scalar products of the stored amplitudes,
     taken over blocks of _ROWS snapshots in one scratch block; no large
-    matrix is ever diagonalized or formed.
+    matrix is ever diagonalized or formed.  Returns the series as one
+    ``EnvSpectrum``: psi_sq = p_e, n_a, n_b = p_ab, the overlap and the
+    entropies, one entry per snapshot.
     """
     h = run.hamiltonian
     n = h.offsets.size
@@ -833,15 +790,8 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> OracleSeries:
         block *= a0
         block *= a_block[rows]
         cross[rows] = np.conj(np.sum(block, axis=1))
-    norm = p_e + n_a + n_b
-
-    overlap_sq = normalized_overlap_sq(cross, n_a)
-    lams = env_eigenvalues(mixture, p_e, n_a, n_b, overlap_sq)
-    s_e = von_neumann(lams)
-    s_q = quantum_branch_entropy(n_a, n_b, p_e)
-    return OracleSeries(times=run.times.copy(), p_e=p_e, n_a=n_a, n_b=n_b,
-                        overlap_sq=overlap_sq, lambdas=lams, s_e=s_e,
-                        s_q=s_q, norm=norm)
+    return EnvSpectrum.from_branches(mixture, p_e, n_a, n_b,
+                                     normalized_overlap_sq(cross, n_a))
 
 
 DEFAULT_TOLERANCES = {
@@ -901,7 +851,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     at the snapshot times; its S_E(t) takes the finite-time overlap from
     ``entropy.overlap_series``, one cumulative quadrature over that
     trajectory, and no field is rebuilt on a z-grid.  Both sides share
-    the closed-form spectrum (``entropy.env_eigenvalues``).  Work and
+    the closed-form spectrum (``entropy.EnvSpectrum``).  Work and
     heat are integrated with the same trapezoid rule on the same output
     grid for both sides, so their deviation reflects the dynamics, not
     quadrature differences.
@@ -928,14 +878,19 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     p_ab_an = np.interp(t_out, traj.times, traj.p_ab)
     n_a_an = 1.0 - p_e_an - p_ab_an
 
-    overlap_sq = normalized_overlap_sq(
-        overlap_series(traj, pulse, system, t_out), n_a_an)
-    s_e_an = von_neumann(env_eigenvalues(mixture, p_e_an, n_a_an, p_ab_an,
-                                         overlap_sq))
+    analytic = EnvSpectrum.from_branches(
+        mixture, p_e_an, n_a_an, p_ab_an,
+        normalized_overlap_sq(overlap_series(traj, pulse, system, t_out),
+                              n_a_an))
 
     def flux(psi_hat):
         density = drive_overlap_density(system, pulse, t_out, psi_hat)
         return float(np.trapezoid(2.0 * density.real, t_out))
+
+    def heat(p_e, p_ab):
+        return system.omega_a * system.gamma_total \
+            * float(np.trapezoid(p_e, t_out)) \
+            - system.delta_ab * float(p_ab[-1])
 
     # the work integrand takes psi^ = psi~ e^{i delta_L t}
     psi_hat_or = run.excited_series()
@@ -943,22 +898,17 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     if delta_l != 0.0:
         psi_hat_or = psi_hat_or * np.exp(1j * delta_l * t_out)
 
-    gtot = system.gamma_total
-    q_or = system.omega_a * gtot * float(np.trapezoid(oracle.p_e, t_out)) \
-        - system.delta_ab * float(oracle.n_b[-1])
-    q_an = system.omega_a * gtot * float(np.trapezoid(p_e_an, t_out)) \
-        - system.delta_ab * float(p_ab_an[-1])
-
     deviations = {
-        "p_e": float(np.max(np.abs(oracle.p_e - p_e_an))),
+        "p_e": float(np.max(np.abs(oracle.psi_sq - p_e_an))),
         "p_ab": float(np.max(np.abs(oracle.n_b - p_ab_an))),
         "n_a": float(np.max(np.abs(oracle.n_a - n_a_an))),
         "n_b": float(np.max(np.abs(oracle.n_b - p_ab_an))),
-        "s_e": float(np.max(np.abs(oracle.s_e - s_e_an))),
+        "s_e": float(np.max(np.abs(oracle.s_e - analytic.s_e))),
         # energies compared in units of hbar omega_a so the verdict does
         # not depend on the absolute optical frequency
         "w": abs(flux(psi_hat_or) - flux(traj.psi_hat_at(t_out))),
-        "q": abs(q_or - q_an) / system.omega_a,
+        "q": abs(heat(oracle.psi_sq, oracle.n_b)
+                 - heat(p_e_an, p_ab_an)) / system.omega_a,
     }
     failures = tuple(name for name, dev in deviations.items()
                      if dev > tol[name])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,21 @@ dt = 0.005
         assert "--points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["1e154", "1e160"])
+    def test_overwide_gaussian_is_config_error(self, tmp_path, capsys,
+                                               sigma):
+        # 4 (c sigma)^2 overflows there, and the envelope would be nan
+        cfg = write(tmp_path, BASE.replace(
+            "family = exponential\ndelta = 1.0",
+            f"family = gaussian\nsigma = {sigma}"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert "sigma" in capsys.readouterr().err
+
     def test_sweep_without_section_is_config_error(self, tmp_path):
         cfg = write(tmp_path, BASE)
         assert main(["sweep", "--config", str(cfg),
@@ -365,6 +381,17 @@ budget = 60
         trace_lines = (out / "trace.jsonl").read_text().splitlines()
         assert len(trace_lines) == doc["n_evals"]
         assert all("params" in json.loads(line) for line in trace_lines)
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_config_error(self, tmp_path, capsys,
+                                              budget):
+        cfg = write(tmp_path, EVERY_SECTION.replace("budget = 60",
+                                                    f"budget = {budget}"))
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (out / "optimize.json").exists()
 
     def test_missing_section_is_config_error(self, tmp_path):
         cfg = write(tmp_path, BASE)

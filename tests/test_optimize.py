@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from lambda_adapt import optimize
 from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
-from lambda_adapt.errors import ParameterError
-from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem, SimGrid,
-                                make_pulse)
+from lambda_adapt.errors import ParameterError, UnsupportedEnvelopeError
+from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
+                                Rectangular, Sampled, SimGrid, make_pulse)
 from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec, _evaluate,
                                    apply_parameters, maximize, sweep)
 
@@ -61,6 +61,13 @@ class TestApplyParameters:
         _, p2 = apply_parameters(system, g, {"linewidth": 2.0})
         assert p2.envelope.sigma == pytest.approx(0.5)
         assert p2.envelope.offset == 9.0
+
+    def test_sampled_envelope_has_no_bandwidth(self, system):
+        z = np.linspace(-4.0, 0.0, 9)
+        p = make_pulse(Sampled(z, np.exp(z)), system.omega_a, system)
+        with pytest.raises(UnsupportedEnvelopeError,
+                           match="bandwidth of a Sampled envelope"):
+            apply_parameters(system, p, {"linewidth": 1.0})
 
     def test_rejects_unknown_or_invalid(self, system, pulse):
         with pytest.raises(ParameterError):
@@ -155,6 +162,18 @@ class TestSweep:
                                                "rectangular"}
         assert all(np.isfinite(r["objective_value"]) for r in rows)
 
+    def test_family_rows_are_linewidth_sweeps(self, system):
+        # a detuned carrier of any family is kept for all three
+        pulse = make_pulse(Rectangular(0.7), system.omega_a + 0.2, system)
+        family = sweep(SweepSpec("family", 0.5, 2.0, n_points=3), system,
+                       pulse).as_rows()
+        rows = []
+        for envelope in (Exponential(1.0), Gaussian(1.0), Rectangular(1.0)):
+            p = make_pulse(envelope, pulse.carrier, system)
+            rows += sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
+                          system, p).as_rows()
+        assert family == [dict(r, parameter="family") for r in rows]
+
     def test_failed_point_is_annotated(self, pulse):
         # a detuning of -2 pushes the carrier of a unit-frequency system
         # negative, which the pulse constructor refuses
@@ -235,6 +254,10 @@ class TestMaximize:
         with pytest.raises(ParameterError):
             maximize(system, pulse, {"rate_ratio": (-1.0, 2.0)},
                      linewidth_floor=0.0)
+        for budget in (0, -3):
+            with pytest.raises(ParameterError, match="budget"):
+                maximize(system, pulse, {"detuning": (-1.0, 1.0)},
+                         budget=budget)
 
 
 def unit_simplex(d):

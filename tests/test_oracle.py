@@ -16,8 +16,8 @@ from lambda_adapt.errors import (BandwidthError, ConfigurationError,
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, make_pulse)
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
-                                 OneExcitationState, _arrowhead_eigh,
-                                 build_hamiltonian, compare,
+                                 OneExcitationState, build_hamiltonian,
+                                 compare,
                                  discretize_pulse, evolve, measure_series)
 
 
@@ -400,6 +400,28 @@ def dense_arrowhead(alpha, d, g):
     return arrow
 
 
+def arrowhead_eigh(alpha, d, g):
+    """Eigendecomposition of any arrowhead [[alpha, g^T], [g, diag(d)]],
+    the reference for the folded solver.
+
+    The poles d must be in strictly increasing order, and no spoke g_j so
+    small that its square underflows.  The eigenvalues, ascending, are the
+    roots of the secular equation (``oracle._roots``); they interlace d,
+    and strictly so as the solver holds them, each as an offset from a
+    pole, though a root within half an ulp of a pole rounds onto it in
+    ``evals``.  The eigenvectors are the normalized Cauchy vectors
+    [1, g^_j / (lam_i - d_j)] with the spokes g^ recomputed from the
+    computed roots (``oracle._spokes``).  The arrowhead with spokes g^ has
+    exactly the computed eigenvalues, so the vectors are orthogonal to
+    working precision.  This is the unfolded form of
+    ``oracle._folded_eigh``, from the same two passes run over all roots
+    and all spokes.
+    """
+    k, tau = oracle._roots(alpha, d, g, 0, d.size + 1)
+    return oracle._decomposition(
+        d, k, tau, np.copysign(oracle._spokes(d, k, tau, 0, d.size), g))
+
+
 def assert_solves_arrowhead(alpha, d, g):
     """The secular solver against dense eigh, at 1e-13 of |A|.
 
@@ -407,7 +429,7 @@ def assert_solves_arrowhead(alpha, d, g):
     is asked to 1e-14: the vectors built from the recomputed spokes have
     stayed within 1.1e-15 on these families, where vectors from the
     original spokes reach 1.3e-13."""
-    arrow = _arrowhead_eigh(alpha, d, g)
+    arrow = arrowhead_eigh(alpha, d, g)
     assert_decomposes(arrow, alpha, d, g)
 
 
@@ -468,7 +490,7 @@ class TestArrowheadSolver:
         d = bath.offsets()
         g = np.full(d.size, math.sqrt(system.gamma_total * bath.spacing
                                       / (2.0 * math.pi)))
-        arrow = _arrowhead_eigh(0.0, d, g)
+        arrow = arrowhead_eigh(0.0, d, g)
         assert sum(part.nbytes for part in arrow) < 16 * (d.size + 1) * 8
         assert not any(part.flags.writeable for part in arrow)
 
@@ -505,7 +527,7 @@ class TestFoldedSolver:
                                       / (2.0 * math.pi)))
         c = d.size // 2
         folded = oracle._folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
-        full = _arrowhead_eigh(0.0, d, g)
+        full = arrowhead_eigh(0.0, d, g)
         scale = float(np.max(np.abs(full.evals)))
         assert np.max(np.abs(folded.evals - full.evals)) <= 1e-14 * scale
         assert np.max(np.abs(folded.spokes_hat - full.spokes_hat)) \
@@ -525,14 +547,14 @@ def run(system, small_bath):
 class TestMeasure:
     def test_norm_and_spectrum(self, run):
         series = measure_series(run, InitialMixture(0.5, 0.5))
-        assert np.max(np.abs(series.norm - 1.0)) < 1e-10
+        norm = series.psi_sq + series.n_a + series.n_b
+        assert np.max(np.abs(norm - 1.0)) < 1e-10
         assert np.max(np.abs(series.lambdas.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(series.lambdas >= -1e-12)
-        assert series.p_ab is series.n_b
 
     def test_initial_snapshot_is_pure(self, run):
         series = measure_series(run, InitialMixture(0.5, 0.5))
-        assert series.p_e[0] == pytest.approx(0.0, abs=1e-15)
+        assert series.psi_sq[0] == pytest.approx(0.0, abs=1e-15)
         assert series.n_a[0] == pytest.approx(1.0, abs=1e-12)
         assert series.overlap_sq[0] == pytest.approx(1.0, abs=1e-12)
         assert series.s_e[0] == pytest.approx(0.0, abs=1e-10)
