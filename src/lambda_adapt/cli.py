@@ -140,8 +140,10 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
         }
     _write_json(out / "ledger.json", _meta("simulate", cfg), payload)
 
+    # the spectrum takes p_ab(inf) clamped to its maximum (asym.p_ab); the
+    # artifacts keep the raw value
     asym = overlap_asymptotic(cfg.system, p_inf)
-    spec = EnvSpectrum.from_branches(cfg.mixture, 0.0, 1.0 - p_inf, p_inf,
+    spec = EnvSpectrum.from_branches(cfg.mixture, 0.0, asym.n_a, asym.p_ab,
                                      asym.overlap_sq)
     _write_json(out / "entropy.json", _meta("simulate", cfg),
                 {"asymptotic": spec.as_dict(), "p_ab_infty": p_inf})

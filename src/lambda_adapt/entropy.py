@@ -133,11 +133,16 @@ def classical_entropy(s_e: float, mixture: InitialMixture, s_q: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticOverlap:
-    """Long-time overlap data derived from p_ab(inf) alone."""
+    """Long-time overlap data derived from p_ab(inf) alone.
+
+    ``p_ab`` is the p_ab(inf) the other fields are formed from: the one
+    given, clamped to its maximum 4 gamma_a gamma_b / Gamma^2.
+    """
 
     value: float        # sqrt(N_a) <free | scattered>  =  1 - (Gamma/2 gamma_b) p
     n_a: float
     overlap_sq: float
+    p_ab: float
 
 
 def _p_max(system: LambdaSystem) -> float:
@@ -152,7 +157,10 @@ def overlap_asymptotic(system: LambdaSystem, p_ab_infty: float) -> AsymptoticOve
 
     sqrt(N_a) <1_a^free | 1_a~> = 1 - (Gamma / (2 gamma_b)) p_ab(inf); the
     normalized squared overlap is that value squared over N_a = 1 - p_ab.
-    Valid for p_ab(inf) in [0, 4 gamma_a gamma_b / Gamma^2].
+    Valid for p_ab(inf) in [0, 4 gamma_a gamma_b / Gamma^2].  A rounding
+    excess of up to 1e-9 relative over that maximum is accepted and
+    clamped off, so that N_a stays in the range ``env_eigenvalues`` takes
+    (at gamma_a = gamma_b the maximum is 1).
     """
     gamma = system.gamma_total
     p_max = _p_max(system)
@@ -161,10 +169,12 @@ def overlap_asymptotic(system: LambdaSystem, p_ab_infty: float) -> AsymptoticOve
             f"p_ab_infty = {p_ab_infty} outside [0, 4 gamma_a gamma_b / Gamma^2 "
             f"= {p_max}]"
         )
-    value = 1.0 - (gamma / (2.0 * system.gamma_b)) * p_ab_infty
-    n_a = 1.0 - p_ab_infty
+    p = min(p_ab_infty, p_max)
+    value = 1.0 - (gamma / (2.0 * system.gamma_b)) * p
+    n_a = 1.0 - p
     return AsymptoticOverlap(value=value, n_a=n_a,
-                             overlap_sq=float(normalized_overlap_sq(value, n_a)))
+                             overlap_sq=float(normalized_overlap_sq(value, n_a)),
+                             p_ab=p)
 
 
 def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,

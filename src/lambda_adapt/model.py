@@ -486,12 +486,14 @@ def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
     envelope._check()
     rho, c = system.rho_density, system.c_speed
     if isinstance(envelope, Gaussian):
-        # shape_values divides (z - z0)^2 by 4 (c sigma)^2: once that
-        # overflows the envelope is inf / inf
-        s = c * envelope.sigma
-        if not 4.0 * s * s < math.inf:
+        # shape_values squares z - z0, whose reach is the peak's distance
+        # from the front, offset c sigma (and divides by 4 (c sigma)^2, the
+        # smaller square): once that overflows the envelope is inf / inf
+        # at the peak, or an overflow warning away from it
+        reach = envelope.offset * (c * envelope.sigma)
+        if not reach * reach < math.inf:
             raise ParameterError(
-                f"sigma = {envelope.sigma} is too wide: 4 (c sigma)^2 "
+                f"sigma = {envelope.sigma} is too wide: (offset c sigma)^2 "
                 "overflows")
     if isinstance(envelope, Sampled):
         k = envelope.norm_constant(rho, c)  # raises on zero norm

@@ -30,10 +30,10 @@ def tree(root: Path, ledger=LEDGER, table=TABLE, trace=TRACE,
     return root
 
 
-def diff(tmp_path, capsys, **side_b):
+def diff(tmp_path, capsys, *options, **side_b):
     a = tree(tmp_path / "A")
     b = tree(tmp_path / "B", **side_b)
-    code = artifact_diff.main([str(a), str(b)])
+    code = artifact_diff.main([str(a), str(b), *options])
     return code, capsys.readouterr().out
 
 
@@ -95,3 +95,42 @@ def test_relative_difference():
     assert rd(2.0, -2.0) == 2.0
     assert rd(1.0, float("nan")) == float("inf")
     assert rd(1.0, float("inf")) == float("inf")
+
+
+def test_rtol_passes_small_numeric_differences(tmp_path, capsys):
+    ledger = dict(LEDGER, w_over_hw=0.5 * (1 + 2.0 ** -52))
+    code, out = diff(tmp_path, capsys, "--rtol", "1e-10", ledger=ledger)
+    assert code == 0
+    assert "over rtol" not in out
+    # the same difference over a tolerance of zero
+    code, out = diff(tmp_path / "zero", capsys, "--rtol", "0", ledger=ledger)
+    assert code == 1
+    assert "over rtol 0: a/ledger.json: w_over_hw differs by 2.22e-16" \
+        in out.splitlines()
+
+
+def test_rtol_fails_each_file_over_it(tmp_path, capsys):
+    code, out = diff(tmp_path, capsys, "--rtol", "0.2",
+                     table=TABLE.replace("-0.125", "-0.25"),
+                     trace=TRACE.replace("1.5", "1.8"))
+    assert code == 1
+    over = [line for line in out.splitlines() if line.startswith("over")]
+    # the trace moves by 0.167, inside 0.2; each table by 0.5
+    assert over == [
+        "over rtol 0.2: a/trajectory.csv: line 4 re_psi differs by 0.5",
+        "over rtol 0.2: b/trajectory.csv: line 4 re_psi differs by 0.5"]
+
+
+def test_rtol_keeps_structural_failures(tmp_path, capsys):
+    code, out = diff(tmp_path, capsys, "--rtol", "1.0",
+                     ledger=dict(LEDGER, note="resonant drive"))
+    assert code == 1
+    assert "not numeric: " in out
+
+
+@pytest.mark.parametrize("rtol", ["-1e-10", "nan", "inf"])
+def test_rtol_must_be_a_tolerance(tmp_path, rtol):
+    a, b = tree(tmp_path / "A"), tree(tmp_path / "B")
+    with pytest.raises(SystemExit) as exc:
+        artifact_diff.main([str(a), str(b), "--rtol", rtol])
+    assert exc.value.code == 2

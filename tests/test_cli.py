@@ -282,10 +282,12 @@ dt = 0.005
         assert "--points" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sigma", ["1e154", "1e160"])
+    @pytest.mark.parametrize("sigma", ["2e153", "6e153", "1e154", "1e160"])
     def test_overwide_gaussian_is_config_error(self, tmp_path, capsys,
                                                sigma):
-        # 4 (c sigma)^2 overflows there, and the envelope would be nan
+        # (8 c sigma)^2, the square of the peak's reach, overflows there:
+        # from 1.7e153 an overflow warning, from 6.7e153 (where 4 (c
+        # sigma)^2 overflows) an envelope of nan
         cfg = write(tmp_path, BASE.replace(
             "family = exponential\ndelta = 1.0",
             f"family = gaussian\nsigma = {sigma}"))
@@ -296,6 +298,24 @@ dt = 0.005
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
         assert "sigma" in capsys.readouterr().err
+
+    def test_ideal_wide_gaussian_clamps_its_spectrum(self, tmp_path):
+        # p_ab(inf) of the ideal regime exceeds its maximum 1 by a rounding
+        # excess (2.1e-12); the asymptotic spectrum takes the maximum, the
+        # artifacts the raw value
+        cfg = write(tmp_path, BASE.replace(
+            "family = exponential\ndelta = 1.0",
+            "family = gaussian\nsigma = 1e20"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        entropy = json.loads((out / "entropy.json").read_text())
+        ledger = json.loads((out / "ledger.json").read_text())
+        assert entropy["p_ab_infty"] == ledger["p_ab_infty"] > 1.0
+        spectrum = entropy["asymptotic"]
+        assert spectrum["n_b"] == 1.0 and spectrum["n_a"] == 0.0
+        assert all(np.isfinite(v) for v in spectrum["lambdas"])
+        assert spectrum["s_e"] == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_sweep_without_section_is_config_error(self, tmp_path):
         cfg = write(tmp_path, BASE)

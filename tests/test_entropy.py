@@ -128,6 +128,21 @@ class TestAsymptoticOverlap:
         with pytest.raises(ParameterError):
             overlap_asymptotic(s, -0.01)
 
+    @pytest.mark.parametrize("rates", [(1.0, 1.0), (1.0, 3.0)])
+    def test_rounding_excess_is_clamped(self, rates):
+        # p_ab(inf) a rounding excess above its maximum: the overlap is
+        # formed from the maximum, so N_a stays in env_eigenvalues' range
+        s = LambdaSystem(omega_a=1.0, gamma_a=rates[0], gamma_b=rates[1])
+        p_max = 4.0 * rates[0] * rates[1] / sum(rates) ** 2
+        ov = overlap_asymptotic(s, p_max * (1.0 + 1e-10))
+        assert ov.p_ab == p_max
+        assert ov.n_a == 1.0 - p_max
+        assert ov.value == overlap_asymptotic(s, p_max).value
+        EnvSpectrum.from_branches(InitialMixture(0.5, 0.5), 0.0, ov.n_a,
+                                  ov.p_ab, ov.overlap_sq)
+        # inside the range nothing is clamped
+        assert overlap_asymptotic(s, 0.3 * p_max).p_ab == 0.3 * p_max
+
 
 
 def compare_grid_run(s, pulse, t_final=None):

@@ -313,12 +313,21 @@ class TestEvolve:
                      7.5, n_out=21)
         forward = run.states[:, :1 + 2 * n]
         assert float(np.max(np.sum(np.abs(forward) ** 2, axis=1))) == 0.0
-        # delta_ab = 0 here, so the mirrored phase table is e^{-i d_j t}
-        # to the last bit, its lower half the conjugate of its upper half
+        # delta_ab = 0 here, so the backward sector is the mirrored phase
+        # table e^{-i d_j t} times the photon to the last bit; the table's
+        # lower half is the conjugate of its upper half, and the table is
+        # cos and sin of d t within the product tables' bound
         assert h.backward == 0.0
-        arg = np.multiply(run.times[:, None], h.backward + h.offsets)
-        phase = np.cos(arg) - 1j * np.sin(arg)
-        assert np.array_equal(run.states[:, 1 + 2 * n:], phase * photon)
+        c = n // 2
+        table = np.empty((run.times.size, n), dtype=complex)
+        oracle._mirrored_phases(run.times, h.offsets, table,
+                                oracle._phase_steps(run.times,
+                                                    h.offsets[c:]))
+        assert np.array_equal(run.states[:, 1 + 2 * n:], table * photon)
+        assert np.array_equal(table[:, :c], np.conj(table[:, :c:-1]))
+        arg = np.multiply(run.times[:, None], h.offsets)
+        assert np.max(np.abs(table - (np.cos(arg) - 1j * np.sin(arg)))) \
+            <= phase_bound(arg)
 
     @pytest.mark.parametrize("defect", ["unordered_modes", "equal_modes",
                                         "underflowing_coupling",
@@ -394,6 +403,80 @@ class TestEvolve:
         assert run.norm_drift <= 1e-12
 
 
+EPS = np.finfo(float).eps
+
+
+def phase_bound(arg):
+    """How far a product phase table may sit from cos and sin of its
+    rounded arguments: 4 eps max|f t| + 8 eps."""
+    return 4.0 * EPS * float(np.max(np.abs(arg))) + 8.0 * EPS
+
+
+def product_table(t, freqs):
+    out = np.empty((t.size, freqs.size), dtype=complex)
+    oracle._phases(t, freqs, out, oracle._phase_steps(t, freqs))
+    return out
+
+
+class TestPhases:
+    # the default comb's offsets to its 301 snapshots (max |f t| = 300),
+    # twenty times them (6000), and grids ending in partial blocks
+    @pytest.mark.parametrize("scale, t_final, n_out", [
+        (1.0, 7.5, 301), (20.0, 7.5, 301), (1.0, 150.0, 401),
+        (1.0, 3.0, 1), (1.0, 3.0, 2), (1.0, 3.0, 17), (1.0, 7.5, 33)])
+    def test_matches_cos_and_sin(self, system, scale, t_final, n_out):
+        freqs = scale * DiscreteBath.default(system).offsets()
+        t = np.linspace(0.0, t_final, n_out)
+        table = product_table(t, freqs)
+        arg = np.multiply(t[:, None], freqs)
+        assert np.max(np.abs(table - (np.cos(arg) - 1j * np.sin(arg)))) \
+            <= phase_bound(arg)
+        # the bases, every _ROWS-th row, are cos and sin themselves
+        base = arg[::oracle._ROWS]
+        assert np.array_equal(table[::oracle._ROWS],
+                              np.cos(base) - 1j * np.sin(base))
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    def test_unit_modulus(self, system, scale):
+        # a base and a step, each of modulus 1 within an ulp, and their
+        # product
+        freqs = scale * DiscreteBath.default(system).offsets()
+        table = product_table(np.linspace(0.0, 7.5, 301), freqs)
+        assert np.max(np.abs(np.abs(table) - 1.0)) <= 4.0 * EPS
+
+    def test_steps_serve_every_block_of_a_grid(self, system):
+        # the snapshot passes build the steps once and take the table a
+        # block of _ROWS snapshots at a time
+        freqs = DiscreteBath.default(system).offsets()
+        t = np.linspace(0.0, 7.5, 301)
+        steps = oracle._phase_steps(t, freqs)
+        whole = product_table(t, freqs)
+        for i0 in range(0, t.size, oracle._ROWS):
+            rows = slice(i0, i0 + oracle._ROWS)
+            block = np.empty((t[rows].size, freqs.size), dtype=complex)
+            oracle._phases(t[rows], freqs, block, steps)
+            assert np.array_equal(block, whole[rows])
+
+    @pytest.mark.parametrize("times", ["geometric", "one_ulp_off",
+                                       "reversed_step"])
+    def test_measure_series_refuses_an_uneven_grid(self, run, times):
+        # a hand-built run reaches measure_series, whose phase tables need
+        # evolve's linspace
+        t = run.times.copy()
+        if times == "geometric":
+            t = t[-1] * (np.geomspace(1.0, 2.0, t.size) - 1.0)
+        elif times == "one_ulp_off":
+            t[7] = np.nextafter(t[7], np.inf)
+        else:
+            t[[3, 4]] = t[[4, 3]]
+        uneven = dataclasses.replace(run, times=t)
+        with pytest.raises(ParameterError, match="even time grid"):
+            measure_series(uneven, InitialMixture(0.5, 0.5))
+        # the run's own grid, rebuilt, passes
+        measure_series(dataclasses.replace(run, times=run.times.copy()),
+                       InitialMixture(0.5, 0.5))
+
+
 def dense_arrowhead(alpha, d, g):
     arrow = np.diag(np.concatenate(([alpha], d)))
     arrow[0, 1:] = arrow[1:, 0] = g
@@ -422,6 +505,22 @@ def arrowhead_eigh(alpha, d, g):
         d, k, tau, np.copysign(oracle._spokes(d, k, tau, 0, d.size), g))
 
 
+def vt_rows(arrow, r0, r1):
+    """Rows r0 .. r1 - 1 of V^T, eigenvectors r0 .. r1 - 1 as rows: the
+    reference builder of V for a decomposition ``arrow``.
+
+    Each is the normalized Cauchy vector [1, g^_j / (lam_i - d_j)], with
+    lam_i - d_j taken from the root's own pole (``oracle._pole_gaps``).
+    """
+    block = np.empty((r1 - r0, arrow.d.size + 1))
+    block[:, 0] = 1.0
+    gaps = oracle._pole_gaps(arrow.d, arrow.d[arrow.k[r0:r1]],
+                             arrow.tau[r0:r1], out=block[:, 1:])
+    np.divide(-arrow.spokes_hat, gaps, out=gaps)
+    block /= np.linalg.norm(block, axis=1)[:, None]
+    return block
+
+
 def assert_solves_arrowhead(alpha, d, g):
     """The secular solver against dense eigh, at 1e-13 of |A|.
 
@@ -436,7 +535,7 @@ def assert_solves_arrowhead(alpha, d, g):
 def assert_decomposes(arrow, alpha, d, g):
     n = d.size
     evals = arrow.evals
-    evecs = np.concatenate([arrow.vt_rows(r0, min(r0 + 37, n + 1))
+    evecs = np.concatenate([vt_rows(arrow, r0, min(r0 + 37, n + 1))
                             for r0 in range(0, n + 1, 37)]).T
     dense = dense_arrowhead(alpha, d, g)
     ref = np.linalg.eigh(dense)[0]
@@ -534,6 +633,47 @@ class TestFoldedSolver:
             <= 1e-13 * g[0]
         assert sum(part.nbytes for part in folded) < 16 * (d.size + 1) * 8
         assert not any(part.flags.writeable for part in folded)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mirrored_arrowheads())
+    def test_mirror_block_matches_the_rows_of_v(self, comb):
+        dp, gh = comb
+        arrow = oracle._folded_eigh(dp.tobytes(), gh.tobytes())
+        assert_mirror_block(arrow, dp.size + 1, 2 * dp.size + 2)
+
+    def test_default_comb_mirror_block(self, system):
+        # the bright pass's blocks on the 2001-mode comb: whole, and one
+        # that starts and ends inside the positive roots
+        bath = DiscreteBath.default(system)
+        d = bath.offsets()
+        c = d.size // 2
+        g = np.full(c + 1, math.sqrt(system.gamma_total * bath.spacing
+                                     / (2.0 * math.pi)))
+        arrow = oracle._folded_eigh(d[c + 1:].tobytes(), g.tobytes())
+        assert_mirror_block(arrow, c + 1, d.size + 1)
+        assert_mirror_block(arrow, c + 300, c + 556)
+
+
+def assert_mirror_block(arrow, r0, r1):
+    """``oracle._mirror_rows`` for the positive roots r0 .. r1 - 1, scaled
+    by 1 / N, against the mirror sums and differences of ``vt_rows``
+    (modes c + j and c - j; |e> doubled in the differences) and the rows'
+    projections on a random start, to 1e-14."""
+    n = arrow.d.size
+    c = n // 2
+    m = r1 - r0
+    b0 = np.random.default_rng(5).normal(size=(n + 1, 4)) / math.sqrt(n)
+    sums, diffs, down = np.empty((3, m, c + 1))
+    proj, norm_sq = oracle._mirror_rows(arrow, r0, r1, b0, sums, diffs,
+                                        down)
+    vt = vt_rows(arrow, r0, r1)
+    up, dn = vt[:, c + 1:], vt[:, c + 1:0:-1]
+    ref_diffs = up - dn
+    ref_diffs[:, 0] = 2.0 * vt[:, 0]
+    scale = 1.0 / np.sqrt(norm_sq)[:, None]
+    assert np.max(np.abs(sums * scale - (up + dn))) <= 1e-14
+    assert np.max(np.abs(diffs * scale - ref_diffs)) <= 1e-14
+    assert np.max(np.abs(proj * scale - vt @ b0)) <= 1e-14
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Compare two artifact trees file by file.
 
-    python3 tools/artifact_diff.py DIR_A DIR_B
+    python3 tools/artifact_diff.py DIR_A DIR_B [--rtol R]
 
 Files are matched by their path relative to each tree, for example two
 ``bench/worker.py run --out`` trees of one seed's plan made from two
@@ -13,7 +13,9 @@ own line: a file on one side only, a key, a string or a CSV header that
 differs, a row or element count, a file of another kind that differs,
 or bytes that differ where every value is equal.  The exit status is 1
 when there is any such difference and 0 otherwise, numeric differences
-included.
+included.  With ``--rtol R`` a numeric field that differs by more than R
+relative also makes the exit status 1, and each file that holds one is
+printed on its own line.
 """
 
 from __future__ import annotations
@@ -129,16 +131,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="also fail when a numeric field differs by "
+                        "more than this relative difference")
     args = parser.parse_args(argv)
     for root in (args.dir_a, args.dir_b):
         if not root.is_dir():
             parser.error(f"{root} is not a directory")
+    if args.rtol is not None and not 0.0 <= args.rtol < math.inf:
+        parser.error(f"--rtol must be finite and >= 0, got {args.rtol}")
 
     files_a, files_b = _files(args.dir_a), _files(args.dir_b)
     same = defaultdict(int)
     differ = defaultdict(int)
     worst = {}
     problems = []
+    over = []
     for rel in sorted(files_a | files_b):
         name = rel.rsplit("/", 1)[-1]
         if rel not in files_a or rel not in files_b:
@@ -158,6 +166,8 @@ def main(argv=None) -> int:
             continue
         if name not in worst or rel_diff > worst[name][0]:
             worst[name] = (rel_diff, f"{rel}: {where}")
+        if args.rtol is not None and rel_diff > args.rtol:
+            over.append(f"{rel}: {where} differs by {rel_diff:.3g}")
 
     for name in sorted(same.keys() | differ.keys()):
         line = f"{name}: {same[name]} identical, {differ[name]} differ"
@@ -168,7 +178,9 @@ def main(argv=None) -> int:
         print(line)
     for problem in problems:
         print(f"not numeric: {problem}")
-    return 1 if problems else 0
+    for line in over:
+        print(f"over rtol {args.rtol:g}: {line}")
+    return 1 if problems or over else 0
 
 
 if __name__ == "__main__":
