@@ -823,7 +823,8 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> EnvSpectrum:
     matrix is ever diagonalized or formed.  The free pulse's phases come
     from ``_phases``, with one set of steps per call, so the run's times
     must be the even grid ``evolve`` writes, np.linspace(t_0, t_final,
-    n_out), else ParameterError.  Returns the series as one
+    n_out), and, as their upper half is conjugated into the lower, its
+    comb must be mirror symmetric, else ParameterError.  Returns the series as one
     ``EnvSpectrum``: psi_sq = p_e, n_a, n_b = p_ab, the overlap and the
     entropies, one entry per snapshot.  On a 2001-mode run of 301
     snapshots it takes about 15 ms and 1.1 MiB above the run
@@ -837,6 +838,9 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> EnvSpectrum:
         raise ParameterError(
             "measure_series needs the even time grid evolve writes, "
             "np.linspace(t_0, t_final, n_out)")
+    if not np.array_equal(h.offsets, -h.offsets[::-1]):
+        raise ParameterError("measure_series needs a comb mirror-symmetric "
+                             "about omega_ref, as evolve does")
     states = run.states
     if h.backward is not None:
         back = states[:, 1 + 2 * n:]

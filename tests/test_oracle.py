@@ -476,6 +476,15 @@ class TestPhases:
         measure_series(dataclasses.replace(run, times=run.times.copy()),
                        InitialMixture(0.5, 0.5))
 
+    def test_measure_series_refuses_an_asymmetric_comb(self, run):
+        # the free pulse's phase table conjugates its upper half into the
+        # lower one: on a comb shifted off the mirror it would be wrong
+        h = run.hamiltonian
+        shifted = dataclasses.replace(
+            run, hamiltonian=dataclasses.replace(h, offsets=h.offsets + 0.01))
+        with pytest.raises(ParameterError, match="mirror-symmetric"):
+            measure_series(shifted, InitialMixture(0.5, 0.5))
+
 
 def dense_arrowhead(alpha, d, g):
     arrow = np.diag(np.concatenate(([alpha], d)))
