@@ -129,8 +129,9 @@ def test_rtol_keeps_structural_failures(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rtol", ["-1e-10", "nan", "inf"])
-def test_rtol_must_be_a_tolerance(tmp_path, rtol):
+def test_rtol_must_be_a_tolerance(tmp_path, capsys, rtol):
     a, b = tree(tmp_path / "A"), tree(tmp_path / "B")
     with pytest.raises(SystemExit) as exc:
-        artifact_diff.main([str(a), str(b), "--rtol", rtol])
+        artifact_diff.main([str(a), str(b), f"--rtol={rtol}"])
     assert exc.value.code == 2
+    assert "--rtol must be finite and >= 0" in capsys.readouterr().err
