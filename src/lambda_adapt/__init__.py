@@ -13,7 +13,6 @@ from .model import (
     Exponential,
     Gaussian,
     Rectangular,
-    Sampled,
     PulseSpec,
     InitialMixture,
     SimGrid,
@@ -27,7 +26,6 @@ __all__ = [
     "Exponential",
     "Gaussian",
     "Rectangular",
-    "Sampled",
     "PulseSpec",
     "InitialMixture",
     "SimGrid",

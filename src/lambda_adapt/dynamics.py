@@ -342,14 +342,14 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
                   grid: SimGrid) -> AmplitudeTrajectory:
     """Integrate the excited amplitude over [0, t_max].
 
-    The interval is split at drive breakpoints (rectangular pulse edges,
-    the samples of a sampled envelope) so every step sees a smooth
-    drive.  This is the only place where Gamma and delta_L set a step:
-    inside each smooth interval the first 60/Gamma run at
-    0.01 / max(Gamma, |delta_L|), so the quadratures resolve the
-    emitter's transient, and the rest at ``grid.dt``, which follows the
-    envelope; when ``grid.dt`` is already that fine the interval is one
-    stretch.  Each stretch uses a uniform step no larger than its bound.
+    The interval is split at drive breakpoints (the back edge of a
+    rectangular pulse) so every step sees a smooth drive.  This is the
+    only place where Gamma and delta_L set a step: inside each smooth
+    interval the first 60/Gamma run at 0.01 / max(Gamma, |delta_L|), so
+    the quadratures resolve the emitter's transient, and the rest at
+    ``grid.dt``, which follows the envelope; when ``grid.dt`` is already
+    that fine the interval is one stretch.  Each stretch uses a uniform
+    step no larger than its bound.
 
     The amplitude is exact for a drive that is quadratic on each step,
     so its error is the drive's interpolation error, not a stability or
@@ -423,10 +423,9 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
         p_seg = p_e[i0:i1 + 1]
         np.multiply(re, re, out=p_seg)
         p_seg += im * im
-        # p_e' = -Gamma p_e + 2 Re(conj(f) psi^) from the amplitude equation
-        dp_seg = f_nodes.real * re
-        if np.iscomplexobj(f_nodes):
-            dp_seg += f_nodes.imag * im
+        # p_e' = -Gamma p_e + 2 Re(conj(f) psi^) from the amplitude
+        # equation, 2 f Re psi^ as every envelope's drive is real
+        dp_seg = f_nodes * re
         dp_seg *= 2.0
         dp_seg -= gamma * p_seg
         transfer[i0:i1 + 1] = transfer[i0] + _cumulative_quadrature(
@@ -532,10 +531,10 @@ def populations(system: LambdaSystem, mixture: InitialMixture,
                 traj: AmplitudeTrajectory) -> PopulationSeries:
     """p_a, p_b, p_e over time for an initial mixture of |a> and |b>.
 
-    The |b> branch is inert (an a-branch photon cannot raise |b>; the
-    oracle's backward-leak check confirms it), so it contributes a
-    constant p_b0.  Within the |a> branch probability is conserved:
-    p_aa = 1 - p_e - p_ab.
+    The |b> branch is inert (an a-branch photon cannot raise |b>: no
+    term of the rotating-wave H couples |b, 1_a> to anything), so it
+    contributes a constant p_b0.  Within the |a> branch probability is
+    conserved: p_aa = 1 - p_e - p_ab.
     """
     p_e = mixture.p_a0 * traj.p_e
     p_b = mixture.p_a0 * traj.p_ab + mixture.p_b0

@@ -84,6 +84,7 @@ def von_neumann(eigenvalues):
     """S = -sum lambda ln lambda over the last axis, with 0 ln 0 = 0.
 
     One spectrum gives a float, a stack of spectra an array of entropies.
+    A pure spectrum gives +0.0, never -0.0.
     """
     lams = np.asarray(eigenvalues, dtype=float)
     if np.any(lams < -1e-12):
@@ -94,7 +95,8 @@ def von_neumann(eigenvalues):
     lams = np.clip(lams, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(lams > 0.0, lams * np.log(lams), 0.0)
-    s = -np.sum(terms, axis=-1)
+    # 0 - x is -x for every x but a zero sum, which gives +0.0
+    s = 0.0 - np.sum(terms, axis=-1)
     return float(s) if s.ndim == 0 else s
 
 

@@ -13,10 +13,6 @@ class ParameterError(LambdaAdaptError, ValueError):
     """A physical parameter or query is outside its declared domain."""
 
 
-class DegenerateInputError(ParameterError):
-    """Input is structurally empty (e.g. an all-zero sampled envelope)."""
-
-
 class UnsupportedEnvelopeError(LambdaAdaptError, TypeError):
     """An object that is not one of the known envelope families."""
 

@@ -14,19 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    ParameterError,
-    UnsupportedEnvelopeError,
-)
+from .errors import (ConfigurationError, ParameterError,
+                     UnsupportedEnvelopeError)
 
 __all__ = [
     "LambdaSystem",
     "Exponential",
     "Gaussian",
     "Rectangular",
-    "Sampled",
     "FAMILIES",
     "PulseSpec",
     "InitialMixture",
@@ -45,11 +40,6 @@ _GAUSS_OFFSET = 8.0
 # gives: there 40 terms leave 1.2e-14 of e^{w^2} erfc(w), 60 leave 9e-17.
 _ERFC_TERMS = 60
 
-# Table entries in one block of modes of a sampled spectrum (modes x
-# intervals, or modes x 4 sqrt(intervals) on a uniform grid): each
-# temporary of the block stays at 1 MB.
-_SPECTRUM_BLOCK = 1 << 16
-
 
 def _erfcx(w):
     """e^{w^2} erfc(w) for Re w >= 2, by Laplace's continued fraction.
@@ -61,20 +51,6 @@ def _erfcx(w):
     for k in range(_ERFC_TERMS, 0, -1):
         tail = (0.5 * k) / (w + tail)
     return 1.0 / (math.sqrt(math.pi) * (w + tail))
-
-
-def _sphj1(x):
-    """Spherical Bessel j_1(x) = (sin x - x cos x) / x^2, elementwise.
-
-    Below |x| = 0.5 the closed form cancels; its Taylor series, to x^13,
-    is then exact to rounding."""
-    x2 = x * x
-    series = x * (1 / 3 - x2 * (1 / 30 - x2 * (1 / 840 - x2 * (
-        1 / 45360 - x2 * (1 / 3991680 - x2 * (1 / 518918400
-                                               - x2 / 93405312000))))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        closed = (np.sin(x) - x * np.cos(x)) / x2
-    return np.where(np.abs(x) < 0.5, series, closed)
 
 
 @dataclass(frozen=True)
@@ -288,145 +264,10 @@ class Rectangular:
         return (self.duration,)
 
 
-
-@dataclass(frozen=True)
-class Sampled:
-    """Envelope given on a discrete z grid, linearly interpolated.
-
-    The amplitude may be complex.  Outside the sampled window the shape
-    is zero (hard truncation).  ``make_pulse`` renormalizes the samples;
-    constructing the dataclass directly performs no validation.
-    """
-
-    z: np.ndarray
-    amplitude: np.ndarray
-
-    def _check(self):
-        z = np.asarray(self.z, dtype=float)
-        amp = np.asarray(self.amplitude)
-        if z.ndim != 1 or amp.shape != z.shape or z.size < 2:
-            raise ParameterError("sampled envelope needs matching 1-d z and amplitude")
-        if np.any(np.diff(z) <= 0):
-            raise ParameterError("sampled z grid must be strictly increasing")
-        if np.any((np.abs(amp) > 0) & (z > 0)):
-            raise ParameterError("sampled envelope has support at z > 0")
-        if not np.all(np.isfinite(z)) or not np.all(np.isfinite(amp)):
-            raise ParameterError("sampled envelope contains non-finite values")
-
-    def norm_constant(self, rho, c):
-        z = np.asarray(self.z, dtype=float)
-        amp = np.asarray(self.amplitude, dtype=complex)
-        # the envelope is the linear interpolant, whose square integrates
-        # exactly to h/3 (|a|^2 + Re(a conj b) + |b|^2) on each interval
-        sq = np.abs(amp) ** 2
-        cross = (amp[:-1] * amp[1:].conj()).real
-        raw = float(np.dot(np.diff(z), sq[:-1] + cross + sq[1:])) / 3.0
-        if raw <= 0.0:
-            raise DegenerateInputError("sampled envelope has zero norm")
-        return math.sqrt(2.0 * math.pi * rho * c / raw)
-
-    def shape_values(self, z, rho, c):
-        zq = np.asarray(z, dtype=float)
-        amp = np.asarray(self.amplitude, dtype=complex)
-        k = self.norm_constant(rho, c)
-        re = np.interp(zq, self.z, amp.real, left=0.0, right=0.0)
-        im = np.interp(zq, self.z, amp.imag, left=0.0, right=0.0)
-        return k * (re + 1j * im)
-
-    def spectrum(self, delta, rho, c):
-        # interval [z_k, z_k + h] with end values A, B and midpoint m adds
-        # h e^{-i q m} ((A + B) / 2 j0(q h / 2) + i (A - B) / 2 j1(q h / 2)),
-        # q = delta / c, summed pair by pair (_Intervals) or, on a uniform
-        # grid, factored (_UniformIntervals); modes go in blocks of about
-        # _SPECTRUM_BLOCK table entries, so memory stays bounded on any comb
-        z = np.asarray(self.z, dtype=float)
-        amp = np.asarray(self.amplitude, dtype=complex) \
-            * self.norm_constant(rho, c)
-        h = np.diff(z)
-        mean = 0.5 * h * (amp[:-1] + amp[1:])
-        odd = 0.5j * h * (amp[:-1] - amp[1:])
-        q = np.asarray(delta, dtype=float) / c
-        flat = q.ravel()
-        step = (z[-1] - z[0]) / h.size
-        uniform = z[0] + step * np.arange(z.size)
-        if np.max(np.abs(z - uniform)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(z)):
-            transform = _UniformIntervals(z[0], step, mean, odd)
-        else:
-            transform = _Intervals(z, mean, odd)
-        out = np.empty(flat.size, dtype=complex)
-        rows = max(1, _SPECTRUM_BLOCK // transform.width)
-        for r0 in range(0, flat.size, rows):
-            out[r0:r0 + rows] = transform(flat[r0:r0 + rows])
-        return out.reshape(q.shape)
-
-    def spectral_scale(self):
-        # resolve features down to the sample spacing
-        dz = float(np.min(np.diff(np.asarray(self.z, dtype=float))))
-        span = float(self.z[-1] - self.z[0])
-        return max(2.0 / span, 0.2 / dz)
-
-    def settle_time(self, c):
-        return -float(self.z[0]) / c
-
-    def drive_breakpoints(self, c):
-        # the interpolant kinks at every sample; between two samples the
-        # drive is linear, which the integrator and quadratures take exactly
-        return tuple(-float(zj) / c for zj in self.z)
-
-
-
-class _Intervals:
-    """Sum of the interval terms of ``Sampled.spectrum``, one per
-    (mode, interval) pair: an exponential and two Bessel functions each."""
-
-    def __init__(self, z, mean, odd):
-        self.h = np.diff(z)
-        self.mid = 0.5 * (z[:-1] + z[1:])
-        self.mean, self.odd = mean, odd
-        self.width = self.h.size
-
-    def __call__(self, q):
-        x = 0.5 * q[:, None] * self.h
-        phase = np.exp(-1j * q[:, None] * self.mid)
-        return (phase * np.sinc(x / math.pi)) @ self.mean \
-            + (phase * _sphj1(x)) @ self.odd
-
-
-class _UniformIntervals:
-    """The same sum on z_k = z_0 + k h (a grid equal to that to within
-    rounding of its samples).  j0 and j1 are then one number per mode,
-    and with k = a w + b, w ~ sqrt(intervals), the phases factor as
-    e^{-i q k h} = e^{-i q a w h} e^{-i q b h}: a mode costs 2w
-    exponentials and a row of a (w x 2w) matrix product."""
-
-    def __init__(self, z0, step, mean, odd):
-        n = mean.size
-        w = math.isqrt(n - 1) + 1
-        rows = -(-n // w)
-        coef = np.zeros((2, rows * w), dtype=complex)
-        coef[0, :n], coef[1, :n] = mean, odd
-        self.coef = coef.reshape(2 * rows, w).T
-        self.inner = step * np.arange(w)
-        self.outer = w * step * np.arange(rows)
-        self.z0, self.step = z0, step
-        self.width = 4 * w
-
-    def __call__(self, q):
-        x = 0.5 * q * self.step
-        parts = np.exp(-1j * q[:, None] * self.inner) @ self.coef
-        parts = parts.reshape(q.size, 2, self.outer.size)
-        sums = np.einsum("ma,msa->ms",
-                         np.exp(-1j * q[:, None] * self.outer), parts)
-        return np.exp(-1j * q * (self.z0 + 0.5 * self.step)) \
-            * (np.sinc(x / math.pi) * sums[:, 0] + _sphj1(x) * sums[:, 1])
-
-
 # the analytic envelope families by name; each class takes its width as
 # its one positional argument
 FAMILIES = {"exponential": Exponential, "gaussian": Gaussian,
             "rectangular": Rectangular}
-
-_FAMILIES = (*FAMILIES.values(), Sampled)
 
 
 @dataclass(frozen=True)
@@ -446,7 +287,7 @@ class PulseSpec:
         """integral phi_shape(z, 0) e^{-i delta z / c} dz, in closed form.
 
         The envelope's exact Fourier transform at detunings ``delta`` from
-        the carrier (for ``Sampled``, that of the linear interpolant).
+        the carrier.
         """
         return self.envelope.spectrum(delta, self.rho, self.c)
 
@@ -469,14 +310,14 @@ def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
 
     Parameters
     ----------
-    envelope : Exponential | Gaussian | Rectangular | Sampled
-        Envelope family instance; Sampled data is renormalized here.
+    envelope : Exponential | Gaussian | Rectangular
+        Envelope family instance (a value of ``FAMILIES``).
     carrier : float
         Carrier frequency omega_L (> 0).
     system : LambdaSystem
         Supplies the waveguide constants rho and c.
     """
-    if not isinstance(envelope, _FAMILIES):
+    if not isinstance(envelope, tuple(FAMILIES.values())):
         raise UnsupportedEnvelopeError(
             f"unknown envelope family {type(envelope).__name__!r}"
         )
@@ -495,14 +336,6 @@ def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
             raise ParameterError(
                 f"sigma = {envelope.sigma} is too wide: (offset c sigma)^2 "
                 "overflows")
-    if isinstance(envelope, Sampled):
-        k = envelope.norm_constant(rho, c)  # raises on zero norm
-        amp = np.asarray(envelope.amplitude, dtype=complex) * k
-        z = np.asarray(envelope.z, dtype=float).copy()
-        amp.flags.writeable = False
-        z.flags.writeable = False
-        # after rescaling, norm_constant evaluates to 1 for the new samples
-        envelope = Sampled(z=z, amplitude=amp)
     return PulseSpec(carrier=float(carrier), envelope=envelope, rho=rho, c=c)
 
 

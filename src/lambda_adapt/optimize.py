@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import integrate_psi, p_ab_infty
-from .errors import ParameterError, LambdaAdaptError, UnsupportedEnvelopeError
+from .errors import ParameterError, LambdaAdaptError
 from .model import FAMILIES, LambdaSystem, PulseSpec, SimGrid, make_pulse
 from .thermo import drive_energy_flux
 
@@ -159,10 +159,6 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
         w = float(params["linewidth"])
         if not w > 0:
             raise ParameterError(f"linewidth must be positive, got {w}")
-        if type(envelope) not in FAMILIES.values():
-            raise UnsupportedEnvelopeError(
-                f"cannot set the bandwidth of a {type(envelope).__name__} "
-                "envelope")
         envelope = envelope.at_scale(w)
     carrier = pulse.carrier
     if "detuning" in params:

@@ -133,45 +133,34 @@ class OneExcitationState:
     """Amplitudes in the one-excitation basis.
 
     Layout: excited |e, vac>, a-branch modes (system in |a>), b-branch
-    modes (system in |b>), and optionally the decoupled backward sector
-    (system in |b> with an a-branch photon).
+    modes (system in |b>).  The states with the system in |b> and a
+    photon on the a-branch are left out: no term of H couples them to
+    anything (see ``Hamiltonian``).
     """
 
     excited: complex
     a_modes: np.ndarray
     b_modes: np.ndarray
-    backward: np.ndarray | None = None
 
     def pack(self) -> np.ndarray:
-        parts = [[self.excited], self.a_modes, self.b_modes, self.backward]
-        return np.concatenate([np.asarray(p, dtype=complex)
-                               for p in parts if p is not None])
+        return np.concatenate([np.asarray(p, dtype=complex) for p in
+                               ([self.excited], self.a_modes, self.b_modes)])
 
     @classmethod
     def unpack(cls, vec: np.ndarray, n_modes: int) -> "OneExcitationState":
         vec = np.asarray(vec, dtype=complex)
-        if vec.size == 1 + 2 * n_modes:
-            back = None
-        elif vec.size == 1 + 3 * n_modes:
-            back = vec[1 + 2 * n_modes:]
-        else:
+        if vec.size != 1 + 2 * n_modes:
             raise ParameterError(
                 f"vector of length {vec.size} does not fit {n_modes} modes"
             )
         return cls(excited=complex(vec[0]), a_modes=vec[1:1 + n_modes],
-                   b_modes=vec[1 + n_modes:1 + 2 * n_modes], backward=back)
+                   b_modes=vec[1 + n_modes:])
 
     @classmethod
-    def from_pulse(cls, amps: np.ndarray, *,
-                   backward: bool = False) -> "OneExcitationState":
-        """Photon in the a-branch comb; system in |a> (or |b> if backward)."""
-        n = amps.shape[0]
-        zeros = np.zeros(n, dtype=complex)
-        if backward:
-            return cls(excited=0.0, a_modes=zeros, b_modes=zeros.copy(),
-                       backward=np.asarray(amps, dtype=complex))
+    def from_pulse(cls, amps: np.ndarray) -> "OneExcitationState":
+        """Photon in the a-branch comb; system in |a>."""
         return cls(excited=0.0, a_modes=np.asarray(amps, dtype=complex),
-                   b_modes=zeros)
+                   b_modes=np.zeros(amps.shape[0], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -181,49 +170,44 @@ class Hamiltonian:
     Only the nonzero structure: the |e, vac> energy ``omega_ref``; the
     ``offsets`` d_j from omega_ref that a-mode j and b-mode j share (the
     bath's ``DiscreteBath.offsets()`` exactly, so the comb stays mirror
-    symmetric about omega_ref to the last bit whatever omega_ref is); the
-    couplings z_a = <e|H|a_j> and z_b = <e|H|b_j>; and ``backward``, the
-    shift of the uncoupled backward sector, which sits at omega_ref +
-    backward + d_j (None: no backward sector).  ``diagonal`` is the
-    diagonal in the frame rotating at omega_ref and ``toarray`` the dense
-    lab-frame matrix, both in the basis order of ``OneExcitationState``.
+    symmetric about omega_ref to the last bit whatever omega_ref is); and
+    the couplings z_a = <e|H|a_j> and z_b = <e|H|b_j>.  ``diagonal`` is
+    the diagonal in the frame rotating at omega_ref and ``toarray`` the
+    dense lab-frame matrix, both in the basis order of
+    ``OneExcitationState``.  In the rotating-wave model <e, 0|H|s, 1_k j>
+    = g_k delta_{s,k}: the states |b, 1_a j> (system in |b>, a photon on
+    the a-branch) have no coupling at all, so a time-mirrored pulse on
+    |b> never enters this block and is left out of it.
     """
 
     omega_ref: float
     offsets: np.ndarray
     z_a: np.ndarray
     z_b: np.ndarray
-    backward: float | None = None
 
     @property
     def dim(self) -> int:
-        return 1 + (2 if self.backward is None else 3) * self.offsets.size
+        return 1 + 2 * self.offsets.size
 
     def diagonal(self) -> np.ndarray:
-        d = self.offsets
-        parts = [[0.0], d, d, None if self.backward is None
-                 else self.backward + d]
-        return np.concatenate([p for p in parts if p is not None])
+        return np.concatenate(([0.0], self.offsets, self.offsets))
 
     def toarray(self) -> np.ndarray:
-        n = self.offsets.size
         h = np.diag((self.omega_ref + self.diagonal()).astype(complex))
-        h[0, 1:2 * n + 1] = np.concatenate((self.z_a, self.z_b))
-        h[1:2 * n + 1, 0] = np.conj(h[0, 1:2 * n + 1])
+        h[0, 1:] = np.concatenate((self.z_a, self.z_b))
+        h[1:, 0] = np.conj(h[0, 1:])
         return h
 
 
-def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
-                      include_backward: bool = False) -> Hamiltonian:
+def build_hamiltonian(system: LambdaSystem,
+                      bath: DiscreteBath) -> Hamiltonian:
     """The one-excitation Hamiltonian on the bath's combs.
 
     omega_ref = omega_a; a-mode j and b-mode j share the offset d_j of
-    ``bath.offsets()``, since delta_ab + omega_j^b = omega_a + d_j; the
-    backward sector (an a-branch photon with the system in |b>, which
-    nothing couples) is shifted by delta_ab.  z_k = -i g_k, g_k =
-    sqrt(gamma_k spacing / 2 pi), equal on every mode: the comb and its
-    couplings are mirror symmetric about the line, which ``evolve``
-    folds.
+    ``bath.offsets()``, since delta_ab + omega_j^b = omega_a + d_j.  z_k =
+    -i g_k, g_k = sqrt(gamma_k spacing / 2 pi), equal on every mode: the
+    comb and its couplings are mirror symmetric about the line, which
+    ``evolve`` folds.
     """
     bath.check_against(system)
     offsets = bath.offsets()
@@ -232,8 +216,7 @@ def build_hamiltonian(system: LambdaSystem, bath: DiscreteBath,
     return Hamiltonian(
         omega_ref=float(system.omega_a), offsets=offsets,
         z_a=np.full(offsets.size, -1j * g_a),
-        z_b=np.full(offsets.size, -1j * g_b),
-        backward=float(system.delta_ab) if include_backward else None)
+        z_b=np.full(offsets.size, -1j * g_b))
 
 
 def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
@@ -638,8 +621,8 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     gap of ``h.offsets``), the recurrence time, else ConfigurationError.
     In the frame rotating at omega_ref, with d the offsets and G_j =
     sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
-    (z_bj a_j - z_aj b_j) / G_j, evolving by its phase like the backward
-    sector, and a bright mode (conj(z_aj) a_j + conj(z_bj) b_j) / G_j.
+    (z_bj a_j - z_aj b_j) / G_j, evolving by its phase alone, and a
+    bright mode (conj(z_aj) a_j + conj(z_bj) b_j) / G_j.
     |e> and the bright modes form the real arrowhead [[0, G], [G, diag(d)]].
     The comb must be mirror symmetric, d_{n-1-j} = -d_j and G_{n-1-j} =
     G_j, with d strictly increasing and every G_j^2 a normal float, else
@@ -664,17 +647,15 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     scratch block: it copies their bands and unfolds them into the
     bright amplitudes, mixes (bright, dark) into (a, b) with the dark
     phases, and sums the norms.  Every phase table (e^{-i lam t} of a
-    root block, the dark modes' and the backward sector's e^{-i d_j t})
-    is built by ``_phases`` on the even snapshot grid: cos and sin once
-    per _ROWS snapshots, every other entry one complex product; the dark
-    modes and the backward sector compute the upper half of their table
-    and conjugate it, with one set of steps for the whole run.  Parts
-    that start at zero (the bright one, or the whole forward sector in
-    the backward-leak run) are not evolved and stay exactly zero.  Norm
-    drift above DRIFT_TOL raises.  On the 2001-mode default comb with
-    301 snapshots, a cold run takes about 0.17-0.22 s and a warm one
-    (decomposition cached) 0.10-0.12 s; on 801 modes, a cold run takes
-    0.05-0.06 s; on 7643 modes with 401 snapshots, 1.9 s (2-core x86 VM).
+    root block, the dark modes' e^{-i d_j t}) is built by ``_phases`` on
+    the even snapshot grid: cos and sin once per _ROWS snapshots, every
+    other entry one complex product; the dark modes compute the upper
+    half of their table and conjugate it, with one set of steps for the
+    whole run.  Norm drift above DRIFT_TOL raises.  On the 2001-mode
+    default comb with 301 snapshots, a cold run takes about 0.17-0.22 s
+    and a warm one (decomposition cached) 0.10-0.12 s; on 801 modes, a
+    cold run takes 0.05-0.06 s; on 7643 modes with 401 snapshots, 1.9 s
+    (2-core x86 VM).
     Beyond its states (18.4 MiB) the cold 2001-mode run peaks 12.4 MiB
     higher (tracemalloc): the bright pass's three (_BRIGHT, c + 1) slabs
     take 6 MiB of that, and the decomposition's (_SOLVE, n) temporaries
@@ -709,7 +690,7 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
             f"t_final = {t_final} reaches the recurrence time "
             f"{recurrence:.3g}; enlarge the bath")
 
-    a, b, back = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(2 * n + 1, dim)
+    a, b = slice(1, n + 1), slice(n + 1, dim)
     c = n // 2
     t_out = np.linspace(0.0, t_final, n_out)
     bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
@@ -719,88 +700,75 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     # doubles: the bright pass accumulates Re X, Im X, Re Y and Im Y
     # there, one band of c + 1 each, for the snapshot loop to unfold
     packed = states.view(float)[:, :4 * (c + 1)]
-    solved = np.any(bright0)
-    if solved:
-        arrow = _folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
-        # the start and its mirror S b0 project onto rows x and S x
-        mirror0 = np.concatenate((bright0[:1], -bright0[:0:-1]))
-        b0 = np.stack([bright0.real, bright0.imag,
-                       mirror0.real, mirror0.imag], axis=1)
-        bands = np.split(packed, 4, axis=1)
-        part = np.empty((n_out, c + 1))
-        width = min(_BRIGHT, c + 1)
-        sums, diffs, down = np.empty((3, width, c + 1))
-        lhs = np.empty((2, n_out, width))
-        fwd_buf, mir_buf = np.empty((2, n_out, width), dtype=complex)
-        for r0 in range(c + 1, n + 1, _BRIGHT):
-            r1 = min(r0 + _BRIGHT, n + 1)
-            m = r1 - r0
-            proj, norm_sq = _mirror_rows(arrow, r0, r1, b0, sums[:m],
-                                         diffs[:m], down[:m])
-            # F = e^{-i lam t} v.b0 and G = e^{i lam t} v.S b0 for the
-            # normalized rows v = u / N: 1 / N^2 goes on the coefficients,
-            # and a half, as the mirror sums and differences below are not
-            # halved (|e>, which has no mirror, is doubled instead)
-            w0 = proj * (0.5 / norm_sq)[:, None]
-            fwd, mir = fwd_buf[:, :m], mir_buf[:, :m]
-            evals = arrow.evals[r0:r1]
-            _phases(t_out, evals, fwd, _phase_steps(t_out, evals))
-            np.conjugate(fwd, out=mir)
-            fwd *= w0[:, 0] + 1j * w0[:, 1]
-            mir *= w0[:, 2] + 1j * w0[:, 3]
-            # X = (F - G) on the sums, Y = (F + G) on the differences, the
-            # real and the imaginary half each into its own band
-            for op, rhs, acc in ((np.subtract, sums, bands[:2]),
-                                 (np.add, diffs, bands[2:])):
-                op(fwd.real, mir.real, out=lhs[0, :, :m])
-                op(fwd.imag, mir.imag, out=lhs[1, :, :m])
-                for half, band in zip(lhs, acc):
-                    if r0 == c + 1:
-                        np.matmul(half[:, :m], rhs[:m], out=band)
-                    else:
-                        np.matmul(half[:, :m], rhs[:m], out=part)
-                        band += part
-        del part, sums, diffs, down, lhs, fwd_buf, mir_buf
+    arrow = _folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
+    # the start and its mirror S b0 project onto rows x and S x
+    mirror0 = np.concatenate((bright0[:1], -bright0[:0:-1]))
+    b0 = np.stack([bright0.real, bright0.imag,
+                   mirror0.real, mirror0.imag], axis=1)
+    bands = np.split(packed, 4, axis=1)
+    part = np.empty((n_out, c + 1))
+    width = min(_BRIGHT, c + 1)
+    sums, diffs, down = np.empty((3, width, c + 1))
+    lhs = np.empty((2, n_out, width))
+    fwd_buf, mir_buf = np.empty((2, n_out, width), dtype=complex)
+    for r0 in range(c + 1, n + 1, _BRIGHT):
+        r1 = min(r0 + _BRIGHT, n + 1)
+        m = r1 - r0
+        proj, norm_sq = _mirror_rows(arrow, r0, r1, b0, sums[:m],
+                                     diffs[:m], down[:m])
+        # F = e^{-i lam t} v.b0 and G = e^{i lam t} v.S b0 for the
+        # normalized rows v = u / N: 1 / N^2 goes on the coefficients,
+        # and a half, as the mirror sums and differences below are not
+        # halved (|e>, which has no mirror, is doubled instead)
+        w0 = proj * (0.5 / norm_sq)[:, None]
+        fwd, mir = fwd_buf[:, :m], mir_buf[:, :m]
+        evals = arrow.evals[r0:r1]
+        _phases(t_out, evals, fwd, _phase_steps(t_out, evals))
+        np.conjugate(fwd, out=mir)
+        fwd *= w0[:, 0] + 1j * w0[:, 1]
+        mir *= w0[:, 2] + 1j * w0[:, 3]
+        # X = (F - G) on the sums, Y = (F + G) on the differences, the
+        # real and the imaginary half each into its own band
+        for op, rhs, acc in ((np.subtract, sums, bands[:2]),
+                             (np.add, diffs, bands[2:])):
+            op(fwd.real, mir.real, out=lhs[0, :, :m])
+            op(fwd.imag, mir.imag, out=lhs[1, :, :m])
+            for half, band in zip(lhs, acc):
+                if r0 == c + 1:
+                    np.matmul(half[:, :m], rhs[:m], out=band)
+                else:
+                    np.matmul(half[:, :m], rhs[:m], out=part)
+                    band += part
+    del part, sums, diffs, down, lhs, fwd_buf, mir_buf
 
-    # the dark phases and the backward sector share one comb, so one set
-    # of steps serves both
-    steps = _phase_steps(t_out, d[c:])
-    if h.backward is not None:
-        backward = states[:, back]
-        _mirrored_phases(t_out, d, backward, steps)
-        backward *= np.exp(-1j * h.backward * t_out)[:, None]
-        backward *= y0[back]
     # each block of snapshots unfolds its bands, turns (bright, dark) into
     # (a, b) in place and sums its norms, every step in the same scratch:
     # a = (conj(z_a) bright + z_b dark0 e^{-i d t}) / G and
     # b = (conj(z_b) bright - z_a dark0 e^{-i d t}) / G
-    forward = np.any(y0[:2 * n + 1])
-    if forward:
-        a_bright, b_bright = np.conj(z_a) / g, np.conj(z_b) / g
-        a_dark, b_dark = z_b * dark0 / g, -z_a * dark0 / g
+    steps = _phase_steps(t_out, d[c:])
+    a_bright, b_bright = np.conj(z_a) / g, np.conj(z_b) / g
+    a_dark, b_dark = z_b * dark0 / g, -z_a * dark0 / g
     scratch = np.empty((min(n_out, _ROWS), 2 * n), dtype=complex)
     norms = np.empty(n_out)
     for i0 in range(0, n_out, _ROWS):
         rows = slice(i0, i0 + _ROWS)
         block = states[rows]
         work = scratch[:len(block)]
-        if solved:
-            copy = work.view(float)[:, :4 * (c + 1)]
-            copy[:] = packed[rows]
-            x_re, x_im, y_re, y_im = np.split(copy, 4, axis=1)
-            _unfold(x_re, y_re, block.real)
-            _unfold(x_im, y_im, block.imag)
-        if forward:
-            bright, phase = block[:, a], block[:, b]
-            _mirrored_phases(t_out[rows], d, phase, steps)
-            new_a, term = np.split(work, 2, axis=1)
-            np.multiply(a_bright, bright, out=new_a)
-            np.multiply(a_dark, phase, out=term)
-            new_a += term
-            phase *= b_dark
-            bright *= b_bright
-            phase += bright
-            bright[:] = new_a
+        copy = work.view(float)[:, :4 * (c + 1)]
+        copy[:] = packed[rows]
+        x_re, x_im, y_re, y_im = np.split(copy, 4, axis=1)
+        _unfold(x_re, y_re, block.real)
+        _unfold(x_im, y_im, block.imag)
+        bright, phase = block[:, a], block[:, b]
+        _mirrored_phases(t_out[rows], d, phase, steps)
+        new_a, term = np.split(work, 2, axis=1)
+        np.multiply(a_bright, bright, out=new_a)
+        np.multiply(a_dark, phase, out=term)
+        new_a += term
+        phase *= b_dark
+        bright *= b_bright
+        phase += bright
+        bright[:] = new_a
         pops = np.abs(block, out=work.view(float)[:, :dim])
         pops *= pops
         norms[rows] = np.add.reduce(pops, axis=1)
@@ -842,16 +810,8 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> EnvSpectrum:
         raise ParameterError("measure_series needs a comb mirror-symmetric "
                              "about omega_ref, as evolve does")
     states = run.states
-    if h.backward is not None:
-        back = states[:, 1 + 2 * n:]
-        if float(np.max(np.abs(back))) > 1e-12:
-            raise ParameterError(
-                "measure_series expects a forward-sector run; backward "
-                "amplitudes are populated"
-            )
-        states = states[:, :1 + 2 * n]
     a_block = states[:, 1:1 + n]
-    b_block = states[:, 1 + n:1 + 2 * n]
+    b_block = states[:, 1 + n:]
     n_out = times.size
     p_e = np.abs(states[:, 0]) ** 2
     n_a, n_b = np.empty(n_out), np.empty(n_out)
@@ -893,12 +853,7 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Worst-case oracle-vs-analytic deviations and their verdicts.
-
-    ``amplitudes`` is the comb projection of the pulse the oracle
-    evolved (``discretize_pulse``), kept so a further run on the same
-    comb need not project the pulse again; ``as_dict`` leaves it out.
-    """
+    """Worst-case oracle-vs-analytic deviations and their verdicts."""
 
     deviations: dict
     tolerances: dict
@@ -907,7 +862,6 @@ class DeviationReport:
     t_final: float
     n_modes: int
     bandwidth: float
-    amplitudes: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -1001,4 +955,4 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     return DeviationReport(deviations=deviations, tolerances=tol,
                            failures=failures, norm_drift=run.norm_drift,
                            t_final=float(t_final), n_modes=bath.n_modes,
-                           bandwidth=bath.bandwidth, amplitudes=amps)
+                           bandwidth=bath.bandwidth)

@@ -17,9 +17,7 @@ from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
 from lambda_adapt.optimize import maximize
-from lambda_adapt.oracle import (DiscreteBath, OneExcitationState,
-                                 build_hamiltonian, compare,
-                                 discretize_pulse, evolve)
+from lambda_adapt.oracle import DiscreteBath, build_hamiltonian, compare
 from lambda_adapt.thermo import (HBAR, adaptation_work_check,
                                  drive_energy_flux, energy_ledger,
                                  interaction_energy)
@@ -114,19 +112,52 @@ def test_energy_ledger_closes_on_resonant_runs():
                                                    type(envelope).__name__)
 
 
-def test_backward_protocol_is_frozen():
-    s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
-    bath = DiscreteBath(n_modes=801, bandwidth=40.0 * s.gamma_total)
-    h = build_hamiltonian(s, bath, include_backward=True)
+def rwa_one_excitation_matrix(s, bath):
+    """Dense lab-frame H on {|e,0>, |a,1_a j>, |b,1_b j>, |b,1_a j>},
+    built from the rotating-wave couplings <e,0|H|s,1_k j> = g_k
+    delta_{s,k}, g_k = -i sqrt(gamma_k spacing / 2 pi), and the energies
+    E_s + omega_k + d_j (E_a = 0, E_b = delta_ab)."""
+    ground = {"a": 0.0, "b": s.delta_ab}
+    line = {"a": s.omega_a, "b": s.omega_b}
+    rate = {"a": s.gamma_a, "b": s.gamma_b}
+    sectors = [("a", "a"), ("b", "b"), ("b", "a")]
     n = bath.n_modes
-    for envelope in (Exponential(0.3), Gaussian(1.2), Rectangular(2.0)):
-        pulse = make_pulse(envelope, s.omega_a, s)
-        amps = discretize_pulse(pulse, bath, s)
-        state = OneExcitationState.from_pulse(amps, backward=True)
-        run = evolve(h, state, 15.0 / s.gamma_total, n_out=51)
-        leak = float(np.max(np.sum(np.abs(run.states[:, :1 + 2 * n]) ** 2,
-                                   axis=1)))
-        assert leak <= 1e-12, type(envelope).__name__
+    h = np.zeros((1 + 3 * n, 1 + 3 * n), dtype=complex)
+    h[0, 0] = s.omega_a
+    for i, (sys_state, branch) in enumerate(sectors):
+        cols = slice(1 + i * n, 1 + (i + 1) * n)
+        h[cols, cols] = np.diag(ground[sys_state]
+                                + (line[branch] + bath.offsets()))
+        if sys_state == branch:
+            g = -1j * math.sqrt(rate[branch] * bath.spacing / (2.0 * math.pi))
+            h[0, cols] = g
+            h[cols, 0] = np.conj(g)
+    return h
+
+
+def test_backward_protocol_is_frozen():
+    # the time-mirrored pulse on |b> lives in |b,1_a j>, which no term of
+    # H couples to anything: it cannot undo the transfer, and the oracle's
+    # Hamiltonian is the block of the other states
+    bath = DiscreteBath(n_modes=801, bandwidth=80.0)
+    n = bath.n_modes
+    for delta_ab in (0.0, 0.2):
+        s = LambdaSystem(omega_a=50.0, delta_ab=delta_ab,
+                         gamma_a=1.0, gamma_b=1.0)
+        dense = rwa_one_excitation_matrix(s, bath)
+        forward, backward = slice(0, 1 + 2 * n), slice(1 + 2 * n, 1 + 3 * n)
+        # each |b,1_a j> is an eigenstate: no entry links it to another state
+        assert not np.any(dense[backward, forward]), delta_ab
+        assert not np.any(dense[forward, backward]), delta_ab
+        block = dense[backward, backward]
+        assert np.array_equal(block, np.diag(np.diag(block))), delta_ab
+        # the oracle's Hamiltonian is the rest, every coupling to the bit;
+        # its b-branch diagonal sums omega_a + d_j in another order
+        h, ref = build_hamiltonian(s, bath).toarray(), dense[forward, forward]
+        assert np.array_equal(h - np.diag(np.diag(h)),
+                              ref - np.diag(np.diag(ref))), delta_ab
+        np.testing.assert_allclose(np.diag(h), np.diag(ref),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_entropy_curve_shape():

@@ -90,6 +90,14 @@ class TestVonNeumann:
         assert von_neumann([0.5, 0.5]) == pytest.approx(math.log(2.0))
         assert von_neumann(np.full(4, 0.25)) == pytest.approx(math.log(4.0))
 
+    def test_pure_spectrum_is_a_positive_zero(self):
+        # one spectrum and a stack; a mixed one keeps every bit of -sum
+        assert not np.signbit(von_neumann([1.0, 0.0, 0.0]))
+        stack = von_neumann([[0.0, 1.0], [0.0, 0.0], [0.25, 0.75]])
+        assert not np.any(np.signbit(stack[:2])) and not np.any(stack[:2])
+        terms = np.array([0.25, 0.75]) * np.log([0.25, 0.75])
+        assert stack[2] == -np.sum(terms)
+
     def test_zero_times_log_zero(self):
         assert von_neumann([0.3, 0.7, 0.0, 0.0]) == \
             pytest.approx(-(0.3 * math.log(0.3) + 0.7 * math.log(0.7)))

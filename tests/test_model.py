@@ -1,7 +1,6 @@
 """Envelope families, system parameters and grid validation."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,22 +9,20 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, wofz
 
-from lambda_adapt import model
-from lambda_adapt.errors import (ConfigurationError, DegenerateInputError,
-                                 ParameterError, UnsupportedEnvelopeError)
+from lambda_adapt.errors import (ConfigurationError, ParameterError,
+                                 UnsupportedEnvelopeError)
 from lambda_adapt.model import (MAX_GRID_NODES, Exponential, Gaussian,
                                 InitialMixture, LambdaSystem, Rectangular,
-                                Sampled, SimGrid, _erfcx, envelope_at,
-                                make_pulse)
+                                SimGrid, _erfcx, envelope_at, make_pulse)
 
 
 def norm_integral(pulse):
     """Numerical single-photon norm, must equal 1 for any envelope.
 
     Gauss-Legendre on each piece between the envelope's breakpoints
-    (z = -c t over ``drive_breakpoints``), so families with jumps
-    (rectangular) or kinks (sampled) are integrated piece by piece
-    rather than across the jump; each piece is smooth, and 64 nodes
+    (z = -c t over ``drive_breakpoints``), so a family with a jump
+    (rectangular) is integrated piece by piece rather than across the
+    jump; each piece is smooth, and 64 nodes
     integrate it to rounding.
     """
     c = pulse.c
@@ -141,50 +138,6 @@ class TestEnvelopes:
         assert envelope_at(p, z)[0] == pytest.approx(expected)
 
 
-class TestSampled:
-    def test_renormalized_on_construction(self):
-        s = LambdaSystem(omega_a=1.0)
-        z = np.linspace(-8.0, 0.0, 4001)
-        raw = 3.7 * np.exp(0.5 * z)
-        p = make_pulse(Sampled(z=z, amplitude=raw), 1.0, s)
-        assert norm_integral(p) == pytest.approx(1.0, abs=1e-6)
-
-    @pytest.mark.parametrize("amp", [
-        # the trapezoid of |a|^2 gave this triangle a norm of 2/3
-        [0.0, 1.0, 0.0],
-        [0.3, 1.0j, -0.5 + 0.2j],
-    ])
-    def test_unit_norm_of_the_interpolant(self, amp):
-        s = LambdaSystem(omega_a=1.0)
-        z = np.array([-2.0, -1.0, 0.0])
-        p = make_pulse(Sampled(z=z, amplitude=np.array(amp, dtype=complex)),
-                       1.0, s)
-        assert norm_integral(p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_interpolation_between_samples(self):
-        s = LambdaSystem(omega_a=1.0)
-        z = np.array([-2.0, -1.0, 0.0])
-        amp = np.array([0.0, 1.0, 0.0], dtype=complex)
-        p = make_pulse(Sampled(z=z, amplitude=amp), 1.0, s)
-        mid = p.shape_at(np.array([-1.5]))[0]
-        peak = p.shape_at(np.array([-1.0]))[0]
-        assert mid == pytest.approx(0.5 * peak)
-        assert p.shape_at(np.array([-3.0]))[0] == 0.0
-
-    def test_rejects_unsorted_and_positive_support(self):
-        amp = np.ones(3, dtype=complex)
-        with pytest.raises(ParameterError):
-            Sampled(z=np.array([-1.0, -2.0, 0.0]), amplitude=amp)._check()
-        with pytest.raises(ParameterError):
-            Sampled(z=np.array([-1.0, 0.0, 1.0]), amplitude=amp)._check()
-
-    def test_zero_norm_degenerate(self):
-        s = LambdaSystem(omega_a=1.0)
-        z = np.linspace(-1.0, 0.0, 5)
-        with pytest.raises(DegenerateInputError):
-            make_pulse(Sampled(z=z, amplitude=np.zeros(5, complex)), 1.0, s)
-
-
 def quad_spectrum(pulse, delta, edges):
     """integral shape(z) e^{-i delta z / c} dz by QUADPACK's Fourier rule.
 
@@ -212,39 +165,17 @@ _WAVEGUIDE = LambdaSystem(omega_a=50.0, rho_density=0.7, c_speed=1.3)
 _DETUNINGS = np.array([0.0, 1e-9, 0.37, -2.5, 7.9, -40.0, 40.0])
 
 
-def _sampled_complex():
-    # uneven spacing, a complex amplitude and hard edges at both ends
-    rng = np.random.default_rng(12)
-    z = np.sort(rng.uniform(-6.0, 0.0, 11))
-    z = np.concatenate(([-6.5], z, [0.0]))
-    amp = rng.normal(size=z.size) + 1j * rng.normal(size=z.size) + 2.0
-    return Sampled(z=z, amplitude=amp)
-
-
-def _sampled_uniform():
-    # the same on np.linspace, which takes the factored transform
-    rng = np.random.default_rng(13)
-    z = np.linspace(-6.5, 0.0, 27)
-    amp = rng.normal(size=z.size) + 1j * rng.normal(size=z.size) + 2.0
-    return Sampled(z=z, amplitude=amp)
-
-
 class TestSpectrum:
     @pytest.mark.parametrize("envelope, lo", [
         (Exponential(0.5), -80.0 / 0.5),        # amplitude e^-40 at lo
         (Gaussian(1.2), -(8.0 + 16.0) * 1.2),   # e^-64 at lo
         (Gaussian(0.7, offset=4.0), -(4.0 + 16.0) * 0.7),
         (Rectangular(2.0), -2.0),
-        (_sampled_complex(), None),
-        (_sampled_uniform(), None),
     ])
     def test_matches_quadrature(self, envelope, lo):
         pulse = make_pulse(envelope, 50.0, _WAVEGUIDE)
         c = pulse.c
-        if lo is None:
-            edges = pulse.envelope.z
-        else:
-            edges = np.array([lo * c, 0.0])
+        edges = np.array([lo * c, 0.0])
         ref = np.array([quad_spectrum(pulse, d, edges) for d in _DETUNINGS])
         got = pulse.spectrum(_DETUNINGS)
         assert got.shape == _DETUNINGS.shape
@@ -280,41 +211,6 @@ class TestSpectrum:
         w = a + 1j * b
         tail = _erfcx(w)
         assert np.max(np.abs(tail - wofz(1j * w)) / np.abs(tail)) <= 3e-14
-
-    @pytest.mark.parametrize("z", [
-        np.linspace(-20.0, 0.0, 1001),
-        -20.0 * np.linspace(1.0, 0.0, 1001) ** 1.5,
-    ], ids=["uniform", "uneven"])
-    def test_sampled_works_in_blocks_of_modes(self, z):
-        # one (modes x intervals) product of this size would take 32 MB
-        # per temporary; the blocks keep the peak a few MB
-        amp = np.exp(0.25 * z) * np.exp(0.3j * z)
-        pulse = make_pulse(Sampled(z=z, amplitude=amp), 50.0, _WAVEGUIDE)
-        delta = np.linspace(-40.0, 40.0, 2001)
-        tracemalloc.start()
-        try:
-            got = pulse.spectrum(delta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
-        # a mode on its own, away from any block boundary, gives the same
-        for i in (0, 64, 65, 1000, 2000):
-            one = pulse.spectrum(delta[i:i + 1])[0]
-            assert abs(one - got[i]) <= 1e-13 * np.max(np.abs(got))
-
-    def test_uniform_grid_is_factored(self, monkeypatch):
-        # np.linspace grids must not fall back to the transform that
-        # costs an exponential per (mode, interval) pair
-        def refuse(*args):
-            raise AssertionError("pairwise transform on a uniform grid")
-
-        monkeypatch.setattr(model, "_Intervals", refuse)
-        z = np.linspace(-60.0, 0.0, 4001)
-        pulse = make_pulse(Sampled(z=z, amplitude=np.exp(0.1 * z)), 50.0,
-                           _WAVEGUIDE)
-        assert np.all(np.isfinite(pulse.spectrum(np.linspace(-40, 40, 9))))
-
 
 class TestMakePulse:
     def test_rejects_unknown_family(self):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from lambda_adapt import optimize
 from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
-from lambda_adapt.errors import ParameterError, UnsupportedEnvelopeError
+from lambda_adapt.errors import ParameterError
 from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
-                                Rectangular, Sampled, SimGrid, make_pulse)
+                                Rectangular, SimGrid, make_pulse)
 from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec, _evaluate,
                                    apply_parameters, maximize, sweep)
 
@@ -61,13 +61,6 @@ class TestApplyParameters:
         _, p2 = apply_parameters(system, g, {"linewidth": 2.0})
         assert p2.envelope.sigma == pytest.approx(0.5)
         assert p2.envelope.offset == 9.0
-
-    def test_sampled_envelope_has_no_bandwidth(self, system):
-        z = np.linspace(-4.0, 0.0, 9)
-        p = make_pulse(Sampled(z, np.exp(z)), system.omega_a, system)
-        with pytest.raises(UnsupportedEnvelopeError,
-                           match="bandwidth of a Sampled envelope"):
-            apply_parameters(system, p, {"linewidth": 1.0})
 
     def test_rejects_unknown_or_invalid(self, system, pulse):
         with pytest.raises(ParameterError):

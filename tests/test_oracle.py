@@ -75,7 +75,7 @@ class TestDiscreteBath:
 
 class TestHamiltonian:
     def test_hermitian(self, system, tiny_bath):
-        h = build_hamiltonian(system, tiny_bath, include_backward=True)
+        h = build_hamiltonian(system, tiny_bath)
         dense = h.toarray()
         assert np.array_equal(dense, dense.conj().T)
 
@@ -96,14 +96,6 @@ class TestHamiltonian:
         g_a = math.sqrt(system.gamma_a * tiny_bath.spacing / (2 * math.pi))
         assert abs(h[0, 1]) == pytest.approx(g_a, rel=1e-12)
         assert h[0, 1] == pytest.approx(h[1, 0].conjugate())
-
-    def test_backward_sector_is_decoupled(self, system, tiny_bath):
-        n = tiny_bath.n_modes
-        h = build_hamiltonian(system, tiny_bath, include_backward=True)
-        assert h.dim == 1 + 3 * n
-        block = h.toarray()[:, 1 + 2 * n:]
-        block[1 + 2 * n:, :] = 0.0  # keep only couplings to other sectors
-        assert np.abs(block).max() == 0.0
 
 
 class TestDiscretizePulse:
@@ -135,8 +127,8 @@ class TestDiscretizePulse:
                              small_bath, system)
 
     def test_weight_rule_is_two_sided(self, system, small_bath):
-        # 801 modes over 80: spacing 0.1, recurrence time 62.8.  The pulse
-        # of test_backward_protocol_is_frozen samples 0.998 of its weight;
+        # 801 modes over 80: spacing 0.1, recurrence time 62.8.
+        # Exponential(0.3) samples 0.998 of its weight;
         # Exponential(0.05) overlaps its copies e^{-0.05 * 31.4} apart
         # and samples (1 + r) / (1 - r) = 1.52 of it, r = 0.208
         def weight(linewidth):
@@ -179,9 +171,8 @@ def graded_hamiltonian(s):
     +-26 Gamma, 211 modes, the positive half mirrored exactly; couplings
     z_k = -i sqrt(gamma_k w_j / 2 pi) with midpoint cell widths w_j
     (one-sided at the ends).  Built by replacing the comb of a built
-    Hamiltonian, with its backward sector."""
-    h = build_hamiltonian(s, DiscreteBath(401, 20.0 * s.gamma_total),
-                          include_backward=True)
+    Hamiltonian."""
+    h = build_hamiltonian(s, DiscreteBath(401, 20.0 * s.gamma_total))
     step = s.gamma_total / 20.0
     dp = np.cumsum(step * np.concatenate((np.ones(40),
                                           1.05 ** np.arange(1, 66))))
@@ -196,7 +187,7 @@ def graded_hamiltonian(s):
 
 
 def random_evolve(h, n_out):
-    """A random start, every sector of ``h`` populated, evolved to t = 5:
+    """A random start, every amplitude of ``h`` populated, evolved to t = 5:
     (start, run)."""
     rng = np.random.default_rng(7)
     y0 = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
@@ -205,12 +196,11 @@ def random_evolve(h, n_out):
                       n_out=n_out)
 
 
-def random_run(n_out, include_backward):
+def random_run(n_out):
     """``random_evolve`` on 401 modes with a shifted b line and unequal
     rates: (hamiltonian, start, run)."""
     s = RANDOM_RUN_SYSTEM
-    h = build_hamiltonian(s, DiscreteBath(401, 20.0 * s.gamma_total),
-                          include_backward=include_backward)
+    h = build_hamiltonian(s, DiscreteBath(401, 20.0 * s.gamma_total))
     return (h, *random_evolve(h, n_out))
 
 
@@ -234,9 +224,9 @@ class TestEvolve:
     # 1, 2 and 33 snapshots end in partial blocks of the snapshot passes
     @pytest.mark.parametrize("n_out", [21, 1, 2, 33])
     def test_matches_dense_eigh(self, n_out):
-        # all sectors populated, shifted b line, unequal rates: every
-        # dark, bright and backward amplitude against a full complex eigh
-        h, y0, run = random_run(n_out, include_backward=True)
+        # every amplitude populated, shifted b line, unequal rates: every
+        # dark and bright amplitude against a full complex eigh
+        h, y0, run = random_run(n_out)
         ref = dense_states(h, y0, run.times)
         assert np.max(np.abs(run.states - ref)) <= 1e-12
         assert run.norm_drift <= 1e-12
@@ -273,11 +263,10 @@ class TestEvolve:
                                  b_modes=np.zeros(801, complex))
         with pytest.raises(ParameterError):
             evolve(h, bad, 2.0)
-        # a forward-sector state does not fit a Hamiltonian with a
-        # backward sector
-        h_back = dataclasses.replace(h, backward=0.0)
+        # a state on another number of modes does not fit
+        other = OneExcitationState.from_pulse(np.full(799, 799 ** -0.5))
         with pytest.raises(ParameterError, match="does not fit"):
-            evolve(h_back, state, 2.0)
+            evolve(h, other, 2.0)
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_refuses_the_recurrence_time(self, system, small_bath, graded):
@@ -292,42 +281,6 @@ class TestEvolve:
             evolve(h, excited_in(h), t_rec, n_out=2)
         run = evolve(h, excited_in(h), np.nextafter(t_rec, 0.0), n_out=2)
         assert run.norm_drift <= 1e-12
-
-    def test_zero_bright_run_skips_the_arrowhead(self, system, small_bath,
-                                                 monkeypatch):
-        # the backward-leak run: a photon parked in the backward sector
-        # leaves every forward amplitude exactly zero, so nothing is solved
-        def refuse(name):
-            def call(*args):
-                raise AssertionError(f"{name} called")
-            return call
-
-        # evolve's solver, and the secular roots behind either solver
-        for name in ("_folded_eigh", "_roots"):
-            monkeypatch.setattr(oracle, name, refuse(name))
-        n = small_bath.n_modes
-        photon = discretize_pulse(make_pulse(Gaussian(1.0), 50.0, system),
-                                  small_bath, system)
-        h = build_hamiltonian(system, small_bath, include_backward=True)
-        run = evolve(h, OneExcitationState.from_pulse(photon, backward=True),
-                     7.5, n_out=21)
-        forward = run.states[:, :1 + 2 * n]
-        assert float(np.max(np.sum(np.abs(forward) ** 2, axis=1))) == 0.0
-        # delta_ab = 0 here, so the backward sector is the mirrored phase
-        # table e^{-i d_j t} times the photon to the last bit; the table's
-        # lower half is the conjugate of its upper half, and the table is
-        # cos and sin of d t within the product tables' bound
-        assert h.backward == 0.0
-        c = n // 2
-        table = np.empty((run.times.size, n), dtype=complex)
-        oracle._mirrored_phases(run.times, h.offsets, table,
-                                oracle._phase_steps(run.times,
-                                                    h.offsets[c:]))
-        assert np.array_equal(run.states[:, 1 + 2 * n:], table * photon)
-        assert np.array_equal(table[:, :c], np.conj(table[:, :c:-1]))
-        arg = np.multiply(run.times[:, None], h.offsets)
-        assert np.max(np.abs(table - (np.cos(arg) - 1j * np.sin(arg)))) \
-            <= phase_bound(arg)
 
     @pytest.mark.parametrize("defect", ["unordered_modes", "equal_modes",
                                         "underflowing_coupling",
@@ -456,6 +409,22 @@ class TestPhases:
             block = np.empty((t[rows].size, freqs.size), dtype=complex)
             oracle._phases(t[rows], freqs, block, steps)
             assert np.array_equal(block, whole[rows])
+
+    def test_mirrored_table_of_the_dark_modes(self, small_bath):
+        # e^{-i d_j t} on the 801-mode comb, as evolve turns its dark
+        # modes: the upper half is the product table, the lower half its
+        # conjugate to the last bit, and the whole within the product
+        # tables' bound of cos and sin of d t
+        d = small_bath.offsets()
+        c = d.size // 2
+        t = np.linspace(0.0, 7.5, 21)
+        table = np.empty((t.size, d.size), dtype=complex)
+        oracle._mirrored_phases(t, d, table, oracle._phase_steps(t, d[c:]))
+        assert np.array_equal(table[:, c:], product_table(t, d[c:]))
+        assert np.array_equal(table[:, :c], np.conj(table[:, :c:-1]))
+        arg = np.multiply(t[:, None], d)
+        assert np.max(np.abs(table - (np.cos(arg) - 1j * np.sin(arg)))) \
+            <= phase_bound(arg)
 
     @pytest.mark.parametrize("times", ["geometric", "one_ulp_off",
                                        "reversed_step"])
@@ -712,7 +681,7 @@ class TestMeasure:
     def test_partial_snapshot_blocks(self, n_out):
         # every snapshot of a block-wise pass against direct sums over
         # the whole run
-        _, _, run = random_run(n_out, include_backward=False)
+        _, _, run = random_run(n_out)
         series = measure_series(run, InitialMixture(0.5, 0.5))
         n = run.hamiltonian.offsets.size
         a, b = run.states[:, 1:n + 1], run.states[:, n + 1:]
@@ -729,18 +698,6 @@ class TestMeasure:
         np.testing.assert_allclose(
             series.overlap_sq, normalized_overlap_sq(cross, series.n_a),
             rtol=1e-12, atol=0)
-
-    def test_backward_sector_stays_empty(self, system, small_bath):
-        pulse = make_pulse(Gaussian(1.0), 50.0, system)
-        amps = discretize_pulse(pulse, small_bath, system)
-        h = build_hamiltonian(system, small_bath, include_backward=True)
-        state = OneExcitationState.from_pulse(amps, backward=True)
-        run = evolve(h, state, 7.5, n_out=21)
-        n = small_bath.n_modes
-        leak = np.max(np.sum(np.abs(run.states[:, :1 + 2 * n]) ** 2, axis=1))
-        assert leak < 1e-12
-        with pytest.raises(ParameterError):
-            measure_series(run, InitialMixture(0.5, 0.5))
 
 
 class TestCompare:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lambda_adapt.dynamics import integrate_psi, psi_closed_form
 from lambda_adapt.errors import NotApplicableError, NumericalConsistencyError
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
-                                LambdaSystem, Rectangular, Sampled, SimGrid,
+                                LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
 from lambda_adapt.thermo import (HBAR, adaptation_work_check,
                                  drive_energy_flux, energy_ledger,
@@ -49,15 +49,9 @@ class TestWork:
         assert flux == pytest.approx(want, abs=1e-10)
 
 
-# a piecewise-linear envelope: the drive kinks at every sample
-_Z = np.linspace(-12.0, 0.0, 25)
-SAMPLED = Sampled(z=_Z, amplitude=np.exp(-((_Z + 6.0) ** 2) / 4.0 + 0.3j * _Z))
-
-
 class TestLedger:
     @pytest.mark.parametrize("envelope", [Exponential(0.4), Exponential(3.0),
-                                          Gaussian(1.0), Rectangular(2.5),
-                                          SAMPLED])
+                                          Gaussian(1.0), Rectangular(2.5)])
     def test_residual_within_bound(self, envelope):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=0.5)
         pulse, traj = run(s, envelope)
