@@ -97,6 +97,23 @@ class TestHamiltonian:
         assert abs(h[0, 1]) == pytest.approx(g_a, rel=1e-12)
         assert h[0, 1] == pytest.approx(h[1, 0].conjugate())
 
+    def test_backward_sector_is_decoupled(self, system, tiny_bath):
+        # the RWA coupling <e,0|H|s,1_k j> = g_k delta_{s,k} over all three
+        # one-photon sectors: the |b,1_a j> sector the oracle leaves out
+        # couples to nothing, and the rest is the oracle's coupling row
+        n = tiny_bath.n_modes
+        h = build_hamiltonian(system, tiny_bath)
+        assert h.dim == 1 + 2 * n
+        rate = {"a": system.gamma_a, "b": system.gamma_b}
+        sectors = [("a", "a"), ("b", "b"), ("b", "a")]
+        row = np.concatenate([
+            np.full(n, -1j * math.sqrt(rate[branch] * tiny_bath.spacing
+                                       / (2.0 * math.pi)) * (s == branch))
+            for s, branch in sectors])
+        assert not np.any(row[2 * n:])
+        np.testing.assert_allclose(h.toarray()[0, 1:], row[:2 * n],
+                                   rtol=1e-12, atol=0)
+
 
 class TestDiscretizePulse:
     def test_unit_norm(self, system, small_bath):
