@@ -15,7 +15,7 @@ from lambda_adapt.optimize import SweepSpec, maximize, sweep
 
 def main():
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
-    pulse = make_pulse(Exponential(0.5), s.omega_a, s)
+    pulse = make_pulse(Exponential(0.5), s.omega_a)
 
     print("-- detuning sweep, exponential drive, Delta = 0.5, Gamma = 2 --")
     spec = SweepSpec("detuning", -4.0, 4.0, n_points=17)

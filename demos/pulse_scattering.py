@@ -22,14 +22,14 @@ def main():
 
     print("\n-- envelope families at unit spectral width --")
     for envelope in (Exponential(1.0), Gaussian(1.0), Rectangular(1.0)):
-        pulse = make_pulse(envelope, s.omega_a, s)
+        pulse = make_pulse(envelope, s.omega_a)
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))
         name = type(envelope).__name__.lower()
         print(f"{name:12s}  max p_e = {traj.p_e.max():.4f}   "
               f"p_ab(T) = {traj.p_ab_final():.4f}")
 
     print("\n-- exponential pulse vs closed form --")
-    pulse = make_pulse(Exponential(0.8), s.omega_a, s)
+    pulse = make_pulse(Exponential(0.8), s.omega_a)
     traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))
     exact = psi_closed_form(s, pulse, traj.times, frame="rotating")
     print(f"max |psi_num - psi_exact| = {np.max(np.abs(traj.psi - exact)):.2e}")
@@ -37,7 +37,7 @@ def main():
     print("\n-- approach to the monochromatic limit --")
     print(f"{'Delta/Gamma':>12s} {'p_ab(inf)':>10s} {'formula':>10s}")
     for delta in (2.0, 0.5, 0.1, 0.02, 0.004):
-        pulse = make_pulse(Exponential(delta * s.gamma_total), s.omega_a, s)
+        pulse = make_pulse(Exponential(delta * s.gamma_total), s.omega_a)
         t_max = 12.0 / pulse.envelope.linewidth + 10.0 / s.gamma_total
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, t_max=t_max))
         p_inf = p_ab_infty(traj, s)

@@ -14,7 +14,7 @@ from lambda_adapt.thermo import adaptation_work_check, energy_ledger
 
 
 def run_ledger(system, envelope):
-    pulse = make_pulse(envelope, system.omega_a, system)
+    pulse = make_pulse(envelope, system.omega_a)
     grid = SimGrid.auto(system, pulse)
     traj = integrate_psi(system, pulse, grid)
     return energy_ledger(traj, pulse, system)

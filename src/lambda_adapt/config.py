@@ -120,7 +120,7 @@ def _build_pulse(parser: ConfigParser, system: LambdaSystem) -> PulseSpec:
             f"[pulse] family {family} requires the {width_key!r} key")
     envelope = FAMILIES[family](_float("pulse", width_key, sec[width_key]))
     delta_l = _float("pulse", "delta_l", sec.get("delta_l", "0"))
-    return make_pulse(envelope, system.omega_a + delta_l, system)
+    return make_pulse(envelope, system.omega_a + delta_l)
 
 
 def _build_grid(parser: ConfigParser, system: LambdaSystem,

@@ -3,14 +3,14 @@
 Everything here follows from the Wigner-Weisskopf equation of motion for
 the excited amplitude in the rotating frame of the a-branch transition,
 
-    d psi~ / dt = -(Gamma/2) psi~ - g_a phi_shape(-c t) e^{-i delta_L t},
+    d psi~ / dt = -(Gamma/2) psi~ - g_a phi_shape(-t) e^{-i delta_L t},
 
 with psi~(0) = 0 and Gamma = gamma_a + gamma_b.  The lab-frame amplitude
 is psi(t) = psi~(t) e^{-i omega_a t}.  In the frame that rotates at the
 carrier, psi^ = psi~ e^{i delta_L t}, the drive carries no phase,
 
     d psi^ / dt = lambda psi^ + f(t),   lambda = -Gamma/2 + i delta_L,
-    f(t) = -g_a phi_shape(-c t),
+    f(t) = -g_a phi_shape(-t),
 
 and the linear coefficient is constant.  Each step propagates psi^
 exactly by e^{lambda h} and integrates e^{lambda (h - s)} exactly
@@ -285,9 +285,9 @@ def _affine_recursion(a, w: np.ndarray) -> np.ndarray:
 
 
 def _drive(system: LambdaSystem, pulse: PulseSpec, t):
-    """Carrier-frame drive term f(t) = -g_a phi_shape(-c t)."""
+    """Carrier-frame drive term f(t) = -g_a phi_shape(-t)."""
     g_a = system.coupling("a")
-    return -g_a * pulse.shape_at(-system.c_speed * np.asarray(t, dtype=float))
+    return -g_a * pulse.shape_at(-np.asarray(t, dtype=float))
 
 
 def _drive_nodes(system: LambdaSystem, pulse: PulseSpec,
@@ -365,8 +365,6 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     readers that want it (``AmplitudeTrajectory.psi``, ``psi_nodes``).
     """
     grid.validate(pulse)
-    if pulse.rho != system.rho_density or pulse.c != system.c_speed:
-        raise ParameterError("pulse was normalized against a different waveguide")
 
     bounds = [0.0]
     for tb in sorted(pulse.drive_breakpoints()):

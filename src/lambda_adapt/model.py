@@ -2,9 +2,11 @@
 
 Geometry conventions: the emitter sits at z = 0, the incoming photon
 travels toward +z, and the initial envelope lives on z <= 0 so that the
-front of the pulse reaches the emitter at t = 0.  Envelope shapes are
-normalized so that (1 / (2 pi rho c)) * integral |phi(z, 0)|^2 dz = 1,
-which makes the one-photon state unit norm.  hbar = 1 throughout.
+front of the pulse reaches the emitter at t = 0.  Units are hbar = c = 1
+and the waveguide's flat mode density is 1, so a position z is the time
+-z at which it reaches the emitter.  Envelope shapes are normalized so
+that (1 / (2 pi)) * integral |phi(z, 0)|^2 dz = 1, which makes the
+one-photon state unit norm.
 """
 
 from __future__ import annotations
@@ -65,23 +67,16 @@ class LambdaSystem:
         Energy of |b> above |a>; omega_b = omega_a - delta_ab.
     gamma_a, gamma_b : float
         Decay rates of |e> into the a- and b-branch continua.
-    rho_density : float
-        Frequency density of waveguide modes (flat).
-    c_speed : float
-        Propagation speed in the waveguide.
     """
 
     omega_a: float
     delta_ab: float = 0.0
     gamma_a: float = 1.0
     gamma_b: float = 1.0
-    rho_density: float = 1.0
-    c_speed: float = 1.0
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (
-                self.omega_a, self.delta_ab, self.rho_density, self.c_speed,
-                self.gamma_total)):
+                self.omega_a, self.delta_ab, self.gamma_total)):
             raise ParameterError(f"system parameters must be finite: {self}")
         if not self.omega_a > 0:
             raise ParameterError(f"omega_a must be positive, got {self.omega_a}")
@@ -90,8 +85,6 @@ class LambdaSystem:
                 f"decay rates must be positive, got gamma_a={self.gamma_a}, "
                 f"gamma_b={self.gamma_b}"
             )
-        if self.rho_density <= 0 or self.c_speed <= 0:
-            raise ParameterError("rho_density and c_speed must be positive")
         if self.omega_b <= 0:
             raise ParameterError(
                 f"omega_b = omega_a - delta_ab = {self.omega_b} must stay positive"
@@ -106,19 +99,23 @@ class LambdaSystem:
         return self.gamma_a + self.gamma_b
 
     def coupling(self, branch: str) -> float:
-        """Flat coupling constant g_k = sqrt(Gamma_k / (2 pi rho))."""
+        """Flat coupling constant g_k = sqrt(Gamma_k / (2 pi)).
+
+        With the envelope norm's 1 / (2 pi), the drive g_a phi_shape(-t)
+        is sqrt(Gamma_a) times an amplitude u(t) with int |u|^2 dt = 1.
+        """
         if branch == "a":
             gamma = self.gamma_a
         elif branch == "b":
             gamma = self.gamma_b
         else:
             raise ParameterError(f"branch must be 'a' or 'b', got {branch!r}")
-        return math.sqrt(gamma / (2.0 * math.pi * self.rho_density))
+        return math.sqrt(gamma / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
 class Exponential:
-    """Rising exponential envelope, exp(Delta z / 2c) on z <= 0.
+    """Rising exponential envelope, exp(Delta z / 2) on z <= 0.
 
     The Fourier transform is a Lorentzian of HWHM ``linewidth / 2``
     centered on the carrier, so this is the wavepacket emitted by
@@ -131,18 +128,17 @@ class Exponential:
         if not self.linewidth > 0:
             raise ParameterError(f"linewidth must be positive, got {self.linewidth}")
 
-    def norm_constant(self, rho, c):
-        return math.sqrt(2.0 * math.pi * rho * self.linewidth)
+    def norm_constant(self):
+        return math.sqrt(2.0 * math.pi * self.linewidth)
 
-    def shape_values(self, z, rho, c):
+    def shape_values(self, z):
         z = np.asarray(z, dtype=float)
-        out = np.where(z <= 0.0, np.exp(0.5 * self.linewidth * np.minimum(z, 0.0) / c), 0.0)
-        return self.norm_constant(rho, c) * out
+        out = np.where(z <= 0.0, np.exp(0.5 * self.linewidth * np.minimum(z, 0.0)), 0.0)
+        return self.norm_constant() * out
 
-    def spectrum(self, delta, rho, c):
+    def spectrum(self, delta):
         delta = np.asarray(delta, dtype=float)
-        return self.norm_constant(rho, c) * c / (0.5 * self.linewidth
-                                                 - 1j * delta)
+        return self.norm_constant() / (0.5 * self.linewidth - 1j * delta)
 
     def spectral_scale(self):
         return self.linewidth
@@ -151,11 +147,11 @@ class Exponential:
         """The same family at spectral scale ``scale``."""
         return Exponential(scale)
 
-    def settle_time(self, c):
+    def settle_time(self):
         # amplitude at the emitter falls as exp(-linewidth t / 2)
         return 20.0 / self.linewidth
 
-    def drive_breakpoints(self, c):
+    def drive_breakpoints(self):
         return ()
 
 
@@ -164,7 +160,7 @@ class Exponential:
 class Gaussian:
     """Gaussian envelope of temporal rms width ``sigma``.
 
-    Centered at z0 = -offset * c * sigma and truncated to z <= 0.  The
+    Centered at z0 = -offset * sigma and truncated to z <= 0.  The
     default offset of 8 puts the truncated weight at ~e^-32; smaller
     offsets (>= 4) trade a still-negligible truncation for an earlier
     arrival of the peak.  The normalization accounts for the truncation
@@ -186,29 +182,28 @@ class Gaussian:
     def _offset(self):
         return self.offset * self.sigma
 
-    def norm_constant(self, rho, c):
-        s = c * self.sigma
+    def norm_constant(self):
         # Phi(offset), the standard normal CDF
         phi = 0.5 * math.erfc(-self.offset / math.sqrt(2.0))
-        weight = s * math.sqrt(2.0 * math.pi) * phi
-        return math.sqrt(2.0 * math.pi * rho * c / weight)
+        weight = self.sigma * math.sqrt(2.0 * math.pi) * phi
+        return math.sqrt(2.0 * math.pi / weight)
 
-    def shape_values(self, z, rho, c):
+    def shape_values(self, z):
         z = np.asarray(z, dtype=float)
-        s = c * self.sigma
-        z0 = -c * self._offset
+        s = self.sigma
+        z0 = -self._offset
         out = np.where(z <= 0.0, np.exp(-((z - z0) ** 2) / (4.0 * s * s)), 0.0)
-        return self.norm_constant(rho, c) * out
+        return self.norm_constant() * out
 
-    def spectrum(self, delta, rho, c):
+    def spectrum(self, delta):
         # with a = offset / 2, b = sigma delta and w = a + i b: N s sqrt(pi)
-        # e^{-i delta z0 / c} (2 - erfc(w)) e^{-b^2}, where z0 = -2 a s
+        # e^{-i delta z0} (2 - erfc(w)) e^{-b^2}, where z0 = -2 a s
         # and e^{-b^2} erfc(w) = e^{-a^2 - 2 i a b} erfcx(w)
         a = 0.5 * self.offset
         b = self.sigma * np.asarray(delta, dtype=float)
         full = 2.0 * np.exp(-b * b + 2j * a * b)
         tail = math.exp(-a * a) * _erfcx(a + 1j * b)
-        return self.norm_constant(rho, c) * c * self.sigma \
+        return self.norm_constant() * self.sigma \
             * math.sqrt(math.pi) * (full - tail)
 
     def spectral_scale(self):
@@ -218,17 +213,17 @@ class Gaussian:
         """The same family and offset at spectral scale ``scale``."""
         return Gaussian(1.0 / scale, self.offset)
 
-    def settle_time(self, c):
+    def settle_time(self):
         return (self.offset + 6.5) * self.sigma
 
-    def drive_breakpoints(self, c):
+    def drive_breakpoints(self):
         return ()
 
 
 
 @dataclass(frozen=True)
 class Rectangular:
-    """Flat envelope of duration ``duration`` (support -c tau <= z <= 0)."""
+    """Flat envelope of duration ``duration`` (support -tau <= z <= 0)."""
 
     duration: float
 
@@ -236,17 +231,17 @@ class Rectangular:
         if not self.duration > 0:
             raise ParameterError(f"duration must be positive, got {self.duration}")
 
-    def norm_constant(self, rho, c):
-        return math.sqrt(2.0 * math.pi * rho / self.duration)
+    def norm_constant(self):
+        return math.sqrt(2.0 * math.pi / self.duration)
 
-    def shape_values(self, z, rho, c):
+    def shape_values(self, z):
         z = np.asarray(z, dtype=float)
-        inside = (z <= 0.0) & (z >= -c * self.duration)
-        return self.norm_constant(rho, c) * np.where(inside, 1.0, 0.0)
+        inside = (z <= 0.0) & (z >= -self.duration)
+        return self.norm_constant() * np.where(inside, 1.0, 0.0)
 
-    def spectrum(self, delta, rho, c):
+    def spectrum(self, delta):
         half = 0.5 * self.duration * np.asarray(delta, dtype=float)
-        return self.norm_constant(rho, c) * c * self.duration \
+        return self.norm_constant() * self.duration \
             * np.exp(1j * half) * np.sinc(half / math.pi)
 
     def spectral_scale(self):
@@ -256,10 +251,10 @@ class Rectangular:
         """The same family at spectral scale ``scale``."""
         return Rectangular(1.0 / scale)
 
-    def settle_time(self, c):
+    def settle_time(self):
         return self.duration
 
-    def drive_breakpoints(self, c):
+    def drive_breakpoints(self):
         # the drive switches off abruptly when the back edge passes z = 0
         return (self.duration,)
 
@@ -276,20 +271,18 @@ class PulseSpec:
 
     carrier: float
     envelope: object
-    rho: float = 1.0
-    c: float = 1.0
 
     def shape_at(self, z):
         """Normalized envelope phi_shape(z, 0), no carrier phase."""
-        return self.envelope.shape_values(z, self.rho, self.c)
+        return self.envelope.shape_values(z)
 
     def spectrum(self, delta):
-        """integral phi_shape(z, 0) e^{-i delta z / c} dz, in closed form.
+        """integral phi_shape(z, 0) e^{-i delta z} dz, in closed form.
 
         The envelope's exact Fourier transform at detunings ``delta`` from
         the carrier.
         """
-        return self.envelope.spectrum(delta, self.rho, self.c)
+        return self.envelope.spectrum(delta)
 
     def detuning(self, system: LambdaSystem) -> float:
         """Carrier detuning from the a-branch transition, delta_L."""
@@ -299,14 +292,14 @@ class PulseSpec:
         return self.envelope.spectral_scale()
 
     def settle_time(self) -> float:
-        return self.envelope.settle_time(self.c)
+        return self.envelope.settle_time()
 
     def drive_breakpoints(self):
-        return self.envelope.drive_breakpoints(self.c)
+        return self.envelope.drive_breakpoints()
 
 
-def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
-    """Validate an envelope and attach it to the system's waveguide.
+def make_pulse(envelope, carrier: float) -> PulseSpec:
+    """Validate an envelope and give it a carrier frequency.
 
     Parameters
     ----------
@@ -314,8 +307,6 @@ def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
         Envelope family instance (a value of ``FAMILIES``).
     carrier : float
         Carrier frequency omega_L (> 0).
-    system : LambdaSystem
-        Supplies the waveguide constants rho and c.
     """
     if not isinstance(envelope, tuple(FAMILIES.values())):
         raise UnsupportedEnvelopeError(
@@ -325,27 +316,26 @@ def make_pulse(envelope, carrier: float, system: LambdaSystem) -> PulseSpec:
         raise ParameterError(
             f"carrier frequency must be positive and finite, got {carrier}")
     envelope._check()
-    rho, c = system.rho_density, system.c_speed
     if isinstance(envelope, Gaussian):
         # shape_values squares z - z0, whose reach is the peak's distance
-        # from the front, offset c sigma (and divides by 4 (c sigma)^2, the
+        # from the front, offset sigma (and divides by 4 sigma^2, the
         # smaller square): once that overflows the envelope is inf / inf
         # at the peak, or an overflow warning away from it
-        reach = envelope.offset * (c * envelope.sigma)
+        reach = envelope.offset * envelope.sigma
         if not reach * reach < math.inf:
             raise ParameterError(
-                f"sigma = {envelope.sigma} is too wide: (offset c sigma)^2 "
+                f"sigma = {envelope.sigma} is too wide: (offset sigma)^2 "
                 "overflows")
-    return PulseSpec(carrier=float(carrier), envelope=envelope, rho=rho, c=c)
+    return PulseSpec(carrier=float(carrier), envelope=envelope)
 
 
 def envelope_at(pulse: PulseSpec, z):
-    """Initial pulse amplitude phi(z, 0) = phi_shape(z) e^{i omega_L z / c}.
+    """Initial pulse amplitude phi(z, 0) = phi_shape(z) e^{i omega_L z}.
 
     Accepts a scalar or an array of positions.
     """
     zq = np.asarray(z, dtype=float)
-    vals = pulse.shape_at(zq) * np.exp(1j * pulse.carrier * zq / pulse.c)
+    vals = pulse.shape_at(zq) * np.exp(1j * pulse.carrier * zq)
     if np.isscalar(z) or getattr(z, "ndim", 0) == 0:
         return complex(vals)
     return vals

@@ -163,7 +163,7 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
     carrier = pulse.carrier
     if "detuning" in params:
         carrier = sys2.omega_a + float(params["detuning"])
-    return sys2, make_pulse(envelope, carrier, sys2)
+    return sys2, make_pulse(envelope, carrier)
 
 
 def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:

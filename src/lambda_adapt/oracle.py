@@ -223,11 +223,13 @@ def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
                      system: LambdaSystem) -> np.ndarray:
     """Project the initial envelope onto the a-branch comb.
 
-    phi_j = F(delta_j) sqrt(spacing / rho) / (2 pi c), where F is the
+    phi_j = F(delta_j) sqrt(spacing) / (2 pi), where F is the
     envelope's closed-form spectrum (``PulseSpec.spectrum``) and delta_j
-    the offset of comb mode j from the carrier; then the amplitudes are
-    renormalized so that sum |phi_j|^2 = 1.  Before that, the sampled
-    weight sum |phi_j|^2 must lie within 1% of 1.  By Poisson summation
+    the offset of comb mode j from the carrier.  sum |phi_j|^2 is then a
+    Riemann sum of (1 / 4 pi^2) int |F|^2 d delta, which Parseval's
+    theorem makes the envelope norm (1 / 2 pi) int |phi_shape|^2 dz = 1.
+    The amplitudes are renormalized so that sum |phi_j|^2 = 1.  Before
+    that, the sampled weight must lie within 1% of 1.  By Poisson summation
     it is 1, less the spectral weight outside the comb window, plus the
     pulse's overlaps with its copies shifted by whole recurrence times
     2 pi / spacing.
@@ -241,8 +243,7 @@ def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
         coarse for the pulse, which overlaps its own recurrence.
     """
     delta = bath.offsets() - pulse.detuning(system)
-    amps = pulse.spectrum(delta) * (math.sqrt(bath.spacing / pulse.rho)
-                                    / (2.0 * math.pi * pulse.c))
+    amps = pulse.spectrum(delta) * (math.sqrt(bath.spacing) / (2.0 * math.pi))
     weight = float(np.sum(np.abs(amps) ** 2))
     if weight < 0.99:
         raise BandwidthError(

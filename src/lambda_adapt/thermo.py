@@ -2,7 +2,7 @@
 
 Absorbed work is the drive-term quadrature
 
-    W = hbar omega_a * int_0^T -2 g_a Re[phi_a(-c t, 0) psi*(t)] dt,
+    W = hbar omega_a * int_0^T -2 g_a Re[phi_a(-t, 0) psi*(t)] dt,
 
 heat is the monitored emission minus the energy parked in |b>,
 
@@ -20,14 +20,13 @@ raw quadrature stays available as drive_energy_flux for optimization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotApplicableError, NumericalConsistencyError
-from .dynamics import (AmplitudeTrajectory, _cumulative_quadrature,
-                       _drive_nodes)
+from .dynamics import (AmplitudeTrajectory, _cumulative_quadrature, _drive,
+                       _drive_nodes, p_ab_infty)
 from .model import InitialMixture, LambdaSystem, PulseSpec
 
 __all__ = [
@@ -48,7 +47,12 @@ HBAR = 1.0
 
 @dataclass(frozen=True)
 class ThermoLedger:
-    """Energy bookkeeping of one resonant run (hbar = 1 units)."""
+    """Energy bookkeeping of one resonant run (hbar = 1 units).
+
+    ``de_sys`` is the energy the system holds at t_max; ``p_ab_infty`` is
+    the long-time transfer ``dynamics.p_ab_infty``, which counts the
+    decay of the p_e(t_max) still excited.
+    """
 
     w_abs: float
     q_diss: float
@@ -73,7 +77,7 @@ def drive_overlap_density(system: LambdaSystem, pulse: PulseSpec,
                           psi_hat: np.ndarray) -> np.ndarray:
     """conj(f(t)) psi^(t) on one stretch of times where the drive is smooth.
 
-    f(t) = -g_a phi_shape(-c t) is the carrier-frame drive and
+    f(t) = -g_a phi_shape(-t) is the carrier-frame drive and
     psi^ = psi~ e^{i delta_L t} the carrier-frame amplitude, which
     ``psi_hat`` holds at ``times``.  Twice its real part is the drive
     power per hbar omega_a, the integrand of the work; its integral from
@@ -116,7 +120,7 @@ def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
 
 def drive_energy_flux(traj: AmplitudeTrajectory, pulse: PulseSpec,
                       system: LambdaSystem) -> float:
-    """Time integral of -2 g_a Re[phi_a(-ct, 0) psi*(t)], any detuning.
+    """Time integral of -2 g_a Re[phi_a(-t, 0) psi*(t)], any detuning.
 
     Twice the real part of ``drive_overlap_integral`` at t_max: segment
     by segment, so envelope discontinuities (which sit on segment
@@ -199,7 +203,7 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
         de_sys=de_sys,
         residual=residual,
         w_over_hw=w_abs / (HBAR * system.omega_a),
-        p_ab_infty=p_ab_end,
+        p_ab_infty=p_ab_infty(traj, system),
     )
 
 
@@ -215,15 +219,15 @@ def interaction_energy(traj: AmplitudeTrajectory, pulse: PulseSpec,
                        t: float) -> float:
     """Mean interaction energy <H_I>(t).
 
-    Equals p_a0 * 2 hbar g_a Im[psi*(t) phi_a(-c t, 0)]; for a real
+    Equals p_a0 * 2 hbar g_a Im[psi*(t) phi_a(-t, 0)]; for a real
     envelope on resonance this vanishes identically, so the monitored
     emission inherits the bare transition energy hbar omega_a.  The
     carrier phases of psi~ and of the drive cancel in the product, so it
-    is taken in the carrier frame, from psi^ and the unrotated envelope.
+    is taken in the carrier frame, -p_a0 * 2 hbar Im[conj(psi^) f], from
+    psi^ and the drive f(t) = -g_a phi_shape(-t).
     """
     if t < 0 or t > traj.t_max * (1 + 1e-12):
         raise NotApplicableError(f"t = {t} outside the integrated range")
     psi_hat = complex(traj.psi_hat_at(t))
-    shape = complex(pulse.shape_at(-system.c_speed * t))
-    g_a = system.coupling("a")
-    return mixture.p_a0 * 2.0 * HBAR * g_a * (psi_hat.conjugate() * shape).imag
+    drive = complex(_drive(system, pulse, t))
+    return -mixture.p_a0 * 2.0 * HBAR * (psi_hat.conjugate() * drive).imag

@@ -41,7 +41,7 @@ def test_monochromatic_limit_reaches_full_transfer():
     start = time.perf_counter()
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
     delta = 1e-3 * s.gamma_total
-    pulse = make_pulse(Exponential(delta), s.omega_a, s)
+    pulse = make_pulse(Exponential(delta), s.omega_a)
     t_max = 9.5 / delta + 10.0 / s.gamma_total
     traj = integrate_psi(s, pulse, fast_grid(s, pulse, t_max))
     elapsed = time.perf_counter() - start
@@ -52,7 +52,7 @@ def test_monochromatic_limit_reaches_full_transfer():
 def test_branching_ratio_formula():
     for gamma_a, gamma_b in ((1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (1.0, 9.0)):
         s = LambdaSystem(omega_a=50.0, gamma_a=gamma_a, gamma_b=gamma_b)
-        pulse = make_pulse(Exponential(1e-3), s.omega_a, s)
+        pulse = make_pulse(Exponential(1e-3), s.omega_a)
         t_max = 9.5 / 1e-3 + 10.0 / s.gamma_total
         traj = integrate_psi(s, pulse, fast_grid(s, pulse, t_max))
         want = 4.0 * gamma_a * gamma_b / s.gamma_total ** 2
@@ -64,7 +64,7 @@ def test_absorbed_work_value():
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
 
     def work_over_hw(delta):
-        pulse = make_pulse(Exponential(delta), s.omega_a, s)
+        pulse = make_pulse(Exponential(delta), s.omega_a)
         t_max = 12.0 / delta + 10.0 / s.gamma_total
         traj = integrate_psi(s, pulse, fast_grid(s, pulse, t_max))
         return drive_energy_flux(traj, pulse, s)
@@ -87,7 +87,7 @@ def test_adaptation_work_relation_across_families():
                 s = LambdaSystem(omega_a=50.0,
                                  gamma_a=2.0 / (1.0 + ratio),
                                  gamma_b=2.0 * ratio / (1.0 + ratio))
-                pulse = make_pulse(envelope, s.omega_a, s)
+                pulse = make_pulse(envelope, s.omega_a)
                 grid = SimGrid.auto(s, pulse)
                 traj = integrate_psi(s, pulse, grid)
                 ledger = energy_ledger(traj, pulse, s)
@@ -103,7 +103,7 @@ def test_energy_ledger_closes_on_resonant_runs():
         for envelope in (Exponential(1.0), Gaussian(1.0), Rectangular(2.0)):
             s = LambdaSystem(omega_a=1.0, delta_ab=delta_ab,
                              gamma_a=1.0, gamma_b=1.0)
-            pulse = make_pulse(envelope, s.omega_a, s)
+            pulse = make_pulse(envelope, s.omega_a)
             grid = SimGrid.auto(s, pulse)
             traj = integrate_psi(s, pulse, grid)
             ledger = energy_ledger(traj, pulse, s, tol=1e-8)
@@ -174,7 +174,7 @@ def test_entropy_curve_shape():
 def test_discrete_bath_reproduces_analytic_dynamics():
     start = time.perf_counter()
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
-    pulse = make_pulse(Gaussian(1.2), s.omega_a, s)
+    pulse = make_pulse(Gaussian(1.2), s.omega_a)
     report = compare(s, pulse, InitialMixture(0.5, 0.5))
     assert report.n_modes == 2001
     assert report.bandwidth == pytest.approx(40.0 * s.gamma_total)
@@ -190,13 +190,13 @@ def test_interaction_energy_vanishes_only_on_resonance():
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
     mix = InitialMixture(1.0, 0.0)
 
-    pulse = make_pulse(Gaussian(1.0), s.omega_a, s)
+    pulse = make_pulse(Gaussian(1.0), s.omega_a)
     traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))
     for t in np.linspace(0.0, traj.t_max, 501):
         assert abs(interaction_energy(traj, pulse, s, mix, float(t))) \
             <= 1e-10 * HBAR * s.omega_a
 
-    detuned = make_pulse(Gaussian(1.0), s.omega_a + 2.0 * s.gamma_total, s)
+    detuned = make_pulse(Gaussian(1.0), s.omega_a + 2.0 * s.gamma_total)
     traj_d = integrate_psi(s, detuned, SimGrid.auto(s, detuned))
     vals = [abs(interaction_energy(traj_d, detuned, s, mix, float(t)))
             for t in np.linspace(0.0, traj_d.t_max, 501)]
@@ -205,7 +205,7 @@ def test_interaction_energy_vanishes_only_on_resonance():
 
 def test_optimizer_recovers_ideal_regime():
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
-    pulse = make_pulse(Exponential(1e-3), s.omega_a, s)
+    pulse = make_pulse(Exponential(1e-3), s.omega_a)
 
     result = maximize(s, pulse, {"detuning": (-0.5, 0.5),
                                  "rate_ratio": (0.25, 4.0)})
@@ -229,7 +229,7 @@ def test_heat_determines_transfer_probability():
         for delta in (1e-3, 1.0):
             s = LambdaSystem(omega_a=1.0, delta_ab=delta_ab_frac * 1.0,
                              gamma_a=1.0, gamma_b=1.0)
-            pulse = make_pulse(Exponential(delta), s.omega_a, s)
+            pulse = make_pulse(Exponential(delta), s.omega_a)
             grid = SimGrid.auto(s, pulse)
             traj = integrate_psi(s, pulse, grid)
             ledger = energy_ledger(traj, pulse, s)

@@ -95,6 +95,8 @@ def test_relative_difference():
     assert rd(2.0, -2.0) == 2.0
     assert rd(1.0, float("nan")) == float("inf")
     assert rd(1.0, float("inf")) == float("inf")
+    assert rd(2e-16, 0.0, floor=1.0) == 2e-16
+    assert rd(4.0, 2.0, floor=1.0) == 0.5
 
 
 def test_rtol_passes_small_numeric_differences(tmp_path, capsys):
@@ -107,6 +109,26 @@ def test_rtol_passes_small_numeric_differences(tmp_path, capsys):
     assert code == 1
     assert "over rtol 0: a/ledger.json: w_over_hw differs by 2.22e-16" \
         in out.splitlines()
+
+
+def test_rtol_measures_residues_against_one(tmp_path, capsys):
+    # norm_drift and the deviations are zero up to rounding: their moves
+    # by one ulp of 1 pass a tight --rtol, where measured against their
+    # own size they would differ by 0.25 and by 1
+    checks = {"norm_drift": 6.661338147750939e-16,
+              "deviations": {"p_e": 2.220446049250313e-16}}
+    moved = {"norm_drift": 8.881784197001252e-16,
+             "deviations": {"p_e": 0.0}}
+    a = tree(tmp_path / "A", ledger=dict(LEDGER, checks=checks))
+    b = tree(tmp_path / "B", ledger=dict(LEDGER, checks=moved))
+    assert artifact_diff.main([str(a), str(b), "--rtol", "1e-12"]) == 0
+    assert "largest relative difference 2.22e-16" in capsys.readouterr().out
+    # a physical field of the same size is still judged relatively
+    a = tree(tmp_path / "C", ledger=dict(LEDGER, p_ab_infty=1e-14))
+    b = tree(tmp_path / "D", ledger=dict(LEDGER, p_ab_infty=2e-14))
+    assert artifact_diff.main([str(a), str(b), "--rtol", "1e-12"]) == 1
+    assert "over rtol 1e-12: a/ledger.json: p_ab_infty differs by 0.5" \
+        in capsys.readouterr().out.splitlines()
 
 
 def test_rtol_fails_each_file_over_it(tmp_path, capsys):

@@ -116,6 +116,21 @@ class TestSimulate:
         assert "note" in ledger
         assert "w_abs" not in ledger
 
+    def test_resonant_ledger_and_entropy_share_p_ab_infty(self, tmp_path):
+        # both files hold p_ab(inf), which counts the decay of the p_e
+        # still excited at t_max; the adaptation residual is then the
+        # quadrature error alone
+        cfg = write(tmp_path, BASE.replace("gamma_b = 1.0", "gamma_b = 1.6")
+                    .replace("family = exponential\ndelta = 1.0",
+                             "family = rectangular\ntau = 2.0"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        ledger = json.loads((out / "ledger.json").read_text())
+        entropy = json.loads((out / "entropy.json").read_text())
+        assert ledger["p_ab_infty"].hex() == entropy["p_ab_infty"].hex()
+        assert abs(ledger["adaptation_residual"]) <= 1e-10
+
     def test_detuned_rows_are_the_rotating_frame_amplitude(self, tmp_path):
         # the stride rows of a detuned run carry psi~, the same doubles
         # the full-array property holds

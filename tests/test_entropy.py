@@ -180,7 +180,7 @@ class TestOverlapSeries:
     @pytest.mark.parametrize("detuning", [0.0, 0.3])
     def test_exponential_closed_form(self, detuning):
         s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
-        pulse = make_pulse(Exponential(0.5), 50.0 + detuning, s)
+        pulse = make_pulse(Exponential(0.5), 50.0 + detuning)
         traj = compare_grid_run(s, pulse)
         t = np.linspace(0.0, traj.t_max, 301)
         got = overlap_series(traj, pulse, s, t)
@@ -189,7 +189,7 @@ class TestOverlapSeries:
 
     def test_limit_is_the_asymptotic_overlap(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        pulse = make_pulse(Gaussian(1.0), 1.0, s)
+        pulse = make_pulse(Gaussian(1.0), 1.0)
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=0.002))
         end = overlap_series(traj, pulse, s, traj.t_max)
         asym = overlap_asymptotic(s, traj.p_ab_final())
@@ -201,7 +201,7 @@ class TestOverlapSeries:
         (Rectangular(2.0), 0.0), (Rectangular(2.0), -0.7)])
     def test_real_part_is_half_the_flux(self, envelope, detuning):
         s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=2.0)
-        pulse = make_pulse(envelope, 50.0 + detuning, s)
+        pulse = make_pulse(envelope, 50.0 + detuning)
         traj = compare_grid_run(s, pulse)
         end = overlap_series(traj, pulse, s, traj.t_max)
         flux = drive_energy_flux(traj, pulse, s)
@@ -213,7 +213,7 @@ class TestOverlapSeries:
         # [t - (2/Gamma)(1 - e^{-Gamma t/2})] up to tau, flat afterwards
         s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
         tau = 2.0
-        pulse = make_pulse(Rectangular(tau), 50.0, s)
+        pulse = make_pulse(Rectangular(tau), 50.0)
         traj = compare_grid_run(s, pulse)
         assert tau in traj.times
         g = s.gamma_total

@@ -21,7 +21,7 @@ def system():
 
 @pytest.fixture()
 def pulse(system):
-    return make_pulse(Exponential(1.0), system.omega_a, system)
+    return make_pulse(Exponential(1.0), system.omega_a)
 
 
 class TestSweepSpec:
@@ -57,7 +57,7 @@ class TestApplyParameters:
         assert p2.carrier == pytest.approx(system.omega_a + 0.3)
 
     def test_gaussian_keeps_its_offset(self, system):
-        g = make_pulse(Gaussian(1.0, offset=9.0), system.omega_a, system)
+        g = make_pulse(Gaussian(1.0, offset=9.0), system.omega_a)
         _, p2 = apply_parameters(system, g, {"linewidth": 2.0})
         assert p2.envelope.sigma == pytest.approx(0.5)
         assert p2.envelope.offset == 9.0
@@ -73,7 +73,7 @@ class TestObjective:
     @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("linewidth", [1e-3, 1e-2, 0.1, 1.0])
     def test_p_ab_infty_matches_closed_form(self, system, linewidth, ratio):
-        pulse = make_pulse(Exponential(linewidth), system.omega_a, system)
+        pulse = make_pulse(Exponential(linewidth), system.omega_a)
         sys_r, pulse_r = apply_parameters(system, pulse,
                                           {"rate_ratio": ratio})
         result = sweep(SweepSpec("detuning", -0.5, 0.5, n_points=5),
@@ -92,7 +92,7 @@ class TestObjective:
         (Exponential(0.1), 0.0, 0.05),
     ])
     def test_grid_step(self, monkeypatch, system, envelope, detuning, dt):
-        pulse = make_pulse(envelope, system.omega_a + detuning, system)
+        pulse = make_pulse(envelope, system.omega_a + detuning)
         grids = []
 
         def spy(sys_, pulse_, grid):
@@ -112,7 +112,7 @@ class TestObjective:
         base = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
         linewidth = 10.0 ** log_width
         s, pulse = apply_parameters(
-            base, make_pulse(Exponential(1.0), base.omega_a, base),
+            base, make_pulse(Exponential(1.0), base.omega_a),
             {"linewidth": linewidth, "detuning": detuning,
              "rate_ratio": ratio})
         value = _evaluate(s, pulse, "p_ab_infty")
@@ -157,12 +157,12 @@ class TestSweep:
 
     def test_family_rows_are_linewidth_sweeps(self, system):
         # a detuned carrier of any family is kept for all three
-        pulse = make_pulse(Rectangular(0.7), system.omega_a + 0.2, system)
+        pulse = make_pulse(Rectangular(0.7), system.omega_a + 0.2)
         family = sweep(SweepSpec("family", 0.5, 2.0, n_points=3), system,
                        pulse).as_rows()
         rows = []
         for envelope in (Exponential(1.0), Gaussian(1.0), Rectangular(1.0)):
-            p = make_pulse(envelope, pulse.carrier, system)
+            p = make_pulse(envelope, pulse.carrier)
             rows += sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
                           system, p).as_rows()
         assert family == [dict(r, parameter="family") for r in rows]
@@ -171,7 +171,7 @@ class TestSweep:
         # a detuning of -2 pushes the carrier of a unit-frequency system
         # negative, which the pulse constructor refuses
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        p = make_pulse(Exponential(1.0), 1.0, s)
+        p = make_pulse(Exponential(1.0), 1.0)
         spec = SweepSpec("detuning", -2.0, 2.0, n_points=5)
         result = sweep(spec, s, p)
         errs = [pt for pt in result.points if pt.error]
@@ -216,7 +216,7 @@ class TestMaximize:
 
     def test_two_parameters_recover_resonant_balanced(self, system):
         # keep the pulse moderately wide so each evaluation stays cheap
-        pulse = make_pulse(Exponential(0.5), system.omega_a, system)
+        pulse = make_pulse(Exponential(0.5), system.omega_a)
         result = maximize(system, pulse,
                           {"detuning": (-1.0, 1.0),
                            "rate_ratio": (0.25, 4.0)}, budget=200)

@@ -117,12 +117,12 @@ class TestHamiltonian:
 
 class TestDiscretizePulse:
     def test_unit_norm(self, system, small_bath):
-        amps = discretize_pulse(make_pulse(Gaussian(1.0), 50.0, system),
+        amps = discretize_pulse(make_pulse(Gaussian(1.0), 50.0),
                                 small_bath, system)
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_gives_lorentzian_bins(self, system, small_bath):
-        pulse = make_pulse(Exponential(1.0), 50.0, system)
+        pulse = make_pulse(Exponential(1.0), 50.0)
         amps = discretize_pulse(pulse, small_bath, system)
         om = system.omega_a + small_bath.offsets()
         lor = 1.0 / ((om - pulse.carrier) ** 2 + 0.25)
@@ -130,8 +130,7 @@ class TestDiscretizePulse:
         assert np.max(np.abs(np.abs(amps) ** 2 - lor)) < 1e-5
 
     def test_detuned_carrier_shifts_the_peak(self, system, small_bath):
-        pulse = make_pulse(Gaussian(1.0), 50.0 + 5 * small_bath.spacing,
-                           system)
+        pulse = make_pulse(Gaussian(1.0), 50.0 + 5 * small_bath.spacing)
         amps = discretize_pulse(pulse, small_bath, system)
         center = (small_bath.n_modes - 1) // 2
         assert int(np.argmax(np.abs(amps))) == center + 5
@@ -140,7 +139,7 @@ class TestDiscretizePulse:
                                           Rectangular(0.02)])
     def test_spectrum_outside_window(self, system, small_bath, envelope):
         with pytest.raises(BandwidthError):
-            discretize_pulse(make_pulse(envelope, 50.0, system),
+            discretize_pulse(make_pulse(envelope, 50.0),
                              small_bath, system)
 
     def test_weight_rule_is_two_sided(self, system, small_bath):
@@ -149,25 +148,25 @@ class TestDiscretizePulse:
         # Exponential(0.05) overlaps its copies e^{-0.05 * 31.4} apart
         # and samples (1 + r) / (1 - r) = 1.52 of it, r = 0.208
         def weight(linewidth):
-            pulse = make_pulse(Exponential(linewidth), 50.0, system)
+            pulse = make_pulse(Exponential(linewidth), 50.0)
             raw = pulse.spectrum(small_bath.offsets()) \
                 * math.sqrt(small_bath.spacing) / (2.0 * math.pi)
             return float(np.sum(np.abs(raw) ** 2))
 
         assert weight(0.3) == pytest.approx(0.9978, abs=1e-4)
-        amps = discretize_pulse(make_pulse(Exponential(0.3), 50.0, system),
+        amps = discretize_pulse(make_pulse(Exponential(0.3), 50.0),
                                 small_bath, system)
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
         r = math.exp(-0.05 * small_bath.recurrence_time / 2.0)
         assert weight(0.05) == pytest.approx((1 + r) / (1 - r), rel=1e-3)
         with pytest.raises(ConfigurationError, match="aliases"):
-            discretize_pulse(make_pulse(Exponential(0.05), 50.0, system),
+            discretize_pulse(make_pulse(Exponential(0.05), 50.0),
                              small_bath, system)
 
     def test_fine_comb_projection_stays_small(self, system):
         # the projection holds a few arrays of n_modes numbers, no more
         bath = DiscreteBath(7643, 40.0 * system.gamma_total)
-        pulse = make_pulse(Exponential(0.05), 50.0, system)
+        pulse = make_pulse(Exponential(0.05), 50.0)
         tracemalloc.start()
         try:
             amps = discretize_pulse(pulse, bath, system)
@@ -347,7 +346,7 @@ class TestEvolve:
         # beyond the run it reads
         bath = DiscreteBath.default(system)
         h = build_hamiltonian(system, bath)
-        amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0, system),
+        amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0),
                                 bath, system)
         oracle._folded_eigh.cache_clear()
         tracemalloc.start()
@@ -673,7 +672,7 @@ def assert_mirror_block(arrow, r0, r1):
 
 @pytest.fixture(scope="module")
 def run(system, small_bath):
-    pulse = make_pulse(Gaussian(1.0), 50.0, system)
+    pulse = make_pulse(Gaussian(1.0), 50.0)
     amps = discretize_pulse(pulse, small_bath, system)
     h = build_hamiltonian(system, small_bath)
     return evolve(h, OneExcitationState.from_pulse(amps), 7.5, n_out=51)
@@ -719,7 +718,7 @@ class TestMeasure:
 
 class TestCompare:
     def test_gaussian_within_default_tolerances(self, system, small_bath):
-        rep = compare(system, make_pulse(Gaussian(1.2), 50.0, system),
+        rep = compare(system, make_pulse(Gaussian(1.2), 50.0),
                       InitialMixture(0.5, 0.5), small_bath, n_out=151)
         assert rep.passed
         assert rep.failures == ()
@@ -744,13 +743,13 @@ class TestCompare:
         oracle._folded_eigh.cache_clear()
         for omega_a in (50.0, 61.3):
             s = LambdaSystem(omega_a=omega_a, gamma_a=1.0, gamma_b=1.0)
-            rep = compare(s, make_pulse(Gaussian(1.2), omega_a, s),
+            rep = compare(s, make_pulse(Gaussian(1.2), omega_a),
                           InitialMixture(0.5, 0.5), small_bath, n_out=51)
             assert rep.passed
         assert len(calls) == 1
 
     def test_tighter_tolerance_flags_failures(self, system, small_bath):
-        rep = compare(system, make_pulse(Gaussian(1.2), 50.0, system),
+        rep = compare(system, make_pulse(Gaussian(1.2), 50.0),
                       InitialMixture(0.5, 0.5), small_bath, n_out=51,
                       tolerances={"p_e": 1e-12})
         assert not rep.passed

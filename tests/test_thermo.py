@@ -17,7 +17,7 @@ from lambda_adapt.thermo import (HBAR, adaptation_work_check,
 
 
 def run(system, envelope, *, detuning=0.0, t_max=None):
-    pulse = make_pulse(envelope, system.omega_a + detuning, system)
+    pulse = make_pulse(envelope, system.omega_a + detuning)
     grid = SimGrid.auto(system, pulse, t_max=t_max)
     return pulse, integrate_psi(system, pulse, grid)
 
@@ -79,7 +79,7 @@ class TestLedger:
 
     def test_coarse_step_refused(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
-        pulse = make_pulse(Exponential(1.0), 5.0, s)
+        pulse = make_pulse(Exponential(1.0), 5.0)
         grid = SimGrid.auto(s, pulse, dt=0.005)
         traj = integrate_psi(s, pulse, grid)
         with pytest.raises(NumericalConsistencyError):
@@ -113,10 +113,8 @@ class TestDefaultGrid:
         ledger = energy_ledger(traj, pulse, s, tol=1e-8)
         assert abs(adaptation_work_check(s, ledger.p_ab_infty,
                                          ledger.w_abs)) <= 1e-6
-        p_inf = ledger.p_ab_infty \
-            + s.gamma_b / s.gamma_total * float(traj.p_e[-1])
         ceiling = 4.0 * s.gamma_a * s.gamma_b / s.gamma_total ** 2
-        assert 0.0 <= p_inf <= ceiling + 1e-9
+        assert 0.0 <= ledger.p_ab_infty <= ceiling + 1e-9
 
 
 class TestAdaptationWorkLink:
@@ -149,12 +147,12 @@ class TestInteractionEnergy:
     def test_detuned_between_nodes_at_the_dt_ceiling(self):
         s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
         detuning = 0.3
-        pulse = make_pulse(Exponential(1e-3), s.omega_a + detuning, s)
+        pulse = make_pulse(Exponential(1e-3), s.omega_a + detuning)
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=10.0))
         mix = InitialMixture.pure_a()
         ts = (traj.times[:-1] + 0.37 * np.diff(traj.times))[::97]
         psi = psi_closed_form(s, pulse, ts, frame="rotating")
-        drive = (pulse.shape_at(-s.c_speed * ts)
+        drive = (pulse.shape_at(-ts)
                  * np.exp(-1j * detuning * ts))
         g_a = s.coupling("a")
         want = 2.0 * HBAR * g_a * np.imag(np.conj(psi) * drive)

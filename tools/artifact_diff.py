@@ -8,10 +8,15 @@ checkouts.  For each artifact name (a file's base name) it prints how
 many files are byte-identical and how many differ, and for differing
 JSON, JSONL and CSV files the largest relative difference
 |a - b| / max(|a|, |b|) of any numeric field, with the file and field
-where it occurs.  A difference that is not numeric is printed on its
-own line: a file on one side only, a key, a string or a CSV header that
-differs, a row or element count, a file of another kind that differs,
-or bytes that differ where every value is equal.  The exit status is 1
+where it occurs.  A JSON field that is a residue, zero up to numerical
+error, is measured against 1 instead, as |a - b| / max(|a|, |b|, 1):
+a key named in ``RESIDUES`` or any entry under ``deviations``.  Against
+its own size a residue that moves by one ulp of its natural scale, say
+``norm_drift`` from 2.2e-16 to 0, would differ by 1.  A difference that
+is not numeric is printed on its own line: a file on one side only, a
+key, a string or a CSV header that differs, a row or element count, a
+file of another kind that differs, or bytes that differ where every
+value is equal.  The exit status is 1
 when there is any such difference and 0 otherwise, numeric differences
 included.  With ``--rtol R`` a numeric field that differs by more than R
 relative also makes the exit status 1, and each file that holds one is
@@ -28,6 +33,12 @@ from collections import defaultdict
 from pathlib import Path
 
 
+# JSON keys whose values are residues: a norm's drift from 1, a ledger's
+# or an identity's residual, a leak that should be 0
+RESIDUES = frozenset({"norm_drift", "residual", "adaptation_residual",
+                      "leak"})
+
+
 class Structural(Exception):
     """A difference that is not a change of a number."""
 
@@ -36,38 +47,41 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def relative_difference(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|); 0 for equal values (NaN equals NaN),
-    inf where one side is NaN or infinite and the other is not."""
+def relative_difference(a: float, b: float, floor: float = 0.0) -> float:
+    """|a - b| / max(|a|, |b|, floor); 0 for equal values (NaN equals
+    NaN), inf where one side is NaN or infinite and the other is not."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    d = abs(a - b) / max(abs(a), abs(b))
+    d = abs(a - b) / max(abs(a), abs(b), floor)
     return d if d == d else math.inf
 
 
-def _walk(a, b, where: str) -> tuple[float, str]:
+def _walk(a, b, where: str, residue: bool = False) -> tuple[float, str]:
     """Largest relative difference between two JSON values, and its path.
 
-    Raises Structural on keys, lengths, types or non-numeric leaves that
-    differ."""
+    A number marked ``residue`` is measured against 1.  Raises Structural
+    on keys, lengths, types or non-numeric leaves that differ."""
     if _is_number(a) and _is_number(b):
-        return relative_difference(float(a), float(b)), where
+        return relative_difference(float(a), float(b),
+                                   1.0 if residue else 0.0), where
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             raise Structural(f"{where or 'top level'}: keys "
                              f"{sorted(a.keys() ^ b.keys())} on one side only")
-        pairs = [(a[k], b[k], f"{where}.{k}" if where else str(k))
-                 for k in a]
+        under_deviations = where.rsplit(".", 1)[-1] == "deviations"
+        pairs = [(a[k], b[k], f"{where}.{k}" if where else str(k),
+                  under_deviations or k in RESIDUES) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Structural(f"{where or 'top level'}: "
                              f"{len(a)} against {len(b)} elements")
-        pairs = [(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+        pairs = [(x, y, f"{where}[{i}]", residue)
+                 for i, (x, y) in enumerate(zip(a, b))]
     else:
         if type(a) is not type(b) or a != b:
             raise Structural(f"{where or 'top level'}: {a!r} against {b!r}")
         return 0.0, where
-    return max((_walk(x, y, w) for x, y, w in pairs),
+    return max((_walk(*pair) for pair in pairs),
                key=lambda r: r[0], default=(0.0, where))
 
 

@@ -1,4 +1,4 @@
-"""Every command on the default config and six edits of it.
+"""Every command on the default config and seven edits of it.
 
     python3 tools/command_matrix.py OUT
 
@@ -13,8 +13,9 @@ raised, the exception.  Two trees made from two checkouts compare with
 
 The edits cover what the benchmark's seeded workloads never run: a
 family sweep, the exponential and rectangular families (the latter
-detuned), a split ground state with a mixed start, p_a0 = 0 and a
-one-parameter optimize.
+detuned), a split ground state with a mixed start, p_a0 = 0, a
+one-parameter optimize and unequal decay rates, where a coupling
+factor put on the wrong branch would show.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EDITS = {
     "p_a0_zero": {"mixture": {"p_a0": "0"}},
     "optimize_detuning": {"optimize": {"parameters": "detuning",
                                        "budget": "40"}},
+    "unequal_rates": {"system": {"gamma_b": "1.6"}},
 }
 
 
