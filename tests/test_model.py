@@ -53,6 +53,9 @@ class TestLambdaSystem:
         {"omega_a": -1.0},
         {"omega_a": 1.0, "gamma_a": 0.0},
         {"omega_a": 1.0, "gamma_b": -0.3},
+        # omega_a on the boundary, and a NaN rate that no sign test catches
+        {"omega_a": 0.0},
+        {"omega_a": 1.0, "gamma_a": math.nan},
         # delta_ab so large that omega_b would be negative
         {"omega_a": 1.0, "delta_ab": 2.0},
         {"omega_a": math.inf},
