@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import AmplitudeTrajectory
 from .errors import NumericalConsistencyError, ParameterError
-from .model import InitialMixture, LambdaSystem, PulseSpec
+from .model import MAX_GRID_NODES, InitialMixture, LambdaSystem, PulseSpec
 from .thermo import HBAR, drive_overlap_integral
 
 __all__ = [
@@ -264,8 +264,10 @@ def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
     The sweep runs from p_ab = 0 to the family maximum
     4 gamma_a gamma_b / Gamma^2 (= 1 only for gamma_a = gamma_b).
     """
-    if n_points < 2:
-        raise ParameterError("n_points must be at least 2")
+    if not 2 <= n_points <= MAX_GRID_NODES:
+        raise ParameterError(
+            f"n_points must be >= 2 and <= MAX_GRID_NODES = "
+            f"{MAX_GRID_NODES:.3g}, got {n_points}")
     p_max = _p_max(system)
     p_grid = np.linspace(0.0, p_max, n_points)
     s_e = np.empty(n_points)

@@ -15,8 +15,6 @@ differences below that scale are meaningless.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -24,7 +22,8 @@ import numpy as np
 
 from .dynamics import integrate_psi, p_ab_infty
 from .errors import ParameterError, LambdaAdaptError
-from .model import FAMILIES, LambdaSystem, PulseSpec, SimGrid, make_pulse
+from .model import (FAMILIES, MAX_GRID_NODES, LambdaSystem, PulseSpec,
+                    SimGrid, make_pulse)
 from .thermo import drive_energy_flux
 
 PARAMETERS = ("linewidth", "detuning", "rate_ratio", "family")
@@ -34,17 +33,6 @@ OBJECTIVES = ("p_ab_infty", "w_over_hw")
 # interval (golden section) or simplex diameter (Nelder-Mead) must fall
 # below this fraction of the initial search range.
 CONVERGENCE_REL = 1e-4
-
-
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("LAMBDA_ADAPT_THREADS", "")
-    try:
-        limit = int(cap) if cap else 0
-    except ValueError:
-        limit = 0
-    if limit <= 0:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, n_tasks))
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,7 @@ class SweepSpec:
         Grid endpoints, lo < hi, with a finite span hi - lo.
         Bandwidth-like parameters must be positive.
     n_points : int
-        Grid size, at least 3.
+        Grid size, from 3 to MAX_GRID_NODES.
     objective : str
         ``p_ab_infty`` or ``w_over_hw``.
     """
@@ -94,9 +82,10 @@ class SweepSpec:
             raise ParameterError(
                 f"{self.parameter} grid must be strictly positive, "
                 f"lo = {self.lo}")
-        if self.n_points < 3:
+        if not 3 <= self.n_points <= MAX_GRID_NODES:
             raise ParameterError(
-                f"n_points must be >= 3, got {self.n_points}")
+                f"n_points must be >= 3 and <= MAX_GRID_NODES = "
+                f"{MAX_GRID_NODES:.3g}, got {self.n_points}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_points)
@@ -194,8 +183,11 @@ def sweep(spec: SweepSpec, system: LambdaSystem,
     """Evaluate the objective over the grid, in deterministic order.
 
     Points failing to evaluate are annotated with the error message and
-    carry a NaN objective; the sweep continues.  Grid points run on a
-    thread pool capped by the LAMBDA_ADAPT_THREADS environment variable.
+    carry a NaN objective; the sweep continues.  Points run one after
+    another on the calling thread, in grid order (family by family for
+    a ``family`` sweep): a point costs about a millisecond of small
+    numpy calls, too little for worker threads to win back what they
+    spend contending for the interpreter lock.
     """
     fn = _resolve_objective(spec.objective)
     if spec.parameter == "family":
@@ -218,9 +210,7 @@ def sweep(spec: SweepSpec, system: LambdaSystem,
             return SweepPoint(value=float(value), family=fam,
                               objective=float("nan"), error=str(exc))
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(tasks))) as pool:
-        points = tuple(pool.map(run_one, tasks))
-    return SweepResult(spec=spec, points=points)
+    return SweepResult(spec=spec, points=tuple(map(run_one, tasks)))
 
 
 @dataclass

@@ -297,6 +297,29 @@ dt = 0.005
         assert "--points" in capsys.readouterr().err
         assert not out.exists()
 
+    # a point count above MAX_GRID_NODES is refused before numpy is asked
+    # for a grid of terabytes
+    @pytest.mark.parametrize("command, points, n_points", [
+        ("entropy-curve", "1000000000000", None),
+        ("sweep", "1000000000000", None),
+        ("sweep", None, "1000000000000"),
+    ], ids=["entropy_curve_points", "sweep_points", "sweep_n_points"])
+    def test_oversized_point_count_is_config_error(self, tmp_path, capsys,
+                                                   command, points,
+                                                   n_points):
+        text = EVERY_SECTION
+        if n_points is not None:
+            text = text.replace("hi = 2.0\n",
+                                f"hi = 2.0\nn_points = {n_points}\n")
+        argv = [command, "--config", str(write(tmp_path, text)),
+                "--out", str(tmp_path / "o")]
+        if points is not None:
+            argv += ["--points", points]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "1000000000000" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sigma", ["2e153", "6e153", "1e154", "1e160"])
     def test_overwide_gaussian_is_config_error(self, tmp_path, capsys,
                                                sigma):

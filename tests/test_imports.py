@@ -48,6 +48,13 @@ def test_cli_import_skips_the_optimizer_library():
     assert "scipy.optimize" not in loaded_modules("lambda_adapt.cli")
 
 
+def test_cli_import_loads_no_thread_pool():
+    # sweep points run on the calling thread: no executor from the
+    # concurrent package, nor the logging it pulls in, is imported
+    mods = loaded_modules("lambda_adapt.cli")
+    assert sorted(m for m in mods if m.split(".")[0] == "concurrent") == []
+
+
 SMALL_CONFIG = """
 [system]
 omega_a = 50.0

@@ -1,5 +1,7 @@
 """Sweeps and derivative-free maximization of drive objectives."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from lambda_adapt import optimize
 from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
 from lambda_adapt.errors import ParameterError
-from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
-                                Rectangular, SimGrid, make_pulse)
+from lambda_adapt.model import (FAMILIES, MAX_GRID_NODES, Exponential,
+                                Gaussian, LambdaSystem, Rectangular, SimGrid,
+                                make_pulse)
 from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec, _evaluate,
                                    apply_parameters, maximize, sweep)
 
@@ -32,6 +35,8 @@ class TestSweepSpec:
         {"parameter": "detuning", "lo": -1e308, "hi": 1e308},
         {"parameter": "linewidth", "lo": -1.0, "hi": 1.0},
         {"parameter": "linewidth", "lo": 0.1, "hi": 1.0, "n_points": 2},
+        {"parameter": "linewidth", "lo": 0.1, "hi": 1.0,
+         "n_points": MAX_GRID_NODES + 1},
         {"parameter": "linewidth", "lo": 0.1, "hi": 1.0,
          "objective": "speed"},
     ])
@@ -180,12 +185,29 @@ class TestSweep:
         good = [pt for pt in result.points if not pt.error]
         assert all(np.isfinite(pt.objective) for pt in good)
 
-    def test_thread_cap_is_deterministic(self, system, pulse, monkeypatch):
-        spec = SweepSpec("linewidth", 0.5, 2.0, n_points=5)
-        base = sweep(spec, system, pulse).objectives()
-        monkeypatch.setenv("LAMBDA_ADAPT_THREADS", "1")
-        serial = sweep(spec, system, pulse).objectives()
-        assert np.array_equal(base, serial)
+    def test_points_run_once_in_grid_order_on_the_calling_thread(
+            self, system, pulse, monkeypatch):
+        calls = []
+
+        def objective(sys_, pulse_, name):
+            calls.append((threading.get_ident(), sys_, pulse_.envelope,
+                          pulse_.carrier, name))
+            return float(len(calls))
+
+        monkeypatch.setattr(optimize, "_evaluate", objective)
+        here = threading.get_ident()
+        spec = SweepSpec("detuning", -1.0, 1.0, n_points=5)
+        result = sweep(spec, system, pulse)
+        assert calls == [(here, system, pulse.envelope, system.omega_a + d,
+                          "p_ab_infty") for d in spec.grid()]
+        assert list(result.objectives()) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        calls.clear()
+        spec = SweepSpec("family", 0.5, 2.0, n_points=3,
+                         objective="w_over_hw")
+        sweep(spec, system, pulse)
+        assert calls == [(here, system, family(1.0).at_scale(v),
+                          pulse.carrier, "w_over_hw")
+                         for family in FAMILIES.values() for v in spec.grid()]
 
 
 class TestMaximize:
