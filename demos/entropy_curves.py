@@ -24,16 +24,16 @@ def main():
     print("-- S_E and S_E^c vs p_ab(inf), p_a0 = 1/2 --")
     print(f"{'p_ab':>6s} {'S_E':>8s} {'S_E^c':>8s}")
     for k in range(0, 200, 20):
-        print(f"{curve.p_ab[k]:6.3f} {curve.s_e[k]:8.5f} "
+        print(f"{curve.n_b[k]:6.3f} {curve.s_e[k]:8.5f} "
               f"{curve.s_e_c[k]:8.5f}")
-    print(f"{curve.p_ab[-1]:6.3f} {curve.s_e[-1]:8.5f} "
+    print(f"{curve.n_b[-1]:6.3f} {curve.s_e[-1]:8.5f} "
           f"{curve.s_e_c[-1]:8.5f}")
 
     k = int(np.argmax(curve.s_e))
     print(f"\nS_E^c rises monotonically: "
           f"{bool(np.all(np.diff(curve.s_e_c) >= -1e-12))}")
     print(f"S_E^c(1) = {curve.s_e_c[-1]:.9f}  (ln 2 = {math.log(2):.9f})")
-    print(f"S_E peaks at p_ab = {curve.p_ab[k]:.3f} with "
+    print(f"S_E peaks at p_ab = {curve.n_b[k]:.3f} with "
           f"S_E = {curve.s_e[k]:.5f}")
     print("full adaptation erases the quantum contribution: the photon is")
     print("then a perfect record of which ground state the emitter left.")

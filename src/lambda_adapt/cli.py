@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .dynamics import integrate_psi, p_ab_infty
-from .entropy import EnvSpectrum, entropy_curve, overlap_asymptotic
+from .entropy import asymptotic_spectrum, entropy_curve
 from .errors import (ConfigurationError, LambdaAdaptError,
                      NumericalConsistencyError, ParameterError,
                      UnsupportedEnvelopeError)
@@ -140,11 +140,9 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
         }
     _write_json(out / "ledger.json", _meta("simulate", cfg), payload)
 
-    # the spectrum takes p_ab(inf) clamped to its maximum (asym.p_ab); the
+    # the spectrum takes p_ab(inf) clamped to its maximum (its n_b); the
     # artifacts keep the raw value
-    asym = overlap_asymptotic(cfg.system, p_inf)
-    spec = EnvSpectrum.from_branches(cfg.mixture, 0.0, asym.n_a, asym.p_ab,
-                                     asym.overlap_sq)
+    spec = asymptotic_spectrum(cfg.system, cfg.mixture, p_inf)
     _write_json(out / "entropy.json", _meta("simulate", cfg),
                 {"asymptotic": spec.as_dict(), "p_ab_infty": p_inf})
     return EXIT_OK
@@ -190,7 +188,7 @@ def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
                _meta("entropy-curve", cfg, n_points=n_points,
                      p_a0=cfg.mixture.p_a0),
                ["p_ab_infty", "s_e", "s_e_c"],
-               _float_table(curve.p_ab, curve.s_e, curve.s_e_c))
+               _float_table(curve.n_b, curve.s_e, curve.s_e_c))
     return EXIT_OK
 
 

@@ -9,9 +9,10 @@ formula, evaluated for one instant or a whole series of them at once,
 rather than any density-matrix diagonalization.
 
 The overlap needs no field on a z-grid: after the pulse it follows from
-p_ab(inf) alone (``overlap_asymptotic``), and at finite times from one
+p_ab(inf) alone (``asymptotic_spectrum``), and at finite times from one
 cumulative quadrature of the drive against the amplitude along a
-trajectory (``overlap_series``).
+trajectory (``overlap_series``).  The entropy curve is the asymptotic
+spectrum on a grid of p_ab(inf) values, built in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ import numpy as np
 from .dynamics import AmplitudeTrajectory
 from .errors import NumericalConsistencyError, ParameterError
 from .model import MAX_GRID_NODES, InitialMixture, LambdaSystem, PulseSpec
-from .thermo import HBAR, drive_overlap_integral
+from .thermo import drive_overlap_integral
 
 __all__ = [
     "EnvSpectrum",
-    "AsymptoticOverlap",
-    "EntropyCurve",
     "env_eigenvalues",
     "von_neumann",
     "quantum_branch_entropy",
     "classical_entropy",
     "normalized_overlap_sq",
-    "overlap_asymptotic",
+    "asymptotic_spectrum",
     "overlap_series",
     "entropy_curve",
     "heat_to_pab",
@@ -119,32 +118,19 @@ def normalized_overlap_sq(value, n_a):
     return np.where(kept, np.minimum(ratio, 1.0), 0.0)
 
 
-def classical_entropy(s_e: float, mixture: InitialMixture, s_q: float) -> float:
+def classical_entropy(s_e, mixture: InitialMixture, s_q):
     """S_E^c = S_E - p_a0 S_q: environment entropy net of quantum spread.
 
     The b-started branch scatters nothing, so only the a-branch quantum
-    entropy is subtracted.
+    entropy is subtracted.  Floats give a float, arrays an array.
     """
     out = s_e - mixture.p_a0 * s_q
-    if out < -1e-12:
+    if np.any(out < -1e-12):
         raise NumericalConsistencyError(
-            f"classical entropy came out negative ({out:.3e})"
+            f"classical entropy came out negative ({np.min(out):.3e})"
         )
-    return max(out, 0.0)
-
-
-@dataclass(frozen=True)
-class AsymptoticOverlap:
-    """Long-time overlap data derived from p_ab(inf) alone.
-
-    ``p_ab`` is the p_ab(inf) the other fields are formed from: the one
-    given, clamped to its maximum 4 gamma_a gamma_b / Gamma^2.
-    """
-
-    value: float        # sqrt(N_a) <free | scattered>  =  1 - (Gamma/2 gamma_b) p
-    n_a: float
-    overlap_sq: float
-    p_ab: float
+    out = np.maximum(out, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _p_max(system: LambdaSystem) -> float:
@@ -154,31 +140,6 @@ def _p_max(system: LambdaSystem) -> float:
     return 4.0 * (system.gamma_a / gamma) * (system.gamma_b / gamma)
 
 
-def overlap_asymptotic(system: LambdaSystem, p_ab_infty: float) -> AsymptoticOverlap:
-    """Overlap between the scattered a photon and the free pulse, t -> inf.
-
-    sqrt(N_a) <1_a^free | 1_a~> = 1 - (Gamma / (2 gamma_b)) p_ab(inf); the
-    normalized squared overlap is that value squared over N_a = 1 - p_ab.
-    Valid for p_ab(inf) in [0, 4 gamma_a gamma_b / Gamma^2].  A rounding
-    excess of up to 1e-9 relative over that maximum is accepted and
-    clamped off, so that N_a stays in the range ``env_eigenvalues`` takes
-    (at gamma_a = gamma_b the maximum is 1).
-    """
-    gamma = system.gamma_total
-    p_max = _p_max(system)
-    if p_ab_infty < -1e-12 or p_ab_infty > p_max * (1.0 + 1e-9):
-        raise ParameterError(
-            f"p_ab_infty = {p_ab_infty} outside [0, 4 gamma_a gamma_b / Gamma^2 "
-            f"= {p_max}]"
-        )
-    p = min(p_ab_infty, p_max)
-    value = 1.0 - (gamma / (2.0 * system.gamma_b)) * p
-    n_a = 1.0 - p
-    return AsymptoticOverlap(value=value, n_a=n_a,
-                             overlap_sq=float(normalized_overlap_sq(value, n_a)),
-                             p_ab=p)
-
-
 def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,
                    system: LambdaSystem, t) -> np.ndarray:
     """sqrt(N_a) <free pulse | a-branch photon> at times t in [0, t_max].
@@ -186,10 +147,10 @@ def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,
     Input-output composition of the a-branch field gives
     sqrt(N_a) <free | phi_a>(t) = 1 - int_0^t conj(f(tau)) psi^(tau) dtau
     with the carrier-frame drive f and amplitude psi^; its real part is
-    1 - flux(t) / 2, the work integral, and its t -> inf limit is
-    ``overlap_asymptotic``.  The integral is the fourth-order cumulative
-    quadrature ``thermo.drive_overlap_integral`` at the trajectory's
-    nodes, interpolated linearly at t.
+    1 - flux(t) / 2, the work integral, and its t -> inf limit is the
+    overlap of ``asymptotic_spectrum``.  The integral is the fourth-order
+    cumulative quadrature ``thermo.drive_overlap_integral`` at the
+    trajectory's nodes, interpolated linearly at t.
     """
     acc = drive_overlap_integral(traj, pulse, system)
     return 1.0 - (np.interp(t, traj.times, acc.real)
@@ -201,9 +162,8 @@ class EnvSpectrum:
     """Eigenvalues and entropies of the environment state.
 
     Built from floats it holds one instant; built from arrays of branch
-    weights, one per snapshot, it holds the series, with the spectra
-    along a last axis of 4.  ``s_e_c`` is formed when read, from one
-    instant's entropies.
+    weights, one per snapshot or per p_ab(inf), it holds the series, with
+    the spectra along a last axis of 4.  ``s_e_c`` is formed when read.
     """
 
     lambdas: np.ndarray
@@ -228,56 +188,65 @@ class EnvSpectrum:
                    mixture=mixture)
 
     @property
-    def s_e_c(self) -> float:
+    def s_e_c(self) -> float | np.ndarray:
         return classical_entropy(self.s_e, self.mixture, self.s_q)
 
     def as_dict(self) -> dict:
+        """One instant's fields as floats."""
         return {
             "lambdas": [float(x) for x in self.lambdas],
-            "psi_sq": self.psi_sq,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "overlap_sq": self.overlap_sq,
-            "s_e": self.s_e,
-            "s_q": self.s_q,
+            "psi_sq": float(self.psi_sq),
+            "n_a": float(self.n_a),
+            "n_b": float(self.n_b),
+            "overlap_sq": float(self.overlap_sq),
+            "s_e": float(self.s_e),
+            "s_q": float(self.s_q),
             "s_e_c": self.s_e_c,
         }
 
 
-@dataclass(frozen=True)
-class EntropyCurve:
-    """Asymptotic entropies swept over the reachable p_ab(inf) range."""
+def asymptotic_spectrum(system: LambdaSystem, mixture: InitialMixture,
+                        p_ab_infty) -> EnvSpectrum:
+    """Environment spectrum after the pulse, from p_ab(inf) alone.
 
-    p_ab: np.ndarray
-    s_e: np.ndarray
-    s_e_c: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.p_ab, self.s_e, self.s_e_c):
-            arr.flags.writeable = False
+    sqrt(N_a) <1_a^free | 1_a~> = 1 - (Gamma / (2 gamma_b)) p_ab(inf); the
+    normalized squared overlap is that value squared over N_a = 1 - p_ab,
+    and nothing is left excited.  A float gives one instant, an array one
+    spectrum per value.  Valid for p_ab(inf) in [0, 4 gamma_a gamma_b /
+    Gamma^2], else ParameterError.  A rounding excess of up to 1e-9
+    relative over that maximum is accepted and clamped off, so that N_a
+    stays in the range ``env_eigenvalues`` takes (at gamma_a = gamma_b the
+    maximum is 1); the spectrum's ``n_b`` is the clamped value.
+    """
+    p_max = _p_max(system)
+    p = np.asarray(p_ab_infty, dtype=float)
+    bad = (p < -1e-12) | (p > p_max * (1.0 + 1e-9))
+    if np.any(bad):
+        raise ParameterError(
+            f"p_ab_infty = {p[bad]} outside [0, 4 gamma_a gamma_b / Gamma^2 "
+            f"= {p_max}]"
+        )
+    p = np.minimum(p, p_max)
+    n_a = 1.0 - p
+    value = 1.0 - (system.gamma_total / (2.0 * system.gamma_b)) * p
+    return EnvSpectrum.from_branches(mixture, 0.0, n_a, p,
+                                     normalized_overlap_sq(value, n_a))
 
 
 def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
-                  n_points: int = 200) -> EntropyCurve:
+                  n_points: int = 200) -> EnvSpectrum:
     """S_E and S_E^c versus the long-time transfer probability.
 
-    The sweep runs from p_ab = 0 to the family maximum
-    4 gamma_a gamma_b / Gamma^2 (= 1 only for gamma_a = gamma_b).
+    ``asymptotic_spectrum`` on n_points values of p_ab(inf), its ``n_b``,
+    evenly spaced from 0 to the family maximum 4 gamma_a gamma_b /
+    Gamma^2 (= 1 only for gamma_a = gamma_b).
     """
     if not 2 <= n_points <= MAX_GRID_NODES:
         raise ParameterError(
             f"n_points must be >= 2 and <= MAX_GRID_NODES = "
             f"{MAX_GRID_NODES:.3g}, got {n_points}")
-    p_max = _p_max(system)
-    p_grid = np.linspace(0.0, p_max, n_points)
-    s_e = np.empty(n_points)
-    s_e_c = np.empty(n_points)
-    for i, p in enumerate(p_grid):
-        ov = overlap_asymptotic(system, p)
-        spec = EnvSpectrum.from_branches(mixture, 0.0, ov.n_a, p, ov.overlap_sq)
-        s_e[i] = spec.s_e
-        s_e_c[i] = spec.s_e_c
-    return EntropyCurve(p_ab=p_grid, s_e=s_e, s_e_c=s_e_c)
+    return asymptotic_spectrum(system, mixture,
+                               np.linspace(0.0, _p_max(system), n_points))
 
 
 def heat_to_pab(system: LambdaSystem, q_diss: float) -> float:
@@ -285,8 +254,8 @@ def heat_to_pab(system: LambdaSystem, q_diss: float) -> float:
 
     p_ab(inf) = Q / (hbar omega_a Gamma / gamma_b - hbar delta_ab).
     """
-    denom = (HBAR * system.omega_a * system.gamma_total / system.gamma_b
-             - HBAR * system.delta_ab)
+    denom = (system.omega_a * system.gamma_total / system.gamma_b
+             - system.delta_ab)
     if denom <= 0.0:
         raise ParameterError(
             f"heat-to-probability denominator {denom} is not positive"

@@ -366,9 +366,10 @@ class InitialMixture:
 
 
 # Largest number of steps a trajectory may have; 2e7 complex samples with
-# their companion arrays already take gigabytes.  Only trajectory grids
-# have a step count: the oracle projects pulses in closed form, on no
-# z-grid.
+# their companion arrays already take gigabytes.  The same cap bounds the
+# point count of a sweep or an entropy curve and the amplitudes of the
+# oracle's snapshots (n_out x dim); the oracle projects pulses in closed
+# form, on no z-grid.
 MAX_GRID_NODES = 20_000_000
 
 

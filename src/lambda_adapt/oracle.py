@@ -56,7 +56,8 @@ from .errors import (
 )
 from .dynamics import integrate_psi
 from .entropy import EnvSpectrum, normalized_overlap_sq, overlap_series
-from .model import InitialMixture, LambdaSystem, PulseSpec, SimGrid
+from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem,
+                    PulseSpec, SimGrid)
 from .thermo import drive_overlap_density
 
 __all__ = [
@@ -614,6 +615,15 @@ def _unfold(x: np.ndarray, y: np.ndarray, out: np.ndarray):
     np.subtract(x[:, 1:], y[:, 1:], out=out[:, c:0:-1])
 
 
+def _check_snapshot_size(n_out: int, dim: int):
+    """Refuse a snapshot array of more than MAX_GRID_NODES amplitudes, the
+    cap that bounds trajectories, before any of it is allocated."""
+    if n_out * dim > MAX_GRID_NODES:
+        raise ConfigurationError(
+            f"{n_out} snapshots of {dim} amplitudes, {n_out * dim} in all, "
+            f"exceed MAX_GRID_NODES = {MAX_GRID_NODES:.3g}; shrink the bath")
+
+
 def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
            n_out: int = 201) -> OracleRun:
     """Solve i dy/dt = H y exactly and record n_out snapshots on [0, t_final].
@@ -652,11 +662,12 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     the even snapshot grid: cos and sin once per _ROWS snapshots, every
     other entry one complex product; the dark modes compute the upper
     half of their table and conjugate it, with one set of steps for the
-    whole run.  Norm drift above DRIFT_TOL raises.  On the 2001-mode
-    default comb with 301 snapshots, a cold run takes about 0.17-0.22 s
-    and a warm one (decomposition cached) 0.10-0.12 s; on 801 modes, a
-    cold run takes 0.05-0.06 s; on 7643 modes with 401 snapshots, 1.9 s
-    (2-core x86 VM).
+    whole run.  Norm drift above DRIFT_TOL raises.  n_out * dim above
+    MAX_GRID_NODES is refused with ConfigurationError before anything is
+    allocated or solved.  On the 2001-mode default comb with 301
+    snapshots, a cold run takes about 0.17-0.22 s and a warm one
+    (decomposition cached) 0.10-0.12 s; on 801 modes, a cold run takes
+    0.05-0.06 s; on 7643 modes with 401 snapshots, 1.9 s (2-core x86 VM).
     Beyond its states (18.4 MiB) the cold 2001-mode run peaks 12.4 MiB
     higher (tracemalloc): the bright pass's three (_BRIGHT, c + 1) slabs
     take 6 MiB of that, and the decomposition's (_SOLVE, n) temporaries
@@ -666,6 +677,7 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
         raise ParameterError("t_final must be positive")
     n = h.offsets.size
     dim = h.dim
+    _check_snapshot_size(n_out, dim)
     y0 = state.pack()
     if y0.size != dim:
         raise ParameterError(f"state dim {y0.size} does not fit the "
@@ -905,6 +917,8 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     if tolerances:
         tol.update(tolerances)
 
+    # evolve's refusal, before the comb is projected or built
+    _check_snapshot_size(n_out, 1 + 2 * bath.n_modes)
     amps = discretize_pulse(pulse, bath, system)
     h = build_hamiltonian(system, bath)
     run = evolve(h, OneExcitationState.from_pulse(amps), t_final,

@@ -42,8 +42,6 @@ __all__ = [
     "interaction_energy",
 ]
 
-HBAR = 1.0
-
 
 @dataclass(frozen=True)
 class ThermoLedger:
@@ -149,7 +147,7 @@ def work_absorbed(traj: AmplitudeTrajectory, pulse: PulseSpec,
             "work ledger requires a resonant drive; "
             f"delta_L = {pulse.detuning(system):.3g}"
         )
-    return HBAR * system.omega_a * drive_energy_flux(traj, pulse, system)
+    return system.omega_a * drive_energy_flux(traj, pulse, system)
 
 
 def heat_dissipated(traj: AmplitudeTrajectory, system: LambdaSystem) -> float:
@@ -162,8 +160,7 @@ def heat_dissipated(traj: AmplitudeTrajectory, system: LambdaSystem) -> float:
     one quadrature of p_e the trajectory stores.
     """
     emitted = system.gamma_total / system.gamma_b * traj.p_ab_final()
-    return (HBAR * system.omega_a * emitted
-            - HBAR * system.delta_ab * traj.p_ab_final())
+    return system.omega_a * emitted - system.delta_ab * traj.p_ab_final()
 
 
 def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
@@ -175,7 +172,8 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
     NumericalConsistencyError
         If the trajectory has not converged (t_max too small), if the
         residual W - Q - Delta<H_S> exceeds ``tol * max(|W|, hbar omega_a)``,
-        or if the dissipated heat comes out negative.
+        or if the dissipated heat comes out negative; a NaN in any of
+        them fails too.
     """
     if not traj.converged(1e-6):
         raise NumericalConsistencyError(
@@ -185,15 +183,17 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
     q_diss = heat_dissipated(traj, system)
     p_e_end = float(traj.p_e[-1])
     p_ab_end = traj.p_ab_final()
-    de_sys = HBAR * system.omega_a * p_e_end + HBAR * system.delta_ab * p_ab_end
+    de_sys = system.omega_a * p_e_end + system.delta_ab * p_ab_end
     residual = w_abs - q_diss - de_sys
-    bound = tol * max(abs(w_abs), HBAR * system.omega_a)
-    if abs(residual) > bound:
+    bound = tol * max(abs(w_abs), system.omega_a)
+    # written so that a NaN residual, heat or bound fails
+    if not abs(residual) <= bound:
         raise NumericalConsistencyError(
             f"energy ledger residual {residual:.3e} exceeds {bound:.3e}; "
-            "the time step is too coarse for this tolerance"
+            "the time step is too coarse for this tolerance, or the run "
+            "overflowed"
         )
-    if q_diss < -bound:
+    if not q_diss >= -bound:
         raise NumericalConsistencyError(
             f"dissipated heat came out negative ({q_diss:.3e})"
         )
@@ -202,7 +202,7 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
         q_diss=q_diss,
         de_sys=de_sys,
         residual=residual,
-        w_over_hw=w_abs / (HBAR * system.omega_a),
+        w_over_hw=w_abs / system.omega_a,
         p_ab_infty=p_ab_infty(traj, system),
     )
 
@@ -210,7 +210,7 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
 def adaptation_work_check(system: LambdaSystem, p_ab_infty: float,
                           w_abs: float) -> float:
     """Residual of p_ab(inf) = (gamma_b / Gamma) W / (hbar omega_a)."""
-    predicted = (system.gamma_b / system.gamma_total) * w_abs / (HBAR * system.omega_a)
+    predicted = (system.gamma_b / system.gamma_total) * w_abs / system.omega_a
     return p_ab_infty - predicted
 
 
@@ -230,4 +230,4 @@ def interaction_energy(traj: AmplitudeTrajectory, pulse: PulseSpec,
         raise NotApplicableError(f"t = {t} outside the integrated range")
     psi_hat = complex(traj.psi_hat_at(t))
     drive = complex(_drive(system, pulse, t))
-    return -mixture.p_a0 * 2.0 * HBAR * (psi_hat.conjugate() * drive).imag
+    return -mixture.p_a0 * 2.0 * (psi_hat.conjugate() * drive).imag

@@ -18,9 +18,8 @@ from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 make_pulse)
 from lambda_adapt.optimize import maximize
 from lambda_adapt.oracle import DiscreteBath, build_hamiltonian, compare
-from lambda_adapt.thermo import (HBAR, adaptation_work_check,
-                                 drive_energy_flux, energy_ledger,
-                                 interaction_energy)
+from lambda_adapt.thermo import (adaptation_work_check, drive_energy_flux,
+                                 energy_ledger, interaction_energy)
 
 
 def fast_grid(system, pulse, t_max):
@@ -107,7 +106,7 @@ def test_energy_ledger_closes_on_resonant_runs():
             grid = SimGrid.auto(s, pulse)
             traj = integrate_psi(s, pulse, grid)
             ledger = energy_ledger(traj, pulse, s, tol=1e-8)
-            bound = 1e-8 * max(abs(ledger.w_abs), HBAR * s.omega_a)
+            bound = 1e-8 * max(abs(ledger.w_abs), s.omega_a)
             assert abs(ledger.residual) <= bound, (delta_ab,
                                                    type(envelope).__name__)
 
@@ -194,13 +193,13 @@ def test_interaction_energy_vanishes_only_on_resonance():
     traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))
     for t in np.linspace(0.0, traj.t_max, 501):
         assert abs(interaction_energy(traj, pulse, s, mix, float(t))) \
-            <= 1e-10 * HBAR * s.omega_a
+            <= 1e-10 * s.omega_a
 
     detuned = make_pulse(Gaussian(1.0), s.omega_a + 2.0 * s.gamma_total)
     traj_d = integrate_psi(s, detuned, SimGrid.auto(s, detuned))
     vals = [abs(interaction_energy(traj_d, detuned, s, mix, float(t)))
             for t in np.linspace(0.0, traj_d.t_max, 501)]
-    assert max(vals) > 1e-6 * HBAR * s.omega_a
+    assert max(vals) > 1e-6 * s.omega_a
 
 
 def test_optimizer_recovers_ideal_regime():

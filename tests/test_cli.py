@@ -372,6 +372,31 @@ dt = 0.005
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_nan_ledger_is_numerical_error(self, tmp_path, capsys):
+        # gamma_a = 1e300 overflows the work quadrature to NaN, and with it
+        # the ledger's bound: a NaN residual must fail the check, not pass
+        default = (Path(__file__).parent.parent / "configs"
+                   / "default.ini").read_text()
+        cfg = write(tmp_path, default.replace("gamma_a = 1.0",
+                                              "gamma_a = 1e300"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        assert "energy ledger residual nan" in capsys.readouterr().err
+        assert not (out / "ledger.json").exists()
+
+    def test_oversized_bath_is_config_error(self, tmp_path, capsys):
+        # 301 snapshots of 1 + 2 * 33223 amplitudes, 20000547 in all, just
+        # over MAX_GRID_NODES: refused before the comb is projected
+        cfg = write(tmp_path, BASE + "\n[bath]\nn_modes = 33223\n")
+        assert main(["oracle-verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "20000547" in err and "MAX_GRID_NODES" in err
+        assert "Traceback" not in err
+
 
 class TestParser:
     def test_one_parser_serves_every_command(self, tmp_path):

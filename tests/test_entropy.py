@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_adapt import entropy
 from lambda_adapt.dynamics import integrate_psi
-from lambda_adapt.entropy import (EnvSpectrum, classical_entropy,
-                                  entropy_curve, env_eigenvalues, heat_to_pab,
-                                  normalized_overlap_sq, overlap_asymptotic,
-                                  overlap_series, quantum_branch_entropy,
-                                  von_neumann)
-from lambda_adapt.errors import ParameterError
+from lambda_adapt.entropy import (EnvSpectrum, asymptotic_spectrum,
+                                  classical_entropy, entropy_curve,
+                                  env_eigenvalues, heat_to_pab,
+                                  normalized_overlap_sq, overlap_series,
+                                  quantum_branch_entropy, von_neumann)
+from lambda_adapt.errors import NumericalConsistencyError, ParameterError
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
@@ -113,44 +114,65 @@ class TestVonNeumann:
             pytest.approx(math.log(2.0))
 
 
-class TestAsymptoticOverlap:
+class TestAsymptoticSpectrum:
     def test_no_transfer_is_pure(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        ov = overlap_asymptotic(s, 0.0)
-        assert ov.value == 1.0
-        assert ov.n_a == 1.0
-        assert ov.overlap_sq == 1.0
+        spec = asymptotic_spectrum(s, InitialMixture(0.5, 0.5), 0.0)
+        # overlap 1 - (Gamma / 2 gamma_b) p = 1 on N_a = 1
+        assert spec.n_a == 1.0
+        assert spec.overlap_sq == 1.0
+        assert spec.psi_sq == 0.0 and spec.n_b == 0.0
+        assert spec.s_e == 0.0
 
     def test_full_transfer_orthogonal(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        ov = overlap_asymptotic(s, 1.0)
-        assert ov.value == pytest.approx(0.0, abs=1e-15)
-        assert ov.overlap_sq == 0.0
+        mix = InitialMixture(0.5, 0.5)
+        spec = asymptotic_spectrum(s, mix, 1.0)
+        assert spec.n_a == pytest.approx(0.0, abs=1e-15)
+        assert spec.overlap_sq == 0.0
+        # the overlap 1 - p vanishes with N_a: |.|^2 / N_a = 1 - p
+        near = asymptotic_spectrum(s, mix, 1.0 - 1e-6)
+        assert near.overlap_sq == pytest.approx(1e-6, rel=1e-9)
 
     def test_range_depends_on_rates(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=3.0)
+        mix = InitialMixture(0.5, 0.5)
         p_max = 4.0 * 3.0 / 16.0
-        overlap_asymptotic(s, p_max)  # boundary is allowed
+        asymptotic_spectrum(s, mix, p_max)  # boundary is allowed
+        # overlap 1 - (Gamma / 2 gamma_b) p = 2/3 on N_a = 1/2 at p = 1/2
+        mid = asymptotic_spectrum(s, mix, 0.5)
+        assert mid.overlap_sq == pytest.approx(8.0 / 9.0, rel=1e-15)
         with pytest.raises(ParameterError):
-            overlap_asymptotic(s, p_max + 1e-6)
+            asymptotic_spectrum(s, mix, p_max + 1e-6)
         with pytest.raises(ParameterError):
-            overlap_asymptotic(s, -0.01)
+            asymptotic_spectrum(s, mix, -0.01)
 
     @pytest.mark.parametrize("rates", [(1.0, 1.0), (1.0, 3.0)])
     def test_rounding_excess_is_clamped(self, rates):
-        # p_ab(inf) a rounding excess above its maximum: the overlap is
+        # p_ab(inf) a rounding excess above its maximum: the spectrum is
         # formed from the maximum, so N_a stays in env_eigenvalues' range
         s = LambdaSystem(omega_a=1.0, gamma_a=rates[0], gamma_b=rates[1])
+        mix = InitialMixture(0.5, 0.5)
         p_max = 4.0 * rates[0] * rates[1] / sum(rates) ** 2
-        ov = overlap_asymptotic(s, p_max * (1.0 + 1e-10))
-        assert ov.p_ab == p_max
-        assert ov.n_a == 1.0 - p_max
-        assert ov.value == overlap_asymptotic(s, p_max).value
-        EnvSpectrum.from_branches(InitialMixture(0.5, 0.5), 0.0, ov.n_a,
-                                  ov.p_ab, ov.overlap_sq)
+        spec = asymptotic_spectrum(s, mix, p_max * (1.0 + 1e-10))
+        at_max = asymptotic_spectrum(s, mix, p_max)
+        assert spec.n_b == p_max
+        assert spec.n_a == 1.0 - p_max
+        assert spec.overlap_sq == at_max.overlap_sq
+        assert np.array_equal(spec.lambdas, at_max.lambdas)
         # inside the range nothing is clamped
-        assert overlap_asymptotic(s, 0.3 * p_max).p_ab == 0.3 * p_max
+        assert asymptotic_spectrum(s, mix, 0.3 * p_max).n_b == 0.3 * p_max
 
+    def test_refuses_an_array_with_one_value_out_of_range(self):
+        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=3.0)
+        mix = InitialMixture(0.5, 0.5)
+        p = np.linspace(0.0, 0.75, 7)
+        assert asymptotic_spectrum(s, mix, p).s_e.shape == (7,)
+        for k, bad in ((3, 0.75 + 1e-6), (0, -0.01)):
+            q = p.copy()
+            q[k] = bad
+            with pytest.raises(ParameterError, match=repr(bad)):
+                asymptotic_spectrum(s, mix, q)
 
 
 def compare_grid_run(s, pulse, t_final=None):
@@ -192,9 +214,13 @@ class TestOverlapSeries:
         pulse = make_pulse(Gaussian(1.0), 1.0)
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=0.002))
         end = overlap_series(traj, pulse, s, traj.t_max)
-        asym = overlap_asymptotic(s, traj.p_ab_final())
-        assert end.real == pytest.approx(asym.value, abs=1e-6)
+        p = traj.p_ab_final()
+        # 1 - (Gamma / 2 gamma_b) p_ab(inf), here 1 - p_ab(inf)
+        assert end.real == pytest.approx(1.0 - p, abs=1e-6)
         assert abs(end.imag) < 1e-12
+        spec = asymptotic_spectrum(s, InitialMixture(0.5, 0.5), p)
+        assert normalized_overlap_sq(end, spec.n_a) == \
+            pytest.approx(spec.overlap_sq, abs=1e-6)
 
     @pytest.mark.parametrize("envelope, detuning", [
         (Gaussian(1.0), 0.0), (Exponential(0.5), 0.4),
@@ -235,8 +261,8 @@ class TestEntropyCurve:
     def test_endpoints_and_shape(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         curve = entropy_curve(s, InitialMixture(0.5, 0.5), n_points=200)
-        assert curve.p_ab[0] == 0.0
-        assert curve.p_ab[-1] == pytest.approx(1.0)
+        assert curve.n_b[0] == 0.0
+        assert curve.n_b[-1] == pytest.approx(1.0)
         assert curve.s_e[0] == pytest.approx(0.0, abs=1e-15)
         assert curve.s_e_c[0] == pytest.approx(0.0, abs=1e-15)
         assert curve.s_e_c[-1] == pytest.approx(math.log(2.0), abs=1e-12)
@@ -249,8 +275,7 @@ class TestEntropyCurve:
     def test_pinned_midpoint(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         mix = InitialMixture(0.5, 0.5)
-        ov = overlap_asymptotic(s, 0.5)
-        spec = EnvSpectrum.from_branches(mix, 0.0, ov.n_a, 0.5, ov.overlap_sq)
+        spec = asymptotic_spectrum(s, mix, 0.5)
         assert spec.s_e == pytest.approx(0.8482831849148855, abs=1e-12)
         assert spec.s_e_c == pytest.approx(0.5017095946349128, abs=1e-12)
 
@@ -262,7 +287,7 @@ class TestEntropyCurve:
     def test_asymmetric_rates_cap_the_sweep(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=3.0, gamma_b=1.0)
         curve = entropy_curve(s, InitialMixture(0.5, 0.5), n_points=40)
-        assert curve.p_ab[-1] == pytest.approx(12.0 / 16.0)
+        assert curve.n_b[-1] == pytest.approx(12.0 / 16.0)
 
     def test_rejects_tiny_grid(self):
         s = LambdaSystem(omega_a=1.0)
@@ -275,20 +300,47 @@ class TestEntropyCurve:
         # concavity: S_E >= p_a0 S_q, so S_E^c never goes negative
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         mix = InitialMixture(p_a0, 1.0 - p_a0)
-        ov = overlap_asymptotic(s, p)
-        spec = EnvSpectrum.from_branches(mix, 0.0, ov.n_a, p, ov.overlap_sq)
+        spec = asymptotic_spectrum(s, mix, p)
         assert spec.s_e >= p_a0 * spec.s_q - 1e-12
         assert spec.s_e_c >= 0.0
 
     def test_as_dict_keys(self):
         s = LambdaSystem(omega_a=1.0)
-        ov = overlap_asymptotic(s, 0.3)
-        spec = EnvSpectrum.from_branches(InitialMixture(0.5, 0.5), 0.0,
-                                         ov.n_a, 0.3, ov.overlap_sq)
+        spec = asymptotic_spectrum(s, InitialMixture(0.5, 0.5), 0.3)
         d = spec.as_dict()
         assert set(d) == {"lambdas", "psi_sq", "n_a", "n_b", "overlap_sq",
                           "s_e", "s_q", "s_e_c"}
         assert d["lambdas"] == sorted(d["lambdas"], reverse=True)
+        assert all(type(v) is float for k, v in d.items() if k != "lambdas")
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma_b=st.floats(0.05, 20.0), p_a0=st.floats(0.0, 1.0),
+           n_points=st.integers(2, 60))
+    def test_curve_is_the_spectrum_at_each_point(self, gamma_b, p_a0,
+                                                 n_points):
+        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=gamma_b)
+        mix = InitialMixture(p_a0, 1.0 - p_a0)
+        curve = entropy_curve(s, mix, n_points=n_points)
+        eps = np.finfo(float).eps
+        for k, p in enumerate(curve.n_b):
+            one = asymptotic_spectrum(s, mix, float(p))
+            assert one.n_b == p
+            assert abs(curve.s_e[k] - one.s_e) <= 4 * eps
+            assert abs(curve.s_e_c[k] - one.s_e_c) <= 4 * eps
+
+    def test_curve_builds_one_spectrum(self, monkeypatch):
+        calls = []
+        build = EnvSpectrum.from_branches
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(entropy.EnvSpectrum, "from_branches", counted)
+        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=3.0)
+        curve = entropy_curve(s, InitialMixture(0.5, 0.5), n_points=200)
+        assert len(calls) == 1
+        assert curve.s_e.shape == curve.s_e_c.shape == (200,)
 
 
 class TestClassicalEntropy:
@@ -299,6 +351,16 @@ class TestClassicalEntropy:
     def test_clips_rounding_noise(self):
         assert classical_entropy(0.4, InitialMixture.pure_a(),
                                  0.4 + 1e-15) == 0.0
+
+    def test_arrays(self):
+        mix = InitialMixture(0.5, 0.5)
+        s_e = np.array([1.0, 0.2, 0.4])
+        s_q = np.array([0.4, 0.4 + 1e-15, 0.0])
+        got = classical_entropy(s_e, mix, s_q)
+        assert got.tolist() == [0.8, 0.0, 0.4]
+        assert type(classical_entropy(1.0, mix, 0.4)) is float
+        with pytest.raises(NumericalConsistencyError):
+            classical_entropy(s_e, mix, np.array([0.4, 0.41, 0.0]))
 
 
 class TestHeatInversion:

@@ -325,6 +325,20 @@ class TestEvolve:
         with pytest.raises(ParameterError):
             evolve(h, excited_in(h), 2.0, n_out=11)
 
+    def test_refuses_more_snapshots_than_the_cap(self, system, small_bath,
+                                                 monkeypatch):
+        # 12477 snapshots of 1603 amplitudes are 20000631 > MAX_GRID_NODES,
+        # refused before the states are packed or a root is solved
+        h = build_hamiltonian(system, small_bath)
+
+        def refuse(*args):
+            raise AssertionError("the arrowhead was solved")
+
+        monkeypatch.setattr(oracle, "_folded_eigh", refuse)
+        monkeypatch.setattr(OneExcitationState, "pack", refuse)
+        with pytest.raises(ConfigurationError, match="20000631"):
+            evolve(h, excited_in(h), 2.0, n_out=12477)
+
     def test_stores_no_eigenvector_matrix(self, system):
         # a dense V of the 2001-mode arrowhead alone is (n + 1)^2 doubles
         bath = DiscreteBath.default(system)

@@ -10,10 +10,9 @@ from lambda_adapt.errors import NotApplicableError, NumericalConsistencyError
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
-from lambda_adapt.thermo import (HBAR, adaptation_work_check,
-                                 drive_energy_flux, energy_ledger,
-                                 heat_dissipated, interaction_energy,
-                                 work_absorbed)
+from lambda_adapt.thermo import (adaptation_work_check, drive_energy_flux,
+                                 energy_ledger, heat_dissipated,
+                                 interaction_energy, work_absorbed)
 
 
 def run(system, envelope, *, detuning=0.0, t_max=None):
@@ -28,7 +27,7 @@ class TestWork:
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Exponential(1.0))
         w = work_absorbed(traj, pulse, s)
-        assert w / (HBAR * s.omega_a) == pytest.approx(4.0 / 3.0, rel=1e-6)
+        assert w / s.omega_a == pytest.approx(4.0 / 3.0, rel=1e-6)
 
     def test_off_resonance_refused(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
@@ -56,7 +55,7 @@ class TestLedger:
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=0.5)
         pulse, traj = run(s, envelope)
         ledger = energy_ledger(traj, pulse, s, tol=1e-8)
-        bound = 1e-8 * max(abs(ledger.w_abs), HBAR * s.omega_a)
+        bound = 1e-8 * max(abs(ledger.w_abs), s.omega_a)
         assert abs(ledger.residual) <= bound
         assert ledger.q_diss > 0.0
 
@@ -67,7 +66,7 @@ class TestLedger:
         ledger = energy_ledger(traj, pulse, s, tol=1e-8)
         p = ledger.p_ab_infty
         assert ledger.de_sys == pytest.approx(
-            HBAR * s.delta_ab * p, abs=1e-6 * s.omega_a)
+            s.delta_ab * p, abs=1e-6 * s.omega_a)
         q_direct = heat_dissipated(traj, s)
         assert ledger.q_diss == q_direct
 
@@ -92,7 +91,7 @@ class TestLedger:
         assert set(d) == {"w_abs", "q_diss", "de_sys", "residual",
                           "w_over_hw", "p_ab_infty"}
         assert d["w_over_hw"] == pytest.approx(
-            d["w_abs"] / (HBAR * s.omega_a), rel=1e-15)
+            d["w_abs"] / s.omega_a, rel=1e-15)
 
 
 class TestDefaultGrid:
@@ -134,7 +133,7 @@ class TestInteractionEnergy:
         mix = InitialMixture(0.5, 0.5)
         for t in np.linspace(0.0, traj.t_max, 17):
             assert abs(interaction_energy(traj, pulse, s, mix, float(t))) \
-                <= 1e-10 * HBAR * s.omega_a
+                <= 1e-10 * s.omega_a
 
     def test_detuned_is_nonzero(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
@@ -142,7 +141,7 @@ class TestInteractionEnergy:
         mix = InitialMixture(1.0, 0.0)
         vals = [abs(interaction_energy(traj, pulse, s, mix, float(t)))
                 for t in np.linspace(0.0, traj.t_max, 33)]
-        assert max(vals) > 1e-6 * HBAR * s.omega_a
+        assert max(vals) > 1e-6 * s.omega_a
 
     def test_detuned_between_nodes_at_the_dt_ceiling(self):
         s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
@@ -155,10 +154,10 @@ class TestInteractionEnergy:
         drive = (pulse.shape_at(-ts)
                  * np.exp(-1j * detuning * ts))
         g_a = s.coupling("a")
-        want = 2.0 * HBAR * g_a * np.imag(np.conj(psi) * drive)
+        want = 2.0 * g_a * np.imag(np.conj(psi) * drive)
         got = np.array([interaction_energy(traj, pulse, s, mix, float(t))
                         for t in ts])
-        scale = (2.0 * HBAR * abs(g_a) * np.max(np.abs(psi))
+        scale = (2.0 * abs(g_a) * np.max(np.abs(psi))
                  * np.max(np.abs(drive)))
         assert np.max(np.abs(got - want)) <= 3e-5 * scale
 
