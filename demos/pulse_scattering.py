@@ -31,7 +31,7 @@ def main():
     print("\n-- exponential pulse vs closed form --")
     pulse = make_pulse(Exponential(0.8), s.omega_a)
     traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))
-    exact = psi_closed_form(s, pulse, traj.times, frame="rotating")
+    exact = psi_closed_form(s, pulse, traj.times)
     print(f"max |psi_num - psi_exact| = {np.max(np.abs(traj.psi - exact)):.2e}")
 
     print("\n-- approach to the monochromatic limit --")

@@ -17,7 +17,6 @@ from .model import (
     InitialMixture,
     SimGrid,
     make_pulse,
-    envelope_at,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "InitialMixture",
     "SimGrid",
     "make_pulse",
-    "envelope_at",
 ]

@@ -104,9 +104,17 @@ def _fmt(value) -> str:
 
 
 def _write_json(path: Path, meta: dict, payload: dict):
+    """Write strict JSON; a NaN or infinity in ``payload`` writes nothing
+    and raises NumericalConsistencyError naming the artifact."""
     doc = {"meta": meta}
     doc.update(payload)
-    _write_atomic(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalConsistencyError(
+            f"{path.name} not written: a value is not finite "
+            f"({exc})") from exc
+    _write_atomic(path, text + "\n")
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
@@ -129,7 +137,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     p_inf = p_ab_infty(traj, cfg.system)
     if is_resonant(cfg.pulse, cfg.system):
         ledger = energy_ledger(traj, cfg.pulse, cfg.system)
-        payload = ledger.as_dict()
+        payload = dataclasses.asdict(ledger)
         payload["adaptation_residual"] = adaptation_work_check(
             cfg.system, ledger.p_ab_infty, ledger.w_abs)
     else:
@@ -155,9 +163,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
     if points is not None:
         spec = dataclasses.replace(spec, n_points=points)
     result = sweep(spec, cfg.system, cfg.pulse)
-    body = "".join(",".join(map(_fmt, (r["value"], r["family"],
-                                       r["objective_value"], r["error"])))
-                   + "\n" for r in result.as_rows())
+    body = "".join(",".join(map(_fmt, (p.value, p.family, p.objective,
+                                       p.error or ""))) + "\n"
+                   for p in result.points)
     _write_csv(out / "sweep.csv",
                _meta("sweep", cfg, parameter=spec.parameter,
                      objective=spec.objective, n_points=spec.n_points),
@@ -197,7 +205,7 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
 
     report = compare(cfg.system, cfg.pulse, cfg.mixture, cfg.bath)
     checks["oracle_agreement"] = {
-        "passed": report.passed, **report.as_dict()}
+        "passed": report.passed, **dataclasses.asdict(report)}
 
     # the frozen backward protocol is a selection rule, not a run: no term
     # of H couples |b, 1_a> (a time-mirrored photon on |b>) to anything,

@@ -40,17 +40,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem, PulseSpec,
-                    SimGrid)
+from .model import MAX_GRID_NODES, LambdaSystem, PulseSpec, SimGrid
 
 __all__ = [
     "AmplitudeTrajectory",
-    "PopulationSeries",
     "psi_closed_form",
     "integrate_psi",
     "asymptotic_prob_exponential",
     "p_ab_infty",
-    "populations",
 ]
 
 
@@ -437,25 +434,19 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
                                delta_l=delta_l)
 
 
-def psi_closed_form(system: LambdaSystem, pulse: PulseSpec, t, *,
-                    frame: str = "lab"):
-    """Exact excited amplitude for the exponential envelope.
+def psi_closed_form(system: LambdaSystem, pulse: PulseSpec, t):
+    """Exact excited amplitude psi~ for the exponential envelope.
 
-    psi(t) = -f e^{-(Gamma/2 + i omega_a) t} (e^{x t} - 1) with
-    x = (Gamma - Delta)/2 - i delta_L and f = sqrt(gamma_a Delta) / x.
-    At the degenerate point x -> 0 the bracket over x tends to t and the
-    series (t + x t^2/2 + ...) is used instead.
-
-    Parameters
-    ----------
-    frame : {"lab", "rotating"}
-        "rotating" drops the e^{-i omega_a t} factor.
+    psi~(t) = -f e^{-Gamma t / 2} (e^{x t} - 1) with
+    x = (Gamma - Delta)/2 - i delta_L and f = sqrt(gamma_a Delta) / x, in
+    the frame rotating at omega_a, the frame of
+    ``AmplitudeTrajectory.psi``.  At the degenerate point x -> 0 the
+    bracket over x tends to t and the series (t + x t^2/2 + ...) is used
+    instead.
     """
     env = pulse.envelope
     if not hasattr(env, "linewidth"):
         raise ParameterError("closed form requires the exponential envelope")
-    if frame not in ("lab", "rotating"):
-        raise ParameterError(f"unknown frame {frame!r}")
     delta = env.linewidth
     gamma = system.gamma_total
     delta_l = pulse.detuning(system)
@@ -477,8 +468,6 @@ def psi_closed_form(system: LambdaSystem, pulse: PulseSpec, t, *,
         diff = (np.exp(-(0.5 * delta + 1j * delta_l) * t_arr)
                 - np.exp(-0.5 * gamma * t_arr))
         psi = -amp * diff / x
-    if frame == "lab":
-        psi = psi * np.exp(-1j * system.omega_a * t_arr)
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return complex(psi)
     return psi
@@ -509,32 +498,3 @@ def p_ab_infty(traj: AmplitudeTrajectory, system: LambdaSystem) -> float:
     """
     return float(traj.p_ab[-1]) \
         + system.gamma_b / system.gamma_total * float(traj.p_e[-1])
-
-
-@dataclass(frozen=True)
-class PopulationSeries:
-    """Mixture-averaged level populations along a trajectory."""
-
-    times: np.ndarray
-    p_a: np.ndarray
-    p_b: np.ndarray
-    p_e: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.times, self.p_a, self.p_b, self.p_e):
-            arr.flags.writeable = False
-
-
-def populations(system: LambdaSystem, mixture: InitialMixture,
-                traj: AmplitudeTrajectory) -> PopulationSeries:
-    """p_a, p_b, p_e over time for an initial mixture of |a> and |b>.
-
-    The |b> branch is inert (an a-branch photon cannot raise |b>: no
-    term of the rotating-wave H couples |b, 1_a> to anything), so it
-    contributes a constant p_b0.  Within the |a> branch probability is
-    conserved: p_aa = 1 - p_e - p_ab.
-    """
-    p_e = mixture.p_a0 * traj.p_e
-    p_b = mixture.p_a0 * traj.p_ab + mixture.p_b0
-    p_a = mixture.p_a0 * (1.0 - traj.p_e - traj.p_ab)
-    return PopulationSeries(times=traj.times.copy(), p_a=p_a, p_b=p_b, p_e=p_e)

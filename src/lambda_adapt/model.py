@@ -30,7 +30,6 @@ __all__ = [
     "SimGrid",
     "MAX_GRID_NODES",
     "make_pulse",
-    "envelope_at",
 ]
 
 # Gaussian envelopes are centered this many rms widths before the emitter,
@@ -327,18 +326,6 @@ def make_pulse(envelope, carrier: float) -> PulseSpec:
                 f"sigma = {envelope.sigma} is too wide: (offset sigma)^2 "
                 "overflows")
     return PulseSpec(carrier=float(carrier), envelope=envelope)
-
-
-def envelope_at(pulse: PulseSpec, z):
-    """Initial pulse amplitude phi(z, 0) = phi_shape(z) e^{i omega_L z}.
-
-    Accepts a scalar or an array of positions.
-    """
-    zq = np.asarray(z, dtype=float)
-    vals = pulse.shape_at(zq) * np.exp(1j * pulse.carrier * zq)
-    if np.isscalar(z) or getattr(z, "ndim", 0) == 0:
-        return complex(vals)
-    return vals
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,9 @@ OBJECTIVES = ("p_ab_infty", "w_over_hw")
 # below this fraction of the initial search range.
 CONVERGENCE_REL = 1e-4
 
+# Floor of maximize's linewidth bounds, in units of the total decay rate.
+LINEWIDTH_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -111,12 +114,6 @@ class SweepResult:
 
     def objectives(self) -> np.ndarray:
         return np.array([p.objective for p in self.points])
-
-    def as_rows(self) -> list[dict]:
-        return [{"parameter": self.spec.parameter, "value": p.value,
-                 "family": p.family, "objective": self.spec.objective,
-                 "objective_value": p.objective, "error": p.error or ""}
-                for p in self.points]
 
 
 def _family_name(envelope) -> str:
@@ -345,8 +342,7 @@ def _nelder_mead(f, simplex: np.ndarray, xatol: float, budget: int):
 
 def maximize(system: LambdaSystem, pulse: PulseSpec,
              bounds: Mapping[str, tuple[float, float]],
-             objective="p_ab_infty", *, budget: int = 500,
-             linewidth_floor: float | None = None) -> MaximizeResult:
+             objective="p_ab_infty", *, budget: int = 500) -> MaximizeResult:
     """Maximize the objective over 1 to 3 drive parameters within bounds.
 
     One parameter uses golden-section search; two or three use a
@@ -355,9 +351,9 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     search never evaluates outside the declared bounds, and every
     evaluation is recorded in the trace.
 
-    The linewidth lower bound is clamped at ``linewidth_floor`` (default
-    1e-3 of the total decay rate): the narrowband optimum is a limit, not
-    an interior point, so it must be represented by a floor.
+    The linewidth lower bound is clamped at LINEWIDTH_FLOOR times the
+    total decay rate: the narrowband optimum is a limit, not an interior
+    point, so it must be represented by a floor.
     """
     if budget < 1:
         raise ParameterError(f"budget must be at least 1, got {budget}")
@@ -368,13 +364,11 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     for name in names:
         if name not in ("linewidth", "detuning", "rate_ratio"):
             raise ParameterError(f"unknown drive parameter {name!r}")
-    if linewidth_floor is None:
-        linewidth_floor = 1e-3 * system.gamma_total
     box = {}
     for name in names:
         lo, hi = (float(bounds[name][0]), float(bounds[name][1]))
         if name == "linewidth":
-            lo = max(lo, linewidth_floor)
+            lo = max(lo, LINEWIDTH_FLOOR * system.gamma_total)
         if name in ("linewidth", "rate_ratio") and lo <= 0:
             raise ParameterError(f"{name} lower bound must be positive")
         if not lo < hi:

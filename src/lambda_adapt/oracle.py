@@ -63,7 +63,6 @@ from .thermo import drive_overlap_density
 __all__ = [
     "DiscreteBath",
     "Hamiltonian",
-    "OneExcitationState",
     "OracleRun",
     "DeviationReport",
     "build_hamiltonian",
@@ -130,41 +129,6 @@ class DiscreteBath:
 
 
 @dataclass(frozen=True)
-class OneExcitationState:
-    """Amplitudes in the one-excitation basis.
-
-    Layout: excited |e, vac>, a-branch modes (system in |a>), b-branch
-    modes (system in |b>).  The states with the system in |b> and a
-    photon on the a-branch are left out: no term of H couples them to
-    anything (see ``Hamiltonian``).
-    """
-
-    excited: complex
-    a_modes: np.ndarray
-    b_modes: np.ndarray
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=complex) for p in
-                               ([self.excited], self.a_modes, self.b_modes)])
-
-    @classmethod
-    def unpack(cls, vec: np.ndarray, n_modes: int) -> "OneExcitationState":
-        vec = np.asarray(vec, dtype=complex)
-        if vec.size != 1 + 2 * n_modes:
-            raise ParameterError(
-                f"vector of length {vec.size} does not fit {n_modes} modes"
-            )
-        return cls(excited=complex(vec[0]), a_modes=vec[1:1 + n_modes],
-                   b_modes=vec[1 + n_modes:])
-
-    @classmethod
-    def from_pulse(cls, amps: np.ndarray) -> "OneExcitationState":
-        """Photon in the a-branch comb; system in |a>."""
-        return cls(excited=0.0, a_modes=np.asarray(amps, dtype=complex),
-                   b_modes=np.zeros(amps.shape[0], dtype=complex))
-
-
-@dataclass(frozen=True)
 class Hamiltonian:
     """One-excitation Hamiltonian of the discrete model (lab frame, hbar = 1).
 
@@ -174,11 +138,17 @@ class Hamiltonian:
     symmetric about omega_ref to the last bit whatever omega_ref is); and
     the couplings z_a = <e|H|a_j> and z_b = <e|H|b_j>.  ``diagonal`` is
     the diagonal in the frame rotating at omega_ref and ``toarray`` the
-    dense lab-frame matrix, both in the basis order of
-    ``OneExcitationState``.  In the rotating-wave model <e, 0|H|s, 1_k j>
-    = g_k delta_{s,k}: the states |b, 1_a j> (system in |b>, a photon on
-    the a-branch) have no coupling at all, so a time-mirrored pulse on
-    |b> never enters this block and is left out of it.
+    dense lab-frame matrix.
+
+    One-excitation layout: a state is one complex vector of ``dim`` = 1 +
+    2n amplitudes, packed as |e, vac> at index 0, then the n a-branch
+    modes (system in |a>), then the n b-branch modes (system in |b>).
+    ``diagonal``, ``toarray``, ``evolve``'s start vector and
+    ``OracleRun.states`` all use it.  In the rotating-wave model <e,
+    0|H|s, 1_k j> = g_k delta_{s,k}: the states |b, 1_a j> (system in
+    |b>, a photon on the a-branch) have no coupling at all, so a
+    time-mirrored pulse on |b> never enters this block and is left out
+    of it.
     """
 
     omega_ref: float
@@ -624,12 +594,15 @@ def _check_snapshot_size(n_out: int, dim: int):
             f"exceed MAX_GRID_NODES = {MAX_GRID_NODES:.3g}; shrink the bath")
 
 
-def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
+def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
            n_out: int = 201) -> OracleRun:
     """Solve i dy/dt = H y exactly and record n_out snapshots on [0, t_final].
 
-    Everything comes from ``h``; t_final must stay below 2 pi / (finest
-    gap of ``h.offsets``), the recurrence time, else ConfigurationError.
+    ``y0`` is the unit-norm start, one vector of ``h.dim`` amplitudes in
+    the one-excitation layout of ``Hamiltonian``, else ParameterError.
+    Everything else comes from ``h``; t_final must stay below 2 pi /
+    (finest gap of ``h.offsets``), the recurrence time, else
+    ConfigurationError.
     In the frame rotating at omega_ref, with d the offsets and G_j =
     sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
     (z_bj a_j - z_aj b_j) / G_j, evolving by its phase alone, and a
@@ -678,9 +651,9 @@ def evolve(h: Hamiltonian, state: OneExcitationState, t_final: float, *,
     n = h.offsets.size
     dim = h.dim
     _check_snapshot_size(n_out, dim)
-    y0 = state.pack()
-    if y0.size != dim:
-        raise ParameterError(f"state dim {y0.size} does not fit the "
+    y0 = np.asarray(y0, dtype=complex)
+    if y0.shape != (dim,):
+        raise ParameterError(f"state of shape {y0.shape} does not fit the "
                              f"hamiltonian dim {dim}")
     norm0 = float(np.real(np.vdot(y0, y0)))
     if abs(norm0 - 1.0) > 1e-9:
@@ -880,39 +853,31 @@ class DeviationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "deviations": dict(self.deviations),
-            "tolerances": dict(self.tolerances),
-            "failures": list(self.failures),
-            "norm_drift": self.norm_drift,
-            "t_final": self.t_final,
-            "n_modes": self.n_modes,
-            "bandwidth": self.bandwidth,
-        }
-
 
 def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
-            bath: DiscreteBath | None = None, *, t_final: float | None = None,
-            n_out: int = 301,
+            bath: DiscreteBath | None = None, *, n_out: int = 301,
             tolerances: dict | None = None) -> DeviationReport:
     """Run the discrete-mode model and the analytic pipeline side by side.
 
-    The oracle side is the exact partial trace of each snapshot
-    (``measure_series``).  The analytic side interpolates one trajectory
-    at the snapshot times; its S_E(t) takes the finite-time overlap from
+    Both run to t_final = 15 / Gamma.  The oracle side is the exact
+    partial trace of each snapshot (``measure_series``).  The analytic
+    side interpolates one trajectory (on ``SimGrid.auto`` to t_final) at
+    the snapshot times; its S_E(t) takes the finite-time overlap from
     ``entropy.overlap_series``, one cumulative quadrature over that
     trajectory, and no field is rebuilt on a z-grid.  Both sides share
-    the closed-form spectrum (``entropy.EnvSpectrum``).  Work and
-    heat are integrated with the same trapezoid rule on the same output
-    grid for both sides, so their deviation reflects the dynamics, not
-    quadrature differences.
+    the closed-form spectrum (``entropy.EnvSpectrum``).  Work and heat
+    are integrated with the same trapezoid rule on the same output grid
+    for both sides, so their deviation reflects the dynamics, not
+    quadrature differences.  The work integrand
+    (``thermo.drive_overlap_density``) is taken over the whole snapshot
+    grid, which may cross a drive discontinuity such as a rectangular
+    pulse's back edge, not one smooth stretch: the envelope is sampled at
+    the same nodes for both sides, so the output-grid trapezoid treats
+    that jump the same way on each.
     """
     if bath is None:
         bath = DiscreteBath.default(system)
-    if t_final is None:
-        t_final = 15.0 / system.gamma_total
+    t_final = 15.0 / system.gamma_total
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -921,8 +886,8 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     _check_snapshot_size(n_out, 1 + 2 * bath.n_modes)
     amps = discretize_pulse(pulse, bath, system)
     h = build_hamiltonian(system, bath)
-    run = evolve(h, OneExcitationState.from_pulse(amps), t_final,
-                 n_out=n_out)
+    run = evolve(h, np.concatenate(([0.0], amps, np.zeros_like(amps))),
+                 t_final, n_out=n_out)
     oracle = measure_series(run, mixture)
 
     grid = SimGrid.auto(system, pulse, t_max=t_final)
@@ -969,5 +934,5 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
                      if dev > tol[name])
     return DeviationReport(deviations=deviations, tolerances=tol,
                            failures=failures, norm_drift=run.norm_drift,
-                           t_final=float(t_final), n_modes=bath.n_modes,
+                           t_final=t_final, n_modes=bath.n_modes,
                            bandwidth=bath.bandwidth)

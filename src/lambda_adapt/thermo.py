@@ -59,16 +59,6 @@ class ThermoLedger:
     w_over_hw: float
     p_ab_infty: float
 
-    def as_dict(self) -> dict:
-        return {
-            "w_abs": self.w_abs,
-            "q_diss": self.q_diss,
-            "de_sys": self.de_sys,
-            "residual": self.residual,
-            "w_over_hw": self.w_over_hw,
-            "p_ab_infty": self.p_ab_infty,
-        }
-
 
 def drive_overlap_density(system: LambdaSystem, pulse: PulseSpec,
                           times: np.ndarray,

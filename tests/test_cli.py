@@ -50,6 +50,17 @@ budget = 60
 """
 
 
+# the exact keys of the JSON artifacts: records are written with
+# dataclasses.asdict, so a field added to one would show up here
+RESONANT_LEDGER_KEYS = {"meta", "w_abs", "q_diss", "de_sys", "residual",
+                        "w_over_hw", "p_ab_infty", "adaptation_residual"}
+OFF_RESONANT_LEDGER_KEYS = {"meta", "w_over_hw", "p_ab_infty", "note"}
+ORACLE_AGREEMENT_KEYS = {"passed", "deviations", "tolerances", "failures",
+                         "norm_drift", "t_final", "n_modes", "bandwidth"}
+OPTIMIZE_KEYS = {"meta", "params", "value", "converged", "boundary",
+                 "n_evals"}
+
+
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -77,6 +88,7 @@ class TestSimulate:
             hashlib.sha256(cfg.read_bytes()).hexdigest()
 
         ledger = json.loads((out / "ledger.json").read_text())
+        assert set(ledger) == RESONANT_LEDGER_KEYS
         assert abs(ledger["residual"]) <= 1e-8 * 50.0
         assert abs(ledger["adaptation_residual"]) <= 1e-6
         assert ledger["w_over_hw"] == pytest.approx(4.0 / 3.0, abs=1e-4)
@@ -113,8 +125,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == 0
         ledger = json.loads((out / "ledger.json").read_text())
-        assert "note" in ledger
-        assert "w_abs" not in ledger
+        assert set(ledger) == OFF_RESONANT_LEDGER_KEYS
 
     def test_resonant_ledger_and_entropy_share_p_ab_infty(self, tmp_path):
         # both files hold p_ab(inf), which counts the decay of the p_e
@@ -387,6 +398,24 @@ dt = 0.005
         assert "energy ledger residual nan" in capsys.readouterr().err
         assert not (out / "ledger.json").exists()
 
+    def test_non_finite_json_is_numerical_error(self, tmp_path, capsys):
+        # off resonance no ledger check runs, and the overflowing flux of
+        # gamma_a = 1e300 comes out NaN: a bare NaN is not JSON, so the
+        # artifact is refused, not written
+        default = (Path(__file__).parent.parent / "configs"
+                   / "default.ini").read_text()
+        cfg = write(tmp_path, default.replace("gamma_a = 1.0",
+                                              "gamma_a = 1e300")
+                    .replace("delta_l = 0.0", "delta_l = 0.4"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ledger.json" in err and "Traceback" not in err
+        assert not (out / "ledger.json").exists()
+
     def test_oversized_bath_is_config_error(self, tmp_path, capsys):
         # 301 snapshots of 1 + 2 * 33223 amplitudes, 20000547 in all, just
         # over MAX_GRID_NODES: refused before the comb is projected
@@ -471,6 +500,7 @@ budget = 60
         assert main(["optimize", "--config", str(cfg),
                      "--out", str(out)]) == 0
         doc = json.loads((out / "optimize.json").read_text())
+        assert set(doc) == OPTIMIZE_KEYS
         assert doc["converged"] is True
         assert abs(doc["params"]["detuning"]) < 1e-2
         trace_lines = (out / "trace.jsonl").read_text().splitlines()
@@ -562,6 +592,10 @@ class TestOracleVerifyCommand:
         doc = json.loads((out / "verify.json").read_text())
         assert doc["passed"] is True
         assert doc["checks"]["backward_leak"]["leak"] <= 1e-12
+        agreement = doc["checks"]["oracle_agreement"]
+        assert set(agreement) == ORACLE_AGREEMENT_KEYS
+        assert set(agreement["deviations"]) == \
+            set(agreement["tolerances"]) == set(oracle.DEFAULT_TOLERANCES)
 
     def test_projects_the_pulse_once(self, tmp_path, monkeypatch):
         calls = []

@@ -13,10 +13,10 @@ from lambda_adapt.dynamics import (_PHI_SERIES_RADIUS, _affine_recursion,
                                    _phi_closed, _phi_series,
                                    _step_coefficients,
                                    asymptotic_prob_exponential, integrate_psi,
-                                   p_ab_infty, populations, psi_closed_form)
+                                   p_ab_infty, psi_closed_form)
 from lambda_adapt.errors import ConfigurationError, ParameterError
-from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
-                                LambdaSystem, Rectangular, SimGrid, make_pulse)
+from lambda_adapt.model import (Exponential, Gaussian, LambdaSystem,
+                                Rectangular, SimGrid, make_pulse)
 from lambda_adapt.thermo import drive_energy_flux
 
 
@@ -32,13 +32,13 @@ class TestClosedFormAgreement:
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         _, _, traj = run(s, Exponential(linewidth))
         exact = psi_closed_form(s, make_pulse(Exponential(linewidth), 1.0),
-                                traj.times, frame="rotating")
+                                traj.times)
         assert np.max(np.abs(traj.psi - exact)) < 1e-9
 
     def test_detuned_exponential(self):
         s = LambdaSystem(omega_a=20.0, gamma_a=1.0, gamma_b=0.5)
         pulse, _, traj = run(s, Exponential(1.5), detuning=2.0)
-        exact = psi_closed_form(s, pulse, traj.times, frame="rotating")
+        exact = psi_closed_form(s, pulse, traj.times)
         assert np.max(np.abs(traj.psi - exact)) < 1e-9
 
     def test_degenerate_point_matches_series(self):
@@ -46,12 +46,12 @@ class TestClosedFormAgreement:
         # the integrator should land on the series branch answer.
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         pulse, _, traj = run(s, Exponential(2.0), dt=0.002)
-        exact = psi_closed_form(s, pulse, traj.times, frame="rotating")
+        exact = psi_closed_form(s, pulse, traj.times)
         assert np.max(np.abs(traj.psi - exact)) < 1e-9
         # direct check of the x = 0 limit at one point
         t0 = 0.7
         want = -math.sqrt(2.0) * math.exp(-t0) * t0
-        assert psi_closed_form(s, pulse, t0, frame="rotating") == \
+        assert psi_closed_form(s, pulse, t0) == \
             pytest.approx(want, rel=1e-10)
 
     def test_series_branch_consistent_with_generic(self):
@@ -61,14 +61,6 @@ class TestClosedFormAgreement:
         at = psi_closed_form(s, make_pulse(Exponential(2.0), 1.0), t)
         assert np.max(np.abs(near - at)) < 1e-5
 
-    def test_lab_frame_phase(self):
-        s = LambdaSystem(omega_a=7.0, gamma_a=1.0, gamma_b=1.0)
-        pulse = make_pulse(Exponential(1.0), 7.0)
-        t = np.array([0.3, 1.1])
-        rot = psi_closed_form(s, pulse, t, frame="rotating")
-        lab = psi_closed_form(s, pulse, t, frame="lab")
-        assert np.allclose(lab, rot * np.exp(-1j * 7.0 * t), rtol=0, atol=1e-14)
-
     def test_closed_form_rejects_bad_input(self):
         s = LambdaSystem(omega_a=1.0)
         exp_pulse = make_pulse(Exponential(1.0), 1.0)
@@ -76,8 +68,6 @@ class TestClosedFormAgreement:
             psi_closed_form(s, make_pulse(Gaussian(1.0), 1.0), 0.5)
         with pytest.raises(ParameterError):
             psi_closed_form(s, exp_pulse, -0.1)
-        with pytest.raises(ParameterError):
-            psi_closed_form(s, exp_pulse, 0.5, frame="interaction")
 
 
 class TestExponentialIntegrator:
@@ -85,7 +75,7 @@ class TestExponentialIntegrator:
         s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
         pulse, grid, traj = run(s, Exponential(1e-3), detuning=0.3,
                                 dt=0.01 / 1e-3)
-        exact = psi_closed_form(s, pulse, traj.times, frame="rotating")
+        exact = psi_closed_form(s, pulse, traj.times)
         assert np.max(np.abs(traj.psi - exact)) <= 1e-9
         # the transient window runs at 0.01 / Gamma, the rest at grid.dt
         (a0, a1), (b0, b1) = traj.segments
@@ -104,7 +94,7 @@ class TestExponentialIntegrator:
         pulse, grid, traj = run(s, Exponential(1e-3), detuning=0.3,
                                 dt=0.01 / 1e-3)
         t = traj.times[:-1] + 0.37 * np.diff(traj.times)
-        exact = psi_closed_form(s, pulse, t, frame="rotating") \
+        exact = psi_closed_form(s, pulse, t) \
             * np.exp(1j * pulse.detuning(s) * t)
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(traj.psi_hat_at(t) - exact)) <= 3e-5 * scale
@@ -335,22 +325,3 @@ class TestTrajectoryBookkeeping:
         assert np.all(traj.p_e >= 0.0)
         assert np.all(np.diff(traj.p_ab) >= -1e-15)
         assert np.max(total) <= 1.0 + 1e-9
-
-
-class TestPopulations:
-    def test_sum_to_one(self):
-        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        _, _, traj = run(s, Exponential(1.0))
-        mix = InitialMixture(0.3, 0.7)
-        pops = populations(s, mix, traj)
-        total = pops.p_a + pops.p_b + pops.p_e
-        assert np.max(np.abs(total - 1.0)) < 1e-12
-        assert pops.p_b[0] == pytest.approx(0.7)
-        assert pops.p_a[0] == pytest.approx(0.3)
-
-    def test_pure_b_is_inert(self):
-        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        _, _, traj = run(s, Exponential(1.0))
-        pops = populations(s, InitialMixture(0.0, 1.0), traj)
-        assert np.all(pops.p_b == 1.0)
-        assert np.all(pops.p_e == 0.0)

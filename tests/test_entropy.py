@@ -175,11 +175,9 @@ class TestAsymptoticSpectrum:
                 asymptotic_spectrum(s, mix, q)
 
 
-def compare_grid_run(s, pulse, t_final=None):
-    """The trajectory oracle.compare integrates: 15/Gamma at 0.005/rate."""
-    t_final = 15.0 / s.gamma_total if t_final is None else t_final
-    rate = max(s.gamma_total, pulse.spectral_scale())
-    grid = SimGrid.auto(s, pulse, t_max=t_final, dt=0.005 / rate)
+def compare_grid_run(s, pulse):
+    """The trajectory oracle.compare integrates: SimGrid.auto to 15/Gamma."""
+    grid = SimGrid.auto(s, pulse, t_max=15.0 / s.gamma_total)
     return integrate_psi(s, pulse, grid)
 
 

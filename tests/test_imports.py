@@ -1,4 +1,5 @@
-"""What importing the package loads, checked in a fresh interpreter.
+"""What importing the package loads, checked in a fresh interpreter,
+and what each module exports.
 
 Every CLI command pays for its imports before it does any work, so a
 heavy top-level import shows up in each run.  To see where the time
@@ -8,6 +9,7 @@ scipy is a test dependency only: no command may load it, not even
 lazily.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -16,6 +18,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = ["lambda_adapt", *(f"lambda_adapt.{p.stem}" for p in
+                             sorted((SRC / "lambda_adapt").glob("*.py"))
+                             if p.stem != "__init__")]
 
 
 def loaded_modules(module: str, then: str = "", *args: str) -> set[str]:
@@ -33,6 +38,15 @@ def loaded_modules(module: str, then: str = "", *args: str) -> set[str]:
 
 def scipy_modules(mods: set[str]) -> list[str]:
     return sorted(m for m in mods if m.split(".")[0] == "scipy")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_exists(module):
+    # a name left in __all__ after its definition is gone breaks
+    # ``from module import *``
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ())
+            if not hasattr(mod, name)] == []
 
 
 def test_library_import_loads_no_scipy():

@@ -13,7 +13,7 @@ from lambda_adapt.errors import (ConfigurationError, ParameterError,
                                  UnsupportedEnvelopeError)
 from lambda_adapt.model import (MAX_GRID_NODES, Exponential, Gaussian,
                                 InitialMixture, LambdaSystem, Rectangular,
-                                SimGrid, _erfcx, envelope_at, make_pulse)
+                                SimGrid, _erfcx, make_pulse)
 
 
 def norm_integral(pulse):
@@ -121,12 +121,6 @@ class TestEnvelopes:
         assert p.shape_at(np.array([-2.5]))[0] == 0.0
         assert p.shape_at(np.array([0.5]))[0] == 0.0
         assert p.drive_breakpoints() == (2.0,)
-
-    def test_envelope_at_carrier_phase(self):
-        p = make_pulse(Exponential(1.0), 3.0)
-        z = np.array([-2.0])
-        expected = p.shape_at(z)[0] * np.exp(1j * 3.0 * z[0])
-        assert envelope_at(p, z)[0] == pytest.approx(expected)
 
 
 def quad_spectrum(pulse, delta, edges):

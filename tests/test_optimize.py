@@ -13,8 +13,9 @@ from lambda_adapt.errors import ParameterError
 from lambda_adapt.model import (FAMILIES, MAX_GRID_NODES, Exponential,
                                 Gaussian, LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
-from lambda_adapt.optimize import (CONVERGENCE_REL, SweepSpec, _evaluate,
-                                   apply_parameters, maximize, sweep)
+from lambda_adapt.optimize import (CONVERGENCE_REL, LINEWIDTH_FLOOR,
+                                   SweepSpec, _evaluate, apply_parameters,
+                                   maximize, sweep)
 
 
 @pytest.fixture()
@@ -153,24 +154,23 @@ class TestSweep:
 
     def test_family_covers_all_three(self, system, pulse):
         spec = SweepSpec("family", 0.5, 2.0, n_points=3)
-        result = sweep(spec, system, pulse)
-        rows = result.as_rows()
-        assert len(rows) == 9
-        assert {r["family"] for r in rows} == {"exponential", "gaussian",
-                                               "rectangular"}
-        assert all(np.isfinite(r["objective_value"]) for r in rows)
+        points = sweep(spec, system, pulse).points
+        assert len(points) == 9
+        assert {p.family for p in points} == {"exponential", "gaussian",
+                                              "rectangular"}
+        assert all(np.isfinite(p.objective) for p in points)
 
     def test_family_rows_are_linewidth_sweeps(self, system):
         # a detuned carrier of any family is kept for all three
         pulse = make_pulse(Rectangular(0.7), system.omega_a + 0.2)
         family = sweep(SweepSpec("family", 0.5, 2.0, n_points=3), system,
-                       pulse).as_rows()
-        rows = []
+                       pulse).points
+        points = ()
         for envelope in (Exponential(1.0), Gaussian(1.0), Rectangular(1.0)):
             p = make_pulse(envelope, pulse.carrier)
-            rows += sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
-                          system, p).as_rows()
-        assert family == [dict(r, parameter="family") for r in rows]
+            points += sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
+                            system, p).points
+        assert family == points
 
     def test_failed_point_is_annotated(self, pulse):
         # a detuning of -2 pushes the carrier of a unit-frequency system
@@ -221,10 +221,22 @@ class TestMaximize:
             asymptotic_prob_exponential(system, 1.0), abs=1e-4)
 
     def test_narrowband_limit_reports_boundary(self, system, pulse):
-        result = maximize(system, pulse, {"linewidth": (1e-6, 2.0)},
-                          linewidth_floor=0.05, budget=60)
+        result = maximize(system, pulse, {"linewidth": (0.05, 2.0)},
+                          budget=60)
         assert "linewidth" in result.boundary
         assert result.params["linewidth"] >= 0.05
+
+    def test_linewidth_bound_is_clamped_at_the_floor(self, system, pulse):
+        # an objective that, like p_ab(inf), grows as the pulse narrows,
+        # cheap enough to run the search down to the floor
+        floor = LINEWIDTH_FLOOR * system.gamma_total
+        result = maximize(system, pulse, {"linewidth": (1e-6, 2.0)},
+                          objective=lambda s_, p_: -p_.envelope.linewidth,
+                          budget=60)
+        assert "linewidth" in result.boundary
+        assert min(t.params["linewidth"] for t in result.trace) >= floor
+        # golden section stops within CONVERGENCE_REL of the range
+        assert result.params["linewidth"] <= floor + CONVERGENCE_REL * 2.0
 
     def test_trace_respects_bounds_and_reruns_identically(self, system,
                                                           pulse):
@@ -267,8 +279,7 @@ class TestMaximize:
         with pytest.raises(ParameterError):
             maximize(system, pulse, {"detuning": (2.0, -2.0)})
         with pytest.raises(ParameterError):
-            maximize(system, pulse, {"rate_ratio": (-1.0, 2.0)},
-                     linewidth_floor=0.0)
+            maximize(system, pulse, {"rate_ratio": (-1.0, 2.0)})
         for budget in (0, -3):
             with pytest.raises(ParameterError, match="budget"):
                 maximize(system, pulse, {"detuning": (-1.0, 1.0)},
