@@ -12,10 +12,11 @@ subcommand; simulate reads it as a stride bound (up to N + 1 rows),
 sweep and entropy-curve as a point count, and the others ignore it.
 
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
-version, command) and files are written via a temporary name and atomic
-rename, so readers never observe a half-written table.  Every float in
-a CSV is Python's shortest round-trip ``repr`` of the double, so
-``float(field)`` returns the exact value that was computed.
+version, command).  A command builds every artifact's text before it
+writes any, each via a temporary name and atomic rename, so a failed
+command leaves no artifact and readers never see a half-written one.
+Every float in a CSV is Python's shortest round-trip ``repr`` of the
+double, so ``float(field)`` returns the exact value that was computed.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ BACKWARD_LEAK_TOL = 1e-12
 ADAPTATION_TOL = 1e-6
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _write_all(out: Path, texts: dict):
+    """Write each artifact ``name: text`` via a temporary name."""
+    for name, text in texts.items():
+        (out / f"{name}.tmp").write_text(text)
+        os.replace(out / f"{name}.tmp", out / name)
 
 
 def _meta(command: str, cfg: RunConfig, **extra) -> dict:
@@ -79,11 +81,11 @@ def _meta(command: str, cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], body: str):
+def _csv_text(meta: dict, header: list[str], body: str) -> str:
     """A CSV of the metadata line, the header and ``body``, its rows
     each ended by a newline."""
-    _write_atomic(path, "#" + json.dumps(meta, sort_keys=True) + "\n"
-                  + ",".join(header) + "\n" + body)
+    return ("#" + json.dumps(meta, sort_keys=True) + "\n"
+            + ",".join(header) + "\n" + body)
 
 
 def _float_table(*columns) -> str:
@@ -103,18 +105,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_json(path: Path, meta: dict, payload: dict):
-    """Write strict JSON; a NaN or infinity in ``payload`` writes nothing
-    and raises NumericalConsistencyError naming the artifact."""
-    doc = {"meta": meta}
-    doc.update(payload)
+def _json_text(name: str, doc: dict, indent: int | None = 2) -> str:
+    """Strict JSON of ``doc`` and a newline; a NaN or infinity in it
+    raises NumericalConsistencyError naming the artifact ``name``."""
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(doc, sort_keys=True, indent=indent,
+                          allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalConsistencyError(
-            f"{path.name} not written: a value is not finite "
-            f"({exc})") from exc
-    _write_atomic(path, text + "\n")
+            f"{name} not written: a value is not finite ({exc})") from exc
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
@@ -129,10 +128,10 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     psi = traj.psi_nodes(idx)
     body = _float_table(traj.times[idx], psi.real, psi.imag,
                         traj.p_e[idx], traj.p_ab[idx])
-    _write_csv(out / "trajectory.csv",
-               _meta("simulate", cfg, t_max=grid.t_max, dt=grid.dt,
-                     stride=int(stride)),
-               ["t", "re_psi", "im_psi", "p_e", "p_ab"], body)
+    texts = {"trajectory.csv": _csv_text(
+        _meta("simulate", cfg, t_max=grid.t_max, dt=grid.dt,
+              stride=int(stride)),
+        ["t", "re_psi", "im_psi", "p_e", "p_ab"], body)}
 
     p_inf = p_ab_infty(traj, cfg.system)
     if is_resonant(cfg.pulse, cfg.system):
@@ -146,13 +145,15 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
             "p_ab_infty": p_inf,
             "note": "off-resonant drive: the work ledger does not apply",
         }
-    _write_json(out / "ledger.json", _meta("simulate", cfg), payload)
+    meta = _meta("simulate", cfg)
+    texts["ledger.json"] = _json_text("ledger.json", {"meta": meta, **payload})
 
     # the spectrum takes p_ab(inf) clamped to its maximum (its n_b); the
     # artifacts keep the raw value
     spec = asymptotic_spectrum(cfg.system, cfg.mixture, p_inf)
-    _write_json(out / "entropy.json", _meta("simulate", cfg),
-                {"asymptotic": spec.as_dict(), "p_ab_infty": p_inf})
+    texts["entropy.json"] = _json_text("entropy.json", {
+        "meta": meta, "asymptotic": spec.as_dict(), "p_ab_infty": p_inf})
+    _write_all(out, texts)
     return EXIT_OK
 
 
@@ -166,10 +167,10 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
     body = "".join(",".join(map(_fmt, (p.value, p.family, p.objective,
                                        p.error or ""))) + "\n"
                    for p in result.points)
-    _write_csv(out / "sweep.csv",
-               _meta("sweep", cfg, parameter=spec.parameter,
-                     objective=spec.objective, n_points=spec.n_points),
-               ["value", "family", "objective", "error"], body)
+    _write_all(out, {"sweep.csv": _csv_text(
+        _meta("sweep", cfg, parameter=spec.parameter,
+              objective=spec.objective, n_points=spec.n_points),
+        ["value", "family", "objective", "error"], body)})
     return EXIT_OK
 
 
@@ -180,23 +181,23 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     spec = cfg.optimize
     result = maximize(cfg.system, cfg.pulse, spec.bounds,
                       objective=spec.objective, budget=spec.budget)
-    doc = result.as_dict()
+    doc = {"meta": _meta("optimize", cfg, objective=spec.objective),
+           **result.as_dict()}
     trace = doc.pop("trace")
-    _write_json(out / "optimize.json",
-                _meta("optimize", cfg, objective=spec.objective), doc)
-    lines = [json.dumps(entry, sort_keys=True) for entry in trace]
-    _write_atomic(out / "trace.jsonl", "\n".join(lines) + "\n")
+    _write_all(out, {"optimize.json": _json_text("optimize.json", doc),
+                     "trace.jsonl": "".join(_json_text("trace.jsonl", e, None)
+                                            for e in trace)})
     return EXIT_OK
 
 
 def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
     n_points = points or 200
     curve = entropy_curve(cfg.system, cfg.mixture, n_points=n_points)
-    _write_csv(out / "entropy_curve.csv",
-               _meta("entropy-curve", cfg, n_points=n_points,
-                     p_a0=cfg.mixture.p_a0),
-               ["p_ab_infty", "s_e", "s_e_c"],
-               _float_table(curve.n_b, curve.s_e, curve.s_e_c))
+    _write_all(out, {"entropy_curve.csv": _csv_text(
+        _meta("entropy-curve", cfg, n_points=n_points,
+              p_a0=cfg.mixture.p_a0),
+        ["p_ab_infty", "s_e", "s_e_c"],
+        _float_table(curve.n_b, curve.s_e, curve.s_e_c))})
     return EXIT_OK
 
 
@@ -231,8 +232,9 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
             checks["energy_ledger"] = {"passed": False, "error": str(exc)}
 
     all_passed = all(c["passed"] for c in checks.values())
-    _write_json(out / "verify.json", _meta("oracle-verify", cfg),
-                {"passed": all_passed, "checks": checks})
+    _write_all(out, {"verify.json": _json_text("verify.json", {
+        "meta": _meta("oracle-verify", cfg), "passed": all_passed,
+        "checks": checks})})
     for name, c in checks.items():
         print(f"{name}: {'pass' if c['passed'] else 'FAIL'}")
     if not all_passed:

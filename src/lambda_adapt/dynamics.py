@@ -129,11 +129,11 @@ class AmplitudeTrajectory:
     def p_ab_final(self) -> float:
         return float(self.p_ab[-1])
 
-    def converged(self, tol: float = 1e-6) -> bool:
-        """True when p_ab has stopped growing over the last tenth of the run."""
+    def converged(self) -> bool:
+        """True when p_ab grew by at most 1e-6 over the last tenth of the run."""
         t_probe = 0.9 * self.t_max
         probe = np.interp(t_probe, self.times, self.p_ab)
-        return abs(self.p_ab[-1] - probe) <= tol
+        return abs(self.p_ab[-1] - probe) <= 1e-6
 
 
 # |z| below which the phi functions are summed as Taylor series; the

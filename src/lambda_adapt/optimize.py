@@ -21,7 +21,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import integrate_psi, p_ab_infty
-from .errors import ParameterError, LambdaAdaptError
+from .entropy import _p_max
+from .errors import LambdaAdaptError, NumericalConsistencyError, ParameterError
 from .model import (FAMILIES, MAX_GRID_NODES, LambdaSystem, PulseSpec,
                     SimGrid, make_pulse)
 from .thermo import drive_energy_flux
@@ -158,11 +159,18 @@ def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
     grid = SimGrid.auto(system, pulse,
                         t_max=pulse.settle_time() + 10.0 / system.gamma_total)
     traj = integrate_psi(system, pulse, grid)
-    if objective == "p_ab_infty":
-        return p_ab_infty(traj, system)
     if objective == "w_over_hw":
-        return drive_energy_flux(traj, pulse, system)
-    raise ParameterError(f"unknown objective {objective!r}")
+        value = drive_energy_flux(traj, pulse, system)
+        if math.isfinite(value):
+            return value
+    else:
+        value = p_ab_infty(traj, system)
+        # the range entropy.asymptotic_spectrum takes
+        if -1e-12 <= value <= _p_max(system) * (1.0 + 1e-9):
+            return value
+    raise NumericalConsistencyError(
+        f"{objective} = {value} is out of range: the run overflowed or "
+        "lost its precision")
 
 
 def _resolve_objective(objective) -> Callable[[LambdaSystem, PulseSpec], float]:

@@ -2,10 +2,9 @@
 
 The continuum is replaced by two uniform combs of modes (one per decay
 branch) and the full one-excitation Schroedinger equation is solved with
-no Wigner-Weisskopf or input-output shortcut.  Everything downstream of
-the main package can then be compared against this model: transition
-probabilities, branch weights, work and heat quadratures, and the exact
-partial trace of the environment.
+no Wigner-Weisskopf or input-output shortcut.  ``compare`` builds one
+``Observables`` record of such a run and one of the Wigner-Weisskopf
+trajectory, and diffs the two with ``deviations``.
 
 The comb approximates the continuum as long as (i) the window is much
 wider than the emission line, (ii) the spacing is much finer than every
@@ -26,9 +25,7 @@ couplings), so the roots come in +- pairs: the solver, the spokes, the
 eigenvector rebuild, its GEMM and every phase table run on one half
 (the fold), and the other half is their mirror.  The snapshot times are
 an even grid, so each phase table takes cos and sin once per 16
-snapshots and forms the rest as products.  On the 2001-mode default comb
-a cold ``evolve`` of 301 snapshots takes about 0.17-0.22 s (2-core x86
-VM).
+snapshots and forms the rest as products.
 
 A run's working set is its snapshot array and little more: ``evolve``
 accumulates the eigenvector products inside that array and unfolds them
@@ -54,21 +51,22 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .dynamics import integrate_psi
+from .dynamics import AmplitudeTrajectory, _drive_nodes, integrate_psi
 from .entropy import EnvSpectrum, normalized_overlap_sq, overlap_series
 from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem,
                     PulseSpec, SimGrid)
-from .thermo import drive_overlap_density
 
 __all__ = [
     "DiscreteBath",
     "Hamiltonian",
     "OracleRun",
+    "Observables",
     "DeviationReport",
     "build_hamiltonian",
     "discretize_pulse",
     "evolve",
     "measure_series",
+    "deviations",
     "compare",
 ]
 
@@ -81,8 +79,8 @@ class DiscreteBath:
 
     ``bandwidth`` is the full window width; both branch combs share the
     spacing bandwidth / (n_modes - 1) and are centered on their own
-    transition (omega_a and omega_b).  Only ``build_hamiltonian`` and
-    ``discretize_pulse`` read it; then the ``Hamiltonian`` is the comb.
+    transition (omega_a and omega_b).  ``build_hamiltonian``,
+    ``discretize_pulse`` and ``compare``'s report read it.
     """
 
     n_modes: int
@@ -248,10 +246,6 @@ class OracleRun:
     def __post_init__(self):
         self.times.flags.writeable = False
         self.states.flags.writeable = False
-
-    def excited_series(self) -> np.ndarray:
-        """psi~(t) in the omega_ref rotating frame (= psi e^{i omega_a t})."""
-        return self.states[:, 0]
 
     def energy_series(self) -> np.ndarray:
         """<H>(t), O(n) per snapshot; conserved up to solver error."""
@@ -826,15 +820,74 @@ def measure_series(run: OracleRun, mixture: InitialMixture) -> EnvSpectrum:
                                      normalized_overlap_sq(cross, n_a))
 
 
-DEFAULT_TOLERANCES = {
-    "p_e": 1e-3,
-    "p_ab": 1e-3,
-    "n_a": 1e-3,
-    "n_b": 1e-3,
-    "s_e": 1e-2,
-    "w": 5e-3,
-    "q": 5e-3,
-}
+DEFAULT_TOLERANCES = {"p_e": 1e-3, "p_ab": 1e-3, "n_a": 1e-3, "n_b": 1e-3,
+                      "s_e": 1e-2, "w": 5e-3, "q": 5e-3}
+
+
+@dataclass(frozen=True)
+class Observables:
+    """What ``compare`` checks of one run, at its snapshot ``times``.
+
+    ``spectrum`` is the environment (p_e is its ``psi_sq``, p_ab its
+    ``n_b``), ``w`` the work per hbar omega_a, int 2 Re[conj(f) psi^] dt
+    with f(t) = -g_a phi_shape(-t) the carrier-frame drive, and ``q`` the
+    heat omega_a Gamma int p_e dt - delta_ab p_ab(T) (hbar = 1), both
+    trapezoids on ``times`` taken in ``from_series`` alone.
+    """
+
+    times: np.ndarray
+    spectrum: EnvSpectrum
+    w: float
+    q: float
+    omega_a: float
+
+    @classmethod
+    def from_series(cls, system: LambdaSystem, pulse: PulseSpec,
+                    times: np.ndarray, spectrum: EnvSpectrum,
+                    psi_hat: np.ndarray) -> "Observables":
+        density = np.conj(_drive_nodes(system, pulse, times)) * psi_hat
+        w = float(np.trapezoid(2.0 * density.real, times))
+        q = system.omega_a * system.gamma_total \
+            * float(np.trapezoid(spectrum.psi_sq, times)) \
+            - system.delta_ab * float(spectrum.n_b[-1])
+        return cls(times, spectrum, w, q, system.omega_a)
+
+    @classmethod
+    def from_run(cls, run: OracleRun, system: LambdaSystem,
+                 pulse: PulseSpec, mixture: InitialMixture) -> "Observables":
+        """``measure_series``, and psi^ = psi~ e^{i delta_L t} from |e>."""
+        psi_hat = run.states[:, 0] * np.exp(1j * pulse.detuning(system)
+                                            * run.times)
+        return cls.from_series(system, pulse, run.times,
+                               measure_series(run, mixture), psi_hat)
+
+    @classmethod
+    def from_trajectory(cls, traj: AmplitudeTrajectory, system: LambdaSystem,
+                        pulse: PulseSpec, mixture: InitialMixture,
+                        times: np.ndarray) -> "Observables":
+        """Interpolated at ``times``; the overlap is ``overlap_series``."""
+        p_e = np.interp(times, traj.times, traj.p_e)
+        p_ab = np.interp(times, traj.times, traj.p_ab)
+        n_a = 1.0 - p_e - p_ab
+        overlap = overlap_series(traj, pulse, system, times)
+        spectrum = EnvSpectrum.from_branches(
+            mixture, p_e, n_a, p_ab, normalized_overlap_sq(overlap, n_a))
+        return cls.from_series(system, pulse, times, spectrum,
+                               traj.psi_hat_at(times))
+
+
+def deviations(a: Observables, b: Observables) -> dict:
+    """Worst |a - b| of each observable, keyed as DEFAULT_TOLERANCES; q
+    per hbar omega_a, so no verdict depends on the optical frequency."""
+    if not (np.array_equal(a.times, b.times) and a.omega_a == b.omega_a):
+        raise ParameterError("records on different times or omega_a")
+    sa, sb = a.spectrum, b.spectrum
+    devs = {name: float(np.max(np.abs(x - y))) for name, x, y in (
+        ("p_e", sa.psi_sq, sb.psi_sq), ("p_ab", sa.n_b, sb.n_b),
+        ("n_a", sa.n_a, sb.n_a), ("n_b", sa.n_b, sb.n_b),
+        ("s_e", sa.s_e, sb.s_e), ("w", a.w, b.w), ("q", a.q, b.q))}
+    devs["q"] /= a.omega_a
+    return devs
 
 
 @dataclass(frozen=True)
@@ -855,32 +908,20 @@ class DeviationReport:
 
 
 def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
-            bath: DiscreteBath | None = None, *, n_out: int = 301,
-            tolerances: dict | None = None) -> DeviationReport:
-    """Run the discrete-mode model and the analytic pipeline side by side.
+            bath: DiscreteBath | None = None, *,
+            n_out: int = 301) -> DeviationReport:
+    """Diff a discrete-bath run against the analytic pipeline.
 
-    Both run to t_final = 15 / Gamma.  The oracle side is the exact
-    partial trace of each snapshot (``measure_series``).  The analytic
-    side interpolates one trajectory (on ``SimGrid.auto`` to t_final) at
-    the snapshot times; its S_E(t) takes the finite-time overlap from
-    ``entropy.overlap_series``, one cumulative quadrature over that
-    trajectory, and no field is rebuilt on a z-grid.  Both sides share
-    the closed-form spectrum (``entropy.EnvSpectrum``).  Work and heat
-    are integrated with the same trapezoid rule on the same output grid
-    for both sides, so their deviation reflects the dynamics, not
-    quadrature differences.  The work integrand
-    (``thermo.drive_overlap_density``) is taken over the whole snapshot
-    grid, which may cross a drive discontinuity such as a rectangular
-    pulse's back edge, not one smooth stretch: the envelope is sampled at
-    the same nodes for both sides, so the output-grid trapezoid treats
-    that jump the same way on each.
+    Both run to t_final = 15 / Gamma (the oracle to n_out snapshots) and
+    each becomes an ``Observables`` record on the snapshot times, whose
+    ``deviations`` are judged against DEFAULT_TOLERANCES.  The work
+    integrand runs over the whole snapshot grid, which may cross a drive
+    discontinuity such as a rectangular pulse's back edge: the envelope
+    is sampled at the same nodes for both sides, so the output-grid
+    trapezoid treats that jump the same way on each.
     """
-    if bath is None:
-        bath = DiscreteBath.default(system)
+    bath = bath or DiscreteBath.default(system)
     t_final = 15.0 / system.gamma_total
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
 
     # evolve's refusal, before the comb is projected or built
     _check_snapshot_size(n_out, 1 + 2 * bath.n_modes)
@@ -888,51 +929,15 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     h = build_hamiltonian(system, bath)
     run = evolve(h, np.concatenate(([0.0], amps, np.zeros_like(amps))),
                  t_final, n_out=n_out)
-    oracle = measure_series(run, mixture)
+    oracle = Observables.from_run(run, system, pulse, mixture)
 
-    grid = SimGrid.auto(system, pulse, t_max=t_final)
-    traj = integrate_psi(system, pulse, grid)
-
-    t_out = run.times
-    p_e_an = np.interp(t_out, traj.times, traj.p_e)
-    p_ab_an = np.interp(t_out, traj.times, traj.p_ab)
-    n_a_an = 1.0 - p_e_an - p_ab_an
-
-    analytic = EnvSpectrum.from_branches(
-        mixture, p_e_an, n_a_an, p_ab_an,
-        normalized_overlap_sq(overlap_series(traj, pulse, system, t_out),
-                              n_a_an))
-
-    def flux(psi_hat):
-        density = drive_overlap_density(system, pulse, t_out, psi_hat)
-        return float(np.trapezoid(2.0 * density.real, t_out))
-
-    def heat(p_e, p_ab):
-        return system.omega_a * system.gamma_total \
-            * float(np.trapezoid(p_e, t_out)) \
-            - system.delta_ab * float(p_ab[-1])
-
-    # the work integrand takes psi^ = psi~ e^{i delta_L t}
-    psi_hat_or = run.excited_series()
-    delta_l = pulse.detuning(system)
-    if delta_l != 0.0:
-        psi_hat_or = psi_hat_or * np.exp(1j * delta_l * t_out)
-
-    deviations = {
-        "p_e": float(np.max(np.abs(oracle.psi_sq - p_e_an))),
-        "p_ab": float(np.max(np.abs(oracle.n_b - p_ab_an))),
-        "n_a": float(np.max(np.abs(oracle.n_a - n_a_an))),
-        "n_b": float(np.max(np.abs(oracle.n_b - p_ab_an))),
-        "s_e": float(np.max(np.abs(oracle.s_e - analytic.s_e))),
-        # energies compared in units of hbar omega_a so the verdict does
-        # not depend on the absolute optical frequency
-        "w": abs(flux(psi_hat_or) - flux(traj.psi_hat_at(t_out))),
-        "q": abs(heat(oracle.psi_sq, oracle.n_b)
-                 - heat(p_e_an, p_ab_an)) / system.omega_a,
-    }
-    failures = tuple(name for name, dev in deviations.items()
-                     if dev > tol[name])
-    return DeviationReport(deviations=deviations, tolerances=tol,
+    traj = integrate_psi(system, pulse,
+                         SimGrid.auto(system, pulse, t_max=t_final))
+    devs = deviations(oracle, Observables.from_trajectory(
+        traj, system, pulse, mixture, run.times))
+    tol = dict(DEFAULT_TOLERANCES)
+    failures = tuple(name for name, dev in devs.items() if dev > tol[name])
+    return DeviationReport(deviations=devs, tolerances=tol,
                            failures=failures, norm_drift=run.norm_drift,
                            t_final=t_final, n_modes=bath.n_modes,
                            bandwidth=bath.bandwidth)

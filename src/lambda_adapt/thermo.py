@@ -31,7 +31,6 @@ from .model import InitialMixture, LambdaSystem, PulseSpec
 
 __all__ = [
     "ThermoLedger",
-    "drive_overlap_density",
     "drive_overlap_integral",
     "drive_energy_flux",
     "is_resonant",
@@ -41,6 +40,8 @@ __all__ = [
     "adaptation_work_check",
     "interaction_energy",
 ]
+
+LEDGER_TOL = 1e-8  # relative closure of the first law in energy_ledger
 
 
 @dataclass(frozen=True)
@@ -60,28 +61,12 @@ class ThermoLedger:
     p_ab_infty: float
 
 
-def drive_overlap_density(system: LambdaSystem, pulse: PulseSpec,
-                          times: np.ndarray,
-                          psi_hat: np.ndarray) -> np.ndarray:
-    """conj(f(t)) psi^(t) on one stretch of times where the drive is smooth.
-
-    f(t) = -g_a phi_shape(-t) is the carrier-frame drive and
-    psi^ = psi~ e^{i delta_L t} the carrier-frame amplitude, which
-    ``psi_hat`` holds at ``times``.  Twice its real part is the drive
-    power per hbar omega_a, the integrand of the work; its integral from
-    0 to t is 1 - sqrt(N_a) <free | phi_a>(t).  The envelope is sampled
-    one-sidedly at the two ends of ``times``, so a discontinuity on an
-    end node contributes the value from inside the stretch.
-    """
-    return np.conj(_drive_nodes(system, pulse, times)) * psi_hat
-
-
 def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
                            system: LambdaSystem) -> np.ndarray:
     """int_0^t conj(f) psi^ dtau at every node of the trajectory.
 
-    The integrand is ``drive_overlap_density`` on each uniform stretch,
-    integrated by the endpoint-corrected trapezoid (fourth order).  The
+    The integrand conj(f) psi^, f = -g_a phi_shape(-t), is summed on each
+    uniform stretch by the endpoint-corrected trapezoid (fourth order).  The
     correction takes the derivative conj(f') psi^ + conj(f) (lambda psi^
     + f), lambda = -Gamma/2 + i delta_L, from the amplitude equation; f'
     comes from differences of the drive samples inside the stretch
@@ -154,18 +139,18 @@ def heat_dissipated(traj: AmplitudeTrajectory, system: LambdaSystem) -> float:
 
 
 def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
-                  system: LambdaSystem, *, tol: float = 1e-8) -> ThermoLedger:
+                  system: LambdaSystem) -> ThermoLedger:
     """Close the first law for a resonant run started in |a>.
 
     Raises
     ------
     NumericalConsistencyError
         If the trajectory has not converged (t_max too small), if the
-        residual W - Q - Delta<H_S> exceeds ``tol * max(|W|, hbar omega_a)``,
-        or if the dissipated heat comes out negative; a NaN in any of
-        them fails too.
+        residual W - Q - Delta<H_S> exceeds LEDGER_TOL max(|W|, hbar
+        omega_a), or if the dissipated heat comes out negative; a NaN in
+        any of them fails too.
     """
-    if not traj.converged(1e-6):
+    if not traj.converged():
         raise NumericalConsistencyError(
             "trajectory not converged: p_ab still growing near t_max"
         )
@@ -175,7 +160,7 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
     p_ab_end = traj.p_ab_final()
     de_sys = system.omega_a * p_e_end + system.delta_ab * p_ab_end
     residual = w_abs - q_diss - de_sys
-    bound = tol * max(abs(w_abs), system.omega_a)
+    bound = LEDGER_TOL * max(abs(w_abs), system.omega_a)
     # written so that a NaN residual, heat or bound fails
     if not abs(residual) <= bound:
         raise NumericalConsistencyError(

@@ -105,7 +105,7 @@ def test_energy_ledger_closes_on_resonant_runs():
             pulse = make_pulse(envelope, s.omega_a)
             grid = SimGrid.auto(s, pulse)
             traj = integrate_psi(s, pulse, grid)
-            ledger = energy_ledger(traj, pulse, s, tol=1e-8)
+            ledger = energy_ledger(traj, pulse, s)
             bound = 1e-8 * max(abs(ledger.w_abs), s.omega_a)
             assert abs(ledger.residual) <= bound, (delta_ab,
                                                    type(envelope).__name__)

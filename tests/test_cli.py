@@ -416,6 +416,28 @@ dt = 0.005
         assert "ledger.json" in err and "Traceback" not in err
         assert not (out / "ledger.json").exists()
 
+    @pytest.mark.parametrize("command, edit", [
+        # the resonant ledger check fails
+        ("simulate", {}),
+        # the strict-JSON refusal of a NaN flux, after trajectory.csv's
+        # text is built
+        ("simulate", {"delta_l = 0.0": "delta_l = 0.4"}),
+        # p_ab(inf) of 5e270 at the first evaluation
+        ("optimize", {"budget = 500": "budget = 8"}),
+    ])
+    def test_failed_command_writes_no_artifact(self, tmp_path, command,
+                                               edit):
+        text = (Path(__file__).parent.parent / "configs"
+                / "default.ini").read_text()
+        for old, new in {"gamma_a = 1.0": "gamma_a = 1e300", **edit}.items():
+            text = text.replace(old, new)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([command, "--config", str(write(tmp_path, text)),
+                         "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
+
     def test_oversized_bath_is_config_error(self, tmp_path, capsys):
         # 301 snapshots of 1 + 2 * 33223 amplitudes, 20000547 in all, just
         # over MAX_GRID_NODES: refused before the comb is projected

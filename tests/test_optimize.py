@@ -1,6 +1,7 @@
 """Sweeps and derivative-free maximization of drive objectives."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from lambda_adapt import optimize
 from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
-from lambda_adapt.errors import ParameterError
+from lambda_adapt.errors import NumericalConsistencyError, ParameterError
 from lambda_adapt.model import (FAMILIES, MAX_GRID_NODES, Exponential,
                                 Gaussian, LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
@@ -126,6 +127,46 @@ class TestObjective:
         assert 0.0 <= value <= cap + 1e-9
         assert value == pytest.approx(
             asymptotic_prob_exponential(s, linewidth, detuning), abs=1e-6)
+
+
+def overflowed(gamma_b):
+    """gamma_a = 1e300 overflows the trajectory: with gamma_b = 1e300 too,
+    p_ab(inf) comes out near 5e270, far above its maximum of 1; with
+    gamma_b = 1, the drive's work comes out NaN."""
+    s = LambdaSystem(omega_a=50.0, gamma_a=1e300, gamma_b=gamma_b)
+    return s, make_pulse(Gaussian(1.2), s.omega_a)
+
+
+class TestOverflow:
+    def test_out_of_range_p_ab_infty_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalConsistencyError,
+                               match="p_ab_infty = 5.*out of range"):
+                _evaluate(*overflowed(1e300), "p_ab_infty")
+
+    def test_non_finite_value_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalConsistencyError,
+                               match="w_over_hw = nan"):
+                _evaluate(*overflowed(1.0), "w_over_hw")
+
+    def test_sweep_point_records_the_error(self):
+        s, pulse = overflowed(1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
+                           s, pulse)
+        assert all("out of range" in pt.error for pt in result.points)
+        assert np.all(np.isnan(result.objectives()))
+
+    def test_maximize_raises(self):
+        s, pulse = overflowed(1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalConsistencyError):
+                maximize(s, pulse, {"detuning": (-0.5, 0.5)}, budget=8)
 
 
 class TestSweep:

@@ -16,8 +16,9 @@ from lambda_adapt.errors import (BandwidthError, ConfigurationError,
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, make_pulse)
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
-                                 build_hamiltonian, compare,
-                                 discretize_pulse, evolve, measure_series)
+                                 Observables, build_hamiltonian, compare,
+                                 deviations, discretize_pulse, evolve,
+                                 measure_series)
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +237,7 @@ class TestEvolve:
     def test_golden_rule_decay(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
         run = evolve(h, excited_in(h), 2.0, n_out=41)
-        p_e = np.abs(run.excited_series()) ** 2
+        p_e = np.abs(run.states[:, 0]) ** 2
         rate = -np.polyfit(run.times, np.log(p_e), 1)[0]
         assert rate == pytest.approx(system.gamma_total, rel=0.02)
 
@@ -733,8 +734,12 @@ class TestMeasure:
 
 
 class TestCompare:
-    def test_gaussian_within_default_tolerances(self, system, small_bath):
-        rep = compare(system, make_pulse(Gaussian(1.2), 50.0),
+    # detuned, the oracle's |e> amplitude must turn by e^{i delta_L t} to
+    # meet psi^: the opposite turn puts the work 1.25e-2 off (5e-3 allowed)
+    @pytest.mark.parametrize("delta_l", [0.0, 0.4, -0.4])
+    def test_gaussian_within_default_tolerances(self, system, small_bath,
+                                                delta_l):
+        rep = compare(system, make_pulse(Gaussian(1.2), 50.0 + delta_l),
                       InitialMixture(0.5, 0.5), small_bath, n_out=151)
         assert rep.passed
         assert rep.failures == ()
@@ -762,9 +767,47 @@ class TestCompare:
             assert rep.passed
         assert len(calls) == 1
 
-    def test_tighter_tolerance_flags_failures(self, system, small_bath):
+    def test_tighter_tolerance_flags_failures(self, system, small_bath,
+                                              monkeypatch):
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "p_e", 1e-12)
         rep = compare(system, make_pulse(Gaussian(1.2), 50.0),
-                      InitialMixture(0.5, 0.5), small_bath, n_out=51,
-                      tolerances={"p_e": 1e-12})
+                      InitialMixture(0.5, 0.5), small_bath, n_out=51)
         assert not rep.passed
         assert "p_e" in rep.failures
+        assert rep.tolerances["p_e"] == 1e-12
+
+
+def oracle_record(system, pulse, mixture, bath, n_out):
+    """The ``Observables`` of a discrete-bath run to 15 / Gamma."""
+    amps = discretize_pulse(pulse, bath, system)
+    run = evolve(build_hamiltonian(system, bath), photon_in(amps),
+                 15.0 / system.gamma_total, n_out=n_out)
+    return Observables.from_run(run, system, pulse, mixture)
+
+
+class TestObservables:
+    @pytest.fixture(scope="class")
+    def record(self, system, small_bath):
+        return oracle_record(system, make_pulse(Gaussian(1.2), 50.4),
+                             InitialMixture(0.5, 0.5), small_bath, 51)
+
+    def test_self_diff_is_zero(self, record):
+        devs = deviations(record, record)
+        assert devs == dict.fromkeys(DEFAULT_TOLERANCES, 0.0)
+
+    def test_refuses_records_on_other_times(self, record):
+        later = dataclasses.replace(record, times=record.times + 1e-3)
+        with pytest.raises(ParameterError):
+            deviations(record, later)
+        with pytest.raises(ParameterError):
+            deviations(record, dataclasses.replace(record, omega_a=60.0))
+
+    def test_refined_comb_agrees(self, system, small_bath, record):
+        # a finer comb over the same window, diffed through the same
+        # deviations as compare's two sides
+        fine = oracle_record(system, make_pulse(Gaussian(1.2), 50.4),
+                             InitialMixture(0.5, 0.5),
+                             DiscreteBath(1201, small_bath.bandwidth), 51)
+        devs = deviations(record, fine)
+        assert set(devs) == set(DEFAULT_TOLERANCES)
+        assert all(devs[k] <= DEFAULT_TOLERANCES[k] for k in devs), devs

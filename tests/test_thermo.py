@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_adapt import thermo
 from lambda_adapt.dynamics import integrate_psi, psi_closed_form
 from lambda_adapt.errors import NotApplicableError, NumericalConsistencyError
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
@@ -56,7 +57,7 @@ class TestLedger:
     def test_residual_within_bound(self, envelope):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=0.5)
         pulse, traj = run(s, envelope)
-        ledger = energy_ledger(traj, pulse, s, tol=1e-8)
+        ledger = energy_ledger(traj, pulse, s)
         bound = 1e-8 * max(abs(ledger.w_abs), s.omega_a)
         assert abs(ledger.residual) <= bound
         assert ledger.q_diss > 0.0
@@ -65,7 +66,7 @@ class TestLedger:
         # delta_ab != 0: transfers park hbar delta_ab in the system
         s = LambdaSystem(omega_a=5.0, delta_ab=1.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Exponential(1.0))
-        ledger = energy_ledger(traj, pulse, s, tol=1e-8)
+        ledger = energy_ledger(traj, pulse, s)
         p = ledger.p_ab_infty
         assert ledger.de_sys == pytest.approx(
             s.delta_ab * p, abs=1e-6 * s.omega_a)
@@ -78,13 +79,14 @@ class TestLedger:
         with pytest.raises(NumericalConsistencyError):
             energy_ledger(traj, pulse, s)
 
-    def test_coarse_step_refused(self):
+    def test_coarse_step_refused(self, monkeypatch):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse = make_pulse(Exponential(1.0), 5.0)
         grid = SimGrid.auto(s, pulse, dt=0.005)
         traj = integrate_psi(s, pulse, grid)
+        monkeypatch.setattr(thermo, "LEDGER_TOL", 1e-14)
         with pytest.raises(NumericalConsistencyError):
-            energy_ledger(traj, pulse, s, tol=1e-14)
+            energy_ledger(traj, pulse, s)
 
     def test_as_dict_round_trip(self):
         # the dict form simulate writes to ledger.json
@@ -112,7 +114,7 @@ class TestDefaultGrid:
         scale = width * s.gamma_total
         envelope = family(scale if family is Exponential else 1.0 / scale)
         pulse, traj = run(s, envelope)
-        ledger = energy_ledger(traj, pulse, s, tol=1e-8)
+        ledger = energy_ledger(traj, pulse, s)
         assert abs(adaptation_work_check(s, ledger.p_ab_infty,
                                          ledger.w_abs)) <= 1e-6
         ceiling = 4.0 * s.gamma_a * s.gamma_b / s.gamma_total ** 2
