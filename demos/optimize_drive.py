@@ -19,15 +19,13 @@ def main():
 
     print("-- detuning sweep, exponential drive, Delta = 0.5, Gamma = 2 --")
     spec = SweepSpec("detuning", -4.0, 4.0, n_points=17)
-    res = sweep(spec, s, pulse)
-    for pt in res.points:
+    for pt in sweep(spec, s, pulse):
         bar = "#" * int(round(40 * pt.objective))
         print(f"delta_L = {pt.value:+5.1f}  p_ab = {pt.objective:.4f}  {bar}")
 
     print("\n-- bandwidth sweep on resonance --")
     spec = SweepSpec("linewidth", 0.05, 4.0, n_points=9)
-    res = sweep(spec, s, pulse)
-    for pt in res.points:
+    for pt in sweep(spec, s, pulse):
         print(f"Delta = {pt.value:5.2f}  p_ab = {pt.objective:.4f}")
     print("monotone toward the narrowband limit; the optimum is a floor,")
     print("not a peak.")

@@ -26,7 +26,7 @@ def main():
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))
         name = type(envelope).__name__.lower()
         print(f"{name:12s}  max p_e = {traj.p_e.max():.4f}   "
-              f"p_ab(T) = {traj.p_ab_final():.4f}")
+              f"p_ab(T) = {traj.p_ab[-1]:.4f}")
 
     print("\n-- exponential pulse vs closed form --")
     pulse = make_pulse(Exponential(0.8), s.omega_a)

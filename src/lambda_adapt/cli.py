@@ -43,8 +43,7 @@ from .floattext import csv_text
 from .model import SimGrid
 from .optimize import maximize, sweep
 from .oracle import compare
-from .thermo import (adaptation_work_check, drive_energy_flux, energy_ledger,
-                     is_resonant)
+from .thermo import drive_energy_flux, energy_ledger, is_resonant
 
 # glibc's malloc serves a block above its mmap threshold (128 kB at
 # start) with a fresh mapping, which faults on first touch and is
@@ -135,10 +134,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
 
     p_inf = p_ab_infty(traj, cfg.system)
     if is_resonant(cfg.pulse, cfg.system):
-        ledger = energy_ledger(traj, cfg.pulse, cfg.system)
-        payload = dataclasses.asdict(ledger)
-        payload["adaptation_residual"] = adaptation_work_check(
-            cfg.system, ledger.p_ab_infty, ledger.w_abs)
+        payload = dataclasses.asdict(
+            energy_ledger(traj, cfg.pulse, cfg.system))
     else:
         payload = {
             "w_over_hw": drive_energy_flux(traj, cfg.pulse, cfg.system),
@@ -163,10 +160,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
     spec = cfg.sweep
     if points is not None:
         spec = dataclasses.replace(spec, n_points=points)
-    result = sweep(spec, cfg.system, cfg.pulse)
     body = "".join(",".join(map(_fmt, (p.value, p.family, p.objective,
                                        p.error or ""))) + "\n"
-                   for p in result.points)
+                   for p in sweep(spec, cfg.system, cfg.pulse))
     _write_all(out, {"sweep.csv": _csv_text(
         _meta("sweep", cfg, parameter=spec.parameter,
               objective=spec.objective, n_points=spec.n_points),
@@ -182,7 +178,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     result = maximize(cfg.system, cfg.pulse, spec.bounds,
                       objective=spec.objective, budget=spec.budget)
     doc = {"meta": _meta("optimize", cfg, objective=spec.objective),
-           **result.as_dict()}
+           **dataclasses.asdict(result)}
     trace = doc.pop("trace")
     _write_all(out, {"optimize.json": _json_text("optimize.json", doc),
                      "trace.jsonl": "".join(_json_text("trace.jsonl", e, None)
@@ -202,27 +198,24 @@ def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
 
 
 def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
-    checks = {}
-
-    report = compare(cfg.system, cfg.pulse, cfg.mixture, cfg.bath)
-    checks["oracle_agreement"] = {
-        "passed": report.passed, **dataclasses.asdict(report)}
-
-    # the frozen backward protocol is a selection rule, not a run: no term
-    # of H couples |b, 1_a> (a time-mirrored photon on |b>) to anything,
-    # so its leak into the forward sector is exactly 0
-    # (tests/test_acceptance.py::test_backward_protocol_is_frozen checks
-    # that on the dense matrix)
-    checks["backward_leak"] = {"passed": True, "leak": 0.0,
-                               "tolerance": BACKWARD_LEAK_TOL}
+    checks = {
+        "oracle_agreement": dataclasses.asdict(
+            compare(cfg.system, cfg.pulse, cfg.mixture, cfg.bath)),
+        # the frozen backward protocol is a selection rule, not a run: no
+        # term of H couples |b, 1_a> (a time-mirrored photon on |b>) to
+        # anything, so its leak into the forward sector is exactly 0
+        # (tests/test_acceptance.py::test_backward_protocol_is_frozen
+        # checks that on the dense matrix)
+        "backward_leak": {"passed": True, "leak": 0.0,
+                          "tolerance": BACKWARD_LEAK_TOL},
+    }
 
     if is_resonant(cfg.pulse, cfg.system):
         grid = SimGrid.auto(cfg.system, cfg.pulse)
         traj = integrate_psi(cfg.system, cfg.pulse, grid)
         try:
             ledger = energy_ledger(traj, cfg.pulse, cfg.system)
-            residual = adaptation_work_check(cfg.system, ledger.p_ab_infty,
-                                             ledger.w_abs)
+            residual = ledger.adaptation_residual
             checks["energy_ledger"] = {"passed": True,
                                        "residual": ledger.residual}
             checks["adaptation_work"] = {

@@ -88,6 +88,10 @@ def _int(section: str, key: str, raw: str) -> int:
             f"[{section}] {key} = {raw!r} is not an integer") from None
 
 
+def _name(section: str, key: str, raw: str) -> str:
+    return raw.strip().lower()
+
+
 def _check_keys(parser: ConfigParser):
     for section in parser.sections():
         if section not in _SECTION_KEYS:
@@ -140,13 +144,10 @@ def _build_sweep(parser: ConfigParser) -> SweepSpec | None:
     for key in ("parameter", "lo", "hi"):
         if key not in sec:
             raise ConfigurationError(f"[sweep] missing required key {key!r}")
-    return SweepSpec(
-        parameter=sec["parameter"].strip().lower(),
-        lo=_float("sweep", "lo", sec["lo"]),
-        hi=_float("sweep", "hi", sec["hi"]),
-        n_points=_int("sweep", "n_points", sec.get("n_points", "21")),
-        objective=sec.get("objective", "p_ab_infty").strip().lower(),
-    )
+    parse = {"parameter": _name, "lo": _float, "hi": _float,
+             "n_points": _int, "objective": _name}
+    return SweepSpec(**{key: parse[key]("sweep", key, raw)
+                        for key, raw in sec.items()})
 
 
 def _build_optimize(parser: ConfigParser) -> OptimizeSpec | None:
@@ -167,14 +168,14 @@ def _build_optimize(parser: ConfigParser) -> OptimizeSpec | None:
                 f"[optimize] parameter {name!r} needs {lo_key} and {hi_key}")
         bounds[name] = (_float("optimize", lo_key, sec[lo_key]),
                         _float("optimize", hi_key, sec[hi_key]))
-    objective = sec.get("objective", "p_ab_infty").strip().lower()
-    if objective not in OBJECTIVES:
+    options = {key: parse("optimize", key, sec[key])
+               for key, parse in (("objective", _name), ("budget", _int))
+               if key in sec}
+    if "objective" in options and options["objective"] not in OBJECTIVES:
         raise ConfigurationError(
             f"[optimize] objective must be one of {OBJECTIVES}, "
-            f"got {objective!r}")
-    return OptimizeSpec(bounds=bounds, objective=objective,
-                        budget=_int("optimize", "budget",
-                                    sec.get("budget", "500")))
+            f"got {options['objective']!r}")
+    return OptimizeSpec(bounds=bounds, **options)
 
 
 def load_config(path) -> RunConfig:
@@ -203,13 +204,8 @@ def load_config(path) -> RunConfig:
 
     if not parser.has_section("system") or "omega_a" not in parser["system"]:
         raise ConfigurationError("[system] omega_a is required")
-    sec = parser["system"]
-    system = LambdaSystem(
-        omega_a=_float("system", "omega_a", sec["omega_a"]),
-        delta_ab=_float("system", "delta_ab", sec.get("delta_ab", "0")),
-        gamma_a=_float("system", "gamma_a", sec.get("gamma_a", "1")),
-        gamma_b=_float("system", "gamma_b", sec.get("gamma_b", "1")),
-    )
+    system = LambdaSystem(**{key: _float("system", key, raw)
+                             for key, raw in parser["system"].items()})
     pulse = _build_pulse(parser, system)
 
     p_a0 = 1.0

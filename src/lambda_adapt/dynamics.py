@@ -126,9 +126,6 @@ class AmplitudeTrajectory:
         re, im = self._carrier_parts
         return np.interp(t, self.times, re) + 1j * np.interp(t, self.times, im)
 
-    def p_ab_final(self) -> float:
-        return float(self.p_ab[-1])
-
     def converged(self) -> bool:
         """True when p_ab grew by at most 1e-6 over the last tenth of the run."""
         t_probe = 0.9 * self.t_max
@@ -282,8 +279,10 @@ def _affine_recursion(a, w: np.ndarray) -> np.ndarray:
 
 
 def _drive(system: LambdaSystem, pulse: PulseSpec, t):
-    """Carrier-frame drive term f(t) = -g_a phi_shape(-t)."""
-    g_a = system.coupling("a")
+    """Carrier-frame drive term f(t) = -g_a phi_shape(-t), where with the
+    envelope norm's 1 / (2 pi) the flat coupling g_a = sqrt(gamma_a / (2 pi))
+    makes f sqrt(gamma_a) times an amplitude u(t) with int |u|^2 dt = 1."""
+    g_a = math.sqrt(system.gamma_a / (2.0 * math.pi))
     return -g_a * pulse.shape_at(-np.asarray(t, dtype=float))
 
 
@@ -364,7 +363,7 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     grid.validate(pulse)
 
     bounds = [0.0]
-    for tb in sorted(pulse.drive_breakpoints()):
+    for tb in sorted(pulse.envelope.drive_breakpoints()):
         if 0.0 < tb < grid.t_max:
             bounds.append(float(tb))
     bounds.append(grid.t_max)

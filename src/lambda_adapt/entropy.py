@@ -140,6 +140,13 @@ def _p_max(system: LambdaSystem) -> float:
     return 4.0 * (system.gamma_a / gamma) * (system.gamma_b / gamma)
 
 
+def _p_ab_range(system: LambdaSystem) -> tuple[float, float]:
+    """[0, p_max] widened for rounding by 1e-12 at both ends and 1e-9 p_max
+    above: a p_max that underflows (4e-300 at gamma_a = 1e300) leaves
+    quadrature noise of either sign (1e-30) in range."""
+    return -1e-12, _p_max(system) * (1.0 + 1e-9) + 1e-12
+
+
 def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,
                    system: LambdaSystem, t) -> np.ndarray:
     """sqrt(N_a) <free pulse | a-branch photon> at times t in [0, t_max].
@@ -213,14 +220,15 @@ def asymptotic_spectrum(system: LambdaSystem, mixture: InitialMixture,
     normalized squared overlap is that value squared over N_a = 1 - p_ab,
     and nothing is left excited.  A float gives one instant, an array one
     spectrum per value.  Valid for p_ab(inf) in [0, 4 gamma_a gamma_b /
-    Gamma^2], else ParameterError.  A rounding excess of up to 1e-9
-    relative over that maximum is accepted and clamped off, so that N_a
-    stays in the range ``env_eigenvalues`` takes (at gamma_a = gamma_b the
-    maximum is 1); the spectrum's ``n_b`` is the clamped value.
+    Gamma^2], else ParameterError.  A rounding excess (``_p_ab_range``) is
+    accepted and clamped off, so that N_a stays in the range
+    ``env_eigenvalues`` takes (at gamma_a = gamma_b the maximum is 1); the
+    spectrum's ``n_b`` is the clamped value.
     """
     p_max = _p_max(system)
+    lo, hi = _p_ab_range(system)
     p = np.asarray(p_ab_infty, dtype=float)
-    bad = (p < -1e-12) | (p > p_max * (1.0 + 1e-9))
+    bad = (p < lo) | (p > hi)
     if np.any(bad):
         raise ParameterError(
             f"p_ab_infty = {p[bad]} outside [0, 4 gamma_a gamma_b / Gamma^2 "

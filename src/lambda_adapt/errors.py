@@ -25,9 +25,5 @@ class BandwidthError(ParameterError):
     """Pulse spectrum does not fit inside the discrete bath window."""
 
 
-class NotApplicableError(LambdaAdaptError):
-    """A quantity whose defining assumptions do not hold for this run."""
-
-
 class NumericalConsistencyError(LambdaAdaptError, RuntimeError):
     """An internal cross-check (ledger residual, norm drift) failed."""

@@ -97,20 +97,6 @@ class LambdaSystem:
     def gamma_total(self) -> float:
         return self.gamma_a + self.gamma_b
 
-    def coupling(self, branch: str) -> float:
-        """Flat coupling constant g_k = sqrt(Gamma_k / (2 pi)).
-
-        With the envelope norm's 1 / (2 pi), the drive g_a phi_shape(-t)
-        is sqrt(Gamma_a) times an amplitude u(t) with int |u|^2 dt = 1.
-        """
-        if branch == "a":
-            gamma = self.gamma_a
-        elif branch == "b":
-            gamma = self.gamma_b
-        else:
-            raise ParameterError(f"branch must be 'a' or 'b', got {branch!r}")
-        return math.sqrt(gamma / (2.0 * math.pi))
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -266,7 +252,9 @@ FAMILIES = {"exponential": Exponential, "gaussian": Gaussian,
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """A normalized single-photon wavepacket with a carrier frequency."""
+    """A normalized single-photon wavepacket with a carrier frequency; its
+    ``envelope`` holds the shape, whose ``spectrum`` is the closed form of
+    integral phi_shape(z, 0) e^{-i delta z} dz at detunings delta."""
 
     carrier: float
     envelope: object
@@ -275,26 +263,9 @@ class PulseSpec:
         """Normalized envelope phi_shape(z, 0), no carrier phase."""
         return self.envelope.shape_values(z)
 
-    def spectrum(self, delta):
-        """integral phi_shape(z, 0) e^{-i delta z} dz, in closed form.
-
-        The envelope's exact Fourier transform at detunings ``delta`` from
-        the carrier.
-        """
-        return self.envelope.spectrum(delta)
-
     def detuning(self, system: LambdaSystem) -> float:
         """Carrier detuning from the a-branch transition, delta_L."""
         return self.carrier - system.omega_a
-
-    def spectral_scale(self) -> float:
-        return self.envelope.spectral_scale()
-
-    def settle_time(self) -> float:
-        return self.envelope.settle_time()
-
-    def drive_breakpoints(self):
-        return self.envelope.drive_breakpoints()
 
 
 def make_pulse(envelope, carrier: float) -> PulseSpec:
@@ -384,7 +355,7 @@ class SimGrid:
                 f"grid of t_max / dt = {nodes:.3g} nodes exceeds "
                 f"MAX_GRID_NODES = {MAX_GRID_NODES:.3g}"
             )
-        ceiling = 0.01 / pulse.spectral_scale()
+        ceiling = 0.01 / pulse.envelope.spectral_scale()
         if self.dt > ceiling * (1 + 1e-9):
             raise ConfigurationError(
                 f"dt = {self.dt} too coarse; need dt <= 0.01 / "
@@ -404,9 +375,9 @@ class SimGrid:
         The default t_max is the settle time plus 20 / Gamma.
         """
         if t_max is None:
-            t_max = pulse.settle_time() + 20.0 / system.gamma_total
+            t_max = pulse.envelope.settle_time() + 20.0 / system.gamma_total
         if dt is None:
-            dt = 0.005 / pulse.spectral_scale()
+            dt = 0.005 / pulse.envelope.spectral_scale()
         grid = cls(t_max=float(t_max), dt=float(dt))
         grid.validate(pulse)
         return grid

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import integrate_psi, p_ab_infty
-from .entropy import _p_max
+from .entropy import _p_ab_range
 from .errors import LambdaAdaptError, NumericalConsistencyError, ParameterError
 from .model import (FAMILIES, MAX_GRID_NODES, LambdaSystem, PulseSpec,
                     SimGrid, make_pulse)
@@ -105,18 +105,6 @@ class SweepPoint:
     error: str | None = None
 
 
-@dataclass
-class SweepResult:
-    spec: SweepSpec
-    points: tuple[SweepPoint, ...]
-
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.points])
-
-    def objectives(self) -> np.ndarray:
-        return np.array([p.objective for p in self.points])
-
-
 def _family_name(envelope) -> str:
     return type(envelope).__name__.lower()
 
@@ -156,8 +144,8 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
 def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
     # to the settle time plus 10/Gamma: for the exponential envelope,
     # 20/linewidth, after which the drive carries e^{-20} of the transfer
-    grid = SimGrid.auto(system, pulse,
-                        t_max=pulse.settle_time() + 10.0 / system.gamma_total)
+    t_max = pulse.envelope.settle_time() + 10.0 / system.gamma_total
+    grid = SimGrid.auto(system, pulse, t_max=t_max)
     traj = integrate_psi(system, pulse, grid)
     if objective == "w_over_hw":
         value = drive_energy_flux(traj, pulse, system)
@@ -165,8 +153,8 @@ def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
             return value
     else:
         value = p_ab_infty(traj, system)
-        # the range entropy.asymptotic_spectrum takes
-        if -1e-12 <= value <= _p_max(system) * (1.0 + 1e-9):
+        lo, hi = _p_ab_range(system)
+        if lo <= value <= hi:
             return value
     raise NumericalConsistencyError(
         f"{objective} = {value} is out of range: the run overflowed or "
@@ -184,8 +172,8 @@ def _resolve_objective(objective) -> Callable[[LambdaSystem, PulseSpec], float]:
 
 
 def sweep(spec: SweepSpec, system: LambdaSystem,
-          pulse: PulseSpec) -> SweepResult:
-    """Evaluate the objective over the grid, in deterministic order.
+          pulse: PulseSpec) -> tuple[SweepPoint, ...]:
+    """One ``SweepPoint`` per grid value, in deterministic order.
 
     Points failing to evaluate are annotated with the error message and
     carry a NaN objective; the sweep continues.  Points run one after
@@ -215,7 +203,7 @@ def sweep(spec: SweepSpec, system: LambdaSystem,
             return SweepPoint(value=float(value), family=fam,
                               objective=float("nan"), error=str(exc))
 
-    return SweepResult(spec=spec, points=tuple(map(run_one, tasks)))
+    return tuple(map(run_one, tasks))
 
 
 @dataclass
@@ -224,9 +212,6 @@ class TraceEntry:
 
     params: dict
     value: float
-
-    def as_dict(self) -> dict:
-        return {"params": dict(self.params), "value": self.value}
 
 
 @dataclass
@@ -245,15 +230,14 @@ class MaximizeResult:
     n_evals: int
     trace: tuple[TraceEntry, ...]
 
-    def as_dict(self) -> dict:
-        return {"params": dict(self.params), "value": self.value,
-                "converged": self.converged, "boundary": list(self.boundary),
-                "n_evals": self.n_evals,
-                "trace": [t.as_dict() for t in self.trace]}
-
 
 def _golden_max(f, lo: float, hi: float, tol_abs: float, budget: int):
-    """Golden-section maximization on [lo, hi]; returns (x, converged)."""
+    """Golden-section maximization on [lo, hi]; returns (x, converged).
+
+    Not ``_nelder_mead``, whose clipped reflections fold a 1-d simplex
+    onto a bound: on detuning (-0.1, 2.0), Exponential(0.5), Gamma = 2,
+    it stops after 7 evaluations at -0.1 (p_ab 0.794913), where this
+    finds 2.4e-5 (0.8) in 23."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)

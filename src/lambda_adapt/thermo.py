@@ -14,8 +14,9 @@ stretch of the trajectory: int p_e is p_ab / gamma_b, stored by
 integrate_psi, and the work integral is ``drive_overlap_integral``.  The
 work integral is only blessed as thermodynamic work on resonance
 (delta_L = 0); off resonance the drive also shuffles dispersive energy
-that this bookkeeping does not track, so work_absorbed refuses and the
-raw quadrature stays available as drive_energy_flux for optimization.
+that this bookkeeping does not track, so work_absorbed raises
+ParameterError and the raw quadrature stays available as
+drive_energy_flux for optimization.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicableError, NumericalConsistencyError
+from .errors import NumericalConsistencyError, ParameterError
 from .dynamics import (AmplitudeTrajectory, _cumulative_quadrature, _drive,
                        _drive_nodes, p_ab_infty)
 from .model import InitialMixture, LambdaSystem, PulseSpec
@@ -50,7 +51,8 @@ class ThermoLedger:
 
     ``de_sys`` is the energy the system holds at t_max; ``p_ab_infty`` is
     the long-time transfer ``dynamics.p_ab_infty``, which counts the
-    decay of the p_e(t_max) still excited.
+    decay of the p_e(t_max) still excited.  ``residual`` is W - Q -
+    de_sys, ``adaptation_residual`` that of ``adaptation_work_check``.
     """
 
     w_abs: float
@@ -59,6 +61,7 @@ class ThermoLedger:
     residual: float
     w_over_hw: float
     p_ab_infty: float
+    adaptation_residual: float
 
 
 def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
@@ -113,12 +116,12 @@ def work_absorbed(traj: AmplitudeTrajectory, pulse: PulseSpec,
 
     Raises
     ------
-    NotApplicableError
+    ParameterError
         If the pulse is off resonance; the drive quadrature then mixes
         dispersive energy exchange into the would-be work.
     """
     if not is_resonant(pulse, system):
-        raise NotApplicableError(
+        raise ParameterError(
             "work ledger requires a resonant drive; "
             f"delta_L = {pulse.detuning(system):.3g}"
         )
@@ -134,13 +137,15 @@ def heat_dissipated(traj: AmplitudeTrajectory, system: LambdaSystem) -> float:
     probability Gamma int p_e is (Gamma / gamma_b) p_ab(T), from the
     one quadrature of p_e the trajectory stores.
     """
-    emitted = system.gamma_total / system.gamma_b * traj.p_ab_final()
-    return system.omega_a * emitted - system.delta_ab * traj.p_ab_final()
+    p_ab = float(traj.p_ab[-1])
+    return (system.omega_a * (system.gamma_total / system.gamma_b * p_ab)
+            - system.delta_ab * p_ab)
 
 
 def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
                   system: LambdaSystem) -> ThermoLedger:
-    """Close the first law for a resonant run started in |a>.
+    """Close the first law for a resonant run started in |a>, and report
+    (not judge) the adaptation-work residual.
 
     Raises
     ------
@@ -157,7 +162,7 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
     w_abs = work_absorbed(traj, pulse, system)
     q_diss = heat_dissipated(traj, system)
     p_e_end = float(traj.p_e[-1])
-    p_ab_end = traj.p_ab_final()
+    p_ab_end = float(traj.p_ab[-1])
     de_sys = system.omega_a * p_e_end + system.delta_ab * p_ab_end
     residual = w_abs - q_diss - de_sys
     bound = LEDGER_TOL * max(abs(w_abs), system.omega_a)
@@ -172,13 +177,15 @@ def energy_ledger(traj: AmplitudeTrajectory, pulse: PulseSpec,
         raise NumericalConsistencyError(
             f"dissipated heat came out negative ({q_diss:.3e})"
         )
+    p_inf = p_ab_infty(traj, system)
     return ThermoLedger(
         w_abs=w_abs,
         q_diss=q_diss,
         de_sys=de_sys,
         residual=residual,
         w_over_hw=w_abs / system.omega_a,
-        p_ab_infty=p_ab_infty(traj, system),
+        p_ab_infty=p_inf,
+        adaptation_residual=adaptation_work_check(system, p_inf, w_abs),
     )
 
 
@@ -202,7 +209,7 @@ def interaction_energy(traj: AmplitudeTrajectory, pulse: PulseSpec,
     psi^ and the drive f(t) = -g_a phi_shape(-t).
     """
     if t < 0 or t > traj.t_max * (1 + 1e-12):
-        raise NotApplicableError(f"t = {t} outside the integrated range")
+        raise ParameterError(f"t = {t} outside the integrated range")
     psi_hat = complex(traj.psi_hat_at(t))
     drive = complex(_drive(system, pulse, t))
     return -mixture.p_a0 * 2.0 * (psi_hat.conjugate() * drive).imag

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from lambda_adapt import dynamics, model
 from lambda_adapt.cli import main
-from lambda_adapt.config import load_config
+from lambda_adapt.config import OptimizeSpec, load_config
 from lambda_adapt.errors import (ConfigurationError, LambdaAdaptError,
                                  ParameterError)
-from lambda_adapt.model import Exponential, Gaussian, SimGrid
+from lambda_adapt.model import Exponential, Gaussian, LambdaSystem, SimGrid
+from lambda_adapt.optimize import SweepSpec
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 DEFAULT_LINES = DEFAULT_INI.read_text().splitlines()
@@ -162,7 +163,7 @@ class TestSections:
         assert cfg.grid is not None
         assert cfg.grid.t_max == 30.0
         assert cfg.grid.dt == pytest.approx(
-            0.005 / cfg.pulse.spectral_scale(), rel=1e-12)
+            0.005 / cfg.pulse.envelope.spectral_scale(), rel=1e-12)
 
     def test_auto_grid_when_absent(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
@@ -199,6 +200,22 @@ class TestSections:
         assert cfg.sweep.objective == "w_over_hw"
         assert cfg.optimize.budget == 123
         assert cfg.optimize.bounds["rate_ratio"] == (0.25, 4.0)
+
+    def test_absent_optional_keys_take_the_library_defaults(self, tmp_path):
+        cfg = load_config(write(tmp_path, MINIMAL + """
+            [sweep]
+            parameter = linewidth
+            lo = 0.01
+            hi = 4.0
+
+            [optimize]
+            parameters = detuning
+            detuning_lo = -0.5
+            detuning_hi = 0.5
+        """))
+        assert cfg.system == LambdaSystem(50.0)
+        assert cfg.sweep == SweepSpec("linewidth", 0.01, 4.0)
+        assert cfg.optimize == OptimizeSpec({"detuning": (-0.5, 0.5)})
 
 
 def _numbers(obj):

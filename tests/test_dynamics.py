@@ -230,7 +230,7 @@ class TestAsymptoticProbability:
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=3.0)
         _, _, traj = run(s, Exponential(2.0), t_max=80.0)
         want = asymptotic_prob_exponential(s, 2.0)
-        assert traj.p_ab_final() == pytest.approx(want, abs=1e-6)
+        assert float(traj.p_ab[-1]) == pytest.approx(want, abs=1e-6)
 
     def test_detuning_suppression(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)

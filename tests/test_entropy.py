@@ -212,7 +212,7 @@ class TestOverlapSeries:
         pulse = make_pulse(Gaussian(1.0), 1.0)
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=0.002))
         end = overlap_series(traj, pulse, s, traj.t_max)
-        p = traj.p_ab_final()
+        p = float(traj.p_ab[-1])
         # 1 - (Gamma / 2 gamma_b) p_ab(inf), here 1 - p_ab(inf)
         assert end.real == pytest.approx(1.0 - p, abs=1e-6)
         assert abs(end.imag) < 1e-12

@@ -1,5 +1,6 @@
 """Sweeps and derivative-free maximization of drive objectives."""
 
+import dataclasses
 import threading
 import warnings
 
@@ -17,6 +18,12 @@ from lambda_adapt.model import (FAMILIES, MAX_GRID_NODES, Exponential,
 from lambda_adapt.optimize import (CONVERGENCE_REL, LINEWIDTH_FLOOR,
                                    SweepSpec, _evaluate, apply_parameters,
                                    maximize, sweep)
+
+
+def columns(points):
+    """A sweep's grid values and objectives, as two arrays."""
+    return (np.array([p.value for p in points]),
+            np.array([p.objective for p in points]))
 
 
 @pytest.fixture()
@@ -83,11 +90,11 @@ class TestObjective:
         pulse = make_pulse(Exponential(linewidth), system.omega_a)
         sys_r, pulse_r = apply_parameters(system, pulse,
                                           {"rate_ratio": ratio})
-        result = sweep(SweepSpec("detuning", -0.5, 0.5, n_points=5),
-                       sys_r, pulse_r)
+        values, obj = columns(sweep(
+            SweepSpec("detuning", -0.5, 0.5, n_points=5), sys_r, pulse_r))
         want = [asymptotic_prob_exponential(sys_r, linewidth, d)
-                for d in result.values()]
-        assert np.max(np.abs(result.objectives() - want)) <= 1e-6
+                for d in values]
+        assert np.max(np.abs(obj - want)) <= 1e-6
 
     @pytest.mark.parametrize("envelope, detuning, dt", [
         # the default grid's 0.005 / spectral scale, broadband or
@@ -108,7 +115,7 @@ class TestObjective:
 
         monkeypatch.setattr(optimize, "integrate_psi", spy)
         _evaluate(system, pulse, "p_ab_infty")
-        t_max = pulse.settle_time() + 10.0 / system.gamma_total
+        t_max = pulse.envelope.settle_time() + 10.0 / system.gamma_total
         assert grids == [SimGrid.auto(system, pulse, t_max=t_max)]
         assert grids[0].dt == pytest.approx(dt, rel=1e-12)
 
@@ -156,10 +163,21 @@ class TestOverflow:
         s, pulse = overflowed(1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
+            points = sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
                            s, pulse)
-        assert all("out of range" in pt.error for pt in result.points)
-        assert np.all(np.isnan(result.objectives()))
+        assert all("out of range" in pt.error for pt in points)
+        assert np.all(np.isnan(columns(points)[1]))
+
+    def test_underflowed_maximum_gives_every_point_one_verdict(self):
+        # gamma_b = 1 against gamma_a = 1e300 puts p_max at 4e-300, below
+        # the quadrature noise of p_ab(inf) (about 1e-30, of either sign):
+        # every point lies in the range, whatever the sign of its noise
+        s, pulse = overflowed(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            points = sweep(SweepSpec("linewidth", 0.01, 4.0), s, pulse)
+        assert [pt.error for pt in points] == [None] * 21
+        assert np.max(np.abs(columns(points)[1])) <= 1e-12
 
     def test_maximize_raises(self):
         s, pulse = overflowed(1e300)
@@ -172,30 +190,26 @@ class TestOverflow:
 class TestSweep:
     def test_linewidth_monotone_for_exponential(self, system, pulse):
         spec = SweepSpec("linewidth", 0.05, 4.0, n_points=9)
-        result = sweep(spec, system, pulse)
-        obj = result.objectives()
+        values, obj = columns(sweep(spec, system, pulse))
         assert np.all(np.diff(obj) < 0.0)
-        want = [asymptotic_prob_exponential(system, w)
-                for w in result.values()]
+        want = [asymptotic_prob_exponential(system, w) for w in values]
         assert np.max(np.abs(obj - want)) < 1e-4
 
     def test_detuning_curve_is_even(self, system, pulse):
         spec = SweepSpec("detuning", -3.0, 3.0, n_points=7)
-        obj = sweep(spec, system, pulse).objectives()
+        obj = columns(sweep(spec, system, pulse))[1]
         assert np.allclose(obj, obj[::-1], atol=1e-6)
         assert np.argmax(obj) == 3
 
     def test_rate_ratio_peaks_at_one(self, system, pulse):
         spec = SweepSpec("rate_ratio", 0.25, 4.0, n_points=16)
-        result = sweep(spec, system, pulse)
-        values = result.values()
-        obj = result.objectives()
+        values, obj = columns(sweep(spec, system, pulse))
         k = int(np.argmax(obj))
         assert abs(values[k] - 1.0) <= (values[1] - values[0])
 
     def test_family_covers_all_three(self, system, pulse):
         spec = SweepSpec("family", 0.5, 2.0, n_points=3)
-        points = sweep(spec, system, pulse).points
+        points = sweep(spec, system, pulse)
         assert len(points) == 9
         assert {p.family for p in points} == {"exponential", "gaussian",
                                               "rectangular"}
@@ -205,12 +219,12 @@ class TestSweep:
         # a detuned carrier of any family is kept for all three
         pulse = make_pulse(Rectangular(0.7), system.omega_a + 0.2)
         family = sweep(SweepSpec("family", 0.5, 2.0, n_points=3), system,
-                       pulse).points
+                       pulse)
         points = ()
         for envelope in (Exponential(1.0), Gaussian(1.0), Rectangular(1.0)):
             p = make_pulse(envelope, pulse.carrier)
             points += sweep(SweepSpec("linewidth", 0.5, 2.0, n_points=3),
-                            system, p).points
+                            system, p)
         assert family == points
 
     def test_failed_point_is_annotated(self, pulse):
@@ -219,11 +233,11 @@ class TestSweep:
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         p = make_pulse(Exponential(1.0), 1.0)
         spec = SweepSpec("detuning", -2.0, 2.0, n_points=5)
-        result = sweep(spec, s, p)
-        errs = [pt for pt in result.points if pt.error]
+        points = sweep(spec, s, p)
+        errs = [pt for pt in points if pt.error]
         assert errs
         assert all(np.isnan(pt.objective) for pt in errs)
-        good = [pt for pt in result.points if not pt.error]
+        good = [pt for pt in points if not pt.error]
         assert all(np.isfinite(pt.objective) for pt in good)
 
     def test_points_run_once_in_grid_order_on_the_calling_thread(
@@ -238,10 +252,10 @@ class TestSweep:
         monkeypatch.setattr(optimize, "_evaluate", objective)
         here = threading.get_ident()
         spec = SweepSpec("detuning", -1.0, 1.0, n_points=5)
-        result = sweep(spec, system, pulse)
+        points = sweep(spec, system, pulse)
         assert calls == [(here, system, pulse.envelope, system.omega_a + d,
                           "p_ab_infty") for d in spec.grid()]
-        assert list(result.objectives()) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [p.objective for p in points] == [1.0, 2.0, 3.0, 4.0, 5.0]
         calls.clear()
         spec = SweepSpec("family", 0.5, 2.0, n_points=3,
                          objective="w_over_hw")
@@ -284,8 +298,7 @@ class TestMaximize:
         bounds = {"detuning": (-1.0, 1.0)}
         r1 = maximize(system, pulse, bounds, budget=40)
         r2 = maximize(system, pulse, bounds, budget=40)
-        assert [t.as_dict() for t in r1.trace] == \
-            [t.as_dict() for t in r2.trace]
+        assert dataclasses.asdict(r1) == dataclasses.asdict(r2)
         for entry in r1.trace:
             assert -1.0 <= entry.params["detuning"] <= 1.0
 

@@ -154,7 +154,7 @@ class TestDiscretizePulse:
         # and samples (1 + r) / (1 - r) = 1.52 of it, r = 0.208
         def weight(linewidth):
             pulse = make_pulse(Exponential(linewidth), 50.0)
-            raw = pulse.spectrum(small_bath.offsets()) \
+            raw = pulse.envelope.spectrum(small_bath.offsets()) \
                 * math.sqrt(small_bath.spacing) / (2.0 * math.pi)
             return float(np.sum(np.abs(raw) ** 2))
 

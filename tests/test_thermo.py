@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lambda_adapt import thermo
 from lambda_adapt.dynamics import integrate_psi, psi_closed_form
-from lambda_adapt.errors import NotApplicableError, NumericalConsistencyError
+from lambda_adapt.errors import NumericalConsistencyError, ParameterError
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
@@ -35,7 +35,7 @@ class TestWork:
     def test_off_resonance_refused(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Exponential(1.0), detuning=0.5)
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(ParameterError):
             work_absorbed(traj, pulse, s)
 
     @pytest.mark.parametrize("detuning", [0.0, 0.8, -2.0])
@@ -45,7 +45,7 @@ class TestWork:
         s = LambdaSystem(omega_a=30.0, gamma_a=1.0, gamma_b=2.0)
         pulse, traj = run(s, Exponential(1.5), detuning=detuning, t_max=40.0)
         flux = drive_energy_flux(traj, pulse, s)
-        want = (s.gamma_total / s.gamma_b) * traj.p_ab_final()
+        want = (s.gamma_total / s.gamma_b) * float(traj.p_ab[-1])
         # both sides are fourth-order quadratures (measured: 1e-12;
         # plain trapezoids left 7e-7)
         assert flux == pytest.approx(want, abs=1e-10)
@@ -94,7 +94,9 @@ class TestLedger:
         pulse, traj = run(s, Exponential(1.0))
         d = dataclasses.asdict(energy_ledger(traj, pulse, s))
         assert set(d) == {"w_abs", "q_diss", "de_sys", "residual",
-                          "w_over_hw", "p_ab_infty"}
+                          "w_over_hw", "p_ab_infty", "adaptation_residual"}
+        assert d["adaptation_residual"] == adaptation_work_check(
+            s, d["p_ab_infty"], d["w_abs"])
         assert d["w_over_hw"] == pytest.approx(
             d["w_abs"] / s.omega_a, rel=1e-15)
 
@@ -158,7 +160,7 @@ class TestInteractionEnergy:
         psi = psi_closed_form(s, pulse, ts)
         drive = (pulse.shape_at(-ts)
                  * np.exp(-1j * detuning * ts))
-        g_a = s.coupling("a")
+        g_a = np.sqrt(s.gamma_a / (2.0 * np.pi))
         want = 2.0 * g_a * np.imag(np.conj(psi) * drive)
         got = np.array([interaction_energy(traj, pulse, s, mix, float(t))
                         for t in ts])
@@ -169,6 +171,6 @@ class TestInteractionEnergy:
     def test_time_window_enforced(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Gaussian(1.0))
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(ParameterError):
             interaction_energy(traj, pulse, s, InitialMixture.pure_a(),
                                traj.t_max * 2.0)

@@ -1,4 +1,4 @@
-"""Every command on the default config and seven edits of it.
+"""Every command on the default config and eight edits of it.
 
     python3 tools/command_matrix.py OUT
 
@@ -14,8 +14,10 @@ raised, the exception.  Two trees made from two checkouts compare with
 The edits cover what the benchmark's seeded workloads never run: a
 family sweep, the exponential and rectangular families (the latter
 detuned), a split ground state with a mixed start, p_a0 = 0, a
-one-parameter optimize and unequal decay rates, where a coupling
-factor put on the wrong branch would show.
+one-parameter optimize, unequal decay rates, where a coupling factor
+put on the wrong branch would show, and a config without its optional
+[system], [sweep] and [optimize] keys, which take the defaults of
+``LambdaSystem``, ``SweepSpec`` and ``OptimizeSpec``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ EDITS = {
     "optimize_detuning": {"optimize": {"parameters": "detuning",
                                        "budget": "40"}},
     "unequal_rates": {"system": {"gamma_b": "1.6"}},
+    "defaults": {"system": {"delta_ab": None, "gamma_a": None,
+                            "gamma_b": None},
+                 "sweep": {"n_points": None, "objective": None},
+                 "optimize": {"objective": None, "budget": None}},
 }
 
 
