@@ -4,8 +4,11 @@ Every subcommand reads one INI config (see config.py), writes artifacts
 into --out, and returns a contract exit code: 0 success, 2 configuration
 or parameter error, 3 numerical-consistency failure, 4 oracle
 disagreement.  All numerics are deterministic (fixed-step quadratures
-and the oracle's secular-equation eigensolver), so identical configs and
-package versions produce bit-identical artifacts.  The optional [grid]
+and the oracle's secular-equation eigensolver), so the bits of every
+artifact are a function of the config, the package version, the
+numpy/BLAS build and the BLAS thread count; the thread count moves the
+last digits of oracle-verify's numbers, through the summation order of
+its BLAS products.  The optional [grid]
 section of a config sets the trajectory grid's t_max and dt; a key left
 out takes SimGrid.auto's default.  --points must be at least 1 on every
 subcommand; simulate reads it as a stride bound (up to N + 1 rows),

@@ -312,16 +312,6 @@ class InitialMixture:
                 f"mixture weights must be a distribution, got ({self.p_a0}, {self.p_b0})"
             )
 
-    @classmethod
-    def pure_a(cls):
-        return cls(1.0, 0.0)
-
-    @classmethod
-    def spontaneous(cls, system: LambdaSystem):
-        """Mixture left by spontaneous emission from |e>: p_k = Gamma_k / Gamma."""
-        g = system.gamma_total
-        return cls(system.gamma_a / g, system.gamma_b / g)
-
 
 # Largest number of steps a trajectory may have; 2e7 complex samples with
 # their companion arrays already take gigabytes.  The same cap bounds the

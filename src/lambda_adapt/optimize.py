@@ -30,9 +30,10 @@ from .thermo import drive_energy_flux
 PARAMETERS = ("linewidth", "detuning", "rate_ratio", "family")
 OBJECTIVES = ("p_ab_infty", "w_over_hw")
 
-# Relative convergence target for both search methods: the parameter
-# interval (golden section) or simplex diameter (Nelder-Mead) must fall
-# below this fraction of the initial search range.
+# Relative convergence target of the search: it stops once the simplex,
+# on the sine-mapped coordinates v, is no wider than 2 CONVERGENCE_REL in
+# any v, which bounds its width in each parameter by this fraction of
+# the parameter's range (|dx/dv| <= (hi - lo) / 2).
 CONVERGENCE_REL = 1e-4
 
 # Floor of maximize's linewidth bounds, in units of the total decay rate.
@@ -231,50 +232,21 @@ class MaximizeResult:
     trace: tuple[TraceEntry, ...]
 
 
-def _golden_max(f, lo: float, hi: float, tol_abs: float, budget: int):
-    """Golden-section maximization on [lo, hi]; returns (x, converged).
-
-    Not ``_nelder_mead``, whose clipped reflections fold a 1-d simplex
-    onto a bound: on detuning (-0.1, 2.0), Exponential(0.5), Gamma = 2,
-    it stops after 7 evaluations at -0.1 (p_ab 0.794913), where this
-    finds 2.4e-5 (0.8) in 23."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
-    used = 2
-    while (b - a) > tol_abs and used < budget:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
-        used += 1
-    x = 0.5 * (a + b)
-    return x, (b - a) <= tol_abs
-
-
 class _BudgetSpent(Exception):
     """The evaluation budget ran out inside a Nelder-Mead step."""
 
 
 def _nelder_mead(f, simplex: np.ndarray, xatol: float, budget: int):
-    """Minimize f over the unit box from the given initial simplex.
+    """Minimize f over R^d from the given initial simplex.
 
-    Returns (x, converged).  The steps are those of scipy's bounded
-    Nelder-Mead (``minimize(method="Nelder-Mead")`` with bounds [0, 1],
-    ``fatol=inf``, ``maxfev=budget``, ``adaptive=False``), evaluation
-    for evaluation: reflection 1, expansion 2, contraction and shrink
-    1/2; the reflected, expanded and outside-contracted points clipped
-    to the box, which the inside contraction and the shrink, as convex
-    combinations, never leave; the budget checked before every
-    evaluation; the simplex reordered by ``np.argsort`` after each step.
-    It stops once no vertex is more than xatol from the best in any
-    coordinate; converged means it stopped with budget to spare.
+    Returns (x, converged).  The steps are those of scipy's unbounded
+    Nelder-Mead (``minimize(method="Nelder-Mead")`` with ``fatol=inf``,
+    ``maxfev=budget``, ``adaptive=False``), evaluation for evaluation:
+    reflection 1, expansion 2, contraction and shrink 1/2; the budget
+    checked before every evaluation; the simplex reordered by
+    ``np.argsort`` after each step.  It stops once no vertex is more
+    than xatol from the best in any coordinate; converged means it
+    stopped with budget to spare.
     """
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
@@ -303,17 +275,17 @@ def _nelder_mead(f, simplex: np.ndarray, xatol: float, budget: int):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         try:
-            xr = np.clip(2 * xbar - sim[-1], 0.0, 1.0)
+            xr = 2 * xbar - sim[-1]
             fxr = call(xr)
             if fxr < fsim[0]:
-                xe = np.clip(3 * xbar - 2 * sim[-1], 0.0, 1.0)
+                xe = 3 * xbar - 2 * sim[-1]
                 fxe = call(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
-                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], 0.0, 1.0)
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
                     fxc = call(xc)
                     keep = fxc <= fxr
                 else:
@@ -337,11 +309,17 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
              objective="p_ab_infty", *, budget: int = 500) -> MaximizeResult:
     """Maximize the objective over 1 to 3 drive parameters within bounds.
 
-    One parameter uses golden-section search; two or three use a
-    Nelder-Mead simplex on the unit-normalized box.  Both stop when the
-    bracket or simplex shrinks below 1e-4 of the initial range.  The
-    search never evaluates outside the declared bounds, and every
-    evaluation is recorded in the trace.
+    One search serves any count: the Nelder-Mead simplex of
+    ``_nelder_mead`` on unbounded coordinates v, each parameter mapped
+    into its box as x = lo + (hi - lo)(1 + sin v) / 2 (MINUIT's
+    transform for bounded parameters; James & Roos, Comput. Phys.
+    Commun. 10, 343 (1975)).  Every v maps into the box, bounds included,
+    so the simplex never folds onto a face, and the search evaluates
+    nowhere else.  It starts from the box center, v = 0, with one
+    vertex per parameter at x = lo + 0.8 (hi - lo), and stops once the
+    simplex is no wider than 2 CONVERGENCE_REL in any v, at most
+    CONVERGENCE_REL of each range in x.  Every evaluation is recorded in
+    the trace.
 
     The linewidth lower bound is clamped at LINEWIDTH_FLOOR times the
     total decay rate: the narrowband optimum is a limit, not an interior
@@ -366,48 +344,37 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
         if not lo < hi:
             raise ParameterError(
                 f"invalid bounds for {name}: [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ParameterError(
+                f"{name} bounds span hi - lo overflows, got [{lo}, {hi}]")
         box[name] = (lo, hi)
 
     fn = _resolve_objective(objective)
     trace: list[TraceEntry] = []
+    los = np.array([box[n][0] for n in names])
+    his = np.array([box[n][1] for n in names])
+    span = his - los
 
-    def eval_at(params: dict) -> float:
+    def at(v: np.ndarray) -> dict:
+        # each side measured from its nearer bound, so that rounding
+        # never leaves the box
+        s = np.sin(v)
+        x = np.where(s <= 0.0, los + span * ((1.0 + s) / 2.0),
+                     his - span * ((1.0 - s) / 2.0))
+        return {n: float(xi) for n, xi in zip(names, x)}
+
+    def neg(v: np.ndarray) -> float:
+        params = at(v)
         sys_p, pulse_p = apply_parameters(system, pulse, params)
         val = float(fn(sys_p, pulse_p))
-        trace.append(TraceEntry(params=dict(params), value=val))
-        return val
+        trace.append(TraceEntry(params=params, value=val))
+        return -val
 
-    if len(names) == 1:
-        name = names[0]
-        lo, hi = box[name]
-        tol_abs = CONVERGENCE_REL * (hi - lo)
-        x, converged = _golden_max(lambda v: eval_at({name: v}),
-                                   lo, hi, tol_abs, budget)
-        best = {name: x}
-        value = eval_at(best)
-    else:
-        los = np.array([box[n][0] for n in names])
-        his = np.array([box[n][1] for n in names])
-        span = his - los
-
-        def from_unit(u: np.ndarray) -> dict:
-            u = np.clip(u, 0.0, 1.0)
-            return {n: float(v) for n, v in zip(names, los + span * u)}
-
-        def neg(u: np.ndarray) -> float:
-            return -eval_at(from_unit(u))
-
-        d = len(names)
-        center = np.full(d, 0.5)
-        simplex = [center]
-        for i in range(d):
-            vertex = center.copy()
-            vertex[i] = 0.8
-            simplex.append(vertex)
-        x, converged = _nelder_mead(neg, np.array(simplex), CONVERGENCE_REL,
-                                    budget)
-        best = from_unit(x)
-        value = eval_at(best)
+    d = len(names)
+    simplex = np.vstack([np.zeros(d), math.asin(0.6) * np.eye(d)])
+    v, converged = _nelder_mead(neg, simplex, 2.0 * CONVERGENCE_REL, budget)
+    best = at(v)
+    value = -neg(v)
 
     edge_tol = 10.0 * CONVERGENCE_REL
     boundary = tuple(

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,6 +20,10 @@ from lambda_adapt.config import _WIDTH_KEY, load_config
 from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
 from lambda_adapt.model import LambdaSystem
 from lambda_adapt.oracle import _folded_eigh
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DEFAULT_INI = ROOT / "configs" / "default.ini"
 
 BASE = """[system]
 omega_a = 50.0
@@ -386,8 +393,7 @@ dt = 0.005
     def test_nan_ledger_is_numerical_error(self, tmp_path, capsys):
         # gamma_a = 1e300 overflows the work quadrature to NaN, and with it
         # the ledger's bound: a NaN residual must fail the check, not pass
-        default = (Path(__file__).parent.parent / "configs"
-                   / "default.ini").read_text()
+        default = DEFAULT_INI.read_text()
         cfg = write(tmp_path, default.replace("gamma_a = 1.0",
                                               "gamma_a = 1e300"))
         out = tmp_path / "o"
@@ -402,8 +408,7 @@ dt = 0.005
         # off resonance no ledger check runs, and the overflowing flux of
         # gamma_a = 1e300 comes out NaN: a bare NaN is not JSON, so the
         # artifact is refused, not written
-        default = (Path(__file__).parent.parent / "configs"
-                   / "default.ini").read_text()
+        default = DEFAULT_INI.read_text()
         cfg = write(tmp_path, default.replace("gamma_a = 1.0",
                                               "gamma_a = 1e300")
                     .replace("delta_l = 0.0", "delta_l = 0.4"))
@@ -427,8 +432,7 @@ dt = 0.005
     ])
     def test_failed_command_writes_no_artifact(self, tmp_path, command,
                                                edit):
-        text = (Path(__file__).parent.parent / "configs"
-                / "default.ini").read_text()
+        text = DEFAULT_INI.read_text()
         for old, new in {"gamma_a = 1.0": "gamma_a = 1e300", **edit}.items():
             text = text.replace(old, new)
         out = tmp_path / "o"
@@ -645,6 +649,44 @@ class TestOracleVerifyCommand:
         assert (out1 / "verify.json").read_bytes() == \
             (out2 / "verify.json").read_bytes()
 
+    def test_blas_thread_count_moves_only_the_last_digits(self, tmp_path):
+        # the oracle's BLAS products sum in an order that depends on the
+        # thread count, so the bits of verify.json do too; every number
+        # agrees to 1e-12 relative (1e-14 absolute for residues near 0)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        docs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from lambda_adapt.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "oracle-verify", "--config", str(DEFAULT_INI),
+                 "--out", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                capture_output=True)
+            docs.append(json.loads((out / "verify.json").read_text()))
+
+        def numbers(doc, path=""):
+            if isinstance(doc, dict):
+                for key, value in doc.items():
+                    yield from numbers(value, f"{path}/{key}")
+            elif isinstance(doc, list):
+                for i, value in enumerate(doc):
+                    yield from numbers(value, f"{path}/{i}")
+            elif isinstance(doc, (int, float)) and \
+                    not isinstance(doc, bool):
+                yield path, doc
+
+        one, two = (dict(numbers(doc)) for doc in docs)
+        assert one.keys() == two.keys()
+        assert one
+        for key, a in one.items():
+            b = two[key]
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)) + 1e-14, key
+
     def test_coarse_bath_is_config_error(self, tmp_path):
         cfg = write(tmp_path, """[system]
 omega_a = 50.0
@@ -673,12 +715,12 @@ n_modes = 101
         assert "aliases onto its copy" in err
         assert "Traceback" not in err
 
-    # main() answers any oracle-verify config with a contract exit code and
-    # never raises: widths from 1e-9 to 1e-2 (narrowband pulses alias,
-    # short ones overflow the window) or 0.1 to 10, combs too coarse for
-    # check_against (101 and 401 modes over 40 Gamma) and the 801-mode
-    # one, detuned and shifted lines.  No comb above 801 modes, so every
-    # example is cheap.
+    # main() answers any oracle-verify config with a contract exit code,
+    # never raises and writes finite numbers only: widths from 1e-9 to
+    # 1e-2 (narrowband pulses alias, short ones overflow the window) or
+    # 0.1 to 10, combs too coarse for check_against (101 and 401 modes
+    # over 40 Gamma) and the 801-mode one, detuned and shifted lines.  No
+    # comb above 801 modes, so every example is cheap.
     @settings(max_examples=25, deadline=None)
     @given(family=st.sampled_from(["exponential", "gaussian", "rectangular"]),
            log_width=st.one_of(st.floats(-9.0, -2.0), st.floats(-1.0, 1.0)),
@@ -686,7 +728,7 @@ n_modes = 101
            delta_l=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
            delta_ab=st.sampled_from([0.0, 0.2, -1.5]))
     def test_main_returns_an_exit_code(self, family, log_width, n_modes,
-                                       delta_l, delta_ab):
+                                       delta_l, delta_ab, strict_artifacts):
         text = f"""[system]
 omega_a = 50.0
 delta_ab = {delta_ab!r}
@@ -707,5 +749,6 @@ n_modes = {n_modes}
             path.write_text(text)
             rc = main(["oracle-verify", "--config", str(path),
                        "--out", str(Path(tmp) / "out")])
+            strict_artifacts(Path(tmp) / "out")
         event(f"exit {rc}")
         assert rc in (0, 2, 3, 4)

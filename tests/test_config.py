@@ -296,8 +296,9 @@ class TestMutatedDefaultConfig:
             return
         assert all(math.isfinite(x) for x in _numbers(grid))
 
-    # the whole command: main() answers with a contract exit code and
-    # never raises.  simulate and entropy-curve only, and no trajectory
+    # the whole command: main() answers with a contract exit code, never
+    # raises and writes finite numbers only.  simulate and entropy-curve
+    # only, and no trajectory
     # above 2e5 steps (refused with exit 2 instead), so every example
     # stays cheap; sweep, optimize and oracle-verify run many
     # trajectories or the 2001-mode oracle per config (oracle-verify has
@@ -307,7 +308,8 @@ class TestMutatedDefaultConfig:
                                                   "entropy-curve"]))
     # a carrier detuning whose transient step count overflows to inf
     @example(edits=[(VALUE_LINES[6], "1e308")], command="simulate")
-    def test_main_returns_an_exit_code(self, edits, command):
+    def test_main_returns_an_exit_code(self, edits, command,
+                                       strict_artifacts):
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as patch:
             for module in (model, dynamics):
@@ -316,6 +318,7 @@ class TestMutatedDefaultConfig:
             path.write_text(_mutated(edits))
             rc = main([command, "--config", str(path),
                        "--out", str(Path(tmp) / "out")])
+            strict_artifacts(Path(tmp) / "out")
         assert rc in (0, 2, 3, 4)
 
     # the same contract for sweep and optimize, from the shipped config
@@ -323,7 +326,8 @@ class TestMutatedDefaultConfig:
     @settings(max_examples=100, deadline=None)
     @given(edits=_SEARCH_EDITS, command=st.sampled_from(["sweep",
                                                          "optimize"]))
-    def test_search_commands_return_an_exit_code(self, edits, command):
+    def test_search_commands_return_an_exit_code(self, edits, command,
+                                                 strict_artifacts):
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as patch:
             for module in (model, dynamics):
@@ -332,4 +336,5 @@ class TestMutatedDefaultConfig:
             path.write_text(_mutated(_SMALL_COUNTS + edits))
             rc = main([command, "--config", str(path),
                        "--out", str(Path(tmp) / "out")])
+            strict_artifacts(Path(tmp) / "out")
         assert rc in (0, 2, 3, 4)

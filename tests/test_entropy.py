@@ -279,7 +279,7 @@ class TestEntropyCurve:
 
     def test_pure_a_start_has_no_classical_part(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        curve = entropy_curve(s, InitialMixture.pure_a(), n_points=50)
+        curve = entropy_curve(s, InitialMixture(1.0, 0.0), n_points=50)
         assert np.max(np.abs(curve.s_e_c)) < 1e-12
 
     def test_asymmetric_rates_cap_the_sweep(self):
@@ -347,7 +347,7 @@ class TestClassicalEntropy:
             pytest.approx(0.8)
 
     def test_clips_rounding_noise(self):
-        assert classical_entropy(0.4, InitialMixture.pure_a(),
+        assert classical_entropy(0.4, InitialMixture(1.0, 0.0),
                                  0.4 + 1e-15) == 0.0
 
     def test_arrays(self):

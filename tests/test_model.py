@@ -209,12 +209,6 @@ class TestInitialMixture:
         with pytest.raises(ParameterError):
             InitialMixture(1.5, -0.5)
 
-    def test_spontaneous_weights(self):
-        s = LambdaSystem(omega_a=1.0, gamma_a=3.0, gamma_b=1.0)
-        m = InitialMixture.spontaneous(s)
-        assert m.p_a0 == pytest.approx(0.75)
-        assert InitialMixture.pure_a().p_b0 == 0.0
-
 
 class TestSimGrid:
     def setup_method(self):

@@ -1,6 +1,7 @@
 """Sweeps and derivative-free maximization of drive objectives."""
 
 import dataclasses
+import math
 import threading
 import warnings
 
@@ -290,7 +291,7 @@ class TestMaximize:
                           budget=60)
         assert "linewidth" in result.boundary
         assert min(t.params["linewidth"] for t in result.trace) >= floor
-        # golden section stops within CONVERGENCE_REL of the range
+        # the search stops within CONVERGENCE_REL of the range
         assert result.params["linewidth"] <= floor + CONVERGENCE_REL * 2.0
 
     def test_trace_respects_bounds_and_reruns_identically(self, system,
@@ -301,6 +302,17 @@ class TestMaximize:
         assert dataclasses.asdict(r1) == dataclasses.asdict(r2)
         for entry in r1.trace:
             assert -1.0 <= entry.params["detuning"] <= 1.0
+
+    def test_optimum_near_a_face_is_found_inside(self, system):
+        # rate_ratio's optimum of 1 lies 1/16 of the range above its lower
+        # face: a simplex whose reflections are clipped onto the box folds
+        # onto that face and stops at p_ab 0.790123
+        pulse = make_pulse(Exponential(0.5), system.omega_a)
+        result = maximize(system, pulse, {"detuning": (-0.1, 2.0),
+                                          "rate_ratio": (0.8, 4.0)})
+        assert result.converged
+        assert result.boundary == ()
+        assert f"{result.value:.6f}" == "0.800000"
 
     def test_two_parameters_recover_resonant_balanced(self, system):
         # keep the pulse moderately wide so each evaluation stays cheap
@@ -339,13 +351,85 @@ class TestMaximize:
                 maximize(system, pulse, {"detuning": (-1.0, 1.0)},
                          budget=budget)
 
+        def never(sys_, pulse_):
+            raise AssertionError("evaluated before the bounds were checked")
 
-def unit_simplex(d):
-    """The initial simplex ``maximize`` builds: the box center, then one
-    vertex per axis moved to 0.8."""
-    return np.vstack([np.full(d, 0.5)]
-                     + [np.where(np.arange(d) == i, 0.8, 0.5)
-                        for i in range(d)])
+        with pytest.raises(ParameterError, match="detuning.*overflows"):
+            maximize(system, pulse, {"rate_ratio": (0.5, 2.0),
+                                     "detuning": (-1e308, 1e308)},
+                     objective=never)
+
+
+def box_optimum(system, bounds, base_linewidth):
+    """The largest p_ab(inf) over the box, for an exponential pulse of
+    ``base_linewidth``, resonant, and ``system``'s equal rates (rate
+    ratio 1), where the box does not move them.
+
+    p_ab(inf) = 4 gamma_a gamma_b (Gamma + Delta)
+    / (Gamma ((Gamma + Delta)^2 + 4 delta^2)) is a factor
+    r / (1 + r)^2 in the rate ratio r, which peaks at 1, times a factor
+    in (Delta, delta) that falls with |delta| at any linewidth Delta and,
+    at fixed delta, peaks where Gamma + Delta = 2 |delta|."""
+    gamma = system.gamma_total
+    lo, hi = bounds.get("rate_ratio", (1.0, 1.0))
+    r = min(max(1.0, lo), hi)
+    lo, hi = bounds.get("detuning", (0.0, 0.0))
+    delta = min(max(0.0, lo), hi)
+    lo, hi = bounds.get("linewidth", (base_linewidth, base_linewidth))
+    lo = max(lo, LINEWIDTH_FLOOR * gamma)
+    width = min(max(2.0 * abs(delta) - gamma, lo), hi)
+    best = dataclasses.replace(system, gamma_a=gamma / (1.0 + r),
+                               gamma_b=gamma * r / (1.0 + r))
+    return asymptotic_prob_exponential(best, width, delta)
+
+
+@st.composite
+def boxes(draw):
+    """Bounds on 1 to 3 of linewidth, detuning and rate_ratio; linewidth
+    boxes may reach below the floor, detuning boxes may exclude 0 and
+    rate_ratio boxes may exclude 1, so optima lie inside, on faces and in
+    corners."""
+    names = draw(st.lists(st.sampled_from(("linewidth", "detuning",
+                                           "rate_ratio")),
+                          min_size=1, max_size=3, unique=True))
+    bounds = {}
+    for name in names:
+        if name == "linewidth":
+            lo = draw(st.floats(-3.5, 0.3))
+            bounds[name] = (10.0 ** lo, 10.0 ** (max(lo, -2.6)
+                                                 + draw(st.floats(0.1, 2.0))))
+        elif name == "detuning":
+            lo = draw(st.floats(-2.0, 2.0))
+            bounds[name] = (lo, lo + draw(st.floats(0.05, 3.0)))
+        else:
+            lo = draw(st.floats(-2.0, 2.0))
+            bounds[name] = (math.exp(lo),
+                            math.exp(lo + draw(st.floats(0.1, 3.0))))
+    return bounds
+
+
+class TestBoxOptimum:
+    @settings(max_examples=30, deadline=None)
+    @given(bounds=boxes())
+    def test_finds_the_closed_form_optimum_inside_the_box(self, bounds):
+        system = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        pulse = make_pulse(Exponential(0.5), system.omega_a)
+        result = maximize(system, pulse, bounds)
+        assert result.converged
+        assert abs(result.value - box_optimum(system, bounds, 0.5)) <= 1e-6
+        floor = LINEWIDTH_FLOOR * system.gamma_total
+        for entry in result.trace:
+            for name, (lo, hi) in bounds.items():
+                if name == "linewidth":
+                    lo = max(lo, floor)
+                assert lo <= entry.params[name] <= hi
+
+
+def start_simplex(d):
+    """The initial simplex ``maximize`` builds on the sine-mapped
+    coordinates: the box center, v = 0, then one vertex per axis moved to
+    asin(0.6), which maps to 0.8 of the range."""
+    return np.vstack([np.zeros(d), math.asin(0.6) * np.eye(d)])
 
 
 def rosenbrock(x):
@@ -354,12 +438,12 @@ def rosenbrock(x):
 
 
 class TestNelderMead:
-    """The numpy port takes scipy's bounded Nelder-Mead steps exactly."""
+    """The numpy port takes scipy's unbounded Nelder-Mead steps exactly."""
 
     @pytest.mark.parametrize("budget", [7, 30, 500])
     @pytest.mark.parametrize("f, d", [
         (lambda x: float((x[0] - 0.31) ** 2 + 2.0 * (x[1] - 0.67) ** 2), 2),
-        (lambda x: float(-x[0] - 2.0 * x[1]), 2),    # optimum in a corner
+        (lambda x: float(-x[0] - 2.0 * x[1]), 2),    # unbounded below
         (rosenbrock, 2),
         (lambda x: float(np.sum((x - [0.2, 0.9, 0.45]) ** 2)), 3),
         (lambda x: 1.0, 2),
@@ -377,10 +461,9 @@ class TestNelderMead:
 
         ours, theirs = [], []
         x, converged = optimize._nelder_mead(
-            recorder(ours), unit_simplex(d), CONVERGENCE_REL, budget)
-        res = minimize(recorder(theirs), np.full(d, 0.5),
-                       method="Nelder-Mead", bounds=[(0.0, 1.0)] * d,
-                       options={"initial_simplex": unit_simplex(d),
+            recorder(ours), start_simplex(d), CONVERGENCE_REL, budget)
+        res = minimize(recorder(theirs), np.zeros(d), method="Nelder-Mead",
+                       options={"initial_simplex": start_simplex(d),
                                 "xatol": CONVERGENCE_REL,
                                 "fatol": float("inf"), "maxfev": budget,
                                 "adaptive": False})

@@ -155,7 +155,7 @@ class TestInteractionEnergy:
         detuning = 0.3
         pulse = make_pulse(Exponential(1e-3), s.omega_a + detuning)
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=10.0))
-        mix = InitialMixture.pure_a()
+        mix = InitialMixture(1.0, 0.0)
         ts = (traj.times[:-1] + 0.37 * np.diff(traj.times))[::97]
         psi = psi_closed_form(s, pulse, ts)
         drive = (pulse.shape_at(-ts)
@@ -172,5 +172,5 @@ class TestInteractionEnergy:
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Gaussian(1.0))
         with pytest.raises(ParameterError):
-            interaction_energy(traj, pulse, s, InitialMixture.pure_a(),
+            interaction_energy(traj, pulse, s, InitialMixture(1.0, 0.0),
                                traj.t_max * 2.0)

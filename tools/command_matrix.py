@@ -1,4 +1,4 @@
-"""Every command on the default config and eight edits of it.
+"""Every command on the default config and ten edits of it.
 
     python3 tools/command_matrix.py OUT
 
@@ -15,9 +15,13 @@ The edits cover what the benchmark's seeded workloads never run: a
 family sweep, the exponential and rectangular families (the latter
 detuned), a split ground state with a mixed start, p_a0 = 0, a
 one-parameter optimize, unequal decay rates, where a coupling factor
-put on the wrong branch would show, and a config without its optional
+put on the wrong branch would show, a config without its optional
 [system], [sweep] and [optimize] keys, which take the defaults of
-``LambdaSystem``, ``SweepSpec`` and ``OptimizeSpec``.
+``LambdaSystem``, ``SweepSpec`` and ``OptimizeSpec``, a two-parameter
+optimize whose box puts the rate_ratio optimum of 1 near its lower face
+(a search that folds onto that face stops at p_ab 0.790123, against
+0.800000 inside), and a three-parameter optimize over linewidth,
+detuning and rate_ratio together.
 """
 
 from __future__ import annotations
@@ -54,6 +58,17 @@ EDITS = {
                             "gamma_b": None},
                  "sweep": {"n_points": None, "objective": None},
                  "optimize": {"objective": None, "budget": None}},
+    "optimize_face": {"pulse": {"family": "exponential", "sigma": None,
+                                "delta": "0.5"},
+                      "optimize": {"detuning_lo": "-0.1",
+                                   "detuning_hi": "2.0",
+                                   "rate_ratio_lo": "0.8"}},
+    "optimize_three": {"pulse": {"family": "exponential", "sigma": None,
+                                 "delta": "0.5"},
+                       "optimize": {"parameters":
+                                    "linewidth, detuning, rate_ratio",
+                                    "linewidth_lo": "0.1",
+                                    "linewidth_hi": "2.0"}},
 }
 
 
