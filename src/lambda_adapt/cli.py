@@ -16,8 +16,12 @@ sweep and entropy-curve as a point count, and the others ignore it.
 
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
 version, command).  A command builds every artifact's text before it
-writes any, each via a temporary name and atomic rename, so a failed
-command leaves no artifact and readers never see a half-written one.
+writes any, except entropy-curve, which computes, formats and appends
+its one table a block of points at a time so that its memory does not
+grow with --points.  Each artifact goes to a temporary name, removed if
+the command fails while writing it, and is renamed into place
+atomically, so a failed command leaves no artifact and readers never
+see a half-written one.
 Every float in a CSV is Python's shortest round-trip ``repr`` of the
 double, so ``float(field)`` returns the exact value that was computed.
 """
@@ -25,8 +29,11 @@ double, so ``float(field)`` returns the exact value that was computed.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -48,17 +55,30 @@ from .optimize import maximize, sweep
 from .oracle import compare
 from .thermo import drive_energy_flux, energy_ledger, is_resonant
 
-# glibc's malloc serves a block above its mmap threshold (128 kB at
-# start) with a fresh mapping, which faults on first touch and is
-# unmapped on free; the trajectory arrays of a command are above it.
-# Freeing one mapped block raises the threshold to that block's size and
-# the trim threshold to twice it (mallopt(3)), so later arrays up to
-# 1 MB reuse heap pages.  Importing scipy used to do this as a side
-# effect; without it a narrowband batch (bench/) took 27k page faults
-# instead of 7k and ran about 9 % slower (2-vCPU x86 VM).  A larger
-# block also keeps the oracle's blocks of V on the heap, at 8 MB more
-# peak memory.  Elsewhere this is one untouched allocation.
-np.empty(1 << 20, dtype=np.uint8)
+# glibc's malloc serves a block at or above its mmap threshold with a
+# fresh mapping, which faults on first touch and is unmapped on free;
+# smaller blocks reuse heap pages, and the top of the heap goes back to
+# the system once more than the trim threshold of it is free.  Both are
+# fixed here (mallopt(3)), at 1 MiB and 2 MiB:
+# - at glibc's starting threshold, 128 kB, a command's trajectory arrays
+#   would be fresh mappings: a narrowband batch (bench/) took 27k page
+#   faults instead of 7k and ran about 9 % slower (2-vCPU x86 VM);
+# - a threshold left to glibc rises to the size of each mapped block
+#   freed (up to 32 MB), so what a command keeps resident depends on the
+#   commands run before it: after two 801-mode oracle-verify runs free
+#   their 7.7 MB states, a 2001-mode run's scratch came from the heap
+#   and stayed resident, and the run peaked at 67.8 MB max RSS instead
+#   of 63.6 MB.  A threshold set explicitly is never raised.
+# Where the C library has no mallopt, nothing is set.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    pass
+else:
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt.restype = ctypes.c_int
+    _mallopt(-3, 1 << 20)       # M_MMAP_THRESHOLD
+    _mallopt(-1, 2 << 20)       # M_TRIM_THRESHOLD
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,13 +87,26 @@ EXIT_ORACLE = 4
 
 BACKWARD_LEAK_TOL = 1e-12
 ADAPTATION_TOL = 1e-6
+# points of entropy_curve.csv computed and formatted at a time: the
+# command's working set stays under 1 MB whatever --points is
+CURVE_BLOCK = 4096
 
 
 def _write_all(out: Path, texts: dict):
-    """Write each artifact ``name: text`` via a temporary name."""
+    """Write each artifact ``name: text`` via a temporary name.
+
+    A text may also be an iterable of strings, appended one by one; if
+    it raises, the temporary file is removed and nothing is renamed.
+    """
     for name, text in texts.items():
-        (out / f"{name}.tmp").write_text(text)
-        os.replace(out / f"{name}.tmp", out / name)
+        tmp = out / f"{name}.tmp"
+        try:
+            with tmp.open("w") as f:
+                f.writelines([text] if isinstance(text, str) else text)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        os.replace(tmp, out / name)
 
 
 def _meta(command: str, cfg: RunConfig, **extra) -> dict:
@@ -163,13 +196,15 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
     spec = cfg.sweep
     if points is not None:
         spec = dataclasses.replace(spec, n_points=points)
-    body = "".join(",".join(map(_fmt, (p.value, p.family, p.objective,
-                                       p.error or ""))) + "\n"
-                   for p in sweep(spec, cfg.system, cfg.pulse))
+    # quoted as csv.writer does, so an error message may hold commas
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(
+        map(_fmt, (p.value, p.family, p.objective, p.error or ""))
+        for p in sweep(spec, cfg.system, cfg.pulse))
     _write_all(out, {"sweep.csv": _csv_text(
         _meta("sweep", cfg, parameter=spec.parameter,
               objective=spec.objective, n_points=spec.n_points),
-        ["value", "family", "objective", "error"], body)})
+        ["value", "family", "objective", "error"], body.getvalue())})
     return EXIT_OK
 
 
@@ -191,12 +226,17 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
     n_points = points or 200
-    curve = entropy_curve(cfg.system, cfg.mixture, n_points=n_points)
-    _write_all(out, {"entropy_curve.csv": _csv_text(
-        _meta("entropy-curve", cfg, n_points=n_points,
-              p_a0=cfg.mixture.p_a0),
-        ["p_ab_infty", "s_e", "s_e_c"],
-        _float_table(curve.n_b, curve.s_e, curve.s_e_c))})
+
+    def text():
+        yield _csv_text(_meta("entropy-curve", cfg, n_points=n_points,
+                              p_a0=cfg.mixture.p_a0),
+                        ["p_ab_infty", "s_e", "s_e_c"], "")
+        for start in range(0, n_points, CURVE_BLOCK):
+            curve = entropy_curve(cfg.system, cfg.mixture, n_points, start,
+                                  start + CURVE_BLOCK)
+            yield _float_table(curve.n_b, curve.s_e, curve.s_e_c)
+
+    _write_all(out, {"entropy_curve.csv": text()})
     return EXIT_OK
 
 

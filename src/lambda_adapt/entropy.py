@@ -12,7 +12,8 @@ The overlap needs no field on a z-grid: after the pulse it follows from
 p_ab(inf) alone (``asymptotic_spectrum``), and at finite times from one
 cumulative quadrature of the drive against the amplitude along a
 trajectory (``overlap_series``).  The entropy curve is the asymptotic
-spectrum on a grid of p_ab(inf) values, built in one vectorized pass.
+spectrum on a grid of p_ab(inf) values, built in one vectorized pass or
+in blocks of it.
 """
 
 from __future__ import annotations
@@ -242,19 +243,31 @@ def asymptotic_spectrum(system: LambdaSystem, mixture: InitialMixture,
 
 
 def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
-                  n_points: int = 200) -> EnvSpectrum:
+                  n_points: int = 200, start: int = 0,
+                  stop: int | None = None) -> EnvSpectrum:
     """S_E and S_E^c versus the long-time transfer probability.
 
     ``asymptotic_spectrum`` on n_points values of p_ab(inf), its ``n_b``,
-    evenly spaced from 0 to the family maximum 4 gamma_a gamma_b /
-    Gamma^2 (= 1 only for gamma_a = gamma_b).
+    evenly spaced from 0 to the family maximum p_max = 4 gamma_a gamma_b
+    / Gamma^2 (= 1 only for gamma_a = gamma_b): value i is i (p_max /
+    (n_points - 1)), the last p_max, as ``np.linspace(0, p_max,
+    n_points)`` forms them.  ``start`` and ``stop`` slice the values (all
+    of them by default), so that a long curve can be built in blocks;
+    each value's numbers do not depend on the block it is built in.
     """
     if not 2 <= n_points <= MAX_GRID_NODES:
         raise ParameterError(
             f"n_points must be >= 2 and <= MAX_GRID_NODES = "
             f"{MAX_GRID_NODES:.3g}, got {n_points}")
-    return asymptotic_spectrum(system, mixture,
-                               np.linspace(0.0, _p_max(system), n_points))
+    p_max = _p_max(system)
+    rows = range(n_points)[start:stop]
+    i = np.arange(rows.start, rows.stop, dtype=float)
+    step = p_max / (n_points - 1)
+    # np.linspace's product, and its quotient where the step underflows
+    p = i * step if step else i / (n_points - 1) * p_max
+    if rows and rows[-1] == n_points - 1:
+        p[-1] = p_max
+    return asymptotic_spectrum(system, mixture, p)
 
 
 def heat_to_pab(system: LambdaSystem, q_diss: float) -> float:

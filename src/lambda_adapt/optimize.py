@@ -239,8 +239,9 @@ class _BudgetSpent(Exception):
 def _nelder_mead(f, simplex: np.ndarray, xatol: float, budget: int):
     """Minimize f over R^d from the given initial simplex.
 
-    Returns (x, converged).  The steps are those of scipy's unbounded
-    Nelder-Mead (``minimize(method="Nelder-Mead")`` with ``fatol=inf``,
+    Returns (x, f(x), converged) for the best vertex x.  The steps are
+    those of scipy's unbounded Nelder-Mead
+    (``minimize(method="Nelder-Mead")`` with ``fatol=inf``,
     ``maxfev=budget``, ``adaptive=False``), evaluation for evaluation:
     reflection 1, expansion 2, contraction and shrink 1/2; the budget
     checked before every evaluation; the simplex reordered by
@@ -301,7 +302,7 @@ def _nelder_mead(f, simplex: np.ndarray, xatol: float, budget: int):
         except _BudgetSpent:
             pass
         sim, fsim = sort()
-    return sim[0], calls < budget
+    return sim[0], fsim[0], calls < budget
 
 
 def maximize(system: LambdaSystem, pulse: PulseSpec,
@@ -319,7 +320,8 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     vertex per parameter at x = lo + 0.8 (hi - lo), and stops once the
     simplex is no wider than 2 CONVERGENCE_REL in any v, at most
     CONVERGENCE_REL of each range in x.  Every evaluation is recorded in
-    the trace.
+    the trace, once: the best value comes back with its vertex and is not
+    evaluated again, so ``n_evals`` never exceeds the budget.
 
     The linewidth lower bound is clamped at LINEWIDTH_FLOOR times the
     total decay rate: the narrowband optimum is a limit, not an interior
@@ -372,15 +374,15 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
 
     d = len(names)
     simplex = np.vstack([np.zeros(d), math.asin(0.6) * np.eye(d)])
-    v, converged = _nelder_mead(neg, simplex, 2.0 * CONVERGENCE_REL, budget)
+    v, f_v, converged = _nelder_mead(neg, simplex, 2.0 * CONVERGENCE_REL,
+                                     budget)
     best = at(v)
-    value = -neg(v)
 
     edge_tol = 10.0 * CONVERGENCE_REL
     boundary = tuple(
         n for n in names
         if best[n] - box[n][0] <= edge_tol * (box[n][1] - box[n][0])
         or box[n][1] - best[n] <= edge_tol * (box[n][1] - box[n][0]))
-    return MaximizeResult(params=best, value=value, converged=converged,
+    return MaximizeResult(params=best, value=-float(f_v), converged=converged,
                           boundary=boundary, n_evals=len(trace),
                           trace=tuple(trace))

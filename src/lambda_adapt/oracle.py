@@ -31,9 +31,10 @@ A run's working set is its snapshot array and little more: ``evolve``
 accumulates the eigenvector products inside that array and unfolds them
 there, and its passes over the snapshots, like ``measure_series``, reuse
 one scratch block of a few rows.  At 2001 modes and 301 snapshots the
-snapshots take 18.4 MiB and a cold ``evolve`` peaks 12.4 MiB above them,
-``measure_series`` 1.1 MiB above the run it reads (tracemalloc); at 7643
-modes and 401 snapshots, 93.5 MiB and 40.5 MiB above.
+snapshots take 18.4 MiB and a cold ``evolve`` peaks 8.2 MiB above them,
+``measure_series`` 1.1 MiB above the run it reads (tracemalloc); at 5385
+modes and 401 snapshots, 65.9 MiB, 21.8 MiB and 2.4 MiB; at 7643 modes
+and 401 snapshots, 93.5 MiB, 30.1 MiB and 3.1 MiB.
 """
 
 from __future__ import annotations
@@ -261,11 +262,12 @@ class OracleRun:
 
 # roots per block of the decomposition's O(n^2) passes (``_secular_roots``,
 # ``_spokes``), whose temporaries are _SOLVE x n doubles: 1 MB at 2001
-# modes, inside a 2 MB L2; roots per block of the bright pass, whose three
+# modes, inside a 2 MB L2; roots per block of the bright pass, whose two
 # slabs are _BRIGHT x (c + 1) doubles; snapshots per block of the passes
 # over a run's states, whose one scratch block is _ROWS x 2n complex, and
-# of the phase tables, which take cos and sin once per _ROWS snapshots;
-# and the secular solver's step cap
+# of the phase tables, which take cos and sin once per _ROWS snapshots
+# and are formed that many snapshots at a time; and the secular solver's
+# step cap
 _SOLVE = 64
 _BRIGHT = 256
 _ROWS = 16
@@ -522,11 +524,16 @@ def _phases(t: np.ndarray, freqs: np.ndarray, out: np.ndarray,
     801-mode comb (max|f t| = 300) takes 0.55-0.8 ms, against 2.7-4.1 ms
     for cos and sin of every entry (2-core x86 VM).
     """
-    bases = np.empty((-(-t.size // _ROWS), freqs.size), dtype=complex)
-    _trig(t[::_ROWS], freqs, bases)
-    for q, base in enumerate(bases):
+    for q, base in enumerate(_phase_bases(t, freqs)):
         block = out[q * _ROWS:(q + 1) * _ROWS]
         np.multiply(base, steps[:len(block)], out=block)
+
+
+def _phase_bases(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The bases of ``_phases``: e^{-i f_j t_{qR}} at every _ROWS-th time."""
+    bases = np.empty((-(-t.size // _ROWS), freqs.size), dtype=complex)
+    _trig(t[::_ROWS], freqs, bases)
+    return bases
 
 
 def _mirrored_phases(t: np.ndarray, d: np.ndarray, out: np.ndarray,
@@ -540,7 +547,7 @@ def _mirrored_phases(t: np.ndarray, d: np.ndarray, out: np.ndarray,
 
 
 def _mirror_rows(arrow: _Arrowhead, r0: int, r1: int, b0: np.ndarray,
-                 sums: np.ndarray, diffs: np.ndarray, down: np.ndarray):
+                 sums: np.ndarray, diffs: np.ndarray):
     """Mirror sums and differences of the Cauchy vectors of the positive
     roots r0 .. r1 - 1 of a folded arrowhead, unnormalized.
 
@@ -548,24 +555,29 @@ def _mirror_rows(arrow: _Arrowhead, r0: int, r1: int, b0: np.ndarray,
     d_{c+j}) and down_j = g^_{c+j} / (lam_i + d_{c+j}), the entry of pole
     c - j (whose spoke is the same), each gap taken from the root's own
     pole (``_pole_gaps``).  Row i of V^T is [1, down_c .. down_1, up_0 ..
-    up_c] / N_i, N_i^2 = 1 + sum up^2 + sum_{j >= 1} down^2.  Writes S =
-    up + down to ``sums`` and D = up - down to ``diffs``, with D[:, 0] = 2
-    for |e> (up_0 = down_0 is pole c); ``down`` is scratch, and all three
-    are (r1 - r0, c + 1).  Returns the projections [1, up, down] . b0 of
-    the unnormalized rows on the columns of b0, (n + 1, k), and N^2.
+    up_c] / N_i, N_i^2 = 1 + sum up^2 + sum_{j >= 1} down^2.  Up goes to
+    ``sums`` and down to ``diffs``, both (r1 - r0, c + 1), which then
+    take S = up + down and D = up - down in place, _ROWS rows at a time
+    through one scratch block, with D[:, 0] = 2 for |e> (up_0 = down_0
+    is pole c).  Returns the projections [1, up, down] . b0 of the
+    unnormalized rows on the columns of b0, (n + 1, k), and N^2.
     """
     d, c = arrow.d, arrow.d.size // 2
     origin, tau = d[arrow.k[r0:r1]], arrow.tau[r0:r1]
     neg_spokes = -arrow.spokes_hat[c:]
     up = _pole_gaps(d[c:], origin, tau, out=sums)
     np.divide(neg_spokes, up, out=up)
-    _pole_gaps(d[c::-1], origin, tau, out=down)
+    down = _pole_gaps(d[c::-1], origin, tau, out=diffs)
     np.divide(neg_spokes, down, out=down)
     norm_sq = 1.0 + _row_dots(up) + _row_dots(down[:, 1:])
     proj = b0[0] + up @ b0[c + 1:] + down[:, 1:] @ b0[c:0:-1]
-    np.subtract(up, down, out=diffs)
+    scratch = np.empty((min(len(up), _ROWS), c + 1))
+    for i0 in range(0, len(up), _ROWS):
+        u, v = up[i0:i0 + _ROWS], down[i0:i0 + _ROWS]
+        diff = np.subtract(u, v, out=scratch[:len(u)])
+        u += v
+        v[:] = diff
     diffs[:, 0] = 2.0
-    up += down
     return proj, norm_sq
 
 
@@ -615,7 +627,10 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     root goes on its coefficients.  Each block is applied as two GEMMs of
     half the width: with F the forward-phased and G the mirrored
     coefficients, X = (F - G) on S and Y = (F + G) on D give bright_j =
-    X_j + Y_j and bright_{n-1-j} = X_j - Y_j (and |e> from Y).  X and Y
+    X_j + Y_j and bright_{n-1-j} = X_j - Y_j (and |e> from Y).  F and G
+    are formed _ROWS snapshots at a time from ``_phases``' bases and
+    steps, once for X and once for Y, straight into the GEMMs' real
+    operand, so no complex table of a block is ever whole.  X and Y
     accumulate inside the states array: the |e> and a-mode columns of a
     snapshot hold 2 (n + 1) = 4 (c + 1) doubles, four real bands Re X,
     Im X, Re Y and Im Y of c + 1 each.  Each block runs its GEMMs on the
@@ -636,10 +651,12 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     snapshots, a cold run takes about 0.17-0.22 s and a warm one
     (decomposition cached) 0.10-0.12 s; on 801 modes, a cold run takes
     0.05-0.06 s; on 7643 modes with 401 snapshots, 1.9 s (2-core x86 VM).
-    Beyond its states (18.4 MiB) the cold 2001-mode run peaks 12.4 MiB
-    higher (tracemalloc): the bright pass's three (_BRIGHT, c + 1) slabs
-    take 6 MiB of that, and the decomposition's (_SOLVE, n) temporaries
-    1 MiB each.
+    Beyond its states (18.4 MiB) the cold 2001-mode run peaks 8.2 MiB
+    higher (tracemalloc): the bright pass's two (_BRIGHT, c + 1) slabs
+    take 3.9 MiB of that, its (n_out, c + 1) accumulation buffer 2.3 MiB,
+    its real GEMM operand 1.2 MiB, and the decomposition's (_SOLVE, n)
+    temporaries 1 MiB each; at 5385 modes and 401 snapshots, 21.8 MiB
+    above 65.9 MiB.
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -689,38 +706,44 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     bands = np.split(packed, 4, axis=1)
     part = np.empty((n_out, c + 1))
     width = min(_BRIGHT, c + 1)
-    sums, diffs, down = np.empty((3, width, c + 1))
+    sums, diffs = np.empty((2, width, c + 1))
     lhs = np.empty((2, n_out, width))
-    fwd_buf, mir_buf = np.empty((2, n_out, width), dtype=complex)
+    fwd_buf, mir_buf = np.empty((2, min(n_out, _ROWS), width), dtype=complex)
     for r0 in range(c + 1, n + 1, _BRIGHT):
         r1 = min(r0 + _BRIGHT, n + 1)
         m = r1 - r0
-        proj, norm_sq = _mirror_rows(arrow, r0, r1, b0, sums[:m],
-                                     diffs[:m], down[:m])
+        proj, norm_sq = _mirror_rows(arrow, r0, r1, b0, sums[:m], diffs[:m])
         # F = e^{-i lam t} v.b0 and G = e^{i lam t} v.S b0 for the
         # normalized rows v = u / N: 1 / N^2 goes on the coefficients,
         # and a half, as the mirror sums and differences below are not
         # halved (|e>, which has no mirror, is doubled instead)
         w0 = proj * (0.5 / norm_sq)[:, None]
-        fwd, mir = fwd_buf[:, :m], mir_buf[:, :m]
+        w_fwd, w_mir = w0[:, 0] + 1j * w0[:, 1], w0[:, 2] + 1j * w0[:, 3]
         evals = arrow.evals[r0:r1]
-        _phases(t_out, evals, fwd, _phase_steps(t_out, evals))
-        np.conjugate(fwd, out=mir)
-        fwd *= w0[:, 0] + 1j * w0[:, 1]
-        mir *= w0[:, 2] + 1j * w0[:, 3]
+        bases, steps = _phase_bases(t_out, evals), _phase_steps(t_out, evals)
         # X = (F - G) on the sums, Y = (F + G) on the differences, the
-        # real and the imaginary half each into its own band
+        # real and the imaginary half each into its own band; F and G
+        # are formed _ROWS snapshots at a time, for X and again for Y,
+        # straight into lhs
         for op, rhs, acc in ((np.subtract, sums, bands[:2]),
                              (np.add, diffs, bands[2:])):
-            op(fwd.real, mir.real, out=lhs[0, :, :m])
-            op(fwd.imag, mir.imag, out=lhs[1, :, :m])
+            for q, base in enumerate(bases):
+                rows = slice(q * _ROWS, (q + 1) * _ROWS)
+                fwd = fwd_buf[:len(t_out[rows]), :m]
+                mir = mir_buf[:len(fwd), :m]
+                np.multiply(base, steps[:len(fwd)], out=fwd)
+                np.conjugate(fwd, out=mir)
+                fwd *= w_fwd
+                mir *= w_mir
+                op(fwd.real, mir.real, out=lhs[0, rows, :m])
+                op(fwd.imag, mir.imag, out=lhs[1, rows, :m])
             for half, band in zip(lhs, acc):
                 if r0 == c + 1:
                     np.matmul(half[:, :m], rhs[:m], out=band)
                 else:
                     np.matmul(half[:, :m], rhs[:m], out=part)
                     band += part
-    del part, sums, diffs, down, lhs, fwd_buf, mir_buf
+    del part, sums, diffs, lhs, fwd_buf, mir_buf
 
     # each block of snapshots unfolds its bands, turns (bright, dark) into
     # (a, b) in place and sums its norms, every step in the same scratch:

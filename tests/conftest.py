@@ -1,5 +1,6 @@
 """A check shared by the command-level properties of several test files."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -29,21 +30,19 @@ def check_artifacts(out: Path) -> None:
             for line in path.read_text().splitlines():
                 json.loads(line, parse_constant=_refuse)
         elif path.suffix == ".csv":
-            meta, header, *rows = path.read_text().splitlines()
+            meta, *lines = path.read_text().splitlines()
             assert meta.startswith("#")
             json.loads(meta[1:], parse_constant=_refuse)
-            columns = header.split(",")
-            for row in rows:
-                # the last column (a sweep's error message) may hold commas
-                fields = row.split(",", len(columns) - 1)
-                assert len(fields) == len(columns), (path, row)
+            columns, *rows = csv.reader(lines)
+            for fields in rows:
+                assert len(fields) == len(columns), (path, fields)
                 failed = columns[-1] == "error" and fields[-1] != ""
                 for name, field in zip(columns, fields):
                     if name in TEXT_COLUMNS:
                         continue
                     value = float(field)
                     assert math.isfinite(value) or (
-                        failed and name == "objective"), (path, row)
+                        failed and name == "objective"), (path, fields)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 """End-to-end runs of the command line entry point (in process)."""
 
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from lambda_adapt import cli, oracle
 from lambda_adapt.cli import _float_table, _fmt, main
 from lambda_adapt.config import _WIDTH_KEY, load_config
 from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
+from lambda_adapt.entropy import entropy_curve
+from lambda_adapt.errors import NumericalConsistencyError
 from lambda_adapt.model import LambdaSystem
 from lambda_adapt.oracle import _folded_eigh
 
@@ -512,6 +516,30 @@ n_points = 3
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "sweep.csv").exists()
 
+    def test_error_with_commas_stays_in_its_field(self, tmp_path):
+        # carriers at or below 0 fail with "... positive and finite, got
+        # -1.0": the field is quoted, and the rows without an error are
+        # not
+        cfg = write(tmp_path, BASE.replace("omega_a = 50.0", "omega_a = 1.0")
+                    + """
+[sweep]
+parameter = detuning
+lo = -2.0
+hi = 2.0
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()[1:]
+        header, *rows = csv.reader(lines)
+        assert header == ["value", "family", "objective", "error"]
+        assert len(rows) == 21
+        assert all(len(row) == 4 for row in rows)
+        failed = [row for row in rows if row[3]]
+        assert failed and all("," in row[3] and row[2] == "nan"
+                              for row in failed)
+        assert all(line.count(",") == 3 and '"' not in line
+                   for line, row in zip(lines[1:], rows) if not row[3])
+
 
 class TestOptimizeCommand:
     def test_artifacts(self, tmp_path):
@@ -563,6 +591,53 @@ class TestEntropyCurveCommand:
                      "--out", str(out2), "--points", "2"]) == 0
         assert (out1 / "entropy_curve.csv").read_bytes() == \
             (out2 / "entropy_curve.csv").read_bytes()
+
+    def test_blocks_join_into_the_one_pass_table(self, tmp_path):
+        # three blocks of points, the last one short
+        cfg = write(tmp_path, BASE)
+        n = 2 * cli.CURVE_BLOCK + 5
+        out = tmp_path / "o"
+        assert main(["entropy-curve", "--config", str(cfg),
+                     "--out", str(out), "--points", str(n)]) == 0
+        c = load_config(cfg)
+        curve = entropy_curve(c.system, c.mixture, n_points=n)
+        body = (out / "entropy_curve.csv").read_text().split("\n", 2)[2]
+        assert body == _float_table(curve.n_b, curve.s_e, curve.s_e_c)
+
+    def test_failed_block_leaves_no_file(self, tmp_path, monkeypatch):
+        whole = cli.entropy_curve
+
+        def fail_late(system, mixture, n_points, start, stop):
+            if start > 0:
+                raise NumericalConsistencyError("second block")
+            return whole(system, mixture, n_points, start, stop)
+
+        monkeypatch.setattr(cli, "entropy_curve", fail_late)
+        cfg = write(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["entropy-curve", "--config", str(cfg), "--out",
+                     str(out), "--points", str(cli.CURVE_BLOCK + 1)]) == 3
+        assert list(out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_points(self, tmp_path):
+        # the curve is computed, formatted and written a block at a time,
+        # so the peak (about 1.5 MB) moves only with the length of a
+        # block's text, which the digits of its values set (+2 % at 2e5
+        # points); one more column of 1.8e5 doubles would add 1.4 MB
+        cfg = write(tmp_path, BASE)
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                assert main(["entropy-curve", "--config", str(cfg),
+                             "--out", str(tmp_path / str(points)),
+                             "--points", str(points)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20_000)    # builds the formatter's tables
+        assert peak(200_000) <= peak(20_000) + 2 ** 16
 
 
 def json_numbers(doc):

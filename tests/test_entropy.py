@@ -326,6 +326,24 @@ class TestEntropyCurve:
             assert abs(curve.s_e[k] - one.s_e) <= 4 * eps
             assert abs(curve.s_e_c[k] - one.s_e_c) <= 4 * eps
 
+    @pytest.mark.parametrize("gamma_a, gamma_b, n_points", [
+        (1.0, 1.0, 200), (3.0, 1.0, 4097), (1.0, 0.6, 20001),
+        (1e-300, 1e20, 100_000),    # p_max / (n - 1) underflows to 0
+    ])
+    def test_grid_is_linspace_in_any_block(self, gamma_a, gamma_b,
+                                           n_points):
+        s = LambdaSystem(omega_a=1.0, gamma_a=gamma_a, gamma_b=gamma_b)
+        mix = InitialMixture(0.5, 0.5)
+        curve = entropy_curve(s, mix, n_points=n_points)
+        grid = np.linspace(0.0, entropy._p_max(s), n_points)
+        assert curve.n_b.tobytes() == grid.tobytes()
+        cut = n_points // 3
+        parts = [entropy_curve(s, mix, n_points, 0, cut),
+                 entropy_curve(s, mix, n_points, cut)]
+        for name in ("n_b", "s_e", "s_e_c"):
+            joined = np.concatenate([getattr(p, name) for p in parts])
+            assert joined.tobytes() == getattr(curve, name).tobytes()
+
     def test_curve_builds_one_spectrum(self, monkeypatch):
         calls = []
         build = EnvSpectrum.from_branches

@@ -303,6 +303,29 @@ class TestMaximize:
         for entry in r1.trace:
             assert -1.0 <= entry.params["detuning"] <= 1.0
 
+    def test_spent_budget_counts_each_evaluation_once(self, system, pulse):
+        # the best vertex comes back with its value: nothing is evaluated
+        # after the search, so a spent budget of k reports k evaluations,
+        # one trace entry each, and the last entry is the search's own
+        calls = []
+
+        def bump(sys_, pulse_):
+            calls.append(pulse_.carrier - sys_.omega_a)
+            d = calls[-1] - 0.3
+            return 1.0 / (1.0 + d * d)
+
+        for budget in (1, 2, 20):
+            calls.clear()
+            result = maximize(system, pulse, {"detuning": (-1.0, 2.0)},
+                              objective=bump, budget=budget)
+            assert not result.converged
+            assert result.n_evals == len(result.trace) == len(calls) \
+                == budget
+            *earlier, last = result.trace
+            assert last not in earlier
+            best = max(result.trace, key=lambda e: e.value)
+            assert (result.params, result.value) == (best.params, best.value)
+
     def test_optimum_near_a_face_is_found_inside(self, system):
         # rate_ratio's optimum of 1 lies 1/16 of the range above its lower
         # face: a simplex whose reflections are clipped onto the box folds
@@ -460,7 +483,7 @@ class TestNelderMead:
             return wrapped
 
         ours, theirs = [], []
-        x, converged = optimize._nelder_mead(
+        x, fx, converged = optimize._nelder_mead(
             recorder(ours), start_simplex(d), CONVERGENCE_REL, budget)
         res = minimize(recorder(theirs), np.zeros(d), method="Nelder-Mead",
                        options={"initial_simplex": start_simplex(d),
@@ -470,4 +493,5 @@ class TestNelderMead:
         assert len(ours) == len(theirs) <= budget
         assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
         assert np.array_equal(x, res.x)
+        assert fx == res.fun
         assert converged == bool(res.success)

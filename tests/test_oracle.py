@@ -378,7 +378,7 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         mib = 2 ** 20
-        assert evolve_peak < run.states.nbytes + 14 * mib
+        assert evolve_peak < run.states.nbytes + 9 * mib
         assert measure_added <= 4 * mib
 
     def test_large_bath_evolves(self, system):
@@ -674,9 +674,8 @@ def assert_mirror_block(arrow, r0, r1):
     c = n // 2
     m = r1 - r0
     b0 = np.random.default_rng(5).normal(size=(n + 1, 4)) / math.sqrt(n)
-    sums, diffs, down = np.empty((3, m, c + 1))
-    proj, norm_sq = oracle._mirror_rows(arrow, r0, r1, b0, sums, diffs,
-                                        down)
+    sums, diffs = np.empty((2, m, c + 1))
+    proj, norm_sq = oracle._mirror_rows(arrow, r0, r1, b0, sums, diffs)
     vt = vt_rows(arrow, r0, r1)
     up, dn = vt[:, c + 1:], vt[:, c + 1:0:-1]
     ref_diffs = up - dn
