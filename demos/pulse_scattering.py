@@ -32,7 +32,8 @@ def main():
     pulse = make_pulse(Exponential(0.8), s.omega_a)
     traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))
     exact = psi_closed_form(s, pulse, traj.times)
-    print(f"max |psi_num - psi_exact| = {np.max(np.abs(traj.psi - exact)):.2e}")
+    err = np.max(np.abs(traj.psi_nodes() - exact))
+    print(f"max |psi_num - psi_exact| = {err:.2e}")
 
     print("\n-- approach to the monochromatic limit --")
     print(f"{'Delta/Gamma':>12s} {'p_ab(inf)':>10s} {'formula':>10s}")

@@ -3,12 +3,15 @@
 Every subcommand reads one INI config (see config.py), writes artifacts
 into --out, and returns a contract exit code: 0 success, 2 configuration
 or parameter error, 3 numerical-consistency failure, 4 oracle
-disagreement.  All numerics are deterministic (fixed-step quadratures
-and the oracle's secular-equation eigensolver), so the bits of every
-artifact are a function of the config, the package version, the
-numpy/BLAS build and the BLAS thread count; the thread count moves the
-last digits of oracle-verify's numbers, through the summation order of
-its BLAS products.  The optional [grid]
+disagreement.  A command runs with numpy's overflow and invalid-value
+errors raised, so a run that overflows stops at the first such
+operation and exits 3 with one line on stderr, not a warning.  All
+numerics are deterministic (fixed-step quadratures and the oracle's
+secular-equation eigensolver), so the bits of every artifact are a
+function of the config, the package version, the numpy/BLAS build and
+the BLAS thread count; the thread count moves the last digits of
+oracle-verify's numbers, through the summation order of its BLAS
+products.  The optional [grid]
 section of a config sets the trajectory grid's t_max and dt; a key left
 out takes SimGrid.auto's default.  --points must be at least 1 on every
 subcommand; simulate reads it as a stride bound (up to N + 1 rows),
@@ -47,8 +50,7 @@ from .config import RunConfig, load_config
 from .dynamics import integrate_psi, p_ab_infty
 from .entropy import asymptotic_spectrum, entropy_curve
 from .errors import (ConfigurationError, LambdaAdaptError,
-                     NumericalConsistencyError, ParameterError,
-                     UnsupportedEnvelopeError)
+                     NumericalConsistencyError)
 from .floattext import csv_text
 from .model import SimGrid
 from .optimize import maximize, sweep
@@ -126,18 +128,10 @@ def _csv_text(meta: dict, header: list[str], body: str) -> str:
 def _float_table(*columns) -> str:
     """CSV rows of a table of float columns, each ended by a newline.
 
-    Each field is the value's ``repr``, what ``_fmt`` writes for a
+    Each field is the value's ``repr``, what ``csv.writer`` writes for a
     float, formatted for the whole table at once (see floattext).
     """
     return csv_text(np.column_stack(columns))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
 
 
 def _json_text(name: str, doc: dict, indent: int | None = 2) -> str:
@@ -196,10 +190,11 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
     spec = cfg.sweep
     if points is not None:
         spec = dataclasses.replace(spec, n_points=points)
-    # quoted as csv.writer does, so an error message may hold commas
+    # csv.writer writes a float as its repr and quotes a field that holds
+    # a comma, as an error message may
     body = io.StringIO()
     csv.writer(body, lineterminator="\n").writerows(
-        map(_fmt, (p.value, p.family, p.objective, p.error or ""))
+        (p.value, p.family, p.objective, p.error or "")
         for p in sweep(spec, cfg.system, cfg.pulse))
     _write_all(out, {"sweep.csv": _csv_text(
         _meta("sweep", cfg, parameter=spec.parameter,
@@ -326,27 +321,24 @@ def main(argv=None) -> int:
         command = args.command
         if command == "figure2":
             command = "entropy-curve"
-        if command == "simulate":
-            return cmd_simulate(cfg, out, args.points)
-        if command == "sweep":
-            return cmd_sweep(cfg, out, args.points)
-        if command == "optimize":
-            return cmd_optimize(cfg, out)
-        if command == "entropy-curve":
-            return cmd_entropy_curve(cfg, out, args.points)
-        return cmd_oracle_verify(cfg, out)
-    except NumericalConsistencyError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            if command == "simulate":
+                return cmd_simulate(cfg, out, args.points)
+            if command == "sweep":
+                return cmd_sweep(cfg, out, args.points)
+            if command == "optimize":
+                return cmd_optimize(cfg, out)
+            if command == "entropy-curve":
+                return cmd_entropy_curve(cfg, out, args.points)
+            return cmd_oracle_verify(cfg, out)
+    except (NumericalConsistencyError, FloatingPointError) as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, ParameterError,
-            UnsupportedEnvelopeError) as exc:
+    except LambdaAdaptError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except LambdaAdaptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -57,11 +57,10 @@ class AmplitudeTrajectory:
 
     ``psi_hat`` is the array the integrator propagates: psi^(t), the
     amplitude in the frame that rotates at the carrier, where the drive
-    carries no phase.  ``psi`` is psi~(t) = psi^(t) e^{-i delta_L t}, the
-    amplitude in the frame rotating at omega_a (multiply by
-    e^{-i omega_a t} for the lab frame); it is formed from ``psi_hat`` on
-    first read, and ``psi_nodes`` forms it at chosen nodes only.  On
-    resonance the two are one array.
+    carries no phase.  ``psi_nodes`` forms psi~(t) = psi^(t)
+    e^{-i delta_L t}, the amplitude in the frame rotating at omega_a
+    (multiply by e^{-i omega_a t} for the lab frame), at chosen nodes;
+    on resonance it returns psi^ itself.
     ``p_ab`` is the cumulative branch-b transfer gamma_b * int_0^t p_e,
     a fourth-order quadrature on each uniform stretch.
     ``segments`` holds index ranges [i0, i1] of uniform-step stretches;
@@ -89,23 +88,17 @@ class AmplitudeTrajectory:
     def psi_nodes(self, idx=slice(None)) -> np.ndarray:
         """psi~ = psi^ e^{-i delta_L t} at the nodes ``idx``.
 
-        Elementwise, so each value is the one ``psi`` holds at that node.
-        The product is np.multiply(psi^, phase): ``psi_hat * phase`` may
-        run in the temporary phase array as phase * psi^, and numpy's
-        SIMD complex product rounds some of those differently.
+        Elementwise, so a node's value does not depend on which other
+        nodes are taken.  The product is np.multiply(psi^, phase):
+        ``psi_hat * phase`` may run in the temporary phase array as
+        phase * psi^, and numpy's SIMD complex product rounds some of
+        those differently.
         """
         psi_hat = self.psi_hat[idx]
         if self.delta_l == 0.0:
             return psi_hat
         return np.multiply(psi_hat,
                            np.exp(-1j * self.delta_l * self.times[idx]))
-
-    @cached_property
-    def psi(self) -> np.ndarray:
-        """psi~ at every node, read-only."""
-        psi = self.psi_nodes()
-        psi.flags.writeable = False
-        return psi
 
     @cached_property
     def _carrier_parts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +351,7 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
 
     The record stores psi^, the carrier-frame amplitude the steps
     propagate, as ``psi_hat``; the rotation to psi~ is left to the
-    readers that want it (``AmplitudeTrajectory.psi``, ``psi_nodes``).
+    readers that want it (``AmplitudeTrajectory.psi_nodes``).
     """
     grid.validate(pulse)
 
@@ -439,7 +432,7 @@ def psi_closed_form(system: LambdaSystem, pulse: PulseSpec, t):
     psi~(t) = -f e^{-Gamma t / 2} (e^{x t} - 1) with
     x = (Gamma - Delta)/2 - i delta_L and f = sqrt(gamma_a Delta) / x, in
     the frame rotating at omega_a, the frame of
-    ``AmplitudeTrajectory.psi``.  At the degenerate point x -> 0 the
+    ``AmplitudeTrajectory.psi_nodes``.  At the degenerate point x -> 0 the
     bracket over x tends to t and the series (t + x t^2/2 + ...) is used
     instead.
     """

@@ -36,14 +36,15 @@ __all__ = [
 # which keeps the truncated weight at z > 0 below e^-32.
 _GAUSS_OFFSET = 8.0
 
-# Terms of Laplace's continued fraction for erfc, evaluated backward.  It
-# converges slowest at w = 2, the smallest Re w a Gaussian offset >= 4
-# gives: there 40 terms leave 1.2e-14 of e^{w^2} erfc(w), 60 leave 9e-17.
+# Terms of Laplace's continued fraction for erfc, evaluated backward.  The
+# spectrum takes it at Re w = _GAUSS_OFFSET / 2 = 4, where it converges
+# slowest on the real axis: there 20 terms leave 1e-16 of e^{w^2} erfc(w),
+# which moves the last bit of some spectrum values, and 60 leave 6e-32.
 _ERFC_TERMS = 60
 
 
 def _erfcx(w):
-    """e^{w^2} erfc(w) for Re w >= 2, by Laplace's continued fraction.
+    """e^{w^2} erfc(w) for Re w >= 4, by Laplace's continued fraction.
 
     erfc(w) = e^{-w^2} / sqrt(pi) * 1 / (w + (1/2) / (w + 1 / (w + (3/2)
     / (w + ...)))); the scaled form cannot overflow.
@@ -145,46 +146,35 @@ class Exponential:
 class Gaussian:
     """Gaussian envelope of temporal rms width ``sigma``.
 
-    Centered at z0 = -offset * sigma and truncated to z <= 0.  The
-    default offset of 8 puts the truncated weight at ~e^-32; smaller
-    offsets (>= 4) trade a still-negligible truncation for an earlier
-    arrival of the peak.  The normalization accounts for the truncation
-    exactly.
+    Centered at z0 = -8 sigma (_GAUSS_OFFSET rms widths before the
+    emitter) and truncated to z <= 0, which leaves a truncated weight of
+    ~e^-32.  The normalization accounts for the truncation exactly.
     """
 
     sigma: float
-    offset: float = _GAUSS_OFFSET
 
     def _check(self):
         if not self.sigma > 0:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if not self.offset >= 4.0:
-            raise ParameterError(
-                f"offset must be >= 4 sigma to keep the truncated tail "
-                f"negligible, got {self.offset}")
-
-    @property
-    def _offset(self):
-        return self.offset * self.sigma
 
     def norm_constant(self):
-        # Phi(offset), the standard normal CDF
-        phi = 0.5 * math.erfc(-self.offset / math.sqrt(2.0))
+        # Phi(_GAUSS_OFFSET), the standard normal CDF
+        phi = 0.5 * math.erfc(-_GAUSS_OFFSET / math.sqrt(2.0))
         weight = self.sigma * math.sqrt(2.0 * math.pi) * phi
         return math.sqrt(2.0 * math.pi / weight)
 
     def shape_values(self, z):
         z = np.asarray(z, dtype=float)
         s = self.sigma
-        z0 = -self._offset
+        z0 = -_GAUSS_OFFSET * s
         out = np.where(z <= 0.0, np.exp(-((z - z0) ** 2) / (4.0 * s * s)), 0.0)
         return self.norm_constant() * out
 
     def spectrum(self, delta):
-        # with a = offset / 2, b = sigma delta and w = a + i b: N s sqrt(pi)
-        # e^{-i delta z0} (2 - erfc(w)) e^{-b^2}, where z0 = -2 a s
-        # and e^{-b^2} erfc(w) = e^{-a^2 - 2 i a b} erfcx(w)
-        a = 0.5 * self.offset
+        # with a = _GAUSS_OFFSET / 2, b = sigma delta and w = a + i b:
+        # N s sqrt(pi) e^{-i delta z0} (2 - erfc(w)) e^{-b^2}, where
+        # z0 = -2 a s and e^{-b^2} erfc(w) = e^{-a^2 - 2 i a b} erfcx(w)
+        a = 0.5 * _GAUSS_OFFSET
         b = self.sigma * np.asarray(delta, dtype=float)
         full = 2.0 * np.exp(-b * b + 2j * a * b)
         tail = math.exp(-a * a) * _erfcx(a + 1j * b)
@@ -195,11 +185,11 @@ class Gaussian:
         return 1.0 / self.sigma
 
     def at_scale(self, scale):
-        """The same family and offset at spectral scale ``scale``."""
-        return Gaussian(1.0 / scale, self.offset)
+        """The same family at spectral scale ``scale``."""
+        return Gaussian(1.0 / scale)
 
     def settle_time(self):
-        return (self.offset + 6.5) * self.sigma
+        return (_GAUSS_OFFSET + 6.5) * self.sigma
 
     def drive_breakpoints(self):
         return ()
@@ -288,10 +278,10 @@ def make_pulse(envelope, carrier: float) -> PulseSpec:
     envelope._check()
     if isinstance(envelope, Gaussian):
         # shape_values squares z - z0, whose reach is the peak's distance
-        # from the front, offset sigma (and divides by 4 sigma^2, the
+        # from the front, _GAUSS_OFFSET sigma (and divides by 4 sigma^2, the
         # smaller square): once that overflows the envelope is inf / inf
         # at the peak, or an overflow warning away from it
-        reach = envelope.offset * envelope.sigma
+        reach = _GAUSS_OFFSET * envelope.sigma
         if not reach * reach < math.inf:
             raise ParameterError(
                 f"sigma = {envelope.sigma} is too wide: (offset sigma)^2 "

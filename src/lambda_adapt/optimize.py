@@ -319,9 +319,15 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     nowhere else.  It starts from the box center, v = 0, with one
     vertex per parameter at x = lo + 0.8 (hi - lo), and stops once the
     simplex is no wider than 2 CONVERGENCE_REL in any v, at most
-    CONVERGENCE_REL of each range in x.  Every evaluation is recorded in
-    the trace, once: the best value comes back with its vertex and is not
-    evaluated again, so ``n_evals`` never exceeds the budget.
+    CONVERGENCE_REL of each range in x.  Every face is a stationary point
+    in v, so the simplex can shrink onto a face that the objective falls
+    toward: a search that converges with some |sin v| >= 1 - 1e-6 runs
+    once more from that vertex (evaluated again), with the same steps and
+    the budget left, and the better vertex is kept; the search counts as
+    converged if the restart converged or stayed within CONVERGENCE_REL
+    of each range of where the first search stopped.  Every evaluation is
+    recorded in the trace, once: the best value comes back with its vertex
+    and is not evaluated again, so ``n_evals`` never exceeds the budget.
 
     The linewidth lower bound is clamped at LINEWIDTH_FLOOR times the
     total decay rate: the narrowband optimum is a limit, not an interior
@@ -373,9 +379,17 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
         return -val
 
     d = len(names)
-    simplex = np.vstack([np.zeros(d), math.asin(0.6) * np.eye(d)])
-    v, f_v, converged = _nelder_mead(neg, simplex, 2.0 * CONVERGENCE_REL,
-                                     budget)
+    step = math.asin(0.6) * np.eye(d)
+    v, f_v, converged = _nelder_mead(neg, np.vstack([np.zeros(d), step]),
+                                     2.0 * CONVERGENCE_REL, budget)
+    if converged and np.max(np.abs(np.sin(v))) >= 1.0 - 1e-6:
+        v2, f_v2, converged2 = _nelder_mead(
+            neg, np.vstack([v, v + step]), 2.0 * CONVERGENCE_REL,
+            budget - len(trace))
+        if f_v2 < f_v:
+            converged = converged2 or np.max(np.abs(
+                np.sin(v2) - np.sin(v))) <= 2.0 * CONVERGENCE_REL
+            v, f_v = v2, f_v2
     best = at(v)
 
     edge_tol = 10.0 * CONVERGENCE_REL

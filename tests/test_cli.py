@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lambda_adapt import cli, oracle
-from lambda_adapt.cli import _float_table, _fmt, main
+from lambda_adapt.cli import _float_table, _json_text, main
 from lambda_adapt.config import _WIDTH_KEY, load_config
 from lambda_adapt.dynamics import asymptotic_prob_exponential, integrate_psi
 from lambda_adapt.entropy import entropy_curve
@@ -171,7 +171,7 @@ class TestSimulate:
             idx = np.append(idx, traj.times.size - 1)
         rows = (out / "trajectory.csv").read_text().splitlines()[2:]
         assert len(rows) == idx.size
-        psi = traj.psi
+        psi = traj.psi_nodes()
         for row, i in zip(rows, idx):
             fields = row.split(",")
             assert fields[1] == repr(float(psi.real[i]))
@@ -183,7 +183,8 @@ class TestSimulate:
                              123456789.0, -1.7976931348623157e308]),
                    np.array([1e-17, 2.0 ** 53, -1.5, 1e16,
                              0.30000000000000004])]
-        per_value = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+        per_value = [",".join(repr(float(v)) for v in row)
+                     for row in zip(*columns)]
         assert _float_table(*columns) == "\n".join(per_value) + "\n"
 
     def test_csv_floats_read_back_exactly(self, tmp_path):
@@ -394,42 +395,46 @@ dt = 0.005
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_nan_ledger_is_numerical_error(self, tmp_path, capsys):
-        # gamma_a = 1e300 overflows the work quadrature to NaN, and with it
-        # the ledger's bound: a NaN residual must fail the check, not pass
-        default = DEFAULT_INI.read_text()
-        cfg = write(tmp_path, default.replace("gamma_a = 1.0",
-                                              "gamma_a = 1e300"))
+    @staticmethod
+    def overflowing_simulate(tmp_path, capsys, text):
+        """Run simulate on ``text``: exit 3 with one line on stderr, no
+        warning and no artifact."""
         out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["simulate", "--config", str(cfg),
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(write(tmp_path, text)),
                          "--out", str(out)]) == 3
-        assert "energy ledger residual nan" in capsys.readouterr().err
-        assert not (out / "ledger.json").exists()
+        assert not [w for w in caught if issubclass(w.category,
+                                                    RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical consistency failure: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_nan_ledger_is_numerical_error(self, tmp_path, capsys):
+        # gamma_a = 1e300 overflows the work quadrature (to NaN, outside
+        # the CLI): the command stops at the overflow
+        self.overflowing_simulate(tmp_path, capsys, DEFAULT_INI.read_text()
+                                  .replace("gamma_a = 1.0", "gamma_a = 1e300"))
 
     def test_non_finite_json_is_numerical_error(self, tmp_path, capsys):
-        # off resonance no ledger check runs, and the overflowing flux of
-        # gamma_a = 1e300 comes out NaN: a bare NaN is not JSON, so the
-        # artifact is refused, not written
-        default = DEFAULT_INI.read_text()
-        cfg = write(tmp_path, default.replace("gamma_a = 1.0",
-                                              "gamma_a = 1e300")
-                    .replace("delta_l = 0.0", "delta_l = 0.4"))
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["simulate", "--config", str(cfg),
-                         "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "ledger.json" in err and "Traceback" not in err
-        assert not (out / "ledger.json").exists()
+        # off resonance no ledger check runs; the flux that overflows to
+        # NaN outside the CLI stops the command before ledger.json's text
+        self.overflowing_simulate(
+            tmp_path, capsys, DEFAULT_INI.read_text()
+            .replace("gamma_a = 1.0", "gamma_a = 1e300")
+            .replace("delta_l = 0.0", "delta_l = 0.4"))
+
+    def test_json_text_names_a_non_finite_artifact(self):
+        # the refusal behind every JSON artifact, which an overflowing
+        # run no longer reaches through main
+        with pytest.raises(NumericalConsistencyError, match="ledger.json"):
+            _json_text("ledger.json", {"w_over_hw": float("nan")})
 
     @pytest.mark.parametrize("command, edit", [
-        # the resonant ledger check fails
+        # the work quadrature overflows after trajectory.csv's text is
+        # built, on resonance and off it
         ("simulate", {}),
-        # the strict-JSON refusal of a NaN flux, after trajectory.csv's
-        # text is built
         ("simulate", {"delta_l = 0.0": "delta_l = 0.4"}),
         # p_ab(inf) of 5e270 at the first evaluation
         ("optimize", {"budget = 500": "budget = 8"}),

@@ -63,7 +63,7 @@ class TestLambdaSystem:
 
 class TestEnvelopes:
     @pytest.mark.parametrize("envelope", [
-        Exponential(0.7), Gaussian(1.3), Gaussian(2.0, offset=5.0),
+        Exponential(0.7), Gaussian(1.3), Gaussian(2.0),
         Rectangular(2.5),
     ])
     def test_unit_norm(self, envelope):
@@ -90,21 +90,17 @@ class TestEnvelopes:
         with pytest.raises(ParameterError):
             make_pulse(Exponential(0.0), 1.0)
 
-    def test_gaussian_offset_floor(self):
-        with pytest.raises(ParameterError):
-            make_pulse(Gaussian(1.0, offset=3.0), 1.0)
-
     def test_gaussian_peak_position(self):
-        p = make_pulse(Gaussian(1.5, offset=6.0), 1.0)
+        # centered 8 rms widths before the emitter
+        p = make_pulse(Gaussian(1.5), 1.0)
         z = np.linspace(-30.0, 0.0, 30001)
         vals = np.abs(p.shape_at(z))
-        assert z[np.argmax(vals)] == pytest.approx(-9.0, abs=2e-3)
+        assert z[np.argmax(vals)] == pytest.approx(-12.0, abs=2e-3)
 
-    @pytest.mark.parametrize("offset", [4.0, 6.0, 8.0, 12.0])
-    def test_gaussian_norm_constant_matches_ndtr(self, offset):
-        # the truncated weight is Phi(offset), taken from math.erfc
-        env = Gaussian(1.3, offset=offset)
-        weight = env.sigma * math.sqrt(2.0 * math.pi) * ndtr(offset)
+    def test_gaussian_norm_constant_matches_ndtr(self):
+        # the truncated weight is Phi(8), taken from math.erfc
+        env = Gaussian(1.3)
+        weight = env.sigma * math.sqrt(2.0 * math.pi) * ndtr(8.0)
         assert env.norm_constant() == math.sqrt(2.0 * math.pi / weight)
 
     def test_rectangular_support(self):
@@ -144,7 +140,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("envelope, lo", [
         (Exponential(0.5), -80.0 / 0.5),        # amplitude e^-40 at lo
         (Gaussian(1.2), -(8.0 + 16.0) * 1.2),   # e^-64 at lo
-        (Gaussian(0.7, offset=4.0), -(4.0 + 16.0) * 0.7),
+        (Gaussian(0.5), -(8.0 + 16.0) * 0.5),
         (Rectangular(2.0), -2.0),
     ])
     def test_matches_quadrature(self, envelope, lo):
@@ -163,21 +159,20 @@ class TestSpectrum:
         assert expo[0] == pytest.approx(
             Exponential(0.5).norm_constant() / 0.25, rel=1e-15)
 
-    @pytest.mark.parametrize("offset", [4.0, 8.0])
-    def test_gaussian_tail_matches_faddeeva(self, offset):
+    def test_gaussian_tail_matches_faddeeva(self):
         # e^{-b^2} erfc(a + i b) = e^{-a^2 - 2iab} w(i (a + i b)), with w
-        # scipy's Faddeeva function, out to |b| = 60
+        # scipy's Faddeeva function, a = 4 and out to |b| = 60
         sigma = 0.8
-        pulse = make_pulse(Gaussian(sigma, offset=offset), 50.0)
+        pulse = make_pulse(Gaussian(sigma), 50.0)
         delta = np.linspace(-60.0, 60.0, 4801) / sigma
-        a, b = 0.5 * offset, sigma * delta
+        a, b = 4.0, sigma * delta
         ref = (2.0 * np.exp(-b * b + 2j * a * b)
                - np.exp(-a * a) * wofz(1j * (a + 1j * b)))
         ref *= pulse.envelope.norm_constant() * sigma * math.sqrt(math.pi)
         got = pulse.envelope.spectrum(delta)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-        # the continued fraction itself: w is good to about 1.2e-14 here,
-        # and 40 terms would leave 4.8e-14 at offset 4
+        # the continued fraction itself: the two differ by 1.2e-14 here,
+        # about what scipy's w is good to
         w = a + 1j * b
         tail = _erfcx(w)
         assert np.max(np.abs(tail - wofz(1j * w)) / np.abs(tail)) <= 3e-14

@@ -264,14 +264,10 @@ class TestEvolve:
     def test_energy_conserved(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
         run = evolve(h, excited_in(h), 2.0, n_out=21)
-        e = run.energy_series()
-        assert np.max(np.abs(e - e[0])) < 1e-9 * abs(e[0])
-        # per-snapshot reference: the dense matrix-vector product
+        # <H> = Re(y^dagger H y) at every snapshot, from the dense matrix
         dense = h.toarray()
-        for k in (0, 10, 20):
-            y = run.states[k]
-            ref = float(np.real(np.vdot(y, dense @ y)))
-            assert e[k] == pytest.approx(ref, rel=1e-13)
+        e = np.array([np.vdot(y, dense @ y).real for y in run.states])
+        assert np.max(np.abs(e - e[0])) < 1e-9 * abs(e[0])
 
     def test_input_guards(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)

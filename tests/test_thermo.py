@@ -79,6 +79,22 @@ class TestLedger:
         with pytest.raises(NumericalConsistencyError):
             energy_ledger(traj, pulse, s)
 
+    @pytest.mark.parametrize("field, message", [
+        # the transfer, read by the convergence check and the heat
+        ("p_ab", "not converged"),
+        # the amplitude, read by the work: the residual is NaN
+        ("psi_hat", "residual nan"),
+    ])
+    def test_nan_run_refused(self, field, message):
+        # the ledger's checks fail on NaN instead of passing it
+        s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
+        pulse, traj = run(s, Exponential(1.0))
+        values = getattr(traj, field).copy()
+        values[values.size // 2:] = np.nan
+        nan_traj = dataclasses.replace(traj, **{field: values})
+        with pytest.raises(NumericalConsistencyError, match=message):
+            energy_ledger(nan_traj, pulse, s)
+
     def test_coarse_step_refused(self, monkeypatch):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse = make_pulse(Exponential(1.0), 5.0)

@@ -1,4 +1,4 @@
-"""Every command on the default config and ten edits of it.
+"""Every command on the default config and eleven edits of it.
 
     python3 tools/command_matrix.py OUT
 
@@ -20,8 +20,9 @@ put on the wrong branch would show, a config without its optional
 ``LambdaSystem``, ``SweepSpec`` and ``OptimizeSpec``, a two-parameter
 optimize whose box puts the rate_ratio optimum of 1 near its lower face
 (a search that folds onto that face stops at p_ab 0.790123, against
-0.800000 inside), and a three-parameter optimize over linewidth,
-detuning and rate_ratio together.
+0.800000 inside), a three-parameter optimize over linewidth, detuning
+and rate_ratio together, and a detuned run at gamma_a = 1e300, which
+overflows: each command's exit code and stderr show how it stops.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ EDITS = {
                                     "linewidth, detuning, rate_ratio",
                                     "linewidth_lo": "0.1",
                                     "linewidth_hi": "2.0"}},
+    "overflow": {"system": {"gamma_a": "1e300"}, "pulse": {"delta_l": "0.4"}},
 }
 
 
