@@ -36,6 +36,11 @@ OBJECTIVES = ("p_ab_infty", "w_over_hw")
 # the parameter's range (|dx/dv| <= (hi - lo) / 2).
 CONVERGENCE_REL = 1e-4
 
+# A parameter within this fraction of its range from a bound is reported
+# as on that bound (``MaximizeResult.boundary``), and probed inward before
+# the search counts as done.
+EDGE_REL = 10.0 * CONVERGENCE_REL
+
 # Floor of maximize's linewidth bounds, in units of the total decay rate.
 LINEWIDTH_FLOOR = 1e-3
 
@@ -305,6 +310,21 @@ def _nelder_mead(f, simplex: np.ndarray, xatol: float, budget: int):
     return sim[0], fsim[0], calls < budget
 
 
+def _inward_probe_improves(f, v: np.ndarray, f_v: float,
+                           budget: int) -> bool:
+    """Whether f falls below f_v at v with one coordinate that lies
+    within EDGE_REL of its range from a face moved CONVERGENCE_REL of its
+    range inward; those coordinates are probed in turn, within the
+    budget, until one does."""
+    s = np.sin(v)
+    for i in np.flatnonzero(np.abs(s) >= 1.0 - 2.0 * EDGE_REL)[:budget]:
+        probe = v.copy()
+        probe[i] = np.arcsin(s[i] - np.copysign(2.0 * CONVERGENCE_REL, s[i]))
+        if f(probe) < f_v:
+            return True
+    return False
+
+
 def maximize(system: LambdaSystem, pulse: PulseSpec,
              bounds: Mapping[str, tuple[float, float]],
              objective="p_ab_infty", *, budget: int = 500) -> MaximizeResult:
@@ -320,14 +340,19 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     vertex per parameter at x = lo + 0.8 (hi - lo), and stops once the
     simplex is no wider than 2 CONVERGENCE_REL in any v, at most
     CONVERGENCE_REL of each range in x.  Every face is a stationary point
-    in v, so the simplex can shrink onto a face that the objective falls
-    toward: a search that converges with some |sin v| >= 1 - 1e-6 runs
-    once more from that vertex (evaluated again), with the same steps and
-    the budget left, and the better vertex is kept; the search counts as
-    converged if the restart converged or stayed within CONVERGENCE_REL
-    of each range of where the first search stopped.  Every evaluation is
-    recorded in the trace, once: the best value comes back with its vertex
-    and is not evaluated again, so ``n_evals`` never exceeds the budget.
+    in v, so the simplex can shrink onto, or next to, a face that the
+    objective falls toward.  So a search that converges with parameters
+    within EDGE_REL of their range from a face probes them in turn, each
+    moved CONVERGENCE_REL of its range inward, one evaluation each, and
+    only if a probe improves on the vertex does it run once more from
+    that vertex (evaluated again), with the same steps and the budget
+    left; the better vertex is kept, and the search counts as converged
+    if the restart converged or stayed within CONVERGENCE_REL of each
+    range of where the first search stopped.  An optimum on a face or in
+    a corner costs one probe per face, not the rest of the budget.  Every
+    evaluation is recorded in the trace, once: the best value comes back
+    with its vertex and is not evaluated again, so ``n_evals`` never
+    exceeds the budget.
 
     The linewidth lower bound is clamped at LINEWIDTH_FLOOR times the
     total decay rate: the narrowband optimum is a limit, not an interior
@@ -382,7 +407,8 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     step = math.asin(0.6) * np.eye(d)
     v, f_v, converged = _nelder_mead(neg, np.vstack([np.zeros(d), step]),
                                      2.0 * CONVERGENCE_REL, budget)
-    if converged and np.max(np.abs(np.sin(v))) >= 1.0 - 1e-6:
+    if converged and _inward_probe_improves(neg, v, f_v,
+                                            budget - len(trace)):
         v2, f_v2, converged2 = _nelder_mead(
             neg, np.vstack([v, v + step]), 2.0 * CONVERGENCE_REL,
             budget - len(trace))
@@ -392,11 +418,10 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
             v, f_v = v2, f_v2
     best = at(v)
 
-    edge_tol = 10.0 * CONVERGENCE_REL
     boundary = tuple(
         n for n in names
-        if best[n] - box[n][0] <= edge_tol * (box[n][1] - box[n][0])
-        or box[n][1] - best[n] <= edge_tol * (box[n][1] - box[n][0]))
+        if best[n] - box[n][0] <= EDGE_REL * (box[n][1] - box[n][0])
+        or box[n][1] - best[n] <= EDGE_REL * (box[n][1] - box[n][0]))
     return MaximizeResult(params=best, value=-float(f_v), converged=converged,
                           boundary=boundary, n_evals=len(trace),
                           trace=tuple(trace))

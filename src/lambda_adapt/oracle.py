@@ -29,12 +29,13 @@ snapshots and forms the rest as products.
 
 A run's working set is its snapshot array and little more: ``evolve``
 accumulates the eigenvector products inside that array and unfolds them
-there, and its passes over the snapshots, like ``measure_series``, reuse
-one scratch block of a few rows.  At 2001 modes and 301 snapshots the
-snapshots take 18.4 MiB and a cold ``evolve`` peaks 8.2 MiB above them,
-``measure_series`` 1.1 MiB above the run it reads (tracemalloc); at 5385
-modes and 401 snapshots, 65.9 MiB, 21.8 MiB and 2.4 MiB; at 7643 modes
-and 401 snapshots, 93.5 MiB, 30.1 MiB and 3.1 MiB.
+there, keeping its scratch in the snapshots' b-mode columns until it
+writes them, and its passes over the snapshots, like ``measure_series``,
+reuse one scratch block of a few rows.  At 2001 modes and 301 snapshots
+the snapshots take 18.4 MiB and a cold ``evolve`` peaks 2.4 MiB above
+them, ``measure_series`` 1.1 MiB above the run it reads (tracemalloc); at
+5385 modes and 401 snapshots, 65.9 MiB, 6.1 MiB and 2.4 MiB; at 7643
+modes and 401 snapshots, 93.5 MiB, 8.6 MiB and 3.1 MiB.
 """
 
 from __future__ import annotations
@@ -582,6 +583,20 @@ def _unfold(x: np.ndarray, y: np.ndarray, out: np.ndarray):
     np.subtract(x[:, 1:], y[:, 1:], out=out[:, c:0:-1])
 
 
+def _carve(free: np.ndarray, shapes) -> list[np.ndarray]:
+    """Float buffers of the given (rows, cols) shapes, in turn: each is a
+    view of the next unused columns of ``free`` if it has no more rows
+    than ``free`` and its columns still fit, else a new ``np.empty``."""
+    out, col = [], 0
+    for rows, cols in shapes:
+        if rows <= len(free) and col + cols <= free.shape[1]:
+            out.append(free[:rows, col:col + cols])
+            col += cols
+        else:
+            out.append(np.empty((rows, cols)))
+    return out
+
+
 def _check_snapshot_size(n_out: int, dim: int):
     """Refuse a snapshot array of more than MAX_GRID_NODES amplitudes, the
     cap that bounds trajectories, before any of it is allocated."""
@@ -641,12 +656,16 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     snapshots, a cold run takes about 0.17-0.22 s and a warm one
     (decomposition cached) 0.10-0.12 s; on 801 modes, a cold run takes
     0.05-0.06 s; on 7643 modes with 401 snapshots, 1.9 s (2-core x86 VM).
-    Beyond its states (18.4 MiB) the cold 2001-mode run peaks 8.2 MiB
-    higher (tracemalloc): the bright pass's two (_BRIGHT, c + 1) slabs
-    take 3.9 MiB of that, its (n_out, c + 1) accumulation buffer 2.3 MiB,
-    its real GEMM operand 1.2 MiB, and the decomposition's (_SOLVE, n)
-    temporaries 1 MiB each; at 5385 modes and 401 snapshots, 21.8 MiB
-    above 65.9 MiB.
+    Until the snapshot loop writes them, the b-mode columns of the states
+    (2n doubles a snapshot) hold the bright pass's scratch, each buffer
+    in turn as far as it fits (``_carve``), the rest from ``np.empty``:
+    the (n_out, c + 1) accumulation buffer, the two (w, c + 1) slabs, w =
+    min(_BRIGHT, c + 1), if there are at least w snapshots, and the two
+    halves of the (n_out, w) real GEMM operand (both at 2001 modes, one
+    at 801); 7.4 MiB at 2001 modes and 301 snapshots.  Beyond its states
+    (18.4 MiB) that cold run then peaks 2.4 MiB higher (tracemalloc), the
+    decomposition's (_SOLVE, n) temporaries of 1 MiB each included; at
+    5385 modes and 401 snapshots, 6.1 MiB above 65.9 MiB.
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -694,10 +713,14 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     b0 = np.stack([bright0.real, bright0.imag,
                    mirror0.real, mirror0.imag], axis=1)
     bands = np.split(packed, 4, axis=1)
-    part = np.empty((n_out, c + 1))
+    # the b-mode columns of a snapshot, its other 2n doubles, are written
+    # only by the snapshot loop; until then the bright pass keeps its
+    # scratch there, each buffer that fits (``_carve``)
     width = min(_BRIGHT, c + 1)
-    sums, diffs = np.empty((2, width, c + 1))
-    lhs = np.empty((2, n_out, width))
+    part, sums, diffs, *lhs = _carve(
+        states[:, b].view(float),
+        [(n_out, c + 1), (width, c + 1), (width, c + 1),
+         (n_out, width), (n_out, width)])
     fwd_buf, mir_buf = np.empty((2, min(n_out, _ROWS), width), dtype=complex)
     for r0 in range(c + 1, n + 1, _BRIGHT):
         r1 = min(r0 + _BRIGHT, n + 1)
@@ -725,8 +748,8 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
                 np.conjugate(fwd, out=mir)
                 fwd *= w_fwd
                 mir *= w_mir
-                op(fwd.real, mir.real, out=lhs[0, rows, :m])
-                op(fwd.imag, mir.imag, out=lhs[1, rows, :m])
+                op(fwd.real, mir.real, out=lhs[0][rows, :m])
+                op(fwd.imag, mir.imag, out=lhs[1][rows, :m])
             for half, band in zip(lhs, acc):
                 if r0 == c + 1:
                     np.matmul(half[:, :m], rhs[:m], out=band)

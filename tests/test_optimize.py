@@ -348,6 +348,18 @@ class TestMaximize:
         assert abs(result.value - box_optimum(system, bounds, 0.5)) <= 1e-6
         assert result.params["detuning"] <= 1e-6
 
+    def test_corner_optimum_leaves_the_budget(self, system):
+        # the optimum is the corner of the three lower faces: no probe
+        # inward improves on it, so no restart spends the budget
+        # re-converging there (365 evaluations, then 3 probes)
+        pulse = make_pulse(Exponential(0.5), system.omega_a)
+        bounds = {"linewidth": (0.8058, 8.058),
+                  "rate_ratio": (1.1331, 13.80), "detuning": (0.0, 0.1875)}
+        result = maximize(system, pulse, bounds)
+        assert result.converged
+        assert abs(result.value - box_optimum(system, bounds, 0.5)) <= 1e-6
+        assert result.n_evals <= 400
+
     def test_two_parameters_recover_resonant_balanced(self, system):
         # keep the pulse moderately wide so each evaluation stays cheap
         pulse = make_pulse(Exponential(0.5), system.omega_a)

@@ -261,6 +261,41 @@ class TestEvolve:
         assert np.max(np.abs(run.states - ref)) <= 1e-12
         assert run.norm_drift <= 1e-12
 
+    # on 401 modes a block of all 201 roots leaves the b-mode columns no
+    # room for the GEMM operand once part and both slabs are there, and
+    # blocks of 64 leave room for all of it; from width snapshots on the
+    # slabs are there too, one short of width they come from np.empty
+    @pytest.mark.parametrize("bright", [256, 64])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_scratch_placements_match_dense_eigh(self, monkeypatch, bright,
+                                                 offset):
+        monkeypatch.setattr(oracle, "_BRIGHT", bright)
+        carved = []
+        carve = oracle._carve
+
+        def spy(free, shapes):
+            bufs = carve(free, shapes)
+            carved.append([np.shares_memory(buf, free) for buf in bufs])
+            return bufs
+
+        monkeypatch.setattr(oracle, "_carve", spy)
+        width = min(bright, 201)
+        h, y0, run = random_run(width + offset)
+        # part, sums, diffs and the two halves of the GEMM operand
+        slabs, operand = offset >= 0, bright == 64 or offset < 0
+        assert carved == [[True, slabs, slabs, operand, operand]]
+        ref = dense_states(h, y0, run.times)
+        assert np.max(np.abs(run.states - ref)) <= 1e-12
+        assert run.norm_drift <= 1e-12
+
+    def test_carve_takes_what_fits(self):
+        free = np.zeros((4, 10))
+        bufs = oracle._carve(free, [(4, 5), (5, 2), (2, 4), (4, 2)])
+        assert [buf.shape for buf in bufs] == [(4, 5), (5, 2), (2, 4), (4, 2)]
+        assert [np.shares_memory(buf, free) for buf in bufs] == [
+            True, False, True, False]
+        assert not np.shares_memory(bufs[0], bufs[2])
+
     def test_energy_conserved(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
         run = evolve(h, excited_in(h), 2.0, n_out=21)
@@ -354,10 +389,11 @@ class TestEvolve:
         assert peak < (n + 1) ** 2 * 8
 
     def test_working_set(self, system):
-        # the bright pass accumulates inside the states array and the
-        # snapshot passes reuse one small block, so a cold 301-snapshot
-        # run holds little beyond its states, and measure_series little
-        # beyond the run it reads
+        # the bright pass accumulates inside the states array, keeping
+        # its scratch in their b-mode columns, and the snapshot passes
+        # reuse one small block, so a cold 301-snapshot run holds little
+        # beyond its states, and measure_series little beyond the run it
+        # reads
         bath = DiscreteBath.default(system)
         h = build_hamiltonian(system, bath)
         amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0),
@@ -374,7 +410,7 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         mib = 2 ** 20
-        assert evolve_peak < run.states.nbytes + 9 * mib
+        assert evolve_peak < run.states.nbytes + 3 * mib
         assert measure_added <= 4 * mib
 
     def test_large_bath_evolves(self, system):
