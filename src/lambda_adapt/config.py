@@ -10,7 +10,7 @@ silently fall back to a default.
 
 from __future__ import annotations
 
-import hashlib
+import io
 import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, replace
@@ -21,6 +21,16 @@ from .model import (FAMILIES, InitialMixture, LambdaSystem, PulseSpec,
                     SimGrid, make_pulse)
 from .optimize import OBJECTIVES, SweepSpec
 from .oracle import DiscreteBath
+
+try:
+    # hashlib loads OpenSSL's libcrypto, about 3.4 MB resident, to hash
+    # a few hundred bytes: take CPython's built-in SHA-256 first
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _SECTION_KEYS = {
     "system": {"omega_a", "delta_ab", "gamma_a", "gamma_b"},
@@ -181,23 +191,31 @@ def _build_optimize(parser: ConfigParser) -> OptimizeSpec | None:
 def load_config(path) -> RunConfig:
     """Parse and validate a config file into model objects.
 
+    The file is read as UTF-8 with universal newlines, and ``sha256``
+    is the digest of its bytes as they are on disk.
+
     Raises
     ------
     ConfigurationError
-        On unreadable files, unknown sections or keys, missing required
-        keys and malformed numbers.  Domain violations (negative rates,
-        p_a0 outside [0, 1], coarse grids...) raise the specific errors
-        of the model constructors.
+        On unreadable or undecodable (not UTF-8) files, unknown
+        sections or keys, missing required keys and malformed numbers.
+        Domain violations (negative rates, p_a0 outside [0, 1], coarse
+        grids...) raise the specific errors of the model constructors.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read config {path}: not UTF-8 "
+            f"(byte {exc.start})") from None
     parser = ConfigParser(interpolation=None,
                           inline_comment_prefixes=("#", ";"))
     try:
-        parser.read_string(text, source=str(path))
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except ConfigParserError as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
     _check_keys(parser)
@@ -223,4 +241,4 @@ def load_config(path) -> RunConfig:
     return RunConfig(system=system, pulse=pulse, mixture=mixture, bath=bath,
                      grid=grid, sweep=_build_sweep(parser),
                      optimize=_build_optimize(parser),
-                     sha256=hashlib.sha256(text.encode()).hexdigest())
+                     sha256=sha256(data).hexdigest())

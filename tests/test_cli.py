@@ -254,6 +254,20 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe[system]\n",
+        BASE.replace("omega_a = 50.0",
+                     "omega_a = 50.0  # caf\u00e9").encode("latin-1"),
+    ], ids=["utf16_bom", "latin1_comment"])
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys,
+                                                data):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(data)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
     def test_unconverged_run_is_numerical_error(self, tmp_path):
         # the pulse is still transferring population at t_max = 3, which
         # no quadrature can make up for: the ledger refuses the run

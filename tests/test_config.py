@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import math
+import os
 import string
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -20,7 +23,9 @@ from lambda_adapt.errors import (ConfigurationError, LambdaAdaptError,
 from lambda_adapt.model import Exponential, Gaussian, LambdaSystem, SimGrid
 from lambda_adapt.optimize import SweepSpec
 
-DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DEFAULT_INI = ROOT / "configs" / "default.ini"
 DEFAULT_LINES = DEFAULT_INI.read_text().splitlines()
 # indices of the "key = value" lines of the shipped config
 VALUE_LINES = [i for i, line in enumerate(DEFAULT_LINES)
@@ -69,10 +74,37 @@ class TestLoading:
         assert cfg.optimize is not None
         assert set(cfg.optimize.bounds) == {"detuning", "rate_ratio"}
 
-    def test_hash_matches_file_bytes(self, tmp_path):
-        path = write(tmp_path, MINIMAL)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"],
+                             ids=["lf", "crlf"])
+    def test_hash_matches_file_bytes(self, tmp_path, newline):
+        # the digest is sha256sum's of the file; the newlines change it
+        # but not what the file parses to
+        lf = write(tmp_path, MINIMAL, name="lf.ini")
+        path = tmp_path / "run.ini"
+        path.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
         cfg = load_config(path)
         assert cfg.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert dataclasses.replace(cfg, sha256="") == \
+            dataclasses.replace(load_config(lf), sha256="")
+
+    def test_reads_utf8_whatever_the_locale(self, tmp_path):
+        # an ASCII locale with UTF-8 mode and locale coercion off decodes
+        # files as ASCII by default; a config is UTF-8 everywhere
+        path = tmp_path / "run.ini"
+        path.write_bytes(MINIMAL.replace(
+            "omega_a = 50.0", "omega_a = 50.0  # caf\u00e9").encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH"))
+                   if p)}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from lambda_adapt.config import load_config; "
+             "print(load_config(sys.argv[1]).sha256)", str(path)],
+            env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

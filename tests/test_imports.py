@@ -6,9 +6,13 @@ heavy top-level import shows up in each run.  To see where the time
 goes, run ``python -X importtime -c "import lambda_adapt.cli"``.  No
 timings are asserted here; they are too noisy on shared machines.
 scipy is a test dependency only: no command may load it, not even
-lazily.
+lazily.  Nor may a command load hashlib, which maps OpenSSL's libcrypto
+(about 3.4 MB resident) into the process: the config is hashed with
+CPython's built-in SHA-256, and with hashlib only on an interpreter
+built without it.
 """
 
+import hashlib
 import importlib
 import os
 import subprocess
@@ -23,17 +27,22 @@ MODULES = ["lambda_adapt", *(f"lambda_adapt.{p.stem}" for p in
                              if p.stem != "__init__")]
 
 
-def loaded_modules(module: str, then: str = "", *args: str) -> set[str]:
-    """sys.modules after ``import module`` and ``then`` in a new
-    interpreter, which sees ``args`` as sys.argv[1:]."""
+def run_python(code: str, *args: str) -> str:
+    """What ``code`` prints in a new interpreter that imports from this
+    checkout's src/ and sees ``args`` as sys.argv[1:]."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def loaded_modules(module: str, then: str = "", *args: str) -> set[str]:
+    """sys.modules after ``import module`` and ``then`` in a new
+    interpreter, which sees ``args`` as sys.argv[1:]."""
     code = (f"import sys, {module}\n{then}\n"
             "print('\\n'.join(sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                         check=True, capture_output=True, text=True)
-    return set(out.stdout.split())
+    return set(run_python(code, *args).split())
 
 
 def scipy_modules(mods: set[str]) -> list[str]:
@@ -120,3 +129,18 @@ def test_no_command_loads_scipy(tmp_path):
                           str(tmp_path / "out"))
     assert "lambda_adapt.oracle" in mods
     assert scipy_modules(mods) == []
+    assert {"hashlib", "_hashlib"} & mods == set()
+
+
+def test_config_hash_without_the_builtin_module(tmp_path):
+    # an interpreter built without CPython's SHA-2 module hashes the
+    # config with hashlib, to the same digest
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(SMALL_CONFIG)
+    code = ('import sys\n'
+            'sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+            'from lambda_adapt.config import load_config\n'
+            'print(load_config(sys.argv[1]).sha256, "hashlib" in sys.modules)')
+    digest, loaded = run_python(code, str(cfg)).split()
+    assert loaded == "True"
+    assert digest == hashlib.sha256(cfg.read_bytes()).hexdigest()
