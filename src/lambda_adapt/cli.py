@@ -95,11 +95,13 @@ CURVE_BLOCK = 4096
 
 
 def _write_all(out: Path, texts: dict):
-    """Write each artifact ``name: text`` via a temporary name.
+    """Write each artifact ``name: text`` via a temporary name, creating
+    ``out`` first if it does not exist.
 
     A text may also be an iterable of strings, appended one by one; if
     it raises, the temporary file is removed and nothing is renamed.
     """
+    out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         tmp = out / f"{name}.tmp"
         try:
@@ -316,7 +318,6 @@ def main(argv=None) -> int:
         if args.points is not None and args.points < 1:
             raise ConfigurationError(
                 f"--points must be at least 1, got {args.points}")
-        out.mkdir(parents=True, exist_ok=True)
         cfg = load_config(args.config)
         command = args.command
         if command == "figure2":

@@ -191,8 +191,9 @@ def _build_optimize(parser: ConfigParser) -> OptimizeSpec | None:
 def load_config(path) -> RunConfig:
     """Parse and validate a config file into model objects.
 
-    The file is read as UTF-8 with universal newlines, and ``sha256``
-    is the digest of its bytes as they are on disk.
+    The file is read as UTF-8, a leading byte-order mark dropped, with
+    universal newlines, and ``sha256`` is the digest of its bytes as they
+    are on disk.
 
     Raises
     ------
@@ -205,7 +206,8 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         data = path.read_bytes()
-        text = data.decode("utf-8")
+        # the mark goes after decoding, so an error's byte offset counts it
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -217,7 +219,10 @@ def load_config(path) -> RunConfig:
     try:
         parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except ConfigParserError as exc:
-        raise ConfigurationError(f"malformed config {path}: {exc}") from exc
+        # configparser quotes the offending lines on lines of their own
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigurationError(
+            f"malformed config {path}: {message}") from exc
     _check_keys(parser)
 
     if not parser.has_section("system") or "omega_a" not in parser["system"]:

@@ -11,7 +11,7 @@ wider than the emission line, (ii) the spacing is much finer than every
 physical rate, and (iii) times stay well below the recurrence 2 pi /
 spacing.  ``DiscreteBath`` checks (i) and (ii); after
 ``build_hamiltonian`` everything (``evolve`` and its checks of (iii),
-``OracleRun``, ``measure_series``) reads the comb from the Hamiltonian.
+``OracleRun``) reads the comb from the Hamiltonian.
 
 ``evolve`` diagonalizes the discrete Hamiltonian exactly, as n dark
 modes and one real arrowhead block.  The arrowhead's eigenvalues are the
@@ -30,12 +30,11 @@ snapshots and forms the rest as products.
 A run's working set is its snapshot array and little more: ``evolve``
 accumulates the eigenvector products inside that array and unfolds them
 there, keeping its scratch in the snapshots' b-mode columns until it
-writes them, and its passes over the snapshots, like ``measure_series``,
-reuse one scratch block of a few rows.  At 2001 modes and 301 snapshots
-the snapshots take 18.4 MiB and a cold ``evolve`` peaks 2.4 MiB above
-them, ``measure_series`` 1.1 MiB above the run it reads (tracemalloc); at
-5385 modes and 401 snapshots, 65.9 MiB, 6.1 MiB and 2.4 MiB; at 7643
-modes and 401 snapshots, 93.5 MiB, 8.6 MiB and 3.1 MiB.
+writes them, a few rows at a time through one scratch block that also
+measures them (``OracleRun``).  At 2001 modes and 301 snapshots the
+snapshots take 18.4 MiB and a cold ``evolve`` peaks 2.4 MiB above them
+(tracemalloc); at 5385 modes and 401 snapshots, 65.9 MiB and 6.1 MiB; at
+7643 modes and 401 snapshots, 93.5 MiB and 8.6 MiB.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "build_hamiltonian",
     "discretize_pulse",
     "evolve",
-    "measure_series",
     "deviations",
     "compare",
 ]
@@ -239,22 +237,30 @@ class OracleRun:
     ``hamiltonian.omega_ref`` (the |e> diagonal); multiply state k by
     e^{-i omega_ref t_k} for lab-frame amplitudes.  Global per-state
     phases drop out of every measurement.  The comb is ``hamiltonian``'s.
+    Per snapshot, ``evolve`` measured the weights ``p_e`` of |e, vac> and
+    ``n_a``, ``n_b`` of each branch, and the ``overlap`` <a(t)|free(t)>
+    with the free pulse a0_j e^{-i d_j t}, a0 the a-modes of snapshot 0.
     """
 
     times: np.ndarray
     states: np.ndarray          # (n_out, dim) complex
     hamiltonian: Hamiltonian
     norm_drift: float
+    p_e: np.ndarray
+    n_a: np.ndarray
+    n_b: np.ndarray
+    overlap: np.ndarray         # complex
 
     def __post_init__(self):
-        self.times.flags.writeable = False
-        self.states.flags.writeable = False
+        for series in (self.times, self.states, self.p_e, self.n_a,
+                       self.n_b, self.overlap):
+            series.flags.writeable = False
 
 
 # roots per block of the decomposition's O(n^2) passes (``_secular_roots``,
 # ``_spokes``), whose temporaries are _SOLVE x n doubles: 1 MB at 2001
 # modes, inside a 2 MB L2; roots per block of the bright pass, whose two
-# slabs are _BRIGHT x (c + 1) doubles; snapshots per block of the passes
+# slabs are _BRIGHT x (c + 1) doubles; snapshots per block of the pass
 # over a run's states, whose one scratch block is _ROWS x 2n complex, and
 # of the phase tables, which take cos and sin once per _ROWS snapshots
 # and are formed that many snapshots at a time; and the secular solver's
@@ -492,49 +498,32 @@ def _trig(t: np.ndarray, freqs: np.ndarray, out: np.ndarray):
     np.sin(out.imag, out=out.imag)
 
 
-def _phase_steps(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The steps of ``_phases`` on the even grid t: e^{-i f_j (t_r - t_0)}
-    for its first _ROWS points, (min(t.size, _ROWS), freqs.size)."""
-    steps = np.empty((min(t.size, _ROWS), freqs.size), dtype=complex)
-    _trig(t[:_ROWS] - t[0], freqs, steps)
-    return steps
-
-
-def _phases(t: np.ndarray, freqs: np.ndarray, out: np.ndarray,
-            steps: np.ndarray):
-    """out[i, j] = e^{-i f_j t_i} on an even grid t (a ``np.linspace``).
-
-    Cosines and sines are taken only at every _ROWS-th time, the bases
-    e^{-i f t_{qR}}; entry qR + r is the base times the step e^{-i f
-    (t_r - t_0)} of ``_phase_steps``, one complex product.  ``steps`` may
-    come from a longer grid with the same spacing, so a pass over blocks
-    of _ROWS snapshots builds them once.  Against cos and sin of the
-    rounded argument f t_i, the entries differ by at most 4 eps max|f t| +
-    8 eps (7.6e-14 at max|f t| = 300, the default comb, 9.1e-13 at 6000),
-    and their moduli from 1 by a few ulps.  The 301 x 401 table of the
-    801-mode comb (max|f t| = 300) takes 0.55-0.8 ms, against 2.7-4.1 ms
-    for cos and sin of every entry (2-core x86 VM).
-    """
-    for q, base in enumerate(_phase_bases(t, freqs)):
-        block = out[q * _ROWS:(q + 1) * _ROWS]
-        np.multiply(base, steps[:len(block)], out=block)
-
-
 def _phase_bases(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The bases of ``_phases``: e^{-i f_j t_{qR}} at every _ROWS-th time."""
+    """e^{-i f_j t_{qR}} at every _ROWS-th time of t, R = _ROWS, the only
+    entries of a phase table e^{-i f_j t_i} whose cos and sin are taken.
+
+    On an even grid t (a ``np.linspace``) entry qR + r of the table is
+    base q times step r of ``_phase_steps``, one complex product; a pass
+    over blocks of R snapshots takes one base per block and builds the
+    steps once.  Against cos and sin of the rounded argument f t_i, the
+    entries differ by at most 4 eps max|f t| + 8 eps (7.6e-14 at max|f t|
+    = 300, the default comb, 9.1e-13 at 6000), and their moduli from 1 by
+    a few ulps.  The 301 x 401 table of the 801-mode comb (max|f t| =
+    300) takes 0.55-0.8 ms, against 2.7-4.1 ms for cos and sin of every
+    entry (2-core x86 VM).
+    """
     bases = np.empty((-(-t.size // _ROWS), freqs.size), dtype=complex)
     _trig(t[::_ROWS], freqs, bases)
     return bases
 
 
-def _mirrored_phases(t: np.ndarray, d: np.ndarray, out: np.ndarray,
-                     steps: np.ndarray):
-    """out[i, j] = e^{-i d_j t_i} on a comb with d_{n-1-j} = -d_j: the
-    upper half is ``_phases`` with the steps of d[n // 2:], the lower half
-    its complex conjugate."""
-    c = d.size // 2
-    _phases(t, d[c:], out[:, c:], steps)
-    np.conjugate(out[:, :c:-1], out=out[:, :c])
+def _phase_steps(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The steps e^{-i f_j (t_r - t_0)} of a phase table on the even grid
+    t, for its first _ROWS points, (min(t.size, _ROWS), freqs.size): each
+    multiplies a base of ``_phase_bases``, which states their accuracy."""
+    steps = np.empty((min(t.size, _ROWS), freqs.size), dtype=complex)
+    _trig(t[:_ROWS] - t[0], freqs, steps)
+    return steps
 
 
 def _mirror_rows(arrow: _Arrowhead, r0: int, r1: int, b0: np.ndarray,
@@ -633,9 +622,9 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     half the width: with F the forward-phased and G the mirrored
     coefficients, X = (F - G) on S and Y = (F + G) on D give bright_j =
     X_j + Y_j and bright_{n-1-j} = X_j - Y_j (and |e> from Y).  F and G
-    are formed _ROWS snapshots at a time from ``_phases``' bases and
-    steps, once for X and once for Y, straight into the GEMMs' real
-    operand, so no complex table of a block is ever whole.  X and Y
+    are formed _ROWS snapshots at a time from ``_phase_bases`` and
+    ``_phase_steps``, once for X and once for Y, straight into the GEMMs'
+    real operand, so no complex table of a block is ever whole.  X and Y
     accumulate inside the states array: the |e> and a-mode columns of a
     snapshot hold 2 (n + 1) = 4 (c + 1) doubles, four real bands Re X,
     Im X, Re Y and Im Y of c + 1 each.  Each block runs its GEMMs on the
@@ -645,12 +634,11 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     The snapshot loop then takes _ROWS snapshots at a time through one
     scratch block: it copies their bands and unfolds them into the
     bright amplitudes, mixes (bright, dark) into (a, b) with the dark
-    phases, and sums the norms.  Every phase table (e^{-i lam t} of a
-    root block, the dark modes' e^{-i d_j t}) is built by ``_phases`` on
-    the even snapshot grid: cos and sin once per _ROWS snapshots, every
-    other entry one complex product; the dark modes compute the upper
-    half of their table and conjugate it, with one set of steps for the
-    whole run.  Norm drift above DRIFT_TOL raises.  n_out * dim above
+    phases, and measures the block: the overlap with the free pulse,
+    whose phases e^{i d_j t} are the dark ones' conjugate, then p_e, n_a,
+    n_b and the norms (``OracleRun``).  The dark modes' table takes the
+    upper half from one base per block and one set of steps for the run,
+    and conjugates it.  Norm drift above DRIFT_TOL raises.  n_out * dim above
     MAX_GRID_NODES is refused with ConfigurationError before anything is
     allocated or solved.  On the 2001-mode default comb with 301
     snapshots, a cold run takes about 0.17-0.22 s and a warm one
@@ -759,14 +747,17 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     del part, sums, diffs, lhs, fwd_buf, mir_buf
 
     # each block of snapshots unfolds its bands, turns (bright, dark) into
-    # (a, b) in place and sums its norms, every step in the same scratch:
+    # (a, b) in place and measures itself, every step in the same scratch:
     # a = (conj(z_a) bright + z_b dark0 e^{-i d t}) / G and
-    # b = (conj(z_b) bright - z_a dark0 e^{-i d t}) / G
+    # b = (conj(z_b) bright - z_a dark0 e^{-i d t}) / G; the overlap with
+    # the free pulse a0_j e^{-i d_j t} in the same rotating frame is
+    # <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j))
     steps = _phase_steps(t_out, d[c:])
     a_bright, b_bright = np.conj(z_a) / g, np.conj(z_b) / g
     a_dark, b_dark = z_b * dark0 / g, -z_a * dark0 / g
     scratch = np.empty((min(n_out, _ROWS), 2 * n), dtype=complex)
-    norms = np.empty(n_out)
+    norms, p_e, n_a, n_b = np.empty((4, n_out))
+    overlap = np.empty(n_out, dtype=complex)
     for i0 in range(0, n_out, _ROWS):
         rows = slice(i0, i0 + _ROWS)
         block = states[rows]
@@ -777,84 +768,36 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
         _unfold(x_re, y_re, block.real)
         _unfold(x_im, y_im, block.imag)
         bright, phase = block[:, a], block[:, b]
-        _mirrored_phases(t_out[rows], d, phase, steps)
+        # the dark phases, the lower half the upper one's mirrored conjugate
+        np.multiply(_phase_bases(t_out[rows], d[c:]), steps[:len(block)],
+                    out=phase[:, c:])
+        np.conjugate(phase[:, :c:-1], out=phase[:, :c])
         new_a, term = np.split(work, 2, axis=1)
         np.multiply(a_bright, bright, out=new_a)
         np.multiply(a_dark, phase, out=term)
         new_a += term
+        np.conjugate(phase, out=term)
         phase *= b_dark
         bright *= b_bright
         phase += bright
         bright[:] = new_a
+        if i0 == 0:
+            a0 = np.conj(new_a[0])
+        term *= a0
+        term *= new_a
+        overlap[rows] = np.conj(np.sum(term, axis=1))
         pops = np.abs(block, out=work.view(float)[:, :dim])
         pops *= pops
-        norms[rows] = np.add.reduce(pops, axis=1)
+        p_e[rows] = pops[:, 0]
+        for cols, out in ((slice(None), norms), (a, n_a), (b, n_b)):
+            out[rows] = np.add.reduce(pops[:, cols], axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > DRIFT_TOL:
         raise NumericalConsistencyError(
             f"norm drift {drift:.3e} exceeds {DRIFT_TOL}")
     return OracleRun(times=t_out, states=states, hamiltonian=h,
-                     norm_drift=drift)
-
-
-def measure_series(run: OracleRun, mixture: InitialMixture) -> EnvSpectrum:
-    """Exact partial trace of the environment at every snapshot.
-
-    The environment state is rank <= 4: vacuum, the b-branch photon, and
-    a 2x2 block mixing the scattered a photon with the free-flying pulse
-    (the reference for the photon had the system started in |b>).  Its
-    eigenvalues follow from scalar products of the stored amplitudes,
-    taken over blocks of _ROWS snapshots in one scratch block; no large
-    matrix is ever diagonalized or formed.  The free pulse's phases come
-    from ``_phases``, with one set of steps per call, so the run's times
-    must be the even grid ``evolve`` writes, np.linspace(t_0, t_final,
-    n_out), and, as their upper half is conjugated into the lower, its
-    comb must be mirror symmetric, else ParameterError.  Returns the series as one
-    ``EnvSpectrum``: psi_sq = p_e, n_a, n_b = p_ab, the overlap and the
-    entropies, one entry per snapshot.  On a 2001-mode run of 301
-    snapshots it takes about 15 ms and 1.1 MiB above the run
-    (tracemalloc; 7643 modes and 401 snapshots, 50 ms and 3.1 MiB).
-    """
-    h = run.hamiltonian
-    n = h.offsets.size
-    times = run.times
-    if not np.array_equal(times, np.linspace(times[0], times[-1],
-                                             times.size)):
-        raise ParameterError(
-            "measure_series needs the even time grid evolve writes, "
-            "np.linspace(t_0, t_final, n_out)")
-    if not np.array_equal(h.offsets, -h.offsets[::-1]):
-        raise ParameterError("measure_series needs a comb mirror-symmetric "
-                             "about omega_ref, as evolve does")
-    states = run.states
-    a_block = states[:, 1:1 + n]
-    b_block = states[:, 1 + n:]
-    n_out = times.size
-    p_e = np.abs(states[:, 0]) ** 2
-    n_a, n_b = np.empty(n_out), np.empty(n_out)
-    # overlap with the free pulse a0_j e^{-i d_j t} in the same rotating
-    # frame, <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j)),
-    # in blocks of snapshots, with one scratch block for the whole loop:
-    # first each branch's populations, then the phases (their steps built
-    # once), which take a0 and a(t) in place
-    cross = np.empty(n_out, dtype=complex)
-    flipped = -h.offsets
-    steps = _phase_steps(times, flipped[n // 2:])
-    a0 = np.conj(a_block[0])
-    scratch = np.empty((min(n_out, _ROWS), n), dtype=complex)
-    for i0 in range(0, n_out, _ROWS):
-        rows = slice(i0, i0 + _ROWS)
-        block = scratch[:len(times[rows])]
-        for modes, out in ((a_block, n_a), (b_block, n_b)):
-            pops = np.abs(modes[rows], out=block.view(float)[:, :n])
-            pops *= pops
-            out[rows] = np.add.reduce(pops, axis=1)
-        _mirrored_phases(times[rows], flipped, block, steps)
-        block *= a0
-        block *= a_block[rows]
-        cross[rows] = np.conj(np.sum(block, axis=1))
-    return EnvSpectrum.from_branches(mixture, p_e, n_a, n_b,
-                                     normalized_overlap_sq(cross, n_a))
+                     norm_drift=drift, p_e=p_e, n_a=n_a, n_b=n_b,
+                     overlap=overlap)
 
 
 DEFAULT_TOLERANCES = {"p_e": 1e-3, "p_ab": 1e-3, "n_a": 1e-3, "s_e": 1e-2,
@@ -892,11 +835,18 @@ class Observables:
     @classmethod
     def from_run(cls, run: OracleRun, system: LambdaSystem,
                  pulse: PulseSpec, mixture: InitialMixture) -> "Observables":
-        """``measure_series``, and psi^ = psi~ e^{i delta_L t} from |e>."""
+        """The run's series, and psi^ = psi~ e^{i delta_L t} from |e>.
+
+        The environment state is rank <= 4: vacuum, the b-branch photon,
+        and a 2x2 block mixing the scattered a photon with the free pulse
+        (the photon, had the system started in |b>), so the series give
+        its spectrum exactly."""
         psi_hat = run.states[:, 0] * np.exp(1j * pulse.detuning(system)
                                             * run.times)
-        return cls.from_series(system, pulse, run.times,
-                               measure_series(run, mixture), psi_hat)
+        spectrum = EnvSpectrum.from_branches(
+            mixture, run.p_e, run.n_a, run.n_b,
+            normalized_overlap_sq(run.overlap, run.n_a))
+        return cls.from_series(system, pulse, run.times, spectrum, psi_hat)
 
     @classmethod
     def from_trajectory(cls, traj: AmplitudeTrajectory, system: LambdaSystem,

@@ -254,19 +254,59 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("data", [
-        b"\xff\xfe[system]\n",
-        BASE.replace("omega_a = 50.0",
-                     "omega_a = 50.0  # caf\u00e9").encode("latin-1"),
-    ], ids=["utf16_bom", "latin1_comment"])
+    # a config refused before it is parsed, or by configparser, whose own
+    # messages quote the offending lines on lines of their own: one
+    # stderr line each, and no output directory, which is made only once
+    # there is an artifact to write
+    @pytest.mark.parametrize("data, needle", [
+        (b"\xff\xfe[system]\n", "not UTF-8"),
+        (BASE.replace("omega_a = 50.0", "omega_a = 50.0  # caf\u00e9")
+         .encode("latin-1"), "not UTF-8"),
+        (None, "cannot read config"),
+        ((BASE + "p_a0 = 0.3\n").encode(), "already exists"),
+        (("omega_a = 50.0\n" + BASE).encode(), "no section headers"),
+        ((BASE + "[grid]\nt_max\n").encode(), "parsing errors"),
+    ], ids=["utf16_bom", "latin1_comment", "missing", "duplicate_key",
+            "no_section_header", "bare_key"])
     def test_undecodable_config_is_config_error(self, tmp_path, capsys,
-                                                data):
+                                                data, needle):
         cfg = tmp_path / "run.ini"
-        cfg.write_bytes(data)
+        if data is not None:
+            cfg.write_bytes(data)
+        out = tmp_path / "o" / "deeper"
         assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "not UTF-8" in err
+        assert err.count("\n") == 1 and needle in err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_below_a_regular_file_is_io_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, BASE)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(blocker / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("i/o error:")
+
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path):
+        # as some editors save UTF-8: every artifact equals the plain
+        # file's but for the config's hash, which stays its bytes' digest
+        data = DEFAULT_INI.read_bytes()
+        digests = {}
+        for name, raw in (("plain", data), ("bom", b"\xef\xbb\xbf" + data)):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_bytes(raw)
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+            digests[name] = hashlib.sha256(raw).hexdigest()
+        files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "bom").iterdir())
+        for f in files:
+            plain = (tmp_path / "plain" / f).read_text()
+            bom = (tmp_path / "bom" / f).read_text()
+            assert digests["plain"] in plain and digests["bom"] in bom
+            assert bom == plain.replace(digests["plain"], digests["bom"])
 
     def test_unconverged_run_is_numerical_error(self, tmp_path):
         # the pulse is still transferring population at t_max = 3, which
@@ -423,7 +463,7 @@ dt = 0.005
         err = capsys.readouterr().err
         assert err.startswith("numerical consistency failure: ")
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_nan_ledger_is_numerical_error(self, tmp_path, capsys):
         # gamma_a = 1e300 overflows the work quadrature (to NaN, outside
@@ -463,7 +503,7 @@ dt = 0.005
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main([command, "--config", str(write(tmp_path, text)),
                          "--out", str(out)]) == 3
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_oversized_bath_is_config_error(self, tmp_path, capsys):
         # 301 snapshots of 1 + 2 * 33223 amplitudes, 20000547 in all, just

@@ -87,6 +87,20 @@ class TestLoading:
         assert dataclasses.replace(cfg, sha256="") == \
             dataclasses.replace(load_config(lf), sha256="")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a UTF-8 mark parses as the plain file, hashed as its own bytes;
+        # a bad byte after it is reported at its offset in the file
+        plain = write(tmp_path, MINIMAL, name="plain.ini")
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        cfg = load_config(path)
+        assert cfg.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert dataclasses.replace(cfg, sha256="") == \
+            dataclasses.replace(load_config(plain), sha256="")
+        path.write_bytes(b"\xef\xbb\xbf# caf\xe9\n" + plain.read_bytes())
+        with pytest.raises(ConfigurationError, match=r"not UTF-8 \(byte 8\)"):
+            load_config(path)
+
     def test_reads_utf8_whatever_the_locale(self, tmp_path):
         # an ASCII locale with UTF-8 mode and locale coercion off decodes
         # files as ASCII by default; a config is UTF-8 everywhere

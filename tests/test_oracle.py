@@ -17,8 +17,7 @@ from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, make_pulse)
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
                                  Observables, build_hamiltonian, compare,
-                                 deviations, discretize_pulse, evolve,
-                                 measure_series)
+                                 deviations, discretize_pulse, evolve)
 
 
 @pytest.fixture(scope="module")
@@ -390,10 +389,9 @@ class TestEvolve:
 
     def test_working_set(self, system):
         # the bright pass accumulates inside the states array, keeping
-        # its scratch in their b-mode columns, and the snapshot passes
-        # reuse one small block, so a cold 301-snapshot run holds little
-        # beyond its states, and measure_series little beyond the run it
-        # reads
+        # its scratch in their b-mode columns, and the snapshot loop
+        # writes and measures through one small block, so a cold
+        # 301-snapshot run holds little beyond its states
         bath = DiscreteBath.default(system)
         h = build_hamiltonian(system, bath)
         amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0),
@@ -403,15 +401,9 @@ class TestEvolve:
         try:
             run = evolve(h, photon_in(amps), 7.5, n_out=301)
             evolve_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            measure_series(run, InitialMixture(0.5, 0.5))
-            measure_added = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        mib = 2 ** 20
-        assert evolve_peak < run.states.nbytes + 3 * mib
-        assert measure_added <= 4 * mib
+        assert evolve_peak < run.states.nbytes + 3 * 2 ** 20
 
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
@@ -431,8 +423,14 @@ def phase_bound(arg):
 
 
 def product_table(t, freqs):
+    """e^{-i f_j t_i} on the even grid t, every _ROWS-th row a base of
+    ``oracle._phase_bases`` and each row after it that base times a step
+    of ``oracle._phase_steps``, as evolve builds its phase tables."""
     out = np.empty((t.size, freqs.size), dtype=complex)
-    oracle._phases(t, freqs, out, oracle._phase_steps(t, freqs))
+    steps = oracle._phase_steps(t, freqs)
+    for q, base in enumerate(oracle._phase_bases(t, freqs)):
+        block = out[q * oracle._ROWS:(q + 1) * oracle._ROWS]
+        np.multiply(base, steps[:len(block)], out=block)
     return out
 
 
@@ -463,61 +461,30 @@ class TestPhases:
         assert np.max(np.abs(np.abs(table) - 1.0)) <= 4.0 * EPS
 
     def test_steps_serve_every_block_of_a_grid(self, system):
-        # the snapshot passes build the steps once and take the table a
-        # block of _ROWS snapshots at a time
+        # the snapshot loop builds the steps once and takes the table a
+        # block of _ROWS snapshots at a time, from the block's own base
         freqs = DiscreteBath.default(system).offsets()
         t = np.linspace(0.0, 7.5, 301)
         steps = oracle._phase_steps(t, freqs)
         whole = product_table(t, freqs)
         for i0 in range(0, t.size, oracle._ROWS):
             rows = slice(i0, i0 + oracle._ROWS)
-            block = np.empty((t[rows].size, freqs.size), dtype=complex)
-            oracle._phases(t[rows], freqs, block, steps)
+            block = oracle._phase_bases(t[rows], freqs) * steps[:t[rows].size]
             assert np.array_equal(block, whole[rows])
 
     def test_mirrored_table_of_the_dark_modes(self, small_bath):
         # e^{-i d_j t} on the 801-mode comb, as evolve turns its dark
-        # modes: the upper half is the product table, the lower half its
-        # conjugate to the last bit, and the whole within the product
-        # tables' bound of cos and sin of d t
+        # modes: the upper half a product table, the lower half its
+        # mirror's conjugate, within the product tables' bound of cos and
+        # sin of d t
         d = small_bath.offsets()
         c = d.size // 2
         t = np.linspace(0.0, 7.5, 21)
-        table = np.empty((t.size, d.size), dtype=complex)
-        oracle._mirrored_phases(t, d, table, oracle._phase_steps(t, d[c:]))
-        assert np.array_equal(table[:, c:], product_table(t, d[c:]))
-        assert np.array_equal(table[:, :c], np.conj(table[:, :c:-1]))
+        upper = product_table(t, d[c:])
+        table = np.concatenate((np.conj(upper[:, :0:-1]), upper), axis=1)
         arg = np.multiply(t[:, None], d)
         assert np.max(np.abs(table - (np.cos(arg) - 1j * np.sin(arg)))) \
             <= phase_bound(arg)
-
-    @pytest.mark.parametrize("times", ["geometric", "one_ulp_off",
-                                       "reversed_step"])
-    def test_measure_series_refuses_an_uneven_grid(self, run, times):
-        # a hand-built run reaches measure_series, whose phase tables need
-        # evolve's linspace
-        t = run.times.copy()
-        if times == "geometric":
-            t = t[-1] * (np.geomspace(1.0, 2.0, t.size) - 1.0)
-        elif times == "one_ulp_off":
-            t[7] = np.nextafter(t[7], np.inf)
-        else:
-            t[[3, 4]] = t[[4, 3]]
-        uneven = dataclasses.replace(run, times=t)
-        with pytest.raises(ParameterError, match="even time grid"):
-            measure_series(uneven, InitialMixture(0.5, 0.5))
-        # the run's own grid, rebuilt, passes
-        measure_series(dataclasses.replace(run, times=run.times.copy()),
-                       InitialMixture(0.5, 0.5))
-
-    def test_measure_series_refuses_an_asymmetric_comb(self, run):
-        # the free pulse's phase table conjugates its upper half into the
-        # lower one: on a comb shifted off the mirror it would be wrong
-        h = run.hamiltonian
-        shifted = dataclasses.replace(
-            run, hamiltonian=dataclasses.replace(h, offsets=h.offsets + 0.01))
-        with pytest.raises(ParameterError, match="mirror-symmetric"):
-            measure_series(shifted, InitialMixture(0.5, 0.5))
 
 
 def dense_arrowhead(alpha, d, g):
@@ -726,16 +693,24 @@ def run(system, small_bath):
     return evolve(h, photon_in(amps), 7.5, n_out=51)
 
 
+def measured(run):
+    """The environment spectrum of ``run``'s series, as ``compare`` reads
+    it (``Observables.from_run``)."""
+    return Observables.from_run(run, RANDOM_RUN_SYSTEM,
+                                make_pulse(Gaussian(1.0), 50.0),
+                                InitialMixture(0.5, 0.5)).spectrum
+
+
 class TestMeasure:
     def test_norm_and_spectrum(self, run):
-        series = measure_series(run, InitialMixture(0.5, 0.5))
+        series = measured(run)
         norm = series.psi_sq + series.n_a + series.n_b
         assert np.max(np.abs(norm - 1.0)) < 1e-10
         assert np.max(np.abs(series.lambdas.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(series.lambdas >= -1e-12)
 
     def test_initial_snapshot_is_pure(self, run):
-        series = measure_series(run, InitialMixture(0.5, 0.5))
+        series = measured(run)
         assert series.psi_sq[0] == pytest.approx(0.0, abs=1e-15)
         assert series.n_a[0] == pytest.approx(1.0, abs=1e-12)
         assert series.overlap_sq[0] == pytest.approx(1.0, abs=1e-12)
@@ -743,12 +718,13 @@ class TestMeasure:
 
     @pytest.mark.parametrize("n_out", [1, 2, 33])
     def test_partial_snapshot_blocks(self, n_out):
-        # every snapshot of a block-wise pass against direct sums over
-        # the whole run
+        # every snapshot the loop measures, block by block, against
+        # direct sums over the whole run
         _, _, run = random_run(n_out)
-        series = measure_series(run, InitialMixture(0.5, 0.5))
+        series = measured(run)
         n = run.hamiltonian.offsets.size
         a, b = run.states[:, 1:n + 1], run.states[:, n + 1:]
+        assert np.array_equal(series.psi_sq, np.abs(run.states[:, 0]) ** 2)
         np.testing.assert_allclose(series.n_a,
                                    np.sum(np.abs(a) ** 2, axis=1),
                                    rtol=1e-14, atol=0)
