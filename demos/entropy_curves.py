@@ -18,7 +18,7 @@ from lambda_adapt.model import InitialMixture, LambdaSystem
 
 def main():
     s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-    mix = InitialMixture(0.5, 0.5)
+    mix = InitialMixture(0.5)
     curve = entropy_curve(s, mix, n_points=200)
 
     print("-- S_E and S_E^c vs p_ab(inf), p_a0 = 1/2 --")

@@ -20,7 +20,7 @@ from lambda_adapt.oracle import DiscreteBath, build_hamiltonian, compare
 def main():
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
     pulse = make_pulse(Gaussian(1.2), s.omega_a)
-    mix = InitialMixture(0.5, 0.5)
+    mix = InitialMixture(0.5)
 
     print("-- oracle vs analytic, default bath (2001 modes, B = 40 Gamma) --")
     t0 = time.perf_counter()

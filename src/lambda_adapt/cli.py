@@ -205,7 +205,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, points: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig, out: Path) -> int:
+def cmd_optimize(cfg: RunConfig, out: Path, points: int | None) -> int:
     if cfg.optimize is None:
         raise ConfigurationError(
             "optimize subcommand needs an [optimize] section")
@@ -237,7 +237,7 @@ def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
+def cmd_oracle_verify(cfg: RunConfig, out: Path, points: int | None) -> int:
     checks = {
         "oracle_agreement": dataclasses.asdict(
             compare(cfg.system, cfg.pulse, cfg.mixture, cfg.bath)),
@@ -277,6 +277,15 @@ def cmd_oracle_verify(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+# Each subcommand: its name, its aliases and the function that runs it
+# with the config, the output directory and --points.
+COMMANDS = (("simulate", (), cmd_simulate),
+            ("sweep", (), cmd_sweep),
+            ("optimize", (), cmd_optimize),
+            ("entropy-curve", ("figure2",), cmd_entropy_curve),
+            ("oracle-verify", (), cmd_oracle_verify))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process.
@@ -292,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, aliases=()):
+    for name, aliases, run in COMMANDS:
         p = sub.add_parser(name, aliases=list(aliases))
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--points", type=int, default=None, metavar="N",
@@ -301,13 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "at most N, plus the last (up to N + 1 rows); "
                             "sweep, entropy-curve: point count; optimize, "
                             "oracle-verify: ignored (>= 1)")
-        return p
-
-    add("simulate")
-    add("sweep")
-    add("optimize")
-    add("entropy-curve", aliases=["figure2"])
-    add("oracle-verify")
     return parser
 
 
@@ -319,19 +322,8 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 f"--points must be at least 1, got {args.points}")
         cfg = load_config(args.config)
-        command = args.command
-        if command == "figure2":
-            command = "entropy-curve"
         with np.errstate(over="raise", invalid="raise"):
-            if command == "simulate":
-                return cmd_simulate(cfg, out, args.points)
-            if command == "sweep":
-                return cmd_sweep(cfg, out, args.points)
-            if command == "optimize":
-                return cmd_optimize(cfg, out)
-            if command == "entropy-curve":
-                return cmd_entropy_curve(cfg, out, args.points)
-            return cmd_oracle_verify(cfg, out)
+            return args.run(cfg, out, args.points)
     except (NumericalConsistencyError, FloatingPointError) as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .model import (FAMILIES, InitialMixture, LambdaSystem, PulseSpec,
                     SimGrid, make_pulse)
-from .optimize import OBJECTIVES, SweepSpec
+from .optimize import DRIVE_PARAMETERS, OBJECTIVES, SweepSpec
 from .oracle import DiscreteBath
 
 try:
@@ -40,9 +40,8 @@ _SECTION_KEYS = {
     "bath": {"n_modes", "bandwidth"},
     "sweep": {"parameter", "lo", "hi", "n_points", "objective"},
     "optimize": {"parameters", "objective", "budget",
-                 "linewidth_lo", "linewidth_hi",
-                 "detuning_lo", "detuning_hi",
-                 "rate_ratio_lo", "rate_ratio_hi"},
+                 *(f"{name}_{end}" for name in DRIVE_PARAMETERS
+                   for end in ("lo", "hi"))},
 }
 
 _WIDTH_KEY = {"exponential": "delta", "gaussian": "sigma",
@@ -231,10 +230,8 @@ def load_config(path) -> RunConfig:
                              for key, raw in parser["system"].items()})
     pulse = _build_pulse(parser, system)
 
-    p_a0 = 1.0
-    if parser.has_section("mixture") and "p_a0" in parser["mixture"]:
-        p_a0 = _float("mixture", "p_a0", parser["mixture"]["p_a0"])
-    mixture = InitialMixture(p_a0=p_a0, p_b0=1.0 - p_a0)
+    mixture = InitialMixture(_float(
+        "mixture", "p_a0", parser.get("mixture", "p_a0", fallback="1")))
 
     bath = DiscreteBath.default(system)
     if parser.has_section("bath"):

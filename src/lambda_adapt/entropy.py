@@ -42,7 +42,8 @@ __all__ = [
 
 
 def _check_unit_interval(name, value, slack=1e-12):
-    bad = (value < -slack) | (value > 1.0 + slack)
+    # written so that NaN fails it
+    bad = ~((value >= -slack) & (value <= 1.0 + slack))
     if np.any(bad):
         raise ParameterError(f"{name} = {value[bad]} outside [0, 1]")
 
@@ -73,8 +74,10 @@ def env_eigenvalues(mixture: InitialMixture, psi_sq, n_a, n_b,
         raise ParameterError(f"branch weights must sum to 1, got {total[off]}")
     p_a0, p_b0 = mixture.p_a0, mixture.p_b0
     half = 0.5 * (p_a0 * n_a + p_b0)
-    disc = np.sqrt((p_a0 * n_a - p_b0) ** 2
-                   + 4.0 * p_a0 * p_b0 * n_a * overlap_sq)
+    # squares by products: a float64 scalar's ** 2 is pow(), which can
+    # round apart from an array's square
+    gap = p_a0 * n_a - p_b0
+    disc = np.sqrt(gap * gap + 4.0 * p_a0 * p_b0 * n_a * overlap_sq)
     lams = np.stack([p_a0 * psi_sq, p_a0 * n_b, half + 0.5 * disc,
                      half - 0.5 * disc], axis=-1)
     return np.sort(np.clip(lams, 0.0, None), axis=-1)[..., ::-1]
@@ -87,8 +90,8 @@ def von_neumann(eigenvalues):
     A pure spectrum gives +0.0, never -0.0.
     """
     lams = np.asarray(eigenvalues, dtype=float)
-    if np.any(lams < -1e-12):
-        raise ParameterError(f"negative eigenvalue in {lams}")
+    if not np.all(lams >= -1e-12):
+        raise ParameterError(f"negative or NaN eigenvalue in {lams}")
     sums = lams.sum(axis=-1)
     if np.any(sums > 1.0 + 1e-10):
         raise ParameterError(f"eigenvalues sum to {np.max(sums)} > 1")
@@ -115,7 +118,8 @@ def normalized_overlap_sq(value, n_a):
     """
     n_a = np.asarray(n_a, dtype=float)
     kept = n_a >= 1e-14
-    ratio = np.abs(value) ** 2 / np.where(kept, n_a, 1.0)
+    size = np.abs(value)
+    ratio = size * size / np.where(kept, n_a, 1.0)
     return np.where(kept, np.minimum(ratio, 1.0), 0.0)
 
 
@@ -229,7 +233,7 @@ def asymptotic_spectrum(system: LambdaSystem, mixture: InitialMixture,
     p_max = _p_max(system)
     lo, hi = _p_ab_range(system)
     p = np.asarray(p_ab_infty, dtype=float)
-    bad = (p < lo) | (p > hi)
+    bad = ~((p >= lo) & (p <= hi))
     if np.any(bad):
         raise ParameterError(
             f"p_ab_infty = {p[bad]} outside [0, 4 gamma_a gamma_b / Gamma^2 "

@@ -291,16 +291,19 @@ def make_pulse(envelope, carrier: float) -> PulseSpec:
 
 @dataclass(frozen=True)
 class InitialMixture:
-    """Classical mixture of the two ground states before the pulse."""
+    """Classical mixture p_a0 |a><a| + p_b0 |b><b| of the two ground
+    states before the pulse.  Its one free weight is p_a0, in [0, 1];
+    p_b0 is 1 - p_a0."""
 
     p_a0: float
-    p_b0: float
 
     def __post_init__(self):
-        if min(self.p_a0, self.p_b0) < 0 or abs(self.p_a0 + self.p_b0 - 1.0) > 1e-12:
-            raise ParameterError(
-                f"mixture weights must be a distribution, got ({self.p_a0}, {self.p_b0})"
-            )
+        if not 0.0 <= self.p_a0 <= 1.0:
+            raise ParameterError(f"p_a0 must lie in [0, 1], got {self.p_a0}")
+
+    @property
+    def p_b0(self) -> float:
+        return 1.0 - self.p_a0
 
 
 # Largest number of steps a trajectory may have; 2e7 complex samples with

@@ -27,7 +27,10 @@ from .model import (FAMILIES, MAX_GRID_NODES, LambdaSystem, PulseSpec,
                     SimGrid, make_pulse)
 from .thermo import drive_energy_flux
 
-PARAMETERS = ("linewidth", "detuning", "rate_ratio", "family")
+# The drive parameters a sweep or a search sets, each with whether it
+# must stay positive; a ``family`` sweep sets the linewidth.
+DRIVE_PARAMETERS = {"linewidth": True, "detuning": False, "rate_ratio": True}
+PARAMETERS = (*DRIVE_PARAMETERS, "family")
 OBJECTIVES = ("p_ab_infty", "w_over_hw")
 
 # Relative convergence target of the search: it stops once the simplex,
@@ -43,6 +46,18 @@ EDGE_REL = 10.0 * CONVERGENCE_REL
 
 # Floor of maximize's linewidth bounds, in units of the total decay rate.
 LINEWIDTH_FLOOR = 1e-3
+
+
+def _check_range(name: str, lo: float, hi: float, positive: bool):
+    """Refuse [lo, hi] unless lo < hi with a finite span hi - lo (so both
+    ends finite), and lo > 0 if ``positive``; a NaN end fails."""
+    if not lo < hi:
+        raise ParameterError(f"{name} range needs lo < hi, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ParameterError(
+            f"{name} range span hi - lo overflows, got [{lo}, {hi}]")
+    if positive and not lo > 0:
+        raise ParameterError(f"{name} range must be positive, got lo = {lo}")
 
 
 @dataclass(frozen=True)
@@ -80,18 +95,9 @@ class SweepSpec:
             raise ParameterError(
                 f"unknown objective {self.objective!r}; "
                 f"expected one of {OBJECTIVES}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo < self.hi):
-            raise ParameterError(
-                f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if not math.isfinite(self.hi - self.lo):
-            raise ParameterError(
-                f"grid span hi - lo overflows, got [{self.lo}, {self.hi}]")
-        if self.parameter in ("linewidth", "rate_ratio", "family") \
-                and self.lo <= 0:
-            raise ParameterError(
-                f"{self.parameter} grid must be strictly positive, "
-                f"lo = {self.lo}")
+        _check_range(self.parameter, self.lo, self.hi,
+                     self.parameter == "family"
+                     or DRIVE_PARAMETERS[self.parameter])
         if not 3 <= self.n_points <= MAX_GRID_NODES:
             raise ParameterError(
                 f"n_points must be >= 3 and <= MAX_GRID_NODES = "
@@ -124,26 +130,24 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
     ``linewidth`` rebuilds the envelope at the given spectral scale and
     ``detuning`` moves the carrier relative to the a-branch transition.
     """
-    for name in params:
-        if name not in ("linewidth", "detuning", "rate_ratio"):
+    params = {name: float(value) for name, value in params.items()}
+    for name, value in params.items():
+        if name not in DRIVE_PARAMETERS:
             raise ParameterError(f"unknown drive parameter {name!r}")
+        if DRIVE_PARAMETERS[name] and not value > 0:
+            raise ParameterError(f"{name} must be positive, got {value}")
     sys2 = system
     if "rate_ratio" in params:
-        r = float(params["rate_ratio"])
-        if not r > 0:
-            raise ParameterError(f"rate_ratio must be positive, got {r}")
+        r = params["rate_ratio"]
         total = system.gamma_a + system.gamma_b
         sys2 = replace(system, gamma_a=total / (1.0 + r),
                        gamma_b=total * r / (1.0 + r))
     envelope = pulse.envelope
     if "linewidth" in params:
-        w = float(params["linewidth"])
-        if not w > 0:
-            raise ParameterError(f"linewidth must be positive, got {w}")
-        envelope = envelope.at_scale(w)
+        envelope = envelope.at_scale(params["linewidth"])
     carrier = pulse.carrier
     if "detuning" in params:
-        carrier = sys2.omega_a + float(params["detuning"])
+        carrier = sys2.omega_a + params["detuning"]
     return sys2, make_pulse(envelope, carrier)
 
 
@@ -364,22 +368,14 @@ def maximize(system: LambdaSystem, pulse: PulseSpec,
     if not 1 <= len(names) <= 3:
         raise ParameterError(
             f"maximize expects 1 to 3 parameters, got {len(names)}")
-    for name in names:
-        if name not in ("linewidth", "detuning", "rate_ratio"):
-            raise ParameterError(f"unknown drive parameter {name!r}")
     box = {}
     for name in names:
+        if name not in DRIVE_PARAMETERS:
+            raise ParameterError(f"unknown drive parameter {name!r}")
         lo, hi = (float(bounds[name][0]), float(bounds[name][1]))
         if name == "linewidth":
             lo = max(lo, LINEWIDTH_FLOOR * system.gamma_total)
-        if name in ("linewidth", "rate_ratio") and lo <= 0:
-            raise ParameterError(f"{name} lower bound must be positive")
-        if not lo < hi:
-            raise ParameterError(
-                f"invalid bounds for {name}: [{lo}, {hi}]")
-        if not math.isfinite(hi - lo):
-            raise ParameterError(
-                f"{name} bounds span hi - lo overflows, got [{lo}, {hi}]")
+        _check_range(name, lo, hi, DRIVE_PARAMETERS[name])
         box[name] = (lo, hi)
 
     fn = _resolve_objective(objective)

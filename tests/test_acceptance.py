@@ -161,7 +161,7 @@ def test_backward_protocol_is_frozen():
 
 def test_entropy_curve_shape():
     s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-    curve = entropy_curve(s, InitialMixture(0.5, 0.5), n_points=200)
+    curve = entropy_curve(s, InitialMixture(0.5), n_points=200)
     assert np.all(np.diff(curve.s_e_c) >= -1e-12)
     assert curve.s_e_c[-1] == pytest.approx(math.log(2.0), abs=1e-9)
     k = int(np.argmax(curve.s_e))
@@ -174,7 +174,7 @@ def test_discrete_bath_reproduces_analytic_dynamics():
     start = time.perf_counter()
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
     pulse = make_pulse(Gaussian(1.2), s.omega_a)
-    report = compare(s, pulse, InitialMixture(0.5, 0.5))
+    report = compare(s, pulse, InitialMixture(0.5))
     assert report.n_modes == 2001
     assert report.bandwidth == pytest.approx(40.0 * s.gamma_total)
     assert report.t_final == pytest.approx(15.0 / s.gamma_total)
@@ -187,7 +187,7 @@ def test_discrete_bath_reproduces_analytic_dynamics():
 
 def test_interaction_energy_vanishes_only_on_resonance():
     s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
-    mix = InitialMixture(1.0, 0.0)
+    mix = InitialMixture(1.0)
 
     pulse = make_pulse(Gaussian(1.0), s.omega_a)
     traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse))

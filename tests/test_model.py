@@ -198,11 +198,11 @@ class TestMakePulse:
 
 
 class TestInitialMixture:
-    def test_distribution_enforced(self):
+    @pytest.mark.parametrize("p_a0", [1.5, -0.5, math.nan],
+                             ids=["above", "below", "nan"])
+    def test_distribution_enforced(self, p_a0):
         with pytest.raises(ParameterError):
-            InitialMixture(0.6, 0.6)
-        with pytest.raises(ParameterError):
-            InitialMixture(1.5, -0.5)
+            InitialMixture(p_a0)
 
 
 class TestSimGrid:

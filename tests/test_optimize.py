@@ -405,6 +405,27 @@ class TestMaximize:
                                      "detuning": (-1e308, 1e308)},
                      objective=never)
 
+    @pytest.mark.parametrize("name, lo, hi", [
+        *((name, lo, hi) for name in ("linewidth", "detuning", "rate_ratio")
+          for lo, hi in ((2.0, 1.0), (1.0, 1.0), (math.nan, 1.0),
+                         (1.0, math.nan), (1.0, math.inf))),
+        ("detuning", -1e308, 1e308),          # span overflows
+        ("detuning", -math.inf, 0.0),
+        ("rate_ratio", 0.0, 1.0),             # lower bound not positive
+        ("rate_ratio", -1.0, 1.0),
+        ("linewidth", -2.0, -1.0),            # below the floor
+    ])
+    def test_refuses_the_ranges_a_sweep_refuses(self, system, pulse, name,
+                                                lo, hi):
+        # one range rule serves both; maximize raises before evaluating
+        def never(sys_, pulse_):
+            raise AssertionError("evaluated before the bounds were checked")
+
+        with pytest.raises(ParameterError, match=name):
+            SweepSpec(name, lo, hi)
+        with pytest.raises(ParameterError, match=name):
+            maximize(system, pulse, {name: (lo, hi)}, objective=never)
+
 
 def box_optimum(system, bounds, base_linewidth):
     """The largest p_ab(inf) over the box, for an exponential pulse of

@@ -698,7 +698,7 @@ def measured(run):
     it (``Observables.from_run``)."""
     return Observables.from_run(run, RANDOM_RUN_SYSTEM,
                                 make_pulse(Gaussian(1.0), 50.0),
-                                InitialMixture(0.5, 0.5)).spectrum
+                                InitialMixture(0.5)).spectrum
 
 
 class TestMeasure:
@@ -747,7 +747,7 @@ class TestCompare:
     def test_gaussian_within_default_tolerances(self, system, small_bath,
                                                 delta_l):
         rep = compare(system, make_pulse(Gaussian(1.2), 50.0 + delta_l),
-                      InitialMixture(0.5, 0.5), small_bath, n_out=151)
+                      InitialMixture(0.5), small_bath, n_out=151)
         assert rep.passed
         assert rep.failures == ()
         assert set(rep.deviations) == set(DEFAULT_TOLERANCES)
@@ -770,7 +770,7 @@ class TestCompare:
         for omega_a in (50.0, 61.3):
             s = LambdaSystem(omega_a=omega_a, gamma_a=1.0, gamma_b=1.0)
             rep = compare(s, make_pulse(Gaussian(1.2), omega_a),
-                          InitialMixture(0.5, 0.5), small_bath, n_out=51)
+                          InitialMixture(0.5), small_bath, n_out=51)
             assert rep.passed
         assert len(calls) == 1
 
@@ -778,7 +778,7 @@ class TestCompare:
                                               monkeypatch):
         monkeypatch.setitem(DEFAULT_TOLERANCES, "p_e", 1e-12)
         rep = compare(system, make_pulse(Gaussian(1.2), 50.0),
-                      InitialMixture(0.5, 0.5), small_bath, n_out=51)
+                      InitialMixture(0.5), small_bath, n_out=51)
         assert not rep.passed
         assert "p_e" in rep.failures
         assert rep.tolerances["p_e"] == 1e-12
@@ -796,7 +796,7 @@ class TestObservables:
     @pytest.fixture(scope="class")
     def record(self, system, small_bath):
         return oracle_record(system, make_pulse(Gaussian(1.2), 50.4),
-                             InitialMixture(0.5, 0.5), small_bath, 51)
+                             InitialMixture(0.5), small_bath, 51)
 
     def test_self_diff_is_zero(self, record):
         devs = deviations(record, record)
@@ -813,7 +813,7 @@ class TestObservables:
         # a finer comb over the same window, diffed through the same
         # deviations as compare's two sides
         fine = oracle_record(system, make_pulse(Gaussian(1.2), 50.4),
-                             InitialMixture(0.5, 0.5),
+                             InitialMixture(0.5),
                              DiscreteBath(1201, small_bath.bandwidth), 51)
         devs = deviations(record, fine)
         assert set(devs) == set(DEFAULT_TOLERANCES)

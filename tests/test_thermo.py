@@ -153,7 +153,7 @@ class TestInteractionEnergy:
     def test_resonant_vanishes(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Gaussian(1.0))
-        mix = InitialMixture(0.5, 0.5)
+        mix = InitialMixture(0.5)
         for t in np.linspace(0.0, traj.t_max, 17):
             assert abs(interaction_energy(traj, pulse, s, mix, float(t))) \
                 <= 1e-10 * s.omega_a
@@ -161,7 +161,7 @@ class TestInteractionEnergy:
     def test_detuned_is_nonzero(self):
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Gaussian(1.0), detuning=2.0)
-        mix = InitialMixture(1.0, 0.0)
+        mix = InitialMixture(1.0)
         vals = [abs(interaction_energy(traj, pulse, s, mix, float(t)))
                 for t in np.linspace(0.0, traj.t_max, 33)]
         assert max(vals) > 1e-6 * s.omega_a
@@ -171,7 +171,7 @@ class TestInteractionEnergy:
         detuning = 0.3
         pulse = make_pulse(Exponential(1e-3), s.omega_a + detuning)
         traj = integrate_psi(s, pulse, SimGrid.auto(s, pulse, dt=10.0))
-        mix = InitialMixture(1.0, 0.0)
+        mix = InitialMixture(1.0)
         ts = (traj.times[:-1] + 0.37 * np.diff(traj.times))[::97]
         psi = psi_closed_form(s, pulse, ts)
         drive = (pulse.shape_at(-ts)
@@ -188,5 +188,5 @@ class TestInteractionEnergy:
         s = LambdaSystem(omega_a=5.0, gamma_a=1.0, gamma_b=1.0)
         pulse, traj = run(s, Gaussian(1.0))
         with pytest.raises(ParameterError):
-            interaction_energy(traj, pulse, s, InitialMixture(1.0, 0.0),
+            interaction_energy(traj, pulse, s, InitialMixture(1.0),
                                traj.t_max * 2.0)
