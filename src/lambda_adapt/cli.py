@@ -55,7 +55,7 @@ from .floattext import csv_text
 from .model import SimGrid
 from .optimize import maximize, sweep
 from .oracle import compare
-from .thermo import drive_energy_flux, energy_ledger, is_resonant
+from .thermo import drive_overlap_integral, energy_ledger, is_resonant
 
 # glibc's malloc serves a block at or above its mmap threshold with a
 # fresh mapping, which faults on first touch and is unmapped on free;
@@ -168,9 +168,14 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     if is_resonant(cfg.pulse, cfg.system):
         payload = dataclasses.asdict(
             energy_ledger(traj, cfg.pulse, cfg.system))
+        overlap_imag = 0.0
     else:
+        # one drive quadrature: twice its real part is drive_energy_flux,
+        # minus its imaginary part the asymptotic overlap's
+        acc = drive_overlap_integral(traj, cfg.pulse, cfg.system)[-1]
+        overlap_imag = -float(acc.imag)
         payload = {
-            "w_over_hw": drive_energy_flux(traj, cfg.pulse, cfg.system),
+            "w_over_hw": 2.0 * float(acc.real),
             "p_ab_infty": p_inf,
             "note": "off-resonant drive: the work ledger does not apply",
         }
@@ -179,7 +184,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
 
     # the spectrum takes p_ab(inf) clamped to its maximum (its n_b); the
     # artifacts keep the raw value
-    spec = asymptotic_spectrum(cfg.system, cfg.mixture, p_inf)
+    spec = asymptotic_spectrum(cfg.system, cfg.mixture, p_inf, overlap_imag)
     texts["entropy.json"] = _json_text("entropy.json", {
         "meta": meta, "asymptotic": spec.as_dict(), "p_ab_infty": p_inf})
     _write_all(out, texts)

@@ -32,18 +32,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_SECTION_KEYS = {
-    "system": {"omega_a", "delta_ab", "gamma_a", "gamma_b"},
-    "pulse": {"family", "delta", "sigma", "tau", "delta_l"},
-    "grid": {"t_max", "dt"},
-    "mixture": {"p_a0"},
-    "bath": {"n_modes", "bandwidth"},
-    "sweep": {"parameter", "lo", "hi", "n_points", "objective"},
-    "optimize": {"parameters", "objective", "budget",
-                 *(f"{name}_{end}" for name in DRIVE_PARAMETERS
-                   for end in ("lo", "hi"))},
-}
-
 _WIDTH_KEY = {"exponential": "delta", "gaussian": "sigma",
               "rectangular": "tau"}
 
@@ -101,92 +89,80 @@ def _name(section: str, key: str, raw: str) -> str:
     return raw.strip().lower()
 
 
-def _check_keys(parser: ConfigParser):
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigurationError(f"unknown config section [{section}]")
-        allowed = _SECTION_KEYS[section]
-        for key in parser[section]:
-            if key not in allowed:
-                raise ConfigurationError(
-                    f"unknown key {key!r} in section [{section}]; "
-                    f"allowed: {sorted(allowed)}")
+def _names(section: str, key: str, raw: str) -> tuple[str, ...]:
+    names = tuple(name.strip().lower() for name in raw.split(",")
+                  if name.strip())
+    if not names:
+        raise ConfigurationError(f"[{section}] {key} list is empty")
+    return names
+
+
+# every section's keys, each with the parser of its value
+_KEYS = {
+    "system": dict.fromkeys(("omega_a", "delta_ab", "gamma_a", "gamma_b"),
+                            _float),
+    "pulse": {"family": _name, "delta_l": _float,
+              **dict.fromkeys(_WIDTH_KEY.values(), _float)},
+    "grid": {"t_max": _float, "dt": _float},
+    "mixture": {"p_a0": _float},
+    "bath": {"n_modes": _int, "bandwidth": _float},
+    "sweep": {"parameter": _name, "lo": _float, "hi": _float,
+              "n_points": _int, "objective": _name},
+    "optimize": {"parameters": _names, "objective": _name, "budget": _int,
+                 **{f"{name}_{end}": _float for name in DRIVE_PARAMETERS
+                    for end in ("lo", "hi")}},
+}
+
+
+def _values(parser: ConfigParser, section: str, required=()) -> dict:
+    """The section's keys and their parsed values, {} if it is absent or
+    empty; a section with keys must hold each ``required`` one."""
+    keys = parser[section] if parser.has_section(section) else {}
+    for key in required:
+        if keys and key not in keys:
+            raise ConfigurationError(
+                f"[{section}] missing required key {key!r}")
+    parse = _KEYS[section]
+    return {key: parse[key](section, key, raw) for key, raw in keys.items()}
 
 
 def _build_pulse(parser: ConfigParser, system: LambdaSystem) -> PulseSpec:
     if not parser.has_section("pulse"):
         raise ConfigurationError("missing required section [pulse]")
-    sec = parser["pulse"]
-    family = sec.get("family", "").strip().lower()
+    values = _values(parser, "pulse")
+    family = values.get("family", "")
     if family not in _WIDTH_KEY:
         raise ConfigurationError(
             f"[pulse] family must be one of {sorted(_WIDTH_KEY)}, "
             f"got {family!r}")
     width_key = _WIDTH_KEY[family]
-    for other, key in _WIDTH_KEY.items():
-        if other != family and key in sec and key != width_key:
+    for key in _WIDTH_KEY.values():
+        if key != width_key and key in values:
             raise ConfigurationError(
                 f"[pulse] key {key!r} does not belong to the "
                 f"{family} family")
-    if width_key not in sec:
+    if width_key not in values:
         raise ConfigurationError(
             f"[pulse] family {family} requires the {width_key!r} key")
-    envelope = FAMILIES[family](_float("pulse", width_key, sec[width_key]))
-    delta_l = _float("pulse", "delta_l", sec.get("delta_l", "0"))
-    return make_pulse(envelope, system.omega_a + delta_l)
+    envelope = FAMILIES[family](values[width_key])
+    return make_pulse(envelope, system.omega_a + values.get("delta_l", 0.0))
 
 
-def _build_grid(parser: ConfigParser, system: LambdaSystem,
-                pulse: PulseSpec) -> SimGrid | None:
-    if not parser.has_section("grid") or not dict(parser["grid"]):
-        return None
-    sec = parser["grid"]
-    vals = {k: _float("grid", k, sec[k]) for k in sec}
-    return SimGrid.auto(system, pulse, t_max=vals.get("t_max"),
-                        dt=vals.get("dt"))
-
-
-def _build_sweep(parser: ConfigParser) -> SweepSpec | None:
-    if not parser.has_section("sweep") or not dict(parser["sweep"]):
-        return None
-    sec = parser["sweep"]
-    for key in ("parameter", "lo", "hi"):
-        if key not in sec:
-            raise ConfigurationError(f"[sweep] missing required key {key!r}")
-    parse = {"parameter": _name, "lo": _float, "hi": _float,
-             "n_points": _int, "objective": _name}
-    return SweepSpec(**{key: parse[key]("sweep", key, raw)
-                        for key, raw in sec.items()})
-
-
-def _build_optimize(parser: ConfigParser) -> OptimizeSpec | None:
-    if not parser.has_section("optimize") or not dict(parser["optimize"]):
-        return None
-    sec = parser["optimize"]
-    if "parameters" not in sec:
-        raise ConfigurationError("[optimize] missing required key 'parameters'")
-    names = [p.strip().lower() for p in sec["parameters"].split(",")
-             if p.strip()]
-    if not names:
-        raise ConfigurationError("[optimize] parameters list is empty")
+def _build_optimize(values: dict) -> OptimizeSpec:
     bounds = {}
-    for name in names:
+    for name in values["parameters"]:
         lo_key, hi_key = f"{name}_lo", f"{name}_hi"
-        if lo_key not in sec or hi_key not in sec:
+        if lo_key not in values or hi_key not in values:
             raise ConfigurationError(
                 f"[optimize] parameter {name!r} needs {lo_key} and {hi_key}")
-        bounds[name] = (_float("optimize", lo_key, sec[lo_key]),
-                        _float("optimize", hi_key, sec[hi_key]))
-    options = {key: parse("optimize", key, sec[key])
-               for key, parse in (("objective", _name), ("budget", _int))
-               if key in sec}
+        bounds[name] = (values[lo_key], values[hi_key])
+    options = {key: values[key] for key in ("objective", "budget")
+               if key in values}
     if "objective" in options and options["objective"] not in OBJECTIVES:
         raise ConfigurationError(
             f"[optimize] objective must be one of {OBJECTIVES}, "
             f"got {options['objective']!r}")
     return OptimizeSpec(bounds=bounds, **options)
-
-
 def load_config(path) -> RunConfig:
     """Parse and validate a config file into model objects.
 
@@ -222,25 +198,29 @@ def load_config(path) -> RunConfig:
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise ConfigurationError(
             f"malformed config {path}: {message}") from exc
-    _check_keys(parser)
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if key not in _KEYS[section]:
+                raise ConfigurationError(
+                    f"unknown key {key!r} in section [{section}]; "
+                    f"allowed: {sorted(_KEYS[section])}")
 
-    if not parser.has_section("system") or "omega_a" not in parser["system"]:
+    values = _values(parser, "system")
+    if "omega_a" not in values:
         raise ConfigurationError("[system] omega_a is required")
-    system = LambdaSystem(**{key: _float("system", key, raw)
-                             for key, raw in parser["system"].items()})
+    system = LambdaSystem(**values)
     pulse = _build_pulse(parser, system)
-
-    mixture = InitialMixture(_float(
-        "mixture", "p_a0", parser.get("mixture", "p_a0", fallback="1")))
-
-    bath = DiscreteBath.default(system)
-    if parser.has_section("bath"):
-        parse = {"n_modes": _int, "bandwidth": _float}
-        bath = replace(bath, **{key: parse[key]("bath", key, raw)
-                                for key, raw in parser["bath"].items()})
-
-    grid = _build_grid(parser, system, pulse)
+    mixture = InitialMixture(_values(parser, "mixture").get("p_a0", 1.0))
+    bath = replace(DiscreteBath.default(system), **_values(parser, "bath"))
+    # an empty optional section is an absent one
+    grid = _values(parser, "grid")
+    grid = SimGrid.auto(system, pulse, **grid) if grid else None
+    sweep = _values(parser, "sweep", required=("parameter", "lo", "hi"))
+    sweep = SweepSpec(**sweep) if sweep else None
+    optimize = _values(parser, "optimize", required=("parameters",))
+    optimize = _build_optimize(optimize) if optimize else None
     return RunConfig(system=system, pulse=pulse, mixture=mixture, bath=bath,
-                     grid=grid, sweep=_build_sweep(parser),
-                     optimize=_build_optimize(parser),
+                     grid=grid, sweep=sweep, optimize=optimize,
                      sha256=sha256(data).hexdigest())

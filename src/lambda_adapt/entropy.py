@@ -8,10 +8,12 @@ the branch weights and one overlap, so entropies come from a closed
 formula, evaluated for one instant or a whole series of them at once,
 rather than any density-matrix diagonalization.
 
-The overlap needs no field on a z-grid: after the pulse it follows from
-p_ab(inf) alone (``asymptotic_spectrum``), and at finite times from one
-cumulative quadrature of the drive against the amplitude along a
-trajectory (``overlap_series``).  The entropy curve is the asymptotic
+The overlap needs no field on a z-grid: after the pulse its real part
+follows from p_ab(inf) alone and its imaginary part, zero on resonance,
+from the drive quadrature at t_max (``asymptotic_spectrum``), and at
+finite times the whole overlap comes from one cumulative quadrature of
+the drive against the amplitude along a trajectory
+(``overlap_series``).  The entropy curve is the resonant asymptotic
 spectrum on a grid of p_ab(inf) values, built in one vectorized pass or
 in blocks of it.
 """
@@ -130,9 +132,9 @@ def classical_entropy(s_e, mixture: InitialMixture, s_q):
     entropy is subtracted.  Floats give a float, arrays an array.
     """
     out = s_e - mixture.p_a0 * s_q
-    if np.any(out < -1e-12):
+    if not np.all(out >= -1e-12):
         raise NumericalConsistencyError(
-            f"classical entropy came out negative ({np.min(out):.3e})"
+            f"classical entropy came out negative or NaN ({np.min(out):.3e})"
         )
     out = np.maximum(out, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -218,14 +220,16 @@ class EnvSpectrum:
 
 
 def asymptotic_spectrum(system: LambdaSystem, mixture: InitialMixture,
-                        p_ab_infty) -> EnvSpectrum:
-    """Environment spectrum after the pulse, from p_ab(inf) alone.
+                        p_ab_infty, overlap_imag) -> EnvSpectrum:
+    """Environment spectrum after the pulse.
 
-    sqrt(N_a) <1_a^free | 1_a~> = 1 - (Gamma / (2 gamma_b)) p_ab(inf); the
-    normalized squared overlap is that value squared over N_a = 1 - p_ab,
-    and nothing is left excited.  A float gives one instant, an array one
-    spectrum per value.  Valid for p_ab(inf) in [0, 4 gamma_a gamma_b /
-    Gamma^2], else ParameterError.  A rounding excess (``_p_ab_range``) is
+    sqrt(N_a) <1_a^free | 1_a~> = 1 - int_0^inf conj(f) psi^ dt has the
+    real part 1 - (Gamma / (2 gamma_b)) p_ab(inf) and the imaginary part
+    ``overlap_imag`` = -Im int_0^inf conj(f) psi^ dt, which is 0 on
+    resonance; the normalized squared overlap is its squared modulus over
+    N_a = 1 - p_ab, and nothing is left excited.  A float gives one
+    instant, an array one spectrum per value.  Valid for p_ab(inf) in
+    [0, 4 gamma_a gamma_b / Gamma^2], else ParameterError.  A rounding excess (``_p_ab_range``) is
     accepted and clamped off, so that N_a stays in the range
     ``env_eigenvalues`` takes (at gamma_a = gamma_b the maximum is 1); the
     spectrum's ``n_b`` is the clamped value.
@@ -241,7 +245,8 @@ def asymptotic_spectrum(system: LambdaSystem, mixture: InitialMixture,
         )
     p = np.minimum(p, p_max)
     n_a = 1.0 - p
-    value = 1.0 - (system.gamma_total / (2.0 * system.gamma_b)) * p
+    value = (1.0 - (system.gamma_total / (2.0 * system.gamma_b)) * p
+             + 1j * overlap_imag)
     return EnvSpectrum.from_branches(mixture, 0.0, n_a, p,
                                      normalized_overlap_sq(value, n_a))
 
@@ -251,13 +256,15 @@ def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
                   stop: int | None = None) -> EnvSpectrum:
     """S_E and S_E^c versus the long-time transfer probability.
 
-    ``asymptotic_spectrum`` on n_points values of p_ab(inf), its ``n_b``,
-    evenly spaced from 0 to the family maximum p_max = 4 gamma_a gamma_b
-    / Gamma^2 (= 1 only for gamma_a = gamma_b): value i is i (p_max /
-    (n_points - 1)), the last p_max, as ``np.linspace(0, p_max,
-    n_points)`` forms them.  ``start`` and ``stop`` slice the values (all
-    of them by default), so that a long curve can be built in blocks;
-    each value's numbers do not depend on the block it is built in.
+    A resonant statement: ``asymptotic_spectrum`` with a real overlap
+    (imaginary part 0), which a detuned drive's need not be, on n_points
+    values of p_ab(inf), its ``n_b``, evenly spaced from 0 to the family
+    maximum p_max = 4 gamma_a gamma_b / Gamma^2 (= 1 only for gamma_a =
+    gamma_b): value i is i (p_max / (n_points - 1)), the last p_max, as
+    ``np.linspace(0, p_max, n_points)`` forms them.  ``start`` and
+    ``stop`` slice the values (all of them by default), so that a long
+    curve can be built in blocks; each value's numbers do not depend on
+    the block it is built in.
     """
     if not 2 <= n_points <= MAX_GRID_NODES:
         raise ParameterError(
@@ -271,14 +278,17 @@ def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
     p = i * step if step else i / (n_points - 1) * p_max
     if rows and rows[-1] == n_points - 1:
         p[-1] = p_max
-    return asymptotic_spectrum(system, mixture, p)
+    return asymptotic_spectrum(system, mixture, p, 0.0)
 
 
 def heat_to_pab(system: LambdaSystem, q_diss: float) -> float:
     """Invert the heat bookkeeping for the transfer probability.
 
-    p_ab(inf) = Q / (hbar omega_a Gamma / gamma_b - hbar delta_ab).
+    p_ab(inf) = Q / (hbar omega_a Gamma / gamma_b - hbar delta_ab); a Q
+    that is not finite raises ParameterError.
     """
+    if not np.isfinite(q_diss):
+        raise ParameterError(f"q_diss = {q_diss} is not finite")
     denom = (system.omega_a * system.gamma_total / system.gamma_b
              - system.delta_ab)
     if denom <= 0.0:

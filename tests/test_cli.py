@@ -153,6 +153,43 @@ class TestSimulate:
         assert ledger["p_ab_infty"].hex() == entropy["p_ab_infty"].hex()
         assert abs(ledger["adaptation_residual"]) <= 1e-10
 
+    @pytest.mark.parametrize("gamma_b, delta_l",
+                             [(1.0, 0.3), (1.0, 1.0), (1.6, 0.3)])
+    def test_detuned_entropy_matches_the_oracle(self, tmp_path, gamma_b,
+                                                delta_l):
+        # off resonance the asymptotic overlap has an imaginary part; the
+        # oracle's s_e at T = 22.4, after the Gaussian has passed, on the
+        # default comb
+        cfg = write(tmp_path, f"""[system]
+omega_a = 50.0
+gamma_b = {gamma_b}
+
+[pulse]
+family = gaussian
+sigma = 1.2
+delta_l = {delta_l}
+
+[mixture]
+p_a0 = 0.5
+""")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        s_e = json.loads((out / "entropy.json").read_text())["asymptotic"][
+            "s_e"]
+        run_cfg = load_config(cfg)
+        system, pulse = run_cfg.system, run_cfg.pulse
+        bath = oracle.DiscreteBath.default(system)
+        amps = oracle.discretize_pulse(pulse, bath, system)
+        run = oracle.evolve(oracle.build_hamiltonian(system, bath),
+                            np.concatenate(([0.0], amps,
+                                            np.zeros_like(amps))),
+                            22.4, n_out=41)
+        expected = oracle.Observables.from_run(run, system, pulse,
+                                               run_cfg.mixture)
+        assert abs(s_e - expected.spectrum.s_e[-1]) <= \
+            oracle.DEFAULT_TOLERANCES["s_e"]
+
     def test_detuned_rows_are_the_rotating_frame_amplitude(self, tmp_path):
         # the stride rows of a detuned run carry psi~, the same doubles
         # the full-array property holds
@@ -355,6 +392,7 @@ dt = 0.005
         # transient windows of ~3e10 steps at 0.01 / |delta_L|, refused
         # before anything is allocated
         ("delta = 1.0", "delta = 1.0\ndelta_l = 1e7"),
+        ("family = exponential\ndelta = 1.0", "family = rectangular\ntau = 0"),
     ])
     def test_unusable_numbers_are_config_errors(self, tmp_path, old, new):
         cfg = write(tmp_path, BASE.replace(old, new))

@@ -162,6 +162,14 @@ class TestRejection:
         ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
          "[optimize]\nparameters = detuning\n", "needs detuning_lo"),
         ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
+         "[optimize]\nbudget = 10\n",
+         r"^\[optimize\] missing required key 'parameters'$"),
+        # every key is parsed, a bound of a parameter not searched too
+        ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
+         "[optimize]\nparameters = detuning\ndetuning_lo = -1\n"
+         "detuning_hi = 1\nlinewidth_lo = abc\n",
+         "linewidth_lo = 'abc' is not a number"),
+        ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
          "[optimize]\nparameters = detuning\ndetuning_lo = -1\n"
          "detuning_hi = 1\nobjective = entropy\n", "objective must be"),
     ])
@@ -246,6 +254,11 @@ class TestSections:
         assert cfg.sweep.objective == "w_over_hw"
         assert cfg.optimize.budget == 123
         assert cfg.optimize.bounds["rate_ratio"] == (0.25, 4.0)
+
+    @pytest.mark.parametrize("section", ["grid", "sweep", "optimize"])
+    def test_empty_optional_section_is_absent(self, tmp_path, section):
+        cfg = load_config(write(tmp_path, MINIMAL + f"[{section}]\n"))
+        assert getattr(cfg, section) is None
 
     def test_absent_optional_keys_take_the_library_defaults(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL + """

@@ -129,7 +129,7 @@ class TestVonNeumann:
 class TestAsymptoticSpectrum:
     def test_no_transfer_is_pure(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        spec = asymptotic_spectrum(s, InitialMixture(0.5), 0.0)
+        spec = asymptotic_spectrum(s, InitialMixture(0.5), 0.0, 0.0)
         # overlap 1 - (Gamma / 2 gamma_b) p = 1 on N_a = 1
         assert spec.n_a == 1.0
         assert spec.overlap_sq == 1.0
@@ -139,25 +139,25 @@ class TestAsymptoticSpectrum:
     def test_full_transfer_orthogonal(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         mix = InitialMixture(0.5)
-        spec = asymptotic_spectrum(s, mix, 1.0)
+        spec = asymptotic_spectrum(s, mix, 1.0, 0.0)
         assert spec.n_a == pytest.approx(0.0, abs=1e-15)
         assert spec.overlap_sq == 0.0
         # the overlap 1 - p vanishes with N_a: |.|^2 / N_a = 1 - p
-        near = asymptotic_spectrum(s, mix, 1.0 - 1e-6)
+        near = asymptotic_spectrum(s, mix, 1.0 - 1e-6, 0.0)
         assert near.overlap_sq == pytest.approx(1e-6, rel=1e-9)
 
     def test_range_depends_on_rates(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=3.0)
         mix = InitialMixture(0.5)
         p_max = 4.0 * 3.0 / 16.0
-        asymptotic_spectrum(s, mix, p_max)  # boundary is allowed
+        asymptotic_spectrum(s, mix, p_max, 0.0)  # boundary is allowed
         # overlap 1 - (Gamma / 2 gamma_b) p = 2/3 on N_a = 1/2 at p = 1/2
-        mid = asymptotic_spectrum(s, mix, 0.5)
+        mid = asymptotic_spectrum(s, mix, 0.5, 0.0)
         assert mid.overlap_sq == pytest.approx(8.0 / 9.0, rel=1e-15)
         with pytest.raises(ParameterError):
-            asymptotic_spectrum(s, mix, p_max + 1e-6)
+            asymptotic_spectrum(s, mix, p_max + 1e-6, 0.0)
         with pytest.raises(ParameterError):
-            asymptotic_spectrum(s, mix, -0.01)
+            asymptotic_spectrum(s, mix, -0.01, 0.0)
 
     @pytest.mark.parametrize("rates", [(1.0, 1.0), (1.0, 3.0)])
     def test_rounding_excess_is_clamped(self, rates):
@@ -166,33 +166,39 @@ class TestAsymptoticSpectrum:
         s = LambdaSystem(omega_a=1.0, gamma_a=rates[0], gamma_b=rates[1])
         mix = InitialMixture(0.5)
         p_max = 4.0 * rates[0] * rates[1] / sum(rates) ** 2
-        spec = asymptotic_spectrum(s, mix, p_max * (1.0 + 1e-10))
-        at_max = asymptotic_spectrum(s, mix, p_max)
+        spec = asymptotic_spectrum(s, mix, p_max * (1.0 + 1e-10), 0.0)
+        at_max = asymptotic_spectrum(s, mix, p_max, 0.0)
         assert spec.n_b == p_max
         assert spec.n_a == 1.0 - p_max
         assert spec.overlap_sq == at_max.overlap_sq
         assert np.array_equal(spec.lambdas, at_max.lambdas)
         # inside the range nothing is clamped
-        assert asymptotic_spectrum(s, mix, 0.3 * p_max).n_b == 0.3 * p_max
+        assert asymptotic_spectrum(s, mix, 0.3 * p_max, 0.0).n_b == 0.3 * p_max
 
     def test_refuses_an_array_with_one_value_out_of_range(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=3.0)
         mix = InitialMixture(0.5)
         p = np.linspace(0.0, 0.75, 7)
-        assert asymptotic_spectrum(s, mix, p).s_e.shape == (7,)
+        assert asymptotic_spectrum(s, mix, p, 0.0).s_e.shape == (7,)
         for k, bad in ((3, 0.75 + 1e-6), (0, -0.01)):
             q = p.copy()
             q[k] = bad
             with pytest.raises(ParameterError, match=repr(bad)):
-                asymptotic_spectrum(s, mix, q)
+                asymptotic_spectrum(s, mix, q, 0.0)
+
+    def test_imaginary_part_adds_to_the_overlap(self):
+        # overlap 1 - p + 0.25i on N_a = 1 - p at p = 1/2: |.|^2 / N_a
+        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
+        spec = asymptotic_spectrum(s, InitialMixture(0.5), 0.5, 0.25)
+        assert spec.overlap_sq == pytest.approx(0.625, rel=1e-15)
 
     def test_rejects_nan(self):
         s = LambdaSystem(omega_a=1.0)
         mix = InitialMixture(0.5)
         with pytest.raises(ParameterError):
-            asymptotic_spectrum(s, mix, math.nan)
+            asymptotic_spectrum(s, mix, math.nan, 0.0)
         with pytest.raises(ParameterError, match="nan"):
-            asymptotic_spectrum(s, mix, np.array([0.1, math.nan, 0.2]))
+            asymptotic_spectrum(s, mix, np.array([0.1, math.nan, 0.2]), 0.0)
 
 
 def compare_grid_run(s, pulse):
@@ -236,7 +242,7 @@ class TestOverlapSeries:
         # 1 - (Gamma / 2 gamma_b) p_ab(inf), here 1 - p_ab(inf)
         assert end.real == pytest.approx(1.0 - p, abs=1e-6)
         assert abs(end.imag) < 1e-12
-        spec = asymptotic_spectrum(s, InitialMixture(0.5), p)
+        spec = asymptotic_spectrum(s, InitialMixture(0.5), p, 0.0)
         assert normalized_overlap_sq(end, spec.n_a) == \
             pytest.approx(spec.overlap_sq, abs=1e-6)
 
@@ -293,7 +299,7 @@ class TestEntropyCurve:
     def test_pinned_midpoint(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         mix = InitialMixture(0.5)
-        spec = asymptotic_spectrum(s, mix, 0.5)
+        spec = asymptotic_spectrum(s, mix, 0.5, 0.0)
         assert spec.s_e == pytest.approx(0.8482831849148855, abs=1e-12)
         assert spec.s_e_c == pytest.approx(0.5017095946349128, abs=1e-12)
 
@@ -318,13 +324,13 @@ class TestEntropyCurve:
         # concavity: S_E >= p_a0 S_q, so S_E^c never goes negative
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1.0)
         mix = InitialMixture(p_a0)
-        spec = asymptotic_spectrum(s, mix, p)
+        spec = asymptotic_spectrum(s, mix, p, 0.0)
         assert spec.s_e >= p_a0 * spec.s_q - 1e-12
         assert spec.s_e_c >= 0.0
 
     def test_as_dict_keys(self):
         s = LambdaSystem(omega_a=1.0)
-        spec = asymptotic_spectrum(s, InitialMixture(0.5), 0.3)
+        spec = asymptotic_spectrum(s, InitialMixture(0.5), 0.3, 0.0)
         d = spec.as_dict()
         assert set(d) == {"lambdas", "psi_sq", "n_a", "n_b", "overlap_sq",
                           "s_e", "s_q", "s_e_c"}
@@ -345,7 +351,7 @@ class TestEntropyCurve:
         mix = InitialMixture(p_a0)
         curve = entropy_curve(s, mix, n_points=n_points)
         for k, p in enumerate(curve.n_b):
-            one = asymptotic_spectrum(s, mix, float(p))
+            one = asymptotic_spectrum(s, mix, float(p), 0.0)
             assert one.n_b == p
             assert curve.s_e[k] == one.s_e
             assert curve.s_e_c[k] == one.s_e_c
@@ -402,6 +408,13 @@ class TestClassicalEntropy:
         with pytest.raises(NumericalConsistencyError):
             classical_entropy(s_e, mix, np.array([0.4, 0.41, 0.0]))
 
+    def test_rejects_nan(self):
+        mix = InitialMixture(0.5)
+        with pytest.raises(NumericalConsistencyError):
+            classical_entropy(math.nan, mix, 0.1)
+        with pytest.raises(NumericalConsistencyError):
+            classical_entropy(np.array([1.0, math.nan]), mix, 0.1)
+
 
 class TestHeatInversion:
     @pytest.mark.parametrize("delta_ab", [0.0, 0.2])
@@ -411,3 +424,8 @@ class TestHeatInversion:
         for p in (0.0, 0.3, 0.88):
             q = p * (s.omega_a * s.gamma_total / s.gamma_b - s.delta_ab)
             assert heat_to_pab(s, q) == pytest.approx(p, abs=1e-15)
+
+    def test_refuses_a_heat_that_is_not_finite(self):
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="q_diss"):
+                heat_to_pab(LambdaSystem(omega_a=1.0), q)

@@ -405,6 +405,11 @@ class TestMaximize:
                                      "detuning": (-1e308, 1e308)},
                      objective=never)
 
+    def test_refuses_an_unknown_objective(self, system, pulse):
+        with pytest.raises(ParameterError, match="objective"):
+            maximize(system, pulse, {"detuning": (-1.0, 1.0)},
+                     objective="bogus")
+
     @pytest.mark.parametrize("name, lo, hi", [
         *((name, lo, hi) for name in ("linewidth", "detuning", "rate_ratio")
           for lo, hi in ((2.0, 1.0), (1.0, 1.0), (math.nan, 1.0),

@@ -2,10 +2,10 @@
 
     python3 tools/command_matrix.py OUT
 
-Runs the five commands (simulate, sweep, optimize, entropy-curve and
-oracle-verify) through ``lambda_adapt.cli.main``, imported from this
-checkout's ``src/``, on ``configs/default.ini`` and on each edit of it
-in ``EDITS``.  The configs are written to OUT/configs/<name>.ini; each
+Runs every command of ``lambda_adapt.cli.COMMANDS`` (simulate, sweep,
+optimize, entropy-curve and oracle-verify) through
+``lambda_adapt.cli.main``, imported from this checkout's ``src/``, on
+``configs/default.ini`` and on each edit of it in ``EDITS``.  The configs are written to OUT/configs/<name>.ini; each
 command writes its artifacts to OUT/<name>/<command>/, next to
 ``command.json``, which holds its exit code, what it printed and, if it
 raised, the exception.  Two trees made from two checkouts compare with
@@ -38,8 +38,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT = ROOT / "configs" / "default.ini"
-COMMANDS = ("simulate", "sweep", "optimize", "entropy-curve",
-            "oracle-verify")
 
 # name -> {section: {key: value}}; a value of None removes the key
 EDITS = {
@@ -128,7 +126,7 @@ def main(argv=None) -> int:
     for name, edit in EDITS.items():
         config = out / "configs" / f"{name}.ini"
         config.write_text(config_text(edit))
-        for command in COMMANDS:
+        for command, _, _ in cli.COMMANDS:
             dest = out / name / command
             dest.mkdir(parents=True, exist_ok=True)
             record = run_command(cli, command, config, dest)
