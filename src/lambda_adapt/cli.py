@@ -21,10 +21,10 @@ CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
 version, command).  A command builds every artifact's text before it
 writes any, except entropy-curve, which computes, formats and appends
 its one table a block of points at a time so that its memory does not
-grow with --points.  Each artifact goes to a temporary name, removed if
-the command fails while writing it, and is renamed into place
-atomically, so a failed command leaves no artifact and readers never
-see a half-written one.
+grow with --points.  Every artifact goes to a temporary name, and all
+are renamed into place, each atomically, once all are written; a failed
+write removes every temporary, so a failed command leaves no artifact
+and readers never see a half-written one.
 Every float in a CSV is Python's shortest round-trip ``repr`` of the
 double, so ``float(field)`` returns the exact value that was computed.
 """
@@ -95,22 +95,25 @@ CURVE_BLOCK = 4096
 
 
 def _write_all(out: Path, texts: dict):
-    """Write each artifact ``name: text`` via a temporary name, creating
-    ``out`` first if it does not exist.
+    """Write every artifact ``name: text`` to a temporary name, then
+    rename them all into place, creating ``out`` first if it does not
+    exist.
 
-    A text may also be an iterable of strings, appended one by one; if
-    it raises, the temporary file is removed and nothing is renamed.
+    A text may also be an iterable of strings, appended one by one.  If
+    anything fails, every temporary file is removed.
     """
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        tmp = out / f"{name}.tmp"
-        try:
-            with tmp.open("w") as f:
+    tmps = {name: out / f"{name}.tmp" for name in texts}
+    try:
+        for name, text in texts.items():
+            with tmps[name].open("w") as f:
                 f.writelines([text] if isinstance(text, str) else text)
-        except BaseException:
+        for name, tmp in tmps.items():
+            os.replace(tmp, out / name)
+    except BaseException:
+        for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
-            raise
-        os.replace(tmp, out / name)
+        raise
 
 
 def _meta(command: str, cfg: RunConfig, **extra) -> dict:

@@ -163,6 +163,8 @@ def _build_optimize(values: dict) -> OptimizeSpec:
             f"[optimize] objective must be one of {OBJECTIVES}, "
             f"got {options['objective']!r}")
     return OptimizeSpec(bounds=bounds, **options)
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a config file into model objects.
 

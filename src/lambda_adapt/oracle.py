@@ -52,7 +52,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .dynamics import AmplitudeTrajectory, _drive_nodes, integrate_psi
+from .dynamics import AmplitudeTrajectory, integrate_psi
 from .entropy import EnvSpectrum, normalized_overlap_sq, overlap_series
 from .model import (MAX_GRID_NODES, InitialMixture, LambdaSystem,
                     PulseSpec, SimGrid)
@@ -809,10 +809,13 @@ class Observables:
     """What ``compare`` checks of one run, at its snapshot ``times``.
 
     ``spectrum`` is the environment (p_e is its ``psi_sq``, p_ab its
-    ``n_b``), ``w`` the work per hbar omega_a, int 2 Re[conj(f) psi^] dt
-    with f(t) = -g_a phi_shape(-t) the carrier-frame drive, and ``q`` the
-    heat omega_a Gamma int p_e dt - delta_ab p_ab(T) (hbar = 1), both
-    trapezoids on ``times`` taken in ``from_series`` alone.
+    ``n_b``), ``w`` the work per hbar omega_a, the photon number the
+    pulse lost, 2 (1 - Re overlap(T)), and ``q`` the heat omega_a Gamma
+    int p_e dt - delta_ab p_ab(T) (hbar = 1), a trapezoid on ``times``.
+    The overlap is that of the a-branch photon with the free pulse,
+    times sqrt(N_a); its real part is 1 - flux / 2
+    (``entropy.overlap_series``).  ``from_series``, the one constructor,
+    takes all three from the series p_e, n_a, n_b and the overlap.
     """
 
     times: np.ndarray
@@ -822,31 +825,28 @@ class Observables:
     omega_a: float
 
     @classmethod
-    def from_series(cls, system: LambdaSystem, pulse: PulseSpec,
-                    times: np.ndarray, spectrum: EnvSpectrum,
-                    psi_hat: np.ndarray) -> "Observables":
-        density = np.conj(_drive_nodes(system, pulse, times)) * psi_hat
-        w = float(np.trapezoid(2.0 * density.real, times))
+    def from_series(cls, system: LambdaSystem, mixture: InitialMixture,
+                    times: np.ndarray, p_e: np.ndarray, n_a: np.ndarray,
+                    n_b: np.ndarray, overlap: np.ndarray) -> "Observables":
+        spectrum = EnvSpectrum.from_branches(
+            mixture, p_e, n_a, n_b, normalized_overlap_sq(overlap, n_a))
+        w = 2.0 * (1.0 - float(overlap[-1].real))
         q = system.omega_a * system.gamma_total \
-            * float(np.trapezoid(spectrum.psi_sq, times)) \
-            - system.delta_ab * float(spectrum.n_b[-1])
+            * float(np.trapezoid(p_e, times)) \
+            - system.delta_ab * float(n_b[-1])
         return cls(times, spectrum, w, q, system.omega_a)
 
     @classmethod
     def from_run(cls, run: OracleRun, system: LambdaSystem,
-                 pulse: PulseSpec, mixture: InitialMixture) -> "Observables":
-        """The run's series, and psi^ = psi~ e^{i delta_L t} from |e>.
+                 mixture: InitialMixture) -> "Observables":
+        """The series the run measured.
 
         The environment state is rank <= 4: vacuum, the b-branch photon,
         and a 2x2 block mixing the scattered a photon with the free pulse
         (the photon, had the system started in |b>), so the series give
         its spectrum exactly."""
-        psi_hat = run.states[:, 0] * np.exp(1j * pulse.detuning(system)
-                                            * run.times)
-        spectrum = EnvSpectrum.from_branches(
-            mixture, run.p_e, run.n_a, run.n_b,
-            normalized_overlap_sq(run.overlap, run.n_a))
-        return cls.from_series(system, pulse, run.times, spectrum, psi_hat)
+        return cls.from_series(system, mixture, run.times, run.p_e,
+                               run.n_a, run.n_b, run.overlap)
 
     @classmethod
     def from_trajectory(cls, traj: AmplitudeTrajectory, system: LambdaSystem,
@@ -855,12 +855,9 @@ class Observables:
         """Interpolated at ``times``; the overlap is ``overlap_series``."""
         p_e = np.interp(times, traj.times, traj.p_e)
         p_ab = np.interp(times, traj.times, traj.p_ab)
-        n_a = 1.0 - p_e - p_ab
         overlap = overlap_series(traj, pulse, system, times)
-        spectrum = EnvSpectrum.from_branches(
-            mixture, p_e, n_a, p_ab, normalized_overlap_sq(overlap, n_a))
-        return cls.from_series(system, pulse, times, spectrum,
-                               traj.psi_hat_at(times))
+        return cls.from_series(system, mixture, times, p_e,
+                               1.0 - p_e - p_ab, p_ab, overlap)
 
 
 def deviations(a: Observables, b: Observables) -> dict:
@@ -899,11 +896,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
 
     Both run to t_final = 15 / Gamma (the oracle to n_out snapshots) and
     each becomes an ``Observables`` record on the snapshot times, whose
-    ``deviations`` are judged against DEFAULT_TOLERANCES.  The work
-    integrand runs over the whole snapshot grid, which may cross a drive
-    discontinuity such as a rectangular pulse's back edge: the envelope
-    is sampled at the same nodes for both sides, so the output-grid
-    trapezoid treats that jump the same way on each.
+    ``deviations`` are judged against DEFAULT_TOLERANCES.
     """
     bath = bath or DiscreteBath.default(system)
     t_final = 15.0 / system.gamma_total
@@ -914,7 +907,7 @@ def compare(system: LambdaSystem, pulse: PulseSpec, mixture: InitialMixture,
     h = build_hamiltonian(system, bath)
     run = evolve(h, np.concatenate(([0.0], amps, np.zeros_like(amps))),
                  t_final, n_out=n_out)
-    oracle = Observables.from_run(run, system, pulse, mixture)
+    oracle = Observables.from_run(run, system, mixture)
 
     traj = integrate_psi(system, pulse,
                          SimGrid.auto(system, pulse, t_max=t_final))

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry point (in process)."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -185,8 +186,7 @@ p_a0 = 0.5
                             np.concatenate(([0.0], amps,
                                             np.zeros_like(amps))),
                             22.4, n_out=41)
-        expected = oracle.Observables.from_run(run, system, pulse,
-                                               run_cfg.mixture)
+        expected = oracle.Observables.from_run(run, system, run_cfg.mixture)
         assert abs(s_e - expected.spectrum.s_e[-1]) <= \
             oracle.DEFAULT_TOLERANCES["s_e"]
 
@@ -325,6 +325,26 @@ class TestExitCodes:
                      "--out", str(blocker / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("i/o error:")
+
+    def test_failed_write_leaves_no_artifact(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the disk fills up at the second of simulate's three artifacts:
+        # the first, already written, is not renamed into place either
+        opened = Path.open
+
+        def full(path, *args, **kwargs):
+            if path.name == "ledger.json.tmp":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(path))
+            return opened(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", full)
+        cfg = write(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert list(out.iterdir()) == []
 
     def test_config_with_a_byte_order_mark_runs(self, tmp_path):
         # as some editors save UTF-8: every artifact equals the plain
@@ -794,6 +814,35 @@ class TestOracleVerifyCommand:
         assert set(agreement) == ORACLE_AGREEMENT_KEYS
         assert set(agreement["deviations"]) == \
             set(agreement["tolerances"]) == set(oracle.DEFAULT_TOLERANCES)
+
+    def test_ledger_failure_fails_the_command(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a ledger that raises is recorded as a failed check, with no
+        # adaptation check, and the command exits 4
+        def refuse(*args):
+            raise NumericalConsistencyError("trajectory not converged")
+
+        monkeypatch.setattr(cli, "energy_ledger", refuse)
+        cfg = write(tmp_path, SMALL_BATH)
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg),
+                     "--out", str(out)]) == 4
+        assert "energy_ledger: FAIL" in capsys.readouterr().out
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["passed"] is False
+        assert doc["checks"]["energy_ledger"] == {
+            "passed": False, "error": "trajectory not converged"}
+        assert "adaptation_work" not in doc["checks"]
+
+    def test_norm_drift_is_numerical_failure(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(oracle, "DRIFT_TOL", -1.0)
+        cfg = write(tmp_path, SMALL_BATH)
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        assert "norm drift" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
 
     def test_projects_the_pulse_once(self, tmp_path, monkeypatch):
         calls = []

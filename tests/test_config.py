@@ -172,6 +172,10 @@ class TestRejection:
         ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
          "[optimize]\nparameters = detuning\ndetuning_lo = -1\n"
          "detuning_hi = 1\nobjective = entropy\n", "objective must be"),
+        ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
+         "[grid]\ndt = 0\n", "must both be positive"),
+        ("[system]\nomega_a = 1\n[pulse]\nfamily = exponential\ndelta = 1\n"
+         "[grid]\nt_max = -1\n", "must both be positive"),
     ])
     def test_configuration_errors(self, tmp_path, text, match):
         with pytest.raises(ConfigurationError, match=match):

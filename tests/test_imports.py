@@ -9,9 +9,10 @@ scipy is a test dependency only: no command may load it, not even
 lazily.  Nor may a command load hashlib, which maps OpenSSL's libcrypto
 (about 3.4 MB resident) into the process: the config is hashed with
 CPython's built-in SHA-256, and with hashlib only on an interpreter
-built without it.
+built without it.  Nor may a module keep an import it does not use.
 """
 
+import ast
 import hashlib
 import importlib
 import os
@@ -56,6 +57,42 @@ def test_every_exported_name_exists(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ())
             if not hasattr(mod, name)] == []
+
+
+def module_imports(tree: ast.Module):
+    """The import statements of ``tree`` outside any function or class."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "lambda_adapt").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # a name imported at module level is read somewhere in the module or
+    # re-exported through __all__
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and
+            not isinstance(node.ctx, ast.Store)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in module_imports(tree)
+                if not (isinstance(node, ast.ImportFrom)
+                        and node.module == "__future__")
+                for alias in node.names]
+    assert [name for name in imported
+            if name not in read | exported] == []
 
 
 def test_library_import_loads_no_scipy():

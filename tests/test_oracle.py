@@ -10,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_adapt import oracle
+from lambda_adapt.dynamics import integrate_psi
 from lambda_adapt.entropy import normalized_overlap_sq
 from lambda_adapt.errors import (BandwidthError, ConfigurationError,
                                  ParameterError)
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
-                                LambdaSystem, Rectangular, make_pulse)
+                                LambdaSystem, Rectangular, SimGrid,
+                                make_pulse)
 from lambda_adapt.oracle import (DEFAULT_TOLERANCES, DiscreteBath,
                                  Observables, build_hamiltonian, compare,
                                  deviations, discretize_pulse, evolve)
+from lambda_adapt.thermo import drive_energy_flux
 
 
 @pytest.fixture(scope="module")
@@ -697,7 +700,6 @@ def measured(run):
     """The environment spectrum of ``run``'s series, as ``compare`` reads
     it (``Observables.from_run``)."""
     return Observables.from_run(run, RANDOM_RUN_SYSTEM,
-                                make_pulse(Gaussian(1.0), 50.0),
                                 InitialMixture(0.5)).spectrum
 
 
@@ -721,7 +723,9 @@ class TestMeasure:
         # every snapshot the loop measures, block by block, against
         # direct sums over the whole run
         _, _, run = random_run(n_out)
-        series = measured(run)
+        record = Observables.from_run(run, RANDOM_RUN_SYSTEM,
+                                      InitialMixture(0.5))
+        series = record.spectrum
         n = run.hamiltonian.offsets.size
         a, b = run.states[:, 1:n + 1], run.states[:, n + 1:]
         assert np.array_equal(series.psi_sq, np.abs(run.states[:, 0]) ** 2)
@@ -738,11 +742,14 @@ class TestMeasure:
         np.testing.assert_allclose(
             series.overlap_sq, normalized_overlap_sq(cross, series.n_a),
             rtol=1e-12, atol=0)
+        # the work is the photon number the pulse lost
+        assert record.w == pytest.approx(2.0 * (1.0 - cross[-1].real),
+                                         rel=0, abs=1e-12)
 
 
 class TestCompare:
-    # detuned, the oracle's |e> amplitude must turn by e^{i delta_L t} to
-    # meet psi^: the opposite turn puts the work 1.25e-2 off (5e-3 allowed)
+    # detuned as on resonance, both sides read the work off their overlap
+    # with the free pulse, so no |e> amplitude is turned to another frame
     @pytest.mark.parametrize("delta_l", [0.0, 0.4, -0.4])
     def test_gaussian_within_default_tolerances(self, system, small_bath,
                                                 delta_l):
@@ -789,7 +796,7 @@ def oracle_record(system, pulse, mixture, bath, n_out):
     amps = discretize_pulse(pulse, bath, system)
     run = evolve(build_hamiltonian(system, bath), photon_in(amps),
                  15.0 / system.gamma_total, n_out=n_out)
-    return Observables.from_run(run, system, pulse, mixture)
+    return Observables.from_run(run, system, mixture)
 
 
 class TestObservables:
@@ -808,6 +815,22 @@ class TestObservables:
             deviations(record, later)
         with pytest.raises(ParameterError):
             deviations(record, dataclasses.replace(record, omega_a=60.0))
+
+    @pytest.mark.parametrize("shape", [Rectangular(2.0), Gaussian(1.2),
+                                       Exponential(0.5)],
+                             ids=["rectangular", "gaussian", "exponential"])
+    def test_trajectory_work_is_the_drive_flux(self, system, shape):
+        # the analytic record's work is the trajectory's fourth-order
+        # flux to T, whatever the snapshot count and the drive's edges
+        pulse = make_pulse(shape, 50.0)
+        t_final = 15.0 / system.gamma_total
+        traj = integrate_psi(system, pulse,
+                             SimGrid.auto(system, pulse, t_max=t_final))
+        record = Observables.from_trajectory(
+            traj, system, pulse, InitialMixture(0.5),
+            np.linspace(0.0, t_final, 51))
+        assert record.w == pytest.approx(
+            drive_energy_flux(traj, pulse, system), rel=0, abs=1e-15)
 
     def test_refined_comb_agrees(self, system, small_bath, record):
         # a finer comb over the same window, diffed through the same
