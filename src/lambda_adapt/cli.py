@@ -67,10 +67,12 @@ from .thermo import drive_overlap_integral, energy_ledger, is_resonant
 #   faults instead of 7k and ran about 9 % slower (2-vCPU x86 VM);
 # - a threshold left to glibc rises to the size of each mapped block
 #   freed (up to 32 MB), so what a command keeps resident depends on the
-#   commands run before it: after two 801-mode oracle-verify runs free
-#   their 7.7 MB states, a 2001-mode run's scratch came from the heap
-#   and stayed resident, and the run peaked at 67.8 MB max RSS instead
-#   of 63.6 MB.  A threshold set explicitly is never raised.
+#   commands run before it: after one 2001-mode oracle-verify run frees
+#   its 9.6 MB of folded snapshots, the next one's scratch came from
+#   the heap and stayed, and the process kept 51.1 MB resident after it
+#   instead of 34.7 MB (max RSS 50.9-51.0 MB without the thresholds,
+#   51.7-52.0 MB with them).  A threshold set explicitly is never
+#   raised.
 # Where the C library has no mallopt, nothing is set.
 try:
     _mallopt = ctypes.CDLL(None).mallopt

@@ -27,14 +27,10 @@ eigenvector rebuild, its GEMM and every phase table run on one half
 an even grid, so each phase table takes cos and sin once per 16
 snapshots and forms the rest as products.
 
-A run's working set is its snapshot array and little more: ``evolve``
-accumulates the eigenvector products inside that array and unfolds them
-there, keeping its scratch in the snapshots' b-mode columns until it
-writes them, a few rows at a time through one scratch block that also
-measures them (``OracleRun``).  At 2001 modes and 301 snapshots the
-snapshots take 18.4 MiB and a cold ``evolve`` peaks 2.4 MiB above them
-(tracemalloc); at 5385 modes and 401 snapshots, 65.9 MiB and 6.1 MiB; at
-7643 modes and 401 snapshots, 93.5 MiB and 8.6 MiB.
+A run keeps its snapshots folded, as four real bands of half their
+bytes, and unfolds them only when they are read (``OracleRun.states``);
+``evolve`` measures them a few at a time as it writes them, and states
+its working set.
 """
 
 from __future__ import annotations
@@ -231,19 +227,23 @@ def discretize_pulse(pulse: PulseSpec, bath: DiscreteBath,
 
 @dataclass(frozen=True)
 class OracleRun:
-    """States of a discrete-bath evolution at the requested output times.
+    """A discrete-bath evolution at the requested output times.
 
-    States are stored in the interaction-free rotating frame at
-    ``hamiltonian.omega_ref`` (the |e> diagonal); multiply state k by
-    e^{-i omega_ref t_k} for lab-frame amplitudes.  Global per-state
-    phases drop out of every measurement.  The comb is ``hamiltonian``'s.
     Per snapshot, ``evolve`` measured the weights ``p_e`` of |e, vac> and
     ``n_a``, ``n_b`` of each branch, and the ``overlap`` <a(t)|free(t)>
     with the free pulse a0_j e^{-i d_j t}, a0 the a-modes of snapshot 0.
+    The snapshots are kept as their bands (``evolve``) and the start's
+    dark amplitudes ``dark0``; ``states`` unfolds them on first read, as
+    ``evolve`` did to measure them, so a measured run never holds them.
+    States are in the interaction-free rotating frame at
+    ``hamiltonian.omega_ref`` (the |e> diagonal); multiply state k by
+    e^{-i omega_ref t_k} for lab-frame amplitudes.  Global per-state
+    phases drop out of every measurement.  The comb is ``hamiltonian``'s.
     """
 
     times: np.ndarray
-    states: np.ndarray          # (n_out, dim) complex
+    bands: np.ndarray           # (n_out, 4 (c + 1)), n = 2c + 1 modes
+    dark0: np.ndarray           # (n,) complex
     hamiltonian: Hamiltonian
     norm_drift: float
     p_e: np.ndarray
@@ -252,16 +252,27 @@ class OracleRun:
     overlap: np.ndarray         # complex
 
     def __post_init__(self):
-        for series in (self.times, self.states, self.p_e, self.n_a,
-                       self.n_b, self.overlap):
+        for series in (self.times, self.bands, self.dark0, self.p_e,
+                       self.n_a, self.n_b, self.overlap):
             series.flags.writeable = False
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """The snapshots, (n_out, dim) complex, read-only."""
+        states = np.empty((self.times.size, self.hamiltonian.dim),
+                          dtype=complex)
+        for rows, block, _ in _snapshot_blocks(
+                self.hamiltonian, self.dark0, self.bands, self.times):
+            states[rows] = block
+        states.flags.writeable = False
+        return states
 
 
 # roots per block of the decomposition's O(n^2) passes (``_secular_roots``,
 # ``_spokes``), whose temporaries are _SOLVE x n doubles: 1 MB at 2001
 # modes, inside a 2 MB L2; roots per block of the bright pass, whose two
 # slabs are _BRIGHT x (c + 1) doubles; snapshots per block of the pass
-# over a run's states, whose one scratch block is _ROWS x 2n complex, and
+# over a run's snapshots, whose scratch is _ROWS x (dim + 2n) complex, and
 # of the phase tables, which take cos and sin once per _ROWS snapshots
 # and are formed that many snapshots at a time; and the secular solver's
 # step cap
@@ -572,18 +583,47 @@ def _unfold(x: np.ndarray, y: np.ndarray, out: np.ndarray):
     np.subtract(x[:, 1:], y[:, 1:], out=out[:, c:0:-1])
 
 
-def _carve(free: np.ndarray, shapes) -> list[np.ndarray]:
-    """Float buffers of the given (rows, cols) shapes, in turn: each is a
-    view of the next unused columns of ``free`` if it has no more rows
-    than ``free`` and its columns still fit, else a new ``np.empty``."""
-    out, col = [], 0
-    for rows, cols in shapes:
-        if rows <= len(free) and col + cols <= free.shape[1]:
-            out.append(free[:rows, col:col + cols])
-            col += cols
-        else:
-            out.append(np.empty((rows, cols)))
-    return out
+def _snapshot_blocks(h: Hamiltonian, dark0: np.ndarray, bands: np.ndarray,
+                     times: np.ndarray):
+    """The snapshots at ``times`` from their bands, _ROWS at a time, each
+    block written into one scratch block: yields (rows, block, work).
+
+    Each block unfolds its bands into the bright amplitudes and turns
+    (bright, dark) into (a, b) in place:
+    a = (conj(z_a) bright + z_b dark0 e^{-i d t}) / G and
+    b = (conj(z_b) bright - z_a dark0 e^{-i d t}) / G.  ``work`` is
+    (rows, 2n) complex scratch, its second half the phases e^{i d_j t}
+    of the block; the caller may overwrite both."""
+    n = h.offsets.size
+    c = n // 2
+    upper = h.offsets[c:]
+    g = np.hypot(np.abs(h.z_a), np.abs(h.z_b))
+    a_bright, b_bright = np.conj(h.z_a) / g, np.conj(h.z_b) / g
+    a_dark, b_dark = h.z_b * dark0 / g, -h.z_a * dark0 / g
+    steps = _phase_steps(times, upper)
+    block_buf = np.empty((min(times.size, _ROWS), h.dim), dtype=complex)
+    scratch = np.empty((len(block_buf), 2 * n), dtype=complex)
+    for i0 in range(0, times.size, _ROWS):
+        rows = slice(i0, i0 + _ROWS)
+        t = times[rows]
+        block, work = block_buf[:t.size], scratch[:t.size]
+        x_re, x_im, y_re, y_im = np.split(bands[rows], 4, axis=1)
+        _unfold(x_re, y_re, block.real)
+        _unfold(x_im, y_im, block.imag)
+        bright, phase = block[:, 1:n + 1], block[:, n + 1:]
+        # the dark phases, the lower half the upper one's mirrored conjugate
+        np.multiply(_phase_bases(t, upper), steps[:t.size], out=phase[:, c:])
+        np.conjugate(phase[:, :c:-1], out=phase[:, :c])
+        new_a, conj_phase = np.split(work, 2, axis=1)
+        np.multiply(a_bright, bright, out=new_a)
+        np.multiply(a_dark, phase, out=conj_phase)
+        new_a += conj_phase
+        np.conjugate(phase, out=conj_phase)
+        phase *= b_dark
+        bright *= b_bright
+        phase += bright
+        bright[:] = new_a
+        yield rows, block, work
 
 
 def _check_snapshot_size(n_out: int, dim: int):
@@ -625,35 +665,29 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     are formed _ROWS snapshots at a time from ``_phase_bases`` and
     ``_phase_steps``, once for X and once for Y, straight into the GEMMs'
     real operand, so no complex table of a block is ever whole.  X and Y
-    accumulate inside the states array: the |e> and a-mode columns of a
-    snapshot hold 2 (n + 1) = 4 (c + 1) doubles, four real bands Re X,
-    Im X, Re Y and Im Y of c + 1 each.  Each block runs its GEMMs on the
-    real and the imaginary half of its coefficients separately: the first
-    block's products are written to the bands, later ones are added to
-    them through one (n_out, c + 1) buffer.
-    The snapshot loop then takes _ROWS snapshots at a time through one
-    scratch block: it copies their bands and unfolds them into the
-    bright amplitudes, mixes (bright, dark) into (a, b) with the dark
-    phases, and measures the block: the overlap with the free pulse,
-    whose phases e^{i d_j t} are the dark ones' conjugate, then p_e, n_a,
-    n_b and the norms (``OracleRun``).  The dark modes' table takes the
-    upper half from one base per block and one set of steps for the run,
-    and conjugates it.  Norm drift above DRIFT_TOL raises.  n_out * dim above
-    MAX_GRID_NODES is refused with ConfigurationError before anything is
-    allocated or solved.  On the 2001-mode default comb with 301
-    snapshots, a cold run takes about 0.17-0.22 s and a warm one
-    (decomposition cached) 0.10-0.12 s; on 801 modes, a cold run takes
-    0.05-0.06 s; on 7643 modes with 401 snapshots, 1.9 s (2-core x86 VM).
-    Until the snapshot loop writes them, the b-mode columns of the states
-    (2n doubles a snapshot) hold the bright pass's scratch, each buffer
-    in turn as far as it fits (``_carve``), the rest from ``np.empty``:
-    the (n_out, c + 1) accumulation buffer, the two (w, c + 1) slabs, w =
-    min(_BRIGHT, c + 1), if there are at least w snapshots, and the two
-    halves of the (n_out, w) real GEMM operand (both at 2001 modes, one
-    at 801); 7.4 MiB at 2001 modes and 301 snapshots.  Beyond its states
-    (18.4 MiB) that cold run then peaks 2.4 MiB higher (tracemalloc), the
-    decomposition's (_SOLVE, n) temporaries of 1 MiB each included; at
-    5385 modes and 401 snapshots, 6.1 MiB above 65.9 MiB.
+    accumulate in four real bands Re X, Im X, Re Y and Im Y of c + 1
+    each, (n_out, 4 (c + 1)) doubles, half the bytes of the snapshots.
+    Each block runs its GEMMs on the real and the imaginary half of its
+    coefficients separately: the first block's products are written to
+    the bands, later ones are added to them through one (n_out, c + 1)
+    buffer.  The snapshot loop then measures _ROWS snapshots at a time in
+    one scratch block (``_snapshot_blocks``), which unfolds their bands
+    into the bright amplitudes and mixes (bright, dark) into (a, b) with
+    the dark phases, the upper half of their table from one base per
+    block and one set of steps for the run, the lower its conjugate: the
+    overlap with the free pulse, whose phases e^{i d_j t} are the dark
+    ones' conjugate, then p_e, n_a, n_b and the norms.  The run keeps the
+    bands, which ``OracleRun.states`` unfolds the same way when read.
+    Norm drift above DRIFT_TOL raises.  n_out * dim above MAX_GRID_NODES
+    is refused with ConfigurationError before anything is allocated or
+    solved.  A cold run (decomposition not cached) on the 2001-mode
+    default comb with 301 snapshots takes 0.15-0.20 s (a warm one
+    0.09-0.12 s) and peaks 8.4 MiB above its 9.2 MiB of bands: the
+    (n_out, c + 1) buffer, the two (_BRIGHT, c + 1) slabs, the halves of
+    the (n_out, _BRIGHT) operand and the decomposition's 1 MiB
+    temporaries.  At 5385 modes and 401 snapshots, 0.9-1.2 s and 21.8 MiB
+    above 33.0 MiB; at 7643 modes, 1.8-2.3 s and 30.1 MiB above 46.8 MiB
+    (2-core x86 VM; peaks by tracemalloc).
     """
     if t_final <= 0:
         raise ParameterError("t_final must be positive")
@@ -690,25 +724,19 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     t_out = np.linspace(0.0, t_final, n_out)
     bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
     dark0 = (np.conj(z_b) * y0[a] - np.conj(z_a) * y0[b]) / g
-    states = np.zeros((n_out, dim), dtype=complex)
-    # the |e> and a-mode columns of a snapshot are 2 (n + 1) = 4 (c + 1)
-    # doubles: the bright pass accumulates Re X, Im X, Re Y and Im Y
-    # there, one band of c + 1 each, for the snapshot loop to unfold
-    packed = states.view(float)[:, :4 * (c + 1)]
+    # the bright pass accumulates Re X, Im X, Re Y and Im Y, one band of
+    # c + 1 each, for the snapshot loop to unfold
+    bands = np.empty((n_out, 4 * (c + 1)))
+    re_x, im_x, re_y, im_y = np.split(bands, 4, axis=1)
     arrow = _folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
     # the start and its mirror S b0 project onto rows x and S x
     mirror0 = np.concatenate((bright0[:1], -bright0[:0:-1]))
     b0 = np.stack([bright0.real, bright0.imag,
                    mirror0.real, mirror0.imag], axis=1)
-    bands = np.split(packed, 4, axis=1)
-    # the b-mode columns of a snapshot, its other 2n doubles, are written
-    # only by the snapshot loop; until then the bright pass keeps its
-    # scratch there, each buffer that fits (``_carve``)
     width = min(_BRIGHT, c + 1)
-    part, sums, diffs, *lhs = _carve(
-        states[:, b].view(float),
-        [(n_out, c + 1), (width, c + 1), (width, c + 1),
-         (n_out, width), (n_out, width)])
+    part = np.empty((n_out, c + 1))
+    sums, diffs = np.empty((2, width, c + 1))
+    lhs = np.empty((2, n_out, width))
     fwd_buf, mir_buf = np.empty((2, min(n_out, _ROWS), width), dtype=complex)
     for r0 in range(c + 1, n + 1, _BRIGHT):
         r1 = min(r0 + _BRIGHT, n + 1)
@@ -726,8 +754,8 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
         # real and the imaginary half each into its own band; F and G
         # are formed _ROWS snapshots at a time, for X and again for Y,
         # straight into lhs
-        for op, rhs, acc in ((np.subtract, sums, bands[:2]),
-                             (np.add, diffs, bands[2:])):
+        for op, rhs, acc in ((np.subtract, sums, (re_x, im_x)),
+                             (np.add, diffs, (re_y, im_y))):
             for q, base in enumerate(bases):
                 rows = slice(q * _ROWS, (q + 1) * _ROWS)
                 fwd = fwd_buf[:len(t_out[rows]), :m]
@@ -746,46 +774,18 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
                     band += part
     del part, sums, diffs, lhs, fwd_buf, mir_buf
 
-    # each block of snapshots unfolds its bands, turns (bright, dark) into
-    # (a, b) in place and measures itself, every step in the same scratch:
-    # a = (conj(z_a) bright + z_b dark0 e^{-i d t}) / G and
-    # b = (conj(z_b) bright - z_a dark0 e^{-i d t}) / G; the overlap with
-    # the free pulse a0_j e^{-i d_j t} in the same rotating frame is
-    # <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j))
-    steps = _phase_steps(t_out, d[c:])
-    a_bright, b_bright = np.conj(z_a) / g, np.conj(z_b) / g
-    a_dark, b_dark = z_b * dark0 / g, -z_a * dark0 / g
-    scratch = np.empty((min(n_out, _ROWS), 2 * n), dtype=complex)
+    # each block of snapshots is measured in its scratch block; the
+    # overlap with the free pulse a0_j e^{-i d_j t} in the same rotating
+    # frame is <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j))
     norms, p_e, n_a, n_b = np.empty((4, n_out))
     overlap = np.empty(n_out, dtype=complex)
-    for i0 in range(0, n_out, _ROWS):
-        rows = slice(i0, i0 + _ROWS)
-        block = states[rows]
-        work = scratch[:len(block)]
-        copy = work.view(float)[:, :4 * (c + 1)]
-        copy[:] = packed[rows]
-        x_re, x_im, y_re, y_im = np.split(copy, 4, axis=1)
-        _unfold(x_re, y_re, block.real)
-        _unfold(x_im, y_im, block.imag)
-        bright, phase = block[:, a], block[:, b]
-        # the dark phases, the lower half the upper one's mirrored conjugate
-        np.multiply(_phase_bases(t_out[rows], d[c:]), steps[:len(block)],
-                    out=phase[:, c:])
-        np.conjugate(phase[:, :c:-1], out=phase[:, :c])
-        new_a, term = np.split(work, 2, axis=1)
-        np.multiply(a_bright, bright, out=new_a)
-        np.multiply(a_dark, phase, out=term)
-        new_a += term
-        np.conjugate(phase, out=term)
-        phase *= b_dark
-        bright *= b_bright
-        phase += bright
-        bright[:] = new_a
-        if i0 == 0:
-            a0 = np.conj(new_a[0])
-        term *= a0
-        term *= new_a
-        overlap[rows] = np.conj(np.sum(term, axis=1))
+    for rows, block, work in _snapshot_blocks(h, dark0, bands, t_out):
+        if rows.start == 0:
+            a0 = np.conj(block[0, a])
+        free = work[:, n:]
+        free *= a0
+        free *= block[:, a]
+        overlap[rows] = np.conj(np.sum(free, axis=1))
         pops = np.abs(block, out=work.view(float)[:, :dim])
         pops *= pops
         p_e[rows] = pops[:, 0]
@@ -795,7 +795,7 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     if drift > DRIFT_TOL:
         raise NumericalConsistencyError(
             f"norm drift {drift:.3e} exceeds {DRIFT_TOL}")
-    return OracleRun(times=t_out, states=states, hamiltonian=h,
+    return OracleRun(times=t_out, bands=bands, dark0=dark0, hamiltonian=h,
                      norm_drift=drift, p_e=p_e, n_a=n_a, n_b=n_b,
                      overlap=overlap)
 

@@ -263,40 +263,31 @@ class TestEvolve:
         assert np.max(np.abs(run.states - ref)) <= 1e-12
         assert run.norm_drift <= 1e-12
 
-    # on 401 modes a block of all 201 roots leaves the b-mode columns no
-    # room for the GEMM operand once part and both slabs are there, and
-    # blocks of 64 leave room for all of it; from width snapshots on the
-    # slabs are there too, one short of width they come from np.empty
+    # one block of all 201 positive roots, or blocks of 64 that end in a
+    # partial one, each on snapshot counts one short of, at and one past
+    # the width of a block
     @pytest.mark.parametrize("bright", [256, 64])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_scratch_placements_match_dense_eigh(self, monkeypatch, bright,
-                                                 offset):
+    def test_bright_blocks_match_dense_eigh(self, monkeypatch, bright,
+                                            offset):
         monkeypatch.setattr(oracle, "_BRIGHT", bright)
-        carved = []
-        carve = oracle._carve
-
-        def spy(free, shapes):
-            bufs = carve(free, shapes)
-            carved.append([np.shares_memory(buf, free) for buf in bufs])
-            return bufs
-
-        monkeypatch.setattr(oracle, "_carve", spy)
-        width = min(bright, 201)
-        h, y0, run = random_run(width + offset)
-        # part, sums, diffs and the two halves of the GEMM operand
-        slabs, operand = offset >= 0, bright == 64 or offset < 0
-        assert carved == [[True, slabs, slabs, operand, operand]]
+        h, y0, run = random_run(min(bright, 201) + offset)
         ref = dense_states(h, y0, run.times)
         assert np.max(np.abs(run.states - ref)) <= 1e-12
         assert run.norm_drift <= 1e-12
 
-    def test_carve_takes_what_fits(self):
-        free = np.zeros((4, 10))
-        bufs = oracle._carve(free, [(4, 5), (5, 2), (2, 4), (4, 2)])
-        assert [buf.shape for buf in bufs] == [(4, 5), (5, 2), (2, 4), (4, 2)]
-        assert [np.shares_memory(buf, free) for buf in bufs] == [
-            True, False, True, False]
-        assert not np.shares_memory(bufs[0], bufs[2])
+    def test_states_unfold_on_first_read(self):
+        # a measured run holds only its bands; states are unfolded when
+        # read, once, read-only (test_partial_snapshot_blocks checks them
+        # against what the run measured)
+        _, _, run = random_run(33)
+        Observables.from_run(run, RANDOM_RUN_SYSTEM, InitialMixture(0.5))
+        assert "states" not in vars(run)
+        states = run.states
+        assert run.states is states
+        assert not states.flags.writeable
+        with pytest.raises(ValueError):
+            states[0, 0] = 0.0
 
     def test_energy_conserved(self, system, small_bath):
         h = build_hamiltonian(system, small_bath)
@@ -391,10 +382,11 @@ class TestEvolve:
         assert peak < (n + 1) ** 2 * 8
 
     def test_working_set(self, system):
-        # the bright pass accumulates inside the states array, keeping
-        # its scratch in their b-mode columns, and the snapshot loop
-        # writes and measures through one small block, so a cold
-        # 301-snapshot run holds little beyond its states
+        # the bright pass accumulates in the folded bands, half the bytes
+        # of the states, and the snapshot loop writes and measures through
+        # one small block, so a cold 301-snapshot run peaks 8.4 MiB above
+        # its bands: the accumulation buffer, the two slabs, the GEMM
+        # operand and the decomposition's temporaries
         bath = DiscreteBath.default(system)
         h = build_hamiltonian(system, bath)
         amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0),
@@ -406,7 +398,8 @@ class TestEvolve:
             evolve_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert evolve_peak < run.states.nbytes + 3 * 2 ** 20
+        assert evolve_peak < run.bands.nbytes + 9 * 2 ** 20
+        assert "states" not in vars(run)
 
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
