@@ -68,11 +68,11 @@ from .thermo import drive_overlap_integral, energy_ledger, is_resonant
 # - a threshold left to glibc rises to the size of each mapped block
 #   freed (up to 32 MB), so what a command keeps resident depends on the
 #   commands run before it: after one 2001-mode oracle-verify run frees
-#   its 9.6 MB of folded snapshots, the next one's scratch came from
-#   the heap and stayed, and the process kept 51.1 MB resident after it
-#   instead of 34.7 MB (max RSS 50.9-51.0 MB without the thresholds,
-#   51.7-52.0 MB with them).  A threshold set explicitly is never
-#   raised.
+#   its 9.6 MB of folded snapshots, the next one's arrays came from
+#   the heap and stayed, and the process kept 46.4 MB resident after it
+#   instead of 34.0 MB (max RSS 46.3 MB without the thresholds, 46.4-46.5
+#   MB with them; one such run alone peaks at 46.3 and 46.0-46.2 MB).
+#   A threshold set explicitly is never raised.
 # Where the C library has no mallopt, nothing is set.
 try:
     _mallopt = ctypes.CDLL(None).mallopt

@@ -209,6 +209,23 @@ def graded_hamiltonian(s):
         z_b=-1j * np.sqrt(s.gamma_b * widths / (2.0 * math.pi)))
 
 
+def traced_excess(system, n_modes, n_out):
+    """A cold ``evolve`` of a Gaussian pulse on an n_modes comb of 40
+    Gamma and its tracemalloc peak above its bands: (run, excess)."""
+    bath = DiscreteBath(n_modes, 40.0 * system.gamma_total)
+    h = build_hamiltonian(system, bath)
+    amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0), bath, system)
+    y0 = photon_in(amps)
+    oracle._folded_eigh.cache_clear()
+    tracemalloc.start()
+    try:
+        run = evolve(h, y0, 7.5, n_out=n_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return run, peak - run.bands.nbytes
+
+
 def random_evolve(h, n_out):
     """A random start, every amplitude of ``h`` populated, evolved to t = 5:
     (start, run)."""
@@ -265,12 +282,20 @@ class TestEvolve:
 
     # one block of all 201 positive roots, or blocks of 64 that end in a
     # partial one, each on snapshot counts one short of, at and one past
-    # the width of a block
-    @pytest.mark.parametrize("bright", [256, 64])
+    # the width of a block; at the default panel, and at panels of mode
+    # pairs at the edges: a partial last panel (201 = 3 x 64 + 9), a
+    # single panel wider than all c + 1 = 201 pairs under partial root
+    # blocks, and the |e> column (D_0 = 2) in a panel narrower than its
+    # root block, whose last panel is partial too
+    @pytest.mark.parametrize("bright, panel", [
+        pytest.param(256, oracle._PANEL, id="256"),
+        pytest.param(64, oracle._PANEL, id="64"),
+        (256, 64), (64, 256), (64, 16)])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_bright_blocks_match_dense_eigh(self, monkeypatch, bright,
-                                            offset):
+                                            panel, offset):
         monkeypatch.setattr(oracle, "_BRIGHT", bright)
+        monkeypatch.setattr(oracle, "_PANEL", panel)
         h, y0, run = random_run(min(bright, 201) + offset)
         ref = dense_states(h, y0, run.times)
         assert np.max(np.abs(run.states - ref)) <= 1e-12
@@ -383,23 +408,16 @@ class TestEvolve:
 
     def test_working_set(self, system):
         # the bright pass accumulates in the folded bands, half the bytes
-        # of the states, and the snapshot loop writes and measures through
-        # one small block, so a cold 301-snapshot run peaks 8.4 MiB above
-        # its bands: the accumulation buffer, the two slabs, the GEMM
-        # operand and the decomposition's temporaries
-        bath = DiscreteBath.default(system)
-        h = build_hamiltonian(system, bath)
-        amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0),
-                                bath, system)
-        oracle._folded_eigh.cache_clear()
-        tracemalloc.start()
-        try:
-            run = evolve(h, photon_in(amps), 7.5, n_out=301)
-            evolve_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert evolve_peak < run.bands.nbytes + 9 * 2 ** 20
+        # of the states, through operands and panels of a fixed width, and
+        # the snapshot loop writes and measures through one small block,
+        # so a cold 301-snapshot run peaks about 4.2 MiB above its bands;
+        # doubling the comb doubles the bands, not the scratch above them:
+        # about 1.2 MiB more at 4001 modes (6.4 MiB with whole-width slabs)
+        run, small = traced_excess(system, 2001, 301)
+        assert small < 5 * 2 ** 20
         assert "states" not in vars(run)
+        _, large = traced_excess(system, 4001, 301)
+        assert large - small < 2 * 2 ** 20
 
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
@@ -645,40 +663,59 @@ class TestFoldedSolver:
     def test_mirror_block_matches_the_rows_of_v(self, comb):
         dp, gh = comb
         arrow = oracle._folded_eigh(dp.tobytes(), gh.tobytes())
-        assert_mirror_block(arrow, dp.size + 1, 2 * dp.size + 2)
+        c = dp.size
+        assert_projections(arrow)
+        assert_mirror_panel(arrow, c + 1, 2 * c + 2, slice(0, c + 1))
+        assert_mirror_panel(arrow, c + 1, 2 * c + 2, slice(c // 2, c + 1))
 
     def test_default_comb_mirror_block(self, system):
-        # the bright pass's blocks on the 2001-mode comb: whole, and one
-        # that starts and ends inside the positive roots
+        # the bright pass's blocks on the 2001-mode comb: every positive
+        # root's projection and whole rows, and panels at |e>, inside and
+        # at the end of the pairs in a block that starts and ends inside
+        # the positive roots
         bath = DiscreteBath.default(system)
         d = bath.offsets()
         c = d.size // 2
         g = np.full(c + 1, math.sqrt(system.gamma_total * bath.spacing
                                      / (2.0 * math.pi)))
         arrow = oracle._folded_eigh(d[c + 1:].tobytes(), g.tobytes())
-        assert_mirror_block(arrow, c + 1, d.size + 1)
-        assert_mirror_block(arrow, c + 300, c + 556)
+        assert_projections(arrow)
+        assert_mirror_panel(arrow, c + 1, d.size + 1, slice(0, c + 1))
+        for cols in (slice(0, 128), slice(384, 512), slice(896, c + 1)):
+            assert_mirror_panel(arrow, c + 300, c + 556, cols)
 
 
-def assert_mirror_block(arrow, r0, r1):
-    """``oracle._mirror_rows`` for the positive roots r0 .. r1 - 1, scaled
-    by 1 / N, against the mirror sums and differences of ``vt_rows``
-    (modes c + j and c - j; |e> doubled in the differences) and the rows'
-    projections on a random start, to 1e-14."""
+def assert_projections(arrow):
+    """``oracle._projections`` of every positive root, scaled by 1 / N,
+    against the rows' projections (``vt_rows``) on a random start, to
+    1e-14."""
+    n = arrow.d.size
+    b0 = np.random.default_rng(5).normal(size=(n + 1, 4)) / math.sqrt(n)
+    proj, norm_sq = oracle._projections(arrow, b0)
+    vt = vt_rows(arrow, n // 2 + 1, n + 1)
+    scale = 1.0 / np.sqrt(norm_sq)[:, None]
+    assert np.max(np.abs(proj * scale - vt @ b0)) <= 1e-14
+    # the |e> entry of a normalized row is 1 / N
+    assert np.max(np.abs(np.sqrt(norm_sq) * vt[:, 0] - 1.0)) <= 1e-14
+
+
+def assert_mirror_panel(arrow, r0, r1, cols):
+    """``oracle._mirror_panel`` for the positive roots r0 .. r1 - 1 over
+    the mode pairs ``cols``, scaled by 1 / N, against the mirror sums and
+    differences of ``vt_rows`` (modes c + j and c - j; |e> doubled in the
+    differences), to 1e-14."""
     n = arrow.d.size
     c = n // 2
-    m = r1 - r0
-    b0 = np.random.default_rng(5).normal(size=(n + 1, 4)) / math.sqrt(n)
-    sums, diffs = np.empty((2, m, c + 1))
-    proj, norm_sq = oracle._mirror_rows(arrow, r0, r1, b0, sums, diffs)
     vt = vt_rows(arrow, r0, r1)
     up, dn = vt[:, c + 1:], vt[:, c + 1:0:-1]
     ref_diffs = up - dn
     ref_diffs[:, 0] = 2.0 * vt[:, 0]
-    scale = 1.0 / np.sqrt(norm_sq)[:, None]
-    assert np.max(np.abs(sums * scale - (up + dn))) <= 1e-14
-    assert np.max(np.abs(diffs * scale - ref_diffs)) <= 1e-14
-    assert np.max(np.abs(proj * scale - vt @ b0)) <= 1e-14
+    out = np.empty((3, r1 - r0, cols.stop - cols.start))
+    sums, diffs = oracle._mirror_panel(arrow, r0, r1, cols, out)
+    # the |e> entry of a normalized row is 1 / N
+    scale = vt[:, :1]
+    assert np.max(np.abs(sums * scale - (up + dn)[:, cols])) <= 1e-14
+    assert np.max(np.abs(diffs * scale - ref_diffs[:, cols])) <= 1e-14
 
 
 @pytest.fixture(scope="module")
