@@ -18,16 +18,16 @@ modes and one real arrowhead block.  The arrowhead's eigenvalues are the
 roots of its secular equation (O'Leary & Stewart 1990), found in O(n^2)
 all at once; its eigenvectors follow in closed form from spokes
 recomputed from those roots (Gu & Eisenstat 1995).  Only those O(n)
-numbers are kept: the start's projections on the eigenvectors take one
-pass over them in blocks of rows, and the eigenvectors are then rebuilt
-and applied in blocks of rows and panels of columns, straight from
-their Cauchy form, and never stored.  The comb is mirror symmetric
-about the line (offsets d_{n-1-j} = -d_j, equal couplings), so the
-roots come in +- pairs: the solver, the spokes, the eigenvector
-rebuild, its GEMM and every phase table run on one half (the fold), and
-the other half is their mirror.  The snapshot times are an even grid,
-so each phase table takes cos and sin once per 16 snapshots and forms
-the rest as products.
+numbers are kept: the eigenvectors are rebuilt straight from their
+Cauchy form, a block of rows at a time and in panels of columns, and
+never stored; each block first projects the start on its rows and then
+applies them.  The comb is mirror symmetric about the line (offsets
+d_{n-1-j} = -d_j, equal couplings), so the roots come in +- pairs: the
+solver, the spokes, the eigenvector rebuild, its GEMM and every phase
+table run on one half (the fold), and the other half is their mirror.
+The snapshot times are an even grid, so one generator forms every phase
+table, taking cos and sin once per 16 snapshots and forming the rest as
+products.
 
 A run keeps its snapshots folded, as four real bands of half their
 bytes, and unfolds them only when they are read (``OracleRun.states``);
@@ -271,15 +271,15 @@ class OracleRun:
 
 
 # roots per block of the O(n^2) passes over all roots (``_secular_roots``,
-# ``_spokes``, ``_projections``), whose temporaries are _SOLVE x n
-# doubles: 1 MB at 2001 modes, inside a 2 MB L2; roots per block and mode
-# pairs per panel of the bright pass, whose operands are (n_out, _BRIGHT)
-# and whose mirror sums and differences are built _BRIGHT x _PANEL at a
-# time, so its scratch has the same width whatever the comb; snapshots
-# per block of the pass over a run's snapshots, whose scratch is _ROWS x
-# (dim + 2n) complex, and of the phase tables, which take cos and sin
-# once per _ROWS snapshots and are formed that many snapshots at a time;
-# and the secular solver's step cap
+# ``_spokes``), whose temporaries are _SOLVE x n doubles: 1 MB at 2001
+# modes, inside a 2 MB L2; roots per block and mode pairs per panel of the
+# bright pass, which sweeps each block's Cauchy rows _BRIGHT x _PANEL at a
+# time, once to project the start and once to apply them through
+# (n_out, _BRIGHT) operands, so its scratch has the same width whatever
+# the comb; snapshots per block of the pass over a run's snapshots, whose
+# scratch is _ROWS x (dim + 2n) complex, and of the phase tables, which
+# take cos and sin once per _ROWS snapshots (``_phase_rows``); and the
+# secular solver's step cap
 _SOLVE = 64
 _BRIGHT = 256
 _PANEL = 128
@@ -509,40 +509,35 @@ def _folded_eigh(offsets: bytes, spokes: bytes) -> _Arrowhead:
     return _decomposition(d, k, tau, np.concatenate((half[:0:-1], half)))
 
 
-def _trig(t: np.ndarray, freqs: np.ndarray, out: np.ndarray):
-    """out[i, j] = e^{-i f_j t_i}, as cos and sin of -f_j t_i; the
-    argument is held in the imaginary parts until the sines replace it."""
-    np.multiply(t[:, None], -freqs, out=out.imag)
-    np.cos(out.imag, out=out.real)
-    np.sin(out.imag, out=out.imag)
+def _phase_rows(t: np.ndarray, freqs: np.ndarray, out: np.ndarray):
+    """The phase table e^{-i f_j t_i} on the even grid t (a ``np.linspace``),
+    _ROWS snapshots at a time, each block written to the first rows of
+    ``out``, (min(t.size, _ROWS), freqs.size) complex or more rows: yields
+    (rows, table), table the block's view of ``out``.
 
-
-def _phase_bases(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """e^{-i f_j t_{qR}} at every _ROWS-th time of t, R = _ROWS, the only
-    entries of a phase table e^{-i f_j t_i} whose cos and sin are taken.
-
-    On an even grid t (a ``np.linspace``) entry qR + r of the table is
-    base q times step r of ``_phase_steps``, one complex product; a pass
-    over blocks of R snapshots takes one base per block and builds the
-    steps once.  Against cos and sin of the rounded argument f t_i, the
-    entries differ by at most 4 eps max|f t| + 8 eps (7.6e-14 at max|f t|
-    = 300, the default comb, 9.1e-13 at 6000), and their moduli from 1 by
-    a few ulps.  The 301 x 401 table of the 801-mode comb (max|f t| =
-    300) takes 0.55-0.8 ms, against 2.7-4.1 ms for cos and sin of every
-    entry (2-core x86 VM).
+    Only the first row of each block, its base, takes cos and sin; row r
+    of a block is its base times the step e^{-i f_j (t_r - t_0)}, one
+    complex product, from one set of steps for the whole grid.  Against
+    cos and sin of the rounded argument f t_i, the entries differ by at
+    most 4 eps max|f t| + 8 eps (7.6e-14 at max|f t| = 300, the default
+    comb, 9.1e-13 at 6000), and their moduli from 1 by a few ulps.  The
+    301 x 401 table of the 801-mode comb (max|f t| = 300) takes 0.75-0.8
+    ms, against 4.2-4.3 ms for cos and sin of every entry (2-core x86 VM).
     """
-    bases = np.empty((-(-t.size // _ROWS), freqs.size), dtype=complex)
-    _trig(t[::_ROWS], freqs, bases)
-    return bases
+    def trig(times, rows):
+        # cos and sin of -f t; the argument is held in the imaginary parts
+        # until the sines replace it
+        np.multiply(times[:, None], -freqs, out=rows.imag)
+        np.cos(rows.imag, out=rows.real)
+        np.sin(rows.imag, out=rows.imag)
 
-
-def _phase_steps(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The steps e^{-i f_j (t_r - t_0)} of a phase table on the even grid
-    t, for its first _ROWS points, (min(t.size, _ROWS), freqs.size): each
-    multiplies a base of ``_phase_bases``, which states their accuracy."""
     steps = np.empty((min(t.size, _ROWS), freqs.size), dtype=complex)
-    _trig(t[:_ROWS] - t[0], freqs, steps)
-    return steps
+    trig(t[:_ROWS] - t[0], steps)
+    for i0 in range(0, t.size, _ROWS):
+        table = out[:min(_ROWS, t.size - i0)]
+        trig(t[i0:i0 + 1], table[:1])
+        np.multiply(table[0], steps[1:len(table)], out=table[1:])
+        yield slice(i0, i0 + len(table)), table
 
 
 def _cauchy_half(arrow: _Arrowhead, roots: slice, cols: slice,
@@ -563,27 +558,30 @@ def _cauchy_half(arrow: _Arrowhead, roots: slice, cols: slice,
     return np.divide(-arrow.spokes_hat[c:][cols], out, out=out)
 
 
-def _projections(arrow: _Arrowhead, b0: np.ndarray):
-    """Projections of the Cauchy vectors of every positive root of a
-    folded arrowhead on the columns of b0, (n + 1, k), unnormalized, and
-    their N^2, _SOLVE roots at a time: [1, up, down] . b0, (c + 1, k),
-    and N^2, (c + 1,) (``_cauchy_half``).  Up and down take turns in one
-    (_SOLVE, c + 1) scratch block.
+def _block_projections(arrow: _Arrowhead, r0: int, r1: int, b0: np.ndarray,
+                       scratch: np.ndarray):
+    """Projections of the Cauchy vectors of the positive roots r0 .. r1 - 1
+    of a folded arrowhead on the columns of b0, (n + 1, k), unnormalized,
+    and their N^2: [1, up, down] . b0, (r1 - r0, k), and N^2, (r1 - r0,)
+    (``_cauchy_half``).  Both sums run over panels of _PANEL mode pairs,
+    up and down taking turns in ``scratch``, (r1 - r0, _PANEL) or wider.
     """
     c = arrow.d.size // 2
-    proj = np.empty((c + 1, b0.shape[1]))
-    norm_sq = np.empty(c + 1)
-    scratch = np.empty((min(_SOLVE, c + 1), c + 1))
-    for i0 in range(0, c + 1, _SOLVE):
-        m = min(_SOLVE, c + 1 - i0)
-        rows, roots = slice(i0, i0 + m), slice(c + 1 + i0, c + 1 + i0 + m)
-        up = _cauchy_half(arrow, roots, slice(0, c + 1), False, scratch[:m])
-        norm_sq[rows] = 1.0 + _row_dots(up)
-        proj[rows] = b0[0] + up @ b0[c + 1:]
+    roots = slice(r0, r1)
+    proj = np.full((r1 - r0, b0.shape[1]), b0[0])
+    norm_sq = np.ones(r1 - r0)
+    for j0 in range(0, c + 1, _PANEL):
+        j1 = min(j0 + _PANEL, c + 1)
+        up = _cauchy_half(arrow, roots, slice(j0, j1), False,
+                          scratch[:, :j1 - j0])
+        norm_sq += _row_dots(up)
+        proj += up @ b0[c + 1 + j0:c + 1 + j1]
         # down_0 is up_0, pole c: only j >= 1 is new
-        down = _cauchy_half(arrow, roots, slice(1, c + 1), True, up[:, 1:])
-        norm_sq[rows] += _row_dots(down)
-        proj[rows] += down @ b0[c:0:-1]
+        k0 = max(j0, 1)
+        down = _cauchy_half(arrow, roots, slice(k0, j1), True,
+                            scratch[:, :j1 - k0])
+        norm_sq += _row_dots(down)
+        proj += down @ b0[c + 1 - k0:c + 1 - j1:-1]
     return proj, norm_sq
 
 
@@ -611,14 +609,15 @@ def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
     ``t_out`` from the start ``bright0`` ([|e>, bright modes]) on a folded
     arrowhead, (t_out.size, 4 (c + 1)).
 
-    The start and its mirror S b0 project onto the rows x and S x of V^T
-    (``_projections``).  With F the forward-phased and G the mirrored
-    coefficients of the positive roots, X = (F - G) on the mirror sums
-    and Y = (F + G) on the differences (``_mirror_panel``).  Roots go
-    _BRIGHT at a time: F and G are formed once per _ROWS snapshots,
-    straight into the four real operands, and each operand is applied
-    one panel of _PANEL mode pairs at a time.  The first block's products
-    are written to the bands, later ones are added through one
+    Roots go _BRIGHT at a time, and each block sweeps its Cauchy rows
+    _PANEL mode pairs at a time, twice.  The first sweep projects the start
+    and its mirror S b0 onto the block's rows x and S x of V^T
+    (``_block_projections``).  With F the forward-phased and G the
+    mirrored coefficients of the block's roots, X = (F - G) on the mirror
+    sums and Y = (F + G) on the differences (``_mirror_panel``): F and G
+    are formed _ROWS snapshots at a time (``_phase_rows``), straight into
+    the four real operands, and the second sweep applies each operand one
+    panel at a time, adding its products to the bands through one
     (n_out, _PANEL) buffer, so no scratch array grows with the comb.
     """
     c = arrow.d.size // 2
@@ -626,14 +625,10 @@ def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
     mirror0 = np.concatenate((bright0[:1], -bright0[:0:-1]))
     b0 = np.stack([bright0.real, bright0.imag,
                    mirror0.real, mirror0.imag], axis=1)
-    proj, norm_sq = _projections(arrow, b0)
-    # F = e^{-i lam t} v.b0 and G = e^{i lam t} v.S b0 for the normalized
-    # rows v = u / N: 1 / N^2 goes on the coefficients, and a half, as
-    # the mirror sums and differences are not halved (|e>, which has no
-    # mirror, is doubled instead)
-    w0 = proj * (0.5 / norm_sq)[:, None]
-    w_fwd, w_mir = w0[:, 0] + 1j * w0[:, 1], w0[:, 2] + 1j * w0[:, 3]
-    bands = np.empty((n_out, 4 * (c + 1)))
+    # zeros written, not calloc'd: adding into untouched zero pages faults
+    # each page twice, 3 ms more of the bright pass's 13 ms at 801 modes
+    # and 301 snapshots (2-core x86 VM)
+    bands = np.full((n_out, 4 * (c + 1)), 0.0)
     re_x, im_x, re_y, im_y = np.split(bands, 4, axis=1)
     width, panel_width = min(_BRIGHT, c + 1), min(_PANEL, c + 1)
     # Re (F - G), Im (F - G), Re (F + G) and Im (F + G), the operands of
@@ -642,34 +637,33 @@ def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
     panel = np.empty((3, width, panel_width))
     part = np.empty((n_out, panel_width))
     fwd_buf, mir_buf = np.empty((2, min(n_out, _ROWS), width), dtype=complex)
-    for r0 in range(0, c + 1, _BRIGHT):
-        r1 = min(r0 + _BRIGHT, c + 1)
+    for r0 in range(c + 1, 2 * c + 2, _BRIGHT):
+        r1 = min(r0 + _BRIGHT, 2 * c + 2)
         m = r1 - r0
-        evals = arrow.evals[c + 1 + r0:c + 1 + r1]
-        bases, steps = _phase_bases(t_out, evals), _phase_steps(t_out, evals)
-        for q, base in enumerate(bases):
-            rows = slice(q * _ROWS, (q + 1) * _ROWS)
-            fwd = fwd_buf[:len(t_out[rows]), :m]
+        proj, norm_sq = _block_projections(arrow, r0, r1, b0, panel[0, :m])
+        # F = e^{-i lam t} v.b0 and G = e^{i lam t} v.S b0 for the
+        # normalized rows v = u / N: 1 / N^2 goes on the coefficients, and
+        # a half, as the mirror sums and differences are not halved (|e>,
+        # which has no mirror, is doubled instead)
+        w0 = proj * (0.5 / norm_sq)[:, None]
+        w_fwd, w_mir = w0[:, 0] + 1j * w0[:, 1], w0[:, 2] + 1j * w0[:, 3]
+        for rows, fwd in _phase_rows(t_out, arrow.evals[r0:r1],
+                                     fwd_buf[:, :m]):
             mir = mir_buf[:len(fwd), :m]
-            np.multiply(base, steps[:len(fwd)], out=fwd)
             np.conjugate(fwd, out=mir)
-            fwd *= w_fwd[r0:r1]
-            mir *= w_mir[r0:r1]
+            fwd *= w_fwd
+            mir *= w_mir
             for op, (re, im) in ((np.subtract, lhs[:2]), (np.add, lhs[2:])):
                 op(fwd.real, mir.real, out=re[rows, :m])
                 op(fwd.imag, mir.imag, out=im[rows, :m])
         for j0 in range(0, c + 1, _PANEL):
             cols = slice(j0, min(j0 + _PANEL, c + 1))
             p = cols.stop - j0
-            sums, diffs = _mirror_panel(arrow, c + 1 + r0, c + 1 + r1, cols,
-                                        panel[:, :m, :p])
+            sums, diffs = _mirror_panel(arrow, r0, r1, cols, panel[:, :m, :p])
             for half, rhs, band in zip(lhs, (sums, sums, diffs, diffs),
                                        (re_x, im_x, re_y, im_y)):
-                if r0 == 0:
-                    np.matmul(half[:, :m], rhs, out=band[:, cols])
-                else:
-                    np.matmul(half[:, :m], rhs, out=part[:, :p])
-                    band[:, cols] += part[:, :p]
+                np.matmul(half[:, :m], rhs, out=part[:, :p])
+                band[:, cols] += part[:, :p]
     return bands
 
 
@@ -697,23 +691,20 @@ def _snapshot_blocks(h: Hamiltonian, dark0: np.ndarray, bands: np.ndarray,
     of the block; the caller may overwrite both."""
     n = h.offsets.size
     c = n // 2
-    upper = h.offsets[c:]
     g = np.hypot(np.abs(h.z_a), np.abs(h.z_b))
     a_bright, b_bright = np.conj(h.z_a) / g, np.conj(h.z_b) / g
     a_dark, b_dark = h.z_b * dark0 / g, -h.z_a * dark0 / g
-    steps = _phase_steps(times, upper)
     block_buf = np.empty((min(times.size, _ROWS), h.dim), dtype=complex)
     scratch = np.empty((len(block_buf), 2 * n), dtype=complex)
-    for i0 in range(0, times.size, _ROWS):
-        rows = slice(i0, i0 + _ROWS)
-        t = times[rows]
-        block, work = block_buf[:t.size], scratch[:t.size]
+    # the dark phases, the upper half a phase table written in place, the
+    # lower half its mirrored conjugate
+    for rows, upper in _phase_rows(times, h.offsets[c:],
+                                   block_buf[:, n + 1 + c:]):
+        block, work = block_buf[:len(upper)], scratch[:len(upper)]
         x_re, x_im, y_re, y_im = np.split(bands[rows], 4, axis=1)
         _unfold(x_re, y_re, block.real)
         _unfold(x_im, y_im, block.imag)
         bright, phase = block[:, 1:n + 1], block[:, n + 1:]
-        # the dark phases, the lower half the upper one's mirrored conjugate
-        np.multiply(_phase_bases(t, upper), steps[:t.size], out=phase[:, c:])
         np.conjugate(phase[:, :c:-1], out=phase[:, :c])
         new_a, conj_phase = np.split(work, 2, axis=1)
         np.multiply(a_bright, bright, out=new_a)
@@ -756,46 +747,45 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     (``_folded_eigh``): the eigenvectors of the roots -lam are those of
     +lam with modes j and n - 1 - j swapped and negated.  Only the
     positive roots' rows of V^T are rebuilt, from the cached O(n) roots
-    and spokes, never stored.  One pass projects the start on them
-    (``_projections``) and keeps the O(n) coefficients; the bright pass
-    (``_bright_bands``) then rebuilds them _BRIGHT roots by _PANEL mode
-    pairs at a time, as the mirror sums S and differences D of their
-    Cauchy vectors, unnormalized (``_mirror_panel``); the 1 / N^2 of each
-    root goes on its coefficients.  Each block is applied as GEMMs of
-    half the width: with F the forward-phased and G the mirrored
-    coefficients, X = (F - G) on S and Y = (F + G) on D give bright_j =
-    X_j + Y_j and bright_{n-1-j} = X_j - Y_j (and |e> from Y).  F and G
-    are formed _ROWS snapshots at a time from ``_phase_bases`` and
-    ``_phase_steps``, once per block, straight into the four real
-    operands Re (F - G), Im (F - G), Re (F + G) and Im (F + G), so no
-    complex table of a block is ever whole.  X and Y accumulate in four
+    and spokes, never stored.  The bright pass (``_bright_bands``) takes
+    them _BRIGHT roots at a time and sweeps each block's Cauchy vectors
+    _PANEL mode pairs at a time, twice: once to project the start on them
+    (``_block_projections``), which gives the block's coefficients, and
+    once to rebuild them as their mirror sums S and differences D,
+    unnormalized (``_mirror_panel``); the 1 / N^2 of each root goes on its
+    coefficients.  Each block is applied as GEMMs of half the width: with
+    F the forward-phased and G the mirrored coefficients, X = (F - G) on
+    S and Y = (F + G) on D give bright_j = X_j + Y_j and bright_{n-1-j} =
+    X_j - Y_j (and |e> from Y).  F and G are formed _ROWS snapshots at a
+    time by the phase generator (``_phase_rows``), straight into the four
+    real operands Re (F - G), Im (F - G), Re (F + G) and Im (F + G), so
+    no complex table of a block is ever whole.  X and Y accumulate in four
     real bands Re X, Im X, Re Y and Im Y of c + 1 each, (n_out, 4 (c +
-    1)) doubles, half the bytes of the snapshots: the first block's
-    products are written to the bands panel by panel, later ones are
-    added to them through one (n_out, _PANEL) buffer.  The snapshot loop
-    then measures _ROWS snapshots at a time in one scratch block
-    (``_snapshot_blocks``), which unfolds their bands into the bright
-    amplitudes and mixes (bright, dark) into (a, b) with the dark phases,
-    the upper half of their table from one base per block and one set of
-    steps for the run, the lower its conjugate: the overlap with the free
-    pulse, whose phases e^{i d_j t} are the dark ones' conjugate, then
-    p_e, n_a, n_b and the norms.  The run keeps the bands, which
-    ``OracleRun.states`` unfolds the same way when read.  Norm drift
-    above DRIFT_TOL raises.  n_out * dim above MAX_GRID_NODES is refused
-    with ConfigurationError before anything is allocated or solved.  A
-    cold run (decomposition not cached) on the 2001-mode default comb
-    with 301 snapshots takes 0.14-0.155 s (a warm one 0.09-0.10 s) and
-    peaks 4.2 MiB above its 9.2 MiB of bands: the four (n_out, _BRIGHT)
-    operands, the panels and the (n_out, _PANEL) buffer.  At 5385 modes
-    and 401 snapshots, 0.83-1.05 s and 7.2 MiB above 33.0 MiB; at 7643
-    modes, 1.6-1.9 s and 9.9 MiB above 46.8 MiB, where the snapshot
-    loop's scratch block sets the peak (2-core x86 VM; peaks by
-    tracemalloc).  The panels cost time on large combs: every panel's
-    GEMMs repack the operands, and every later block adds its products
-    to the bands panel by panel, so at 7643 modes the bright pass takes
-    about 1.5 times as long as with whole-width blocks.
+    1)) doubles, half the bytes of the snapshots, which start at zero;
+    every block adds its products to them panel by panel through one
+    (n_out, _PANEL) buffer.  The snapshot loop then measures _ROWS
+    snapshots at a time in one scratch block (``_snapshot_blocks``), which
+    unfolds their bands into the bright amplitudes and mixes (bright,
+    dark) into (a, b) with the dark phases, the upper half of their table
+    written into the block by the same generator, the lower its
+    conjugate: the overlap with the free pulse, whose phases e^{i d_j t}
+    are the dark ones' conjugate, then p_e, n_a, n_b and the norms.  The
+    run keeps the bands, which ``OracleRun.states`` unfolds the same way
+    when read.  Norm drift above DRIFT_TOL, or NaN, raises.  n_out * dim
+    above MAX_GRID_NODES is refused with ConfigurationError before
+    anything is allocated or solved.  A cold run (decomposition not
+    cached) on the 2001-mode default comb with 301 snapshots takes
+    0.12-0.15 s (a warm one 0.075-0.09 s) and peaks 4.1 MiB above its 9.2
+    MiB of bands: the four (n_out, _BRIGHT) operands, the panels and the
+    (n_out, _PANEL) buffer.  At 5385 modes and 401 snapshots, 0.78-0.85 s
+    and 7.1 MiB above 33.0 MiB; at 7643 modes, 1.45-1.7 s and 9.8 MiB
+    above 46.8 MiB, where the snapshot loop's scratch block sets the peak
+    (2-core x86 VM; peaks by tracemalloc).  The panels cost time on large
+    combs: every panel's GEMMs repack the operands, and every block adds
+    its products to the bands panel by panel, so at 7643 modes the bright
+    pass takes about 1.35 times as long as with whole-width panels.
     """
-    if t_final <= 0:
+    if not t_final > 0:
         raise ParameterError("t_final must be positive")
     n = h.offsets.size
     dim = h.dim
@@ -805,7 +795,7 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
         raise ParameterError(f"state of shape {y0.shape} does not fit the "
                              f"hamiltonian dim {dim}")
     norm0 = float(np.real(np.vdot(y0, y0)))
-    if abs(norm0 - 1.0) > 1e-9:
+    if not abs(norm0 - 1.0) <= 1e-9:
         raise ParameterError(f"initial state norm {norm0} != 1")
 
     d = h.offsets
@@ -851,7 +841,7 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
         for cols, out in ((slice(None), norms), (a, n_a), (b, n_b)):
             out[rows] = np.add.reduce(pops[:, cols], axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > DRIFT_TOL:
+    if not drift <= DRIFT_TOL:
         raise NumericalConsistencyError(
             f"norm drift {drift:.3e} exceeds {DRIFT_TOL}")
     return OracleRun(times=t_out, bands=bands, dark0=dark0, hamiltonian=h,

@@ -13,7 +13,7 @@ from lambda_adapt import oracle
 from lambda_adapt.dynamics import integrate_psi
 from lambda_adapt.entropy import normalized_overlap_sq
 from lambda_adapt.errors import (BandwidthError, ConfigurationError,
-                                 ParameterError)
+                                 NumericalConsistencyError, ParameterError)
 from lambda_adapt.model import (Exponential, Gaussian, InitialMixture,
                                 LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
@@ -329,12 +329,38 @@ class TestEvolve:
             evolve(h, state, -1.0)
         with pytest.raises(ParameterError):
             evolve(h, 0.5 * state, 2.0)
+        # NaN fails the time check too, rather than running to NaN series
+        with pytest.raises(ParameterError, match="t_final"):
+            evolve(h, state, math.nan)
         # a state on another number of modes does not fit, nor a stack
         other = photon_in(np.full(799, 799 ** -0.5))
         with pytest.raises(ParameterError, match="does not fit"):
             evolve(h, other, 2.0)
         with pytest.raises(ParameterError, match="does not fit"):
             evolve(h, np.stack([state, state]), 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_refused(self, system, small_bath, bad):
+        # a NaN or inf amplitude fails the norm check, rather than running
+        # to NaN series with a NaN drift
+        h = build_hamiltonian(system, small_bath)
+        y0 = excited_in(h)
+        y0[1] = bad
+        with pytest.raises(ParameterError, match="norm"):
+            evolve(h, y0, 2.0, n_out=11)
+
+    def test_nan_drift_raises(self, system, small_bath, monkeypatch):
+        # NaN fails the drift check too: bands gone NaN are a numerical
+        # failure
+        h = build_hamiltonian(system, small_bath)
+        bright_bands = oracle._bright_bands
+
+        def nan_bands(*args):
+            return np.full_like(bright_bands(*args), math.nan)
+
+        monkeypatch.setattr(oracle, "_bright_bands", nan_bands)
+        with pytest.raises(NumericalConsistencyError, match="drift"):
+            evolve(h, excited_in(h), 2.0, n_out=11)
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_refuses_the_recurrence_time(self, system, small_bath, graded):
@@ -437,14 +463,13 @@ def phase_bound(arg):
 
 
 def product_table(t, freqs):
-    """e^{-i f_j t_i} on the even grid t, every _ROWS-th row a base of
-    ``oracle._phase_bases`` and each row after it that base times a step
-    of ``oracle._phase_steps``, as evolve builds its phase tables."""
+    """e^{-i f_j t_i} on the even grid t from ``oracle._phase_rows``, as
+    evolve builds its phase tables: every _ROWS-th row a base, each row
+    after it that base times a step."""
     out = np.empty((t.size, freqs.size), dtype=complex)
-    steps = oracle._phase_steps(t, freqs)
-    for q, base in enumerate(oracle._phase_bases(t, freqs)):
-        block = out[q * oracle._ROWS:(q + 1) * oracle._ROWS]
-        np.multiply(base, steps[:len(block)], out=block)
+    buf = np.empty((min(t.size, oracle._ROWS), freqs.size), dtype=complex)
+    for rows, table in oracle._phase_rows(t, freqs, buf):
+        out[rows] = table
     return out
 
 
@@ -475,16 +500,25 @@ class TestPhases:
         assert np.max(np.abs(np.abs(table) - 1.0)) <= 4.0 * EPS
 
     def test_steps_serve_every_block_of_a_grid(self, system):
-        # the snapshot loop builds the steps once and takes the table a
-        # block of _ROWS snapshots at a time, from the block's own base
+        # one set of steps serves every block of _ROWS snapshots, each from
+        # its own base; evolve hands the generator a column window of a
+        # wider buffer (a block of roots, the upper dark modes of a
+        # snapshot block): each block lands in the window's first rows and
+        # nowhere else, the rows tile the grid in order up to a partial
+        # last block, and the entries are those of a buffer of their own
         freqs = DiscreteBath.default(system).offsets()
         t = np.linspace(0.0, 7.5, 301)
-        steps = oracle._phase_steps(t, freqs)
         whole = product_table(t, freqs)
-        for i0 in range(0, t.size, oracle._ROWS):
-            rows = slice(i0, i0 + oracle._ROWS)
-            block = oracle._phase_bases(t[rows], freqs) * steps[:t[rows].size]
-            assert np.array_equal(block, whole[rows])
+        wide = np.zeros((oracle._ROWS, freqs.size + 7), dtype=complex)
+        window = wide[:, 3:3 + freqs.size]
+        stop = 0
+        for rows, table in oracle._phase_rows(t, freqs, window):
+            assert rows.start == stop
+            stop = rows.stop
+            assert np.shares_memory(table, window[:rows.stop - rows.start])
+            assert np.array_equal(table, whole[rows])
+            assert not np.any(wide[:, :3]) and not np.any(wide[:, -4:])
+        assert stop == t.size
 
     def test_mirrored_table_of_the_dark_modes(self, small_bath):
         # e^{-i d_j t} on the 801-mode comb, as evolve turns its dark
@@ -664,7 +698,9 @@ class TestFoldedSolver:
         dp, gh = comb
         arrow = oracle._folded_eigh(dp.tobytes(), gh.tobytes())
         c = dp.size
-        assert_projections(arrow)
+        # blocks of 16 roots, each sum over panels narrower than the c + 1
+        # mode pairs, the last one partial or the |e> pair alone
+        assert_projections(arrow, 16, max(1, c // 3))
         assert_mirror_panel(arrow, c + 1, 2 * c + 2, slice(0, c + 1))
         assert_mirror_panel(arrow, c + 1, 2 * c + 2, slice(c // 2, c + 1))
 
@@ -679,19 +715,25 @@ class TestFoldedSolver:
         g = np.full(c + 1, math.sqrt(system.gamma_total * bath.spacing
                                      / (2.0 * math.pi)))
         arrow = oracle._folded_eigh(d[c + 1:].tobytes(), g.tobytes())
-        assert_projections(arrow)
+        assert_projections(arrow, oracle._BRIGHT, oracle._PANEL)
         assert_mirror_panel(arrow, c + 1, d.size + 1, slice(0, c + 1))
         for cols in (slice(0, 128), slice(384, 512), slice(896, c + 1)):
             assert_mirror_panel(arrow, c + 300, c + 556, cols)
 
 
-def assert_projections(arrow):
-    """``oracle._projections`` of every positive root, scaled by 1 / N,
-    against the rows' projections (``vt_rows``) on a random start, to
-    1e-14."""
+def assert_projections(arrow, block, panel):
+    """``oracle._block_projections`` of every positive root, ``block`` roots
+    at a time with panels of ``panel`` mode pairs, scaled by 1 / N, against
+    the rows' projections (``vt_rows``) on a random start, to 1e-14."""
     n = arrow.d.size
     b0 = np.random.default_rng(5).normal(size=(n + 1, 4)) / math.sqrt(n)
-    proj, norm_sq = oracle._projections(arrow, b0)
+    scratch = np.empty((block, panel))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_PANEL", panel)
+        proj, norm_sq = map(np.concatenate, zip(*(
+            oracle._block_projections(arrow, r0, min(r0 + block, n + 1), b0,
+                                      scratch[:min(block, n + 1 - r0)])
+            for r0 in range(n // 2 + 1, n + 1, block))))
     vt = vt_rows(arrow, n // 2 + 1, n + 1)
     scale = 1.0 / np.sqrt(norm_sq)[:, None]
     assert np.max(np.abs(proj * scale - vt @ b0)) <= 1e-14
