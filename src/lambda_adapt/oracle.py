@@ -19,9 +19,10 @@ roots of its secular equation (O'Leary & Stewart 1990), found in O(n^2)
 all at once; its eigenvectors follow in closed form from spokes
 recomputed from those roots (Gu & Eisenstat 1995).  Only those O(n)
 numbers are kept: the eigenvectors are rebuilt straight from their
-Cauchy form, a block of rows at a time and in panels of columns, and
-never stored; each block first projects the start on its rows and then
-applies them.  The comb is mirror symmetric about the line (offsets
+Cauchy form, a block of rows at a time and in panels of columns, as
+mirror sums and differences, and never stored; each block sweeps its
+rows twice in that one form, first to take the start's coefficients and
+then to apply them.  The comb is mirror symmetric about the line (offsets
 d_{n-1-j} = -d_j, equal couplings), so the roots come in +- pairs: the
 solver, the spokes, the eigenvector rebuild, its GEMM and every phase
 table run on one half (the fold), and the other half is their mirror.
@@ -274,12 +275,12 @@ class OracleRun:
 # ``_spokes``), whose temporaries are _SOLVE x n doubles: 1 MB at 2001
 # modes, inside a 2 MB L2; roots per block and mode pairs per panel of the
 # bright pass, which sweeps each block's Cauchy rows _BRIGHT x _PANEL at a
-# time, once to project the start and once to apply them through
-# (n_out, _BRIGHT) operands, so its scratch has the same width whatever
-# the comb; snapshots per block of the pass over a run's snapshots, whose
-# scratch is _ROWS x (dim + 2n) complex, and of the phase tables, which
-# take cos and sin once per _ROWS snapshots (``_phase_rows``); and the
-# secular solver's step cap
+# time (``_mirror_panels``), once for the start's coefficients and once to
+# apply them through (n_out, _BRIGHT) operands, so its scratch has the
+# same width whatever the comb; snapshots per block of the pass over a
+# run's snapshots, whose scratch is _ROWS x (dim + 2n) complex, and of the
+# phase tables, which take cos and sin once per _ROWS snapshots
+# (``_phase_rows``); and the secular solver's step cap
 _SOLVE = 64
 _BRIGHT = 256
 _PANEL = 128
@@ -416,7 +417,8 @@ class _Arrowhead(NamedTuple):
     an offset from its origin pole; ``spokes_hat`` are Gu & Eisenstat's
     recomputed spokes.  The eigenvector matrix V is never stored: row i of
     V^T is the normalized Cauchy vector [1, g^_j / (lam_i - d_j)], which
-    ``_cauchy_half`` rebuilds in blocks, folded, from these arrays.
+    ``_mirror_panels`` rebuilds in blocks from these arrays, folded into
+    its mirror sums and differences.
     """
 
     d: np.ndarray
@@ -540,67 +542,60 @@ def _phase_rows(t: np.ndarray, freqs: np.ndarray, out: np.ndarray):
         yield slice(i0, i0 + len(table)), table
 
 
-def _cauchy_half(arrow: _Arrowhead, roots: slice, cols: slice,
-                 mirrored: bool, out: np.ndarray) -> np.ndarray:
-    """One half of the Cauchy vectors of the positive roots ``roots`` of a
-    folded arrowhead, unnormalized, over the mode pairs ``cols``, written
-    to ``out``.
+def _mirror_panels(arrow: _Arrowhead, r0: int, r1: int, panel: np.ndarray):
+    """The unnormalized Cauchy vectors of the positive roots r0 .. r1 - 1
+    of a folded arrowhead as their mirror sums S and differences D,
+    _PANEL mode pairs at a time, each panel written to ``panel``, (3, r1 -
+    r0, _PANEL) or wider, whose third slot is scratch: yields (cols, S,
+    D), views of ``panel``.
 
     For root i and mode pair j = 0 .. c, up_j = g^_{c+j} / (lam_i -
-    d_{c+j}) and, ``mirrored``, down_j = g^_{c+j} / (lam_i + d_{c+j}),
-    the entry of pole c - j (whose spoke is the same), each gap taken
-    from the root's own pole (``_pole_gaps``).  Row i of V^T is [1,
-    down_c .. down_1, up_0 .. up_c] / N_i, N_i^2 = 1 + sum up^2 +
-    sum_{j >= 1} down^2."""
-    d, c = arrow.d, arrow.d.size // 2
-    poles = d[c::-1] if mirrored else d[c:]
-    _pole_gaps(poles[cols], d[arrow.k[roots]], arrow.tau[roots], out=out)
-    return np.divide(-arrow.spokes_hat[c:][cols], out, out=out)
-
-
-def _block_projections(arrow: _Arrowhead, r0: int, r1: int, b0: np.ndarray,
-                       scratch: np.ndarray):
-    """Projections of the Cauchy vectors of the positive roots r0 .. r1 - 1
-    of a folded arrowhead on the columns of b0, (n + 1, k), unnormalized,
-    and their N^2: [1, up, down] . b0, (r1 - r0, k), and N^2, (r1 - r0,)
-    (``_cauchy_half``).  Both sums run over panels of _PANEL mode pairs,
-    up and down taking turns in ``scratch``, (r1 - r0, _PANEL) or wider.
+    d_{c+j}) and down_j = g^_{c+j} / (lam_i + d_{c+j}), the entry of pole
+    c - j (whose spoke is the same), each gap taken from the root's own
+    pole (``_pole_gaps``).  Row i of V^T is u / N_i, u = [1, down_c ..
+    down_1, up_0 .. up_c]; S = up + down and D = up - down, with S_0 = 2
+    up_0 (up_0 = down_0 is pole c) and D_0 = 2 for |e>.
     """
-    c = arrow.d.size // 2
-    roots = slice(r0, r1)
-    proj = np.full((r1 - r0, b0.shape[1]), b0[0])
-    norm_sq = np.ones(r1 - r0)
+    d, c = arrow.d, arrow.d.size // 2
+    origin, tau = d[arrow.k[r0:r1]], arrow.tau[r0:r1]
+    spokes = -arrow.spokes_hat[c:]
     for j0 in range(0, c + 1, _PANEL):
-        j1 = min(j0 + _PANEL, c + 1)
-        up = _cauchy_half(arrow, roots, slice(j0, j1), False,
-                          scratch[:, :j1 - j0])
-        norm_sq += _row_dots(up)
-        proj += up @ b0[c + 1 + j0:c + 1 + j1]
-        # down_0 is up_0, pole c: only j >= 1 is new
-        k0 = max(j0, 1)
-        down = _cauchy_half(arrow, roots, slice(k0, j1), True,
-                            scratch[:, :j1 - k0])
-        norm_sq += _row_dots(down)
-        proj += down @ b0[c + 1 - k0:c + 1 - j1:-1]
-    return proj, norm_sq
+        cols = slice(j0, min(j0 + _PANEL, c + 1))
+        sums, diffs, down = panel[:, :r1 - r0, :cols.stop - j0]
+        for poles, out in ((d[c:], sums), (d[c::-1], down)):
+            _pole_gaps(poles[cols], origin, tau, out=out)
+            np.divide(spokes[cols], out, out=out)
+        np.subtract(sums, down, out=diffs)
+        sums += down
+        if j0 == 0:
+            diffs[:, 0] = 2.0
+        yield cols, sums, diffs
 
 
-def _mirror_panel(arrow: _Arrowhead, r0: int, r1: int, cols: slice,
-                  out: np.ndarray):
-    """Mirror sums S = up + down and differences D = up - down of the
-    Cauchy vectors of the positive roots r0 .. r1 - 1 of a folded
-    arrowhead, unnormalized, over the mode pairs ``cols``
-    (``_cauchy_half``), with D_0 = 2 for |e> (up_0 = down_0 is pole c).
-    ``out`` is (3, r1 - r0, width of cols): S goes to out[0], D to
-    out[1], and out[2] is scratch.  Returns (S, D)."""
-    up, diff, down = out
-    _cauchy_half(arrow, slice(r0, r1), cols, False, up)
-    _cauchy_half(arrow, slice(r0, r1), cols, True, down)
-    np.subtract(up, down, out=diff)
-    up += down
-    if cols.start == 0:
-        diff[:, 0] = 2.0
-    return up, diff
+def _block_coefficients(arrow: _Arrowhead, r0: int, r1: int, xy: np.ndarray,
+                        panel: np.ndarray) -> np.ndarray:
+    """The coefficients (v . b0) / 2 N and (v' . b0) / 2 N of the positive
+    roots r0 .. r1 - 1 of a folded arrowhead, v = u / N the normalized
+    rows of V^T and v' their mirrors, (2, r1 - r0) complex, from the
+    mirror parts xy = (x, y) of the start b0 = [|e>, modes], (2, c + 1)
+    complex: x_j = (b0_{c+j} + b0_{c-j}) / 2 and y_j = (b0_{c+j} -
+    b0_{c-j}) / 2, with x_0 = b0_c / 2 and y_0 = b0_e / 2.
+
+    One sweep of ``_mirror_panels`` through ``panel`` gives u . b0 = S . x
+    + D . y, u' . b0 = D . y - S . x and 2 N^2 = sum (S^2 + D^2) - (S_0^2
+    + 4) / 2.
+    """
+    parts = xy.view(float).reshape(2, -1, 2)
+    sx, dy = np.zeros((2, r1 - r0, 2))
+    two_norm_sq = np.full(r1 - r0, -2.0)
+    for cols, sums, diffs in _mirror_panels(arrow, r0, r1, panel):
+        sx += sums @ parts[0, cols]
+        dy += diffs @ parts[1, cols]
+        two_norm_sq += _row_dots(sums) + _row_dots(diffs)
+        if cols.start == 0:
+            two_norm_sq -= 0.5 * sums[:, 0] ** 2
+    coef = np.stack((sx + dy, dy - sx)) / two_norm_sq[:, None]
+    return coef[..., 0] + 1j * coef[..., 1]
 
 
 def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
@@ -610,21 +605,22 @@ def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
     arrowhead, (t_out.size, 4 (c + 1)).
 
     Roots go _BRIGHT at a time, and each block sweeps its Cauchy rows
-    _PANEL mode pairs at a time, twice.  The first sweep projects the start
-    and its mirror S b0 onto the block's rows x and S x of V^T
-    (``_block_projections``).  With F the forward-phased and G the
-    mirrored coefficients of the block's roots, X = (F - G) on the mirror
-    sums and Y = (F + G) on the differences (``_mirror_panel``): F and G
-    are formed _ROWS snapshots at a time (``_phase_rows``), straight into
-    the four real operands, and the second sweep applies each operand one
-    panel at a time, adding its products to the bands through one
-    (n_out, _PANEL) buffer, so no scratch array grows with the comb.
+    twice, as the mirror sums S and differences D of ``_mirror_panels``,
+    _PANEL mode pairs at a time.  The first sweep contracts them with the
+    start's mirror parts, the inverse of ``_unfold`` with column 0 halved,
+    into the block's coefficients (``_block_coefficients``).  With F the
+    forward-phased and G the mirrored coefficients, X = (F - G) on S and Y
+    = (F + G) on D: F and G are formed _ROWS snapshots at a time
+    (``_phase_rows``), straight into the four real operands, and the
+    second sweep applies each operand one panel at a time, adding its
+    products to the bands through one (n_out, _PANEL) buffer, so no
+    scratch array grows with the comb.
     """
     c = arrow.d.size // 2
     n_out = t_out.size
-    mirror0 = np.concatenate((bright0[:1], -bright0[:0:-1]))
-    b0 = np.stack([bright0.real, bright0.imag,
-                   mirror0.real, mirror0.imag], axis=1)
+    up, down = bright0[c + 1:], bright0[c + 1:0:-1]
+    xy = 0.5 * np.stack((up + down, up - down))
+    xy[:, 0] = 0.5 * bright0[c + 1], 0.5 * bright0[0]
     # zeros written, not calloc'd: adding into untouched zero pages faults
     # each page twice, 3 ms more of the bright pass's 13 ms at 801 modes
     # and 301 snapshots (2-core x86 VM)
@@ -640,13 +636,10 @@ def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
     for r0 in range(c + 1, 2 * c + 2, _BRIGHT):
         r1 = min(r0 + _BRIGHT, 2 * c + 2)
         m = r1 - r0
-        proj, norm_sq = _block_projections(arrow, r0, r1, b0, panel[0, :m])
-        # F = e^{-i lam t} v.b0 and G = e^{i lam t} v.S b0 for the
-        # normalized rows v = u / N: 1 / N^2 goes on the coefficients, and
-        # a half, as the mirror sums and differences are not halved (|e>,
-        # which has no mirror, is doubled instead)
-        w0 = proj * (0.5 / norm_sq)[:, None]
-        w_fwd, w_mir = w0[:, 0] + 1j * w0[:, 1], w0[:, 2] + 1j * w0[:, 3]
+        # F = e^{-i lam t} v.b0 / 2 N and G = e^{i lam t} v'.b0 / 2 N: the
+        # 1 / N of v on S and D goes on the coefficients, and a half, as
+        # the mirror sums and differences are not halved
+        w_fwd, w_mir = _block_coefficients(arrow, r0, r1, xy, panel)
         for rows, fwd in _phase_rows(t_out, arrow.evals[r0:r1],
                                      fwd_buf[:, :m]):
             mir = mir_buf[:len(fwd), :m]
@@ -656,10 +649,8 @@ def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
             for op, (re, im) in ((np.subtract, lhs[:2]), (np.add, lhs[2:])):
                 op(fwd.real, mir.real, out=re[rows, :m])
                 op(fwd.imag, mir.imag, out=im[rows, :m])
-        for j0 in range(0, c + 1, _PANEL):
-            cols = slice(j0, min(j0 + _PANEL, c + 1))
-            p = cols.stop - j0
-            sums, diffs = _mirror_panel(arrow, r0, r1, cols, panel[:, :m, :p])
+        for cols, sums, diffs in _mirror_panels(arrow, r0, r1, panel):
+            p = cols.stop - cols.start
             for half, rhs, band in zip(lhs, (sums, sums, diffs, diffs),
                                        (re_x, im_x, re_y, im_y)):
                 np.matmul(half[:, :m], rhs, out=part[:, :p])
@@ -719,8 +710,11 @@ def _snapshot_blocks(h: Hamiltonian, dark0: np.ndarray, bands: np.ndarray,
 
 
 def _check_snapshot_size(n_out: int, dim: int):
-    """Refuse a snapshot array of more than MAX_GRID_NODES amplitudes, the
-    cap that bounds trajectories, before any of it is allocated."""
+    """Refuse fewer than one snapshot with ParameterError, and a snapshot
+    array of more than MAX_GRID_NODES amplitudes, the cap that bounds
+    trajectories, with ConfigurationError, before any of it is allocated."""
+    if not n_out >= 1:
+        raise ParameterError(f"n_out must be at least 1, got {n_out}")
     if n_out * dim > MAX_GRID_NODES:
         raise ConfigurationError(
             f"{n_out} snapshots of {dim} amplitudes, {n_out * dim} in all, "
@@ -733,9 +727,9 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
 
     ``y0`` is the unit-norm start, one vector of ``h.dim`` amplitudes in
     the one-excitation layout of ``Hamiltonian``, else ParameterError.
-    Everything else comes from ``h``; t_final must stay below 2 pi /
-    (finest gap of ``h.offsets``), the recurrence time, else
-    ConfigurationError.
+    Everything else comes from ``h``; n_out must be at least 1, else
+    ParameterError, and t_final must stay below 2 pi / (finest gap of
+    ``h.offsets``), the recurrence time, else ConfigurationError.
     In the frame rotating at omega_ref, with d the offsets and G_j =
     sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
     (z_bj a_j - z_aj b_j) / G_j, evolving by its phase alone, and a
@@ -749,14 +743,14 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     positive roots' rows of V^T are rebuilt, from the cached O(n) roots
     and spokes, never stored.  The bright pass (``_bright_bands``) takes
     them _BRIGHT roots at a time and sweeps each block's Cauchy vectors
-    _PANEL mode pairs at a time, twice: once to project the start on them
-    (``_block_projections``), which gives the block's coefficients, and
-    once to rebuild them as their mirror sums S and differences D,
-    unnormalized (``_mirror_panel``); the 1 / N^2 of each root goes on its
-    coefficients.  Each block is applied as GEMMs of half the width: with
-    F the forward-phased and G the mirrored coefficients, X = (F - G) on
-    S and Y = (F + G) on D give bright_j = X_j + Y_j and bright_{n-1-j} =
-    X_j - Y_j (and |e> from Y).  F and G are formed _ROWS snapshots at a
+    _PANEL mode pairs at a time, twice, in one form: their mirror sums S
+    and differences D, unnormalized (``_mirror_panels``).  The first sweep
+    contracts them with the start's mirror parts, which gives the block's
+    coefficients (``_block_coefficients``), the 1 / N^2 of each root on
+    them; the second applies them, as GEMMs of half the width: with F the
+    forward-phased and G the mirrored coefficients, X = (F - G) on S and Y
+    = (F + G) on D give bright_j = X_j + Y_j and bright_{n-1-j} = X_j -
+    Y_j (and |e> from Y).  F and G are formed _ROWS snapshots at a
     time by the phase generator (``_phase_rows``), straight into the four
     real operands Re (F - G), Im (F - G), Re (F + G) and Im (F + G), so
     no complex table of a block is ever whole.  X and Y accumulate in four
@@ -775,15 +769,16 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     above MAX_GRID_NODES is refused with ConfigurationError before
     anything is allocated or solved.  A cold run (decomposition not
     cached) on the 2001-mode default comb with 301 snapshots takes
-    0.12-0.15 s (a warm one 0.075-0.09 s) and peaks 4.1 MiB above its 9.2
+    0.15-0.18 s (a warm one 0.085-0.11 s) and peaks 4.0 MiB above its 9.2
     MiB of bands: the four (n_out, _BRIGHT) operands, the panels and the
-    (n_out, _PANEL) buffer.  At 5385 modes and 401 snapshots, 0.78-0.85 s
-    and 7.1 MiB above 33.0 MiB; at 7643 modes, 1.45-1.7 s and 9.8 MiB
+    (n_out, _PANEL) buffer.  At 5385 modes and 401 snapshots, 0.97-1.08 s
+    and 7.1 MiB above 33.0 MiB; at 7643 modes, 1.65-1.8 s and 9.8 MiB
     above 46.8 MiB, where the snapshot loop's scratch block sets the peak
-    (2-core x86 VM; peaks by tracemalloc).  The panels cost time on large
-    combs: every panel's GEMMs repack the operands, and every block adds
-    its products to the bands panel by panel, so at 7643 modes the bright
-    pass takes about 1.35 times as long as with whole-width panels.
+    (2-core x86 VM on a shared host; peaks by tracemalloc).  The panels
+    cost time on large combs: every panel's GEMMs repack the operands, and
+    every block adds its products to the bands panel by panel, so at 7643
+    modes the warm bright pass takes 1.1-1.4 times as long as with
+    whole-width panels.
     """
     if not t_final > 0:
         raise ParameterError("t_final must be positive")
