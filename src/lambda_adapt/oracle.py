@@ -20,26 +20,30 @@ all at once; its eigenvectors follow in closed form from spokes
 recomputed from those roots (Gu & Eisenstat 1995).  Only those O(n)
 numbers are kept: the eigenvectors are rebuilt straight from their
 Cauchy form, a block of rows at a time and in panels of columns, as
-mirror sums and differences, and never stored; each block sweeps its
-rows twice in that one form, first to take the start's coefficients and
-then to apply them.  The comb is mirror symmetric about the line (offsets
-d_{n-1-j} = -d_j, equal couplings), so the roots come in +- pairs: the
-solver, the spokes, the eigenvector rebuild, its GEMM and every phase
-table run on one half (the fold), and the other half is their mirror.
-The snapshot times are an even grid, so one generator forms every phase
-table, taking cos and sin once per 16 snapshots and forming the rest as
-products.
+mirror sums and differences, and never stored; one sweep over all rows
+in that one form takes the start's coefficients, and one more per chunk
+of snapshots applies them.  The comb is mirror symmetric about the line
+(offsets d_{n-1-j} = -d_j, equal couplings), so the roots come in +-
+pairs: the solver, the spokes, the eigenvector rebuild, its GEMM and
+every phase table run on one half (the fold), and the other half is
+their mirror.  The snapshot times are an even grid, so one generator
+forms every phase table, taking cos and sin once per 16 snapshots and
+forming the rest as products.
 
-A run keeps its snapshots folded, as four real bands of half their
-bytes, and unfolds them only when they are read (``OracleRun.states``);
-``evolve`` measures them a few at a time as it writes them, and states
-its working set, whose scratch has a fixed width whatever the comb.
+``evolve`` builds the snapshots a chunk of at most _CHUNK at a time,
+folded into four real bands of half their bytes, and measures each
+chunk a few snapshots at a time before it builds the next, so no array
+of n_out x n numbers is ever whole.  A run keeps only its O(n) start and
+rebuilds the snapshots the same way when they are read
+(``OracleRun.states``).  ``evolve`` states its working set: one chunk's
+bands, and scratch of a fixed width whatever the comb.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -235,9 +239,12 @@ class OracleRun:
     Per snapshot, ``evolve`` measured the weights ``p_e`` of |e, vac> and
     ``n_a``, ``n_b`` of each branch, and the ``overlap`` <a(t)|free(t)>
     with the free pulse a0_j e^{-i d_j t}, a0 the a-modes of snapshot 0.
-    The snapshots are kept as their bands (``evolve``) and the start's
-    dark amplitudes ``dark0``; ``states`` unfolds them on first read, as
-    ``evolve`` did to measure them, so a measured run never holds them.
+    The run holds no snapshot data, only the O(n) start: its bright part
+    ``bright0`` ([|e>, bright modes]) and its dark part ``dark0``.
+    ``states`` rebuilds the snapshots from them on first read, chunk by
+    chunk as ``evolve`` did to measure them (``_snapshots``), on the
+    cached decomposition, or a fresh one if another comb has replaced it
+    in the cache; so a measured run never holds them.
     States are in the interaction-free rotating frame at
     ``hamiltonian.omega_ref`` (the |e> diagonal); multiply state k by
     e^{-i omega_ref t_k} for lab-frame amplitudes.  Global per-state
@@ -245,7 +252,7 @@ class OracleRun:
     """
 
     times: np.ndarray
-    bands: np.ndarray           # (n_out, 4 (c + 1)), n = 2c + 1 modes
+    bright0: np.ndarray         # (1 + n,) complex, [|e>, bright modes]
     dark0: np.ndarray           # (n,) complex
     hamiltonian: Hamiltonian
     norm_drift: float
@@ -255,7 +262,7 @@ class OracleRun:
     overlap: np.ndarray         # complex
 
     def __post_init__(self):
-        for series in (self.times, self.bands, self.dark0, self.p_e,
+        for series in (self.times, self.bright0, self.dark0, self.p_e,
                        self.n_a, self.n_b, self.overlap):
             series.flags.writeable = False
 
@@ -264,8 +271,8 @@ class OracleRun:
         """The snapshots, (n_out, dim) complex, read-only."""
         states = np.empty((self.times.size, self.hamiltonian.dim),
                           dtype=complex)
-        for rows, block, _ in _snapshot_blocks(
-                self.hamiltonian, self.dark0, self.bands, self.times):
+        for rows, block, _ in _snapshots(self.hamiltonian, self.bright0,
+                                         self.dark0, self.times):
             states[rows] = block
         states.flags.writeable = False
         return states
@@ -275,15 +282,18 @@ class OracleRun:
 # ``_spokes``), whose temporaries are _SOLVE x n doubles: 1 MB at 2001
 # modes, inside a 2 MB L2; roots per block and mode pairs per panel of the
 # bright pass, which sweeps each block's Cauchy rows _BRIGHT x _PANEL at a
-# time (``_mirror_panels``), once for the start's coefficients and once to
-# apply them through (n_out, _BRIGHT) operands, so its scratch has the
-# same width whatever the comb; snapshots per block of the pass over a
-# run's snapshots, whose scratch is _ROWS x (dim + 2n) complex, and of the
-# phase tables, which take cos and sin once per _ROWS snapshots
-# (``_phase_rows``); and the secular solver's step cap
+# time (``_mirror_panels``), once for the start's coefficients and once
+# per chunk to apply them through (chunk, _BRIGHT) operands, so its
+# scratch has the same width whatever the comb; snapshots per chunk at
+# most, whose bands are built and measured before the next chunk's
+# (``_chunks``); snapshots per block of the pass over a chunk's snapshots,
+# whose scratch is _ROWS x (dim + 2n) complex, and of the phase tables,
+# which take cos and sin once per _ROWS snapshots (``_phase_rows``); and
+# the secular solver's step cap
 _SOLVE = 64
 _BRIGHT = 256
 _PANEL = 128
+_CHUNK = 160
 _ROWS = 16
 _MAX_ITER = 100
 
@@ -598,29 +608,48 @@ def _block_coefficients(arrow: _Arrowhead, r0: int, r1: int, xy: np.ndarray,
     return coef[..., 0] + 1j * coef[..., 1]
 
 
-def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
-                  t_out: np.ndarray) -> np.ndarray:
-    """The bands Re X, Im X, Re Y and Im Y of the bright amplitudes at
-    ``t_out`` from the start ``bright0`` ([|e>, bright modes]) on a folded
-    arrowhead, (t_out.size, 4 (c + 1)).
-
-    Roots go _BRIGHT at a time, and each block sweeps its Cauchy rows
-    twice, as the mirror sums S and differences D of ``_mirror_panels``,
-    _PANEL mode pairs at a time.  The first sweep contracts them with the
-    start's mirror parts, the inverse of ``_unfold`` with column 0 halved,
-    into the block's coefficients (``_block_coefficients``).  With F the
-    forward-phased and G the mirrored coefficients, X = (F - G) on S and Y
-    = (F + G) on D: F and G are formed _ROWS snapshots at a time
-    (``_phase_rows``), straight into the four real operands, and the
-    second sweep applies each operand one panel at a time, adding its
-    products to the bands through one (n_out, _PANEL) buffer, so no
-    scratch array grows with the comb.
-    """
+def _bright_coefficients(arrow: _Arrowhead,
+                         bright0: np.ndarray) -> np.ndarray:
+    """The coefficients of all positive roots of a folded arrowhead, (2, c
+    + 1) complex, from the start ``bright0`` ([|e>, bright modes]): row 0
+    (v . b0) / 2 N and row 1 (v' . b0) / 2 N, as ``_block_coefficients``
+    takes them, _BRIGHT roots at a time, from the start's mirror parts,
+    the inverse of ``_unfold`` with column 0 halved.  They are what
+    ``_bright_bands`` applies, so every chunk of snapshots shares one
+    sweep of the Cauchy rows for them."""
     c = arrow.d.size // 2
-    n_out = t_out.size
     up, down = bright0[c + 1:], bright0[c + 1:0:-1]
     xy = 0.5 * np.stack((up + down, up - down))
     xy[:, 0] = 0.5 * bright0[c + 1], 0.5 * bright0[0]
+    coef = np.empty((2, c + 1), dtype=complex)
+    panel = np.empty((3, min(_BRIGHT, c + 1), min(_PANEL, c + 1)))
+    for r0 in range(c + 1, 2 * c + 2, _BRIGHT):
+        r1 = min(r0 + _BRIGHT, 2 * c + 2)
+        coef[:, r0 - c - 1:r1 - c - 1] = _block_coefficients(arrow, r0, r1,
+                                                             xy, panel)
+    return coef
+
+
+def _bright_bands(arrow: _Arrowhead, coef: np.ndarray,
+                  t_out: np.ndarray) -> np.ndarray:
+    """The bands Re X, Im X, Re Y and Im Y of the bright amplitudes at
+    ``t_out`` (one chunk of snapshots) from the coefficients ``coef``
+    (``_bright_coefficients``) on a folded arrowhead, (t_out.size, 4 (c +
+    1)).
+
+    Roots go _BRIGHT at a time, and each block sweeps its Cauchy rows
+    once, as the mirror sums S and differences D of ``_mirror_panels``,
+    _PANEL mode pairs at a time.  With F the forward-phased and G the
+    mirrored coefficients, X = (F - G) on S and Y = (F + G) on D: F and G
+    are formed _ROWS snapshots at a time (``_phase_rows``), straight into
+    the four real operands, and the sweep applies each operand one panel
+    at a time, adding its products to the bands through one (t_out.size,
+    _PANEL) buffer, so no scratch array grows with the comb.  For a chunk
+    of _CHUNK snapshots on the 2001-mode comb the bands are 5.1 MB and
+    the scratch above them 2.4 MB.
+    """
+    c = arrow.d.size // 2
+    n_out = t_out.size
     # zeros written, not calloc'd: adding into untouched zero pages faults
     # each page twice, 3 ms more of the bright pass's 13 ms at 801 modes
     # and 301 snapshots (2-core x86 VM)
@@ -639,7 +668,7 @@ def _bright_bands(arrow: _Arrowhead, bright0: np.ndarray,
         # F = e^{-i lam t} v.b0 / 2 N and G = e^{i lam t} v'.b0 / 2 N: the
         # 1 / N of v on S and D goes on the coefficients, and a half, as
         # the mirror sums and differences are not halved
-        w_fwd, w_mir = _block_coefficients(arrow, r0, r1, xy, panel)
+        w_fwd, w_mir = coef[:, r0 - c - 1:r1 - c - 1]
         for rows, fwd in _phase_rows(t_out, arrow.evals[r0:r1],
                                      fwd_buf[:, :m]):
             mir = mir_buf[:len(fwd), :m]
@@ -709,10 +738,46 @@ def _snapshot_blocks(h: Hamiltonian, dark0: np.ndarray, bands: np.ndarray,
         yield rows, block, work
 
 
+def _chunks(n_out: int):
+    """Consecutive slices of range(n_out), _CHUNK snapshots each but the
+    last: 301 snapshots make 160 + 141.  _CHUNK is a multiple of _ROWS,
+    so only a run's last chunk ends in a partial block."""
+    for i0 in range(0, n_out, _CHUNK):
+        yield slice(i0, min(i0 + _CHUNK, n_out))
+
+
+def _snapshots(h: Hamiltonian, bright0: np.ndarray, dark0: np.ndarray,
+               times: np.ndarray):
+    """The snapshots at ``times`` from the start's bright and dark parts,
+    chunk by chunk (``_chunks``): yields ``_snapshot_blocks``' (rows,
+    block, work), rows counted over all of ``times``.
+
+    The arrowhead comes from the decomposition cache (``_folded_eigh``),
+    the coefficients from one sweep (``_bright_coefficients``); each
+    chunk's bands (``_bright_bands``) are measured, then dropped before
+    the next chunk's are built."""
+    c = h.offsets.size // 2
+    g = np.hypot(np.abs(h.z_a), np.abs(h.z_b))
+    arrow = _folded_eigh(h.offsets[c + 1:].tobytes(), g[c:].tobytes())
+    coef = _bright_coefficients(arrow, bright0)
+    for chunk in _chunks(times.size):
+        bands = _bright_bands(arrow, coef, times[chunk])
+        for rows, block, work in _snapshot_blocks(h, dark0, bands,
+                                                  times[chunk]):
+            yield (slice(chunk.start + rows.start, chunk.start + rows.stop),
+                   block, work)
+        # the next chunk is built without this one's bands or scratch
+        # block, which a name left bound here would keep alive
+        del bands, block, work
+
+
 def _check_snapshot_size(n_out: int, dim: int):
-    """Refuse fewer than one snapshot with ParameterError, and a snapshot
-    array of more than MAX_GRID_NODES amplitudes, the cap that bounds
-    trajectories, with ConfigurationError, before any of it is allocated."""
+    """Refuse an n_out that is not an integer (numpy's included; a bool is
+    not one) or is below 1 with ParameterError, and a snapshot array of
+    more than MAX_GRID_NODES amplitudes, the cap that bounds trajectories,
+    with ConfigurationError, before any of it is allocated."""
+    if isinstance(n_out, bool) or not isinstance(n_out, numbers.Integral):
+        raise ParameterError(f"n_out must be an integer, got {n_out!r}")
     if not n_out >= 1:
         raise ParameterError(f"n_out must be at least 1, got {n_out}")
     if n_out * dim > MAX_GRID_NODES:
@@ -727,9 +792,10 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
 
     ``y0`` is the unit-norm start, one vector of ``h.dim`` amplitudes in
     the one-excitation layout of ``Hamiltonian``, else ParameterError.
-    Everything else comes from ``h``; n_out must be at least 1, else
-    ParameterError, and t_final must stay below 2 pi / (finest gap of
-    ``h.offsets``), the recurrence time, else ConfigurationError.
+    Everything else comes from ``h``; n_out must be an integer of at
+    least 1, else ParameterError, and t_final must stay below 2 pi /
+    (finest gap of ``h.offsets``), the recurrence time, else
+    ConfigurationError.
     In the frame rotating at omega_ref, with d the offsets and G_j =
     sqrt(|z_aj|^2 + |z_bj|^2), pair j splits into a dark mode
     (z_bj a_j - z_aj b_j) / G_j, evolving by its phase alone, and a
@@ -741,44 +807,54 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
     (``_folded_eigh``): the eigenvectors of the roots -lam are those of
     +lam with modes j and n - 1 - j swapped and negated.  Only the
     positive roots' rows of V^T are rebuilt, from the cached O(n) roots
-    and spokes, never stored.  The bright pass (``_bright_bands``) takes
-    them _BRIGHT roots at a time and sweeps each block's Cauchy vectors
-    _PANEL mode pairs at a time, twice, in one form: their mirror sums S
-    and differences D, unnormalized (``_mirror_panels``).  The first sweep
-    contracts them with the start's mirror parts, which gives the block's
-    coefficients (``_block_coefficients``), the 1 / N^2 of each root on
-    them; the second applies them, as GEMMs of half the width: with F the
+    and spokes, never stored.  The snapshots are built and measured in
+    chunks of _CHUNK, the last one shorter
+    (``_chunks``; 301 snapshots make 160 + 141), by ``_snapshots``.  One
+    coefficient pass (``_bright_coefficients``) takes the positive roots
+    _BRIGHT at a time and sweeps each block's Cauchy vectors _PANEL mode
+    pairs at a time in one form, their mirror sums S and differences D,
+    unnormalized (``_mirror_panels``).  It contracts them with the start's
+    mirror parts into the block's coefficients (``_block_coefficients``),
+    the 1 / N^2 of each root on them: (2, c + 1) complex numbers in all.
+    For each chunk the apply pass (``_bright_bands``) sweeps every block
+    once more and applies them, as GEMMs of half the width: with F the
     forward-phased and G the mirrored coefficients, X = (F - G) on S and Y
     = (F + G) on D give bright_j = X_j + Y_j and bright_{n-1-j} = X_j -
     Y_j (and |e> from Y).  F and G are formed _ROWS snapshots at a
     time by the phase generator (``_phase_rows``), straight into the four
     real operands Re (F - G), Im (F - G), Re (F + G) and Im (F + G), so
     no complex table of a block is ever whole.  X and Y accumulate in four
-    real bands Re X, Im X, Re Y and Im Y of c + 1 each, (n_out, 4 (c +
-    1)) doubles, half the bytes of the snapshots, which start at zero;
-    every block adds its products to them panel by panel through one
-    (n_out, _PANEL) buffer.  The snapshot loop then measures _ROWS
-    snapshots at a time in one scratch block (``_snapshot_blocks``), which
-    unfolds their bands into the bright amplitudes and mixes (bright,
-    dark) into (a, b) with the dark phases, the upper half of their table
-    written into the block by the same generator, the lower its
-    conjugate: the overlap with the free pulse, whose phases e^{i d_j t}
-    are the dark ones' conjugate, then p_e, n_a, n_b and the norms.  The
-    run keeps the bands, which ``OracleRun.states`` unfolds the same way
-    when read.  Norm drift above DRIFT_TOL, or NaN, raises.  n_out * dim
-    above MAX_GRID_NODES is refused with ConfigurationError before
-    anything is allocated or solved.  A cold run (decomposition not
-    cached) on the 2001-mode default comb with 301 snapshots takes
-    0.15-0.18 s (a warm one 0.085-0.11 s) and peaks 4.0 MiB above its 9.2
-    MiB of bands: the four (n_out, _BRIGHT) operands, the panels and the
-    (n_out, _PANEL) buffer.  At 5385 modes and 401 snapshots, 0.97-1.08 s
-    and 7.1 MiB above 33.0 MiB; at 7643 modes, 1.65-1.8 s and 9.8 MiB
-    above 46.8 MiB, where the snapshot loop's scratch block sets the peak
-    (2-core x86 VM on a shared host; peaks by tracemalloc).  The panels
-    cost time on large combs: every panel's GEMMs repack the operands, and
-    every block adds its products to the bands panel by panel, so at 7643
-    modes the warm bright pass takes 1.1-1.4 times as long as with
-    whole-width panels.
+    real bands Re X, Im X, Re Y and Im Y of c + 1 each, (chunk, 4 (c +
+    1)) doubles, half the bytes of the chunk's snapshots, which start at
+    zero; every block adds its products to them panel by panel through
+    one (chunk, _PANEL) buffer.  The snapshot loop then measures the
+    chunk _ROWS snapshots at a time in one scratch block
+    (``_snapshot_blocks``), which unfolds their bands into the bright
+    amplitudes and mixes (bright, dark) into (a, b) with the dark phases,
+    the upper half of their table written into the block by the same
+    generator, the lower its conjugate: the overlap with the free pulse,
+    whose phases e^{i d_j t} are the dark ones' conjugate, then p_e, n_a,
+    n_b and the norms.  The chunk's bands and scratch block are dropped
+    before the next chunk is built.  The run keeps the start's bright and
+    dark parts, from which ``OracleRun.states`` rebuilds the snapshots by
+    the same passes when read.  Norm drift above DRIFT_TOL, or NaN,
+    raises.  n_out * dim above MAX_GRID_NODES is refused with
+    ConfigurationError before anything is allocated or solved.  A cold
+    run (decomposition not cached) on the 2001-mode default comb with 301
+    snapshots takes 0.13-0.15 s (a warm one 0.087-0.095 s) and peaks at
+    7.9 MiB while it measures the first chunk, its 4.9 MiB of bands and
+    the 2.0 MiB scratch block, where the bands of all 301 snapshots alone
+    would be 9.2 MiB; the bright pass's four (chunk, _BRIGHT) operands,
+    its panels and its (chunk, _PANEL) buffer are freed by then.  At 5385
+    modes and 401 snapshots (three chunks, 160 + 160 + 81), 0.95-1.10 s
+    and 20.4 MiB; at 7643 modes, 1.69-2.25 s and 28.6 MiB (2-core x86 VM
+    on a shared host; peaks by tracemalloc).  Each chunk after the first
+    sweeps the Cauchy vectors once more: a cold run takes up to 1.10
+    times as long as in one chunk at 2001 modes and 301 snapshots, and
+    1.17-1.21 times at 7643 modes and 401.  The panels cost time on large
+    combs: every panel's GEMMs repack the operands, and every block adds
+    its products to the bands panel by panel, so at 7643 modes the warm
+    bright pass takes 1.1-1.2 times as long as with whole-width panels.
     """
     if not t_final > 0:
         raise ParameterError("t_final must be positive")
@@ -811,19 +887,16 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
             f"{recurrence:.3g}; enlarge the bath")
 
     a, b = slice(1, n + 1), slice(n + 1, dim)
-    c = n // 2
     t_out = np.linspace(0.0, t_final, n_out)
     bright0 = np.concatenate(([y0[0]], (z_a * y0[a] + z_b * y0[b]) / g))
     dark0 = (np.conj(z_b) * y0[a] - np.conj(z_a) * y0[b]) / g
-    arrow = _folded_eigh(d[c + 1:].tobytes(), g[c:].tobytes())
-    bands = _bright_bands(arrow, bright0, t_out)
 
     # each block of snapshots is measured in its scratch block; the
     # overlap with the free pulse a0_j e^{-i d_j t} in the same rotating
     # frame is <a(t)|free(t)> = conj(sum_j a_j(t) e^{i d_j t} conj(a0_j))
     norms, p_e, n_a, n_b = np.empty((4, n_out))
     overlap = np.empty(n_out, dtype=complex)
-    for rows, block, work in _snapshot_blocks(h, dark0, bands, t_out):
+    for rows, block, work in _snapshots(h, bright0, dark0, t_out):
         if rows.start == 0:
             a0 = np.conj(block[0, a])
         free = work[:, n:]
@@ -835,13 +908,16 @@ def evolve(h: Hamiltonian, y0: np.ndarray, t_final: float, *,
         p_e[rows] = pops[:, 0]
         for cols, out in ((slice(None), norms), (a, n_a), (b, n_b)):
             out[rows] = np.add.reduce(pops[:, cols], axis=1)
+        # bound while ``_snapshots`` builds the next chunk, these views
+        # would keep this chunk's scratch block alive: 2 MB at 2001 modes
+        del block, work, free, pops
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= DRIFT_TOL:
         raise NumericalConsistencyError(
             f"norm drift {drift:.3e} exceeds {DRIFT_TOL}")
-    return OracleRun(times=t_out, bands=bands, dark0=dark0, hamiltonian=h,
-                     norm_drift=drift, p_e=p_e, n_a=n_a, n_b=n_b,
-                     overlap=overlap)
+    return OracleRun(times=t_out, bright0=bright0, dark0=dark0,
+                     hamiltonian=h, norm_drift=drift, p_e=p_e, n_a=n_a,
+                     n_b=n_b, overlap=overlap)
 
 
 DEFAULT_TOLERANCES = {"p_e": 1e-3, "p_ab": 1e-3, "n_a": 1e-3, "s_e": 1e-2,

@@ -1,5 +1,5 @@
-"""What bench/tracer.py reads off an oracle run, which keeps its snapshots
-folded until ``states`` is read."""
+"""What bench/tracer.py reads off an oracle run, which holds no snapshots
+until ``states`` is read."""
 
 import importlib.util
 from pathlib import Path

@@ -210,9 +210,9 @@ def graded_hamiltonian(s):
         z_b=-1j * np.sqrt(s.gamma_b * widths / (2.0 * math.pi)))
 
 
-def traced_excess(system, n_modes, n_out):
+def traced_peak(system, n_modes, n_out):
     """A cold ``evolve`` of a Gaussian pulse on an n_modes comb of 40
-    Gamma and its tracemalloc peak above its bands: (run, excess)."""
+    Gamma and its tracemalloc peak: (run, peak)."""
     bath = DiscreteBath(n_modes, 40.0 * system.gamma_total)
     h = build_hamiltonian(system, bath)
     amps = discretize_pulse(make_pulse(Gaussian(1.2), 50.0), bath, system)
@@ -224,7 +224,7 @@ def traced_excess(system, n_modes, n_out):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return run, peak - run.bands.nbytes
+    return run, peak
 
 
 def random_evolve(h, n_out):
@@ -302,15 +302,53 @@ class TestEvolve:
         assert np.max(np.abs(run.states - ref)) <= 1e-12
         assert run.norm_drift <= 1e-12
 
+    # chunks of 16 or 32 snapshots: one snapshot; one short of a chunk,
+    # at 32 one chunk ending in a partial block of the snapshot passes;
+    # one chunk; one past, a last chunk of one snapshot; two chunks and
+    # one past, three chunks; and 40 at 32, 32 + 8, a partial block in
+    # the last chunk
+    @pytest.mark.parametrize("chunk, n_out", [
+        (16, 1), (16, 15), (16, 16), (16, 17), (16, 33),
+        (32, 1), (32, 31), (32, 32), (32, 33), (32, 65), (32, 40)])
+    def test_chunks_match_dense_eigh(self, monkeypatch, chunk, n_out):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        h, y0, run = random_run(n_out)
+        ref = dense_states(h, y0, run.times)
+        assert np.max(np.abs(run.states - ref)) <= 1e-12
+        assert run.norm_drift <= 1e-12
+        # every series against one chunk of the same start
+        monkeypatch.setattr(oracle, "_CHUNK", n_out)
+        _, whole = random_evolve(h, n_out)
+        for name in ("p_e", "n_a", "n_b", "overlap"):
+            assert np.max(np.abs(getattr(run, name)
+                                 - getattr(whole, name))) <= 1e-15
+        assert abs(run.norm_drift - whole.norm_drift) <= 1e-15
+
     def test_states_unfold_on_first_read(self):
-        # a measured run holds only its bands; states are unfolded when
-        # read, once, read-only (test_partial_snapshot_blocks checks them
-        # against what the run measured)
+        # a measured run holds its O(n) start, no snapshot data; states
+        # are rebuilt by the chunked pass when read, once, read-only
+        # (test_partial_snapshot_blocks checks them against what the run
+        # measured)
         _, _, run = random_run(33)
         Observables.from_run(run, RANDOM_RUN_SYSTEM, InitialMixture(0.5))
         assert "states" not in vars(run)
-        states = run.states
-        assert run.states is states
+        n = run.hamiltonian.offsets.size
+        held = [v.size for v in vars(run).values()
+                if isinstance(v, np.ndarray)]
+        assert sorted(held) == sorted([33] * 5 + [n + 1, n])
+        passes = []
+        snapshots = oracle._snapshots
+
+        def counted(*args):
+            passes.append(args)
+            return snapshots(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_snapshots", counted)
+            states = run.states
+            assert run.states is states
+        assert len(passes) == 1
+        assert states.shape == (33, run.hamiltonian.dim)
         assert not states.flags.writeable
         with pytest.raises(ValueError):
             states[0, 0] = 0.0
@@ -350,15 +388,17 @@ class TestEvolve:
         with pytest.raises(ParameterError, match="norm"):
             evolve(h, y0, 2.0, n_out=11)
 
-    @pytest.mark.parametrize("n_out", [0, -1])
+    @pytest.mark.parametrize("n_out", [0, -1, 2.5, 3.0, True])
     def test_no_snapshots_refused(self, system, small_bath, n_out,
                                   monkeypatch):
-        # fewer than one snapshot is bad input, not a bare IndexError or
-        # numpy's ValueError from the time grid; one snapshot still runs
+        # fewer than one snapshot, or a count that is not an integer, is
+        # bad input, not a bare IndexError or numpy's ValueError or
+        # TypeError from the time grid; one snapshot still runs, counted
+        # by a numpy integer too
         h = build_hamiltonian(system, small_bath)
         with pytest.raises(ParameterError, match="n_out"):
             evolve(h, excited_in(h), 2.0, n_out=n_out)
-        one = evolve(h, excited_in(h), 2.0, n_out=1)
+        one = evolve(h, excited_in(h), 2.0, n_out=np.int64(1))
         assert one.times.tolist() == [0.0]
         assert one.p_e[0] == pytest.approx(1.0, abs=1e-12)
         # compare refuses it before the comb is projected
@@ -451,17 +491,20 @@ class TestEvolve:
         assert peak < (n + 1) ** 2 * 8
 
     def test_working_set(self, system):
-        # the bright pass accumulates in the folded bands, half the bytes
-        # of the states, through operands and panels of a fixed width, and
-        # the snapshot loop writes and measures through one small block,
-        # so a cold 301-snapshot run peaks about 4.2 MiB above its bands;
-        # doubling the comb doubles the bands, not the scratch above them:
-        # about 1.2 MiB more at 4001 modes (6.4 MiB with whole-width slabs)
-        run, small = traced_excess(system, 2001, 301)
-        assert small < 5 * 2 ** 20
+        # the snapshots are built and measured a chunk of at most _CHUNK
+        # at a time, each chunk's bands dropped before the next is built,
+        # through operands and panels of a fixed width and one small
+        # snapshot block: a cold 2001-mode, 301-snapshot run peaks at
+        # 7.9 MiB, where its 301 x 4 (c + 1) bands alone would be 9.2 MiB
+        # (13.2 MiB with all of them held).  Doubling the comb doubles a
+        # chunk's bands and the snapshot block, not the bright pass's
+        # scratch: 7.3 MiB more at 4001 modes (10.6 MiB with all bands
+        # held)
+        run, small = traced_peak(system, 2001, 301)
+        assert small < 9 * 2 ** 20
         assert "states" not in vars(run)
-        _, large = traced_excess(system, 4001, 301)
-        assert large - small < 2 * 2 ** 20
+        _, large = traced_peak(system, 4001, 301)
+        assert large - small < 8.5 * 2 ** 20
 
     def test_large_bath_evolves(self, system):
         bath = DiscreteBath(2049, 40.0 * system.gamma_total)
