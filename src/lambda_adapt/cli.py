@@ -18,11 +18,12 @@ subcommand; simulate reads it as a stride bound (up to N + 1 rows),
 sweep and entropy-curve as a point count, and the others ignore it.
 
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
-version, command).  A command builds every artifact's text before it
-writes any, except entropy-curve, which computes, formats and appends
-its one table a block of points at a time so that its memory does not
-grow with --points.  Every artifact goes to a temporary name, and all
-are renamed into place, each atomically, once all are written; a failed
+version, command).  A command computes every number it writes before
+it writes any, except entropy-curve, which computes its curve a block
+of points at a time; simulate and entropy-curve format and append their
+tables a block of rows at a time, so that their memory does not grow
+with --points.  Every artifact goes to a temporary name, and all are
+renamed into place, each atomically, once all are written; a failed
 write removes every temporary, so a failed command leaves no artifact
 and readers never see a half-written one.
 Every float in a CSV is Python's shortest round-trip ``repr`` of the
@@ -91,9 +92,10 @@ EXIT_ORACLE = 4
 
 BACKWARD_LEAK_TOL = 1e-12
 ADAPTATION_TOL = 1e-6
-# points of entropy_curve.csv computed and formatted at a time: the
-# command's working set stays under 1 MB whatever --points is
-CURVE_BLOCK = 4096
+# rows of trajectory.csv and entropy_curve.csv formatted (and, for the
+# curve, computed) at a time: a table's working set stays under 1 MB
+# whatever --points is
+ROW_BLOCK = 4096
 
 
 def _write_all(out: Path, texts: dict):
@@ -136,7 +138,8 @@ def _float_table(*columns) -> str:
     """CSV rows of a table of float columns, each ended by a newline.
 
     Each field is the value's ``repr``, what ``csv.writer`` writes for a
-    float, formatted for the whole table at once (see floattext).
+    float, formatted by floattext without a Python call per value; the
+    commands pass it one block of rows at a time.
     """
     return csv_text(np.column_stack(columns))
 
@@ -156,18 +159,25 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
     grid = cfg.make_grid()
     traj = integrate_psi(cfg.system, cfg.pulse, grid)
 
+    n = traj.times.size
     cap = points or 2001
-    stride = max(1, int(math.ceil(traj.times.size / cap)))
-    idx = np.arange(0, traj.times.size, stride)
-    if idx[-1] != traj.times.size - 1:
-        idx = np.append(idx, traj.times.size - 1)
-    psi = traj.psi_nodes(idx)
-    body = _float_table(traj.times[idx], psi.real, psi.imag,
-                        traj.p_e[idx], traj.p_ab[idx])
-    texts = {"trajectory.csv": _csv_text(
-        _meta("simulate", cfg, t_max=grid.t_max, dt=grid.dt,
-              stride=int(stride)),
-        ["t", "re_psi", "im_psi", "p_e", "p_ab"], body)}
+    stride = max(1, int(math.ceil(n / cap)))
+    # the rows: every stride-th node, then the last one if the stride
+    # misses it
+    n_rows = -(-(n - 1) // stride) + 1
+
+    def trajectory():
+        yield _csv_text(_meta("simulate", cfg, t_max=grid.t_max, dt=grid.dt,
+                              stride=stride),
+                        ["t", "re_psi", "im_psi", "p_e", "p_ab"], "")
+        for start in range(0, n_rows, ROW_BLOCK):
+            idx = np.arange(start, min(start + ROW_BLOCK, n_rows)) * stride
+            np.minimum(idx, n - 1, out=idx)
+            psi = traj.psi_nodes(idx)
+            yield _float_table(traj.times[idx], psi.real, psi.imag,
+                               traj.p_e[idx], traj.p_ab[idx])
+
+    texts = {"trajectory.csv": trajectory()}
 
     p_inf = p_ab_infty(traj, cfg.system)
     if is_resonant(cfg.pulse, cfg.system):
@@ -238,9 +248,9 @@ def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
         yield _csv_text(_meta("entropy-curve", cfg, n_points=n_points,
                               p_a0=cfg.mixture.p_a0),
                         ["p_ab_infty", "s_e", "s_e_c"], "")
-        for start in range(0, n_points, CURVE_BLOCK):
+        for start in range(0, n_points, ROW_BLOCK):
             curve = entropy_curve(cfg.system, cfg.mixture, n_points, start,
-                                  start + CURVE_BLOCK)
+                                  start + ROW_BLOCK)
             yield _float_table(curve.n_b, curve.s_e, curve.s_e_c)
 
     _write_all(out, {"entropy_curve.csv": text()})

@@ -150,7 +150,8 @@ def _p_max(system: LambdaSystem) -> float:
 def _p_ab_range(system: LambdaSystem) -> tuple[float, float]:
     """[0, p_max] widened for rounding by 1e-12 at both ends and 1e-9 p_max
     above: a p_max that underflows (4e-300 at gamma_a = 1e300) leaves
-    quadrature noise of either sign (1e-30) in range."""
+    quadrature noise of either sign (1e-30) in range, so an objective
+    (``optimize``) refuses a p_max below the 1e-12 slack."""
     return -1e-12, _p_max(system) * (1.0 + 1e-9) + 1e-12
 
 

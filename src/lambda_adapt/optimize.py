@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import integrate_psi, p_ab_infty
-from .entropy import _p_ab_range
+from .entropy import _p_ab_range, _p_max
 from .errors import LambdaAdaptError, NumericalConsistencyError, ParameterError
 from .model import (FAMILIES, MAX_GRID_NODES, LambdaSystem, PulseSpec,
                     SimGrid, make_pulse)
@@ -152,6 +152,15 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
 
 
 def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
+    lo, hi = _p_ab_range(system)
+    p_max = _p_max(system)
+    # below the range's absolute slack, p_ab(inf) cannot be told from the
+    # quadrature's noise of either sign (1e-30 at p_max = 4e-300)
+    if objective == "p_ab_infty" and p_max < -lo:
+        raise NumericalConsistencyError(
+            f"p_ab_infty's maximum 4 gamma_a gamma_b / Gamma^2 = {p_max} "
+            f"is below the rounding slack {-lo} of its range: the run "
+            "cannot resolve it")
     # to the settle time plus 10/Gamma: for the exponential envelope,
     # 20/linewidth, after which the drive carries e^{-20} of the transfer
     t_max = pulse.envelope.settle_time() + 10.0 / system.gamma_total
@@ -163,7 +172,6 @@ def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
             return value
     else:
         value = p_ab_infty(traj, system)
-        lo, hi = _p_ab_range(system)
         if lo <= value <= hi:
             return value
     raise NumericalConsistencyError(

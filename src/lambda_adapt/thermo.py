@@ -83,14 +83,23 @@ def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
     for i0, i1 in traj.segments:
         t_seg = traj.times[i0:i1 + 1]
         h = (t_seg[-1] - t_seg[0]) / (i1 - i0)
+        # every envelope is real, so the drive and its slope are real and
+        # their .conj() is the array itself, not a copy
         drive = _drive_nodes(system, pulse, t_seg)
         psi_hat = traj.psi_hat[i0:i1 + 1]
         slope = np.gradient(drive, h, edge_order=2 if drive.size > 2 else 1)
-        density = np.conj(drive) * psi_hat
-        d_density = (np.conj(slope) * psi_hat + lam * density
-                     + np.abs(drive) ** 2)
-        acc[i0:i1 + 1] = acc[i0] + _cumulative_quadrature(density,
-                                                          d_density, h)
+        density = drive.conj() * psi_hat
+        # conj(f') psi^ + lam density + |f|^2, summed in that order in
+        # place, with |f|^2 squared into the drive's own buffer
+        d_density = slope.conj() * psi_hat
+        del slope
+        d_density += lam * density
+        np.abs(drive, out=drive)
+        drive **= 2
+        d_density += drive
+        del drive
+        np.add(_cumulative_quadrature(density, d_density, h), acc[i0],
+               out=acc[i0:i1 + 1])
     return acc
 
 

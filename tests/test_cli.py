@@ -214,6 +214,92 @@ p_a0 = 0.5
             assert fields[1] == repr(float(psi.real[i]))
             assert fields[2] == repr(float(psi.imag[i]))
 
+    @pytest.mark.parametrize("delta_l", [0.0, 0.5])
+    @pytest.mark.parametrize("points, block", [
+        # BASE's grid has 6001 nodes
+        (None, 2000),   # stride 3: 2001 rows, the last block one row
+        (None, 7),      # 285 full blocks and one of 6 rows
+        (50, 10),       # stride 121, the last node appended as a block
+        (50, 4),        # ... and inside a block of 3 rows
+        (1, 1),         # the first node and the last
+        (2, 2),         # nodes 0 and 3001, then the last in a block
+    ])
+    def test_blocks_join_into_the_whole_table(self, tmp_path, monkeypatch,
+                                              delta_l, points, block):
+        # the rows, formatted block by block (detuned psi~ included), are
+        # the whole table's repr join
+        monkeypatch.setattr(cli, "ROW_BLOCK", block)
+        cfg = write(tmp_path, BASE.replace(
+            "delta = 1.0", f"delta = 1.0\ndelta_l = {delta_l}"))
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + (["--points", str(points)] if points else [])) \
+            == 0
+        run_cfg = load_config(cfg)
+        traj = integrate_psi(run_cfg.system, run_cfg.pulse,
+                             run_cfg.make_grid())
+        n = traj.times.size
+        stride = -(-n // (points or 2001))
+        idx = np.arange(0, n, stride)
+        if idx[-1] != n - 1:
+            idx = np.append(idx, n - 1)
+        psi = traj.psi_nodes(idx)
+        table = np.column_stack([traj.times[idx], psi.real, psi.imag,
+                                 traj.p_e[idx], traj.p_ab[idx]])
+        whole = "".join(",".join(map(repr, row)) + "\n"
+                        for row in table.tolist())
+        meta, header, body = (out / "trajectory.csv").read_text().split(
+            "\n", 2)
+        assert json.loads(meta[1:])["stride"] == stride
+        assert header == "t,re_psi,im_psi,p_e,p_ab"
+        assert body == whole
+
+    def test_failed_block_leaves_no_file(self, tmp_path, monkeypatch):
+        # the formatter fails at the second of two blocks, while
+        # trajectory.csv.tmp is half written
+        blocks = []
+        whole = cli._float_table
+
+        def fail_late(*columns):
+            blocks.append(columns[0].size)
+            if len(blocks) == 2:
+                raise NumericalConsistencyError("second block")
+            return whole(*columns)
+
+        monkeypatch.setattr(cli, "_float_table", fail_late)
+        monkeypatch.setattr(cli, "ROW_BLOCK", 1024)
+        cfg = write(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(out)]) == 3
+        assert blocks == [1024, 977]
+        assert list(out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_points(self, tmp_path):
+        # the rows are picked, formatted and written a block at a time, so
+        # 1e5 rows (stride 2) of a 2e5-node grid peak where 2e3 rows do, at
+        # about 23 MB: the trajectory and its quadratures.  The whole table
+        # and its text would add 17 MB
+        cfg = write(tmp_path, BASE + "\n[grid]\nt_max = 40.0\ndt = 0.0002\n")
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / str(points)),
+                             "--points", str(points)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)     # builds the formatter's tables
+        small, large = peak(2_000), peak(200_000)
+        table = tmp_path / "200000" / "trajectory.csv"
+        rows = len(table.read_text().splitlines()) - 2
+        assert rows == 100_001
+        block_text = table.stat().st_size * cli.ROW_BLOCK // rows
+        assert large <= small + block_text
+
     def test_float_table_matches_per_value_formatting(self):
         columns = [np.array([0.0, -0.0, 1.0, -3.0, 1e300]),
                    np.array([5e-324, -2.2250738585072014e-308, 0.1,
@@ -544,8 +630,8 @@ dt = 0.005
             _json_text("ledger.json", {"w_over_hw": float("nan")})
 
     @pytest.mark.parametrize("command, edit", [
-        # the work quadrature overflows after trajectory.csv's text is
-        # built, on resonance and off it
+        # the work quadrature overflows before trajectory.csv's rows are
+        # formatted, on resonance and off it
         ("simulate", {}),
         ("simulate", {"delta_l = 0.0": "delta_l = 0.4"}),
         # p_ab(inf) of 5e270 at the first evaluation
@@ -712,7 +798,7 @@ class TestEntropyCurveCommand:
     def test_blocks_join_into_the_one_pass_table(self, tmp_path):
         # three blocks of points, the last one short
         cfg = write(tmp_path, BASE)
-        n = 2 * cli.CURVE_BLOCK + 5
+        n = 2 * cli.ROW_BLOCK + 5
         out = tmp_path / "o"
         assert main(["entropy-curve", "--config", str(cfg),
                      "--out", str(out), "--points", str(n)]) == 0
@@ -733,7 +819,7 @@ class TestEntropyCurveCommand:
         cfg = write(tmp_path, BASE)
         out = tmp_path / "o"
         assert main(["entropy-curve", "--config", str(cfg), "--out",
-                     str(out), "--points", str(cli.CURVE_BLOCK + 1)]) == 3
+                     str(out), "--points", str(cli.ROW_BLOCK + 1)]) == 3
         assert list(out.iterdir()) == []
 
     def test_memory_does_not_grow_with_points(self, tmp_path):

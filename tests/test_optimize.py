@@ -165,14 +165,36 @@ class TestOverflow:
 
     def test_underflowed_maximum_gives_every_point_one_verdict(self):
         # gamma_b = 1 against gamma_a = 1e300 puts p_max at 4e-300, below
-        # the quadrature noise of p_ab(inf) (about 1e-30, of either sign):
-        # every point lies in the range, whatever the sign of its noise
+        # the quadrature noise of p_ab(inf) (about 1e-30, of either sign)
+        # and the range's 1e-12 slack: every point is refused, naming the
+        # maximum, whatever the sign of its noise
         s, pulse = overflowed(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             points = sweep(SweepSpec("linewidth", 0.01, 4.0), s, pulse)
-        assert [pt.error for pt in points] == [None] * 21
-        assert np.max(np.abs(columns(points)[1])) <= 1e-12
+        assert len(points) == 21
+        assert all(pt.error.startswith(
+            "p_ab_infty's maximum 4 gamma_a gamma_b / Gamma^2 = 4e-300 "
+            "is below") for pt in points)
+        assert np.all(np.isnan(columns(points)[1]))
+        with pytest.raises(NumericalConsistencyError, match="= 4e-300"):
+            maximize(s, pulse, {"detuning": (-0.5, 0.5)}, budget=8)
+
+    @pytest.mark.parametrize("gamma_b, refused", [(2.4e-13, True),
+                                                  (2.6e-13, False)])
+    def test_maximum_at_the_slack(self, gamma_b, refused):
+        # p_max = 4 gamma_b / (1 + gamma_b)^2 crosses the 1e-12 slack at
+        # gamma_b = 2.5e-13: below it the range check would pass any value
+        # within 1e-12 of 0, noise included, so the point is refused;
+        # above it the run's value (0.71 p_max) stands
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=gamma_b)
+        pulse = make_pulse(Gaussian(1.2), s.omega_a)
+        if refused:
+            with pytest.raises(NumericalConsistencyError, match="maximum"):
+                _evaluate(s, pulse, "p_ab_infty")
+        else:
+            assert 0.0 < _evaluate(s, pulse, "p_ab_infty") <= 4 * gamma_b
+        assert math.isfinite(_evaluate(s, pulse, "w_over_hw"))
 
     def test_maximize_raises(self):
         s, pulse = overflowed(1e300)

@@ -10,6 +10,12 @@ Formats N doubles, ``CHUNK`` at a time, and compares every field with
   read with ``float()`` (the doubles whose shortest repr is short);
 - one neighbour of each decimal, one ulp below or above at random.
 
+Each chunk is formatted twice: as one column, and cut into tables of 2
+to 7 columns (5 is simulate's trajectory table) whose value counts end
+part-way through one of floattext's blocks of ``_BLOCK`` values, so
+that rows, and the comma or newline after a value, fall on both sides
+of a block boundary, as in the blocks of rows the commands format.
+
 Exits 1 at the first mismatch, printing the value's bits, the
 formatter's text and ``repr``'s; exits 0 after N values.
 """
@@ -25,7 +31,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lambda_adapt.floattext import csv_text  # noqa: E402
+from lambda_adapt.floattext import _BLOCK, csv_text  # noqa: E402
 
 CHUNK = 300_000
 
@@ -46,16 +52,37 @@ def _chunk(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.concatenate([patterns, bits, neighbours]).view(np.float64)
 
 
-def _first_mismatch(values: np.ndarray) -> str:
-    got = csv_text(values[:, None])
-    expected = "\n".join(map(repr, values.tolist())) + "\n"
+def _tables(rng: np.random.Generator, values: np.ndarray):
+    """``values`` cut in order into tables of 2 to 7 columns and up to
+    three blocks of values, none a whole number of blocks; fewer than 7
+    values may be left over."""
+    start = 0
+    while True:
+        n_cols = int(rng.integers(2, 8))
+        n_rows = min(int(rng.integers(1, 3 * _BLOCK // n_cols + 1)),
+                     (values.size - start) // n_cols)
+        if n_rows * n_cols % _BLOCK == 0:
+            n_rows -= 1
+        if n_rows < 1:
+            return
+        stop = start + n_rows * n_cols
+        yield values[start:stop].reshape(n_rows, n_cols)
+        start = stop
+
+
+def _first_mismatch(table: np.ndarray) -> str:
+    got = csv_text(table)
+    rows = table.tolist()
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     if got == expected:
         return ""
-    for value, text in zip(values.tolist(), got.split("\n")):
-        if text != repr(value):
-            bits = int(np.float64(value).view(np.uint64))
-            return f"bits {bits:#018x}: floattext {text!r}, repr {value!r}"
-    return "texts differ in length"
+    for row, line in zip(rows, got.split("\n")):
+        for value, text in zip(row, line.split(",")):
+            if text != repr(value):
+                bits = int(np.float64(value).view(np.uint64))
+                return (f"bits {bits:#018x}: floattext {text!r}, "
+                        f"repr {value!r} ({table.shape[1]} columns)")
+    return f"texts of a {table.shape} table differ in their separators"
 
 
 def main() -> int:
@@ -70,7 +97,10 @@ def main() -> int:
     t0 = time.perf_counter()
     while done < args.count:
         values = _chunk(rng, CHUNK)[:args.count - done]
-        bad = _first_mismatch(values)
+        for table in (values[:, None], *_tables(rng, values)):
+            bad = _first_mismatch(table)
+            if bad:
+                break
         if bad:
             print(f"MISMATCH after {done} values: {bad}")
             return 1
