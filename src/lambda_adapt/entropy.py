@@ -148,11 +148,12 @@ def _p_max(system: LambdaSystem) -> float:
 
 
 def _p_ab_range(system: LambdaSystem) -> tuple[float, float]:
-    """[0, p_max] widened for rounding by 1e-12 at both ends and 1e-9 p_max
-    above: a p_max that underflows (4e-300 at gamma_a = 1e300) leaves
-    quadrature noise of either sign (1e-30) in range, so an objective
-    (``optimize``) refuses a p_max below the 1e-12 slack."""
-    return -1e-12, _p_max(system) * (1.0 + 1e-9) + 1e-12
+    """[0, p_max] widened for rounding by 1e-12 p_max below and 1e-9 p_max
+    above: relative to p_max, so a small resolved transfer (0.71 p_max at
+    p_max = 4e-300) is kept and quadrature noise far above it (1e-30 at
+    gamma_a = 1e300, where p_max = 4e-300) is refused."""
+    p_max = _p_max(system)
+    return -1e-12 * p_max, (1.0 + 1e-9) * p_max
 
 
 def overlap_series(traj: AmplitudeTrajectory, pulse: PulseSpec,
@@ -230,10 +231,11 @@ def asymptotic_spectrum(system: LambdaSystem, mixture: InitialMixture,
     resonance; the normalized squared overlap is its squared modulus over
     N_a = 1 - p_ab, and nothing is left excited.  A float gives one
     instant, an array one spectrum per value.  Valid for p_ab(inf) in
-    [0, 4 gamma_a gamma_b / Gamma^2], else ParameterError.  A rounding excess (``_p_ab_range``) is
-    accepted and clamped off, so that N_a stays in the range
-    ``env_eigenvalues`` takes (at gamma_a = gamma_b the maximum is 1); the
-    spectrum's ``n_b`` is the clamped value.
+    [0, p_max], p_max = 4 gamma_a gamma_b / Gamma^2, widened for rounding
+    relative to p_max (``_p_ab_range``), else ParameterError.  A rounding
+    excess above p_max is accepted and clamped off, so that N_a stays in
+    the range ``env_eigenvalues`` takes (at gamma_a = gamma_b the maximum
+    is 1); the spectrum's ``n_b`` is the clamped value.
     """
     p_max = _p_max(system)
     lo, hi = _p_ab_range(system)
@@ -262,10 +264,12 @@ def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
     values of p_ab(inf), its ``n_b``, evenly spaced from 0 to the family
     maximum p_max = 4 gamma_a gamma_b / Gamma^2 (= 1 only for gamma_a =
     gamma_b): value i is i (p_max / (n_points - 1)), the last p_max, as
-    ``np.linspace(0, p_max, n_points)`` forms them.  ``start`` and
-    ``stop`` slice the values (all of them by default), so that a long
-    curve can be built in blocks; each value's numbers do not depend on
-    the block it is built in.
+    ``np.linspace(0, p_max, n_points)`` forms them, clamped to p_max as
+    ``asymptotic_spectrum`` clamps every value it accepts (a subnormal
+    p_max can round the product above it).  ``start`` and ``stop`` slice
+    the values (all of them by default), so that a long curve can be
+    built in blocks; each value's numbers do not depend on the block it
+    is built in.
     """
     if not 2 <= n_points <= MAX_GRID_NODES:
         raise ParameterError(
@@ -276,7 +280,7 @@ def entropy_curve(system: LambdaSystem, mixture: InitialMixture,
     i = np.arange(rows.start, rows.stop, dtype=float)
     step = p_max / (n_points - 1)
     # np.linspace's product, and its quotient where the step underflows
-    p = i * step if step else i / (n_points - 1) * p_max
+    p = np.minimum(i * step if step else i / (n_points - 1) * p_max, p_max)
     if rows and rows[-1] == n_points - 1:
         p[-1] = p_max
     return asymptotic_spectrum(system, mixture, p, 0.0)

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import integrate_psi, p_ab_infty
-from .entropy import _p_ab_range, _p_max
+from .entropy import _p_ab_range
 from .errors import LambdaAdaptError, NumericalConsistencyError, ParameterError
 from .model import (FAMILIES, MAX_GRID_NODES, LambdaSystem, PulseSpec,
                     SimGrid, make_pulse)
@@ -152,26 +152,16 @@ def apply_parameters(system: LambdaSystem, pulse: PulseSpec,
 
 
 def _evaluate(system: LambdaSystem, pulse: PulseSpec, objective: str) -> float:
-    lo, hi = _p_ab_range(system)
-    p_max = _p_max(system)
-    # below the range's absolute slack, p_ab(inf) cannot be told from the
-    # quadrature's noise of either sign (1e-30 at p_max = 4e-300)
-    if objective == "p_ab_infty" and p_max < -lo:
-        raise NumericalConsistencyError(
-            f"p_ab_infty's maximum 4 gamma_a gamma_b / Gamma^2 = {p_max} "
-            f"is below the rounding slack {-lo} of its range: the run "
-            "cannot resolve it")
-    # to the settle time plus 10/Gamma: for the exponential envelope,
-    # 20/linewidth, after which the drive carries e^{-20} of the transfer
-    t_max = pulse.envelope.settle_time() + 10.0 / system.gamma_total
-    grid = SimGrid.auto(system, pulse, t_max=t_max)
-    traj = integrate_psi(system, pulse, grid)
+    # simulate's default grid, so a point's objective is what simulate
+    # writes for that drive
+    traj = integrate_psi(system, pulse, SimGrid.auto(system, pulse))
     if objective == "w_over_hw":
         value = drive_energy_flux(traj, pulse, system)
         if math.isfinite(value):
             return value
     else:
         value = p_ab_infty(traj, system)
+        lo, hi = _p_ab_range(system)
         if lo <= value <= hi:
             return value
     raise NumericalConsistencyError(

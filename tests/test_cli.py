@@ -743,6 +743,47 @@ hi = 2.0
         assert all(line.count(",") == 3 and '"' not in line
                    for line, row in zip(lines[1:], rows) if not row[3])
 
+    @pytest.mark.parametrize("gamma_b, delta_l", [("1.0", "0.0"),
+                                                  ("1.6", "0.3")],
+                             ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("pulse", [
+        "family = gaussian\nsigma = 1.2", "family = exponential\ndelta = 0.5",
+        "family = rectangular\ntau = 2.0"],
+        ids=["gaussian", "exponential", "rectangular"])
+    def test_objective_is_what_simulate_writes(self, tmp_path, pulse,
+                                               gamma_b, delta_l):
+        # a detuning sweep from the config's delta_l starts at the
+        # config's own drive, and no [grid] puts simulate on the grid the
+        # objective runs: the first row holds simulate's numbers, bit for
+        # bit (on resonance the ledger's w_over_hw is W / omega_a, which
+        # can round apart from the objective's flux)
+        text = (BASE.replace("gamma_b = 1.0", f"gamma_b = {gamma_b}")
+                .replace("family = exponential\ndelta = 1.0",
+                         f"{pulse}\ndelta_l = {delta_l}"))
+        cfg = write(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "sim")]) == 0
+        ledger = json.loads((tmp_path / "sim" / "ledger.json").read_text())
+        entropy = json.loads((tmp_path / "sim" / "entropy.json").read_text())
+        assert ledger["p_ab_infty"] == entropy["p_ab_infty"]
+        objectives = ["p_ab_infty"] + ["w_over_hw"] * (delta_l != "0.0")
+        for objective in objectives:
+            cfg = write(tmp_path, text + f"""
+[sweep]
+parameter = detuning
+lo = {delta_l}
+hi = 1.0
+n_points = 3
+objective = {objective}
+""", name=f"{objective}.ini")
+            out = tmp_path / objective
+            assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--points", "3"]) == 0
+            row = (out / "sweep.csv").read_text().splitlines()[2]
+            value, _, got, error = next(csv.reader([row]))
+            assert (float(value), error) == (float(delta_l), "")
+            assert float(got) == ledger[objective]
+
 
 class TestOptimizeCommand:
     def test_artifacts(self, tmp_path):

@@ -175,6 +175,19 @@ class TestAsymptoticSpectrum:
         # inside the range nothing is clamped
         assert asymptotic_spectrum(s, mix, 0.3 * p_max, 0.0).n_b == 0.3 * p_max
 
+    def test_range_is_relative_to_the_maximum(self):
+        # p_max = 4e-300 at gamma_b = 1e-300: a resolved transfer of 0.711
+        # p_max is accepted, and quadrature noise of either sign on the
+        # scale of the gamma_a = 1e300 runs (1e-30) is refused
+        s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=1e-300)
+        mix = InitialMixture(0.5)
+        p_max = entropy._p_max(s)
+        assert asymptotic_spectrum(s, mix, 0.711 * p_max, 0.0).n_b == \
+            0.711 * p_max
+        for noise in (1e-30, -1e-30):
+            with pytest.raises(ParameterError):
+                asymptotic_spectrum(s, mix, noise, 0.0)
+
     def test_refuses_an_array_with_one_value_out_of_range(self):
         s = LambdaSystem(omega_a=1.0, gamma_a=1.0, gamma_b=3.0)
         mix = InitialMixture(0.5)
@@ -373,6 +386,18 @@ class TestEntropyCurve:
         for name in ("n_b", "s_e", "s_e_c"):
             joined = np.concatenate([getattr(p, name) for p in parts])
             assert joined.tobytes() == getattr(curve, name).tobytes()
+
+    @pytest.mark.parametrize("n_points", [200, 4097])
+    @pytest.mark.parametrize("gamma_a", [1e-318, 1e-320])
+    def test_subnormal_maximum_clamps_the_grid(self, gamma_a, n_points):
+        # a subnormal p_max: linspace's products can round above it,
+        # where the range relative to p_max has no slack left, so the
+        # grid is clamped to p_max, as asymptotic_spectrum clamps
+        s = LambdaSystem(omega_a=1.0, gamma_a=gamma_a, gamma_b=1.0)
+        p_max = entropy._p_max(s)
+        curve = entropy_curve(s, InitialMixture(0.5), n_points=n_points)
+        grid = np.minimum(np.linspace(0.0, p_max, n_points), p_max)
+        assert curve.n_b.tobytes() == grid.tobytes()
 
     def test_curve_builds_one_spectrum(self, monkeypatch):
         calls = []

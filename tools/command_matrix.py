@@ -1,4 +1,4 @@
-"""Every command on the default config and eleven edits of it.
+"""Every command on the default config and twelve edits of it.
 
     python3 tools/command_matrix.py OUT
 
@@ -21,8 +21,10 @@ put on the wrong branch would show, a config without its optional
 optimize whose box puts the rate_ratio optimum of 1 near its lower face
 (a search that folds onto that face stops at p_ab 0.790123, against
 0.800000 inside), a three-parameter optimize over linewidth, detuning
-and rate_ratio together, and a detuned run at gamma_a = 1e300, which
-overflows: each command's exit code and stderr show how it stops.
+and rate_ratio together, a detuned run at gamma_a = 1e300, which
+overflows (each command's exit code and stderr show how it stops), and
+a run at gamma_b = 1e-300, whose p_ab(inf) of about 2.8e-300 is resolved
+and judged relative to its maximum 4 gamma_a gamma_b / Gamma^2 = 4e-300.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ EDITS = {
                                     "linewidth_lo": "0.1",
                                     "linewidth_hi": "2.0"}},
     "overflow": {"system": {"gamma_a": "1e300"}, "pulse": {"delta_l": "0.4"}},
+    "tiny_rate": {"system": {"gamma_b": "1e-300"}},
 }
 
 
