@@ -20,12 +20,13 @@ sweep and entropy-curve as a point count, and the others ignore it.
 CSV artifacts carry a '#'-prefixed JSON metadata line (config hash,
 version, command).  A command computes every number it writes before
 it writes any, except entropy-curve, which computes its curve a block
-of points at a time; simulate and entropy-curve format and append their
-tables a block of rows at a time, so that their memory does not grow
-with --points.  Every artifact goes to a temporary name, and all are
-renamed into place, each atomically, once all are written; a failed
-write removes every temporary, so a failed command leaves no artifact
-and readers never see a half-written one.
+of points at a time; simulate and entropy-curve format their tables a
+block of rows at a time and append each block's text as floattext
+formats it, so that their memory does not grow with --points.  Every
+artifact goes to a temporary name, and all are renamed into place, each
+atomically, once all are written; a failed write removes every
+temporary, so a failed command leaves no artifact and readers never see
+a half-written one.
 Every float in a CSV is Python's shortest round-trip ``repr`` of the
 double, so ``float(field)`` returns the exact value that was computed.
 """
@@ -52,7 +53,7 @@ from .dynamics import integrate_psi, p_ab_infty
 from .entropy import asymptotic_spectrum, entropy_curve
 from .errors import (ConfigurationError, LambdaAdaptError,
                      NumericalConsistencyError)
-from .floattext import csv_text
+from .floattext import csv_blocks
 from .model import SimGrid
 from .optimize import maximize, sweep
 from .oracle import compare
@@ -134,14 +135,15 @@ def _csv_text(meta: dict, header: list[str], body: str) -> str:
             + ",".join(header) + "\n" + body)
 
 
-def _float_table(*columns) -> str:
-    """CSV rows of a table of float columns, each ended by a newline.
+def _float_table(*columns):
+    """CSV rows of a table of float columns, each ended by a newline, as
+    the strings floattext yields a block of values at a time.
 
     Each field is the value's ``repr``, what ``csv.writer`` writes for a
     float, formatted by floattext without a Python call per value; the
     commands pass it one block of rows at a time.
     """
-    return csv_text(np.column_stack(columns))
+    return csv_blocks(np.column_stack(columns))
 
 
 def _json_text(name: str, doc: dict, indent: int | None = 2) -> str:
@@ -174,8 +176,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, points: int | None) -> int:
             idx = np.arange(start, min(start + ROW_BLOCK, n_rows)) * stride
             np.minimum(idx, n - 1, out=idx)
             psi = traj.psi_nodes(idx)
-            yield _float_table(traj.times[idx], psi.real, psi.imag,
-                               traj.p_e[idx], traj.p_ab[idx])
+            yield from _float_table(traj.times[idx], psi.real, psi.imag,
+                                    traj.p_e[idx], traj.p_ab[idx])
 
     texts = {"trajectory.csv": trajectory()}
 
@@ -251,7 +253,7 @@ def cmd_entropy_curve(cfg: RunConfig, out: Path, points: int | None) -> int:
         for start in range(0, n_points, ROW_BLOCK):
             curve = entropy_curve(cfg.system, cfg.mixture, n_points, start,
                                   start + ROW_BLOCK)
-            yield _float_table(curve.n_b, curve.s_e, curve.s_e_c)
+            yield from _float_table(curve.n_b, curve.s_e, curve.s_e_c)
 
     _write_all(out, {"entropy_curve.csv": text()})
     return EXIT_OK

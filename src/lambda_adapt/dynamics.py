@@ -140,6 +140,12 @@ _INV_FACTORIALS = tuple(1.0 / math.factorial(n)
 # envelope-scale stretch after it, broke a 1e-8 ledger at linewidth 1e-7.
 _TRANSIENT_WINDOW = 60.0
 
+# The passes over a stretch that build the drive, the step terms and the
+# quadratures work on pieces of about this many nodes (``_pieces``), so
+# their temporaries stay near 2 * _PIECE nodes however long the stretch;
+# only the trajectory itself and the drive-overlap series are whole.
+_PIECE = 4096
+
 
 def _phi_series(z: complex) -> tuple[complex, complex, complex]:
     """phi_1, phi_2, phi_3 at z from phi_k(z) = sum_j z^j / (j + k)!."""
@@ -271,45 +277,72 @@ def _affine_recursion(a, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _drive(system: LambdaSystem, pulse: PulseSpec, t):
+def _drive(system: LambdaSystem, pulse: PulseSpec, t, out=None):
     """Carrier-frame drive term f(t) = -g_a phi_shape(-t), where with the
     envelope norm's 1 / (2 pi) the flat coupling g_a = sqrt(gamma_a / (2 pi))
-    makes f sqrt(gamma_a) times an amplitude u(t) with int |u|^2 dt = 1."""
+    makes f sqrt(gamma_a) times an amplitude u(t) with int |u|^2 dt = 1;
+    written into ``out`` when one is given."""
     g_a = math.sqrt(system.gamma_a / (2.0 * math.pi))
-    return -g_a * pulse.shape_at(-np.asarray(t, dtype=float))
+    return np.multiply(pulse.shape_at(-np.asarray(t, dtype=float)), -g_a,
+                       out=out)
 
 
-def _drive_nodes(system: LambdaSystem, pulse: PulseSpec,
-                 times: np.ndarray) -> np.ndarray:
-    """The drive on the nodes of one stretch where it is smooth.
+def _drive_nodes(system: LambdaSystem, pulse: PulseSpec, times: np.ndarray,
+                 start: int, stop: int, out=None) -> np.ndarray:
+    """The drive on the nodes ``times[start:stop]`` of one stretch where
+    it is smooth, written into ``out`` when one is given.
 
-    The two end nodes are nudged inward by 1e-9 of a step, so a
-    discontinuity on an end node contributes the value from inside the
-    stretch.
+    The stretch's two end nodes are nudged inward by 1e-9 of a step, so
+    a discontinuity on an end node contributes the value from inside the
+    stretch; the inner ends of a piece of the stretch are not nudged.
     """
     h = times[1] - times[0] if times.size > 1 else 1.0
-    t_eval = times.copy()
-    t_eval[0] += 1e-9 * h
-    t_eval[-1] -= 1e-9 * h
-    return _drive(system, pulse, t_eval)
+    t_eval = times[start:stop].copy()
+    if start == 0:
+        t_eval[0] += 1e-9 * h
+    if stop == times.size:
+        t_eval[-1] -= 1e-9 * h
+    return _drive(system, pulse, t_eval, out)
 
 
-def _cumulative_quadrature(y: np.ndarray, dy: np.ndarray,
-                           h: float) -> np.ndarray:
-    """int_{t_0}^{t_k} y on a uniform stretch of step h, for every k.
+def _pieces(n: int) -> list[tuple[int, int]]:
+    """[start, stop) ranges that cut n nodes into max(1, n // _PIECE)
+    nearly equal pieces: a stretch under 2 _PIECE nodes is one piece."""
+    count = max(1, n // _PIECE)
+    bounds = [k * n // count for k in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _cumulative_quadrature(out: np.ndarray, start, h: float, terms):
+    """out[k] = start + int_{t_0}^{t_k} y on a uniform stretch of step h.
 
     The trapezoid sum plus the Euler-Maclaurin end correction
     h^2/12 (y'(t_0) - y'(t_k)); the corrections of the single steps
-    telescope, so ``dy`` (= y') is needed at the nodes only, and the
-    error is O(h^4) per unit time for smooth y.
+    telescope, so y' is needed at the nodes only, and the error is
+    O(h^4) per unit time for smooth y.  ``terms(a, b)`` returns y and y'
+    on the nodes [a, b) of ``_pieces(out.size)``, in order; the running
+    sum of y carries from one piece to the next and the end correction
+    at t_0 comes from the first, so every value is the one a single
+    piece over the whole stretch gives, bit for bit.
     """
-    q = (0.5 * h) * y
-    q += (h * h / 12.0) * dy
-    out = np.cumsum(y)
-    out *= h
-    out -= q
-    out += q[0] - h * y[0]
-    return out
+    running = None
+    for a, b in _pieces(out.size):
+        y, dy = terms(a, b)
+        q = (0.5 * h) * y
+        q += (h * h / 12.0) * dy
+        seg = out[a:b]
+        if running is None:
+            first = q[0] - h * y[0]
+            np.cumsum(y, out=seg)
+        else:
+            seg[:] = y
+            seg[0] += running
+            np.add.accumulate(seg, out=seg)
+        running = seg[-1]
+        seg *= h
+        seg -= q
+        seg += first
+        seg += start
 
 
 def _stretches(lo: float, hi: float, dt: float, h_fast: float,
@@ -348,6 +381,14 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
     nodes.  A run of more than MAX_GRID_NODES
     steps (a large |delta_L| shrinks the transient step) raises
     ConfigurationError before anything is allocated.
+
+    Only the recursion takes a stretch whole.  The times, the drive at
+    the nodes and half nodes, the step terms, p_e' and the quadrature
+    are formed a piece at a time (``_pieces``): the drive at the nodes
+    is written into p_e's memory, where the quadrature pass reads it
+    before p_e replaces it, so beyond the record's 40 bytes a node a run
+    holds temporaries of a piece only.  A stretch under 2 _PIECE nodes
+    is one piece; any cut gives the same bits.
 
     The record stores psi^, the carrier-frame amplitude the steps
     propagate, as ``psi_hat``; the rotation to psi~ is left to the
@@ -392,31 +433,39 @@ def integrate_psi(system: LambdaSystem, pulse: PulseSpec,
         i1 = i0 + n
         h = (hi - lo) / n
         t_seg = t_all[i0:i1 + 1]
-        np.multiply(np.arange(n + 1), h, out=t_seg)
-        t_seg += lo
-        f_nodes = _drive_nodes(system, pulse, t_seg)
-        f_half = _drive(system, pulse, t_seg[:-1] + 0.5 * h)
         A, w0, w1, w2 = _step_coefficients(lam, h)
         # the recursion runs in psi^'s own memory: node 0 already holds
         # psi^ at the start of the stretch, and the step terms are formed
-        # in place behind it
+        # in place behind it, piece by piece after the piece's times; the
+        # drive at the nodes waits in p_e's memory until the quadrature
+        # pass reads it
         psi_seg = psi_hat[i0:i1 + 1]
-        w_steps = psi_seg[1:]
-        np.multiply(f_nodes[:-1], w0, out=w_steps)
-        w_steps += w1 * f_half
-        w_steps += w2 * f_nodes[1:]
-        _affine_recursion(A, psi_seg)
-        re, im = psi_seg.real, psi_seg.imag
         p_seg = p_e[i0:i1 + 1]
-        np.multiply(re, re, out=p_seg)
-        p_seg += im * im
-        # p_e' = -Gamma p_e + 2 Re(conj(f) psi^) from the amplitude
-        # equation, 2 f Re psi^ as every envelope's drive is real
-        dp_seg = f_nodes * re
-        dp_seg *= 2.0
-        dp_seg -= gamma * p_seg
-        transfer[i0:i1 + 1] = transfer[i0] + _cumulative_quadrature(
-            p_seg, dp_seg, h)
+        for a, b in _pieces(n + 1):
+            np.multiply(np.arange(a, b), h, out=t_seg[a:b])
+            t_seg[a:b] += lo
+            _drive_nodes(system, pulse, t_seg, a, b, out=p_seg[a:b])
+            a = max(a, 1)
+            w_steps = psi_seg[a:b]
+            np.multiply(p_seg[a - 1:b - 1], w0, out=w_steps)
+            w_steps += w1 * _drive(system, pulse, t_seg[a - 1:b - 1] + 0.5 * h)
+            w_steps += w2 * p_seg[a:b]
+        _affine_recursion(A, psi_seg)
+
+        def terms(a, b):
+            # p_e and p_e' = -Gamma p_e + 2 Re(conj(f) psi^) from the
+            # amplitude equation, 2 f Re psi^ as every envelope's drive
+            # is real; p_e overwrites the drive once p_e' has read it
+            re, im = psi_seg[a:b].real, psi_seg[a:b].imag
+            p = p_seg[a:b]
+            dp = p * re
+            dp *= 2.0
+            np.multiply(re, re, out=p)
+            p += im * im
+            dp -= gamma * p
+            return p, dp
+
+        _cumulative_quadrature(transfer[i0:i1 + 1], transfer[i0], h, terms)
         seg_ranges.append((i0, i1))
         i0 = i1
 

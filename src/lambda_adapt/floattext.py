@@ -33,7 +33,9 @@ The tables are built on first use (a few ms), so importing this module
 costs nothing.  Values are formatted in blocks of ``_BLOCK`` so that
 each temporary stays well below the 1 MB to which cli raises glibc's
 mmap threshold: larger ones are fresh mappings that fault on every
-call.
+call.  ``csv_blocks`` yields each block's text as soon as it is
+formatted, so a writer never holds more than one block of text;
+``csv_text`` joins them.
 """
 
 from __future__ import annotations
@@ -316,12 +318,12 @@ def _block_bytes(bits, words, tables):
     return words.view(np.uint8).ravel().take(index)
 
 
-def csv_text(table) -> str:
-    """``repr`` of every value of a 2-d table, ``,`` between the values
-    of a row and a newline after each row."""
+def csv_blocks(table):
+    """The text of ``csv_text(table)``, yielded as each block of
+    ``_BLOCK`` values is formatted: the strings join to ``csv_text``'s."""
     table = np.asarray(table, dtype=np.float64)
     if table.size == 0:
-        return ""
+        return
     n_cols = table.shape[1]
     values = table.ravel().view(_U64)
     tables = _tables()
@@ -329,9 +331,13 @@ def csv_text(table) -> str:
     words[6:8] = tables.words[:2, None]
     last = np.arange(_BLOCK + n_cols) % n_cols == n_cols - 1
     separators = tables.words[2:].take(last)
-    chunks = []
     for start in range(0, values.size, _BLOCK):
         bits = values[start:start + _BLOCK]
         words[8, :bits.size] = separators[start % n_cols:][:bits.size]
-        chunks.append(_block_bytes(bits, words, tables))
-    return b"".join(chunks).decode("ascii")
+        yield str(_block_bytes(bits, words, tables), "ascii")
+
+
+def csv_text(table) -> str:
+    """``repr`` of every value of a 2-d table, ``,`` between the values
+    of a row and a newline after each row."""
+    return "".join(csv_blocks(table))

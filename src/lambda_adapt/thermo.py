@@ -73,7 +73,11 @@ def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
     correction takes the derivative conj(f') psi^ + conj(f) (lambda psi^
     + f), lambda = -Gamma/2 + i delta_L, from the amplitude equation; f'
     comes from differences of the drive samples inside the stretch
-    (central, one-sided at its ends).  Twice the real part at t_max is
+    (``np.gradient``: central, one-sided at its ends).  The drive, its
+    slope and the integrand are formed a piece of the stretch at a time
+    (``dynamics._pieces``), each piece's drive taken one node past its
+    inner ends for the central differences there, so only the series
+    itself grows with the trajectory.  Twice the real part at t_max is
     ``drive_energy_flux``; ``entropy.overlap_series`` interpolates it.
     The trajectory's psi^ (``psi_hat``) is read as stored.
     """
@@ -83,23 +87,28 @@ def drive_overlap_integral(traj: AmplitudeTrajectory, pulse: PulseSpec,
     for i0, i1 in traj.segments:
         t_seg = traj.times[i0:i1 + 1]
         h = (t_seg[-1] - t_seg[0]) / (i1 - i0)
-        # every envelope is real, so the drive and its slope are real and
-        # their .conj() is the array itself, not a copy
-        drive = _drive_nodes(system, pulse, t_seg)
-        psi_hat = traj.psi_hat[i0:i1 + 1]
-        slope = np.gradient(drive, h, edge_order=2 if drive.size > 2 else 1)
-        density = drive.conj() * psi_hat
-        # conj(f') psi^ + lam density + |f|^2, summed in that order in
-        # place, with |f|^2 squared into the drive's own buffer
-        d_density = slope.conj() * psi_hat
-        del slope
-        d_density += lam * density
-        np.abs(drive, out=drive)
-        drive **= 2
-        d_density += drive
-        del drive
-        np.add(_cumulative_quadrature(density, d_density, h), acc[i0],
-               out=acc[i0:i1 + 1])
+        psi_seg = traj.psi_hat[i0:i1 + 1]
+        edge_order = 2 if t_seg.size > 2 else 1
+
+        def terms(a, b):
+            lo, hi = max(a - 1, 0), min(b + 1, t_seg.size)
+            # every envelope is real, so the drive and its slope are real
+            # and their .conj() is the array itself, not a copy
+            drive = _drive_nodes(system, pulse, t_seg, lo, hi)
+            slope = np.gradient(drive, h, edge_order=edge_order)
+            drive, slope = drive[a - lo:b - lo], slope[a - lo:b - lo]
+            psi_hat = psi_seg[a:b]
+            density = drive.conj() * psi_hat
+            # conj(f') psi^ + lam density + |f|^2, summed in that order in
+            # place, with |f|^2 squared into the drive's own buffer
+            d_density = slope.conj() * psi_hat
+            d_density += lam * density
+            np.abs(drive, out=drive)
+            drive **= 2
+            d_density += drive
+            return density, d_density
+
+        _cumulative_quadrature(acc[i0:i1 + 1], acc[i0], h, terms)
     return acc
 
 

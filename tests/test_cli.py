@@ -278,8 +278,9 @@ p_a0 = 0.5
     def test_memory_does_not_grow_with_points(self, tmp_path):
         # the rows are picked, formatted and written a block at a time, so
         # 1e5 rows (stride 2) of a 2e5-node grid peak where 2e3 rows do, at
-        # about 23 MB: the trajectory and its quadratures.  The whole table
-        # and its text would add 17 MB
+        # about 11.7 MB: the trajectory (8 MB) and the drive-overlap series
+        # (3.2 MB), every other pass over them working in pieces.  The
+        # whole table and its text would add 17 MB
         cfg = write(tmp_path, BASE + "\n[grid]\nt_max = 40.0\ndt = 0.0002\n")
 
         def peak(points):
@@ -300,6 +301,29 @@ p_a0 = 0.5
         block_text = table.stat().st_size * cli.ROW_BLOCK // rows
         assert large <= small + block_text
 
+    def test_memory_grows_by_the_trajectory_alone(self, tmp_path):
+        # what simulate must hold grows by 56 B a node: the trajectory's
+        # 40 (times, psi^, p_e, p_ab) and the drive-overlap series' 16.
+        # The drive, the step terms, p_e' and both quadratures work in
+        # pieces of a stretch, whose temporaries do not grow with it
+        def peak(dt):
+            grid = f"\n[grid]\nt_max = 40.0\ndt = {dt}\n"
+            cfg = write(tmp_path, BASE + grid, name=f"{dt}.ini")
+            c = load_config(cfg)
+            nodes = integrate_psi(c.system, c.pulse, c.make_grid()).times.size
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / str(dt))]) == 0
+                return nodes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.002)     # builds the formatter's tables
+        (n_small, small), (n_large, large) = peak(0.002), peak(0.0002)
+        assert (n_small, n_large) == (20_001, 200_001)
+        assert large - small <= 56 * (n_large - n_small) + 2 ** 20
+
     def test_float_table_matches_per_value_formatting(self):
         columns = [np.array([0.0, -0.0, 1.0, -3.0, 1e300]),
                    np.array([5e-324, -2.2250738585072014e-308, 0.1,
@@ -308,7 +332,7 @@ p_a0 = 0.5
                              0.30000000000000004])]
         per_value = [",".join(repr(float(v)) for v in row)
                      for row in zip(*columns)]
-        assert _float_table(*columns) == "\n".join(per_value) + "\n"
+        assert "".join(_float_table(*columns)) == "\n".join(per_value) + "\n"
 
     def test_csv_floats_read_back_exactly(self, tmp_path):
         # every field is the shortest repr of a double: float() gives
@@ -846,7 +870,7 @@ class TestEntropyCurveCommand:
         c = load_config(cfg)
         curve = entropy_curve(c.system, c.mixture, n_points=n)
         body = (out / "entropy_curve.csv").read_text().split("\n", 2)[2]
-        assert body == _float_table(curve.n_b, curve.s_e, curve.s_e_c)
+        assert body == "".join(_float_table(curve.n_b, curve.s_e, curve.s_e_c))
 
     def test_failed_block_leaves_no_file(self, tmp_path, monkeypatch):
         whole = cli.entropy_curve

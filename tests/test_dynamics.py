@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
+from lambda_adapt import dynamics
 from lambda_adapt.dynamics import (_PHI_SERIES_RADIUS, AmplitudeTrajectory,
                                    _affine_recursion, _phi_closed, _phi_series,
                                    _step_coefficients,
@@ -19,7 +20,7 @@ from lambda_adapt.errors import ConfigurationError, ParameterError
 from lambda_adapt.model import (_GAUSS_OFFSET, Exponential, Gaussian,
                                 LambdaSystem, Rectangular, SimGrid,
                                 make_pulse)
-from lambda_adapt.thermo import drive_energy_flux
+from lambda_adapt.thermo import drive_energy_flux, drive_overlap_integral
 
 
 def run(system, envelope, *, detuning=0.0, t_max=None, dt=None):
@@ -406,3 +407,47 @@ class TestTrajectoryBookkeeping:
         assert np.all(traj.p_e >= 0.0)
         assert np.all(np.diff(traj.p_ab) >= -1e-15)
         assert np.max(total) <= 1.0 + 1e-9
+
+
+class TestPieces:
+    """Stretches worked on in pieces give the bits of one piece."""
+
+    @staticmethod
+    def arrays(system, pulse, grid):
+        traj = integrate_psi(system, pulse, grid)
+        series = drive_overlap_integral(traj, pulse, system)
+        sizes = [i1 - i0 + 1 for i0, i1 in traj.segments]
+        return sizes, [a.tobytes() for a in (traj.times, traj.psi_hat,
+                                             traj.p_e, traj.p_ab, series)]
+
+    # Gamma = 2 steps at 0.005 through the first 30 time units, so a run
+    # of t_max = (m - 1) 0.005 is one stretch of m nodes (m = 2 takes
+    # np.gradient's first-order edges), and the rectangle adds its 401
+    # node stretch up to its back edge at 2 before one of m nodes
+    @pytest.mark.parametrize("nodes", [2, 15, 16, 31, 32, 33, 100, 347])
+    @pytest.mark.parametrize("detuning", [0.0, 0.3])
+    @pytest.mark.parametrize("envelope", [Gaussian(1.2), Exponential(0.5),
+                                          Rectangular(2.0)],
+                             ids=["gaussian", "exponential", "rectangular"])
+    def test_pieces_match_one_piece(self, monkeypatch, envelope, detuning,
+                                    nodes):
+        s = LambdaSystem(omega_a=50.0, gamma_a=1.0, gamma_b=1.0)
+        pulse = make_pulse(envelope, s.omega_a + detuning)
+        edge = 2.0 if isinstance(envelope, Rectangular) else 0.0
+        grid = SimGrid(t_max=edge + (nodes - 1) * 0.005, dt=0.005)
+        monkeypatch.setattr(dynamics, "_PIECE", 10 ** 9)
+        sizes, whole = self.arrays(s, pulse, grid)
+        assert sizes == ([401, nodes] if edge else [nodes])
+        monkeypatch.setattr(dynamics, "_PIECE", 16)
+        assert self.arrays(s, pulse, grid) == (sizes, whole)
+
+    @pytest.mark.parametrize("nodes,count", [(2, 1), (15, 1), (31, 1),
+                                             (32, 2), (33, 2), (100, 6)])
+    def test_piece_rule(self, monkeypatch, nodes, count):
+        monkeypatch.setattr(dynamics, "_PIECE", 16)
+        pieces = dynamics._pieces(nodes)
+        assert len(pieces) == count
+        assert pieces[0][0] == 0 and pieces[-1][1] == nodes
+        assert all(b == c for (_, b), (c, _) in zip(pieces, pieces[1:]))
+        sizes = [b - a for a, b in pieces]
+        assert max(sizes) - min(sizes) <= 1

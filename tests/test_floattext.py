@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_adapt.floattext import _BLOCK, csv_text
+from lambda_adapt.floattext import _BLOCK, csv_blocks, csv_text
 
 
 def reference(table: np.ndarray) -> str:
@@ -59,3 +59,14 @@ def test_matches_repr_on_hard_cases():
 
 def test_empty_table():
     assert csv_text(np.empty((0, 3))) == ""
+
+
+def test_blocks_stream_the_table():
+    # one string per block of _BLOCK values, the last block partial
+    rng = np.random.default_rng(53)
+    for shape in [(1, 1), (_BLOCK + 7, 1), (1000, 5), (_BLOCK // 3 + 1, 3)]:
+        table = rng.standard_normal(shape)
+        blocks = list(csv_blocks(table))
+        assert len(blocks) == -(-table.size // _BLOCK)
+        assert all(isinstance(block, str) for block in blocks)
+        assert "".join(blocks) == reference(table)

@@ -1,4 +1,4 @@
-"""Every command on the default config and twelve edits of it.
+"""Every command on the default config and fourteen edits of it.
 
     python3 tools/command_matrix.py OUT
 
@@ -22,9 +22,15 @@ optimize whose box puts the rate_ratio optimum of 1 near its lower face
 (a search that folds onto that face stops at p_ab 0.790123, against
 0.800000 inside), a three-parameter optimize over linewidth, detuning
 and rate_ratio together, a detuned run at gamma_a = 1e300, which
-overflows (each command's exit code and stderr show how it stops), and
+overflows (each command's exit code and stderr show how it stops),
 a run at gamma_b = 1e-300, whose p_ab(inf) of about 2.8e-300 is resolved
-and judged relative to its maximum 4 gamma_a gamma_b / Gamma^2 = 4e-300.
+and judged relative to its maximum 4 gamma_a gamma_b / Gamma^2 = 4e-300,
+and two long [grid]s, a section ``configs/default.ini`` lacks, whose
+stretches ``integrate_psi`` and ``thermo.drive_overlap_integral`` work
+on in several pieces: 2e5 + 1 nodes in one stretch on the resonant
+Gaussian, and the rectangle of duration 2 detuned by 0.4 at t_max = 400,
+dt = 0.02, whose stretches of 401, 6001 and 18,401 nodes are summed
+off resonance.
 """
 
 from __future__ import annotations
@@ -72,6 +78,11 @@ EDITS = {
                                     "linewidth_hi": "2.0"}},
     "overflow": {"system": {"gamma_a": "1e300"}, "pulse": {"delta_l": "0.4"}},
     "tiny_rate": {"system": {"gamma_b": "1e-300"}},
+    "long_grid": {"grid": {"t_max": "400.0", "dt": "0.002"}},
+    "long_grid_rectangular": {"pulse": {"family": "rectangular",
+                                        "sigma": None, "tau": "2.0",
+                                        "delta_l": "0.4"},
+                              "grid": {"t_max": "400.0", "dt": "0.02"}},
 }
 
 
@@ -83,9 +94,12 @@ def read_ini(text: str) -> ConfigParser:
 
 
 def config_text(edit: dict) -> str:
-    """``configs/default.ini`` with ``edit`` applied, as INI text."""
+    """``configs/default.ini`` with ``edit`` applied, as INI text; a
+    section the default config lacks is added."""
     parser = read_ini(DEFAULT.read_text())
     for section, keys in edit.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
         for key, value in keys.items():
             if value is None:
                 parser.remove_option(section, key)
